@@ -208,15 +208,16 @@ def cmd_verify(args) -> int:
     prob = parse_problem(doc)
     cfg = parse_oracle_config(doc, args)
     case = _case_string(prob)
-    value = float(closed_form_constant(prob))
+    const = closed_form_constant(prob)
+    value = float(const)
     if value == 0.0:
         raise SpecError("constant is zero; nothing to verify")
     if math.isinf(value):
-        series, ratios = divergence_witness(prob, cfg)
+        series, ratios = divergence_witness(prob, cfg, constant=const)
         _emit(dump_json({"case": case, "value": value, "mode": "witness",
                          "ratios": [float(r) for r in ratios]}), args)
         return EXIT_OK
-    rep = equivalence_report(prob, cfg)
+    rep = equivalence_report(prob, cfg, constant=const)
     floor = doc.get("oracle", {}).get("ratio_floor", 0.25)
     ok = rep.ratio_low >= floor
     _emit(dump_json({

@@ -9,7 +9,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -243,16 +242,17 @@ def _morrey_to_lebesgue(prob, tag, cfg) -> ExtReal:
     if tag.case_id == "a":
         return sup_over_t(
             lambda t: ext_div(source(t), _omega_outer(prob, t, cfg)))
-    # (b): Stieltjes integral against the renormalized outer norm
+    # (b): Stieltjes integral against the renormalized outer norm; f and
+    # h take arrays of t
     p1 = prob.p1
     rho = p1 if math.isinf(th) else p1 * th / (th - p1)
 
     def f(t):
-        return float(ext_pow(source(t), rho))
+        return ext_pow(source(t), rho)
 
     if prob.dual_side:
         def h(t):
-            return float(ext_pow(head_norm_right_limit(om, th, t, cfg), -rho))
+            return ext_pow(head_norm_right_limit(om, th, t, cfg), -rho)
 
         lo = getattr(om, "support_inf", lambda: 0.0)()
         integ = MonotoneIntegrator.from_function(
@@ -260,7 +260,7 @@ def _morrey_to_lebesgue(prob, tag, cfg) -> ExtReal:
             infinite_from=lo if lo > 0.0 else None)
     else:
         def h(t):
-            return float(ext_pow(tail_norm_left_limit(om, th, t, cfg), -rho))
+            return ext_pow(tail_norm_left_limit(om, th, t, cfg), -rho)
 
         hi = getattr(om, "support_sup", lambda: _INF)()
         integ = MonotoneIntegrator.from_function(
@@ -334,15 +334,10 @@ def associate_norm(f: GridFunction, kind, p, theta, omega: RadialProfile,
     else:
         dual_w = Weight(v.dimension, v.profile.power(1.0 - pp))
 
-    # cached prefix-sum evaluator: the Stieltjes stages below query the
-    # dual norm thousands of times
+    # prefix-sum evaluator of the dual norm at t > 0: one lookup answers a
+    # whole array of radii
     inner_eval = (_InnerComplementNorm(f, pp, dual_w) if kind == "lm"
                   else _InnerBallNorm(f, pp, dual_w))
-
-    def fnorm(t):
-        if t <= 0.0:
-            return ExtReal(inner_eval.total() if kind == "lm" else 0.0)
-        return ExtReal(inner_eval(float(t)))
 
     def onorm(t):
         if kind == "lm":
@@ -350,16 +345,16 @@ def associate_norm(f: GridFunction, kind, p, theta, omega: RadialProfile,
         return head_norm(omega, th, t, cfg)
 
     if th <= 1.0:
-        return sup_over_t(lambda t: ext_div(fnorm(t), onorm(t)))
+        return sup_over_t(lambda t: ext_div(inner_eval(t), onorm(t)))
     tp = 1.0 if math.isinf(th) else th / (th - 1.0)
 
+    # the integrand and the integrators take arrays of t
     def integrand(t):
-        return float(ext_pow(fnorm(t), tp))
+        return ext_pow(inner_eval(t), tp)
 
     if kind == "lm":
-        @lru_cache(maxsize=None)
         def h(t):
-            return float(ext_pow(tail_norm_left_limit(omega, th, t, cfg), -tp))
+            return ext_pow(tail_norm_left_limit(omega, th, t, cfg), -tp)
 
         hi = getattr(omega, "support_sup", lambda: _INF)()
         integ = MonotoneIntegrator.from_function(
@@ -367,10 +362,8 @@ def associate_norm(f: GridFunction, kind, p, theta, omega: RadialProfile,
             jump_points=_profile_breaks(omega) + tuple(f.knots),
             infinite_from=hi if math.isfinite(hi) else None)
     else:
-        @lru_cache(maxsize=None)
         def h(t):
-            return float(
-                ext_pow(head_norm_right_limit(omega, th, t, cfg), -tp))
+            return ext_pow(head_norm_right_limit(omega, th, t, cfg), -tp)
 
         lo = getattr(omega, "support_inf", lambda: 0.0)()
         integ = MonotoneIntegrator.from_function(
@@ -397,7 +390,7 @@ def unweighted_reference(p1, p2, theta, omega: RadialProfile, n,
     if p1 == p2 or math.isinf(th):
         prof = omega.times(PowerProfile(1.0, delta))
         return lp_norm_interval(prof, th, (0.0, _INF), cfg)
-    s = p1 * th / (p1 - th) if th < p1 else _INF
+    s = _s_exponent(p1, th) if th < p1 else _INF
     if math.isinf(s):
         return sup_over_t(
             lambda t: ext_mul(t ** delta, tail_norm(omega, th, t, cfg)))
@@ -431,5 +424,11 @@ def reference_normalization(p1, p2, theta, n) -> float:
     vol_factor = cn ** delta
     if math.isinf(th) or th >= p1:
         return vol_factor
-    s = p1 * th / (p1 - th)
+    s = _s_exponent(p1, th)
     return vol_factor * (n * delta * th) ** (1.0 / s)
+
+
+def _s_exponent(p1, th):
+    """s = p1 theta / (p1 - theta) for theta < p1, with its limit theta at
+    p1 = inf."""
+    return th if math.isinf(p1) else p1 * th / (p1 - th)

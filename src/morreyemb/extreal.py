@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import IndeterminatePower, InvalidExponent
 
 __all__ = [
@@ -132,9 +134,17 @@ def ext_div(a, b) -> ExtReal:
 
 
 def ext_pow(a, e) -> ExtReal:
-    """Power a^e for a in [0, inf], real e; 0^0 and inf^0 are rejected."""
-    a = _coerce(a)
+    """Power a^e for a in [0, inf], real e; 0^0 and inf^0 are rejected.
+
+    An array base gives the float array of powers with the same
+    conventions (0^e = inf for e < 0, inf^e = 0, overflow to inf)."""
     e = float(e)
+    if isinstance(a, np.ndarray):
+        if e == 0.0 and np.any((a == 0.0) | np.isinf(a)):
+            raise IndeterminatePower("0^0 or inf^0 is indeterminate")
+        with np.errstate(divide="ignore", over="ignore"):
+            return np.power(a, e)
+    a = _coerce(a)
     if e == 0.0:
         if a == 0.0 or math.isinf(a):
             raise IndeterminatePower(f"{a}^0 is indeterminate")

@@ -372,14 +372,14 @@ def reverse_hardy_C(prob: HardyProblem, cfg=None) -> ExtReal:
         # (a)
         return sup_over_t(
             lambda t: ext_div(w_comp(t), tail_norm(u, q, t, cfg)))
-    # (b): p < q <= inf, 1/r = 1/p - 1/q
+    # (b): p < q <= inf, 1/r = 1/p - 1/q; f and h take arrays of t
     r = 1.0 / (1.0 / p - (0.0 if math.isinf(q) else 1.0 / q))
 
     def h(t):
-        return float(ext_pow(tail_norm_left_limit(u, q, t, cfg), -r))
+        return ext_pow(tail_norm_left_limit(u, q, t, cfg), -r)
 
     def f(t):
-        return float(ext_pow(w_comp(t), r))
+        return ext_pow(w_comp(t), r)
 
     sup_u = getattr(u, "support_sup", lambda: _INF)()
     integ = MonotoneIntegrator.from_function(
@@ -411,10 +411,10 @@ def reverse_hardy_C_star(prob: HardyProblem, cfg=None) -> ExtReal:
     r = 1.0 / (1.0 / p - (0.0 if math.isinf(q) else 1.0 / q))
 
     def h(t):
-        return float(ext_pow(head_norm_right_limit(u, q, t, cfg), -r))
+        return ext_pow(head_norm_right_limit(u, q, t, cfg), -r)
 
     def f(t):
-        return float(ext_pow(w_ball(t), r))
+        return ext_pow(w_ball(t), r)
 
     inf_u = getattr(u, "support_inf", lambda: 0.0)()
     integ = MonotoneIntegrator.from_function(

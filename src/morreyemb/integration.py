@@ -18,7 +18,7 @@ from scipy.special import gammaln
 
 from .errors import QuadratureFailure, UndefinedStieltjes
 from .extreal import ExtReal
-from .profiles import PowerProfile, RadialProfile
+from .profiles import PowerProfile, RadialProfile, elementwise
 
 __all__ = [
     "QuadratureConfig",
@@ -178,37 +178,57 @@ def _radial_density(g, n):
 
 
 def _profile_integral(prof, a, b, cfg):
+    """Integral of prof over (a, b) as a float, or a float array for array
+    ends: the closed form, else the adaptive integral of each element."""
     val = prof.integral(a, b)
-    if val is not None:
-        return ExtReal(val)
-    v, _ = integrate_halfline(prof, (a, b), cfg)
-    return v
+    if val is None:
+        val = elementwise(
+            lambda x, y: float(integrate_halfline(prof, (x, y), cfg)[0]), a, b)
+    return val
+
+
+def _ext(val):
+    return val if isinstance(val, np.ndarray) else ExtReal(val)
+
+
+def _check_radius(t):
+    if (t.min() if isinstance(t, np.ndarray) else t) <= 0:
+        raise ValueError("radius must be positive")
 
 
 def ball_integral(g, n, t, cfg=None):
-    """Integral of g(|x|) over the ball B(0, t) in R^n."""
-    if t <= 0:
-        raise ValueError("radius must be positive")
+    """Integral of g(|x|) over the ball B(0, t) in R^n.  An array of radii
+    gives a float array of integrals."""
+    _check_radius(t)
     dens = _radial_density(g, n)
-    return ExtReal(sphere_area(n)) * _profile_integral(dens, 0.0, t, cfg)
+    return _ext(sphere_area(n) * _profile_integral(dens, 0.0, t, cfg))
 
 
 def complement_integral(g, n, t, cfg=None):
     """Integral of g(|x|) over the complement of B(0, t) in R^n."""
-    if t <= 0:
-        raise ValueError("radius must be positive")
+    _check_radius(t)
     dens = _radial_density(g, n)
-    return ExtReal(sphere_area(n)) * _profile_integral(dens, t, _INF, cfg)
+    return _ext(sphere_area(n) * _profile_integral(dens, t, _INF, cfg))
 
 
 def esssup_ball(g, t):
     """Essential supremum of the radial profile over (0, t)."""
-    return ExtReal(g.esssup(0.0, t))
+    val = g.esssup(0.0, t)
+    return val if isinstance(val, np.ndarray) else ExtReal(val)
 
 
 def esssup_complement(g, t):
     """Essential supremum of the radial profile over (t, inf)."""
-    return ExtReal(g.esssup(t, _INF))
+    val = g.esssup(t, _INF)
+    return val if isinstance(val, np.ndarray) else ExtReal(val)
+
+
+def _values(fn, x):
+    """fn on the float array x, as a float array of the same shape (a
+    scalar result is broadcast).  Overflow gives inf without a warning."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        val = np.asarray(fn(x), dtype=float)
+    return val if val.shape == x.shape else np.broadcast_to(val, x.shape)
 
 
 @dataclass
@@ -220,6 +240,9 @@ class MonotoneIntegrator:
     ``decreasing`` integrators are non-increasing and right-continuous,
     possibly identically inf below ``infinite_from``; the induced measure of
     [y, z] is h(y-) - h(z+), which is nonnegative.
+
+    The evaluator and the one-sided limits take a 1-D float array and
+    return the values at its points, and so do the methods.
     """
 
     direction: str
@@ -238,77 +261,60 @@ class MonotoneIntegrator:
             self.right = self.evaluator
 
     def __call__(self, t):
-        return float(self.evaluator(t))
+        return _values(self.evaluator, t)
 
     def mass(self, y, z):
-        """Measure of the interval [y, z] (one-sided limits at the ends)."""
+        """Measure of the intervals [y, z] (one-sided limits at the ends)."""
         if self.direction == "increasing":
-            return float(self.right(z)) - float(self.left(y))
-        return float(self.left(y)) - float(self.right(z))
+            return _values(self.right, z) - _values(self.left, y)
+        return _values(self.left, y) - _values(self.right, z)
 
     def atom(self, t):
-        if self.direction == "increasing":
-            return float(self.right(t)) - float(self.left(t))
-        return float(self.left(t)) - float(self.right(t))
+        return self.mass(t, t)
 
     @classmethod
     def from_function(cls, h, direction, jump_points=(), infinite_from=None,
                       left=None, right=None):
-        """Wrap a plain evaluator; one-sided limits default to numeric
+        """Wrap an array evaluator; one-sided limits default to numeric
         approach from a relative distance 1e-9, which is exact for steps
         and negligible for the absolutely continuous part."""
-        def safe(fn):
-            def wrapped(t):
-                try:
-                    return fn(t)
-                except OverflowError:
-                    return _INF
-            return wrapped
-
-        h = safe(h)
         if left is None:
-            left = lambda t: h(t * (1.0 - 1e-9)) if t > 0 else h(t)
-        else:
-            left = safe(left)
+            left = lambda t: h(t * (1.0 - 1e-9))
         if right is None:
             right = lambda t: h(t * (1.0 + 1e-9))
-        else:
-            right = safe(right)
         return cls(direction=direction, evaluator=h, left=left, right=right,
                    jump_points=tuple(jump_points), infinite_from=infinite_from)
 
 
 def _find_infinite_cut(h: MonotoneIntegrator, a, b):
-    """Locate the boundary of the region where h is infinite, if any."""
+    """Locate the boundary of the region where h is infinite, if any.
+
+    h is sampled on a 129-point geometric grid; the bracket around the
+    change from finite to infinite values is resampled the same way until
+    it is tight to 1e-13 relative."""
     if h.infinite_from is not None:
         return h.infinite_from
-    lo = max(a, 1e-9)
-    hi = min(b, 1e9)
-    grid = np.geomspace(lo, hi, 129)
-    vals = [float(h.evaluator(float(t))) for t in grid]
-    finite = [math.isfinite(v) for v in vals]
-    if all(finite):
-        return None
-    if h.direction == "increasing":
-        # infinite on (c, b)
-        idx = finite.index(False)
-        if idx == 0:
-            return lo
-        c0, c1 = grid[idx - 1], grid[idx]
-    else:
-        idx = len(finite) - 1 - finite[::-1].index(False)
-        if idx == len(grid) - 1:
-            return hi
-        c0, c1 = grid[idx], grid[idx + 1]
-    for _ in range(200):
-        mid = math.sqrt(c0 * c1)
-        if math.isfinite(float(h.evaluator(mid))) == (h.direction == "increasing"):
-            c0 = mid
+    increasing = h.direction == "increasing"
+    c0, c1 = max(a, 1e-9), min(b, 1e9)
+    for depth in range(12):
+        grid = np.geomspace(c0, c1, 129)
+        finite = np.isfinite(_values(h.evaluator, grid))
+        if depth == 0 and finite.all():
+            return None
+        if increasing:
+            # infinite on (c, b): bracket the first infinite sample
+            idx = int(np.argmin(finite))
+            if idx == 0:
+                return c0
+            c0, c1 = grid[idx - 1], grid[idx]
         else:
-            c1 = mid
+            idx = len(grid) - 1 - int(np.argmin(finite[::-1]))
+            if idx == len(grid) - 1:
+                return c1
+            c0, c1 = grid[idx], grid[idx + 1]
         if c1 / c0 < 1 + 1e-13:
             break
-    return c0 if h.direction == "increasing" else c1
+    return c0 if increasing else c1
 
 
 def _rs_stage(f, h: MonotoneIntegrator, x0, x1, cfg):
@@ -317,19 +323,20 @@ def _rs_stage(f, h: MonotoneIntegrator, x0, x1, cfg):
     hi = min(x1, 1e18)
     if lo >= hi:
         return 0.0, 0.0
+    # the stage is open: its end values are the inner one-sided limits, so
+    # atoms sitting at the endpoints (accounted for exactly elsewhere) are
+    # excluded
+    h_lo = _values(h.right, np.array([lo]))
+    h_hi = _values(h.left, np.array([hi]))
     prev = None
     n = 256
     while n <= (1 << 17):
         edges = np.geomspace(lo, hi, n + 1)
         mids = np.sqrt(edges[:-1] * edges[1:])
-        hv = np.array([float(h.evaluator(float(t))) for t in edges])
-        # the stage is open: exclude any atoms sitting at the endpoints
-        # (they are accounted for exactly elsewhere)
-        hv[0] = float(h.right(lo))
-        hv[-1] = float(h.left(hi))
+        hv = np.concatenate((h_lo, _values(h.evaluator, edges[1:-1]), h_hi))
         dm = np.diff(hv) if h.direction == "increasing" else -np.diff(hv)
         dm = np.maximum(dm, 0.0)
-        fv = np.array([float(f(float(t))) for t in mids])
+        fv = _values(f, mids)
         with np.errstate(invalid="ignore"):
             contrib = np.where(fv == 0.0, 0.0, fv * dm)
         if np.any(np.isinf(contrib)) or np.any(np.isnan(contrib)):
@@ -351,15 +358,18 @@ def _nonzero_on(f, lo, hi):
         return False
     grid = np.geomspace(max(lo, 1e-12) * (1.0 + 1e-9),
                         min(hi, 1e14) * (1.0 - 1e-9), 65)
-    return any(float(f(float(t))) > 0.0 for t in grid)
+    return bool(np.any(_values(f, grid) > 0.0))
 
 
 def stieltjes_integral(f, h: MonotoneIntegrator, interval=(0.0, _INF), cfg=None):
     """Integral of f >= 0 against the monotone integrator h over (a, b).
 
-    Jump atoms contribute f(t) times the jump size exactly.  Where h is
-    identically infinite the integral is defined only when f vanishes
-    there; otherwise UndefinedStieltjes is raised.
+    f, like the evaluators of h, takes a 1-D float array of points and
+    returns the values there (a scalar result is broadcast); 0 * inf is
+    taken as 0 and overflow as inf.  Jump atoms contribute f(t) times the
+    jump size exactly.  Where h is identically infinite the integral is
+    defined only when f vanishes there; otherwise UndefinedStieltjes is
+    raised.
     """
     cfg = cfg or DEFAULT_CONFIG
     a, b = interval
@@ -378,23 +388,24 @@ def stieltjes_integral(f, h: MonotoneIntegrator, interval=(0.0, _INF), cfg=None)
     if not a < b:
         return ExtReal(0.0)
 
+    jumps = np.unique(np.asarray(h.jump_points, dtype=float))
+    jumps = jumps[(jumps > a) & (jumps < b)]
     total = 0.0
-    jumps = sorted(t for t in h.jump_points if a < t < b)
-    for t in jumps:
-        mass = max(h.atom(t), 0.0)
-        if mass > 0.0:
-            fv = float(f(t))
-            if fv > 0.0:
-                if math.isinf(mass) or math.isinf(fv):
-                    return ExtReal(_INF)
-                total += fv * mass
+    if jumps.size:
+        mass = h.atom(jumps)
+        fv = _values(f, jumps)
+        hit = (mass > 0.0) & (fv > 0.0)
+        if np.any(np.isinf(mass[hit]) | np.isinf(fv[hit])):
+            return ExtReal(_INF)
+        total = float(np.sum(fv[hit] * mass[hit]))
 
-    stages = [a] + jumps + [b]
+    stages = [a] + jumps.tolist() + [b]
     for x0, x1 in zip(stages[:-1], stages[1:]):
         # dyadic sub-stages toward infinite/zero endpoints keep each
         # refinement numerically tame; the central pieces always run, and
         # the extreme ends may stop early once contributions are negligible
-        sub = list(zip(_stage_edges(x0, x1)[:-1], _stage_edges(x0, x1)[1:]))
+        edges = _stage_edges(x0, x1)
+        sub = list(zip(edges[:-1], edges[1:]))
         low = [p for p in sub if p[1] <= 1e-6][::-1]
         mid = [p for p in sub if p[1] > 1e-6 and p[0] < 1e6]
         high = [p for p in sub if p[0] >= 1e6]

@@ -15,7 +15,7 @@ from scipy.integrate import quad
 from .errors import NotAWeight
 from .extreal import ExtReal, ext_pow
 from .integration import sphere_area
-from .profiles import FnProfile, PowerProfile, RadialProfile
+from .profiles import FnProfile, PowerProfile, RadialProfile, elementwise
 from .weights import Weight, head_norm, tail_norm
 
 __all__ = [
@@ -143,11 +143,12 @@ def _clip_cells(f: GridFunction, interval):
 
 
 def _shell_integral(profile: RadialProfile, n, r0, r1):
-    """Integral of profile(|x|) over the shell r0 < |x| < r1 in R^n."""
+    """Integral of profile(|x|) over the shell r0 < |x| < r1 in R^n; array
+    ends give an array of integrals."""
     dens = profile if n == 1 else profile.times(PowerProfile(1.0, n - 1.0))
     val = dens.integral(r0, r1)
     if val is None:
-        val, _ = quad(dens, r0, r1, limit=200)
+        val = elementwise(lambda x, y: quad(dens, x, y, limit=200)[0], r0, r1)
     return sphere_area(n) * val
 
 
@@ -172,7 +173,12 @@ def weighted_lp_norm(f: GridFunction, p, v: Weight, region: Region = ALL) -> Ext
 
 
 class _InnerBallNorm:
-    """r -> ||f||_{p,v,B(0,r)} with exact accumulation across cells."""
+    """r -> ||f||_{p,v,B(0,r)} with exact accumulation across cells.
+
+    Called with an array of radii it returns the array of norms, found
+    with one searchsorted over the prefix sums."""
+
+    complement = False
 
     def __init__(self, f: GridFunction, p, v: Weight):
         self.f, self.p, self.v = f, float(p), v
@@ -187,66 +193,76 @@ class _InnerBallNorm:
                 if f.values[i] > 0 else 0.0
                 for i in range(f.num_cells)])
             self.prefix = np.concatenate([[0.0], np.maximum.accumulate(self.cell_sup)])
+            # suffix[i] = max of cell_sup[i:], 0 past the last cell
+            self.suffix = np.concatenate(
+                [np.maximum.accumulate(self.cell_sup[::-1])[::-1], [0.0]])
         else:
             pth = f.values ** self.p
             self.prefix = np.concatenate([[0.0], np.cumsum(pth * self.cell_mass)])
+        self._total = self._finish(self.prefix[-1])
 
     def total(self):
-        return self._finish(self.prefix[-1])
+        return self._total
 
     def _finish(self, acc):
         if math.isinf(self.p):
             return acc
+        if isinstance(acc, np.ndarray):
+            return np.power(np.maximum(acc, 0.0), 1.0 / self.p)
         return acc ** (1.0 / self.p) if acc > 0 else 0.0
 
-    def __call__(self, r):
-        f = self.f
-        if r <= f.knots[0]:
-            return 0.0
-        if r >= f.knots[-1]:
-            return self.total()
-        i = int(np.searchsorted(f.knots, r, side="left")) - 1
-        i = min(max(i, 0), f.num_cells - 1)
+    # The pieces below take a cell index i and radii r strictly inside the
+    # knots, as scalars or as arrays.
+
+    def _rest(self, i):
+        """Accumulated whole cells on the region's side of cell i."""
         if math.isinf(self.p):
-            part = (f.values[i] * self.v.profile.esssup(f.knots[i], r)
-                    if f.values[i] > 0 else 0.0)
-            return max(self.prefix[i], part)
-        part = (f.values[i] ** self.p
-                * _shell_integral(self.v.profile, self.v.dimension, f.knots[i], r)
-                if f.values[i] > 0 else 0.0)
-        return self._finish(self.prefix[i] + part)
+            return self.suffix[i + 1] if self.complement else self.prefix[i]
+        if self.complement:
+            return self.prefix[-1] - self.prefix[i + 1]
+        return self.prefix[i]
+
+    def _part(self, i, r):
+        """Contribution of the part of cell i inside the region: (knots[i], r)
+        for the ball, (r, knots[i+1]) for the complement."""
+        knots, val = self.f.knots, self.f.values[i]
+        a, b = (r, knots[i + 1]) if self.complement else (knots[i], r)
+        if math.isinf(self.p):
+            return val * self.v.profile.esssup(a, b)
+        return val ** self.p * _shell_integral(self.v.profile,
+                                               self.v.dimension, a, b)
+
+    def _combine(self, rest, part):
+        if math.isinf(self.p):
+            return np.maximum(rest, part)
+        return self._finish(rest + part)
+
+    def __call__(self, r):
+        knots, values = self.f.knots, self.f.values
+        below, above = (self._total, 0.0) if self.complement \
+            else (0.0, self._total)
+        if not isinstance(r, np.ndarray):
+            if r <= knots[0]:
+                return below
+            if r >= knots[-1]:
+                return above
+            i = int(np.searchsorted(knots, r, side="left")) - 1
+            part = self._part(i, r) if values[i] > 0 else 0.0
+            return self._combine(self._rest(i), part)
+        out = np.where(r <= knots[0], below, above)
+        inside = (r > knots[0]) & (r < knots[-1])
+        i = np.searchsorted(knots, r[inside], side="left") - 1
+        live = values[i] > 0
+        part = np.zeros(i.shape)
+        part[live] = self._part(i[live], r[inside][live])
+        out[inside] = self._combine(self._rest(i), part)
+        return out
 
 
-class _InnerComplementNorm:
+class _InnerComplementNorm(_InnerBallNorm):
     """r -> ||f||_{p,v,complement of B(0,r)}."""
 
-    def __init__(self, f: GridFunction, p, v: Weight):
-        self.inner = _InnerBallNorm(f, p, v)
-        self.f, self.p, self.v = f, float(p), v
-
-    def total(self):
-        return self.inner.total()
-
-    def __call__(self, r):
-        f = self.f
-        if r >= f.knots[-1]:
-            return 0.0
-        if r <= f.knots[0]:
-            return self.total()
-        i = int(np.searchsorted(f.knots, r, side="left")) - 1
-        i = min(max(i, 0), f.num_cells - 1)
-        inner = self.inner
-        if math.isinf(self.p):
-            suffix = float(np.max(inner.cell_sup[i + 1:])) if i + 1 < f.num_cells else 0.0
-            part = (f.values[i] * self.v.profile.esssup(r, f.knots[i + 1])
-                    if f.values[i] > 0 else 0.0)
-            return max(suffix, part)
-        acc = float(inner.prefix[-1] - inner.prefix[i + 1])
-        part = (f.values[i] ** self.p
-                * _shell_integral(self.v.profile, self.v.dimension, r, f.knots[i + 1])
-                if f.values[i] > 0 else 0.0)
-        acc += part
-        return acc ** (1.0 / self.p) if acc > 0 else 0.0
+    complement = True
 
 
 def _outer_theta_norm(inner_fn, omega: RadialProfile, theta, f: GridFunction,

@@ -520,15 +520,17 @@ def best_constant_lower_bound(prob, cfg: OracleConfig = None) -> OracleResult:
                         trace, family_bests)
 
 
-def divergence_witness(prob, cfg: OracleConfig = None):
+def divergence_witness(prob, cfg: OracleConfig = None, constant=None):
     """Dyadically scaled test functions with unboundedly growing ratios.
 
     Requires the closed-form constant to be infinite; succeeds when the
     ratio at least doubles over every 4 consecutive dyadic steps near the
-    end of the scale range.
+    end of the scale range.  A caller that already has the closed-form
+    constant passes it as `constant` instead of having it evaluated again.
     """
     cfg = cfg or OracleConfig()
-    const = closed_form_constant(prob)
+    const = closed_form_constant(prob) if constant is None \
+        else ExtReal(constant)
     if not const.is_inf:
         raise ValueError("divergence_witness requires an infinite "
                          "closed-form constant")
@@ -596,16 +598,19 @@ class EquivalenceReport:
         })
 
 
-def equivalence_report(prob, cfg: OracleConfig = None) -> EquivalenceReport:
+def equivalence_report(prob, cfg: OracleConfig = None,
+                       constant=None) -> EquivalenceReport:
     """Empirical two-sided audit of a finite closed-form constant.
 
     ratio_low = lower_bound / constant measures how much of the functional
     the brute-force search recovers; max_sample_ratio tracks the largest
     sampled ratio relative to the constant (the empirical equivalence
-    factor in the other direction).
+    factor in the other direction).  `constant`, when given, is the
+    closed-form constant already evaluated by the caller.
     """
     cfg = cfg or OracleConfig()
-    const = closed_form_constant(prob)
+    const = closed_form_constant(prob) if constant is None \
+        else ExtReal(constant)
     if not (const.is_finite and float(const) > 0.0):
         raise ValueError("equivalence_report requires a finite positive "
                          "closed-form constant")

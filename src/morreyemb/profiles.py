@@ -5,11 +5,18 @@ piecewise-power, shifted-power and exponential profiles carry exact
 interval integrals and essential suprema; products and powers of profiles
 simplify symbolically when they can and otherwise fall back to numerical
 evaluation by the quadrature layer.
+
+Evaluation, interval integrals and essential suprema accept a radius or an
+array of radii (for an interval, either end may be an array) and then
+return a float array of the broadcast shape.  The closed-form kinds
+compute arrays with numpy; profiles without closed forms evaluate each
+element on its own, through `elementwise`.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -25,9 +32,40 @@ __all__ = [
     "constant",
     "power",
     "truncated_power",
+    "elementwise",
 ]
 
 _INF = math.inf
+
+
+# Scalar evaluation is hot (quadrature integrands, sup_over_t scans), so
+# each public method checks once for arrays and then runs either the
+# scalar primitives (_power_value, _power_integral, _safe_pow) or their
+# array counterparts.
+
+def _is_array(a, b=None):
+    return isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
+
+
+def _shaped(value, a, b=None):
+    """value as a float array of the broadcast shape of the array
+    arguments; a plain value when there are none."""
+    if not _is_array(a, b):
+        return value
+    return np.full(np.broadcast(a, b).shape, value, dtype=float)
+
+
+def elementwise(fn, *xs):
+    """fn applied to each element of its array arguments (broadcast
+    together), as a float array; fn(*xs) itself for scalar arguments.
+
+    This is the one scalar loop of array evaluation: profiles without
+    closed forms and adaptive integrals go through it."""
+    if not _is_array(*xs):
+        return fn(*xs)
+    grid = np.broadcast(*xs)
+    return np.array([float(fn(*map(float, x))) for x in grid],
+                    dtype=float).reshape(grid.shape)
 
 
 def _power_integral(c, alpha, a, b):
@@ -50,6 +88,43 @@ def _power_integral(c, alpha, a, b):
         return _INF
     hi = 0.0 if math.isinf(b) else b ** e
     return c * (a ** e - hi) / (-e)
+
+
+def _power_integral_array(c, alpha, a, b):
+    """_power_integral for array ends: the same formulas, where
+    inf^e = 0 for e < 0 stands in for the scalar special cases."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if c == 0.0 or math.isinf(c):
+        val = c
+    else:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            if alpha == -1.0:
+                val = c * np.log(b / a)
+            else:
+                e = alpha + 1.0
+                val = c * (np.power(b, e) - np.power(a, e)) / e
+    return np.where(a == b, 0.0, val)
+
+
+def _power_value(c, alpha, rho):
+    """c * rho^alpha at one radius."""
+    if c == 0.0 or math.isinf(c) or alpha == 0.0:
+        return c
+    return c * _safe_pow(rho, alpha)
+
+
+def _power_values(c, alpha, rho):
+    """c * rho^alpha at an array of radii."""
+    if c == 0.0 or math.isinf(c) or alpha == 0.0:
+        return np.full(rho.shape, c)
+    return c * _pow_array(rho, alpha)
+
+
+def _power_esssups(c, alpha, a, b):
+    """Essential suprema of c * rho^alpha over the intervals (a, b), for
+    array ends: the values at the end where it is largest."""
+    end = np.broadcast_to(b if alpha > 0 else a, np.broadcast(a, b).shape)
+    return _power_values(c, alpha, end)
 
 
 class RadialProfile:
@@ -84,7 +159,7 @@ class RadialProfile:
     def esssup(self, a, b):
         """Essential supremum over (a, b); exact for closed-form kinds,
         sampled otherwise."""
-        return _sampled_esssup(self, a, b)
+        return elementwise(lambda x, y: _sampled_esssup(self, x, y), a, b)
 
     def left_limit(self, t):
         return self(t)
@@ -108,6 +183,14 @@ class RadialProfile:
         return True
 
 
+def _pow_array(x, e):
+    """_safe_pow on an array."""
+    with np.errstate(divide="ignore", over="ignore"):
+        if e == 0.0:   # 0 and inf stay put, as in _safe_pow
+            return np.where((x == 0.0) | np.isinf(x), x, 1.0)
+        return np.power(x, e)
+
+
 def _safe_pow(x, e):
     x = float(x)
     if x == 0.0:
@@ -116,6 +199,16 @@ def _safe_pow(x, e):
         return 0.0 if e < 0.0 else _INF
     try:
         return x ** e
+    except OverflowError:
+        return _INF
+
+
+def _safe_exp(x):
+    if isinstance(x, np.ndarray):
+        with np.errstate(over="ignore"):
+            return np.exp(x)
+    try:
+        return math.exp(x)
     except OverflowError:
         return _INF
 
@@ -148,15 +241,13 @@ class PowerProfile(RadialProfile):
         self.alpha = float(alpha) if self.c not in (0.0,) else float(alpha)
 
     def __call__(self, rho):
-        if self.c == 0.0:
-            return 0.0
-        if math.isinf(self.c):
-            return _INF
-        if self.alpha == 0.0:
-            return self.c
-        return self.c * _safe_pow(rho, self.alpha)
+        if isinstance(rho, np.ndarray):
+            return _power_values(self.c, self.alpha, rho)
+        return _power_value(self.c, self.alpha, rho)
 
     def integral(self, a, b):
+        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+            return _power_integral_array(self.c, self.alpha, a, b)
         return _power_integral(self.c, self.alpha, a, b)
 
     def power(self, e):
@@ -185,14 +276,9 @@ class PowerProfile(RadialProfile):
         return PowerProfile(self.c * c, self.alpha)
 
     def esssup(self, a, b):
-        if self.c == 0.0:
-            return 0.0
-        if math.isinf(self.c):
-            return _INF
-        if self.alpha == 0.0:
-            return self.c
-        end = b if self.alpha > 0 else a
-        return self.c * _safe_pow(end, self.alpha)
+        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+            return _power_esssups(self.c, self.alpha, a, b)
+        return _power_value(self.c, self.alpha, b if self.alpha > 0 else a)
 
     def support_sup(self):
         return 0.0 if self.c == 0.0 else _INF
@@ -223,12 +309,13 @@ class ShiftedPowerProfile(RadialProfile):
 
     def __call__(self, rho):
         if self.c == 0.0:
-            return 0.0
-        return self.c * _safe_pow(self.shift + rho, self.alpha)
+            return _shaped(0.0, rho)
+        pw = _pow_array if isinstance(rho, np.ndarray) else _safe_pow
+        return self.c * pw(self.shift + rho, self.alpha)
 
     def integral(self, a, b):
-        hi = _INF if math.isinf(b) else self.shift + b
-        return _power_integral(self.c, self.alpha, self.shift + a, hi)
+        exact = _power_integral_array if _is_array(a, b) else _power_integral
+        return exact(self.c, self.alpha, self.shift + a, self.shift + b)
 
     def power(self, e):
         if self.c == 0.0:
@@ -239,11 +326,12 @@ class ShiftedPowerProfile(RadialProfile):
         return ShiftedPowerProfile(self.c * c, self.shift, self.alpha)
 
     def esssup(self, a, b):
-        if self.c == 0.0:
-            return 0.0
-        if self.alpha == 0.0:
-            return self.c
+        if self.c == 0.0 or self.alpha == 0.0:
+            return _shaped(self.c, a, b)
         end = b if self.alpha > 0 else a
+        if _is_array(a, b):
+            end = np.broadcast_to(end, np.broadcast(a, b).shape)
+            return self.c * _pow_array(self.shift + end, self.alpha)
         return self.c * _safe_pow(self.shift + end, self.alpha)
 
     def support_sup(self):
@@ -269,13 +357,12 @@ class ExpProfile(RadialProfile):
 
     def __call__(self, rho):
         if self.c == 0.0:
-            return 0.0
-        try:
-            return self.c * math.exp(self.rate * rho)
-        except OverflowError:
-            return _INF
+            return _shaped(0.0, rho)
+        return self.c * _safe_exp(self.rate * rho)
 
     def integral(self, a, b):
+        if _is_array(a, b):
+            return self._integral_array(a, b)
         if self.c == 0.0 or a == b:
             return 0.0
         if self.rate == 0.0:
@@ -290,6 +377,18 @@ class ExpProfile(RadialProfile):
                 return _INF
         hi = 0.0 if math.isinf(b) else math.exp(self.rate * b)
         return self.c * (math.exp(self.rate * a) - hi) / (-self.rate)
+
+    def _integral_array(self, a, b):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        c, rate = self.c, self.rate
+        with np.errstate(over="ignore", invalid="ignore"):
+            if rate == 0.0:
+                val = c * (b - a)
+            else:
+                val = c * (np.exp(rate * b) - np.exp(rate * a)) / rate
+        # nan where both ends overflow: the scalar branch's OverflowError
+        val = np.where(np.isnan(val), _INF, val)
+        return np.where((a == b) | (c == 0.0), 0.0, val)
 
     def power(self, e):
         if self.c == 0.0:
@@ -309,17 +408,12 @@ class ExpProfile(RadialProfile):
         return ExpProfile(self.c * c, self.rate)
 
     def esssup(self, a, b):
-        if self.c == 0.0:
-            return 0.0
-        if self.rate == 0.0:
-            return self.c
+        if self.c == 0.0 or self.rate == 0.0:
+            return _shaped(self.c, a, b)
         end = b if self.rate > 0 else a
-        if math.isinf(end):
-            return _INF
-        try:
-            return self.c * math.exp(self.rate * end)
-        except OverflowError:
-            return _INF
+        if _is_array(a, b):
+            end = np.broadcast_to(end, np.broadcast(a, b).shape)
+        return self.c * _safe_exp(self.rate * end)
 
     def support_sup(self):
         return 0.0 if self.c == 0.0 else _INF
@@ -359,16 +453,43 @@ class PiecewisePowerProfile(RadialProfile):
         return [0.0] + self.breaks + [_INF]
 
     def _segment_at(self, rho):
-        for i, b in enumerate(self.breaks):
-            if rho <= b:
-                return self.segments[i]
-        return self.segments[-1]
+        return self.segments[bisect_left(self.breaks, rho)]
+
+    def _values(self, rho, side):
+        """Values on the segments (b_{i-1}, b_i] (side "left") or
+        [b_{i-1}, b_i) (side "right") that hold each radius."""
+        if isinstance(rho, np.ndarray):
+            idx = np.searchsorted(self.breaks, rho, side=side)
+            out = np.empty(rho.shape)
+            for i, (c, alpha) in enumerate(self.segments):
+                sel = idx == i
+                out[sel] = _power_values(c, alpha, rho[sel])
+            return out
+        pick = bisect_left if side == "left" else bisect_right
+        c, alpha = self.segments[pick(self.breaks, rho)]
+        return _power_value(c, alpha, rho)
 
     def __call__(self, rho):
-        c, alpha = self._segment_at(rho)
-        return PowerProfile(c, alpha)(rho)
+        return self._values(rho, "left")
+
+    def _clipped(self, a, b):
+        """(segment, lo, hi, selection) for the parts of (a, b) on each
+        segment, for array ends."""
+        a, b = np.broadcast_arrays(np.asarray(a, dtype=float),
+                                   np.asarray(b, dtype=float))
+        edges = self._edges()
+        for i, seg in enumerate(self.segments):
+            lo = np.maximum(a, edges[i])
+            hi = np.minimum(b, edges[i + 1])
+            sel = lo < hi
+            yield seg, lo[sel], hi[sel], sel
 
     def integral(self, a, b):
+        if _is_array(a, b):
+            total = np.zeros(np.broadcast(a, b).shape)
+            for (c, alpha), lo, hi, sel in self._clipped(a, b):
+                total[sel] += _power_integral_array(c, alpha, lo, hi)
+            return total
         edges = self._edges()
         total = 0.0
         for i, (c, alpha) in enumerate(self.segments):
@@ -408,25 +529,23 @@ class PiecewisePowerProfile(RadialProfile):
         return self.times(PowerProfile(c, 0.0))
 
     def esssup(self, a, b):
+        if _is_array(a, b):
+            best = np.zeros(np.broadcast(a, b).shape)
+            for (c, alpha), lo, hi, sel in self._clipped(a, b):
+                best[sel] = np.maximum(best[sel],
+                                       _power_esssups(c, alpha, lo, hi))
+            return best
         edges = self._edges()
         best = 0.0
         for i, (c, alpha) in enumerate(self.segments):
             lo, hi = max(a, edges[i]), min(b, edges[i + 1])
             if lo < hi:
-                best = max(best, PowerProfile(c, alpha).esssup(lo, hi))
+                best = max(best, _power_value(c, alpha,
+                                              hi if alpha > 0 else lo))
         return best
 
-    def left_limit(self, t):
-        for i, b in enumerate(self.breaks):
-            if t <= b:
-                return PowerProfile(*self.segments[i])(t)
-        return PowerProfile(*self.segments[-1])(t)
-
     def right_limit(self, t):
-        for i, b in enumerate(self.breaks):
-            if t < b:
-                return PowerProfile(*self.segments[i])(t)
-        return PowerProfile(*self.segments[-1])(t)
+        return self._values(t, "right")
 
     def breakpoints(self):
         return tuple(self.breaks)
@@ -466,6 +585,14 @@ def _seg_mul(c1, a1, c2, a2):
     return (c1 * c2, a1 + a2)
 
 
+def _product(a, b):
+    """a * b with 0 * inf = 0, for values or arrays of values."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        with np.errstate(invalid="ignore"):
+            return np.where((a == 0.0) | (b == 0.0), 0.0, a * b)
+    return 0.0 if (a == 0.0 or b == 0.0) else a * b
+
+
 class ProductProfile(RadialProfile):
     """Pointwise product of two profiles; no closed-form calculus."""
 
@@ -474,21 +601,16 @@ class ProductProfile(RadialProfile):
         self.right = right
 
     def __call__(self, rho):
-        a, b = self.left(rho), self.right(rho)
-        if a == 0.0 or b == 0.0:
-            return 0.0
-        return a * b
+        return _product(self.left(rho), self.right(rho))
 
     def power(self, e):
         return ProductProfile(self.left.power(e), self.right.power(e))
 
     def left_limit(self, t):
-        a, b = self.left.left_limit(t), self.right.left_limit(t)
-        return 0.0 if (a == 0.0 or b == 0.0) else a * b
+        return _product(self.left.left_limit(t), self.right.left_limit(t))
 
     def right_limit(self, t):
-        a, b = self.left.right_limit(t), self.right.right_limit(t)
-        return 0.0 if (a == 0.0 or b == 0.0) else a * b
+        return _product(self.left.right_limit(t), self.right.right_limit(t))
 
     def breakpoints(self):
         return tuple(sorted(set(self.left.breakpoints())
@@ -513,6 +635,8 @@ class FnProfile(RadialProfile):
         self._support = support
 
     def __call__(self, rho):
+        if isinstance(rho, np.ndarray):
+            return elementwise(self, rho)
         return float(self.fn(rho))
 
     def breakpoints(self):

@@ -17,7 +17,7 @@ from scipy.integrate import quad
 
 from .errors import NotAWeight
 from .extreal import ExtReal, ext_pow
-from .integration import (DEFAULT_CONFIG, integrate_halfline, sphere_area)
+from .integration import DEFAULT_CONFIG, _profile_integral, sphere_area
 from .profiles import (ExpProfile, FnProfile, PiecewisePowerProfile,
                        PowerProfile, ProductProfile, RadialProfile,
                        ShiftedPowerProfile, tabulated, truncated_power)
@@ -68,37 +68,48 @@ class OmegaMembership:
     analytic: bool = True
 
 
+def _least(t):
+    """The smallest of a radius or of an array of radii."""
+    return t.min() if isinstance(t, np.ndarray) else t
+
+
 def lp_norm_interval(profile: RadialProfile, q, interval, cfg=None) -> ExtReal:
-    """One-dimensional norm ||phi||_{q,(a,b)} with 0 <= a < b <= inf."""
+    """One-dimensional norm ||phi||_{q,(a,b)} with 0 <= a < b <= inf.
+
+    Either end may be an array of radii; the norms then come back as a
+    float array of the broadcast shape instead of an ExtReal."""
     a, b = interval
-    if not (0.0 <= a < b):
+    arrays = isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
+    if not (np.all((0.0 <= a) & (a < b)) if arrays else 0.0 <= a < b):
         raise ValueError("need 0 <= a < b")
     q = float(q)
     if q <= 0:
         raise ValueError("q must be in (0, inf]")
-    if a == b:
-        return ExtReal(0.0)
     if math.isinf(q):
-        return ExtReal(profile.esssup(a, b))
-    pq = profile.power(q)
-    val = pq.integral(a, b)
-    if val is None:
-        val = float(integrate_halfline(pq, (a, b), cfg)[0])
-    return ext_pow(val, 1.0 / q) if val > 0 else ExtReal(0.0)
+        val = profile.esssup(a, b)
+        return val if arrays else ExtReal(val)
+    return ext_pow(_profile_integral(profile.power(q), a, b, cfg), 1.0 / q)
 
 
 def tail_norm(omega: RadialProfile, theta, t, cfg=None) -> ExtReal:
-    """||omega||_{theta,(t,inf)}; t = 0 gives the full-line norm."""
-    if t < 0:
+    """||omega||_{theta,(t,inf)}; t = 0 gives the full-line norm.  An array
+    of t gives a float array of norms."""
+    if _least(t) < 0:
         raise ValueError("t must be >= 0")
     return lp_norm_interval(omega, theta, (t, _INF), cfg)
 
 
 def head_norm(omega: RadialProfile, theta, t, cfg=None) -> ExtReal:
-    """||omega||_{theta,(0,t)}."""
-    if t <= 0:
+    """||omega||_{theta,(0,t)}; an array of t gives a float array."""
+    if _least(t) <= 0:
         raise ValueError("t must be positive")
     return lp_norm_interval(omega, theta, (0.0, t), cfg)
+
+
+def _with_limit(plain, limit):
+    if isinstance(plain, np.ndarray):
+        return np.maximum(plain, limit)
+    return ExtReal(max(float(plain), limit))
 
 
 def tail_norm_left_limit(omega: RadialProfile, theta, t, cfg=None) -> ExtReal:
@@ -108,22 +119,20 @@ def tail_norm_left_limit(omega: RadialProfile, theta, t, cfg=None) -> ExtReal:
     theta = inf the approach from the left picks up the left-limit value
     of the profile at t.
     """
-    if t <= 0:
+    if _least(t) <= 0:
         raise ValueError("t must be positive")
     if math.isfinite(float(theta)):
         return tail_norm(omega, theta, t, cfg)
-    plain = float(tail_norm(omega, theta, t, cfg))
-    return ExtReal(max(plain, omega.left_limit(t)))
+    return _with_limit(tail_norm(omega, theta, t, cfg), omega.left_limit(t))
 
 
 def head_norm_right_limit(omega: RadialProfile, theta, t, cfg=None) -> ExtReal:
     """lim_{s -> t+} ||omega||_{theta,(0,s)}."""
-    if t <= 0:
+    if _least(t) <= 0:
         raise ValueError("t must be positive")
     if math.isfinite(float(theta)):
         return head_norm(omega, theta, t, cfg)
-    plain = float(head_norm(omega, theta, t, cfg))
-    return ExtReal(max(plain, omega.right_limit(t)))
+    return _with_limit(head_norm(omega, theta, t, cfg), omega.right_limit(t))
 
 
 def _power_omega_membership(c, alpha, theta):

@@ -336,17 +336,19 @@ def test_07_equivalence_suite():
 
 
 def test_08_stieltjes_semantics():
+    # integrands and integrators take arrays of points
     atom = MonotoneIntegrator.from_function(
-        lambda t: 0.0 if t < 2.0 else 1.0, "increasing", jump_points=(2.0,))
+        lambda t: np.where(t < 2.0, 0.0, 1.0), "increasing",
+        jump_points=(2.0,))
     assert float(stieltjes_integral(lambda t: t * t, atom)) == 4.0
 
     smooth = MonotoneIntegrator.from_function(
-        lambda t: 1.0 - math.exp(-t), "increasing")
+        lambda t: 1.0 - np.exp(-t), "increasing")
     got = float(stieltjes_integral(lambda t: t, smooth))
     assert got == pytest.approx(1.0, rel=1e-6)
 
     partial = MonotoneIntegrator.from_function(
-        lambda t: INF if t > 2.0 else t, "increasing")
+        lambda t: np.where(t > 2.0, INF, t), "increasing")
     with pytest.raises(UndefinedStieltjes):
         stieltjes_integral(lambda t: 1.0, partial)
 

@@ -95,6 +95,31 @@ class TestVerify:
         assert out["mode"] == "witness"
         assert out["ratios"][-1] > 2.0 * out["ratios"][0]
 
+    @pytest.mark.parametrize("infinite", [False, True])
+    def test_closed_form_evaluated_once(self, tmp_path, capsys, monkeypatch,
+                                        infinite):
+        import morreyemb.oracle as oracle
+        calls = []
+
+        def counted(prob, cfg=None):
+            calls.append(prob)
+            return real(prob, cfg)
+
+        doc = dict(CASE_VI)
+        if infinite:
+            # case iii with omega = 1: the constant is inf
+            doc.update(p1=3, p2=2, theta="inf", weights={
+                "omega": {"kind": "power", "c": 1.0, "alpha": 0.0}})
+        doc["oracle"] = {"grid_cells": 48, "restarts": 1, "ascent_sweeps": 1,
+                         "ratio_floor": 0.0}
+        real = oracle.embedding_constant
+        monkeypatch.setattr(oracle, "embedding_constant", counted)
+        spec = write_spec(tmp_path, doc)
+        main(["verify", "--spec", spec])
+        out = json.loads(capsys.readouterr().out)
+        assert out["mode"] == ("witness" if infinite else "equivalence")
+        assert len(calls) == 1
+
 
 class TestOracle:
     def test_writes_argmax(self, tmp_path, capsys):

@@ -133,6 +133,24 @@ class TestUnweightedReference:
         nu = reference_normalization(p1, p2, theta, 1)
         assert emb == pytest.approx(nu * ref, rel=1e-6)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("p2", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("theta", [1.0, 2.0, 4.0, INF])
+    @pytest.mark.parametrize("beta", [-1.5, -2.5])
+    def test_p1_inf_uses_the_limit_s_theta(self, n, p2, theta, beta):
+        # p1 = inf with finite theta: s = p1 theta / (p1 - theta) -> theta
+        one = Weight(n, constant(1.0))
+        om = truncated_power(1.0, beta, 1.0, None)
+        prob = problem("lebesgue_to_lm", INF, p2, theta, one, one, om, n)
+        emb = embedding_constant(prob)
+        ref = unweighted_reference(INF, p2, theta, om, n)
+        nu = reference_normalization(INF, p2, theta, n)
+        assert math.isfinite(nu)
+        if emb.is_inf or ref.is_inf:
+            assert emb.is_inf and ref.is_inf
+        else:
+            assert float(emb) == pytest.approx(nu * float(ref), rel=1e-6)
+
 
 class TestMaximalGate:
     def test_unweighted_gate_is_unit(self):
