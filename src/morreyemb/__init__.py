@@ -14,7 +14,7 @@ from .profiles import (ExpProfile, FnProfile, PiecewisePowerProfile,
                        truncated_power)
 from .integration import (MonotoneIntegrator, QuadratureConfig, ball_volume,
                           integrate_halfline, sphere_area, stieltjes_integral)
-from .weights import (Weight, head_norm, lp_norm_interval,
+from .weights import (Side, Weight, head_norm, lp_norm_interval,
                       muckenhoupt_ap_estimate, omega_class_check,
                       profile_from_dict, tail_norm)
 from .norms import (GridFunction, dual_lm_norm, fubini_weight, lm_norm,

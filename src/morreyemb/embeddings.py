@@ -14,16 +14,14 @@ import numpy as np
 
 from .errors import GateFailed, HypothesisViolated, Inadmissible
 from .extreal import ExtReal, conjugate_exponent, ext_div, ext_mul, ext_pow
-from .hardy import _halfline, _lp_region_norm, sup_over_t
+from .hardy import _breaks, _halfline, sup_over_t
 from .integration import (DEFAULT_CONFIG, MonotoneIntegrator, ball_volume,
                           stieltjes_integral)
-from .norms import (Ball, Complement, ALL, GridFunction, weighted_lp_norm,
-                    _InnerBallNorm, _InnerComplementNorm)
+from .norms import ALL, GridFunction, _inner_norm, weighted_lp_norm
 from .profiles import PowerProfile, RadialProfile
-from .weights import (Weight, default_ball_family, head_norm,
-                      head_norm_right_limit, lp_norm_interval,
-                      muckenhoupt_ap_estimate, omega_class_check, tail_norm,
-                      tail_norm_left_limit)
+from .weights import (Side, Weight, _whole_space_norm, default_ball_family,
+                      lp_norm_interval, muckenhoupt_ap_estimate,
+                      omega_class_check, tail_norm)
 
 __all__ = [
     "EmbeddingProblem",
@@ -75,6 +73,11 @@ class EmbeddingProblem:
     def dual_side(self):
         """True when the Morrey-type space is the complement-ball kind."""
         return self.direction in ("lebesgue_to_dual_lm", "dual_lm_to_lebesgue")
+
+    @property
+    def side(self):
+        """The side of the Morrey-type space."""
+        return Side.COMPLEMENT if self.dual_side else Side.BALL
 
     @property
     def morrey_is_target(self):
@@ -161,21 +164,11 @@ def _source_profile(prob: EmbeddingProblem):
 
 def _check_omega(prob: EmbeddingProblem, cfg=None):
     member = omega_class_check(prob.omega, prob.theta, cfg=cfg)
-    if prob.dual_side and not member.in_dual_omega_theta:
+    if not prob.side.in_omega(member):
+        dual = "dual " if prob.dual_side else ""
         raise HypothesisViolated(
-            "omega is not in the dual Omega_theta class "
+            f"omega is not in the {dual}Omega_theta class "
             f"(witness t = {member.witness_t:g})")
-    if not prob.dual_side and not member.in_omega_theta:
-        raise HypothesisViolated(
-            "omega is not in the Omega_theta class "
-            f"(witness t = {member.witness_t:g})")
-
-
-def _omega_outer(prob, t, cfg):
-    """||omega|| over the tail (t, inf) or head (0, t), per side."""
-    if prob.dual_side:
-        return head_norm(prob.omega, prob.theta, t, cfg)
-    return tail_norm(prob.omega, prob.theta, t, cfg)
 
 
 def embedding_constant(prob: EmbeddingProblem, cfg=None) -> ExtReal:
@@ -195,16 +188,15 @@ def embedding_constant(prob: EmbeddingProblem, cfg=None) -> ExtReal:
 
 def _lebesgue_to_morrey(prob, tag, cfg) -> ExtReal:
     n, th = prob.n, prob.theta
-    om = prob.omega
+    om, side = prob.omega, prob.side
     g, sigma = _inner_profile(prob)
-    ball = not prob.dual_side  # dual formulas use complement balls
 
     def inner(t):
-        return _lp_region_norm(g, sigma, n, t, ball=ball, cfg=cfg)
+        return side.region_norm(g, sigma, n, t, cfg)
 
     if tag.case_id in ("i", "iii", "iv", "vi", "viii"):
         return sup_over_t(
-            lambda t: ext_mul(_omega_outer(prob, t, cfg), inner(t)))
+            lambda t: ext_mul(side.outer_norm(om, th, t, cfg), inner(t)))
     if tag.case_id in ("v", "ix"):
         def integrand(t):
             ot = om(t)
@@ -212,7 +204,7 @@ def _lebesgue_to_morrey(prob, tag, cfg) -> ExtReal:
                 return 0.0
             return float(ext_pow(ext_mul(ot, inner(t)), th))
 
-        val = _halfline(integrand, _profile_breaks(om, g), cfg)
+        val = _halfline(integrand, _breaks(om, g), cfg)
         return ext_pow(val, 1.0 / th)
     # (ii) and (vii): weighted s-norm with weight omega^theta
     p1 = prob.p1
@@ -222,26 +214,26 @@ def _lebesgue_to_morrey(prob, tag, cfg) -> ExtReal:
         ot = om(t)
         if ot == 0.0:
             return 0.0
-        outer = _omega_outer(prob, t, cfg)
+        outer = side.outer_norm(om, th, t, cfg)
         core = ext_mul(ext_pow(outer, th / p1), inner(t))
         return float(ext_mul(ext_pow(core, s), ot ** th))
 
-    val = _halfline(integrand, _profile_breaks(om, g), cfg)
+    val = _halfline(integrand, _breaks(om, g), cfg)
     return ext_pow(val, 1.0 / s)
 
 
 def _morrey_to_lebesgue(prob, tag, cfg) -> ExtReal:
     n, th = prob.n, prob.theta
-    om = prob.omega
+    om, side = prob.omega, prob.side
     g, sigma = _source_profile(prob)
-    ball = prob.dual_side  # dual-LM source pairs with plain balls
 
     def source(t):
-        return _lp_region_norm(g, sigma, n, t, ball=ball, cfg=cfg)
+        # a Morrey-type source pairs with the other side's region
+        return side.other.region_norm(g, sigma, n, t, cfg)
 
     if tag.case_id == "a":
         return sup_over_t(
-            lambda t: ext_div(source(t), _omega_outer(prob, t, cfg)))
+            lambda t: ext_div(source(t), side.outer_norm(om, th, t, cfg)))
     # (b): Stieltjes integral against the renormalized outer norm; f and
     # h take arrays of t
     p1 = prob.p1
@@ -250,35 +242,16 @@ def _morrey_to_lebesgue(prob, tag, cfg) -> ExtReal:
     def f(t):
         return ext_pow(source(t), rho)
 
-    if prob.dual_side:
-        def h(t):
-            return ext_pow(head_norm_right_limit(om, th, t, cfg), -rho)
+    def h(t):
+        return ext_pow(side.outer_norm_limit(om, th, t, cfg), -rho)
 
-        lo = getattr(om, "support_inf", lambda: 0.0)()
-        integ = MonotoneIntegrator.from_function(
-            h, "decreasing", jump_points=_profile_breaks(om),
-            infinite_from=lo if lo > 0.0 else None)
-    else:
-        def h(t):
-            return ext_pow(tail_norm_left_limit(om, th, t, cfg), -rho)
-
-        hi = getattr(om, "support_sup", lambda: _INF)()
-        integ = MonotoneIntegrator.from_function(
-            h, "increasing", jump_points=_profile_breaks(om),
-            infinite_from=hi if math.isfinite(hi) else None)
+    integ = MonotoneIntegrator.from_function(
+        h, side.direction, jump_points=_breaks(om),
+        infinite_from=side.infinite_from(om))
     main = stieltjes_integral(f, integ, (0.0, _INF), cfg)
-    full_norm = _omega_outer(prob, _INF, cfg) if prob.dual_side \
-        else tail_norm(om, th, 0.0, cfg)
-    boundary = ext_div(_lp_region_norm(g, sigma, n, None, ball=None, cfg=cfg),
-                       full_norm)
+    boundary = ext_div(_whole_space_norm(g, sigma, n, cfg),
+                       tail_norm(om, th, 0.0, cfg))
     return ext_pow(main, 1.0 / rho) + boundary
-
-
-def _profile_breaks(*profiles):
-    out = set()
-    for p in profiles:
-        out.update(b for b in p.breakpoints() if 0.0 < b < _INF)
-    return tuple(sorted(out))
 
 
 @dataclass(frozen=True)
@@ -334,42 +307,26 @@ def associate_norm(f: GridFunction, kind, p, theta, omega: RadialProfile,
     else:
         dual_w = Weight(v.dimension, v.profile.power(1.0 - pp))
 
-    # prefix-sum evaluator of the dual norm at t > 0: one lookup answers a
-    # whole array of radii
-    inner_eval = (_InnerComplementNorm(f, pp, dual_w) if kind == "lm"
-                  else _InnerBallNorm(f, pp, dual_w))
-
-    def onorm(t):
-        if kind == "lm":
-            return tail_norm(omega, th, t, cfg)
-        return head_norm(omega, th, t, cfg)
+    side = Side.BALL if kind == "lm" else Side.COMPLEMENT
+    # prefix-sum evaluator of the dual norm over the other side's region
+    # at t > 0: one lookup answers a whole array of radii
+    inner_eval = _inner_norm(f, pp, dual_w, side.other)
 
     if th <= 1.0:
-        return sup_over_t(lambda t: ext_div(inner_eval(t), onorm(t)))
+        return sup_over_t(lambda t: ext_div(
+            inner_eval(t), side.outer_norm(omega, th, t, cfg)))
     tp = 1.0 if math.isinf(th) else th / (th - 1.0)
 
-    # the integrand and the integrators take arrays of t
+    # the integrand and the integrator take arrays of t
     def integrand(t):
         return ext_pow(inner_eval(t), tp)
 
-    if kind == "lm":
-        def h(t):
-            return ext_pow(tail_norm_left_limit(omega, th, t, cfg), -tp)
+    def h(t):
+        return ext_pow(side.outer_norm_limit(omega, th, t, cfg), -tp)
 
-        hi = getattr(omega, "support_sup", lambda: _INF)()
-        integ = MonotoneIntegrator.from_function(
-            h, "increasing",
-            jump_points=_profile_breaks(omega) + tuple(f.knots),
-            infinite_from=hi if math.isfinite(hi) else None)
-    else:
-        def h(t):
-            return ext_pow(head_norm_right_limit(omega, th, t, cfg), -tp)
-
-        lo = getattr(omega, "support_inf", lambda: 0.0)()
-        integ = MonotoneIntegrator.from_function(
-            h, "decreasing",
-            jump_points=_profile_breaks(omega) + tuple(f.knots),
-            infinite_from=lo if lo > 0.0 else None)
+    integ = MonotoneIntegrator.from_function(
+        h, side.direction, jump_points=_breaks(omega) + tuple(f.knots),
+        infinite_from=side.infinite_from(omega))
     main = stieltjes_integral(integrand, integ, (0.0, _INF), cfg)
     full = tail_norm(omega, th, 0.0, cfg)
     boundary = ext_div(weighted_lp_norm(f, pp, dual_w, ALL), full)
@@ -401,7 +358,7 @@ def unweighted_reference(p1, p2, theta, omega: RadialProfile, n,
             return 0.0
         return float(ext_mul(t ** (delta * s - 1.0), ext_pow(tl, s)))
 
-    val = _halfline(integrand, _profile_breaks(omega), cfg)
+    val = _halfline(integrand, _breaks(omega), cfg)
     return ext_pow(val, 1.0 / s)
 
 

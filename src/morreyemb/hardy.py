@@ -10,18 +10,16 @@ to the best constant up to exponent-dependent factors, never claimed equal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import HypothesisViolated, InadmissibleExponents
 from .extreal import ExtReal, conjugate_exponent, ext_div, ext_mul, ext_pow
-from .integration import (DEFAULT_CONFIG, MonotoneIntegrator, ball_integral,
-                          complement_integral, esssup_ball, esssup_complement,
+from .integration import (DEFAULT_CONFIG, MonotoneIntegrator,
                           integrate_halfline, stieltjes_integral)
 from .profiles import RadialProfile
-from .weights import (Weight, head_norm, head_norm_right_limit,
-                      lp_norm_interval, tail_norm, tail_norm_left_limit)
+from .weights import Side, Weight, _whole_space_norm, tail_norm
 
 __all__ = [
     "HardyProblem",
@@ -71,6 +69,12 @@ class HardyProblem:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
 
+    @property
+    def side(self):
+        """COMPLEMENT for the *_complement variants, BALL otherwise."""
+        return Side.COMPLEMENT if self.variant.endswith("_complement") \
+            else Side.BALL
+
 
 def sup_over_t(fn, lo=1e-6, hi=1e6, grid=512, refine_iters=80) -> ExtReal:
     """sup_{t > 0} fn(t) for a continuous, eventually monotone fn >= 0.
@@ -87,29 +91,20 @@ def sup_over_t(fn, lo=1e-6, hi=1e6, grid=512, refine_iters=80) -> ExtReal:
     for _ in range(40):
         i = int(np.argmax(vals))
         if i == 0 and vals[0] >= vals[1]:
-            t_new = ts[0] / 4.0
-            if t_new < 1e-18:
-                if vals[0] > vals[1] * (1.0 + 1e-9):
-                    return ExtReal(_INF)
-                break
-            v = float(fn(t_new))
-            if math.isinf(v):
-                return ExtReal(_INF)
-            ts.insert(0, t_new)
-            vals.insert(0, v)
+            end, inner, at, t_new = 0, 1, 0, ts[0] / 4.0
         elif i == len(ts) - 1 and vals[-1] >= vals[-2]:
-            t_new = ts[-1] * 4.0
-            if t_new > 1e18:
-                if vals[-1] > vals[-2] * (1.0 + 1e-9):
-                    return ExtReal(_INF)
-                break
-            v = float(fn(t_new))
-            if math.isinf(v):
-                return ExtReal(_INF)
-            ts.append(t_new)
-            vals.append(v)
+            end, inner, at, t_new = -1, -2, len(ts), ts[-1] * 4.0
         else:
             break
+        if not 1e-18 <= t_new <= 1e18:
+            if vals[end] > vals[inner] * (1.0 + 1e-9):
+                return ExtReal(_INF)
+            break
+        v = float(fn(t_new))
+        if math.isinf(v):
+            return ExtReal(_INF)
+        ts.insert(at, t_new)
+        vals.insert(at, v)
 
     i = int(np.argmax(vals))
     a = math.log(ts[max(i - 1, 0)])
@@ -161,50 +156,62 @@ def hardy_A(prob: HardyProblem, cfg=None) -> ExtReal:
     """Characterizing functional for ||Hf||_{q,v,(0,inf)} <= c ||f||_{p,w}."""
     if prob.variant != "direct":
         raise ValueError("hardy_A expects the direct variant")
+    return _direct_functional(prob, cfg)
+
+
+def hardy_A_star(prob: HardyProblem, cfg=None) -> ExtReal:
+    """Mirror functional for the complement operator H*: head integrals of
+    v_outer, complement integrals of w_inner."""
+    if prob.variant != "direct_complement":
+        raise ValueError("hardy_A_star expects the direct_complement variant")
+    return _direct_functional(prob, cfg)
+
+
+def _direct_functional(prob: HardyProblem, cfg) -> ExtReal:
+    """Cases (a)-(h) of the direct functional on the problem's side: outer
+    norms of v paired with the side, integrals of w over its region."""
     p, q, n = prob.p, prob.q, prob.n
     v, w = prob.v_outer, prob.w_inner.profile
+    side = prob.side
     cfg = cfg or DEFAULT_CONFIG
+    pp = float(conjugate_exponent(p))
 
-    def V_tail(t):
-        return tail_norm(v, 1.0, t, cfg) ** 1.0
+    def V_outer(t):
+        return side.outer_norm(v, 1.0, t, cfg) ** 1.0
 
     def V_sup(t):
-        return esssup_complement(v, t)
+        return side.other.esssup(v, t)
 
-    def W_ball(t):
-        pp = float(conjugate_exponent(p))
-        return ball_integral(w.power(1.0 - pp), n, t, cfg)
+    def W_region(t):
+        return side.integral(w.power(1.0 - pp), n, t, cfg)
 
     def W_recip(t):
-        return ball_integral(w.power(-1.0), n, t, cfg)
+        return side.integral(w.power(-1.0), n, t, cfg)
 
     def w_sup(t):
-        return esssup_ball(w.power(-1.0), t)
+        return side.esssup(w.power(-1.0), t)
 
     if 1.0 < p <= q < _INF:
         # (a)
-        pp = float(conjugate_exponent(p))
         return sup_over_t(
-            lambda t: ext_mul(ext_pow(V_tail(t), 1.0 / q),
-                              ext_pow(W_ball(t), 1.0 / pp)))
+            lambda t: ext_mul(ext_pow(V_outer(t), 1.0 / q),
+                              ext_pow(W_region(t), 1.0 / pp)))
     if 1.0 < p < _INF and 0.0 < q < p:
         # (b)
-        pp = float(conjugate_exponent(p))
         r = 1.0 / (1.0 / q - 1.0 / p)
 
         def integrand(t):
             vt = v(t)
             if vt == 0.0:
                 return 0.0
-            return float(ext_mul(ext_mul(ext_pow(V_tail(t), r / p), vt),
-                                 ext_pow(W_ball(t), r / pp)))
+            return float(ext_mul(ext_mul(ext_pow(V_outer(t), r / p), vt),
+                                 ext_pow(W_region(t), r / pp)))
 
         return ext_pow(_halfline(integrand, _breaks(v, w), cfg), 1.0 / r)
     if 1.0 < p < _INF and math.isinf(q):
         # (c)
-        pp = float(conjugate_exponent(p))
         return sup_over_t(
-            lambda t: ext_mul(V_sup(t), ext_pow(W_ball(t), 1.0 / pp)))
+            lambda t: ext_mul(V_sup(t), ext_pow(W_region(t), 1.0 / pp)))
     if math.isinf(p) and math.isinf(q):
         # (d)
         return sup_over_t(lambda t: ext_mul(V_sup(t), W_recip(t)))
@@ -220,7 +227,7 @@ def hardy_A(prob: HardyProblem, cfg=None) -> ExtReal:
     if p == 1.0 and 1.0 <= q < _INF:
         # (f)
         return sup_over_t(
-            lambda t: ext_mul(ext_pow(V_tail(t), 1.0 / q), w_sup(t)))
+            lambda t: ext_mul(ext_pow(V_outer(t), 1.0 / q), w_sup(t)))
     if p == 1.0 and 0.0 < q < 1.0:
         # (g)
         qq = float(conjugate_exponent(q))
@@ -229,89 +236,15 @@ def hardy_A(prob: HardyProblem, cfg=None) -> ExtReal:
             vt = v(t)
             if vt == 0.0:
                 return 0.0
-            return float(ext_mul(ext_mul(ext_pow(V_tail(t), qq), vt),
+            return float(ext_mul(ext_mul(ext_pow(V_outer(t), qq), vt),
                                  ext_pow(w_sup(t), qq)))
 
         return ext_pow(_halfline(integrand, _breaks(v, w), cfg), 1.0 / qq)
     if p == 1.0 and math.isinf(q):
         # (h)
         return sup_over_t(lambda t: ext_mul(V_sup(t), w_sup(t)))
-    raise InadmissibleExponents(f"no direct case matches p={p}, q={q}")
-
-
-def hardy_A_star(prob: HardyProblem, cfg=None) -> ExtReal:
-    """Mirror functional for the complement operator H*: head integrals of
-    v_outer, complement integrals of w_inner."""
-    if prob.variant != "direct_complement":
-        raise ValueError("hardy_A_star expects the direct_complement variant")
-    p, q, n = prob.p, prob.q, prob.n
-    v, w = prob.v_outer, prob.w_inner.profile
-    cfg = cfg or DEFAULT_CONFIG
-
-    def V_head(t):
-        return head_norm(v, 1.0, t, cfg) ** 1.0
-
-    def V_sup(t):
-        return esssup_ball(v, t)
-
-    def W_comp(t):
-        pp = float(conjugate_exponent(p))
-        return complement_integral(w.power(1.0 - pp), n, t, cfg)
-
-    def W_recip(t):
-        return complement_integral(w.power(-1.0), n, t, cfg)
-
-    def w_sup(t):
-        return esssup_complement(w.power(-1.0), t)
-
-    if 1.0 < p <= q < _INF:
-        pp = float(conjugate_exponent(p))
-        return sup_over_t(
-            lambda t: ext_mul(ext_pow(V_head(t), 1.0 / q),
-                              ext_pow(W_comp(t), 1.0 / pp)))
-    if 1.0 < p < _INF and 0.0 < q < p:
-        pp = float(conjugate_exponent(p))
-        r = 1.0 / (1.0 / q - 1.0 / p)
-
-        def integrand(t):
-            vt = v(t)
-            if vt == 0.0:
-                return 0.0
-            return float(ext_mul(ext_mul(ext_pow(V_head(t), r / p), vt),
-                                 ext_pow(W_comp(t), r / pp)))
-
-        return ext_pow(_halfline(integrand, _breaks(v, w), cfg), 1.0 / r)
-    if 1.0 < p < _INF and math.isinf(q):
-        pp = float(conjugate_exponent(p))
-        return sup_over_t(
-            lambda t: ext_mul(V_sup(t), ext_pow(W_comp(t), 1.0 / pp)))
-    if math.isinf(p) and math.isinf(q):
-        return sup_over_t(lambda t: ext_mul(V_sup(t), W_recip(t)))
-    if math.isinf(p):
-        def integrand(t):
-            vt = v(t)
-            if vt == 0.0:
-                return 0.0
-            return float(ext_mul(vt, ext_pow(W_recip(t), q)))
-
-        return ext_pow(_halfline(integrand, _breaks(v, w), cfg), 1.0 / q)
-    if p == 1.0 and 1.0 <= q < _INF:
-        return sup_over_t(
-            lambda t: ext_mul(ext_pow(V_head(t), 1.0 / q), w_sup(t)))
-    if p == 1.0 and 0.0 < q < 1.0:
-        qq = float(conjugate_exponent(q))
-
-        def integrand(t):
-            vt = v(t)
-            if vt == 0.0:
-                return 0.0
-            return float(ext_mul(ext_mul(ext_pow(V_head(t), qq), vt),
-                                 ext_pow(w_sup(t), qq)))
-
-        return ext_pow(_halfline(integrand, _breaks(v, w), cfg), 1.0 / qq)
-    if p == 1.0 and math.isinf(q):
-        return sup_over_t(lambda t: ext_mul(V_sup(t), w_sup(t)))
-    raise InadmissibleExponents(f"no complement case matches p={p}, q={q}")
+    raise InadmissibleExponents(
+        f"no {prob.variant} case matches p={p}, q={q}")
 
 
 def sup_operator_constant(prob: HardyProblem, cfg=None) -> ExtReal:
@@ -319,12 +252,9 @@ def sup_operator_constant(prob: HardyProblem, cfg=None) -> ExtReal:
     the constant for the ball (or complement) esssup operator."""
     if prob.variant not in ("sup", "sup_complement"):
         raise ValueError("expects the sup or sup_complement variant")
-    q, v = prob.q, prob.v_outer
+    q, v, side = prob.q, prob.v_outer, prob.side
     w_inv = prob.w_inner.profile.power(-1.0)
-    if prob.variant == "sup":
-        inner = lambda r: float(esssup_ball(w_inv, r))
-    else:
-        inner = lambda r: float(esssup_complement(w_inv, r))
+    inner = lambda r: float(side.esssup(w_inv, r))
     if math.isinf(float(q)):
         return sup_over_t(lambda r: ext_mul(v(r), inner(r)))
 
@@ -338,19 +268,19 @@ def sup_operator_constant(prob: HardyProblem, cfg=None) -> ExtReal:
     return ext_pow(val, 1.0 / float(q))
 
 
-def _check_reverse_hypothesis(u, q, tail=True, cfg=None):
-    """The reverse functionals require the relevant u-norm finite for all t.
+def _check_reverse_hypothesis(u, q, side, cfg=None):
+    """The reverse functionals require the side's outer u-norm finite for
+    all t.
 
     Tail norms are non-increasing and head norms non-decreasing in t, so a
     genuine infinity shows up across the sampled range.  Sampling stays in
     a moderate window to avoid mistaking float overflow of a finite norm
     (fast-growing u at huge t) for infinity.
     """
+    tail = side is Side.BALL
     grid = np.geomspace(1e-2, 1e8, 11) if tail else np.geomspace(1e-8, 1e2, 11)
     for t in grid:
-        nrm = (tail_norm(u, q, float(t), cfg) if tail
-               else head_norm(u, q, float(t), cfg))
-        if nrm.is_inf:
+        if side.outer_norm(u, q, float(t), cfg).is_inf:
             region = f"({t:g},inf)" if tail else f"(0,{t:g})"
             raise HypothesisViolated(f"||u||_{{q,{region}}} is infinite")
 
@@ -359,36 +289,7 @@ def reverse_hardy_C(prob: HardyProblem, cfg=None) -> ExtReal:
     """Functional for ||g w||_p <= c ||(Hg) u||_q with 0 < p <= 1."""
     if prob.variant != "reverse":
         raise ValueError("reverse_hardy_C expects the reverse variant")
-    p, q, n = prob.p, prob.q, prob.n
-    u, w = prob.v_outer, prob.w_inner.profile
-    cfg = cfg or DEFAULT_CONFIG
-    _check_reverse_hypothesis(u, q, tail=True, cfg=cfg)
-    pp = float(conjugate_exponent(p))
-
-    def w_comp(t):
-        return _lp_region_norm(w, pp, n, t, ball=False, cfg=cfg)
-
-    if 0.0 < q <= p:
-        # (a)
-        return sup_over_t(
-            lambda t: ext_div(w_comp(t), tail_norm(u, q, t, cfg)))
-    # (b): p < q <= inf, 1/r = 1/p - 1/q; f and h take arrays of t
-    r = 1.0 / (1.0 / p - (0.0 if math.isinf(q) else 1.0 / q))
-
-    def h(t):
-        return ext_pow(tail_norm_left_limit(u, q, t, cfg), -r)
-
-    def f(t):
-        return ext_pow(w_comp(t), r)
-
-    sup_u = getattr(u, "support_sup", lambda: _INF)()
-    integ = MonotoneIntegrator.from_function(
-        h, "increasing", jump_points=_breaks(u),
-        infinite_from=sup_u if math.isfinite(sup_u) else None)
-    main = stieltjes_integral(f, integ, (0.0, _INF), cfg)
-    boundary = ext_div(_lp_region_norm(w, pp, n, None, ball=None, cfg=cfg),
-                       tail_norm(u, q, 0.0, cfg))
-    return ext_pow(main, 1.0 / r) + boundary
+    return _reverse_functional(prob, cfg)
 
 
 def reverse_hardy_C_star(prob: HardyProblem, cfg=None) -> ExtReal:
@@ -396,51 +297,39 @@ def reverse_hardy_C_star(prob: HardyProblem, cfg=None) -> ExtReal:
     right-continuous integrator."""
     if prob.variant != "reverse_complement":
         raise ValueError("expects the reverse_complement variant")
+    return _reverse_functional(prob, cfg)
+
+
+def _reverse_functional(prob: HardyProblem, cfg) -> ExtReal:
+    """Cases (a) and (b) of the reverse functional: outer norms of u paired
+    with the problem's side, norms of w over the other side's region."""
     p, q, n = prob.p, prob.q, prob.n
     u, w = prob.v_outer, prob.w_inner.profile
+    side = prob.side
     cfg = cfg or DEFAULT_CONFIG
-    _check_reverse_hypothesis(u, q, tail=False, cfg=cfg)
+    _check_reverse_hypothesis(u, q, side, cfg)
     pp = float(conjugate_exponent(p))
 
-    def w_ball(t):
-        return _lp_region_norm(w, pp, n, t, ball=True, cfg=cfg)
+    def w_region(t):
+        return side.other.region_norm(w, pp, n, t, cfg)
 
     if 0.0 < q <= p:
+        # (a)
         return sup_over_t(
-            lambda t: ext_div(w_ball(t), head_norm(u, q, t, cfg)))
+            lambda t: ext_div(w_region(t), side.outer_norm(u, q, t, cfg)))
+    # (b): p < q <= inf, 1/r = 1/p - 1/q; f and h take arrays of t
     r = 1.0 / (1.0 / p - (0.0 if math.isinf(q) else 1.0 / q))
 
     def h(t):
-        return ext_pow(head_norm_right_limit(u, q, t, cfg), -r)
+        return ext_pow(side.outer_norm_limit(u, q, t, cfg), -r)
 
     def f(t):
-        return ext_pow(w_ball(t), r)
+        return ext_pow(w_region(t), r)
 
-    inf_u = getattr(u, "support_inf", lambda: 0.0)()
     integ = MonotoneIntegrator.from_function(
-        h, "decreasing", jump_points=_breaks(u),
-        infinite_from=inf_u if inf_u > 0.0 else None)
+        h, side.direction, jump_points=_breaks(u),
+        infinite_from=side.infinite_from(u))
     main = stieltjes_integral(f, integ, (0.0, _INF), cfg)
-    boundary = ext_div(_lp_region_norm(w, pp, n, None, ball=None, cfg=cfg),
+    boundary = ext_div(_whole_space_norm(w, pp, n, cfg),
                        tail_norm(u, q, 0.0, cfg))
     return ext_pow(main, 1.0 / r) + boundary
-
-
-def _lp_region_norm(w_profile, s, n, t, ball, cfg=None) -> ExtReal:
-    """||w||_{s, region} over the ball B_t (ball=True), its complement
-    (ball=False), or all of R^n (ball=None), for s in (0, inf]."""
-    s = float(s)
-    if math.isinf(s):
-        if ball is True:
-            return esssup_ball(w_profile, t)
-        if ball is False:
-            return esssup_complement(w_profile, t)
-        return esssup_complement(w_profile, 0.0)
-    if ball is True:
-        val = ball_integral(w_profile.power(s), n, t, cfg)
-    elif ball is False:
-        val = complement_integral(w_profile.power(s), n, t, cfg)
-    else:
-        val = ball_integral(w_profile.power(s), n, 1.0, cfg) + \
-            complement_integral(w_profile.power(s), n, 1.0, cfg)
-    return ext_pow(val, 1.0 / s)

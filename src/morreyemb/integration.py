@@ -163,6 +163,17 @@ def integrate_halfline(f, interval, cfg=None):
                         toterr += rem
                         break
         else:
+            # the budget ran out on a slow geometric tail (a power tail
+            # t^(-1-eps) has dyadic ratio 2^(-eps)): add its remainder,
+            # with the remainder's sensitivity to the ratio spread as error
+            if len(ratios) == 8 and 0.0 < min(ratios) and max(ratios) < 1.0:
+                r = ratios[-1]
+                spread = (max(ratios) - min(ratios)) / r
+                if spread <= 1e-6:
+                    rem = v * r / (1.0 - r)
+                    total += rem
+                    toterr += rem * spread / (1.0 - r)
+                    continue
             raise QuadratureFailure(
                 "dyadic budget exhausted without convergence or divergence",
                 value=total, error_bound=toterr + pieces[-1])

@@ -16,7 +16,7 @@ from .errors import NotAWeight
 from .extreal import ExtReal, ext_pow
 from .integration import sphere_area
 from .profiles import FnProfile, PowerProfile, RadialProfile, elementwise
-from .weights import Weight, head_norm, tail_norm
+from .weights import Side, Weight
 
 __all__ = [
     "GridFunction",
@@ -265,67 +265,66 @@ class _InnerComplementNorm(_InnerBallNorm):
     complement = True
 
 
-def _outer_theta_norm(inner_fn, omega: RadialProfile, theta, f: GridFunction,
-                      tail_value, head_value):
-    """||omega(r) * inner_fn(r)||_{theta,(0,inf)} for an inner function that
-    is constant equal to head_value below the first knot and tail_value
-    above the last."""
+def _inner_norm(f: GridFunction, p, v: Weight, side: Side):
+    """r -> ||f||_{p,v} over the side's region at radius r."""
+    cls = _InnerBallNorm if side is Side.BALL else _InnerComplementNorm
+    return cls(f, p, v)
+
+
+def lm_norm(f: GridFunction, p, theta, omega: RadialProfile, v: Weight) -> ExtReal:
+    """Local Morrey-type norm: the theta-norm over r of
+    omega(r) ||f||_{p,v,B(0,r)}."""
+    return _morrey_norm(f, p, theta, omega, v, Side.BALL)
+
+
+def dual_lm_norm(f: GridFunction, p, theta, omega: RadialProfile, v: Weight) -> ExtReal:
+    """Complementary local Morrey-type norm: theta-norm over r of
+    omega(r) ||f||_{p,v,complement of B(0,r)}."""
+    return _morrey_norm(f, p, theta, omega, v, Side.COMPLEMENT)
+
+
+def _morrey_norm(f, p, theta, omega, v, side) -> ExtReal:
+    """||omega(r) * ||f||_{p,v,region(r)}||_{theta,(0,inf)} over the side's
+    regions.  The inner norm is monotone on each cell and the whole norm
+    beyond the knots on the side's outer end: past the last knot for
+    balls, below the first for complements."""
+    inner = _inner_norm(f, p, v, side)
+    whole = inner.total()
     theta = float(theta)
     k0, k1 = float(f.knots[0]), float(f.knots[-1])
+    edge = k1 if side is Side.BALL else k0
     anchors = sorted({k0, k1} | set(float(k) for k in f.knots)
                      | {b for b in omega.breakpoints() if k0 < b < k1})
     if math.isinf(theta):
         best = 0.0
-        if head_value > 0:
-            best = max(best, head_value * omega.esssup(0.0, k0))
-        if tail_value > 0:
-            best = max(best, tail_value * float(tail_norm(omega, _INF, k1)))
+        if whole > 0:
+            best = max(best,
+                       whole * float(side.outer_norm(omega, _INF, edge)))
         for x0, x1 in zip(anchors[:-1], anchors[1:]):
-            # inner_fn is monotone on each anchor interval and omega is a
+            # inner is monotone on each anchor interval and omega is a
             # single smooth piece there, so dense sampling plus the right
             # endpoint is reliable
             for r in np.geomspace(x0, x1, 33)[1:]:
-                best = max(best, omega(float(r)) * inner_fn(float(r)))
+                best = max(best, omega(float(r)) * inner(float(r)))
         return ExtReal(best)
     total = 0.0
-    if head_value > 0:
-        hv = float(head_norm(omega, theta, k0))
-        if math.isinf(hv):
+    if whole > 0:
+        beyond = float(side.outer_norm(omega, theta, edge))
+        if math.isinf(beyond):
             return ExtReal(_INF)
-        total += (head_value * hv) ** theta
-    if tail_value > 0:
-        tv = float(tail_norm(omega, theta, k1))
-        if math.isinf(tv):
-            return ExtReal(_INF)
-        total += (tail_value * tv) ** theta
+        total += (whole * beyond) ** theta
     for x0, x1 in zip(anchors[:-1], anchors[1:]):
         def integrand(r):
             w = omega(r)
             if w == 0.0:
                 return 0.0
-            g = inner_fn(r)
+            g = inner(r)
             return 0.0 if g == 0.0 else (w * g) ** theta
         val, _ = quad(integrand, x0, x1, limit=200)
         if math.isnan(val) or math.isinf(val):
             return ExtReal(_INF)
         total += val
     return ext_pow(total, 1.0 / theta) if total > 0 else ExtReal(0.0)
-
-
-def lm_norm(f: GridFunction, p, theta, omega: RadialProfile, v: Weight) -> ExtReal:
-    """Local Morrey-type norm: the theta-norm over r of
-    omega(r) ||f||_{p,v,B(0,r)}."""
-    inner = _InnerBallNorm(f, p, v)
-    return _outer_theta_norm(inner, omega, theta, f,
-                             tail_value=inner.total(), head_value=0.0)
-
-
-def dual_lm_norm(f: GridFunction, p, theta, omega: RadialProfile, v: Weight) -> ExtReal:
-    """Complementary local Morrey-type norm: theta-norm over r of
-    omega(r) ||f||_{p,v,complement of B(0,r)}."""
-    inner = _InnerComplementNorm(f, p, v)
-    return _outer_theta_norm(inner, omega, theta, f,
-                             tail_value=0.0, head_value=inner.total())
 
 
 def fubini_weight(omega: RadialProfile, p, v: Weight, direction="tail") -> Weight:
@@ -339,27 +338,17 @@ def fubini_weight(omega: RadialProfile, p, v: Weight, direction="tail") -> Weigh
         raise ValueError("p must be in [1, inf)")
     if direction not in ("tail", "head"):
         raise ValueError("direction must be 'tail' or 'head'")
+    side = Side.BALL if direction == "tail" else Side.COMPLEMENT
     if isinstance(omega, PowerProfile) and omega.c > 0:
+        # c^p t^e / |e| with e = alpha p + 1: tails need e < 0, heads e > 0
         e = omega.alpha * p + 1.0
-        if direction == "tail":
-            if e >= 0.0:
-                raise NotAWeight("tail norm of omega is infinite for every t")
-            norm_p = PowerProfile(omega.c ** p / (-e), e)
-        else:
-            if e <= 0.0:
-                raise NotAWeight("head norm of omega is infinite for every t")
-            norm_p = PowerProfile(omega.c ** p / e, e)
+        if not (e < 0.0 if side is Side.BALL else e > 0.0):
+            raise NotAWeight(
+                f"{direction} norm of omega is infinite for every t")
+        norm_p = PowerProfile(omega.c ** p / abs(e), e)
     else:
-        if direction == "tail":
-            probe = float(tail_norm(omega, p, 1.0))
-        else:
-            probe = float(head_norm(omega, p, 1.0))
-        if math.isinf(probe):
+        if math.isinf(float(side.outer_norm(omega, p, 1.0))):
             raise NotAWeight("the norm profile is infinite")
-        if direction == "tail":
-            norm_p = FnProfile(lambda t: float(tail_norm(omega, p, t)) ** p,
-                               breakpoints=omega.breakpoints())
-        else:
-            norm_p = FnProfile(lambda t: float(head_norm(omega, p, t)) ** p,
-                               breakpoints=omega.breakpoints())
+        norm_p = FnProfile(lambda t: float(side.outer_norm(omega, p, t)) ** p,
+                           breakpoints=omega.breakpoints())
     return Weight(v.dimension, v.profile.times(norm_p))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .hardy import (HardyProblem, hardy_A, hardy_A_star, reverse_hardy_C,
                     reverse_hardy_C_star, sup_operator_constant)
 from .integration import sphere_area
 from .norms import GridFunction
-from .weights import head_norm, lp_norm_interval, tail_norm
+from .weights import Side
 
 __all__ = [
     "OracleConfig",
@@ -78,8 +78,9 @@ class OracleResult:
         return json.dumps(doc)
 
 
-def _subcell_masses(profile, edges, n, sigma, gl=4):
-    """Integral of profile(rho) * rho^(n-1) * sigma over each subcell."""
+def _subcell_masses(profile, edges, n=1, sigma=1.0, gl=4):
+    """Integral of profile(rho) * rho^(n-1) * sigma over each subcell; the
+    defaults integrate a function of the outer variable."""
     x01, w01 = np.polynomial.legendre.leggauss(gl)
     x01 = 0.5 * (x01 + 1.0)
     w01 = 0.5 * w01
@@ -90,19 +91,6 @@ def _subcell_masses(profile, edges, n, sigma, gl=4):
     vals = np.where(np.isfinite(vals), vals, 0.0)
     dens = vals * xs ** (n - 1) * sigma
     return np.sum(dens * ws, axis=1)
-
-
-def _subcell_line_masses(fn, edges, gl=4):
-    """Integral of fn(t) over each subcell of the outer variable."""
-    x01, w01 = np.polynomial.legendre.leggauss(gl)
-    x01 = 0.5 * (x01 + 1.0)
-    w01 = 0.5 * w01
-    lo, hi = edges[:-1], edges[1:]
-    xs = lo[:, None] + (hi - lo)[:, None] * x01[None, :]
-    ws = (hi - lo)[:, None] * w01[None, :]
-    vals = np.array([[fn(float(x)) for x in row] for row in xs])
-    vals = np.where(np.isfinite(vals), vals, 0.0)
-    return np.sum(vals * ws, axis=1)
 
 
 class _RatioEvaluator:
@@ -131,131 +119,75 @@ class _RatioEvaluator:
             self._build_embedding(prob)
         else:
             raise TypeError(f"unsupported problem type {type(prob)!r}")
-        self._finalize()
+        self.dual_w_profile = self._dual_power_profile(prob)
+        self._finalize(prob.side)
 
     def _build_hardy(self, prob: HardyProblem):
         n = prob.n
         sigma = sphere_area(n)
         v, w = prob.v_outer, prob.w_inner.profile
-        var = prob.variant
-        if var in ("direct", "direct_complement"):
-            # target ||Hf||_{q,v} with v as an outer measure density
-            self.inner_p = 1.0
-            self.inner_mass = _subcell_masses(
-                lambda r: 1.0, self.edges, n, sigma)
-            self.outer_q = prob.q
-            self.outer_mass = _subcell_line_masses(v, self.edges)
-            self.outer_mult = np.array([v(float(t)) for t in self.mids])
-            self.outer_tail = float(tail_norm(v, 1.0, float(self.edges[-1])))
-            self.outer_head = float(head_norm(v, 1.0, float(self.edges[0])))
-            self.outer_tail_sup = v.esssup(float(self.edges[-1]), _INF)
-            self.outer_head_sup = v.esssup(0.0, float(self.edges[0]))
-            self.src_p = prob.p
-            self.src_mass = _subcell_masses(w, self.edges, n, sigma)
-            self.src_sup = np.array([
-                w.esssup(float(a), float(b))
-                for a, b in zip(self.edges[:-1], self.edges[1:])])
-            self.complement = var == "direct_complement"
-            self.morrey_on_top = True
-            self.sup_inner = False
-        elif var in ("sup", "sup_complement"):
-            # target ||(Sf) v||_q (multiplicative v), source ||f w||_inf
+        sup = prob.variant in ("sup", "sup_complement")
+        direct = prob.variant in ("direct", "direct_complement")
+        if sup:
+            # target ||(Sf) v||_q, source ||f w||_inf
             self.inner_p = _INF
             self.inner_sup_weight = np.ones(len(self.mids))
-            q = prob.q
-            self.outer_q = q
-            dens = ((lambda t: v(t) ** q) if math.isfinite(q) else v)
-            self.outer_mass = (_subcell_line_masses(dens, self.edges)
-                               if math.isfinite(q) else None)
-            self.outer_mult = np.array([v(float(t)) for t in self.mids])
-            self.outer_tail = (float(lp_norm_interval(
-                v, q, (float(self.edges[-1]), _INF))) ** q
-                if math.isfinite(q) else 0.0)
-            self.outer_head = (float(lp_norm_interval(
-                v, q, (0.0, float(self.edges[0])))) ** q
-                if math.isfinite(q) else 0.0)
-            self.outer_tail_sup = v.esssup(float(self.edges[-1]), _INF)
-            self.outer_head_sup = v.esssup(0.0, float(self.edges[0]))
-            self.src_p = _INF
-            self.src_sup = np.array([
-                w.esssup(float(a), float(b))
-                for a, b in zip(self.edges[:-1], self.edges[1:])])
-            self.complement = var == "sup_complement"
-            self.morrey_on_top = True
-            self.sup_inner = True
         else:
-            # reverse: ratio ||f w||_p / ||(Hf) u||_q, multiplicative weights
-            u = v
-            p, q = prob.p, prob.q
+            # Hf integrates f over the region
             self.inner_p = 1.0
             self.inner_mass = _subcell_masses(
                 lambda r: 1.0, self.edges, n, sigma)
-            self.outer_q = q
-            dens = ((lambda t: u(t) ** q) if math.isfinite(q) else u)
-            self.outer_mass = (_subcell_line_masses(dens, self.edges)
-                               if math.isfinite(q) else None)
-            self.outer_mult = np.array([u(float(t)) for t in self.mids])
-            self.outer_tail = (float(lp_norm_interval(
-                u, q, (float(self.edges[-1]), _INF))) ** q
-                if math.isfinite(q) else 0.0)
-            self.outer_head = (float(lp_norm_interval(
-                u, q, (0.0, float(self.edges[0])))) ** q
-                if math.isfinite(q) else 0.0)
-            self.outer_tail_sup = u.esssup(float(self.edges[-1]), _INF)
-            self.outer_head_sup = u.esssup(0.0, float(self.edges[0]))
-            self.src_p = p
+        self.sup_inner = sup
+        # the direct target has v as an outer measure density; sup and
+        # reverse weigh by v as a multiplier, the density v^q
+        self._build_outer(v, prob.q, 1.0 if direct else prob.q, prob.side)
+        self.src_p = _INF if sup else prob.p
+        if not sup:
+            # the source ||f||_{p,w} (direct) or ||f w||_p (reverse)
             self.src_mass = _subcell_masses(
-                w.power(p) if math.isfinite(p) else w,
-                self.edges, n, sigma)
-            self.src_sup = np.array([
-                w.esssup(float(a), float(b))
-                for a, b in zip(self.edges[:-1], self.edges[1:])])
-            self.complement = prob.variant == "reverse_complement"
-            self.morrey_on_top = False
-            self.sup_inner = False
-        self.dual_w_profile = self._dual_power_profile(prob)
+                w if direct else w.power(prob.p), self.edges, n, sigma)
+        self.src_sup = self._subcell_sups(w)
+        self.morrey_on_top = prob.variant not in ("reverse",
+                                                  "reverse_complement")
 
     def _build_embedding(self, prob: EmbeddingProblem):
         n = prob.n
         sigma = sphere_area(n)
-        v1, v2, om, th = (prob.v1.profile, prob.v2.profile,
-                          prob.omega, prob.theta)
+        v1, v2 = prob.v1.profile, prob.v2.profile
         self.inner_p = prob.p2
-        if math.isinf(prob.p2):
-            self.sup_inner = True
-            self.inner_sup_weight = np.array(
-                [v2.esssup(float(a), float(b))
-                 for a, b in zip(self.edges[:-1], self.edges[1:])])
+        self.sup_inner = math.isinf(prob.p2)
+        if self.sup_inner:
+            self.inner_sup_weight = self._subcell_sups(v2)
         else:
-            self.sup_inner = False
             self.inner_mass = _subcell_masses(v2, self.edges, n, sigma)
-        self.outer_q = th
-        dens = ((lambda t: om(t) ** th) if math.isfinite(th) else om)
-        self.outer_mass = (_subcell_line_masses(dens, self.edges)
-                           if math.isfinite(th) else None)
-        self.outer_mult = np.array([om(float(t)) for t in self.mids])
-        if math.isfinite(th):
-            self.outer_tail = float(tail_norm(
-                om, th, float(self.edges[-1]))) ** th
-            self.outer_head = float(head_norm(
-                om, th, float(self.edges[0]))) ** th
-        else:
-            self.outer_tail = self.outer_head = 0.0
-        self.outer_tail_sup = om.esssup(float(self.edges[-1]), _INF)
-        self.outer_head_sup = om.esssup(0.0, float(self.edges[0]))
+        self._build_outer(prob.omega, prob.theta, prob.theta, prob.side)
         self.src_p = prob.p1
-        if math.isinf(prob.p1):
-            self.src_sup = np.array([
-                v1.esssup(float(a), float(b))
-                for a, b in zip(self.edges[:-1], self.edges[1:])])
-        else:
+        if math.isfinite(prob.p1):
             self.src_mass = _subcell_masses(v1, self.edges, n, sigma)
-            self.src_sup = np.array([
-                v1.esssup(float(a), float(b))
-                for a, b in zip(self.edges[:-1], self.edges[1:])])
-        self.complement = prob.dual_side
+        self.src_sup = self._subcell_sups(v1)
         self.morrey_on_top = prob.morrey_is_target
-        self.dual_w_profile = self._dual_power_profile(prob)
+
+    def _subcell_sups(self, profile):
+        """Essential supremum of the profile on each subcell."""
+        return np.array([profile.esssup(float(a), float(b))
+                         for a, b in zip(self.edges[:-1], self.edges[1:])])
+
+    def _build_outer(self, v, q, e, side):
+        """The outer q-norm over t with the density v^e (e = q for a
+        multiplier), and the side's outer norm beyond the grid, where the
+        inner norm is the whole norm: past the last edge for balls, below
+        the first for complements."""
+        edge = float(self.edges[-1] if side is Side.BALL else self.edges[0])
+        self.outer_q = q
+        if math.isfinite(e):
+            self.outer_mass = _subcell_masses(lambda t: v(t) ** e,
+                                              self.edges)
+            self.outer_beyond = float(side.outer_norm(v, e, edge)) ** e
+        else:
+            self.outer_mass = None
+            self.outer_beyond = 0.0
+        self.outer_mult = np.array([v(float(t)) for t in self.mids])
+        self.outer_beyond_sup = float(side.outer_norm(v, _INF, edge))
 
     def _dual_power_profile(self, prob):
         """The classical near-extremal density w^{1-p'} when meaningful."""
@@ -267,11 +199,9 @@ class _RatioEvaluator:
                 min(w(float(t)) ** (1.0 - pp) if w(float(t)) > 0 else 0.0,
                     1e10)
                 for t in self.mids])
-        if isinstance(prob, EmbeddingProblem) and not prob.morrey_is_target:
-            return None
         return None
 
-    def _finalize(self):
+    def _finalize(self, side):
         """Pre-aggregate subcell masses to the coarse grid.
 
         Values are constant on each coarse cell, so only the coarse sums
@@ -281,13 +211,16 @@ class _RatioEvaluator:
         m, K = self.m, self.K
         if not math.isinf(self.src_p):
             self._src_coarse = self.src_mass.reshape(m, K).sum(axis=1)
-        if hasattr(self, "src_sup"):
-            self._src_sup_coarse = self.src_sup.reshape(m, K).max(axis=1)
+        self._src_sup_coarse = self.src_sup.reshape(m, K).max(axis=1)
+        # inner norms accumulate outward from the origin over balls and
+        # inward from infinity over complements
+        self._flip = slice(None, None, -1) if side is Side.COMPLEMENT \
+            else slice(None)
         if not self.sup_inner:
             im = self.inner_mass.reshape(m, K)
-            self._part_half = (np.cumsum(im, axis=1) - 0.5 * im).ravel()
-            self._part_half_suffix = (
-                np.cumsum(im[:, ::-1], axis=1)[:, ::-1] - 0.5 * im).ravel()
+            flip = self._flip
+            self._part_half = (np.cumsum(im[:, flip], axis=1)[:, flip]
+                               - 0.5 * im).ravel()
             self._inner_coarse = im.sum(axis=1)
 
     # -- norms ---------------------------------------------------------
@@ -301,25 +234,18 @@ class _RatioEvaluator:
     def _cumulative_mid(self, values):
         """Inner norm^p2 (or running sup) at each subcell midpoint."""
         v = np.asarray(values, dtype=float)
+        flip = self._flip
         if self.sup_inner:
             marks = v[self.cell_of] * self.inner_sup_weight
-            if self.complement:
-                run = np.maximum.accumulate(marks[::-1])[::-1]
-                shifted = np.concatenate([run[1:], [0.0]])
-            else:
-                run = np.maximum.accumulate(marks)
-                shifted = np.concatenate([[0.0], run[:-1]])
+            run = np.maximum.accumulate(marks[flip])
+            shifted = np.concatenate([[0.0], run[:-1]])[flip]
             return (np.maximum(shifted, marks),
                     float(np.max(marks, initial=0.0)))
         vp = v ** self.inner_p
         cellm = vp * self._inner_coarse
-        vp_sub = vp[self.cell_of]
-        if self.complement:
-            later = np.concatenate([np.cumsum(cellm[::-1])[::-1][1:], [0.0]])
-            G = later[self.cell_of] + vp_sub * self._part_half_suffix
-        else:
-            earlier = np.concatenate([[0.0], np.cumsum(cellm)[:-1]])
-            G = earlier[self.cell_of] + vp_sub * self._part_half
+        # whole cells met before each cell, then the part of its own
+        before = np.concatenate([[0.0], np.cumsum(cellm[flip])[:-1]])[flip]
+        G = before[self.cell_of] + vp[self.cell_of] * self._part_half
         return G, float(cellm.sum())
 
     def morrey_norm(self, values):
@@ -332,16 +258,9 @@ class _RatioEvaluator:
         q = self.outer_q
         if math.isinf(q):
             best = float(np.max(self.outer_mult * F_mid, initial=0.0))
-            if self.complement:
-                best = max(best, self.outer_head_sup * F_tot)
-            else:
-                best = max(best, self.outer_tail_sup * F_tot)
-            return best
+            return max(best, self.outer_beyond_sup * F_tot)
         acc = float(self.outer_mass @ F_mid ** q)
-        if self.complement:
-            acc += self.outer_head * F_tot ** q
-        else:
-            acc += self.outer_tail * F_tot ** q
+        acc += self.outer_beyond * F_tot ** q
         return acc ** (1.0 / q) if acc > 0 else 0.0
 
     def ratio(self, values):
@@ -536,8 +455,7 @@ def divergence_witness(prob, cfg: OracleConfig = None, constant=None):
                          "closed-form constant")
     wide = OracleConfig(grid_cells=cfg.grid_cells,
                         knot_range=(1e-9, 1e9),
-                        restarts=1, ascent_sweeps=0, seed=cfg.seed,
-                        include_families=cfg.include_families)
+                        restarts=1, ascent_sweeps=0, seed=cfg.seed)
     ev = _RatioEvaluator(prob, wide)
     m = ev.m
     idx = np.arange(m)
@@ -586,7 +504,6 @@ class EquivalenceReport:
     lower_bound: ExtReal
     ratio_low: float
     family_ratios: dict
-    max_sample_ratio: float
 
     def to_json(self):
         return json.dumps({
@@ -594,18 +511,15 @@ class EquivalenceReport:
             "lower_bound": float(self.lower_bound),
             "ratio_low": self.ratio_low,
             "family_ratios": {k: float(v) for k, v in self.family_ratios.items()},
-            "max_sample_ratio": self.max_sample_ratio,
         })
 
 
 def equivalence_report(prob, cfg: OracleConfig = None,
                        constant=None) -> EquivalenceReport:
-    """Empirical two-sided audit of a finite closed-form constant.
+    """Empirical audit of a finite closed-form constant.
 
     ratio_low = lower_bound / constant measures how much of the functional
-    the brute-force search recovers; max_sample_ratio tracks the largest
-    sampled ratio relative to the constant (the empirical equivalence
-    factor in the other direction).  `constant`, when given, is the
+    the brute-force search recovers.  `constant`, when given, is the
     closed-form constant already evaluated by the caller.
     """
     cfg = cfg or OracleConfig()
@@ -621,5 +535,4 @@ def equivalence_report(prob, cfg: OracleConfig = None,
         lower_bound=result.lower_bound,
         ratio_low=float(result.lower_bound) / c,
         family_ratios={k: v / c for k, v in result.family_bests.items()},
-        max_sample_ratio=float(result.lower_bound) / c,
     )

@@ -238,7 +238,7 @@ class PowerProfile(RadialProfile):
         if not math.isinf(c) and (math.isnan(c) or c < 0.0):
             raise ValueError(f"coefficient must be in [0, inf], got {c}")
         self.c = float(c)
-        self.alpha = float(alpha) if self.c not in (0.0,) else float(alpha)
+        self.alpha = float(alpha)
 
     def __call__(self, rho):
         if isinstance(rho, np.ndarray):
@@ -356,8 +356,9 @@ class ExpProfile(RadialProfile):
         self.rate = float(rate)
 
     def __call__(self, rho):
-        if self.c == 0.0:
-            return _shaped(0.0, rho)
+        # a constant, also at rho = inf, where rate * rho would be 0 * inf
+        if self.c == 0.0 or self.rate == 0.0:
+            return _shaped(self.c, rho)
         return self.c * _safe_exp(self.rate * rho)
 
     def integral(self, a, b):

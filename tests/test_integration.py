@@ -9,7 +9,7 @@ from morreyemb.errors import UndefinedStieltjes
 from morreyemb.integration import (MonotoneIntegrator, ball_volume,
                                    integrate_halfline, sphere_area,
                                    stieltjes_integral)
-from morreyemb.profiles import ExpProfile, PowerProfile
+from morreyemb.profiles import ExpProfile, FnProfile, PowerProfile
 
 INF = math.inf
 
@@ -43,6 +43,18 @@ def test_halfline_divergent_power():
 def test_halfline_integrable_singularity():
     val, _ = integrate_halfline(PowerProfile(1.0, -0.5), (0.0, 1.0))
     assert float(val) == pytest.approx(2.0, rel=1e-8)
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.01, 0.002])
+@pytest.mark.parametrize("interval,sign", [((1.0, INF), -1.0),
+                                           ((0.0, 1.0), 1.0)])
+def test_halfline_slow_power_end(eps, interval, sign):
+    # t^(-1 -+ eps) has dyadic ratio 2^(-eps) toward its slow end; the
+    # 400-piece budget runs out there and the geometric remainder is added
+    val, err = integrate_halfline(
+        FnProfile(lambda t: t ** (-1.0 + sign * eps)), interval)
+    assert float(val) == pytest.approx(1.0 / eps, rel=1e-9)
+    assert abs(float(val) - 1.0 / eps) <= err <= 1e-9 / eps
 
 
 class TestStieltjes:
