@@ -111,8 +111,20 @@ EXT_INF = ExtReal(math.inf)
 EXT_ZERO = ExtReal(0.0)
 
 
+def _coerce_array(x):
+    x = np.asarray(x.value if isinstance(x, ExtReal) else x, dtype=float)
+    if np.any(np.isnan(x) | (x < 0.0)):
+        raise ValueError("expected values in [0, inf], got nan or negative")
+    return x
+
+
 def ext_mul(a, b) -> ExtReal:
-    """Product with 0 * inf = 0."""
+    """Product with 0 * inf = 0.  An array factor gives the float array
+    of products, broadcast, with the same convention."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        a, b = _coerce_array(a), _coerce_array(b)
+        with np.errstate(invalid="ignore", over="ignore"):
+            return np.where((a == 0.0) | (b == 0.0), 0.0, a * b)
     a, b = _coerce(a), _coerce(b)
     if a == 0.0 or b == 0.0:
         return EXT_ZERO
@@ -120,7 +132,14 @@ def ext_mul(a, b) -> ExtReal:
 
 
 def ext_div(a, b) -> ExtReal:
-    """Quotient with 0/0 = 0, x/inf = 0, x/0 = inf (x > 0), inf/inf = inf."""
+    """Quotient with 0/0 = 0, x/inf = 0, x/0 = inf (x > 0), inf/inf = inf.
+    An array operand gives the float array of quotients, broadcast, with
+    the same conventions."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        a, b = _coerce_array(a), _coerce_array(b)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            q = a / b   # nan only at 0/0 and inf/inf
+        return np.where(a == 0.0, 0.0, np.where(np.isnan(q), math.inf, q))
     a, b = _coerce(a), _coerce(b)
     if a == 0.0:
         return EXT_ZERO

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import HypothesisViolated, InadmissibleExponents
 from .extreal import ExtReal, conjugate_exponent, ext_div, ext_mul, ext_pow
-from .integration import (DEFAULT_CONFIG, MonotoneIntegrator,
+from .integration import (DEFAULT_CONFIG, MonotoneIntegrator, _values,
                           integrate_halfline, stieltjes_integral)
 from .profiles import RadialProfile
 from .weights import Side, Weight, _whole_space_norm, tail_norm
@@ -79,13 +79,18 @@ class HardyProblem:
 def sup_over_t(fn, lo=1e-6, hi=1e6, grid=512, refine_iters=80) -> ExtReal:
     """sup_{t > 0} fn(t) for a continuous, eventually monotone fn >= 0.
 
-    Scans a log grid, extends outward while the boundary keeps winning,
-    and refines the best interior bracket by golden section in log t.
+    fn takes an array of t (a scalar result is broadcast) as well as a
+    single t.  One array call scans a log grid, which must hold no nan;
+    scalar calls extend it outward while the boundary keeps winning and
+    refine the best interior bracket by golden section in log t.
     """
-    ts = list(np.geomspace(lo, hi, grid))
-    vals = [float(fn(t)) for t in ts]
-    if any(math.isinf(v) for v in vals):
+    ts = np.geomspace(lo, hi, grid)
+    vals = _values(fn, ts)
+    if np.isnan(vals).any():
+        raise ValueError("sup_over_t: fn is nan on the scan grid")
+    if np.isinf(vals).any():
         return ExtReal(_INF)
+    ts, vals = list(ts), vals.tolist()
 
     # extend while the sup sits on a growing boundary
     for _ in range(40):
@@ -254,7 +259,7 @@ def sup_operator_constant(prob: HardyProblem, cfg=None) -> ExtReal:
         raise ValueError("expects the sup or sup_complement variant")
     q, v, side = prob.q, prob.v_outer, prob.side
     w_inv = prob.w_inner.profile.power(-1.0)
-    inner = lambda r: float(side.esssup(w_inv, r))
+    inner = lambda r: side.esssup(w_inv, r)
     if math.isinf(float(q)):
         return sup_over_t(lambda r: ext_mul(v(r), inner(r)))
 
@@ -279,10 +284,11 @@ def _check_reverse_hypothesis(u, q, side, cfg=None):
     """
     tail = side is Side.BALL
     grid = np.geomspace(1e-2, 1e8, 11) if tail else np.geomspace(1e-8, 1e2, 11)
-    for t in grid:
-        if side.outer_norm(u, q, float(t), cfg).is_inf:
-            region = f"({t:g},inf)" if tail else f"(0,{t:g})"
-            raise HypothesisViolated(f"||u||_{{q,{region}}} is infinite")
+    infinite = np.isinf(side.outer_norm(u, q, grid, cfg))
+    if infinite.any():
+        t = float(grid[np.argmax(infinite)])
+        region = f"({t:g},inf)" if tail else f"(0,{t:g})"
+        raise HypothesisViolated(f"||u||_{{q,{region}}} is infinite")
 
 
 def reverse_hardy_C(prob: HardyProblem, cfg=None) -> ExtReal:

@@ -1,4 +1,5 @@
-"""Array evaluation: profiles, inner norms and the Stieltjes callers give
+"""Array evaluation: profiles, extended-real products and quotients,
+inner norms, the Stieltjes callers and the supremum-form functionals give
 the same numbers on arrays as on single radii."""
 
 import math
@@ -9,12 +10,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from morreyemb import (EmbeddingProblem, GridFunction, HardyProblem,
-                       MonotoneIntegrator, Weight, associate_norm, constant,
-                       embedding_constant, reverse_hardy_C,
-                       reverse_hardy_C_star, stieltjes_integral)
+                       MonotoneIntegrator, Weight, associate_norm,
+                       closed_form_constant, constant, embedding_constant,
+                       reverse_hardy_C, reverse_hardy_C_star,
+                       stieltjes_integral, truncated_power,
+                       unweighted_reference)
+from morreyemb import embeddings, hardy
+from morreyemb.extreal import ExtReal, ext_div, ext_mul
 from morreyemb.norms import _InnerBallNorm, _InnerComplementNorm
 from morreyemb.profiles import (ExpProfile, PiecewisePowerProfile,
                                 PowerProfile, ShiftedPowerProfile)
+from test_acceptance import FINITE_INSTANCES, INFINITE_INSTANCES
 
 INF = math.inf
 # numpy's pow, exp and log may differ from libm's by an ulp; an interval
@@ -92,8 +98,10 @@ def test_array_call_matches_scalar(prof, extra):
     check_same(prof.right_limit(rs), [prof.right_limit(float(r)) for r in rs])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=150, deadline=None)
 @given(profiles, radii_lists, st.floats(1e-3, 1e3))
+@example(ExpProfile(1.0, 1e300), [1.0, 1e10], 2.0)   # rate * rho overflows
 def test_array_integral_and_esssup_match_scalar(prof, extra, pivot):
     for method, rtol, rs in (
             (prof.esssup, RTOL, radii_for(prof, extra)),
@@ -112,6 +120,40 @@ def test_array_integral_and_esssup_match_scalar(prof, extra, pivot):
         lo, hi = rs[:-1], rs[1:]
         check_same(method(lo, hi),
                    [method(float(x), float(y)) for x, y in zip(lo, hi)], rtol)
+
+
+# ---------------------------------------------------------------------------
+# extended-real products and quotients
+
+ext_values = st.one_of(st.sampled_from([0.0, 1.0, INF]),
+                       st.floats(0.0, 1e300), st.floats(1e-300, 1e-3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(ext_values, ext_values), min_size=1, max_size=8),
+       st.sampled_from([math.nan, -1.0, -INF, -1e-300]), st.integers(0, 7))
+@example([(0.0, INF), (INF, 0.0), (0.0, 0.0), (3.0, INF), (2.0, 0.0),
+          (INF, INF), (1e300, 1e300), (1e300, 1e-300)], math.nan, 0)
+def test_array_ext_mul_and_div_match_scalar(pairs, bad, k):
+    a = np.array([x for x, _ in pairs])
+    b = np.array([y for _, y in pairs])
+    for op in (ext_mul, ext_div):
+        # array with array, array with an ExtReal, float with array
+        for got, want in (
+                (op(a, b), [op(x, y) for x, y in pairs]),
+                (op(a, ExtReal(b[0])), [op(x, b[0]) for x in a]),
+                (op(float(a[0]), b), [op(a[0], y) for y in b])):
+            assert isinstance(got, np.ndarray)
+            np.testing.assert_array_equal(got, [float(w) for w in want])
+        # a nan or negative entry anywhere raises, as in ExtReal
+        for x, y in ((a.copy(), b), (b.copy(), a)):
+            x[k % len(x)] = bad
+            with pytest.raises(ValueError):
+                op(x, y)
+            with pytest.raises(ValueError):
+                op(y, x)
+        with pytest.raises(ValueError):
+            op(a, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -242,3 +284,86 @@ def test_repeated_jump_point_counts_its_atom_once():
         right=lambda t: np.where(t < 2.0, 0.0, 5.0),
         jump_points=(2.0, 2.0))
     assert float(stieltjes_integral(lambda t: 4.0, h)) == 20.0
+
+
+# ---------------------------------------------------------------------------
+# supremum-form functionals: sup_over_t scans its grid in one array call
+
+# the acceptance instances whose case is a supremum over t: direct Hardy
+# cases, Lebesgue-to-LM cases and the Morrey-source case (a) on both sides
+SUP_FORM_ACCEPTANCE = ("hardy.a", "hardy.c", "hardy.d", "hardy.f", "hardy.h",
+                       "emb.i", "emb.iii", "emb.iv", "emb.vi", "emb.viii",
+                       "emb.dual_target", "emb.source.a", "emb.dual_source.a")
+DECAY = split((1.0, -0.5), (1.0, -3.0))
+DECAY_INVERTED = split((1.0, 3.0), (1.0, 0.5))   # DECAY(1/y)
+OMR15 = truncated_power(1.0, -1.5, 1.0, None)
+
+# with the acceptance instances, one or more instances of every caller of
+# sup_over_t
+SUP_FORM_PROBLEMS = {
+    **{f"accept.{name}": FINITE_INSTANCES[name][0]
+       for name in SUP_FORM_ACCEPTANCE},
+    **{f"accept.inf.{name}": prob
+       for name, prob in INFINITE_INSTANCES.items()},
+    "hardy.a.n2": HardyProblem("direct", 2.0, 3.0, DECAY,
+                               Weight(2, split((1.0, -0.5), (1.0, 2.0)))),
+    "hardy.h.complement": HardyProblem(
+        "direct_complement", 1.0, INF, DECAY_INVERTED,
+        Weight(2, split((1.0, -2.0), (1.0, 0.5)))),
+    "sup": HardyProblem("sup", INF, INF, DECAY,
+                        Weight(1, split((1.0, -0.5), (1.0, 1.0)))),
+    "sup.complement": HardyProblem(
+        "sup_complement", INF, INF, DECAY_INVERTED,
+        Weight(1, split((1.0, -1.0), (1.0, 0.5)))),
+    "reverse.a": HardyProblem(
+        "reverse", 0.5, 0.5, ShiftedPowerProfile(1.0, 1.0, -4.0),
+        Weight(1, ShiftedPowerProfile(1.0, 1.0, -3.0))),
+    "emb.i.n2": EmbeddingProblem(
+        "lebesgue_to_lm", 2, 3.0, 2.0, 4.0,
+        Weight(2, split((1.0, -1.0), (1.0, -1.0))),
+        Weight(2, split((1.0, 0.0), (1.0, -1.0))),
+        split((1.0, -0.5), (1.0, -2.0))),
+}
+SUP_FORM = {
+    **{name: (lambda prob=prob: closed_form_constant(prob))
+       for name, prob in SUP_FORM_PROBLEMS.items()},
+    "associate.lm": lambda: associate_norm(
+        F17, "lm", 2.0, 0.5, PowerProfile(1.0, -3.0), ONE),
+    "associate.dual_lm": lambda: associate_norm(
+        F17, "dual_lm", 2.0, 0.5, constant(1.0), ONE),
+    "unweighted": lambda: unweighted_reference(3.0, 2.0, 4.0, OMR15, 1),
+    "unweighted.n2": lambda: unweighted_reference(3.0, 2.0, 3.0, OMR15, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUP_FORM))
+def test_sup_over_t_scans_its_grid_in_one_array_call(name, monkeypatch):
+    scans = []
+    real = hardy.sup_over_t
+
+    def spy(fn, *args, **kwargs):
+        arrays = []
+
+        def counted(t):
+            if isinstance(t, np.ndarray):
+                arrays.append(t)
+            return fn(t)
+
+        scans.append((fn, arrays))
+        return real(counted, *args, **kwargs)
+
+    monkeypatch.setattr(hardy, "sup_over_t", spy)
+    monkeypatch.setattr(embeddings, "sup_over_t", spy)
+    SUP_FORM[name]()
+    assert scans, name
+    for fn, arrays in scans:
+        assert len(arrays) == 1
+        ts = arrays[0]
+        assert ts.shape == (512,)
+        # infinities must sit at the same t
+        check_same(fn(ts), [fn(float(t)) for t in ts])
+
+
+def test_sup_over_t_raises_on_nan():
+    with pytest.raises(ValueError, match="nan"):
+        hardy.sup_over_t(lambda t: np.where(t > 1.0, math.nan, t))

@@ -8,8 +8,8 @@ from morreyemb.errors import HypothesisViolated, InadmissibleExponents
 from morreyemb.hardy import (HardyProblem, hardy_A, hardy_A_star,
                              reverse_hardy_C, reverse_hardy_C_star,
                              sup_operator_constant)
-from morreyemb.profiles import (ExpProfile, PowerProfile,
-                                ShiftedPowerProfile, constant,
+from morreyemb.profiles import (ExpProfile, PiecewisePowerProfile,
+                                PowerProfile, ShiftedPowerProfile, constant,
                                 truncated_power)
 from morreyemb.weights import Weight, tail_norm, tail_norm_left_limit
 
@@ -103,6 +103,17 @@ class TestReverse:
                             Weight(1, ShiftedPowerProfile(1.0, 1.0, -3.0)))
         with pytest.raises(HypothesisViolated):
             reverse_hardy_C(prob)
+
+    def test_hypothesis_violated_names_first_infinite_head_norm(self):
+        # head norms are finite up to t = 10 and infinite beyond; the
+        # sampled t are 1e-8, 1e-7, ..., 1e2
+        u = PiecewisePowerProfile([1.0, 10.0], [(1.0, 0.0), (1.0, -1.0),
+                                                (math.inf, 0.0)])
+        prob = HardyProblem("reverse_complement", 0.5, 0.5, u,
+                            Weight(1, constant(1.0)))
+        with pytest.raises(HypothesisViolated) as err:
+            reverse_hardy_C_star(prob)
+        assert str(err.value) == "||u||_{q,(0,100)} is infinite"
 
     @pytest.mark.parametrize("p", [1.5, 2.0])
     def test_reverse_requires_p_at_most_one(self, p):

@@ -131,23 +131,41 @@ EMBEDDING_CASES = {"i": (3.0, 2.0, 4.0), "ii": (3.0, 2.0, 2.0),
                    "ix": (INF, INF, 3.0)}
 
 
-@pytest.mark.parametrize("case", sorted(EMBEDDING_CASES))
-def test_lebesgue_to_morrey(case):
+# every case in dimensions 1 and 2; the n = 1 ids are the bare case names
+EMBEDDING_GRID = [pytest.param(case, n, id=case if n == 1 else f"{case}-n2")
+                  for n in (1, 2) for case in sorted(EMBEDDING_CASES)]
+
+
+@pytest.mark.parametrize("case,n", EMBEDDING_GRID)
+def test_lebesgue_to_morrey(case, n):
     p1, p2, theta = EMBEDDING_CASES[case]
-    ball, comp = mirrored_embedding("lebesgue_to_lm", 1, p1, p2, theta,
+    ball, comp = mirrored_embedding("lebesgue_to_lm", n, p1, p2, theta,
                                     pw(-1.0, -1.0), pw(0.0, -1.0),
                                     pw(-0.5, -2.0))
     assert math.isfinite(float(ball)), case
     assert_mirror(ball, comp)
 
 
-@pytest.mark.parametrize("case", sorted(EMBEDDING_CASES))
-def test_lebesgue_to_morrey_power_data(case):
+@pytest.mark.parametrize("case,n", EMBEDDING_GRID)
+def test_lebesgue_to_morrey_power_data(case, n):
     p1, p2, theta = EMBEDDING_CASES[case]
-    ball, comp = mirrored_embedding("lebesgue_to_lm", 1, p1, p2, theta,
+    ball, comp = mirrored_embedding("lebesgue_to_lm", n, p1, p2, theta,
                                     PowerProfile(1.0, 0.0),
                                     PowerProfile(1.0, -1.0),
                                     pw(0.0, -2.0))
+    assert_mirror(ball, comp)
+
+
+@pytest.mark.parametrize("case", ["i", "ii"])
+def test_lebesgue_to_morrey_exponent_near_minus_one(case):
+    # v1^(-1/p1) v2^(1/p2) raised to sigma times rho^(n-1) arrives as
+    # rho^(-1.000000000000001) on the complement side, which must be
+    # integrated as a logarithm, as the exact -1 on the ball side is
+    p1, p2, theta = EMBEDDING_CASES[case]
+    ball, comp = mirrored_embedding("lebesgue_to_lm", 2, p1, p2, theta,
+                                    pw(-1.0, 1.0), PowerProfile(1.0, 0.0),
+                                    pw(-0.5, -1.0))
+    assert math.isfinite(float(ball)), case
     assert_mirror(ball, comp)
 
 
