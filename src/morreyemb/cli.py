@@ -164,11 +164,11 @@ def parse_oracle_config(doc, args):
         o["grid_cells"] = args.cells
     if args.seed is not None:
         o["seed"] = args.seed
-    if "knot_range" in o:
-        o["knot_range"] = tuple(float(x) for x in o["knot_range"])
-    if "include_families" in o:
-        o["include_families"] = tuple(o["include_families"])
     try:
+        if "knot_range" in o:
+            o["knot_range"] = tuple(float(x) for x in o["knot_range"])
+        if "include_families" in o:
+            o["include_families"] = tuple(o["include_families"])
         return OracleConfig(**o)
     except (TypeError, ValueError) as exc:
         raise SpecError(f"bad oracle config: {exc}") from exc

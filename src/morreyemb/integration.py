@@ -153,7 +153,8 @@ def integrate_halfline(f, interval, cfg=None):
                 ratios = [pieces[i + 1] / pieces[i]
                           for i in range(len(pieces) - 9, len(pieces) - 1)
                           if pieces[i] > 0]
-                if len(ratios) == 8 and min(ratios) >= 1.0 - cfg.divergence_delta:
+                if len(ratios) == 8 and min(ratios) >= 1.0 - cfg.divergence_delta \
+                        and not _stable_below_one(ratios):
                     return ExtReal(_INF), _INF
                 if len(ratios) == 8 and max(ratios) < 0.95:
                     r = ratios[-1]
@@ -166,18 +167,27 @@ def integrate_halfline(f, interval, cfg=None):
             # the budget ran out on a slow geometric tail (a power tail
             # t^(-1-eps) has dyadic ratio 2^(-eps)): add its remainder,
             # with the remainder's sensitivity to the ratio spread as error
-            if len(ratios) == 8 and 0.0 < min(ratios) and max(ratios) < 1.0:
+            if len(ratios) == 8 and _stable_below_one(ratios):
                 r = ratios[-1]
                 spread = (max(ratios) - min(ratios)) / r
-                if spread <= 1e-6:
-                    rem = v * r / (1.0 - r)
-                    total += rem
-                    toterr += rem * spread / (1.0 - r)
-                    continue
+                rem = v * r / (1.0 - r)
+                total += rem
+                toterr += rem * spread / (1.0 - r)
+                continue
             raise QuadratureFailure(
                 "dyadic budget exhausted without convergence or divergence",
                 value=total, error_bound=toterr + pieces[-1])
     return ExtReal(max(total, 0.0)), toterr
+
+
+def _stable_below_one(ratios):
+    """Whether dyadic ratios are those of a geometric tail: they agree to
+    1e-6 relative and lie more than 1e-6 below 1.  Such a tail converges
+    however close to 1 its ratio is (t^(-1-eps) has ratio 2^(-eps)), so the
+    divergence test must not claim it; ratios within 1e-6 of 1 (1/t has
+    ratio 1 up to rounding) are left to that test."""
+    lo, hi = min(ratios), max(ratios)
+    return 0.0 < lo and hi < 1.0 - 1e-6 and hi - lo <= 1e-6 * ratios[-1]
 
 
 def _radial_density(g, n):

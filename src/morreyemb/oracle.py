@@ -58,6 +58,13 @@ class OracleConfig:
             raise ValueError("grid_cells must be >= 16")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if self.ascent_sweeps < 0:
+            raise ValueError("ascent_sweeps must be >= 0")
+        if self.subcells < 1:
+            raise ValueError("subcells must be >= 1")
+        lo, hi = self.knot_range
+        if not 0.0 < lo < hi < _INF:
+            raise ValueError("knot_range must satisfy 0 < lo < hi < inf")
 
 
 @dataclass
@@ -80,25 +87,54 @@ class OracleResult:
 
 def _subcell_masses(profile, edges, n=1, sigma=1.0, gl=4):
     """Integral of profile(rho) * rho^(n-1) * sigma over each subcell; the
-    defaults integrate a function of the outer variable."""
+    defaults integrate a function of the outer variable.  ``profile`` is
+    called once, on the array of all quadrature nodes."""
     x01, w01 = np.polynomial.legendre.leggauss(gl)
     x01 = 0.5 * (x01 + 1.0)
     w01 = 0.5 * w01
     lo, hi = edges[:-1], edges[1:]
     xs = lo[:, None] + (hi - lo)[:, None] * x01[None, :]
     ws = (hi - lo)[:, None] * w01[None, :]
-    vals = np.array([[profile(float(x)) for x in row] for row in xs])
+    with np.errstate(all="ignore"):
+        vals = np.asarray(profile(xs.ravel()), dtype=float).reshape(xs.shape)
     vals = np.where(np.isfinite(vals), vals, 0.0)
     dens = vals * xs ** (n - 1) * sigma
     return np.sum(dens * ws, axis=1)
 
 
+def _pow(x, e):
+    """x ** e for floats x >= 0 and e > 0, inf where it overflows."""
+    try:
+        return x ** e
+    except OverflowError:
+        return _INF
+
+
+def _exclusive(op, terms):
+    """Running op-reduction of terms before each entry, 0 before the
+    first."""
+    out = np.zeros(len(terms))
+    op.accumulate(terms[:-1], out=out[1:])
+    return out
+
+
 class _RatioEvaluator:
     """Vectorized ratio(values) for one problem on one discretization.
 
-    ``values`` has one entry per coarse cell; all internal arrays live on
-    the refined subcell grid.  ``morrey_on_top`` decides whether the
+    ``values`` has one entry per coarse cell; the masses live on the
+    refined subcell grid as (m, K) arrays in the order in which the inner
+    norm accumulates: outward from the origin over balls, inward from
+    infinity over complements.  ``morrey_on_top`` decides whether the
     cumulative (Morrey/Hardy style) norm is the numerator.
+
+    ``_ratio(values)`` loads ``values`` into a per-cell cache: the inner
+    accumulation and the outer accumulation before each cell, and the
+    source accumulation over the other cells.
+    ``_scores(i, cands)`` then scores every candidate value of cell i at
+    once: the cells before it keep their cached terms, cell i is
+    recomputed, and each later cell only sees cell i's candidate shift its
+    inner accumulation (by a sum, or a running max when p2 = inf).  Both
+    go through the same per-cell code, ``_tail`` and ``_finish``.
     """
 
     def __init__(self, prob, cfg: OracleConfig):
@@ -107,7 +143,6 @@ class _RatioEvaluator:
         self.knots = np.geomspace(lo, hi, m + 1)
         self.edges = np.geomspace(lo, hi, m * K + 1)
         self.mids = np.sqrt(self.edges[:-1] * self.edges[1:])
-        self.cell_of = np.repeat(np.arange(m), K)
         self.m, self.K = m, K
         self._build(prob)
 
@@ -135,18 +170,16 @@ class _RatioEvaluator:
         else:
             # Hf integrates f over the region
             self.inner_p = 1.0
-            self.inner_mass = _subcell_masses(
-                lambda r: 1.0, self.edges, n, sigma)
+            self.inner_mass = _subcell_masses(np.ones_like, self.edges, n,
+                                              sigma)
         self.sup_inner = sup
         # the direct target has v as an outer measure density; sup and
         # reverse weigh by v as a multiplier, the density v^q
         self._build_outer(v, prob.q, 1.0 if direct else prob.q, prob.side)
-        self.src_p = _INF if sup else prob.p
-        if not sup:
-            # the source ||f||_{p,w} (direct) or ||f w||_p (reverse)
-            self.src_mass = _subcell_masses(
-                w if direct else w.power(prob.p), self.edges, n, sigma)
-        self.src_sup = self._subcell_sups(w)
+        # the source ||f||_{p,w} (direct), ||f w||_p (reverse) or
+        # ||f w||_inf
+        self._build_source(_INF if sup else prob.p, w,
+                           w if direct else w.power(prob.p), n, sigma)
         self.morrey_on_top = prob.variant not in ("reverse",
                                                   "reverse_complement")
 
@@ -161,122 +194,208 @@ class _RatioEvaluator:
         else:
             self.inner_mass = _subcell_masses(v2, self.edges, n, sigma)
         self._build_outer(prob.omega, prob.theta, prob.theta, prob.side)
-        self.src_p = prob.p1
-        if math.isfinite(prob.p1):
-            self.src_mass = _subcell_masses(v1, self.edges, n, sigma)
-        self.src_sup = self._subcell_sups(v1)
+        self._build_source(prob.p1, v1, v1, n, sigma)
         self.morrey_on_top = prob.morrey_is_target
 
     def _subcell_sups(self, profile):
         """Essential supremum of the profile on each subcell."""
-        return np.array([profile.esssup(float(a), float(b))
-                         for a, b in zip(self.edges[:-1], self.edges[1:])])
+        return np.asarray(profile.esssup(self.edges[:-1], self.edges[1:]),
+                          dtype=float)
+
+    def _build_source(self, p, sup_profile, density, n, sigma):
+        """The source p-norm's weight per coarse cell: the largest
+        subcell supremum of sup_profile when p = inf, else the mass of
+        the density."""
+        m, K = self.m, self.K
+        self.src_p = p
+        if math.isinf(p):
+            self.src_cell = self._subcell_sups(sup_profile).reshape(
+                m, K).max(axis=1)
+        else:
+            self.src_cell = _subcell_masses(density, self.edges, n,
+                                            sigma).reshape(m, K).sum(axis=1)
 
     def _build_outer(self, v, q, e, side):
-        """The outer q-norm over t with the density v^e (e = q for a
-        multiplier), and the side's outer norm beyond the grid, where the
-        inner norm is the whole norm: past the last edge for balls, below
-        the first for complements."""
+        """The outer q-norm over t, per subcell: the mass of the density
+        v^e (e = q for a multiplier) for finite q, the multiplier v at the
+        midpoint for q = inf; and the side's outer norm beyond the grid,
+        where the inner norm is the whole norm: past the last edge for
+        balls, below the first for complements."""
         edge = float(self.edges[-1] if side is Side.BALL else self.edges[0])
         self.outer_q = q
-        if math.isfinite(e):
-            self.outer_mass = _subcell_masses(lambda t: v(t) ** e,
-                                              self.edges)
-            self.outer_beyond = float(side.outer_norm(v, e, edge)) ** e
+        if math.isinf(q):
+            self.outer = np.asarray(v(self.mids), dtype=float)
+            self.outer_beyond = float(side.outer_norm(v, _INF, edge))
         else:
-            self.outer_mass = None
-            self.outer_beyond = 0.0
-        self.outer_mult = np.array([v(float(t)) for t in self.mids])
-        self.outer_beyond_sup = float(side.outer_norm(v, _INF, edge))
+            self.outer = _subcell_masses(lambda t: np.power(v(t), e),
+                                         self.edges)
+            self.outer_beyond = float(side.outer_norm(v, e, edge)) ** e
 
     def _dual_power_profile(self, prob):
         """The classical near-extremal density w^{1-p'} when meaningful."""
         if isinstance(prob, HardyProblem) and prob.variant == "direct" \
                 and 1.0 < prob.p < _INF:
             pp = float(conjugate_exponent(prob.p))
-            w = prob.w_inner.profile
-            return np.array([
-                min(w(float(t)) ** (1.0 - pp) if w(float(t)) > 0 else 0.0,
-                    1e10)
-                for t in self.mids])
+            w = np.asarray(prob.w_inner.profile(self.mids), dtype=float)
+            with np.errstate(all="ignore"):
+                return np.where(w > 0, np.minimum(w ** (1.0 - pp), 1e10),
+                                0.0)
         return None
 
     def _finalize(self, side):
-        """Pre-aggregate subcell masses to the coarse grid.
-
-        Values are constant on each coarse cell, so only the coarse sums
-        and the value-independent within-cell partial masses are needed
-        per evaluation.
-        """
+        """Lay the subcell data out as (m, K) arrays in accumulation order,
+        reversing complements once here, with the value-independent
+        within-cell partial masses; fix the exponents and reductions of the
+        outer and source norms."""
         m, K = self.m, self.K
-        if not math.isinf(self.src_p):
-            self._src_coarse = self.src_mass.reshape(m, K).sum(axis=1)
-        self._src_sup_coarse = self.src_sup.reshape(m, K).max(axis=1)
-        # inner norms accumulate outward from the origin over balls and
-        # inward from infinity over complements
-        self._flip = slice(None, None, -1) if side is Side.COMPLEMENT \
-            else slice(None)
-        if not self.sup_inner:
-            im = self.inner_mass.reshape(m, K)
-            flip = self._flip
-            self._part_half = (np.cumsum(im[:, flip], axis=1)[:, flip]
-                               - 0.5 * im).ravel()
-            self._inner_coarse = im.sum(axis=1)
+        self._reverse = side is Side.COMPLEMENT
 
-    # -- norms ---------------------------------------------------------
-    def source_norm(self, values):
-        v = np.asarray(values, dtype=float)
-        if math.isinf(self.src_p):
-            return float(np.max(v * self._src_sup_coarse, initial=0.0))
-        total = float(v ** self.src_p @ self._src_coarse)
-        return total ** (1.0 / self.src_p) if total > 0 else 0.0
+        def cells(a):
+            return np.ascontiguousarray((a[::-1] if self._reverse
+                                         else a).reshape(m, K))
 
-    def _cumulative_mid(self, values):
-        """Inner norm^p2 (or running sup) at each subcell midpoint."""
-        v = np.asarray(values, dtype=float)
-        flip = self._flip
         if self.sup_inner:
-            marks = v[self.cell_of] * self.inner_sup_weight
-            run = np.maximum.accumulate(marks[flip])
-            shifted = np.concatenate([[0.0], run[:-1]])[flip]
-            return (np.maximum(shifted, marks),
-                    float(np.max(marks, initial=0.0)))
-        vp = v ** self.inner_p
-        cellm = vp * self._inner_coarse
-        # whole cells met before each cell, then the part of its own
-        before = np.concatenate([[0.0], np.cumsum(cellm[flip])[:-1]])[flip]
-        G = before[self.cell_of] + vp[self.cell_of] * self._part_half
-        return G, float(cellm.sum())
-
-    def morrey_norm(self, values):
-        G_mid, G_tot = self._cumulative_mid(values)
-        if self.sup_inner:
-            F_mid, F_tot = G_mid, G_tot
+            self._w = cells(self.inner_sup_weight)
         else:
-            e = 1.0 / self.inner_p
-            F_mid, F_tot = G_mid ** e, G_tot ** e
+            im = cells(self.inner_mass)
+            self._inner_cell = im.sum(axis=1)
+            # the inner mass met before each subcell's midpoint
+            self._part_half = np.cumsum(im, axis=1) - 0.5 * im
+        self._outer = cells(self.outer)
+        self._outer_flat = self._outer.ravel()
+        self._src_cell = self.src_cell[::-1] if self._reverse \
+            else self.src_cell
+        # the outer integrand on a subcell is the inner norm G^(1/p2) there
+        # (G itself when p2 = inf), raised to q and summed for finite q,
+        # maximized for q = inf
         q = self.outer_q
-        if math.isinf(q):
-            best = float(np.max(self.outer_mult * F_mid, initial=0.0))
-            return max(best, self.outer_beyond_sup * F_tot)
-        acc = float(self.outer_mass @ F_mid ** q)
-        acc += self.outer_beyond * F_tot ** q
-        return acc ** (1.0 / q) if acc > 0 else 0.0
+        e = 1.0 if self.sup_inner else 1.0 / self.inner_p
+        self._q_inf = math.isinf(q)
+        if self._q_inf:
+            self._gpow, self._outer_op = e, np.maximum
+        else:
+            self._gpow = q if self.sup_inner else q / self.inner_p
+            self._outer_op = np.add
+        self._src_inf = math.isinf(self.src_p)
+        self._src_op = np.maximum if self._src_inf else np.add
+        # filled by _ratio; the entry of the first cell is always 0
+        self._outer_before = [0.0]
 
+    # -- the cache and the per-cell code path --------------------------
     def ratio(self, values):
         with np.errstate(all="ignore"):
             return self._ratio(values)
 
     def _ratio(self, values):
-        top = self.morrey_norm(values)
-        bottom = self.source_norm(values)
-        if not self.morrey_on_top:
-            top, bottom = bottom, top
+        """Load `values` into the per-cell cache and return their ratio."""
+        v = np.asarray(values, dtype=float)
+        if self._reverse:
+            v = v[::-1]
+        if self.sup_inner:
+            self._marks = v[:, None] * self._w
+            self._inner_before = _exclusive(np.maximum,
+                                            self._marks.max(axis=1))
+        else:
+            vp = v ** self.inner_p
+            self._cell_mass = vp * self._inner_cell
+            self._part = vp[:, None] * self._part_half
+            self._inner_before = _exclusive(np.add, self._cell_mass)
+        src = (v if self._src_inf else v ** self.src_p) * self._src_cell
+        op = self._src_op
+        self._src_others = op(_exclusive(op, src),
+                              _exclusive(op, src[::-1])[::-1]).tolist()
+        F, accs, totals = self._tail(0, v[:1])
+        self._outer_before = _exclusive(self._outer_op, self._outer_op.reduce(
+            (F[0] * self._outer_flat).reshape(self.m, self.K),
+            axis=1)).tolist()
+        c = float(v[0])
+        self.src_norm = self._source_norm(self._source(0, c))
+        return self._finish(0, c, accs[0], totals[0])
+
+    def _scores(self, i, cands):
+        """Ratios of the loaded values with coarse cell i set to each of
+        cands, in order."""
+        j = self.m - 1 - i if self._reverse else i
+        _, accs, totals = self._tail(j, cands)
+        return [self._finish(j, c, acc, total)
+                for c, acc, total in zip(cands, accs, totals)]
+
+    def _tail(self, j, c):
+        """Cell j (in accumulation order) set to each value of c, the other
+        cells as loaded: the outer integrand G^(1/p2) (raised to q when q is
+        finite) on the subcells of cells j, j+1, ..., and per candidate the
+        outer accumulation over the grid and the inner accumulation over
+        the whole grid, as lists of floats."""
+        B, rest, K = len(c), self.m - j - 1, self.K
+        c = np.asarray(c, dtype=float)[:, None]
+        G = np.empty((B, rest + 1, K))
+        own = G[:, 0]
+        before = self._inner_before[j]
+        if self.sup_inner:
+            np.multiply(c, self._w[j], out=own)
+            np.maximum.accumulate(own, axis=1, out=own)
+            np.maximum(own, before, out=own)
+            # a later subcell sees the running max up to it
+            run = np.maximum.accumulate(self._marks[j + 1:].ravel())
+            np.maximum(G[:, :1, -1:], run.reshape(rest, K), out=G[:, 1:])
+            total = G[:, -1, -1].copy()
+        else:
+            cp = c if self.inner_p == 1.0 else c ** self.inner_p
+            np.multiply(cp, self._part_half[j], out=own)
+            own += before
+            # the inner accumulation before each later cell: cell j's
+            # candidate mass, then the loaded masses in between; the last
+            # entry is the accumulation over the whole grid
+            met = np.empty((B, rest + 1))
+            np.multiply(cp[:, 0], self._inner_cell[j], out=met[:, 0])
+            met[:, 0] += before
+            met[:, 1:] = self._cell_mass[j + 1:]
+            np.add.accumulate(met, axis=1, out=met)
+            np.add(met[:, :-1, None], self._part[j + 1:], out=G[:, 1:])
+            total = met[:, -1]
+        if self._gpow != 1.0:
+            G **= self._gpow
+        G = G.reshape(B, -1)
+        outer = self._outer_flat[j * K:]
+        if self._q_inf:
+            accs = np.maximum(self._outer_before[j],
+                              np.maximum.reduce(G * outer, axis=1))
+        else:
+            accs = G @ outer
+            accs += self._outer_before[j]
+        return G, accs.tolist(), total.tolist()
+
+    def _source(self, j, c):
+        """The source accumulation with cell j set to c."""
+        others, x = self._src_others[j], float(self._src_cell[j])
+        if self._src_inf:
+            x *= c
+            # max(others, x), nan if either is nan, as np.max has it
+            return x if x > others or x != x else others
+        return others + x * _pow(c, self.src_p)
+
+    def _finish(self, j, c, acc, total):
+        """The ratio with cell j set to c, from the outer accumulation over
+        the grid and the inner accumulation over the whole grid."""
+        beyond = self.outer_beyond * _pow(total, self._gpow)
+        if self._q_inf:
+            morrey = max(acc, beyond)
+        else:
+            acc += beyond
+            morrey = acc ** (1.0 / self.outer_q) if acc > 0 else 0.0
+        src = self._source_norm(self._source(j, c))
+        top, bottom = (morrey, src) if self.morrey_on_top else (src, morrey)
         if bottom == 0.0:
             return 0.0 if top == 0.0 else _INF
-        if math.isinf(bottom) or math.isnan(top) or math.isnan(bottom):
+        if bottom == _INF or top != top or bottom != bottom:
             return 0.0
         return top / bottom
+
+    def _source_norm(self, src):
+        """The source norm from its accumulation."""
+        if self._src_inf:
+            return src
+        return src ** (1.0 / self.src_p) if src > 0 else 0.0
 
     def grid_function(self, values):
         return GridFunction(self.knots, np.asarray(values, dtype=float))
@@ -303,8 +422,7 @@ def _family_members(ev: _RatioEvaluator, cfg: OracleConfig):
                 if 0 < c and c + span <= m:
                     yield "annulus", ((idx >= c) & (idx < c + span)).astype(float)
     if "dual_power" in fams and ev.dual_w_profile is not None:
-        dual_cell = np.array([
-            np.mean(ev.dual_w_profile[ev.cell_of == i]) for i in range(m)])
+        dual_cell = ev.dual_w_profile.reshape(m, ev.K).mean(axis=1)
         for c in probe_cells:
             if 0 < c <= m:
                 vals = np.where(idx < c, dual_cell, 0.0)
@@ -343,30 +461,32 @@ def _coordinate_ascent(ev, values, cfg, trace, counter, tracker):
 
 
 def _ascent_loop(ev, values, cfg, trace, counter, tracker):
+    """Score each coordinate's candidates together, then walk them in order:
+    every candidate differs from the loaded values in that coordinate
+    only, so its score does not depend on which earlier one was taken."""
     best = ev._ratio(values)
     for sweep in range(cfg.ascent_sweeps):
         improved = best
         for i in range(ev.m):
-            c = values[i]
-            cands = ([c * 0.25, c * 0.5, c * 2.0, c * 4.0, 0.0]
-                     if c > 0 else [1e-6, 1e-3, 1.0])
-            for cand in cands:
-                if cand > 1e12:
-                    continue
-                old = values[i]
-                values[i] = cand
-                r = ev._ratio(values)
+            c = float(values[i])
+            cands = [x for x in ([c * 0.25, c * 0.5, c * 2.0, c * 4.0, 0.0]
+                                 if c > 0 else [1e-6, 1e-3, 1.0])
+                     if not x > 1e12]
+            taken = None
+            for cand, r in zip(cands, ev._scores(i, cands)):
                 counter[0] += 1
                 if r > best * (1.0 + 1e-12):
-                    best = r
+                    best, taken = r, cand
                     if best > tracker[0]:
                         tracker[0] = best
                         trace.append((counter[0], best))
-                else:
-                    values[i] = old
-        src = ev.source_norm(values)
+            if taken is not None:
+                values[i] = taken
+                ev._ratio(values)
+        src = ev.src_norm
         if 0.0 < src < _INF:
             values /= src
+            ev._ratio(values)
         if best <= improved * (1.0 + 1e-4):
             break
         # a restart stuck far below the incumbent will not catch up

@@ -122,6 +122,20 @@ class TestVerify:
 
 
 class TestOracle:
+    @pytest.mark.parametrize("bad", [{"knot_range": [0, 1e4]},
+                                     {"knot_range": [1e4, 1e-4]},
+                                     {"knot_range": [1e-4, "inf"]},
+                                     {"knot_range": ["a", 1.0]},
+                                     {"knot_range": [1e-4]},
+                                     {"ascent_sweeps": -1}])
+    @pytest.mark.parametrize("cmd", ["oracle", "verify"])
+    def test_bad_config_is_a_spec_error(self, tmp_path, capsys, cmd, bad):
+        doc = dict(CASE_VI)
+        doc["oracle"] = dict({"grid_cells": 48, "restarts": 1}, **bad)
+        spec = write_spec(tmp_path, doc)
+        assert main([cmd, "--spec", spec]) == EXIT_SPEC
+        assert "bad oracle config" in capsys.readouterr().err
+
     def test_writes_argmax(self, tmp_path, capsys):
         doc = dict(CASE_VI)
         doc["oracle"] = {"grid_cells": 48, "restarts": 1, "ascent_sweeps": 2}

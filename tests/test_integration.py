@@ -45,16 +45,28 @@ def test_halfline_integrable_singularity():
     assert float(val) == pytest.approx(2.0, rel=1e-8)
 
 
-@pytest.mark.parametrize("eps", [0.05, 0.01, 0.002])
+@pytest.mark.parametrize("eps", [0.05, 0.01, 0.002, 0.001])
 @pytest.mark.parametrize("interval,sign", [((1.0, INF), -1.0),
                                            ((0.0, 1.0), 1.0)])
 def test_halfline_slow_power_end(eps, interval, sign):
     # t^(-1 -+ eps) has dyadic ratio 2^(-eps) toward its slow end; the
-    # 400-piece budget runs out there and the geometric remainder is added
+    # 400-piece budget runs out there and the geometric remainder is added,
+    # also when the ratio lies within divergence_delta of 1 (eps = 0.001)
     val, err = integrate_halfline(
         FnProfile(lambda t: t ** (-1.0 + sign * eps)), interval)
     assert float(val) == pytest.approx(1.0 / eps, rel=1e-9)
     assert abs(float(val) - 1.0 / eps) <= err <= 1e-9 / eps
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-4])
+@pytest.mark.parametrize("interval,sign", [((1.0, INF), 1.0),
+                                           ((0.0, 1.0), -1.0)])
+def test_halfline_borderline_power_end_diverges(eps, interval, sign):
+    # 1/t (dyadic ratio 1) and t^(-1 +- 1e-4) toward the end where it
+    # grows (ratio 2^(1e-4) > 1) are not geometric tails below 1
+    val, err = integrate_halfline(
+        FnProfile(lambda t: t ** (-1.0 + sign * eps)), interval)
+    assert val.is_inf and math.isinf(err)
 
 
 class TestStieltjes:

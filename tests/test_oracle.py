@@ -4,16 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from morreyemb.errors import DegenerateRatio, WitnessNotFound
 from morreyemb.hardy import HardyProblem, hardy_A
 from morreyemb.embeddings import EmbeddingProblem
+from morreyemb.integration import ball_volume, sphere_area
 from morreyemb.oracle import (OracleConfig, _RatioEvaluator,
                               best_constant_lower_bound, divergence_witness,
                               equivalence_report)
-from morreyemb.profiles import (PowerProfile, ShiftedPowerProfile, constant,
+from morreyemb.profiles import (ExpProfile, PowerProfile,
+                                ShiftedPowerProfile, constant,
                                 truncated_power)
 from morreyemb.weights import Weight
+from test_acceptance import AUDIT_CFG, FINITE_INSTANCES
 
 INF = math.inf
 
@@ -31,6 +36,27 @@ class TestConfig:
     def test_rejects_no_restarts(self):
         with pytest.raises(ValueError):
             OracleConfig(restarts=0)
+
+    @pytest.mark.parametrize("knots", [(0.0, 1e4), (1e4, 1e-4), (1.0, 1.0),
+                                       (-1.0, 1.0), (1e-4, INF),
+                                       (math.nan, 1.0)])
+    def test_rejects_bad_knot_range(self, knots):
+        with pytest.raises(ValueError, match="knot_range"):
+            OracleConfig(knot_range=knots)
+
+    def test_rejects_no_subcells(self):
+        with pytest.raises(ValueError, match="subcells"):
+            OracleConfig(subcells=0)
+
+    def test_rejects_negative_sweeps(self):
+        with pytest.raises(ValueError, match="ascent_sweeps"):
+            OracleConfig(ascent_sweeps=-1)
+
+    def test_accepts_smallest_settings(self):
+        cfg = OracleConfig(grid_cells=16, subcells=1, ascent_sweeps=0,
+                           restarts=1, knot_range=(1.0, 2.0))
+        res = best_constant_lower_bound(BENCHMARK, cfg)
+        assert float(res.lower_bound) > 0.0
 
 
 class TestLowerBound:
@@ -109,3 +135,188 @@ class TestEquivalenceReport:
         rep = equivalence_report(BENCHMARK, SMALL)
         doc = json.loads(rep.to_json())
         assert doc["ratio_low"] == pytest.approx(rep.ratio_low)
+
+
+# ---------------------------------------------------------------------------
+# a coordinate's candidates scored together
+
+ONE = Weight(1, constant(1.0))
+DECAY = ExpProfile(1.0, -1.0)
+SHIFT = Weight(1, ShiftedPowerProfile(1.0, 1.0, 1.0))
+OMEGA = truncated_power(1.0, -1.0, 1.0, None)
+V2 = Weight(2, PowerProfile(1.0, 0.5))
+
+SCORED = {
+    "direct": HardyProblem("direct", 2.0, 3.0, PowerProfile(1.0, -2.0),
+                           Weight(1, PowerProfile(1.0, 0.5))),
+    "direct_complement": HardyProblem("direct_complement", 1.5, 2.0,
+                                      PowerProfile(1.0, -0.5), ONE),
+    "direct_q_inf": HardyProblem("direct", 2.0, INF, DECAY, SHIFT),
+    "sup": HardyProblem("sup", 2.0, 2.0, DECAY, SHIFT),
+    "sup_complement_q_inf": HardyProblem("sup_complement", 2.0, INF,
+                                         PowerProfile(1.0, 1.0), SHIFT),
+    "reverse": HardyProblem("reverse", 0.5, 2.0, DECAY, SHIFT),
+    "reverse_complement": HardyProblem("reverse_complement", 1.0, 0.5,
+                                       PowerProfile(1.0, -3.0), ONE),
+    "p2_inf": EmbeddingProblem("lebesgue_to_lm", 1, 2.0, INF, 2.0,
+                               ONE, SHIFT, OMEGA),
+    "theta_inf": EmbeddingProblem("lebesgue_to_dual_lm", 1, 3.0, 2.0, INF,
+                                  ONE, SHIFT, PowerProfile(1.0, 0.5)),
+    "p1_inf": EmbeddingProblem("lebesgue_to_lm", 2, INF, 2.0, 2.0,
+                               V2, V2, OMEGA),
+    "lm_to_lebesgue": EmbeddingProblem(
+        "lm_to_lebesgue", 1, 1.0, 2.0, 0.5,
+        Weight(1, PowerProfile(1.0, -1.0)), ONE, PowerProfile(1.0, -3.0)),
+    "dual_lm_to_lebesgue": EmbeddingProblem(
+        "dual_lm_to_lebesgue", 2, 2.0, 1.0, 2.0,
+        V2, Weight(2, PowerProfile(1.0, 2.0)), constant(1.0)),
+}
+SCORE_CFG = OracleConfig(grid_cells=16, subcells=4, knot_range=(1e-3, 1e3))
+_EVALUATORS = {}
+
+
+def _evaluator(name):
+    if name not in _EVALUATORS:
+        _EVALUATORS[name] = _RatioEvaluator(SCORED[name], SCORE_CFG)
+    return _EVALUATORS[name]
+
+
+cell_values = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
+candidates = st.lists(st.one_of(st.sampled_from([0.0, 1e12]),
+                                st.floats(1e-6, 1e6)),
+                      min_size=1, max_size=5)
+
+
+def test_scored_problems_cover_every_branch():
+    evs = [_evaluator(name) for name in SCORED]
+    assert {ev._reverse for ev in evs} == {False, True}
+    assert {ev.sup_inner for ev in evs} == {False, True}
+    assert {ev._q_inf for ev in evs} == {False, True}
+    assert {ev._src_inf for ev in evs} == {False, True}
+    assert {ev.morrey_on_top for ev in evs} == {False, True}
+
+
+@pytest.mark.parametrize("name", sorted(SCORED))
+@settings(max_examples=40, deadline=None)
+@given(values=st.lists(cell_values, min_size=16, max_size=16),
+       i=st.integers(0, 15), cands=candidates)
+@example(values=[1.0] * 16, i=0, cands=[0.0, 1e12])
+@example(values=[0.0] * 15 + [1.0], i=15, cands=[0.0, 0.25, 4.0])
+@example(values=[1.0] + [0.0] * 15, i=0, cands=[1e12, 0.0, 1e-6])
+def test_batched_scores_equal_full_ratios(name, values, i, cands):
+    ev = _evaluator(name)
+    ev.ratio(values)
+    with np.errstate(all="ignore"):
+        got = ev._scores(i, cands)
+    for cand, score in zip(cands, got):
+        moved = list(values)
+        moved[i] = cand
+        want = ev.ratio(moved)
+        if want == 0.0 or math.isinf(want):
+            assert score == want, (cand, score, want)
+        else:
+            assert score == pytest.approx(want, rel=1e-12), cand
+
+
+def _reference_ratio(ev, values):
+    """The ratio recomputed from scratch on the subcell grid in natural
+    order: the inner accumulation at every subcell midpoint is a cumulative
+    sum (or running max) over all subcells."""
+    v = np.repeat(np.asarray(values, dtype=float), ev.K)
+    order = slice(None, None, -1) if ev._reverse else slice(None)
+    if ev.sup_inner:
+        marks = v * ev.inner_sup_weight
+        F = np.maximum.accumulate(marks[order])[order]
+        F_tot = float(np.max(marks, initial=0.0))
+    else:
+        mass = (v ** ev.inner_p * ev.inner_mass)[order]
+        G = (np.cumsum(mass) - 0.5 * mass)[order]
+        F, F_tot = G ** (1.0 / ev.inner_p), mass.sum() ** (1.0 / ev.inner_p)
+    q = ev.outer_q
+    if math.isinf(q):
+        morrey = max(float(np.max(ev.outer * F, initial=0.0)),
+                     ev.outer_beyond * F_tot)
+    else:
+        acc = float(ev.outer @ F ** q) + ev.outer_beyond * F_tot ** q
+        morrey = acc ** (1.0 / q) if acc > 0 else 0.0
+    cells = np.asarray(values, dtype=float)
+    if math.isinf(ev.src_p):
+        src = float(np.max(cells * ev.src_cell, initial=0.0))
+    else:
+        total = float(cells ** ev.src_p @ ev.src_cell)
+        src = total ** (1.0 / ev.src_p) if total > 0 else 0.0
+    top, bottom = (morrey, src) if ev.morrey_on_top else (src, morrey)
+    if bottom == 0.0:
+        return 0.0 if top == 0.0 else INF
+    if math.isinf(bottom) or math.isnan(top) or math.isnan(bottom):
+        return 0.0
+    return top / bottom
+
+
+@pytest.mark.parametrize("name", sorted(SCORED))
+@settings(max_examples=40, deadline=None)
+@given(values=st.lists(st.one_of(cell_values, st.just(1e12)),
+                       min_size=16, max_size=16))
+@example(values=[0.0] * 16)
+@example(values=[1.0] * 8 + [0.0] * 8)
+def test_cached_ratio_equals_reference(name, values):
+    ev = _evaluator(name)
+    got = ev.ratio(values)
+    with np.errstate(all="ignore"):
+        want = _reference_ratio(ev, values)
+    if want == 0.0 or math.isinf(want):
+        assert got == want
+    else:
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+# the lower bounds the full-recompute search reached, to which the batched
+# scoring must stay: the finite acceptance instances under AUDIT_CFG and
+# the averaged operator of test_06 with 4 restarts
+AUDIT_LOWER_BOUNDS = {
+    "hardy.a": 2.69852882689807,
+    "hardy.b": 0.9855493636118956,
+    "hardy.c": 0.5988761716695904,
+    "hardy.d": 0.2905395460907355,
+    "hardy.e": 0.5533102385078741,
+    "hardy.f": 0.9998110106706427,
+    "hardy.g": 0.9997690249411192,
+    "hardy.h": 0.9997263120659333,
+    "emb.i": 0.9896700564777313,
+    "emb.ii": 1.0695745545410098,
+    "emb.iii": 1.0958415570480193,
+    "emb.iv": 0.982038694165457,
+    "emb.v": 1.1773472866400596,
+    "emb.vi": 0.9999999999999973,
+    "emb.vii": 0.9999999999999947,
+    "emb.viii": 0.9763000989628079,
+    "emb.ix": 0.9999999999999972,
+    "emb.dual_target": 0.5652885834917354,
+    "emb.source.a": 0.23434130137958536,
+    "emb.source.b": 2.1117083340345646,
+    "emb.dual_source.a": 0.8934503640595814,
+    "emb.dual_source.b": 0.8060888860433174,
+}
+AVERAGED_LOWER_BOUNDS = {1: 1.9693530028500443, 2: 1.984990866964432}
+
+
+@pytest.mark.parametrize("name", sorted(AUDIT_LOWER_BOUNDS))
+def test_audit_lower_bound_pinned(name):
+    prob = FINITE_INSTANCES[name][0]
+    res = best_constant_lower_bound(prob, AUDIT_CFG)
+    assert float(res.lower_bound) == pytest.approx(
+        AUDIT_LOWER_BOUNDS[name], rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_averaged_operator_lower_bound_pinned(n):
+    p = 2.0
+    sigma, cn = sphere_area(n), ball_volume(n, 1.0)
+    prob = HardyProblem("direct", p, p,
+                        PowerProfile(sigma * cn ** (-p), n - 1 - n * p),
+                        Weight(n, constant(1.0)), n=n)
+    cfg = OracleConfig(grid_cells=256, knot_range=(1e-9, 1e9), restarts=4,
+                       ascent_sweeps=40, seed=0)
+    res = best_constant_lower_bound(prob, cfg)
+    assert float(res.lower_bound) == pytest.approx(
+        AVERAGED_LOWER_BOUNDS[n], rel=1e-12)
