@@ -199,10 +199,7 @@ def _lebesgue_to_morrey(prob, tag, cfg) -> ExtReal:
             lambda t: ext_mul(side.outer_norm(om, th, t, cfg), inner(t)))
     if tag.case_id in ("v", "ix"):
         def integrand(t):
-            ot = om(t)
-            if ot == 0.0:
-                return 0.0
-            return float(ext_pow(ext_mul(ot, inner(t)), th))
+            return ext_pow(ext_mul(om(t), inner(t)), th)
 
         val = _halfline(integrand, _breaks(om, g), cfg)
         return ext_pow(val, 1.0 / th)
@@ -211,12 +208,9 @@ def _lebesgue_to_morrey(prob, tag, cfg) -> ExtReal:
     s = th * p1 / (p1 - th)
 
     def integrand(t):
-        ot = om(t)
-        if ot == 0.0:
-            return 0.0
         outer = side.outer_norm(om, th, t, cfg)
         core = ext_mul(ext_pow(outer, th / p1), inner(t))
-        return float(ext_mul(ext_pow(core, s), ot ** th))
+        return ext_mul(ext_pow(core, s), ext_pow(om(t), th))
 
     val = _halfline(integrand, _breaks(om, g), cfg)
     return ext_pow(val, 1.0 / s)
@@ -353,10 +347,8 @@ def unweighted_reference(p1, p2, theta, omega: RadialProfile, n,
             lambda t: ext_mul(t ** delta, tail_norm(omega, th, t, cfg)))
 
     def integrand(t):
-        tl = tail_norm(omega, th, t, cfg)
-        if tl.is_zero:
-            return 0.0
-        return float(ext_mul(t ** (delta * s - 1.0), ext_pow(tl, s)))
+        return ext_mul(t ** (delta * s - 1.0),
+                       ext_pow(tail_norm(omega, th, t, cfg), s))
 
     val = _halfline(integrand, _breaks(omega), cfg)
     return ext_pow(val, 1.0 / s)

@@ -137,16 +137,9 @@ def sup_over_t(fn, lo=1e-6, hi=1e6, grid=512, refine_iters=80) -> ExtReal:
 
 
 def _halfline(fn, breakpoints=(), cfg=None) -> ExtReal:
-    """Integral over (0, inf) of a plain callable with known kinks."""
-
-    class _Wrapped(RadialProfile):
-        def __call__(self, rho):
-            return fn(rho)
-
-        def breakpoints(self):
-            return tuple(breakpoints)
-
-    val, _ = integrate_halfline(_Wrapped(), (0.0, _INF), cfg)
+    """Integral over (0, inf) of fn, which takes an array of t, with known
+    kinks."""
+    val, _ = integrate_halfline(fn, (0.0, _INF), cfg, breakpoints)
     return val
 
 
@@ -206,11 +199,8 @@ def _direct_functional(prob: HardyProblem, cfg) -> ExtReal:
         r = 1.0 / (1.0 / q - 1.0 / p)
 
         def integrand(t):
-            vt = v(t)
-            if vt == 0.0:
-                return 0.0
-            return float(ext_mul(ext_mul(ext_pow(V_outer(t), r / p), vt),
-                                 ext_pow(W_region(t), r / pp)))
+            return ext_mul(ext_mul(ext_pow(V_outer(t), r / p), v(t)),
+                           ext_pow(W_region(t), r / pp))
 
         return ext_pow(_halfline(integrand, _breaks(v, w), cfg), 1.0 / r)
     if 1.0 < p < _INF and math.isinf(q):
@@ -223,10 +213,7 @@ def _direct_functional(prob: HardyProblem, cfg) -> ExtReal:
     if math.isinf(p):
         # (e)
         def integrand(t):
-            vt = v(t)
-            if vt == 0.0:
-                return 0.0
-            return float(ext_mul(vt, ext_pow(W_recip(t), q)))
+            return ext_mul(v(t), ext_pow(W_recip(t), q))
 
         return ext_pow(_halfline(integrand, _breaks(v, w), cfg), 1.0 / q)
     if p == 1.0 and 1.0 <= q < _INF:
@@ -238,11 +225,8 @@ def _direct_functional(prob: HardyProblem, cfg) -> ExtReal:
         qq = float(conjugate_exponent(q))
 
         def integrand(t):
-            vt = v(t)
-            if vt == 0.0:
-                return 0.0
-            return float(ext_mul(ext_mul(ext_pow(V_outer(t), qq), vt),
-                                 ext_pow(w_sup(t), qq)))
+            return ext_mul(ext_mul(ext_pow(V_outer(t), qq), v(t)),
+                           ext_pow(w_sup(t), qq))
 
         return ext_pow(_halfline(integrand, _breaks(v, w), cfg), 1.0 / qq)
     if p == 1.0 and math.isinf(q):
@@ -264,10 +248,7 @@ def sup_operator_constant(prob: HardyProblem, cfg=None) -> ExtReal:
         return sup_over_t(lambda r: ext_mul(v(r), inner(r)))
 
     def integrand(r):
-        vr = v(r)
-        if vr == 0.0:
-            return 0.0
-        return float(ext_pow(ext_mul(vr, inner(r)), float(q)))
+        return ext_pow(ext_mul(v(r), inner(r)), float(q))
 
     val = _halfline(integrand, _breaks(v, prob.w_inner.profile), cfg)
     return ext_pow(val, 1.0 / float(q))

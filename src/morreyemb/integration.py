@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammaln
 
 from .errors import QuadratureFailure, UndefinedStieltjes
 from .extreal import ExtReal
@@ -60,8 +58,12 @@ def sphere_area(n):
     """Surface measure of the unit sphere in R^n: 2 pi^(n/2) / Gamma(n/2)."""
     if n < 1 or n != int(n):
         raise ValueError("dimension must be a positive integer")
-    n = int(n)
-    return 2.0 * math.exp(0.5 * n * math.log(math.pi) - gammaln(0.5 * n))
+    half = 0.5 * int(n)
+    # log Gamma(n/2) through math.gamma, which is good to an ulp or two
+    # where math.lgamma is not (lgamma(1/2) is 3 ulps off log(sqrt(pi)));
+    # math.gamma overflows past 171.6, where only lgamma is left
+    log_gamma = math.log(math.gamma(half)) if half < 171 else math.lgamma(half)
+    return 2.0 * math.exp(half * math.log(math.pi) - log_gamma)
 
 
 def ball_volume(n, r=1.0):
@@ -69,81 +71,191 @@ def ball_volume(n, r=1.0):
     return sphere_area(n) * r ** n / n
 
 
-def _quad_piece(f, lo, hi, cfg):
-    """Plain adaptive quadrature on a finite piece; inf/nan mean divergence."""
-    try:
-        val, err, *rest = quad(f, lo, hi, epsabs=cfg.abs_tol,
-                               epsrel=cfg.rel_tol, limit=100, full_output=1)[:2] + ((),)
-    except Exception:
-        return _INF, _INF
-    if math.isnan(val):
-        # retry on a refined split; persistent nan means a non-integrable spot
-        total, toterr = 0.0, 0.0
-        edges = np.geomspace(lo, hi, 17) if lo > 0 else np.linspace(lo, hi, 17)
-        for x0, x1 in zip(edges[:-1], edges[1:]):
-            try:
-                v, e = quad(f, x0, x1, epsabs=cfg.abs_tol,
-                            epsrel=cfg.rel_tol, limit=100, full_output=1)[:2]
-            except Exception:
-                return _INF, _INF
-            if math.isnan(v):
-                return _INF, _INF
-            total += v
-            toterr += e
-        return total, toterr
-    return val, err
+# Gauss-Kronrod G7-K15 on (-1, 1) (Piessens et al., QUADPACK, 1983, qk15):
+# the positive Kronrod abscissae from the outside in, of which every second
+# one (and 0) is a Gauss abscissa, with their K15 and G7 weights
+_XGK = (0.991455371120812639206854697526329,
+        0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926,
+        0.741531185599394439863864773280788,
+        0.586087235467691130294144845693013,
+        0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245,
+        0.0)
+_WGK = (0.022935322010529224963732008058970,
+        0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518,
+        0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550,
+        0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649,
+        0.209482141084727828012999174891714)
+_WG = (0.129484966168869693270611432679082,
+       0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975,
+       0.417959183673469387755102040816327)
+
+# the 15 nodes in ascending order with the K15 weights and the G7 weights
+# (0 off the Gauss nodes) on them
+_NODES = np.array([-x for x in _XGK[:7]] + [0.0] + list(_XGK[6::-1]))
+_K15 = np.array(_WGK[:7] + _WGK[7:] + _WGK[6::-1])
+_G7 = np.zeros(15)
+_G7[1:7:2] = _WG[:3]
+_G7[7] = _WG[3]
+_G7[13:7:-2] = _WG[:3]
+
+# bisection rounds of one interval, and pieces of one interval that may be
+# bisected in one round; a piece still above tolerance when either runs out
+# is kept with its error estimate
+_MAX_DEPTH = 64
+_MAX_SPLITS = 128
 
 
-def integrate_halfline(f, interval, cfg=None):
+def _gauss_kronrod(fn, lo, hi, cfg=None):
+    """Integrals of fn over the intervals (lo, hi) by adaptive G7-K15.
+
+    fn takes a 1-D float array of points and returns the values there.
+    Each round evaluates the 15 nodes of every active piece in one call of
+    fn; a piece whose error |K15 - G7| is at most max(abs_tol,
+    rel_tol |K15|) is accepted, the others are bisected.  Returns the
+    integrals and their summed error estimates as float arrays of the
+    broadcast shape of lo and hi.  An interval with an infinite node value
+    reads inf and one with a nan node value reads nan.
+    """
+    cfg = cfg or DEFAULT_CONFIG
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float),
+                                 np.asarray(hi, dtype=float))
+    shape = lo.shape
+    lo, hi = lo.ravel(), hi.ravel()
+    value, error = np.zeros(lo.size), np.zeros(lo.size)
+    root = np.arange(lo.size)
+    for depth in range(_MAX_DEPTH):
+        if not root.size:
+            break
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        x = mid[:, None] + half[:, None] * _NODES
+        fv = _values(fn, x.ravel()).reshape(x.shape)
+        with np.errstate(invalid="ignore", over="ignore"):
+            k = half * (fv @ _K15)
+            err = np.abs(half * (fv @ (_K15 - _G7)))
+        err = np.where(np.isfinite(k), err, k)
+        split = err > np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(k))
+        split &= (lo < mid) & (mid < hi)
+        if depth == _MAX_DEPTH - 1:
+            split[:] = False
+        split &= np.bincount(root[split], minlength=value.size)[root] \
+            <= _MAX_SPLITS
+        done = ~split
+        np.add.at(value, root[done], k[done])
+        np.add.at(error, root[done], err[done])
+        lo, mid, hi, root = lo[split], mid[split], hi[split], root[split]
+        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+        root = np.concatenate((root, root))
+    return value.reshape(shape), error.reshape(shape)
+
+
+# dyadic pieces of a walk toward an open end evaluated per array call
+_BLOCK = 16
+
+
+def _dyadic_block(edge, up, first, count, breaks):
+    """Pieces first, ..., first + count - 1 of the dyadic walk outward from
+    edge: (edge 2^k, edge 2^(k+1)) upward, (edge 2^-(k+1), edge 2^-k)
+    downward, each split at the breakpoints inside it.  Returns the ends of
+    the parts in ascending order, the offset in the block of the piece that
+    owns each part, and count."""
+    k = np.arange(first, first + count + 1)
+    ends = np.sort(np.ldexp(edge, k if up else -k))
+    inside = breaks[(breaks > ends[0]) & (breaks < ends[-1])]
+    pts = np.union1d(ends, inside)
+    owner = np.searchsorted(ends, pts[:-1], side="right") - 1
+    return pts[:-1], pts[1:], owner if up else count - 1 - owner, count
+
+
+def _piece_values(fn, parts, cfg):
+    """One G7-K15 call over the parts of several groups of pieces, each
+    given as (lo, hi, owner, count); returns the (values, errors) of the
+    pieces of every group, summed over their parts."""
+    lo = np.concatenate([p[0] for p in parts])
+    hi = np.concatenate([p[1] for p in parts])
+    vals, errs = _gauss_kronrod(fn, lo, hi, cfg)
+    out, at = [], 0
+    for _, part_hi, owner, count in parts:
+        sl = slice(at, at + part_hi.size)
+        at += part_hi.size
+        out.append((np.bincount(owner, vals[sl], count).tolist(),
+                    np.bincount(owner, errs[sl], count).tolist()))
+    return out
+
+
+def integrate_halfline(f, interval, cfg=None, breakpoints=None):
     """Adaptive integral of a nonnegative f over (a, b) in (0, inf].
 
+    f takes a 1-D float array of points and returns the values there (a
+    scalar result is broadcast); 0 * inf is taken as 0 and overflow as inf.
+    breakpoints are the interior points where f may be non-smooth, by
+    default a profile's own.  A finite core is integrated piece by piece
+    between the breakpoints, and dyadic pieces in log t are added toward
+    an open end until they are negligible, a geometric tail can be summed,
+    or their growth shows divergence.
+
     Returns (value, error_bound); value is inf when dyadic partial sums
-    indicate divergence at either end.
+    indicate divergence at either end or a piece integrates to inf.
+    Raises QuadratureFailure when f is nan at a node of a piece.
     """
     cfg = cfg or DEFAULT_CONFIG
     a, b = interval
     if not a < b:
         raise ValueError("need a < b")
-    breaks = tuple(f.breakpoints()) if isinstance(f, RadialProfile) else ()
-    fn = f if callable(f) else None
-    if fn is None:
+    if not callable(f):
         raise TypeError("integrand must be callable")
+    if breakpoints is None:
+        breakpoints = f.breakpoints() if isinstance(f, RadialProfile) else ()
+    breaks = np.unique(np.asarray(breakpoints, dtype=float))
 
     # seed finite core
     core_lo = a if a > 0 else min(1.0, b / 2 if math.isfinite(b) else 1.0)
     core_hi = b if math.isfinite(b) else max(1.0, 2 * a, core_lo * 2)
     if core_lo >= core_hi:
         core_lo = core_hi / 2
+    core_lo, core_hi = float(core_lo), float(core_hi)
 
-    anchors = sorted({core_lo, core_hi} | {x for x in breaks if core_lo < x < core_hi})
+    anchors = np.union1d([core_lo, core_hi],
+                         breaks[(breaks > core_lo) & (breaks < core_hi)])
+    core = (anchors[:-1], anchors[1:], np.arange(anchors.size - 1),
+            anchors.size - 1)
+    # (edge, upward) of the walks toward the open ends: down first
+    walks = [(edge, up) for edge, up, open_end in
+             ((core_lo, False, a <= 0), (core_hi, True, math.isinf(b)))
+             if open_end]
+    # one array call for the core and the first block of each walk
+    # (max_subdivisions is at least _BLOCK)
+    found = _piece_values(
+        f, [core] + [_dyadic_block(edge, up, 0, _BLOCK, breaks)
+                     for edge, up in walks], cfg)
+
     total, toterr = 0.0, 0.0
-    for x0, x1 in zip(anchors[:-1], anchors[1:]):
-        v, e = _quad_piece(fn, x0, x1, cfg)
+    vals, errs = found[0]
+    for x0, x1, v, e in zip(anchors[:-1], anchors[1:], vals, errs):
+        _check_piece(v, x0, x1, total, toterr)
         if math.isinf(v):
             return ExtReal(_INF), _INF
         total, toterr = total + v, toterr + e
 
-    for outward in ("down", "up"):
-        if outward == "down" and a > 0:
-            continue
-        if outward == "up" and math.isfinite(b):
-            continue
-        edge = core_lo if outward == "down" else core_hi
+    for (edge, up), (vals, errs) in zip(walks, found[1:]):
         pieces = []
         for k in range(cfg.max_subdivisions):
-            if outward == "down":
-                x0, x1 = edge / 2.0, edge
-                edge = x0
-            else:
-                x0, x1 = edge, edge * 2.0
-                edge = x1
-            inner = sorted({x0, x1} | {x for x in breaks if x0 < x < x1})
-            v, e = 0.0, 0.0
-            for y0, y1 in zip(inner[:-1], inner[1:]):
-                pv, pe = _quad_piece(fn, y0, y1, cfg)
-                if math.isinf(pv):
-                    return ExtReal(_INF), _INF
-                v, e = v + pv, e + pe
+            if k == len(vals):
+                count = min(_BLOCK, cfg.max_subdivisions - k)
+                more, = _piece_values(
+                    f, [_dyadic_block(edge, up, k, count, breaks)], cfg)
+                vals, errs = vals + more[0], errs + more[1]
+            v, e = vals[k], errs[k]
+            x0, x1 = (math.ldexp(edge, k), math.ldexp(edge, k + 1)) if up \
+                else (math.ldexp(edge, -k - 1), math.ldexp(edge, -k))
+            _check_piece(v, x0, x1, total, toterr)
+            if math.isinf(v):
+                return ExtReal(_INF), _INF
             total, toterr = total + v, toterr + e
             pieces.append(v)
             tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
@@ -178,6 +290,14 @@ def integrate_halfline(f, interval, cfg=None):
                 "dyadic budget exhausted without convergence or divergence",
                 value=total, error_bound=toterr + pieces[-1])
     return ExtReal(max(total, 0.0)), toterr
+
+
+def _check_piece(v, x0, x1, total, toterr):
+    """A nan integral is an integrand fault, never divergence."""
+    if math.isnan(v):
+        raise QuadratureFailure(
+            f"integrand is nan on the piece ({x0:g}, {x1:g})",
+            value=total, error_bound=toterr)
 
 
 def _stable_below_one(ratios):

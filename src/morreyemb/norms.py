@@ -10,12 +10,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
-from .errors import NotAWeight
-from .extreal import ExtReal, ext_pow
-from .integration import sphere_area
-from .profiles import FnProfile, PowerProfile, RadialProfile, elementwise
+from .errors import NotAWeight, QuadratureFailure
+from .extreal import ExtReal, ext_mul, ext_pow
+from .integration import _gauss_kronrod, sphere_area
+from .profiles import FnProfile, PowerProfile, RadialProfile
 from .weights import Side, Weight
 
 __all__ = [
@@ -148,7 +147,11 @@ def _shell_integral(profile: RadialProfile, n, r0, r1):
     dens = profile if n == 1 else profile.times(PowerProfile(1.0, n - 1.0))
     val = dens.integral(r0, r1)
     if val is None:
-        val = elementwise(lambda x, y: quad(dens, x, y, limit=200)[0], r0, r1)
+        val, _ = _gauss_kronrod(dens, r0, r1)
+        if np.isnan(val).any():
+            raise QuadratureFailure("shell integrand is nan")
+        if val.ndim == 0:
+            val = float(val)
     return sphere_area(n) * val
 
 
@@ -313,17 +316,14 @@ def _morrey_norm(f, p, theta, omega, v, side) -> ExtReal:
         if math.isinf(beyond):
             return ExtReal(_INF)
         total += (whole * beyond) ** theta
-    for x0, x1 in zip(anchors[:-1], anchors[1:]):
-        def integrand(r):
-            w = omega(r)
-            if w == 0.0:
-                return 0.0
-            g = inner(r)
-            return 0.0 if g == 0.0 else (w * g) ** theta
-        val, _ = quad(integrand, x0, x1, limit=200)
-        if math.isnan(val) or math.isinf(val):
-            return ExtReal(_INF)
-        total += val
+    vals, _ = _gauss_kronrod(
+        lambda r: ext_pow(ext_mul(omega(r), inner(r)), theta),
+        anchors[:-1], anchors[1:])
+    if np.isnan(vals).any():
+        raise QuadratureFailure("Morrey-norm integrand is nan")
+    total += float(np.sum(vals))
+    if math.isinf(total):
+        return ExtReal(_INF)
     return ext_pow(total, 1.0 / theta) if total > 0 else ExtReal(0.0)
 
 

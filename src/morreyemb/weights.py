@@ -14,13 +14,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import NotAWeight
-from .extreal import ExtReal, ext_pow
-from .integration import (DEFAULT_CONFIG, _profile_integral, ball_integral,
+from .extreal import ExtReal, ext_mul, ext_pow
+from .integration import (_gauss_kronrod, _profile_integral, ball_integral,
                           complement_integral, esssup_ball, esssup_complement,
-                          sphere_area)
+                          integrate_halfline, sphere_area)
 from .profiles import (ExpProfile, PiecewisePowerProfile, PowerProfile,
                        RadialProfile, ShiftedPowerProfile, tabulated,
                        truncated_power)
@@ -270,39 +269,40 @@ def omega_class_check(omega: RadialProfile, theta,
 
 
 def _ball_slice_measure(n, d, r, rho):
-    """(n-1)-measure of the sphere of radius rho intersected with the ball
-    of radius r centered at distance d from the origin."""
-    if rho <= 0:
-        return 0.0
+    """(n-1)-measures of the spheres of radii rho (a float array) intersected
+    with the ball of radius r centered at distance d from the origin."""
+    pos = rho > 0.0
     if d == 0.0:
-        return sphere_area(n) * rho ** (n - 1) if rho < r else 0.0
+        return np.where(pos & (rho < r), sphere_area(n) * rho ** (n - 1), 0.0)
     if n == 1:
-        cnt = (1 if abs(rho - d) < r else 0) + (1 if rho < r - d else 0)
-        return float(cnt)
-    if rho <= r - d:
-        return sphere_area(n) * rho ** (n - 1)
-    if rho >= r + d or rho <= d - r:
-        return 0.0
-    cosg = (rho * rho + d * d - r * r) / (2.0 * rho * d)
-    cosg = min(1.0, max(-1.0, cosg))
-    gamma = math.acos(cosg)
+        meets = pos & (d - r < rho) & (rho < d + r)
+        return 1.0 * meets + (pos & (rho < r - d))
+    full = pos & (rho <= r - d)
+    cut = pos & ~full & (rho < r + d) & (rho > d - r)
+    out = np.where(full, sphere_area(n) * rho ** (n - 1), 0.0)
+    if not cut.any():
+        return out
+    rc = rho[cut]
+    gamma = np.arccos(np.clip((rc * rc + d * d - r * r) / (2.0 * rc * d),
+                              -1.0, 1.0))
     if n == 2:
-        return 2.0 * rho * gamma
-    cap, _ = quad(lambda ph: math.sin(ph) ** (n - 2), 0.0, gamma)
-    return rho ** (n - 1) * sphere_area(n - 1) * cap
+        out[cut] = 2.0 * rc * gamma
+        return out
+    cap, _ = _gauss_kronrod(lambda ph: np.sin(ph) ** (n - 2), 0.0, gamma)
+    out[cut] = rc ** (n - 1) * sphere_area(n - 1) * cap
+    return out
 
 
 def _off_center_ball_integral(profile, n, d, r, cfg):
     """Integral of profile(|x|) over the ball B(x0, r) with |x0| = d."""
     if d == 0.0:
         return float(ball_integral(profile, n, r, cfg))
-    lo = max(d - r, 0.0)
-    hi = d + r
-    def integrand(rho):
-        return profile(rho) * _ball_slice_measure(n, d, r, rho)
-    val, _ = quad(integrand, lo, hi, limit=200,
-                  epsabs=(cfg or DEFAULT_CONFIG).abs_tol, epsrel=1e-9)
-    return val
+    # the slice measure has a kink where the sphere starts to leave the
+    # ball, at rho = r - d
+    val, _ = integrate_halfline(
+        lambda rho: ext_mul(profile(rho), _ball_slice_measure(n, d, r, rho)),
+        (max(d - r, 0.0), d + r), cfg, (r - d,) + profile.breakpoints())
+    return float(val)
 
 
 def default_ball_family(radii=None, offset_factors=(0.0, 1.0, 3.0, 10.0)):

@@ -1,6 +1,7 @@
 """Array evaluation: profiles, extended-real products and quotients,
 inner norms, the Stieltjes callers and the supremum-form functionals give
-the same numbers on arrays as on single radii."""
+the same numbers on arrays as on single radii, and the integral-form
+functionals call their integrands on arrays only."""
 
 import math
 
@@ -367,3 +368,123 @@ def test_sup_over_t_scans_its_grid_in_one_array_call(name, monkeypatch):
 def test_sup_over_t_raises_on_nan():
     with pytest.raises(ValueError, match="nan"):
         hardy.sup_over_t(lambda t: np.where(t > 1.0, math.nan, t))
+
+
+# ---------------------------------------------------------------------------
+# integral-form functionals: _halfline's integrand takes arrays of t
+
+GROW = split((1.0, -0.5), (1.0, 2.0))
+VSTAR = split((1.0, 1.0), (1.0, -1.5))       # DECAY(1/y) y^-2
+PP_DECAY = split((1.0, 0.0), (1.0, -2.0))
+OMR1 = truncated_power(1.0, -1.0, 1.0, None)
+OMR2 = truncated_power(1.0, -2.0, 1.0, None)
+
+
+def one(n):
+    return Weight(n, constant(1.0))
+
+
+def v2dec(n):
+    return Weight(n, ShiftedPowerProfile(1.0, 1.0, -2.0))
+
+
+# the integral-form Hardy cases: (p, q, beta) with beta / n the exponent
+# of the Jacobian that inverting w brings in
+DIRECT_INTEGRAL_CASES = {"b": (3.0, 1.5, 4.0), "e": (INF, 2.0, 2.0),
+                         "g": (1.0, 0.5, 0.0)}
+# (p1, p2, theta, v2, omega) of the integral-form embedding cases
+EMBEDDING_INTEGRAL_CASES = {"ii": (3.0, 2.0, 2.0, one, PP_DECAY),
+                            "v": (INF, 2.0, 2.0, v2dec, OMR1),
+                            "vii": (2.0, 2.0, 1.0, one, OMR2),
+                            "ix": (INF, INF, 2.0, one, OMR1)}
+
+HALFLINE_PROBLEMS = {
+    **{f"hardy.{case}.n{n}": HardyProblem("direct", p, q, DECAY,
+                                          Weight(n, GROW))
+       for case, (p, q, _) in DIRECT_INTEGRAL_CASES.items() for n in (1, 2)},
+    # the inversions of the ball instances
+    **{f"hardy.{case}.complement.n{n}": HardyProblem(
+        "direct_complement", p, q, VSTAR,
+        Weight(n, split((1.0, beta * n - 2.0), (1.0, beta * n + 0.5))))
+       for case, (p, q, beta) in DIRECT_INTEGRAL_CASES.items()
+       for n in (1, 2)},
+    **{f"emb.{case}.n{n}": EmbeddingProblem(
+        "lebesgue_to_lm", n, p1, p2, th, one(n), v2(n), om)
+       for case, (p1, p2, th, v2, om) in EMBEDDING_INTEGRAL_CASES.items()
+       for n in (1, 2)},
+    "sup.q2": HardyProblem("sup", INF, 2.0, DECAY,
+                           Weight(1, split((1.0, -0.5), (1.0, 1.0)))),
+    "sup.q2.complement": HardyProblem(
+        "sup_complement", INF, 2.0, VSTAR,
+        Weight(1, split((1.0, -1.0), (1.0, 0.5)))),
+    "sup.q1.infinite": HardyProblem(
+        "sup", INF, 1.0, constant(1.0),
+        Weight(1, split((1.0, -0.5), (1.0, 1.0)))),
+    "emb.ii.dual": EmbeddingProblem(
+        "lebesgue_to_dual_lm", 1, 3.0, 2.0, 2.0, one(1), v2dec(1),
+        split((1.0, 0.0), (0.0, 0.0))),
+    "emb.v.infinite": EmbeddingProblem(
+        "lebesgue_to_lm", 1, INF, 2.0, 2.0, one(1), one(1), OMR1),
+}
+HALFLINE = {
+    **{name: (lambda prob=prob: closed_form_constant(prob))
+       for name, prob in HALFLINE_PROBLEMS.items()},
+    "unweighted": lambda: unweighted_reference(3.0, 2.0, 2.0, OMR15, 1),
+    "unweighted.n2": lambda: unweighted_reference(3.0, 2.0, 2.0, OMR15, 2),
+    "unweighted.infinite": lambda: unweighted_reference(3.0, 1.0, 2.0,
+                                                        OMR2, 3),
+}
+# values recorded from the implementation that called each integrand one
+# t at a time (scipy quad)
+HALFLINE_PINS = {
+    "hardy.b.n1": 1.0780716017936727,
+    "hardy.b.n2": 1.7263781070369928,
+    "hardy.b.complement.n1": 1.0780716017936727,
+    "hardy.b.complement.n2": 1.7263781070369926,
+    "hardy.e.n1": 1.6183471874253736,
+    "hardy.e.n2": 4.698087311651381,
+    "hardy.e.complement.n1": 1.6183471874253736,
+    "hardy.e.complement.n2": 4.698087311651073,
+    "hardy.g.n1": 1.2916666666665535,
+    "hardy.g.n2": 1.2916666666665535,
+    "hardy.g.complement.n1": 1.2916666666666672,
+    "hardy.g.complement.n2": 1.2916666666666672,
+    "sup.q2": 1.095445115010249,
+    "sup.q2.complement": 0.816496580927726,
+    "sup.q1.infinite": INF,
+    "emb.ii.n1": 0.8989630680066713,
+    "emb.ii.n2": 0.8739175825203006,
+    "emb.v.n1": 1.1774100225154744,
+    "emb.v.n2": 2.0869049285025216,
+    "emb.vii.n1": 0.7071067811865476,
+    "emb.vii.n2": 0.7071067811865476,
+    "emb.ix.n1": 1.0,
+    "emb.ix.n2": 1.0,
+    "emb.ii.dual": 0.4673276325920347,
+    "emb.v.infinite": INF,
+    "unweighted": 0.7289233736074586,
+    "unweighted.n2": 0.6740030772986049,
+    "unweighted.infinite": INF,
+}
+
+
+@pytest.mark.parametrize("name", sorted(HALFLINE))
+def test_halfline_integrands_take_arrays(name, monkeypatch):
+    calls = []
+    real = hardy._halfline
+
+    def spy(fn, *args, **kwargs):
+        def recorded(t):
+            calls.append(type(t))
+            return fn(t)
+
+        return real(recorded, *args, **kwargs)
+
+    monkeypatch.setattr(hardy, "_halfline", spy)
+    monkeypatch.setattr(embeddings, "_halfline", spy)
+    got, pin = float(HALFLINE[name]()), HALFLINE_PINS[name]
+    assert calls and all(tp is np.ndarray for tp in calls), name
+    if math.isinf(pin):
+        assert got == pin
+    else:
+        assert got == pytest.approx(pin, rel=1e-10)

@@ -1,15 +1,21 @@
-"""Half-line quadrature, geometric constants, and Stieltjes integrals."""
+"""Half-line quadrature and its G7-K15 rule, geometric constants, the
+ball-slice measure, and Stieltjes integrals."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from morreyemb.errors import UndefinedStieltjes
-from morreyemb.integration import (MonotoneIntegrator, ball_volume,
+from morreyemb import GridFunction, Weight, weighted_lp_norm
+from morreyemb.errors import QuadratureFailure, UndefinedStieltjes
+from morreyemb.integration import (_G7, _K15, _NODES, MonotoneIntegrator,
+                                   ball_integral, ball_volume,
                                    integrate_halfline, sphere_area,
                                    stieltjes_integral)
-from morreyemb.profiles import ExpProfile, FnProfile, PowerProfile
+from morreyemb.profiles import (ExpProfile, FnProfile, PiecewisePowerProfile,
+                                PowerProfile, ShiftedPowerProfile)
+from morreyemb.weights import _ball_slice_measure
 
 INF = math.inf
 
@@ -67,6 +73,110 @@ def test_halfline_borderline_power_end_diverges(eps, interval, sign):
     val, err = integrate_halfline(
         FnProfile(lambda t: t ** (-1.0 + sign * eps)), interval)
     assert val.is_inf and math.isinf(err)
+
+
+# ---------------------------------------------------------------------------
+# the G7-K15 rule
+
+@pytest.mark.parametrize("weights,degree", [(_K15, 22), (_G7, 13)])
+def test_rule_integrates_polynomials_exactly(weights, degree):
+    # K15 is exact through degree 3*7+1 = 22, G7 through 2*7-1 = 13, and
+    # neither at the next even degree
+    for k in range(degree + 1):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(weights @ _NODES ** k - exact) <= 1e-14, k
+    k = degree + 2 - degree % 2
+    assert abs(weights @ _NODES ** k - 2.0 / (k + 1)) > 1e-10
+
+
+def hardy_e_integrand(t):
+    """The integrand of case (e) on hardy.e: v(t) times the integral of
+    w^-1 over B(0, t) in R^1, v = e^-t, w = (1 + t)^2."""
+    return ExpProfile(1.0, -1.0)(t) * ball_integral(
+        ShiftedPowerProfile(1.0, 1.0, -2.0), 1, t)
+
+
+PIECEWISE = PiecewisePowerProfile([0.5, 2.0, 7.0], [(1.0, 0.3), (2.0, -0.5),
+                                                    (0.25, 1.0), (40.0, -2.5)])
+
+
+def piecewise_exact():
+    """c (b^e - a^e) / e with e = alpha + 1 on each segment."""
+    segs = [(0, "0.5", 1, "0.3"), ("0.5", 2, 2, "-0.5"), (2, 7, "0.25", 1),
+            (7, mpmath.inf, 40, "-2.5")]
+    total = mpmath.mpf(0)
+    for a, b, c, alpha in segs:
+        a, b, c, e = (mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(c),
+                      mpmath.mpf(alpha) + 1)
+        total += c * ((0 if mpmath.isinf(b) else b ** e) - a ** e) / e
+    return total
+
+
+# (integrand, interval, exact value at 30 digits)
+with mpmath.workdps(30):
+    MPMATH_CASES = {
+        "exp": (ExpProfile(1.0, -1.0), (0.0, INF), mpmath.mpf(1)),
+        "inverse_sqrt": (FnProfile(lambda t: t ** -0.5), (0.0, 1.0),
+                         mpmath.mpf(2)),
+        "piecewise": (PIECEWISE, (0.0, INF), piecewise_exact()),
+        "slow_tail": (lambda t: t ** -1.01, (1.0, INF), mpmath.mpf(100)),
+        "hardy.e": (hardy_e_integrand, (0.0, INF),
+                    2 * (1 - mpmath.e * mpmath.e1(1))),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(MPMATH_CASES))
+def test_halfline_matches_mpmath(name):
+    f, interval, exact = MPMATH_CASES[name]
+    val, err = integrate_halfline(f, interval)
+    exact = float(exact)
+    assert float(val) == pytest.approx(exact, rel=1e-9)
+    assert abs(float(val) - exact) <= err
+
+
+def test_integrand_error_propagates():
+    # an exception is a fault of the integrand, not divergence
+    def broken(t):
+        raise ValueError("broken integrand")
+
+    with pytest.raises(ValueError, match="broken integrand"):
+        integrate_halfline(broken, (0.0, INF))
+
+
+def test_nan_integrand_raises_naming_the_piece():
+    def holed(t):
+        return np.where((t > 2.0) & (t < 2.5), math.nan, np.exp(-t))
+
+    with pytest.raises(QuadratureFailure, match=r"\(2, 4\)"):
+        integrate_halfline(holed, (0.0, INF))
+
+
+def test_fn_profile_shell_integral():
+    # a FnProfile weight has no closed form; the shell 0.5 < |x| < 2 in R^2
+    # of sqrt(r) + 1 / (1 + r) is 2 pi times the integral of r^1.5 and
+    # r / (1 + r) over (0.5, 2)
+    w = Weight(2, FnProfile(lambda r: r ** 0.5 + 1.0 / (1.0 + r)))
+    f = GridFunction([0.5, 2.0], [1.0])
+    exact = 2.0 * math.pi * ((2.0 ** 2.5 - 0.5 ** 2.5) / 2.5
+                             + 1.5 - math.log(3.0 / 1.5))
+    assert float(weighted_lp_norm(f, 1.0, w)) == pytest.approx(exact,
+                                                               rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_ball_slice_cap(n):
+    # the sphere |x| = rho cut by B(x0, r), |x0| = d, subtends the polar
+    # angle gamma; its measure is rho^(n-1) |S^(n-2)| times the integral of
+    # sin^(n-2) over (0, gamma): 1 - cos gamma for n = 3 and
+    # gamma / 2 - sin(2 gamma) / 4 for n = 4
+    d, r = 1.0, 0.7
+    rho = np.array([0.35, 0.6, 1.0, 1.4, 1.69])
+    cosg = (rho ** 2 + d ** 2 - r ** 2) / (2.0 * rho * d)
+    gamma = np.arccos(cosg)
+    cap = 1.0 - cosg if n == 3 else gamma / 2.0 - np.sin(2.0 * gamma) / 4.0
+    want = rho ** (n - 1) * sphere_area(n - 1) * cap
+    np.testing.assert_allclose(_ball_slice_measure(n, d, r, rho), want,
+                               rtol=1e-13)
 
 
 class TestStieltjes:
