@@ -12,6 +12,7 @@ with randomized restarts.  Everything is serial and seed-deterministic.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -41,6 +42,9 @@ _INF = math.inf
 
 DEFAULT_FAMILIES = ("ball", "complement", "annulus", "dual_power",
                     "power_window", "constant", "two_block")
+
+# family members scored in one pass over the grid
+_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -133,8 +137,12 @@ class _RatioEvaluator:
     ``_scores(i, cands)`` then scores every candidate value of cell i at
     once: the cells before it keep their cached terms, cell i is
     recomputed, and each later cell only sees cell i's candidate shift its
-    inner accumulation (by a sum, or a running max when p2 = inf).  Both
-    go through the same per-cell code, ``_tail`` and ``_finish``.
+    inner accumulation (by a sum, or a running max when p2 = inf).
+    ``_accept(b, c)`` loads candidate b of the last scoring into the cache
+    from that scoring's outer integrand, leaving the cells before it as
+    they are.  ``ratios(V)`` scores whole rows at once, apart from the
+    cache.  All of them go through the same per-cell code, ``_tail`` and
+    ``_finish``.
     """
 
     def __init__(self, prob, cfg: OracleConfig):
@@ -278,7 +286,14 @@ class _RatioEvaluator:
             self._outer_op = np.add
         self._src_inf = math.isinf(self.src_p)
         self._src_op = np.maximum if self._src_inf else np.add
-        # filled by _ratio; the entry of the first cell is always 0
+        # the cache, filled by _ratio in accumulation order; the entries of
+        # the first cell in _inner_before and _outer_before are always 0
+        self._v, self._src = np.zeros(m), np.zeros(m)
+        if self.sup_inner:
+            self._marks = np.zeros((m, K))
+        else:
+            self._cell_mass, self._part = np.zeros(m), np.zeros((m, K))
+        self._inner_before = np.zeros(m)
         self._outer_before = [0.0]
 
     # -- the cache and the per-cell code path --------------------------
@@ -286,44 +301,106 @@ class _RatioEvaluator:
         with np.errstate(all="ignore"):
             return self._ratio(values)
 
+    def ratios(self, V):
+        """The ratio of every row of the (B, m) array V, in one pass over
+        the grid; the cache is left as it was."""
+        with np.errstate(all="ignore"):
+            # contiguous rows and first cells, as _ratio has them, so that
+            # numpy takes the same power loop
+            V = np.asarray(V, dtype=float)
+            V = np.ascontiguousarray(V[:, ::-1] if self._reverse else V)
+            first, later = V[:, 0].copy(), V[:, 1:]
+            _, accs, totals = self._tail(
+                0, first, self._terms(slice(1, None), later))
+            # the source over the later cells, accumulated as _load has it
+            others = self._src_op.accumulate(
+                self._src_terms(slice(1, None), later)[:, ::-1],
+                axis=1)[:, -1]
+            return [self._finish(acc, total, self._source(0, c, rest))
+                    for acc, total, c, rest in zip(
+                        accs, totals, first.tolist(), others.tolist())]
+
     def _ratio(self, values):
         """Load `values` into the per-cell cache and return their ratio."""
         v = np.asarray(values, dtype=float)
         if self._reverse:
             v = v[::-1]
-        if self.sup_inner:
-            self._marks = v[:, None] * self._w
-            self._inner_before = _exclusive(np.maximum,
-                                            self._marks.max(axis=1))
-        else:
-            vp = v ** self.inner_p
-            self._cell_mass = vp * self._inner_cell
-            self._part = vp[:, None] * self._part_half
-            self._inner_before = _exclusive(np.add, self._cell_mass)
-        src = (v if self._src_inf else v ** self.src_p) * self._src_cell
-        op = self._src_op
-        self._src_others = op(_exclusive(op, src),
-                              _exclusive(op, src[::-1])[::-1]).tolist()
-        F, accs, totals = self._tail(0, v[:1])
-        self._outer_before = _exclusive(self._outer_op, self._outer_op.reduce(
-            (F[0] * self._outer_flat).reshape(self.m, self.K),
-            axis=1)).tolist()
-        c = float(v[0])
-        self.src_norm = self._source_norm(self._source(0, c))
-        return self._finish(0, c, accs[0], totals[0])
+        self._load(slice(None), v)
+        G, accs, totals = self._tail(0, self._v[:1])
+        self._outer_from(0, G[0])
+        return self._finish(accs[0], totals[0],
+                            self._source(0, float(self._v[0])))
 
     def _scores(self, i, cands):
         """Ratios of the loaded values with coarse cell i set to each of
-        cands, in order."""
+        cands, in order.  The scoring is kept for `_accept`."""
         j = self.m - 1 - i if self._reverse else i
-        _, accs, totals = self._tail(j, cands)
-        return [self._finish(j, c, acc, total)
+        G, accs, totals = self._tail(j, cands)
+        self._scored = j, G
+        return [self._finish(acc, total, self._source(j, c))
                 for c, acc, total in zip(cands, accs, totals)]
 
-    def _tail(self, j, c):
-        """Cell j (in accumulation order) set to each value of c, the other
-        cells as loaded: the outer integrand G^(1/p2) (raised to q when q is
-        finite) on the subcells of cells j, j+1, ..., and per candidate the
+    def _accept(self, b, c):
+        """Load candidate b, of value c, of the last `_scores` call into the
+        cache, as `_ratio` of the moved values would: the cells before it
+        keep their outer accumulation, and the later ones take theirs from
+        the outer integrand that scoring computed."""
+        j, G = self._scored
+        self._load(slice(j, j + 1), c)
+        self._outer_from(j, G[b])
+
+    def _terms(self, cells, v):
+        """The inner terms of the cells (a slice in accumulation order) at
+        values v (..., cells): the subcell marks when p2 = inf, else the
+        cell masses and the within-cell partial masses."""
+        if self.sup_inner:
+            return v[..., None] * self._w[cells]
+        vp = v ** self.inner_p
+        return (vp * self._inner_cell[cells],
+                vp[..., None] * self._part_half[cells])
+
+    def _src_terms(self, cells, v):
+        """The source terms of the cells at values v (..., cells)."""
+        return (v if self._src_inf else v ** self.src_p) \
+            * self._src_cell[cells]
+
+    def _load(self, cells, v):
+        """Set the cached terms of the cells (a slice in accumulation
+        order) to values v, then redo the inner and source accumulations
+        over the grid.  The terms are computed from the contiguous cache,
+        so that a power of a value is the same however many cells are
+        loaded at once."""
+        self._v[cells] = v
+        v = self._v[cells]
+        if self.sup_inner:
+            self._marks[cells] = self._terms(cells, v)
+            self._inner_before = _exclusive(np.maximum,
+                                            self._marks.max(axis=1))
+        else:
+            self._cell_mass[cells], self._part[cells] = self._terms(cells, v)
+            self._inner_before = _exclusive(np.add, self._cell_mass)
+        self._src[cells] = self._src_terms(cells, v)
+        op = self._src_op
+        self._src_others = op(_exclusive(op, self._src),
+                              _exclusive(op, self._src[::-1])[::-1]).tolist()
+        self.src_norm = self._source_norm(self._source(0, float(self._v[0])))
+
+    def _outer_from(self, j, G):
+        """Redo the outer accumulation before each cell after j from the
+        outer integrand G on the subcells of cells j, j+1, ..., going on
+        from the accumulation before cell j."""
+        op, K = self._outer_op, self.K
+        terms = np.empty(self.m - j)
+        terms[0] = self._outer_before[j]
+        terms[1:] = op.reduce((G[:-K] * self._outer_flat[j * K:-K]).reshape(
+            -1, K), axis=1)
+        self._outer_before[j:] = op.accumulate(terms).tolist()
+
+    def _tail(self, j, c, after=None):
+        """Cell j (in accumulation order) set to each value of c, the later
+        cells as loaded, or per value with the inner terms `after` of
+        `_terms`: the outer integrand G^(1/p2) (raised to q when q is
+        finite) on the subcells of cells j, j+1, ..., and per value the
         outer accumulation over the grid and the inner accumulation over
         the whole grid, as lists of floats."""
         B, rest, K = len(c), self.m - j - 1, self.K
@@ -332,26 +409,30 @@ class _RatioEvaluator:
         own = G[:, 0]
         before = self._inner_before[j]
         if self.sup_inner:
+            marks = self._marks[j + 1:] if after is None else after
             np.multiply(c, self._w[j], out=own)
             np.maximum.accumulate(own, axis=1, out=own)
             np.maximum(own, before, out=own)
             # a later subcell sees the running max up to it
-            run = np.maximum.accumulate(self._marks[j + 1:].ravel())
-            np.maximum(G[:, :1, -1:], run.reshape(rest, K), out=G[:, 1:])
+            run = np.maximum.accumulate(
+                marks.reshape(marks.shape[:-2] + (-1,)), axis=-1)
+            np.maximum(G[:, :1, -1:], run.reshape(marks.shape), out=G[:, 1:])
             total = G[:, -1, -1].copy()
         else:
+            mass, part = (self._cell_mass[j + 1:], self._part[j + 1:]) \
+                if after is None else after
             cp = c if self.inner_p == 1.0 else c ** self.inner_p
             np.multiply(cp, self._part_half[j], out=own)
             own += before
             # the inner accumulation before each later cell: cell j's
-            # candidate mass, then the loaded masses in between; the last
-            # entry is the accumulation over the whole grid
+            # candidate mass, then the masses in between; the last entry is
+            # the accumulation over the whole grid
             met = np.empty((B, rest + 1))
             np.multiply(cp[:, 0], self._inner_cell[j], out=met[:, 0])
             met[:, 0] += before
-            met[:, 1:] = self._cell_mass[j + 1:]
+            met[:, 1:] = mass
             np.add.accumulate(met, axis=1, out=met)
-            np.add(met[:, :-1, None], self._part[j + 1:], out=G[:, 1:])
+            np.add(met[:, :-1, None], part, out=G[:, 1:])
             total = met[:, -1]
         if self._gpow != 1.0:
             G **= self._gpow
@@ -360,30 +441,38 @@ class _RatioEvaluator:
         if self._q_inf:
             accs = np.maximum(self._outer_before[j],
                               np.maximum.reduce(G * outer, axis=1))
-        else:
+        elif after is None:
             accs = G @ outer
             accs += self._outer_before[j]
+        else:
+            # rows apart from the cache each take their own dot product,
+            # which is what _ratio's single row gets from the matrix
+            # product; a product of several rows may round differently
+            accs = np.array([g @ outer for g in G])
         return G, accs.tolist(), total.tolist()
 
-    def _source(self, j, c):
-        """The source accumulation with cell j set to c."""
-        others, x = self._src_others[j], float(self._src_cell[j])
+    def _source(self, j, c, others=None):
+        """The source accumulation with cell j set to c, the other cells
+        accumulating to `others` (by default as loaded)."""
+        if others is None:
+            others = self._src_others[j]
+        x = float(self._src_cell[j])
         if self._src_inf:
             x *= c
             # max(others, x), nan if either is nan, as np.max has it
             return x if x > others or x != x else others
         return others + x * _pow(c, self.src_p)
 
-    def _finish(self, j, c, acc, total):
-        """The ratio with cell j set to c, from the outer accumulation over
-        the grid and the inner accumulation over the whole grid."""
+    def _finish(self, acc, total, src):
+        """The ratio from the outer accumulation over the grid, the inner
+        accumulation over the whole grid and the source accumulation."""
         beyond = self.outer_beyond * _pow(total, self._gpow)
         if self._q_inf:
             morrey = max(acc, beyond)
         else:
             acc += beyond
             morrey = acc ** (1.0 / self.outer_q) if acc > 0 else 0.0
-        src = self._source_norm(self._source(j, c))
+        src = self._source_norm(src)
         top, bottom = (morrey, src) if self.morrey_on_top else (src, morrey)
         if bottom == 0.0:
             return 0.0 if top == 0.0 else _INF
@@ -473,16 +562,16 @@ def _ascent_loop(ev, values, cfg, trace, counter, tracker):
                                  if c > 0 else [1e-6, 1e-3, 1.0])
                      if not x > 1e12]
             taken = None
-            for cand, r in zip(cands, ev._scores(i, cands)):
+            for b, r in enumerate(ev._scores(i, cands)):
                 counter[0] += 1
                 if r > best * (1.0 + 1e-12):
-                    best, taken = r, cand
+                    best, taken = r, b
                     if best > tracker[0]:
                         tracker[0] = best
                         trace.append((counter[0], best))
             if taken is not None:
-                values[i] = taken
-                ev._ratio(values)
+                values[i] = cands[taken]
+                ev._accept(taken, cands[taken])
         src = ev.src_norm
         if 0.0 < src < _INF:
             values /= src
@@ -526,19 +615,21 @@ def best_constant_lower_bound(prob, cfg: OracleConfig = None) -> OracleResult:
     counter = [0]
 
     family_bests = {}
-    best_ratio, best_vals, best_family = 0.0, None, None
-    for fam, vals in _family_members(ev, cfg):
-        r = ev.ratio(vals)
-        counter[0] += 1
-        if math.isinf(r):
-            return OracleResult(ExtReal(_INF), ev.grid_function(vals),
-                                trace + [(counter[0], _INF)],
-                                {fam: _INF})
-        if r > family_bests.get(fam, 0.0):
-            family_bests[fam] = r
-        if r > best_ratio:
-            best_ratio, best_vals, best_family = r, vals.copy(), fam
-            trace.append((counter[0], best_ratio))
+    best_ratio, best_vals = 0.0, None
+    members = _family_members(ev, cfg)
+    while block := list(itertools.islice(members, _BLOCK)):
+        ratios = ev.ratios([vals for _, vals in block])
+        for (fam, vals), r in zip(block, ratios):
+            counter[0] += 1
+            if math.isinf(r):
+                return OracleResult(ExtReal(_INF), ev.grid_function(vals),
+                                    trace + [(counter[0], _INF)],
+                                    {fam: _INF})
+            if r > family_bests.get(fam, 0.0):
+                family_bests[fam] = r
+            if r > best_ratio:
+                best_ratio, best_vals = r, vals
+                trace.append((counter[0], best_ratio))
 
     if best_vals is None or best_ratio == 0.0:
         raise DegenerateRatio("every candidate has zero ratio "
@@ -590,9 +681,9 @@ def divergence_witness(prob, cfg: OracleConfig = None, constant=None):
             "annulus": ((idx >= c) & (idx < c + cells_per_step)).astype(float),
         }
         candidates.append(fams)
-    best_series, best_ratios = None, None
+    best_series, best_ratios, all_ratios = None, None, {}
     for name in ("ball", "complement", "annulus"):
-        ratios = [ev.ratio(c[name]) for c in candidates]
+        ratios = all_ratios[name] = ev.ratios([c[name] for c in candidates])
         finite = [r for r in ratios if math.isfinite(r)]
         if not finite:
             continue
@@ -601,8 +692,6 @@ def divergence_witness(prob, cfg: OracleConfig = None, constant=None):
             best_series = [ev.grid_function(c[name]) for c in candidates]
             best_ratios = ratios
     if best_series is None:
-        all_ratios = {name: [ev.ratio(c[name]) for c in candidates]
-                      for name in ("ball", "complement", "annulus")}
         raise WitnessNotFound(
             "no dyadic family achieved doubling ratio growth",
             ratios=all_ratios)

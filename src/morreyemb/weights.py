@@ -283,8 +283,11 @@ def _ball_slice_measure(n, d, r, rho):
     if not cut.any():
         return out
     rc = rho[cut]
-    gamma = np.arccos(np.clip((rc * rc + d * d - r * r) / (2.0 * rc * d),
-                              -1.0, 1.0))
+    # the polar angle through its half angle, sin^2(gamma / 2) =
+    # (r - (rho - d)) (r + (rho - d)) / (4 rho d), which keeps its digits
+    # where the cosine is near +-1, at the ball's edges rho = d -+ r
+    gamma = 2.0 * np.arcsin(np.sqrt(np.clip(
+        ((d - rc) + r) * ((rc - d) + r) / (4.0 * rc * d), 0.0, 1.0)))
     if n == 2:
         out[cut] = 2.0 * rc * gamma
         return out

@@ -15,7 +15,7 @@ from morreyemb.integration import (_G7, _K15, _NODES, MonotoneIntegrator,
                                    stieltjes_integral)
 from morreyemb.profiles import (ExpProfile, FnProfile, PiecewisePowerProfile,
                                 PowerProfile, ShiftedPowerProfile)
-from morreyemb.weights import _ball_slice_measure
+from morreyemb.weights import _ball_slice_measure, _off_center_ball_integral
 
 INF = math.inf
 
@@ -177,6 +177,37 @@ def test_ball_slice_cap(n):
     want = rho ** (n - 1) * sphere_area(n - 1) * cap
     np.testing.assert_allclose(_ball_slice_measure(n, d, r, rho), want,
                                rtol=1e-13)
+
+
+def _mp_slice(d, r, rho):
+    """2 rho gamma in R^2, with the angle from the law of cosines at 40
+    digits."""
+    with mpmath.workdps(40):
+        R, D, Rr = mpmath.mpf(rho), mpmath.mpf(d), mpmath.mpf(r)
+        return 2 * R * mpmath.acos((R * R + D * D - Rr * Rr) / (2 * R * D))
+
+
+@pytest.mark.parametrize("offset", [1e-12, 1e-9, 1e-6])
+def test_ball_slice_angle_near_the_edges(offset):
+    # a small ball far out: the cosine of the angle is within 1e-4 of +-1
+    # on the whole cut, and within offset / r of it next to the edges
+    d, r = 10.0, 0.1
+    rho = np.array([d - r + offset, d, d + r - offset])
+    got = _ball_slice_measure(2, d, r, rho)
+    want = [_mp_slice(d, r, x) for x in rho]
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-15 * w
+
+
+def test_off_center_ball_integral_of_root_weight():
+    # |x|^(1/2) over B(x0, 0.1), |x0| = 10, in R^2: the integral over
+    # (d - r, d + r) of rho^(1/2) times the slice measure 2 rho gamma
+    d, r = 10.0, 0.1
+    with mpmath.workdps(30):
+        want = mpmath.quad(lambda x: mpmath.sqrt(x) * _mp_slice(d, r, x),
+                           [d - r, d, d + r])
+    got = _off_center_ball_integral(PowerProfile(1.0, 0.5), 2, d, r, None)
+    assert got == pytest.approx(float(want), rel=1e-13, abs=0.0)
 
 
 class TestStieltjes:

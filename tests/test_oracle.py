@@ -11,7 +11,7 @@ from morreyemb.errors import DegenerateRatio, WitnessNotFound
 from morreyemb.hardy import HardyProblem, hardy_A
 from morreyemb.embeddings import EmbeddingProblem
 from morreyemb.integration import ball_volume, sphere_area
-from morreyemb.oracle import (OracleConfig, _RatioEvaluator,
+from morreyemb.oracle import (OracleConfig, _RatioEvaluator, _family_members,
                               best_constant_lower_bound, divergence_witness,
                               equivalence_report)
 from morreyemb.profiles import (ExpProfile, PowerProfile,
@@ -320,3 +320,123 @@ def test_averaged_operator_lower_bound_pinned(n):
     res = best_constant_lower_bound(prob, cfg)
     assert float(res.lower_bound) == pytest.approx(
         AVERAGED_LOWER_BOUNDS[n], rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# an accepted candidate loaded from its own scoring, and rows scored together
+
+_FRESH = {}
+
+
+def _fresh(name):
+    """A second evaluator of the problem, to load values from scratch."""
+    if name not in _FRESH:
+        _FRESH[name] = _RatioEvaluator(SCORED[name], SCORE_CFG)
+    return _FRESH[name]
+
+
+def _cache(ev):
+    """The cache's fields as bytes, to be compared bitwise."""
+    fields = ["_v", "_src", "_inner_before", "_src_others", "_outer_before",
+              "src_norm"]
+    fields += ["_marks"] if ev.sup_inner else ["_cell_mass", "_part"]
+    return {f: np.asarray(getattr(ev, f), dtype=float).tobytes()
+            for f in fields}
+
+
+moves = st.lists(st.tuples(st.integers(0, 15), candidates, st.integers(0, 4)),
+                 min_size=1, max_size=3)
+
+
+@pytest.mark.parametrize("name", sorted(SCORED))
+@settings(max_examples=40, deadline=None)
+@given(values=st.lists(cell_values, min_size=16, max_size=16), moves=moves,
+       i=st.integers(0, 15), cands=candidates)
+@example(values=[1.0] * 16, moves=[(0, [0.0, 1e12], 1), (15, [0.5], 0)],
+         i=0, cands=[2.0])
+@example(values=[0.0] * 15 + [1.0], moves=[(15, [0.0, 0.25, 4.0], 2)],
+         i=14, cands=[1e-6])
+def test_accept_loads_as_a_full_ratio(name, values, moves, i, cands):
+    ev, ref = _evaluator(name), _fresh(name)
+    moved = list(values)
+    with np.errstate(all="ignore"):
+        ev._ratio(moved)
+        for cell, move_cands, b in moves:
+            b %= len(move_cands)
+            ev._scores(cell, move_cands)
+            ev._accept(b, move_cands[b])
+            moved[cell] = move_cands[b]
+        ref._ratio(moved)
+        assert _cache(ev) == _cache(ref)
+        assert ev._scores(i, cands) == ref._scores(i, cands)
+
+
+@pytest.mark.parametrize("name", sorted(SCORED))
+@settings(max_examples=40, deadline=None)
+@given(rows=st.lists(st.lists(st.one_of(cell_values, st.just(1e12)),
+                              min_size=16, max_size=16),
+                     min_size=1, max_size=4))
+@example(rows=[[0.0] * 16, [1.0] * 16, [1.0] * 8 + [0.0] * 8])
+def test_row_ratios_equal_ratio(name, rows):
+    ev = _evaluator(name)
+    got = ev.ratios(np.array(rows))
+    assert len(got) == len(rows)
+    for row, score in zip(rows, got):
+        want = ev.ratio(row)
+        if want == 0.0 or math.isinf(want):
+            assert score == want
+        else:
+            assert score == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def _families_one_at_a_time(prob, cfg):
+    """The family stage of best_constant_lower_bound, each member scored
+    by its own full evaluation, up to the first infinite member."""
+    ev = _RatioEvaluator(prob, cfg)
+    trace, best = [], 0.0
+    for count, (fam, vals) in enumerate(_family_members(ev, cfg), 1):
+        r = ev.ratio(vals)
+        if math.isinf(r):
+            return vals, trace + [(count, INF)], {fam: INF}
+        if r > best:
+            best = r
+            trace.append((count, r))
+    raise AssertionError("no infinite member")
+
+
+def test_block_with_infinite_member_matches_one_at_a_time():
+    # v vanishes beyond 1, so a complement reaching no further in has no
+    # target and an infinite reverse ratio; the first such member is the
+    # 27th, inside the second block
+    prob = HardyProblem("reverse", 0.5, 2.0,
+                        truncated_power(1.0, -1.0, None, 1.0), ONE)
+    vals, trace, bests = _families_one_at_a_time(prob, SMALL)
+    res = best_constant_lower_bound(prob, SMALL)
+    assert res.lower_bound.is_inf
+    assert np.array_equal(res.argmax.values, vals)
+    assert res.family_bests == bests
+    assert [k for k, _ in res.trace] == [k for k, _ in trace]
+    assert trace[-1] == (27, INF) and res.trace[-1] == (27, INF)
+    assert [r for _, r in res.trace[:-1]] == pytest.approx(
+        [r for _, r in trace[:-1]], rel=1e-12, abs=0.0)
+
+
+def test_witness_not_found_reports_every_ratio():
+    # a finite problem passed as infinite: no family doubles, and the
+    # reported ratios are those of the candidates
+    with pytest.raises(WitnessNotFound) as info:
+        divergence_witness(BENCHMARK, SMALL, constant=INF)
+    wide = OracleConfig(grid_cells=SMALL.grid_cells, knot_range=(1e-9, 1e9),
+                        restarts=1, ascent_sweeps=0, seed=SMALL.seed)
+    ev = _RatioEvaluator(BENCHMARK, wide)
+    m = ev.m
+    idx = np.arange(m)
+    step = m // 14
+    for name, member in (
+            ("ball", lambda c: idx < c),
+            ("complement", lambda c: idx >= m - c),
+            ("annulus", lambda c: (idx >= c) & (idx < c + step))):
+        want = [ev.ratio(member(step * (k + 1)).astype(float))
+                for k in range(12)]
+        assert info.value.ratios[name] == pytest.approx(want, rel=1e-12,
+                                                        abs=0.0)
