@@ -207,6 +207,8 @@ def cmd_verify(args) -> int:
     doc = load_spec(args.spec)
     prob = parse_problem(doc)
     cfg = parse_oracle_config(doc, args)
+    floor = _number(doc.get("oracle", {}).get("ratio_floor", 0.25),
+                    "ratio_floor")
     case = _case_string(prob)
     const = closed_form_constant(prob)
     value = float(const)
@@ -218,7 +220,6 @@ def cmd_verify(args) -> int:
                          "ratios": [float(r) for r in ratios]}), args)
         return EXIT_OK
     rep = equivalence_report(prob, cfg, constant=const)
-    floor = doc.get("oracle", {}).get("ratio_floor", 0.25)
     ok = rep.ratio_low >= floor
     _emit(dump_json({
         "case": case, "value": value, "mode": "equivalence",
@@ -278,7 +279,12 @@ def cmd_sweep(args) -> int:
                     "omega_support", "oracle"}, "sweep")
     direction = s.get("direction", "lebesgue_to_lm")
     n = int(s.get("n", 1))
-    lo, hi = s.get("omega_support", [1.0, None])
+    support = s.get("omega_support", [1.0, None])
+    if not (isinstance(support, list) and len(support) == 2):
+        raise SpecError(f"omega_support: expected [lo, hi], got {support!r}")
+    lo = _number(support[0], "omega_support lo")
+    hi = None if support[1] is None else _number(support[1],
+                                                 "omega_support hi")
     run_oracle = bool(s.get("oracle", False))
     cfg = parse_oracle_config(doc, args) if run_oracle else None
 
@@ -294,8 +300,8 @@ def cmd_sweep(args) -> int:
             axis("alpha") or [0.0], axis("beta")):
         prefix = (f"{direction},{n},{fmt(p1)},{fmt(p2)},{fmt(theta)},"
                   f"{fmt(alpha)},{fmt(beta)}")
-        omega = profile_from_dict({"kind": "truncated_power", "c": 1.0,
-                                   "alpha": beta, "lo": lo, "hi": hi})
+        omega = _profile({"kind": "truncated_power", "c": 1.0,
+                          "alpha": beta, "lo": lo, "hi": hi}, "omega")
         v1 = Weight(n, profile_from_dict(
             {"kind": "power", "c": 1.0, "alpha": alpha}))
         v2 = Weight(n, constant_profile(1.0))
@@ -340,29 +346,38 @@ def cmd_sweep(args) -> int:
 
 
 def build_parser():
+    """A fresh parser of the five subcommands; ``main`` builds one on its
+    first call and reuses it."""
     ap = argparse.ArgumentParser(
         prog="morreyemb",
         description="Embedding constants between weighted local Morrey-type "
                     "and Lebesgue spaces, with a brute-force verification "
                     "oracle.")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, fn in (("constant", cmd_constant), ("verify", cmd_verify),
-                     ("sweep", cmd_sweep), ("associate", cmd_associate),
-                     ("oracle", cmd_oracle)):
+    for name in ("constant", "verify", "sweep", "associate", "oracle"):
         p = sub.add_parser(name)
         p.add_argument("--spec", required=True, help="JSON problem spec")
         p.add_argument("--out", default=None, help="output CSV path")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--cells", type=int, default=None)
         p.add_argument("--quiet", action="store_true")
-        p.set_defaults(fn=fn)
     return ap
 
 
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
+    # looked up per call, so the shared parser holds no function
+    run = {"constant": cmd_constant, "verify": cmd_verify,
+           "sweep": cmd_sweep, "associate": cmd_associate,
+           "oracle": cmd_oracle}[args.command]
     try:
-        return args.fn(args)
+        return run(args)
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_SPEC

@@ -9,6 +9,7 @@ to the best constant up to exponent-dependent factors, never claimed equal.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -76,6 +77,14 @@ class HardyProblem:
             else Side.BALL
 
 
+@functools.lru_cache(maxsize=16)
+def _scan_grid(lo, hi, grid):
+    """np.geomspace(lo, hi, grid), built once per process and read-only."""
+    ts = np.geomspace(lo, hi, grid)
+    ts.flags.writeable = False
+    return ts
+
+
 def sup_over_t(fn, lo=1e-6, hi=1e6, grid=512, refine_iters=80) -> ExtReal:
     """sup_{t > 0} fn(t) for a continuous, eventually monotone fn >= 0.
 
@@ -84,7 +93,7 @@ def sup_over_t(fn, lo=1e-6, hi=1e6, grid=512, refine_iters=80) -> ExtReal:
     scalar calls extend it outward while the boundary keeps winning and
     refine the best interior bracket by golden section in log t.
     """
-    ts = np.geomspace(lo, hi, grid)
+    ts = _scan_grid(lo, hi, grid)
     vals = _values(fn, ts)
     if np.isnan(vals).any():
         raise ValueError("sup_over_t: fn is nan on the scan grid")

@@ -12,6 +12,7 @@ with randomized restarts.  Everything is serial and seed-deterministic.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -89,13 +90,22 @@ class OracleResult:
         return json.dumps(doc)
 
 
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre01(gl):
+    """The gl-point Gauss-Legendre nodes and weights on [0, 1], built once
+    per process and read-only."""
+    x01, w01 = np.polynomial.legendre.leggauss(gl)
+    x01 = 0.5 * (x01 + 1.0)
+    w01 = 0.5 * w01
+    x01.flags.writeable = w01.flags.writeable = False
+    return x01, w01
+
+
 def _subcell_masses(profile, edges, n=1, sigma=1.0, gl=4):
     """Integral of profile(rho) * rho^(n-1) * sigma over each subcell; the
     defaults integrate a function of the outer variable.  ``profile`` is
     called once, on the array of all quadrature nodes."""
-    x01, w01 = np.polynomial.legendre.leggauss(gl)
-    x01 = 0.5 * (x01 + 1.0)
-    w01 = 0.5 * w01
+    x01, w01 = _gauss_legendre01(gl)
     lo, hi = edges[:-1], edges[1:]
     xs = lo[:, None] + (hi - lo)[:, None] * x01[None, :]
     ws = (hi - lo)[:, None] * w01[None, :]

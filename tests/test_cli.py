@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from morreyemb import cli, hardy, oracle
 from morreyemb.cli import (EXIT_CONTRACT, EXIT_OK, EXIT_SPEC, dump_json, fmt,
                            main)
 from morreyemb.norms import GridFunction
@@ -121,6 +122,19 @@ class TestVerify:
         assert len(calls) == 1
 
 
+    def test_bad_ratio_floor_is_a_spec_error(self, tmp_path, capsys,
+                                             monkeypatch):
+        calls = []
+        monkeypatch.setattr(oracle, "embedding_constant",
+                            lambda *a, **k: calls.append(a))
+        doc = dict(CASE_VI)
+        doc["oracle"] = {"grid_cells": 48, "restarts": 1, "ratio_floor": "x"}
+        spec = write_spec(tmp_path, doc)
+        assert main(["verify", "--spec", spec]) == EXIT_SPEC
+        assert "spec error: ratio_floor" in capsys.readouterr().err
+        assert calls == []
+
+
 class TestOracle:
     @pytest.mark.parametrize("bad", [{"knot_range": [0, 1e4]},
                                      {"knot_range": [1e4, 1e-4]},
@@ -188,6 +202,15 @@ class TestSweep:
         assert main(["sweep", "--spec", spec, "--out", str(out)]) == EXIT_OK
         assert len(out.read_text().splitlines()) == 1
 
+    @pytest.mark.parametrize("support", [[1.0], ["a", None], [1.0, "b"],
+                                         [1.0, None, 2.0], "x", None])
+    def test_bad_omega_support_is_a_spec_error(self, tmp_path, capsys,
+                                               support):
+        doc = {"sweep": dict(self.SWEEP["sweep"], omega_support=support)}
+        spec = write_spec(tmp_path, doc)
+        assert main(["sweep", "--spec", spec]) == EXIT_SPEC
+        assert "spec error: omega_support" in capsys.readouterr().err
+
     def test_round_trip_against_constant(self, tmp_path, capsys):
         spec = write_spec(tmp_path, self.SWEEP)
         out = tmp_path / "sweep.csv"
@@ -204,3 +227,81 @@ class TestSweep:
         assert main(["constant", "--spec", spec2]) == EXIT_OK
         again = json.loads(capsys.readouterr().out)["value"]
         assert again == pytest.approx(value, rel=1e-12)
+
+
+class TestReuse:
+    """What ``main`` builds once per process carries nothing between
+    calls."""
+
+    def run(self, argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        out = capsys.readouterr()
+        return out.out, out.err, code
+
+    def test_parser_built_once(self, tmp_path, capsys, monkeypatch):
+        built = []
+        real = cli.build_parser
+
+        def counted():
+            built.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "_PARSER", None, raising=False)
+        monkeypatch.setattr(cli, "build_parser", counted)
+        spec = write_spec(tmp_path, CASE_VI)
+        for _ in range(3):
+            assert main(["constant", "--spec", spec]) == EXIT_OK
+        assert len(built) == 1
+
+    def test_calls_match_a_fresh_parser(self, tmp_path, capsys, monkeypatch):
+        spec = write_spec(tmp_path, CASE_VI)
+        doc = dict(CASE_VI)
+        doc["oracle"] = {"grid_cells": 48, "restarts": 1, "ascent_sweeps": 1}
+        ospec = write_spec(tmp_path, doc, "oracle.json")
+        bad = write_spec(tmp_path, dict(CASE_VI, extra_knob=1), "bad.json")
+        out = str(tmp_path / "row.csv")
+        calls = [
+            ["constant", "--spec", spec, "--quiet"],
+            ["constant", "--spec", spec],
+            ["constant", "--spec", spec, "--out", out],
+            ["constant", "--spec", spec],
+            ["oracle", "--spec", ospec, "--seed", "3", "--cells", "32"],
+            ["oracle", "--spec", ospec],
+            ["constant", "--spec", bad],
+            ["verify"],
+            ["sweep", "--help"],
+            ["constant", "--spec", spec],
+        ]
+        fresh = []
+        for argv in calls:
+            monkeypatch.setattr(cli, "_PARSER", None, raising=False)
+            fresh.append(self.run(argv, capsys))
+        monkeypatch.setattr(cli, "_PARSER", None, raising=False)
+        shared = [self.run(argv, capsys) for argv in calls]
+        assert shared == fresh
+        codes = [r[2] for r in shared]
+        assert codes == [EXIT_OK] * 6 + [EXIT_SPEC, ("SystemExit", 2),
+                                         ("SystemExit", 0), EXIT_OK]
+        assert shared[0][0] == "" and shared[1][0] != ""
+        assert shared[4][0] != shared[5][0]
+        assert "the following arguments are required: --spec" in shared[7][1]
+        assert shared[8][0].startswith("usage: morreyemb sweep")
+
+    def test_scan_grid_is_geomspace_and_read_only(self):
+        ts = hardy._scan_grid(1e-6, 1e6, 512)
+        assert ts.tobytes() == np.geomspace(1e-6, 1e6, 512).tobytes()
+        assert hardy._scan_grid(1e-6, 1e6, 512) is ts
+        with pytest.raises(ValueError):
+            ts[0] = 1.0
+
+    @pytest.mark.parametrize("gl", [1, 4, 7])
+    def test_nodes_are_leggauss(self, gl):
+        x, w = np.polynomial.legendre.leggauss(gl)
+        x01, w01 = oracle._gauss_legendre01(gl)
+        assert x01.tobytes() == (0.5 * (x + 1.0)).tobytes()
+        assert w01.tobytes() == (0.5 * w).tobytes()
+        with pytest.raises(ValueError):
+            w01[0] = 1.0
