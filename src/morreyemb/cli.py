@@ -89,6 +89,13 @@ def _number(x, name):
     return float(x)
 
 
+def _dimension(doc):
+    n = doc.get("n", 1)
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise SpecError(f"n: expected a positive integer, got {n!r}")
+    return n
+
+
 def _check_keys(doc, allowed, where):
     extra = set(doc) - set(allowed)
     if extra:
@@ -112,6 +119,9 @@ def load_spec(path):
         raise SpecError(f"spec is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SpecError("spec must be a JSON object")
+    for key in ("hardy", "weights", "oracle", "output"):
+        if not isinstance(doc.get(key, {}), dict):
+            raise SpecError(f"{key}: expected a JSON object, got {doc[key]!r}")
     return doc
 
 
@@ -126,7 +136,7 @@ def parse_problem(doc):
                 h.get("variant", "direct"),
                 _number(h["p"], "p"), _number(h["q"], "q"),
                 _profile(h["v"], "v"),
-                Weight(int(h.get("n", 1)), _profile(h["w"], "w")))
+                Weight(_dimension(h), _profile(h["w"], "w")))
         except KeyError as exc:
             raise SpecError(f"hardy spec missing key {exc}") from exc
         except (ValueError, MorreyError) as exc:
@@ -138,7 +148,7 @@ def parse_problem(doc):
             raise SpecError(f"spec missing key {key!r}")
     w = doc["weights"]
     _check_keys(w, {"v1", "v2", "omega"}, "weights")
-    n = int(doc.get("n", 1))
+    n = _dimension(doc)
     try:
         return EmbeddingProblem(
             doc["direction"], n,
@@ -255,7 +265,7 @@ def cmd_associate(args) -> int:
         f = GridFunction.from_csv(a["function_csv"])
     except (OSError, ValueError) as exc:
         raise SpecError(f"bad function CSV: {exc}") from exc
-    n = int(a.get("n", 1))
+    n = _dimension(a)
     v = Weight(n, _profile(a["v"], "v")) if "v" in a \
         else Weight(n, constant_profile(1.0))
     value = float(associate_norm(
@@ -278,7 +288,7 @@ def cmd_sweep(args) -> int:
     _check_keys(s, {"direction", "n", "p1", "p2", "theta", "alpha", "beta",
                     "omega_support", "oracle"}, "sweep")
     direction = s.get("direction", "lebesgue_to_lm")
-    n = int(s.get("n", 1))
+    n = _dimension(s)
     support = s.get("omega_support", [1.0, None])
     if not (isinstance(support, list) and len(support) == 2):
         raise SpecError(f"omega_support: expected [lo, hi], got {support!r}")

@@ -194,14 +194,16 @@ def _lebesgue_to_morrey(prob, tag, cfg) -> ExtReal:
     def inner(t):
         return side.region_norm(g, sigma, n, t, cfg)
 
+    breaks = _breaks(om, g)
     if tag.case_id in ("i", "iii", "iv", "vi", "viii"):
         return sup_over_t(
-            lambda t: ext_mul(side.outer_norm(om, th, t, cfg), inner(t)))
+            lambda t: ext_mul(side.outer_norm(om, th, t, cfg), inner(t)),
+            breaks)
     if tag.case_id in ("v", "ix"):
         def integrand(t):
             return ext_pow(ext_mul(om(t), inner(t)), th)
 
-        val = _halfline(integrand, _breaks(om, g), cfg)
+        val = _halfline(integrand, breaks, cfg)
         return ext_pow(val, 1.0 / th)
     # (ii) and (vii): weighted s-norm with weight omega^theta
     p1 = prob.p1
@@ -212,7 +214,7 @@ def _lebesgue_to_morrey(prob, tag, cfg) -> ExtReal:
         core = ext_mul(ext_pow(outer, th / p1), inner(t))
         return ext_mul(ext_pow(core, s), ext_pow(om(t), th))
 
-    val = _halfline(integrand, _breaks(om, g), cfg)
+    val = _halfline(integrand, breaks, cfg)
     return ext_pow(val, 1.0 / s)
 
 
@@ -227,7 +229,8 @@ def _morrey_to_lebesgue(prob, tag, cfg) -> ExtReal:
 
     if tag.case_id == "a":
         return sup_over_t(
-            lambda t: ext_div(source(t), side.outer_norm(om, th, t, cfg)))
+            lambda t: ext_div(source(t), side.outer_norm(om, th, t, cfg)),
+            _breaks(om, g))
     # (b): Stieltjes integral against the renormalized outer norm; f and
     # h take arrays of t
     p1 = prob.p1
@@ -305,10 +308,11 @@ def associate_norm(f: GridFunction, kind, p, theta, omega: RadialProfile,
     # prefix-sum evaluator of the dual norm over the other side's region
     # at t > 0: one lookup answers a whole array of radii
     inner_eval = _inner_norm(f, pp, dual_w, side.other)
+    breaks = _breaks(omega) + tuple(f.knots)
 
     if th <= 1.0:
         return sup_over_t(lambda t: ext_div(
-            inner_eval(t), side.outer_norm(omega, th, t, cfg)))
+            inner_eval(t), side.outer_norm(omega, th, t, cfg)), breaks)
     tp = 1.0 if math.isinf(th) else th / (th - 1.0)
 
     # the integrand and the integrator take arrays of t
@@ -319,7 +323,7 @@ def associate_norm(f: GridFunction, kind, p, theta, omega: RadialProfile,
         return ext_pow(side.outer_norm_limit(omega, th, t, cfg), -tp)
 
     integ = MonotoneIntegrator.from_function(
-        h, side.direction, jump_points=_breaks(omega) + tuple(f.knots),
+        h, side.direction, jump_points=breaks,
         infinite_from=side.infinite_from(omega))
     main = stieltjes_integral(integrand, integ, (0.0, _INF), cfg)
     full = tail_norm(omega, th, 0.0, cfg)
@@ -344,7 +348,8 @@ def unweighted_reference(p1, p2, theta, omega: RadialProfile, n,
     s = _s_exponent(p1, th) if th < p1 else _INF
     if math.isinf(s):
         return sup_over_t(
-            lambda t: ext_mul(t ** delta, tail_norm(omega, th, t, cfg)))
+            lambda t: ext_mul(t ** delta, tail_norm(omega, th, t, cfg)),
+            _breaks(omega))
 
     def integrand(t):
         return ext_mul(t ** (delta * s - 1.0),

@@ -9,6 +9,7 @@ at this layer.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -98,84 +99,70 @@ class ExtReal:
     __radd__ = __add__
 
 
-def _coerce(x) -> float:
-    if isinstance(x, ExtReal):
-        return x.value
-    x = float(x)
-    if math.isnan(x) or x < 0.0:
-        raise ValueError(f"expected a value in [0, inf], got {x}")
-    return x
-
-
 EXT_INF = ExtReal(math.inf)
 EXT_ZERO = ExtReal(0.0)
 
 
-def _coerce_array(x):
+def _coerce(x):
+    """x, an ExtReal, a value or an array of values, as a float array."""
     x = np.asarray(x.value if isinstance(x, ExtReal) else x, dtype=float)
-    if np.any(np.isnan(x) | (x < 0.0)):
+    if not (x >= 0.0).all():   # false at nan too
         raise ValueError("expected values in [0, inf], got nan or negative")
     return x
 
 
+def scalar_results(convert):
+    """Decorator for a public function of an array layer: a call with no
+    ndarray among its positional arguments (or the ends of an interval
+    tuple) runs on the same array path, and its result is converted once,
+    by convert (float or ExtReal), on the way out."""
+    def wrap(fn):
+        @functools.wraps(fn)
+        def public(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            # an array result with an axis can only come from array
+            # arguments
+            if out is None or getattr(out, "ndim", 0) or any(
+                    isinstance(x, np.ndarray) or isinstance(x, tuple)
+                    and any(isinstance(y, np.ndarray) for y in x)
+                    for x in args):
+                return out
+            return convert(out)
+        return public
+    return wrap
+
+
+@scalar_results(ExtReal)
 def ext_mul(a, b) -> ExtReal:
     """Product with 0 * inf = 0.  An array factor gives the float array
     of products, broadcast, with the same convention."""
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        a, b = _coerce_array(a), _coerce_array(b)
-        with np.errstate(invalid="ignore", over="ignore"):
-            return np.where((a == 0.0) | (b == 0.0), 0.0, a * b)
     a, b = _coerce(a), _coerce(b)
-    if a == 0.0 or b == 0.0:
-        return EXT_ZERO
-    return ExtReal(a * b)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return np.where((a == 0.0) | (b == 0.0), 0.0, a * b)
 
 
+@scalar_results(ExtReal)
 def ext_div(a, b) -> ExtReal:
     """Quotient with 0/0 = 0, x/inf = 0, x/0 = inf (x > 0), inf/inf = inf.
     An array operand gives the float array of quotients, broadcast, with
     the same conventions."""
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        a, b = _coerce_array(a), _coerce_array(b)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            q = a / b   # nan only at 0/0 and inf/inf
-        return np.where(a == 0.0, 0.0, np.where(np.isnan(q), math.inf, q))
     a, b = _coerce(a), _coerce(b)
-    if a == 0.0:
-        return EXT_ZERO
-    if math.isinf(a):
-        return EXT_INF
-    if b == 0.0:
-        return EXT_INF
-    if math.isinf(b):
-        return EXT_ZERO
-    return ExtReal(a / b)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        q = a / b   # nan only at 0/0 and inf/inf
+    return np.where(a == 0.0, 0.0, np.where(np.isnan(q), math.inf, q))
 
 
+@scalar_results(ExtReal)
 def ext_pow(a, e) -> ExtReal:
     """Power a^e for a in [0, inf], real e; 0^0 and inf^0 are rejected.
 
     An array base gives the float array of powers with the same
     conventions (0^e = inf for e < 0, inf^e = 0, overflow to inf)."""
-    e = float(e)
-    if isinstance(a, np.ndarray):
-        if e == 0.0 and np.any((a == 0.0) | np.isinf(a)):
-            raise IndeterminatePower("0^0 or inf^0 is indeterminate")
-        with np.errstate(divide="ignore", over="ignore"):
-            return np.power(a, e)
-    a = _coerce(a)
-    if e == 0.0:
-        if a == 0.0 or math.isinf(a):
-            raise IndeterminatePower(f"{a}^0 is indeterminate")
-        return ExtReal(1.0)
-    if a == 0.0:
-        return EXT_INF if e < 0.0 else EXT_ZERO
-    if math.isinf(a):
-        return EXT_ZERO if e < 0.0 else EXT_INF
-    try:
-        return ExtReal(a ** e)
-    except OverflowError:
-        return EXT_INF
+    a, e = _coerce(a), float(e)
+    if e == 0.0 and np.any((a == 0.0) | np.isinf(a)):
+        raise IndeterminatePower("0^0 or inf^0 is indeterminate")
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.power(a, e)
 
 
 def conjugate_exponent(p) -> ExtReal:

@@ -85,64 +85,62 @@ def _scan_grid(lo, hi, grid):
     return ts
 
 
-def sup_over_t(fn, lo=1e-6, hi=1e6, grid=512, refine_iters=80) -> ExtReal:
+def sup_over_t(fn, breakpoints=()) -> ExtReal:
     """sup_{t > 0} fn(t) for a continuous, eventually monotone fn >= 0.
 
-    fn takes an array of t (a scalar result is broadcast) as well as a
-    single t.  One array call scans a log grid, which must hold no nan;
-    scalar calls extend it outward while the boundary keeps winning and
-    refine the best interior bracket by golden section in log t.
+    fn takes a 1-D float array of t and returns the values there (a scalar
+    result is broadcast); it is never called with a single t.  One call
+    scans the 512-point log grid on [1e-6, 1e6] together with the
+    breakpoints of the data and a decade beyond the outermost ones, all
+    clipped to [1e-18, 1e18].  When an end of the scan wins, one call
+    extends it by the points t 4^k out to 1e-18 or 1e18; that end still
+    winning by more than 1e-9 reads inf.  Zoom rounds of 2047 points then
+    narrow the bracket around the best point until it is under 1e-12 in
+    log t.  An inf value reads inf, and a nan raises ValueError.
     """
-    ts = _scan_grid(lo, hi, grid)
-    vals = _values(fn, ts)
-    if np.isnan(vals).any():
-        raise ValueError("sup_over_t: fn is nan on the scan grid")
+    breaks = np.asarray(breakpoints, dtype=float)
+    if breaks.size:
+        breaks = np.append(breaks, [breaks.min() / 10.0, breaks.max() * 10.0])
+    # sorted without repeats; np.union1d would load numpy.ma on first use
+    ts = np.sort(np.append(_scan_grid(1e-6, 1e6, 512),
+                           np.clip(breaks, 1e-18, 1e18)))
+    ts = ts[np.diff(ts, prepend=0.0) > 0.0]
+    vals = _checked(fn, ts)
     if np.isinf(vals).any():
         return ExtReal(_INF)
-    ts, vals = list(ts), vals.tolist()
-
-    # extend while the sup sits on a growing boundary
-    for _ in range(40):
-        i = int(np.argmax(vals))
-        if i == 0 and vals[0] >= vals[1]:
-            end, inner, at, t_new = 0, 1, 0, ts[0] / 4.0
-        elif i == len(ts) - 1 and vals[-1] >= vals[-2]:
-            end, inner, at, t_new = -1, -2, len(ts), ts[-1] * 4.0
-        else:
-            break
-        if not 1e-18 <= t_new <= 1e18:
-            if vals[end] > vals[inner] * (1.0 + 1e-9):
-                return ExtReal(_INF)
-            break
-        v = float(fn(t_new))
-        if math.isinf(v):
-            return ExtReal(_INF)
-        ts.insert(at, t_new)
-        vals.insert(at, v)
-
     i = int(np.argmax(vals))
-    a = math.log(ts[max(i - 1, 0)])
-    b = math.log(ts[min(i + 1, len(ts) - 1)])
-    best = vals[i]
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - phi * (b - a)
-    x2 = a + phi * (b - a)
-    f1, f2 = float(fn(math.exp(x1))), float(fn(math.exp(x2)))
-    for _ in range(refine_iters):
-        if math.isinf(f1) or math.isinf(f2):
+    if i in (0, ts.size - 1):
+        up = i > 0
+        k = np.arange(1, 1 + int(math.log(1e18 / ts[-1] if up
+                                          else ts[0] / 1e-18, 4.0)))
+        if k.size:
+            # an inf among these points is the supremum, read below
+            more = ts[i] * (4.0 if up else 0.25) ** k
+            ts, vals = np.append(ts, more), np.append(vals, _checked(fn, more))
+            order = np.argsort(ts)
+            ts, vals = ts[order], vals[order]
+            i = int(np.argmax(vals))
+        end, inner = (ts.size - 1, -2) if up else (0, 1)
+        if i == end and vals[end] > vals[inner] * (1.0 + 1e-9):
             return ExtReal(_INF)
-        best = max(best, f1, f2)
-        if b - a < 1e-12:
-            break
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + phi * (b - a)
-            f2 = float(fn(math.exp(x2)))
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - phi * (b - a)
-            f1 = float(fn(math.exp(x1)))
+    best = vals[i]
+    a = math.log(ts[max(i - 1, 0)])
+    b = math.log(ts[min(i + 1, ts.size - 1)])
+    while b - a >= 1e-12 and best < _INF:
+        xs = np.linspace(a, b, 2049)
+        zoom = _checked(fn, np.exp(xs[1:-1]))
+        j = int(np.argmax(zoom)) + 1
+        best = max(best, zoom[j - 1])
+        a, b = xs[j - 1], xs[j + 1]
     return ExtReal(best)
+
+
+def _checked(fn, ts):
+    """fn on ts; a nan raises ValueError."""
+    vals = _values(fn, ts)
+    if np.isnan(vals).any():
+        raise ValueError("sup_over_t: fn is nan")
+    return vals
 
 
 def _halfline(fn, breakpoints=(), cfg=None) -> ExtReal:
@@ -182,6 +180,7 @@ def _direct_functional(prob: HardyProblem, cfg) -> ExtReal:
     side = prob.side
     cfg = cfg or DEFAULT_CONFIG
     pp = float(conjugate_exponent(p))
+    breaks = _breaks(v, w)
 
     def V_outer(t):
         return side.outer_norm(v, 1.0, t, cfg) ** 1.0
@@ -202,7 +201,7 @@ def _direct_functional(prob: HardyProblem, cfg) -> ExtReal:
         # (a)
         return sup_over_t(
             lambda t: ext_mul(ext_pow(V_outer(t), 1.0 / q),
-                              ext_pow(W_region(t), 1.0 / pp)))
+                              ext_pow(W_region(t), 1.0 / pp)), breaks)
     if 1.0 < p < _INF and 0.0 < q < p:
         # (b)
         r = 1.0 / (1.0 / q - 1.0 / p)
@@ -211,24 +210,25 @@ def _direct_functional(prob: HardyProblem, cfg) -> ExtReal:
             return ext_mul(ext_mul(ext_pow(V_outer(t), r / p), v(t)),
                            ext_pow(W_region(t), r / pp))
 
-        return ext_pow(_halfline(integrand, _breaks(v, w), cfg), 1.0 / r)
+        return ext_pow(_halfline(integrand, breaks, cfg), 1.0 / r)
     if 1.0 < p < _INF and math.isinf(q):
         # (c)
         return sup_over_t(
-            lambda t: ext_mul(V_sup(t), ext_pow(W_region(t), 1.0 / pp)))
+            lambda t: ext_mul(V_sup(t), ext_pow(W_region(t), 1.0 / pp)),
+            breaks)
     if math.isinf(p) and math.isinf(q):
         # (d)
-        return sup_over_t(lambda t: ext_mul(V_sup(t), W_recip(t)))
+        return sup_over_t(lambda t: ext_mul(V_sup(t), W_recip(t)), breaks)
     if math.isinf(p):
         # (e)
         def integrand(t):
             return ext_mul(v(t), ext_pow(W_recip(t), q))
 
-        return ext_pow(_halfline(integrand, _breaks(v, w), cfg), 1.0 / q)
+        return ext_pow(_halfline(integrand, breaks, cfg), 1.0 / q)
     if p == 1.0 and 1.0 <= q < _INF:
         # (f)
         return sup_over_t(
-            lambda t: ext_mul(ext_pow(V_outer(t), 1.0 / q), w_sup(t)))
+            lambda t: ext_mul(ext_pow(V_outer(t), 1.0 / q), w_sup(t)), breaks)
     if p == 1.0 and 0.0 < q < 1.0:
         # (g)
         qq = float(conjugate_exponent(q))
@@ -237,10 +237,10 @@ def _direct_functional(prob: HardyProblem, cfg) -> ExtReal:
             return ext_mul(ext_mul(ext_pow(V_outer(t), qq), v(t)),
                            ext_pow(w_sup(t), qq))
 
-        return ext_pow(_halfline(integrand, _breaks(v, w), cfg), 1.0 / qq)
+        return ext_pow(_halfline(integrand, breaks, cfg), 1.0 / qq)
     if p == 1.0 and math.isinf(q):
         # (h)
-        return sup_over_t(lambda t: ext_mul(V_sup(t), w_sup(t)))
+        return sup_over_t(lambda t: ext_mul(V_sup(t), w_sup(t)), breaks)
     raise InadmissibleExponents(
         f"no {prob.variant} case matches p={p}, q={q}")
 
@@ -253,13 +253,14 @@ def sup_operator_constant(prob: HardyProblem, cfg=None) -> ExtReal:
     q, v, side = prob.q, prob.v_outer, prob.side
     w_inv = prob.w_inner.profile.power(-1.0)
     inner = lambda r: side.esssup(w_inv, r)
+    breaks = _breaks(v, prob.w_inner.profile)
     if math.isinf(float(q)):
-        return sup_over_t(lambda r: ext_mul(v(r), inner(r)))
+        return sup_over_t(lambda r: ext_mul(v(r), inner(r)), breaks)
 
     def integrand(r):
         return ext_pow(ext_mul(v(r), inner(r)), float(q))
 
-    val = _halfline(integrand, _breaks(v, prob.w_inner.profile), cfg)
+    val = _halfline(integrand, breaks, cfg)
     return ext_pow(val, 1.0 / float(q))
 
 
@@ -312,7 +313,8 @@ def _reverse_functional(prob: HardyProblem, cfg) -> ExtReal:
     if 0.0 < q <= p:
         # (a)
         return sup_over_t(
-            lambda t: ext_div(w_region(t), side.outer_norm(u, q, t, cfg)))
+            lambda t: ext_div(w_region(t), side.outer_norm(u, q, t, cfg)),
+            _breaks(u, w))
     # (b): p < q <= inf, 1/r = 1/p - 1/q; f and h take arrays of t
     r = 1.0 / (1.0 / p - (0.0 if math.isinf(q) else 1.0 / q))
 

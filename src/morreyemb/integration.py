@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import QuadratureFailure, UndefinedStieltjes
-from .extreal import ExtReal
+from .extreal import ExtReal, scalar_results
 from .profiles import PowerProfile, RadialProfile, elementwise
 
 __all__ = [
@@ -328,40 +328,38 @@ def _profile_integral(prof, a, b, cfg):
     return val
 
 
-def _ext(val):
-    return val if isinstance(val, np.ndarray) else ExtReal(val)
-
-
 def _check_radius(t):
-    if (t.min() if isinstance(t, np.ndarray) else t) <= 0:
+    if np.min(t) <= 0:
         raise ValueError("radius must be positive")
 
 
+@scalar_results(ExtReal)
 def ball_integral(g, n, t, cfg=None):
     """Integral of g(|x|) over the ball B(0, t) in R^n.  An array of radii
     gives a float array of integrals."""
     _check_radius(t)
     dens = _radial_density(g, n)
-    return _ext(sphere_area(n) * _profile_integral(dens, 0.0, t, cfg))
+    return sphere_area(n) * _profile_integral(dens, 0.0, t, cfg)
 
 
+@scalar_results(ExtReal)
 def complement_integral(g, n, t, cfg=None):
     """Integral of g(|x|) over the complement of B(0, t) in R^n."""
     _check_radius(t)
     dens = _radial_density(g, n)
-    return _ext(sphere_area(n) * _profile_integral(dens, t, _INF, cfg))
+    return sphere_area(n) * _profile_integral(dens, t, _INF, cfg)
 
 
+@scalar_results(ExtReal)
 def esssup_ball(g, t):
     """Essential supremum of the radial profile over (0, t)."""
-    val = g.esssup(0.0, t)
-    return val if isinstance(val, np.ndarray) else ExtReal(val)
+    return g.esssup(0.0, t)
 
 
+@scalar_results(ExtReal)
 def esssup_complement(g, t):
     """Essential supremum of the radial profile over (t, inf)."""
-    val = g.esssup(t, _INF)
-    return val if isinstance(val, np.ndarray) else ExtReal(val)
+    return g.esssup(t, _INF)
 
 
 def _values(fn, x):

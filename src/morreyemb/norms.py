@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotAWeight, QuadratureFailure
-from .extreal import ExtReal, ext_mul, ext_pow
+from .extreal import ExtReal, ext_mul, ext_pow, scalar_results
 from .integration import _gauss_kronrod, sphere_area
 from .profiles import FnProfile, PowerProfile, RadialProfile
 from .weights import Side, Weight
@@ -132,47 +132,37 @@ class GridFunction:
 
 
 def _clip_cells(f: GridFunction, interval):
-    """Yield (value, r0, r1) for the parts of cells inside the interval."""
+    """(values, r0, r1) of the parts of the cells with a positive value
+    inside the interval, as arrays."""
     a, b = interval
-    for i in range(f.num_cells):
-        r0 = max(f.knots[i], a)
-        r1 = min(f.knots[i + 1], b)
-        if r0 < r1 and f.values[i] > 0.0:
-            yield float(f.values[i]), float(r0), float(r1)
+    r0 = np.maximum(f.knots[:-1], a)
+    r1 = np.minimum(f.knots[1:], b)
+    live = (r0 < r1) & (f.values > 0.0)
+    return f.values[live], r0[live], r1[live]
 
 
 def _shell_integral(profile: RadialProfile, n, r0, r1):
-    """Integral of profile(|x|) over the shell r0 < |x| < r1 in R^n; array
-    ends give an array of integrals."""
+    """Integrals of profile(|x|) over the shells r0 < |x| < r1 in R^n, for
+    arrays of ends."""
     dens = profile if n == 1 else profile.times(PowerProfile(1.0, n - 1.0))
     val = dens.integral(r0, r1)
     if val is None:
         val, _ = _gauss_kronrod(dens, r0, r1)
         if np.isnan(val).any():
             raise QuadratureFailure("shell integrand is nan")
-        if val.ndim == 0:
-            val = float(val)
     return sphere_area(n) * val
 
 
 def weighted_lp_norm(f: GridFunction, p, v: Weight, region: Region = ALL) -> ExtReal:
     """||f||_{p,v,region}: (int |f|^p v)^{1/p}, or esssup |f| v for p = inf."""
     p = float(p)
-    interval = region.radial_interval()
-    n = v.dimension
+    vals, r0, r1 = _clip_cells(f, region.radial_interval())
     if math.isinf(p):
-        best = 0.0
-        for val, r0, r1 in _clip_cells(f, interval):
-            best = max(best, val * v.profile.esssup(r0, r1))
-        return ExtReal(best)
+        return ExtReal(np.max(vals * v.profile.esssup(r0, r1), initial=0.0))
     if p <= 0:
         raise ValueError("p must be in (0, inf]")
-    total = 0.0
-    for val, r0, r1 in _clip_cells(f, interval):
-        total += val ** p * _shell_integral(v.profile, n, r0, r1)
-        if math.isinf(total):
-            return ExtReal(_INF)
-    return ext_pow(total, 1.0 / p) if total > 0 else ExtReal(0.0)
+    shells = _shell_integral(v.profile, v.dimension, r0, r1)
+    return ext_pow(float(np.sum(vals ** p * shells)), 1.0 / p)
 
 
 class _InnerBallNorm:
@@ -185,16 +175,13 @@ class _InnerBallNorm:
 
     def __init__(self, f: GridFunction, p, v: Weight):
         self.f, self.p, self.v = f, float(p), v
-        n = v.dimension
-        self.cell_mass = np.array([
-            _shell_integral(v.profile, n, f.knots[i], f.knots[i + 1])
-            if f.values[i] > 0 else 0.0
-            for i in range(f.num_cells)])
+        live = f.values > 0.0
+        lo, hi = f.knots[:-1][live], f.knots[1:][live]
+        self.cell_mass = np.zeros(f.num_cells)
+        self.cell_mass[live] = _shell_integral(v.profile, v.dimension, lo, hi)
         if math.isinf(self.p):
-            self.cell_sup = np.array([
-                v.profile.esssup(f.knots[i], f.knots[i + 1]) * f.values[i]
-                if f.values[i] > 0 else 0.0
-                for i in range(f.num_cells)])
+            self.cell_sup = np.zeros(f.num_cells)
+            self.cell_sup[live] = v.profile.esssup(lo, hi) * f.values[live]
             self.prefix = np.concatenate([[0.0], np.maximum.accumulate(self.cell_sup)])
             # suffix[i] = max of cell_sup[i:], 0 past the last cell
             self.suffix = np.concatenate(
@@ -210,12 +197,10 @@ class _InnerBallNorm:
     def _finish(self, acc):
         if math.isinf(self.p):
             return acc
-        if isinstance(acc, np.ndarray):
-            return np.power(np.maximum(acc, 0.0), 1.0 / self.p)
-        return acc ** (1.0 / self.p) if acc > 0 else 0.0
+        return np.power(np.maximum(acc, 0.0), 1.0 / self.p)
 
-    # The pieces below take a cell index i and radii r strictly inside the
-    # knots, as scalars or as arrays.
+    # The pieces below take arrays of cell indices i and of radii r
+    # strictly inside the knots.
 
     def _rest(self, i):
         """Accumulated whole cells on the region's side of cell i."""
@@ -240,18 +225,12 @@ class _InnerBallNorm:
             return np.maximum(rest, part)
         return self._finish(rest + part)
 
+    @scalar_results(ExtReal)
     def __call__(self, r):
         knots, values = self.f.knots, self.f.values
         below, above = (self._total, 0.0) if self.complement \
             else (0.0, self._total)
-        if not isinstance(r, np.ndarray):
-            if r <= knots[0]:
-                return below
-            if r >= knots[-1]:
-                return above
-            i = int(np.searchsorted(knots, r, side="left")) - 1
-            part = self._part(i, r) if values[i] > 0 else 0.0
-            return self._combine(self._rest(i), part)
+        r = np.asarray(r, dtype=float)
         out = np.where(r <= knots[0], below, above)
         inside = (r > knots[0]) & (r < knots[-1])
         i = np.searchsorted(knots, r[inside], side="left") - 1
@@ -301,15 +280,12 @@ def _morrey_norm(f, p, theta, omega, v, side) -> ExtReal:
     if math.isinf(theta):
         best = 0.0
         if whole > 0:
-            best = max(best,
-                       whole * float(side.outer_norm(omega, _INF, edge)))
-        for x0, x1 in zip(anchors[:-1], anchors[1:]):
-            # inner is monotone on each anchor interval and omega is a
-            # single smooth piece there, so dense sampling plus the right
-            # endpoint is reliable
-            for r in np.geomspace(x0, x1, 33)[1:]:
-                best = max(best, omega(float(r)) * inner(float(r)))
-        return ExtReal(best)
+            best = whole * float(side.outer_norm(omega, _INF, edge))
+        # inner is monotone on each anchor interval and omega is a single
+        # smooth piece there, so dense sampling plus the right endpoint is
+        # reliable
+        rs = np.geomspace(anchors[:-1], anchors[1:], 33)[1:].ravel()
+        return ExtReal(max(best, np.max(ext_mul(omega(rs), inner(rs)))))
     total = 0.0
     if whole > 0:
         beyond = float(side.outer_norm(omega, theta, edge))
@@ -322,9 +298,7 @@ def _morrey_norm(f, p, theta, omega, v, side) -> ExtReal:
     if np.isnan(vals).any():
         raise QuadratureFailure("Morrey-norm integrand is nan")
     total += float(np.sum(vals))
-    if math.isinf(total):
-        return ExtReal(_INF)
-    return ext_pow(total, 1.0 / theta) if total > 0 else ExtReal(0.0)
+    return ext_pow(total, 1.0 / theta)
 
 
 def fubini_weight(omega: RadialProfile, p, v: Weight, direction="tail") -> Weight:

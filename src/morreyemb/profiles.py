@@ -6,19 +6,23 @@ interval integrals and essential suprema; products and powers of profiles
 simplify symbolically when they can and otherwise fall back to numerical
 evaluation by the quadrature layer.
 
-Evaluation, interval integrals and essential suprema accept a radius or an
-array of radii (for an interval, either end may be an array) and then
-return a float array of the broadcast shape.  The closed-form kinds
-compute arrays with numpy; profiles without closed forms evaluate each
-element on its own, through `elementwise`.
+Evaluation, interval integrals, essential suprema and one-sided limits
+accept a radius or an array of radii (for an interval, either end may be
+an array) and then return a float array of the broadcast shape.  A radius
+runs on the same array path as a 0-d array and comes back as a float.
+The closed-form kinds compute with numpy; profiles without closed forms
+evaluate each element on its own, through `elementwise`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 
 import numpy as np
+
+from .extreal import scalar_results
 
 __all__ = [
     "RadialProfile",
@@ -38,31 +42,32 @@ __all__ = [
 _INF = math.inf
 
 
-# Scalar evaluation is hot (quadrature integrands, sup_over_t's boundary
-# extension and golden-section refinement), so each public method checks
-# once for arrays and then runs either the scalar primitives
-# (_power_value, _power_integral, _safe_pow) or their array counterparts.
+def _radii(method):
+    """The scalar boundary of a profile method: the radii enter as float
+    arrays, and when none was an array the result leaves as a float."""
+    @scalar_results(float)
+    @functools.wraps(method)
+    def public(self, *xs):
+        return method(self, *(np.asarray(x, dtype=float) for x in xs))
+    return public
 
-def _is_array(a, b=None):
-    return isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
+
+def _shaped(value, *xs):
+    """value as a float array of the broadcast shape of xs."""
+    return np.full(np.broadcast(*xs).shape, value, dtype=float)
 
 
-def _shaped(value, a, b=None):
-    """value as a float array of the broadcast shape of the array
-    arguments; a plain value when there are none."""
-    if not _is_array(a, b):
-        return value
-    return np.full(np.broadcast(a, b).shape, value, dtype=float)
+def _at_end(a, b, upper):
+    """The upper (else the lower) ends of the intervals (a, b), broadcast."""
+    return np.broadcast_to(b if upper else a, np.broadcast(a, b).shape)
 
 
 def elementwise(fn, *xs):
-    """fn applied to each element of its array arguments (broadcast
-    together), as a float array; fn(*xs) itself for scalar arguments.
+    """fn applied to each element of its arguments (broadcast together),
+    as a float array.
 
     This is the one scalar loop of array evaluation: profiles without
     closed forms and adaptive integrals go through it."""
-    if not _is_array(*xs):
-        return fn(*xs)
     grid = np.broadcast(*xs)
     return np.array([float(fn(*map(float, x))) for x in grid],
                     dtype=float).reshape(grid.shape)
@@ -77,31 +82,9 @@ def _near_log(alpha):
 
 
 def _power_integral(c, alpha, a, b):
-    """Exact integral of c*rho^alpha over (a, b), 0 <= a < b <= inf."""
-    if c == 0.0 or a == b:
-        return 0.0
-    if math.isinf(c):
-        return _INF
-    if _near_log(alpha):
-        if a == 0.0 or math.isinf(b):
-            return _INF
-        return c * math.log(b / a)
-    e = alpha + 1.0
-    if e > 0.0:
-        if math.isinf(b):
-            return _INF
-        return c * (b ** e - a ** e) / e
-    # e < 0: singular at 0, decaying at inf
-    if a == 0.0:
-        return _INF
-    hi = 0.0 if math.isinf(b) else b ** e
-    return c * (a ** e - hi) / (-e)
-
-
-def _power_integral_array(c, alpha, a, b):
-    """_power_integral for array ends: the same formulas, where
-    inf^e = 0 for e < 0 stands in for the scalar special cases."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    """Exact integrals of c*rho^alpha over the intervals (a, b),
+    0 <= a <= b <= inf: c (b^e - a^e) / e with e = alpha + 1, or
+    c log(b / a), where 0^e and inf^e give the infinite ends."""
     if c == 0.0 or math.isinf(c):
         val = c
     else:
@@ -114,25 +97,17 @@ def _power_integral_array(c, alpha, a, b):
     return np.where(a == b, 0.0, val)
 
 
-def _power_value(c, alpha, rho):
-    """c * rho^alpha at one radius."""
-    if c == 0.0 or math.isinf(c) or alpha == 0.0:
-        return c
-    return c * _safe_pow(rho, alpha)
-
-
 def _power_values(c, alpha, rho):
     """c * rho^alpha at an array of radii."""
     if c == 0.0 or math.isinf(c) or alpha == 0.0:
         return np.full(rho.shape, c)
-    return c * _pow_array(rho, alpha)
+    return c * _pow(rho, alpha)
 
 
 def _power_esssups(c, alpha, a, b):
-    """Essential suprema of c * rho^alpha over the intervals (a, b), for
-    array ends: the values at the end where it is largest."""
-    end = np.broadcast_to(b if alpha > 0 else a, np.broadcast(a, b).shape)
-    return _power_values(c, alpha, end)
+    """Essential suprema of c * rho^alpha over the intervals (a, b): the
+    values at the end where it is largest."""
+    return _power_values(c, alpha, _at_end(a, b, alpha > 0))
 
 
 class RadialProfile:
@@ -153,7 +128,7 @@ class RadialProfile:
         """Profile for phi^e (e != 0)."""
         if e == 1.0:
             return self
-        return FnProfile(lambda r, s=self, e=e: _safe_pow(s(r), e),
+        return FnProfile(lambda r, s=self, e=e: _pow(s(r), e),
                          breakpoints=self.breakpoints())
 
     def times(self, other):
@@ -164,14 +139,17 @@ class RadialProfile:
     def scale(self, c):
         return PowerProfile(c, 0.0).times(self)
 
+    @_radii
     def esssup(self, a, b):
         """Essential supremum over (a, b); exact for closed-form kinds,
         sampled otherwise."""
         return elementwise(lambda x, y: _sampled_esssup(self, x, y), a, b)
 
+    @_radii
     def left_limit(self, t):
         return self(t)
 
+    @_radii
     def right_limit(self, t):
         return self(t)
 
@@ -191,52 +169,31 @@ class RadialProfile:
         return True
 
 
-def _pow_array(x, e):
-    """_safe_pow on an array."""
+def _pow(x, e):
+    """x^e with 0^e = inf for e < 0, inf^e = 0 for e < 0 and overflow to
+    inf, without a warning; 0 and inf stay put for e = 0."""
     with np.errstate(divide="ignore", over="ignore"):
-        if e == 0.0:   # 0 and inf stay put, as in _safe_pow
+        if e == 0.0:
             return np.where((x == 0.0) | np.isinf(x), x, 1.0)
         return np.power(x, e)
-
-
-def _safe_pow(x, e):
-    x = float(x)
-    if x == 0.0:
-        return _INF if e < 0.0 else 0.0
-    if math.isinf(x):
-        return 0.0 if e < 0.0 else _INF
-    try:
-        return x ** e
-    except OverflowError:
-        return _INF
 
 
 def _safe_exp(rate, x):
     """exp(rate * x); overflow of the product or of exp gives inf without
     a warning."""
-    if isinstance(x, np.ndarray):
-        with np.errstate(over="ignore"):
-            return np.exp(rate * x)
-    try:
-        return math.exp(rate * x)
-    except OverflowError:
-        return _INF
+    with np.errstate(over="ignore"):
+        return np.exp(rate * x)
 
 
 def _sampled_esssup(profile, a, b, n=2049):
+    """The largest of the profile's values on a grid of n points in (a, b),
+    ignoring nan."""
     lo = max(a, 1e-9) if a == 0.0 else a
     hi = min(b, 1e9) if math.isinf(b) else b
     if lo >= hi:
         lo, hi = a, b
     grid = np.geomspace(lo, hi, n) if lo > 0 else np.linspace(lo, hi, n)
-    best = 0.0
-    for r in grid:
-        val = profile(float(r))
-        if val > best:
-            best = val
-            if math.isinf(best):
-                break
-    return best
+    return float(np.fmax.reduce(profile(grid), initial=0.0))
 
 
 class PowerProfile(RadialProfile):
@@ -250,14 +207,12 @@ class PowerProfile(RadialProfile):
         self.c = float(c)
         self.alpha = float(alpha)
 
+    @_radii
     def __call__(self, rho):
-        if isinstance(rho, np.ndarray):
-            return _power_values(self.c, self.alpha, rho)
-        return _power_value(self.c, self.alpha, rho)
+        return _power_values(self.c, self.alpha, rho)
 
+    @_radii
     def integral(self, a, b):
-        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-            return _power_integral_array(self.c, self.alpha, a, b)
         return _power_integral(self.c, self.alpha, a, b)
 
     def power(self, e):
@@ -285,10 +240,9 @@ class PowerProfile(RadialProfile):
     def scale(self, c):
         return PowerProfile(self.c * c, self.alpha)
 
+    @_radii
     def esssup(self, a, b):
-        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-            return _power_esssups(self.c, self.alpha, a, b)
-        return _power_value(self.c, self.alpha, b if self.alpha > 0 else a)
+        return _power_esssups(self.c, self.alpha, a, b)
 
     def support_sup(self):
         return 0.0 if self.c == 0.0 else _INF
@@ -317,15 +271,16 @@ class ShiftedPowerProfile(RadialProfile):
         self.shift = float(shift)
         self.alpha = float(alpha)
 
+    @_radii
     def __call__(self, rho):
         if self.c == 0.0:
             return _shaped(0.0, rho)
-        pw = _pow_array if isinstance(rho, np.ndarray) else _safe_pow
-        return self.c * pw(self.shift + rho, self.alpha)
+        return self.c * _pow(self.shift + rho, self.alpha)
 
+    @_radii
     def integral(self, a, b):
-        exact = _power_integral_array if _is_array(a, b) else _power_integral
-        return exact(self.c, self.alpha, self.shift + a, self.shift + b)
+        return _power_integral(self.c, self.alpha, self.shift + a,
+                               self.shift + b)
 
     def power(self, e):
         if self.c == 0.0:
@@ -335,14 +290,12 @@ class ShiftedPowerProfile(RadialProfile):
     def scale(self, c):
         return ShiftedPowerProfile(self.c * c, self.shift, self.alpha)
 
+    @_radii
     def esssup(self, a, b):
         if self.c == 0.0 or self.alpha == 0.0:
             return _shaped(self.c, a, b)
-        end = b if self.alpha > 0 else a
-        if _is_array(a, b):
-            end = np.broadcast_to(end, np.broadcast(a, b).shape)
-            return self.c * _pow_array(self.shift + end, self.alpha)
-        return self.c * _safe_pow(self.shift + end, self.alpha)
+        end = _at_end(a, b, self.alpha > 0)
+        return self.c * _pow(self.shift + end, self.alpha)
 
     def support_sup(self):
         return 0.0 if self.c == 0.0 else _INF
@@ -365,39 +318,22 @@ class ExpProfile(RadialProfile):
         self.c = float(c)
         self.rate = float(rate)
 
+    @_radii
     def __call__(self, rho):
         # a constant, also at rho = inf, where rate * rho would be 0 * inf
         if self.c == 0.0 or self.rate == 0.0:
             return _shaped(self.c, rho)
         return self.c * _safe_exp(self.rate, rho)
 
+    @_radii
     def integral(self, a, b):
-        if _is_array(a, b):
-            return self._integral_array(a, b)
-        if self.c == 0.0 or a == b:
-            return 0.0
-        if self.rate == 0.0:
-            return _INF if math.isinf(b) else self.c * (b - a)
-        if self.rate > 0.0:
-            if math.isinf(b):
-                return _INF
-            try:
-                return self.c * (math.exp(self.rate * b)
-                                 - math.exp(self.rate * a)) / self.rate
-            except OverflowError:
-                return _INF
-        hi = 0.0 if math.isinf(b) else math.exp(self.rate * b)
-        return self.c * (math.exp(self.rate * a) - hi) / (-self.rate)
-
-    def _integral_array(self, a, b):
-        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
         c, rate = self.c, self.rate
         with np.errstate(over="ignore", invalid="ignore"):
             if rate == 0.0:
                 val = c * (b - a)
             else:
                 val = c * (np.exp(rate * b) - np.exp(rate * a)) / rate
-        # nan where both ends overflow: the scalar branch's OverflowError
+        # nan where both ends overflow: inf - inf
         val = np.where(np.isnan(val), _INF, val)
         return np.where((a == b) | (c == 0.0), 0.0, val)
 
@@ -418,13 +354,11 @@ class ExpProfile(RadialProfile):
     def scale(self, c):
         return ExpProfile(self.c * c, self.rate)
 
+    @_radii
     def esssup(self, a, b):
         if self.c == 0.0 or self.rate == 0.0:
             return _shaped(self.c, a, b)
-        end = b if self.rate > 0 else a
-        if _is_array(a, b):
-            end = np.broadcast_to(end, np.broadcast(a, b).shape)
-        return self.c * _safe_exp(self.rate, end)
+        return self.c * _safe_exp(self.rate, _at_end(a, b, self.rate > 0))
 
     def support_sup(self):
         return 0.0 if self.c == 0.0 else _INF
@@ -469,25 +403,21 @@ class PiecewisePowerProfile(RadialProfile):
     def _values(self, rho, side):
         """Values on the segments (b_{i-1}, b_i] (side "left") or
         [b_{i-1}, b_i) (side "right") that hold each radius."""
-        if isinstance(rho, np.ndarray):
-            idx = np.searchsorted(self.breaks, rho, side=side)
-            out = np.empty(rho.shape)
-            for i, (c, alpha) in enumerate(self.segments):
-                sel = idx == i
-                out[sel] = _power_values(c, alpha, rho[sel])
-            return out
-        pick = bisect_left if side == "left" else bisect_right
-        c, alpha = self.segments[pick(self.breaks, rho)]
-        return _power_value(c, alpha, rho)
+        idx = np.searchsorted(self.breaks, rho, side=side)
+        out = np.empty(rho.shape)
+        for i, (c, alpha) in enumerate(self.segments):
+            sel = idx == i
+            out[sel] = _power_values(c, alpha, rho[sel])
+        return out
 
+    @_radii
     def __call__(self, rho):
         return self._values(rho, "left")
 
     def _clipped(self, a, b):
         """(segment, lo, hi, selection) for the parts of (a, b) on each
-        segment, for array ends."""
-        a, b = np.broadcast_arrays(np.asarray(a, dtype=float),
-                                   np.asarray(b, dtype=float))
+        segment."""
+        a, b = np.broadcast_arrays(a, b)
         edges = self._edges()
         for i, seg in enumerate(self.segments):
             lo = np.maximum(a, edges[i])
@@ -495,20 +425,11 @@ class PiecewisePowerProfile(RadialProfile):
             sel = lo < hi
             yield seg, lo[sel], hi[sel], sel
 
+    @_radii
     def integral(self, a, b):
-        if _is_array(a, b):
-            total = np.zeros(np.broadcast(a, b).shape)
-            for (c, alpha), lo, hi, sel in self._clipped(a, b):
-                total[sel] += _power_integral_array(c, alpha, lo, hi)
-            return total
-        edges = self._edges()
-        total = 0.0
-        for i, (c, alpha) in enumerate(self.segments):
-            lo, hi = max(a, edges[i]), min(b, edges[i + 1])
-            if lo < hi:
-                total += _power_integral(c, alpha, lo, hi)
-                if math.isinf(total):
-                    return _INF
+        total = np.zeros(np.broadcast(a, b).shape)
+        for (c, alpha), lo, hi, sel in self._clipped(a, b):
+            total[sel] += _power_integral(c, alpha, lo, hi)
         return total
 
     def power(self, e):
@@ -539,22 +460,14 @@ class PiecewisePowerProfile(RadialProfile):
     def scale(self, c):
         return self.times(PowerProfile(c, 0.0))
 
+    @_radii
     def esssup(self, a, b):
-        if _is_array(a, b):
-            best = np.zeros(np.broadcast(a, b).shape)
-            for (c, alpha), lo, hi, sel in self._clipped(a, b):
-                best[sel] = np.maximum(best[sel],
-                                       _power_esssups(c, alpha, lo, hi))
-            return best
-        edges = self._edges()
-        best = 0.0
-        for i, (c, alpha) in enumerate(self.segments):
-            lo, hi = max(a, edges[i]), min(b, edges[i + 1])
-            if lo < hi:
-                best = max(best, _power_value(c, alpha,
-                                              hi if alpha > 0 else lo))
+        best = np.zeros(np.broadcast(a, b).shape)
+        for (c, alpha), lo, hi, sel in self._clipped(a, b):
+            best[sel] = np.maximum(best[sel], _power_esssups(c, alpha, lo, hi))
         return best
 
+    @_radii
     def right_limit(self, t):
         return self._values(t, "right")
 
@@ -597,11 +510,9 @@ def _seg_mul(c1, a1, c2, a2):
 
 
 def _product(a, b):
-    """a * b with 0 * inf = 0, for values or arrays of values."""
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        with np.errstate(invalid="ignore"):
-            return np.where((a == 0.0) | (b == 0.0), 0.0, a * b)
-    return 0.0 if (a == 0.0 or b == 0.0) else a * b
+    """a * b with 0 * inf = 0, for arrays of values."""
+    with np.errstate(invalid="ignore"):
+        return np.where((a == 0.0) | (b == 0.0), 0.0, a * b)
 
 
 class ProductProfile(RadialProfile):
@@ -611,15 +522,18 @@ class ProductProfile(RadialProfile):
         self.left = left
         self.right = right
 
+    @_radii
     def __call__(self, rho):
         return _product(self.left(rho), self.right(rho))
 
     def power(self, e):
         return ProductProfile(self.left.power(e), self.right.power(e))
 
+    @_radii
     def left_limit(self, t):
         return _product(self.left.left_limit(t), self.right.left_limit(t))
 
+    @_radii
     def right_limit(self, t):
         return _product(self.left.right_limit(t), self.right.right_limit(t))
 
@@ -645,10 +559,9 @@ class FnProfile(RadialProfile):
         self._breaks = tuple(breakpoints)
         self._support = support
 
+    @_radii
     def __call__(self, rho):
-        if isinstance(rho, np.ndarray):
-            return elementwise(self, rho)
-        return float(self.fn(rho))
+        return elementwise(self.fn, rho)
 
     def breakpoints(self):
         return self._breaks

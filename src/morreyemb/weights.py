@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotAWeight
-from .extreal import ExtReal, ext_mul, ext_pow
+from .extreal import ExtReal, ext_mul, ext_pow, scalar_results
 from .integration import (_gauss_kronrod, _profile_integral, ball_integral,
                           complement_integral, esssup_ball, esssup_complement,
                           integrate_halfline, sphere_area)
@@ -71,48 +71,48 @@ class OmegaMembership:
     analytic: bool = True
 
 
-def _least(t):
-    """The smallest of a radius or of an array of radii."""
-    return t.min() if isinstance(t, np.ndarray) else t
-
-
+@scalar_results(ExtReal)
 def lp_norm_interval(profile: RadialProfile, q, interval, cfg=None) -> ExtReal:
     """One-dimensional norm ||phi||_{q,(a,b)} with 0 <= a < b <= inf.
 
     Either end may be an array of radii; the norms then come back as a
     float array of the broadcast shape instead of an ExtReal."""
     a, b = interval
-    arrays = isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
-    if not (np.all((0.0 <= a) & (a < b)) if arrays else 0.0 <= a < b):
+    if not np.all((0.0 <= a) & (a < b)):
         raise ValueError("need 0 <= a < b")
     q = float(q)
     if q <= 0:
         raise ValueError("q must be in (0, inf]")
     if math.isinf(q):
-        val = profile.esssup(a, b)
-        return val if arrays else ExtReal(val)
+        return profile.esssup(a, b)
     return ext_pow(_profile_integral(profile.power(q), a, b, cfg), 1.0 / q)
 
 
 def tail_norm(omega: RadialProfile, theta, t, cfg=None) -> ExtReal:
     """||omega||_{theta,(t,inf)}; t = 0 gives the full-line norm.  An array
     of t gives a float array of norms."""
-    if _least(t) < 0:
+    if np.min(t) < 0:
         raise ValueError("t must be >= 0")
     return lp_norm_interval(omega, theta, (t, _INF), cfg)
 
 
 def head_norm(omega: RadialProfile, theta, t, cfg=None) -> ExtReal:
     """||omega||_{theta,(0,t)}; an array of t gives a float array."""
-    if _least(t) <= 0:
+    if np.min(t) <= 0:
         raise ValueError("t must be positive")
     return lp_norm_interval(omega, theta, (0.0, t), cfg)
 
 
-def _with_limit(plain, limit):
-    if isinstance(plain, np.ndarray):
-        return np.maximum(plain, limit)
-    return ExtReal(max(float(plain), limit))
+@scalar_results(ExtReal)
+def _with_limit(norm, limit, omega, theta, t, cfg):
+    """norm(omega, theta, t) and, for theta = inf, at least limit(t): the
+    one-sided limit of an outer norm at t > 0."""
+    if np.min(t) <= 0:
+        raise ValueError("t must be positive")
+    plain = norm(omega, theta, np.asarray(t, dtype=float), cfg)
+    if math.isfinite(float(theta)):
+        return plain
+    return np.maximum(plain, limit(t))
 
 
 def tail_norm_left_limit(omega: RadialProfile, theta, t, cfg=None) -> ExtReal:
@@ -122,20 +122,12 @@ def tail_norm_left_limit(omega: RadialProfile, theta, t, cfg=None) -> ExtReal:
     theta = inf the approach from the left picks up the left-limit value
     of the profile at t.
     """
-    if _least(t) <= 0:
-        raise ValueError("t must be positive")
-    if math.isfinite(float(theta)):
-        return tail_norm(omega, theta, t, cfg)
-    return _with_limit(tail_norm(omega, theta, t, cfg), omega.left_limit(t))
+    return _with_limit(tail_norm, omega.left_limit, omega, theta, t, cfg)
 
 
 def head_norm_right_limit(omega: RadialProfile, theta, t, cfg=None) -> ExtReal:
     """lim_{s -> t+} ||omega||_{theta,(0,s)}."""
-    if _least(t) <= 0:
-        raise ValueError("t must be positive")
-    if math.isfinite(float(theta)):
-        return head_norm(omega, theta, t, cfg)
-    return _with_limit(head_norm(omega, theta, t, cfg), omega.right_limit(t))
+    return _with_limit(head_norm, omega.right_limit, omega, theta, t, cfg)
 
 
 class Side(enum.Enum):

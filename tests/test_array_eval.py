@@ -17,10 +17,14 @@ from morreyemb import (EmbeddingProblem, GridFunction, HardyProblem,
                        stieltjes_integral, truncated_power,
                        unweighted_reference)
 from morreyemb import embeddings, hardy
-from morreyemb.extreal import ExtReal, ext_div, ext_mul
+from morreyemb.errors import IndeterminatePower
+from morreyemb.extreal import ExtReal, ext_div, ext_mul, ext_pow
+from morreyemb.integration import ball_integral, esssup_ball
 from morreyemb.norms import _InnerBallNorm, _InnerComplementNorm
-from morreyemb.profiles import (ExpProfile, PiecewisePowerProfile,
-                                PowerProfile, ShiftedPowerProfile)
+from morreyemb.profiles import (ExpProfile, FnProfile, PiecewisePowerProfile,
+                                PowerProfile, ProductProfile,
+                                ShiftedPowerProfile)
+from morreyemb.weights import head_norm, lp_norm_interval, tail_norm
 from test_acceptance import FINITE_INSTANCES, INFINITE_INSTANCES
 
 INF = math.inf
@@ -121,6 +125,42 @@ def test_array_integral_and_esssup_match_scalar(prof, extra, pivot):
         lo, hi = rs[:-1], rs[1:]
         check_same(method(lo, hi),
                    [method(float(x), float(y)) for x, y in zip(lo, hi)], rtol)
+
+
+# ---------------------------------------------------------------------------
+# the public scalar boundary: a radius runs on the array path and comes back
+# as a float from a profile, as an ExtReal from a norm, an integral or ext_*
+
+SCALAR_PROFILES = [PowerProfile(2.0, -0.5),
+                   PiecewisePowerProfile([1.0], [(1.0, -0.5), (2.0, 1.0)]),
+                   ShiftedPowerProfile(1.0, 1.0, -2.0), ExpProfile(2.0, -1.0),
+                   ProductProfile(PowerProfile(1.0, 1.0),
+                                  ShiftedPowerProfile(1.0, 1.0, -3.0)),
+                   FnProfile(lambda r: 1.0 / (1.0 + r * r))]
+
+
+@pytest.mark.parametrize("prof", SCALAR_PROFILES,
+                         ids=lambda prof: type(prof).__name__)
+def test_public_scalar_boundary(prof):
+    for got in (prof(0.5), prof.esssup(0.5, 2.0), prof.right_limit(1.0)):
+        assert type(got) is float
+    if prof.closed_form:
+        assert type(prof.integral(0.5, 2.0)) is float
+    for got in (tail_norm(prof, 2.0, 0.5), head_norm(prof, 2.0, 0.5),
+                lp_norm_interval(prof, INF, (0.5, 2.0)),
+                ball_integral(prof, 2, 1.0), esssup_ball(prof, 1.0),
+                ext_mul(2.0, 3.0), ext_div(2.0, 3.0), ext_pow(2.0, 3.0)):
+        assert type(got) is ExtReal
+
+
+def test_scalar_conventions():
+    assert ext_mul(0.0, INF) == ExtReal(0.0)
+    assert ext_mul(INF, ExtReal(0.0)) == ExtReal(0.0)
+    assert ext_div(0.0, 0.0) == ExtReal(0.0)
+    assert ext_div(ExtReal(0.0), ExtReal(0.0)) == ExtReal(0.0)
+    assert ext_pow(0.0, -1.0) == ExtReal(INF)
+    with pytest.raises(IndeterminatePower):
+        ext_pow(0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +328,7 @@ def test_repeated_jump_point_counts_its_atom_once():
 
 
 # ---------------------------------------------------------------------------
-# supremum-form functionals: sup_over_t scans its grid in one array call
+# supremum-form functionals: sup_over_t calls its functional on arrays only
 
 # the acceptance instances whose case is a supremum over t: direct Hardy
 # cases, Lebesgue-to-LM cases and the Morrey-source case (a) on both sides
@@ -343,24 +383,25 @@ def test_sup_over_t_scans_its_grid_in_one_array_call(name, monkeypatch):
     real = hardy.sup_over_t
 
     def spy(fn, *args, **kwargs):
-        arrays = []
+        calls = []
 
         def counted(t):
-            if isinstance(t, np.ndarray):
-                arrays.append(t)
+            calls.append(t)
             return fn(t)
 
-        scans.append((fn, arrays))
+        scans.append((fn, calls))
         return real(counted, *args, **kwargs)
 
     monkeypatch.setattr(hardy, "sup_over_t", spy)
     monkeypatch.setattr(embeddings, "sup_over_t", spy)
     SUP_FORM[name]()
     assert scans, name
-    for fn, arrays in scans:
-        assert len(arrays) == 1
-        ts = arrays[0]
-        assert ts.shape == (512,)
+    grid = np.geomspace(1e-6, 1e6, 512)
+    for fn, calls in scans:
+        # the scan, the extension and the zoom rounds all take arrays
+        assert calls and all(isinstance(t, np.ndarray) for t in calls)
+        ts = calls[0]
+        assert np.isin(grid, ts).all()
         # infinities must sit at the same t
         check_same(fn(ts), [fn(float(t)) for t in ts])
 

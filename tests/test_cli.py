@@ -229,6 +229,63 @@ class TestSweep:
         assert again == pytest.approx(value, rel=1e-12)
 
 
+HARDY_B = {"hardy": {"variant": "direct", "p": 2, "q": 2, "n": 1,
+                     "v": {"kind": "power", "c": 1.0, "alpha": -2.0},
+                     "w": {"kind": "power", "c": 1.0, "alpha": 0.0}}}
+
+
+def spec_with_n(tmp_path, cmd, n):
+    """A spec of the command (constant.hardy: a Hardy spec for constant)
+    with the dimension n."""
+    if cmd == "constant":
+        return write_spec(tmp_path, dict(CASE_VI, n=n))
+    if cmd == "constant.hardy":
+        return write_spec(tmp_path, {"hardy": dict(HARDY_B["hardy"], n=n)})
+    if cmd == "sweep":
+        return write_spec(tmp_path,
+                          {"sweep": dict(TestSweep.SWEEP["sweep"], n=n)})
+    fn = tmp_path / "fn.csv"
+    GridFunction.log_spaced(4, 1e-1, 1e1).with_values(np.ones(4)).to_csv(fn)
+    return write_spec(tmp_path, {"associate": {
+        "kind": "lm", "p": 2, "theta": 2, "n": n, "function_csv": str(fn),
+        "omega": {"kind": "truncated_power", "c": 1.0, "alpha": -2.0,
+                  "lo": 1.0}}})
+
+
+class TestSpecShape:
+    @pytest.mark.parametrize("n", ["a", 1.5, 2.5, True, 0, -1, None])
+    @pytest.mark.parametrize("cmd", ["constant", "constant.hardy", "sweep",
+                                     "associate"])
+    def test_dimension_must_be_a_positive_integer(self, tmp_path, capsys,
+                                                  cmd, n):
+        spec = spec_with_n(tmp_path, cmd, n)
+        assert main([cmd.split(".")[0], "--spec", spec]) == EXIT_SPEC
+        assert "spec error: n: expected a positive integer" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd", ["constant", "constant.hardy", "sweep",
+                                     "associate"])
+    def test_integer_dimension_is_accepted(self, tmp_path, capsys, cmd):
+        spec = spec_with_n(tmp_path, cmd, 2)
+        assert main([cmd.split(".")[0], "--spec", spec]) == EXIT_OK
+
+    @pytest.mark.parametrize("cmd, doc", [
+        ("verify", dict(CASE_VI, oracle=[1])),
+        ("oracle", dict(CASE_VI, oracle=[1])),
+        ("constant", dict(CASE_VI, output=[1])),
+        ("oracle", dict(CASE_VI, output=[1],
+                        oracle={"grid_cells": 48, "restarts": 1})),
+        ("sweep", dict(TestSweep.SWEEP, output=[1])),
+        ("sweep", dict(TestSweep.SWEEP, output="x.csv")),
+        ("constant", dict(CASE_VI, weights=[1])),
+        ("constant", {"hardy": 5}),
+    ])
+    def test_sections_must_be_objects(self, tmp_path, capsys, cmd, doc):
+        spec = write_spec(tmp_path, doc)
+        assert main([cmd, "--spec", spec]) == EXIT_SPEC
+        assert "expected a JSON object" in capsys.readouterr().err
+
+
 class TestReuse:
     """What ``main`` builds once per process carries nothing between
     calls."""

@@ -31,6 +31,18 @@ class TestDirect:
                       ShiftedPowerProfile(1.0, 1.0, -1.0))
         assert hardy_A(prob).is_inf
 
+    @pytest.mark.parametrize("lam", [1.0, 1e-4, 1e-8])
+    def test_case_a_supremum_outside_the_scan_window(self, lam):
+        # 2t V(t) with V the tail integral of v peaks at the break 1e10 lam,
+        # where it is 2e20 lam^2 1e-18 / lam^2 = 200; near t = 0 it is
+        # only 2 lam
+        v = PiecewisePowerProfile(
+            [1e7 * lam, 1e10 * lam, 2e10 * lam],
+            [(lam, -2.0), (0.0, 0.0), (1e-18 / lam ** 2, 0.0), (0.0, 0.0)])
+        prob = direct(2.0, 2.0, v, constant(1.0))
+        assert float(hardy_A(prob)) == pytest.approx(math.sqrt(200.0),
+                                                     rel=1e-12)
+
     def test_case_b_exponential(self):
         # p=2, q=1, r=2: A = (integral V_tail * v * W_ball dt)^(1/2)
         prob = direct(2.0, 1.0, ExpProfile(1.0, -1.0), constant(1.0))
