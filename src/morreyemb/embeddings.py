@@ -15,8 +15,7 @@ import numpy as np
 from .errors import GateFailed, HypothesisViolated, Inadmissible
 from .extreal import ExtReal, conjugate_exponent, ext_div, ext_mul, ext_pow
 from .hardy import _breaks, _halfline, sup_over_t
-from .integration import (DEFAULT_CONFIG, MonotoneIntegrator, ball_volume,
-                          stieltjes_integral)
+from .integration import DEFAULT_CONFIG, ball_volume
 from .norms import ALL, GridFunction, _inner_norm, weighted_lp_norm
 from .profiles import PowerProfile, RadialProfile
 from .weights import (Side, Weight, _whole_space_norm, default_ball_family,
@@ -231,23 +230,20 @@ def _morrey_to_lebesgue(prob, tag, cfg) -> ExtReal:
         return sup_over_t(
             lambda t: ext_div(source(t), side.outer_norm(om, th, t, cfg)),
             _breaks(om, g))
-    # (b): Stieltjes integral against the renormalized outer norm; f and
-    # h take arrays of t
+    # (b): Stieltjes integral against the renormalized outer norm; f takes
+    # arrays of t, and theta = inf keeps omega's breakpoints alone as the
+    # jump points of its Riemann-Stieltjes sums
     p1 = prob.p1
     rho = p1 if math.isinf(th) else p1 * th / (th - p1)
 
     def f(t):
         return ext_pow(source(t), rho)
 
-    def h(t):
-        return ext_pow(side.outer_norm_limit(om, th, t, cfg), -rho)
-
-    integ = MonotoneIntegrator.from_function(
-        h, side.direction, jump_points=_breaks(om),
-        infinite_from=side.infinite_from(om))
-    main = stieltjes_integral(f, integ, (0.0, _INF), cfg)
-    boundary = ext_div(_whole_space_norm(g, sigma, n, cfg),
-                       tail_norm(om, th, 0.0, cfg))
+    whole = _whole_space_norm(g, sigma, n, cfg)
+    main = side.stieltjes(f, ext_pow(whole, rho), om, th, rho,
+                          _breaks(om) if math.isinf(th) else _breaks(om, g),
+                          cfg)
+    boundary = ext_div(whole, tail_norm(om, th, 0.0, cfg))
     return ext_pow(main, 1.0 / rho) + boundary
 
 
@@ -315,19 +311,14 @@ def associate_norm(f: GridFunction, kind, p, theta, omega: RadialProfile,
             inner_eval(t), side.outer_norm(omega, th, t, cfg)), breaks)
     tp = 1.0 if math.isinf(th) else th / (th - 1.0)
 
-    # the integrand and the integrator take arrays of t
+    # the integrand takes arrays of t
     def integrand(t):
         return ext_pow(inner_eval(t), tp)
 
-    def h(t):
-        return ext_pow(side.outer_norm_limit(omega, th, t, cfg), -tp)
-
-    integ = MonotoneIntegrator.from_function(
-        h, side.direction, jump_points=breaks,
-        infinite_from=side.infinite_from(omega))
-    main = stieltjes_integral(integrand, integ, (0.0, _INF), cfg)
-    full = tail_norm(omega, th, 0.0, cfg)
-    boundary = ext_div(weighted_lp_norm(f, pp, dual_w, ALL), full)
+    whole = weighted_lp_norm(f, pp, dual_w, ALL)
+    main = side.stieltjes(integrand, ext_pow(whole, tp), omega, th, tp,
+                          breaks, cfg)
+    boundary = ext_div(whole, tail_norm(omega, th, 0.0, cfg))
     return ext_pow(main, 1.0 / tp) + boundary
 
 

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import HypothesisViolated, InadmissibleExponents
 from .extreal import ExtReal, conjugate_exponent, ext_div, ext_mul, ext_pow
-from .integration import (DEFAULT_CONFIG, MonotoneIntegrator, _values,
-                          integrate_halfline, stieltjes_integral)
+from .integration import (DEFAULT_CONFIG, _sorted_unique, _values,
+                          integrate_halfline)
 from .profiles import RadialProfile
 from .weights import Side, Weight, _whole_space_norm, tail_norm
 
@@ -101,10 +101,8 @@ def sup_over_t(fn, breakpoints=()) -> ExtReal:
     breaks = np.asarray(breakpoints, dtype=float)
     if breaks.size:
         breaks = np.append(breaks, [breaks.min() / 10.0, breaks.max() * 10.0])
-    # sorted without repeats; np.union1d would load numpy.ma on first use
-    ts = np.sort(np.append(_scan_grid(1e-6, 1e6, 512),
-                           np.clip(breaks, 1e-18, 1e18)))
-    ts = ts[np.diff(ts, prepend=0.0) > 0.0]
+    ts = _sorted_unique(np.append(_scan_grid(1e-6, 1e6, 512),
+                                  np.clip(breaks, 1e-18, 1e18)))
     vals = _checked(fn, ts)
     if np.isinf(vals).any():
         return ExtReal(_INF)
@@ -315,19 +313,16 @@ def _reverse_functional(prob: HardyProblem, cfg) -> ExtReal:
         return sup_over_t(
             lambda t: ext_div(w_region(t), side.outer_norm(u, q, t, cfg)),
             _breaks(u, w))
-    # (b): p < q <= inf, 1/r = 1/p - 1/q; f and h take arrays of t
+    # (b): p < q <= inf, 1/r = 1/p - 1/q; f takes arrays of t, and q = inf
+    # keeps u's breakpoints alone as the jump points of its
+    # Riemann-Stieltjes sums
     r = 1.0 / (1.0 / p - (0.0 if math.isinf(q) else 1.0 / q))
-
-    def h(t):
-        return ext_pow(side.outer_norm_limit(u, q, t, cfg), -r)
 
     def f(t):
         return ext_pow(w_region(t), r)
 
-    integ = MonotoneIntegrator.from_function(
-        h, side.direction, jump_points=_breaks(u),
-        infinite_from=side.infinite_from(u))
-    main = stieltjes_integral(f, integ, (0.0, _INF), cfg)
-    boundary = ext_div(_whole_space_norm(w, pp, n, cfg),
-                       tail_norm(u, q, 0.0, cfg))
+    whole = _whole_space_norm(w, pp, n, cfg)
+    main = side.stieltjes(f, ext_pow(whole, r), u, q, r,
+                          _breaks(u) if math.isinf(q) else _breaks(u, w), cfg)
+    boundary = ext_div(whole, tail_norm(u, q, 0.0, cfg))
     return ext_pow(main, 1.0 / r) + boundary

@@ -158,6 +158,22 @@ def _gauss_kronrod(fn, lo, hi, cfg=None):
 _BLOCK = 16
 
 
+# share of the tolerance below which the width of a rest bracket stops a
+# walk: its midpoint can be off by much of the width (the rest of f sits
+# near f(x) where the measure is heaped at x), where the pieces dropped by
+# the other stopping rules are off by far less than their bound
+_REST_SHARE = 1e-3
+
+
+def _sorted_unique(x):
+    """The values of x sorted, without repeats.  np.unique and np.union1d
+    would do, but they load numpy.ma on their first call in a process."""
+    x = np.sort(np.asarray(x, dtype=float).ravel())
+    keep = np.ones(x.size, dtype=bool)
+    keep[1:] = x[1:] != x[:-1]
+    return x[keep]
+
+
 def _dyadic_block(edge, up, first, count, breaks):
     """Pieces first, ..., first + count - 1 of the dyadic walk outward from
     edge: (edge 2^k, edge 2^(k+1)) upward, (edge 2^-(k+1), edge 2^-k)
@@ -167,7 +183,7 @@ def _dyadic_block(edge, up, first, count, breaks):
     k = np.arange(first, first + count + 1)
     ends = np.sort(np.ldexp(edge, k if up else -k))
     inside = breaks[(breaks > ends[0]) & (breaks < ends[-1])]
-    pts = np.union1d(ends, inside)
+    pts = _sorted_unique(np.concatenate((ends, inside)))
     owner = np.searchsorted(ends, pts[:-1], side="right") - 1
     return pts[:-1], pts[1:], owner if up else count - 1 - owner, count
 
@@ -188,16 +204,23 @@ def _piece_values(fn, parts, cfg):
     return out
 
 
-def integrate_halfline(f, interval, cfg=None, breakpoints=None):
+def integrate_halfline(f, interval, cfg=None, breakpoints=None, rest=None):
     """Adaptive integral of a nonnegative f over (a, b) in (0, inf].
 
     f takes a 1-D float array of points and returns the values there (a
     scalar result is broadcast); 0 * inf is taken as 0 and overflow as inf.
     breakpoints are the interior points where f may be non-smooth, by
-    default a profile's own.  A finite core is integrated piece by piece
-    between the breakpoints, and dyadic pieces in log t are added toward
-    an open end until they are negligible, a geometric tail can be summed,
-    or their growth shows divergence.
+    default a profile's own.  A finite core spanning the breakpoints inside
+    (a, b) is integrated piece by piece between them, and dyadic pieces in
+    log t are added toward an open end until they are negligible, a
+    geometric tail can be summed, or their growth shows divergence.
+
+    rest, if given, is called as rest(x, up) with an array of points x
+    where a walk toward an open end may stop (upward toward inf if up,
+    else downward toward 0).  It returns None, or arrays (low, high)
+    bracketing the integral of f beyond each x: over (x, inf) upward,
+    (0, x) downward.  A walk stops where the bracket is narrower than
+    _REST_SHARE times the tolerance, and adds its midpoint.
 
     Returns (value, error_bound); value is inf when dyadic partial sums
     indicate divergence at either end or a piece integrates to inf.
@@ -211,7 +234,7 @@ def integrate_halfline(f, interval, cfg=None, breakpoints=None):
         raise TypeError("integrand must be callable")
     if breakpoints is None:
         breakpoints = f.breakpoints() if isinstance(f, RadialProfile) else ()
-    breaks = np.unique(np.asarray(breakpoints, dtype=float))
+    breaks = _sorted_unique(breakpoints)
 
     # seed finite core
     core_lo = a if a > 0 else min(1.0, b / 2 if math.isfinite(b) else 1.0)
@@ -219,9 +242,24 @@ def integrate_halfline(f, interval, cfg=None, breakpoints=None):
     if core_lo >= core_hi:
         core_lo = core_hi / 2
     core_lo, core_hi = float(core_lo), float(core_hi)
+    # widened by dyadic steps to span the breakpoints inside (a, b): a walk
+    # reads divergence from the growth of its pieces, which a breakpoint
+    # still ahead of it can fake (f = 1 up to t = 1000 grows along the walk
+    # up from 2 until it drops to 0 there)
+    inside = breaks[(breaks > a) & (breaks < b)]
+    steps = []
+    if a <= 0 and inside.size and inside[0] < core_lo:
+        k = np.arange(1, 1 + math.ceil(math.log2(core_lo / inside[0])))
+        steps.append(np.ldexp(core_lo, -k))
+        core_lo = float(steps[-1][-1])
+    if math.isinf(b) and inside.size and inside[-1] > core_hi:
+        k = np.arange(1, 1 + math.ceil(math.log2(inside[-1] / core_hi)))
+        steps.append(np.ldexp(core_hi, k))
+        core_hi = float(steps[-1][-1])
 
-    anchors = np.union1d([core_lo, core_hi],
-                         breaks[(breaks > core_lo) & (breaks < core_hi)])
+    anchors = _sorted_unique(np.concatenate(
+        [[core_lo, core_hi], inside[(inside > core_lo) & (inside < core_hi)]]
+        + steps))
     core = (anchors[:-1], anchors[1:], np.arange(anchors.size - 1),
             anchors.size - 1)
     # (edge, upward) of the walks toward the open ends: down first
@@ -243,6 +281,7 @@ def integrate_halfline(f, interval, cfg=None, breakpoints=None):
         total, toterr = total + v, toterr + e
 
     for (edge, up), (vals, errs) in zip(walks, found[1:]):
+        lows, highs = _rest_bounds(rest, edge, up, 0, len(vals))
         pieces = []
         for k in range(cfg.max_subdivisions):
             if k == len(vals):
@@ -250,6 +289,8 @@ def integrate_halfline(f, interval, cfg=None, breakpoints=None):
                 more, = _piece_values(
                     f, [_dyadic_block(edge, up, k, count, breaks)], cfg)
                 vals, errs = vals + more[0], errs + more[1]
+                more = _rest_bounds(rest, edge, up, k, count)
+                lows, highs = lows + more[0], highs + more[1]
             v, e = vals[k], errs[k]
             x0, x1 = (math.ldexp(edge, k), math.ldexp(edge, k + 1)) if up \
                 else (math.ldexp(edge, -k - 1), math.ldexp(edge, -k))
@@ -259,6 +300,10 @@ def integrate_halfline(f, interval, cfg=None, breakpoints=None):
             total, toterr = total + v, toterr + e
             pieces.append(v)
             tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
+            if highs and highs[k] - lows[k] <= _REST_SHARE * tol:
+                total += 0.5 * (lows[k] + highs[k])
+                toterr += 0.5 * (highs[k] - lows[k])
+                break
             if v <= 0.125 * tol:
                 break
             if len(pieces) >= 9:
@@ -290,6 +335,18 @@ def integrate_halfline(f, interval, cfg=None, breakpoints=None):
                 "dyadic budget exhausted without convergence or divergence",
                 value=total, error_bound=toterr + pieces[-1])
     return ExtReal(max(total, 0.0)), toterr
+
+
+def _rest_bounds(rest, edge, up, first, count):
+    """rest at the outer ends of pieces first, ..., first + count - 1 of
+    the walk from edge, as two lists; empty lists without a bracket."""
+    if rest is None:
+        return [], []
+    k = np.arange(first + 1, first + count + 1)
+    bounds = rest(np.ldexp(edge, k if up else -k), up)
+    if bounds is None:
+        return [], []
+    return [np.asarray(x, dtype=float).tolist() for x in bounds]
 
 
 def _check_piece(v, x0, x1, total, toterr):
@@ -500,6 +557,22 @@ def _nonzero_on(f, lo, hi):
     return bool(np.any(_values(f, grid) > 0.0))
 
 
+def _defined_range(f, h: MonotoneIntegrator, a, b):
+    """(a, b) less the part where h is identically infinite, on which the
+    integral of f against h is defined only when f vanishes; raises
+    UndefinedStieltjes where it does not."""
+    cut = _find_infinite_cut(h, a, b)
+    if cut is None:
+        return a, b
+    kept, beyond = ((a, cut), (cut, b)) if h.direction == "increasing" \
+        else ((cut, b), (a, cut))
+    if _nonzero_on(f, *beyond):
+        raise UndefinedStieltjes(
+            f"integrator infinite on ({beyond[0]:g}, {beyond[1]:g}) "
+            "where f > 0")
+    return kept
+
+
 def stieltjes_integral(f, h: MonotoneIntegrator, interval=(0.0, _INF), cfg=None):
     """Integral of f >= 0 against the monotone integrator h over (a, b).
 
@@ -511,23 +584,11 @@ def stieltjes_integral(f, h: MonotoneIntegrator, interval=(0.0, _INF), cfg=None)
     raised.
     """
     cfg = cfg or DEFAULT_CONFIG
-    a, b = interval
-    cut = _find_infinite_cut(h, a, b)
-    if cut is not None:
-        if h.direction == "increasing":
-            if _nonzero_on(f, cut, b):
-                raise UndefinedStieltjes(
-                    f"integrator infinite on ({cut:g}, {b:g}) where f > 0")
-            b = cut
-        else:
-            if _nonzero_on(f, a, cut):
-                raise UndefinedStieltjes(
-                    f"integrator infinite on ({a:g}, {cut:g}) where f > 0")
-            a = cut
+    a, b = _defined_range(f, h, *interval)
     if not a < b:
         return ExtReal(0.0)
 
-    jumps = np.unique(np.asarray(h.jump_points, dtype=float))
+    jumps = _sorted_unique(h.jump_points)
     jumps = jumps[(jumps > a) & (jumps < b)]
     total = 0.0
     if jumps.size:

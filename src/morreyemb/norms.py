@@ -177,8 +177,6 @@ class _InnerBallNorm:
         self.f, self.p, self.v = f, float(p), v
         live = f.values > 0.0
         lo, hi = f.knots[:-1][live], f.knots[1:][live]
-        self.cell_mass = np.zeros(f.num_cells)
-        self.cell_mass[live] = _shell_integral(v.profile, v.dimension, lo, hi)
         if math.isinf(self.p):
             self.cell_sup = np.zeros(f.num_cells)
             self.cell_sup[live] = v.profile.esssup(lo, hi) * f.values[live]
@@ -187,8 +185,10 @@ class _InnerBallNorm:
             self.suffix = np.concatenate(
                 [np.maximum.accumulate(self.cell_sup[::-1])[::-1], [0.0]])
         else:
+            cell_mass = np.zeros(f.num_cells)
+            cell_mass[live] = _shell_integral(v.profile, v.dimension, lo, hi)
             pth = f.values ** self.p
-            self.prefix = np.concatenate([[0.0], np.cumsum(pth * self.cell_mass)])
+            self.prefix = np.concatenate([[0.0], np.cumsum(pth * cell_mass)])
         self._total = self._finish(self.prefix[-1])
 
     def total(self):

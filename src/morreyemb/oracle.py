@@ -505,7 +505,9 @@ def _family_members(ev: _RatioEvaluator, cfg: OracleConfig):
     m = ev.m
     knots = ev.knots
     idx = np.arange(m)
-    probe_cells = np.unique(np.linspace(0, m, 25, dtype=int).clip(0, m))
+    # ascending, so repeats are neighbours (np.unique would load numpy.ma)
+    probe_cells = np.linspace(0, m, 25, dtype=int).clip(0, m)
+    probe_cells = probe_cells[np.diff(probe_cells, prepend=-1) > 0]
     fams = cfg.include_families
     if "constant" in fams:
         yield "constant", np.ones(m)

@@ -15,11 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotAWeight
+from .errors import NotAWeight, QuadratureFailure
 from .extreal import ExtReal, ext_mul, ext_pow, scalar_results
-from .integration import (_gauss_kronrod, _profile_integral, ball_integral,
+from .integration import (MonotoneIntegrator, _defined_range, _gauss_kronrod,
+                          _profile_integral, _values, ball_integral,
                           complement_integral, esssup_ball, esssup_complement,
-                          integrate_halfline, sphere_area)
+                          integrate_halfline, sphere_area, stieltjes_integral)
 from .profiles import (ExpProfile, PiecewisePowerProfile, PowerProfile,
                        RadialProfile, ShiftedPowerProfile, tabulated,
                        truncated_power)
@@ -196,6 +197,92 @@ class Side(enum.Enum):
             return hi if math.isfinite(hi) else None
         lo = getattr(omega, "support_inf", lambda: 0.0)()
         return lo if lo > 0.0 else None
+
+    def stieltjes(self, f, f_end, omega, theta, rho, breaks, cfg=None):
+        """The integral over t > 0 of f against h = N^(-rho), rho > 0, where
+        N(t) is the outer norm of omega with exponent theta at t.
+
+        f >= 0 takes an array of t and is monotone, with limit f_end at the
+        end where h has a finite limit: t -> 0 for balls, t -> inf for
+        complements.  breaks are the data's breakpoints.
+
+        For finite theta, h has the density |h'| = (rho / theta)
+        N^(-rho-theta) omega^theta and no atoms, and f |h'| goes to
+        integrate_halfline with breaks as breakpoints.  Toward h's finite
+        limit h_end = ||omega||_theta^(-rho) the walk stops once the rest,
+        f(xi) |h(x) - h_end| with f(xi) between f(x) and f_end, is
+        bracketed to tolerance.  Toward a finite cut, where h becomes
+        infinite for an omega of bounded support, it walks in the distance
+        s to the cut, so that a divergence there reads inf; a walk that
+        reaches the float resolution of the cut raises QuadratureFailure.
+
+        For theta = inf, h comes from a running esssup and may jump: the
+        integral is stieltjes_integral's refining Riemann-Stieltjes sums,
+        with breaks as jump points.
+        """
+        theta = float(theta)
+
+        def h(t):
+            return ext_pow(self.outer_norm_limit(omega, theta, t, cfg), -rho)
+
+        integ = MonotoneIntegrator.from_function(
+            h, self.direction, jump_points=breaks,
+            infinite_from=self.infinite_from(omega))
+        if math.isinf(theta):
+            return stieltjes_integral(f, integ, (0.0, _INF), cfg)
+        lo, hi = _defined_range(f, integ, 0.0, _INF)
+        if not lo < hi:
+            return ExtReal(0.0)
+
+        def integrand(t):
+            om, norm = omega(t), self.outer_norm(omega, theta, t, cfg)
+            fv = _values(f, t)
+            with np.errstate(divide="ignore", over="ignore",
+                             invalid="ignore"):
+                dens = (rho / theta) * np.exp(
+                    theta * np.log(om) - (rho + theta) * np.log(norm))
+                # N = 0 inside (lo, hi) is rounding next to a cut: nan
+                dens = np.where(om == 0.0, 0.0,
+                                np.where(norm == 0.0, np.nan, dens))
+                return np.where((fv == 0.0) | (dens == 0.0), 0.0, fv * dens)
+
+        up = self is Side.COMPLEMENT      # the walk toward h's finite limit
+        h_end = float(ext_pow(tail_norm(omega, theta, 0.0, cfg), -rho))
+        f_end = float(f_end)
+
+        def rest(x, toward):
+            if toward != up:
+                return None
+            fx, mass = _values(f, x), np.abs(h(x) - h_end)
+            with np.errstate(invalid="ignore"):
+                return tuple(np.where(mass == 0.0, 0.0, bound * mass)
+                             for bound in (np.minimum(fx, f_end),
+                                           np.maximum(fx, f_end)))
+
+        cut = lo if up else hi
+        if cut in (0.0, _INF):
+            val, _ = integrate_halfline(integrand, (lo, hi), cfg, breaks, rest)
+            return val
+        # the half toward the open end in t, the half toward the cut in
+        # s = |t - cut|, where t = cut is no longer a point of the walk
+        mid = 2.0 * cut if up else 0.5 * cut
+        far, _ = integrate_halfline(integrand, (mid, hi) if up else (lo, mid),
+                                    cfg, breaks, rest)
+        sign = 1.0 if up else -1.0
+
+        def near(s):
+            t = cut + sign * s
+            return np.where(t == cut, np.nan, integrand(t))
+
+        gaps = np.abs(np.asarray(breaks, dtype=float) - cut)
+        try:
+            close, _ = integrate_halfline(near, (0.0, abs(mid - cut)), cfg,
+                                          gaps[gaps < abs(mid - cut)])
+        except QuadratureFailure as exc:
+            raise QuadratureFailure(
+                f"Stieltjes integral toward the cut at t = {cut:g}, in the "
+                f"distance s to it: {exc}") from exc
+        return far + close
 
     def in_omega(self, member: OmegaMembership) -> bool:
         """Whether omega lies in the side's class: Omega_theta (finite

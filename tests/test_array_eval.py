@@ -1,10 +1,13 @@
 """Array evaluation: profiles, extended-real products and quotients,
-inner norms, the Stieltjes callers and the supremum-form functionals give
-the same numbers on arrays as on single radii, and the integral-form
-functionals call their integrands on arrays only."""
+inner norms and the supremum-form functionals give the same numbers on
+arrays as on single radii, the integral-form functionals call their
+integrands on arrays only, and the Stieltjes callers match exact or mpmath
+references."""
 
 import math
+import os
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +20,8 @@ from morreyemb import (EmbeddingProblem, GridFunction, HardyProblem,
                        stieltjes_integral, truncated_power,
                        unweighted_reference)
 from morreyemb import embeddings, hardy
-from morreyemb.errors import IndeterminatePower
+from morreyemb.errors import (IndeterminatePower, QuadratureFailure,
+                              UndefinedStieltjes)
 from morreyemb.extreal import ExtReal, ext_div, ext_mul, ext_pow
 from morreyemb.integration import ball_integral, esssup_ball
 from morreyemb.norms import _InnerBallNorm, _InnerComplementNorm
@@ -215,63 +219,183 @@ def test_inner_norm_array_lookup_matches_scalar(cls, p, v):
 
 
 # ---------------------------------------------------------------------------
-# the Stieltjes callers; the recorded values were computed with the
-# one-point-at-a-time evaluation that the array evaluation replaced
+# the Stieltjes callers against references independent of the library: an
+# exact form where one is derived, else mpmath quadrature of the defining
+# density integral
 
 ONE = Weight(1, constant(1.0))
 F16 = GridFunction(np.geomspace(1e-2, 1e2, 16), np.exp(np.sin(np.arange(15.0))))
 F17 = GridFunction(np.geomspace(1e-2, 1e2, 17), np.exp(np.sin(np.arange(16.0))))
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                    "bench", "data")
 
 
 def split(left, right):
     return PiecewisePowerProfile([1.0], [left, right])
 
 
-RECORDED = [
-    (lambda: associate_norm(F17, "lm", 2.0, 3.0, PowerProfile(1.0, -1.0), ONE),
-     542.739756133531),
-    (lambda: associate_norm(F17, "dual_lm", 2.0, 3.0, constant(1.0), ONE),
-     10.188299358193458),
-    (lambda: associate_norm(F17, "lm", 1.0, 2.0, PowerProfile(1.0, -1.0), ONE),
-     23.842542546785243),
-    (lambda: associate_norm(F16, "lm", 1.5, INF,
-                            split((1.0, -0.5), (2.0, -1.0)), ONE),
-     545.9775902105794),
-    (lambda: associate_norm(F16, "dual_lm", 1.5, 3.0,
-                            split((1.0, 0.5), (2.0, 0.0)), ONE),
-     32.27311792211255),
-    (lambda: embedding_constant(EmbeddingProblem(
-        "lm_to_lebesgue", 1, 1.0, 2.0, 2.0, Weight(1, split((1.0, 0.0),
-                                                            (1.0, -4.0))),
-        ONE, PowerProfile(1.0, -3.0))),
-     2.5819888947018264),
-    (lambda: embedding_constant(EmbeddingProblem(
-        "lm_to_lebesgue", 2, 1.0, 1.0, 3.0,
-        Weight(2, split((1.0, 0.0), (1.0, -4.0))), Weight(2, constant(1.0)),
-        PowerProfile(1.0, -3.0))),
-     4.160167638701828),
-    (lambda: embedding_constant(EmbeddingProblem(
-        "dual_lm_to_lebesgue", 1, 1.0, 1.0, 3.0,
-        Weight(1, split((1.0, 2.0), (1.0, -2.0))), ONE, constant(1.0))),
-     1.1292432276117421),
-    (lambda: reverse_hardy_C(HardyProblem(
-        "reverse", 0.5, 2.0, ShiftedPowerProfile(1.0, 1.0, -2.0),
-        Weight(1, ShiftedPowerProfile(1.0, 1.0, -3.0)))),
-     10.732050799425759),
-    (lambda: reverse_hardy_C_star(HardyProblem(
-        "reverse_complement", 0.5, 2.0, PowerProfile(1.0, 0.5),
-        Weight(1, split((1.0, 1.0), (1.0, -3.0))))),
-     5.415112831634192),
-    (lambda: reverse_hardy_C_star(HardyProblem(
-        "reverse_complement", 0.5, INF, PowerProfile(1.0, 0.5),
-        Weight(1, split((1.0, 1.0), (1.0, -3.0))))),
-     2.907275042963404),
+def grid_mass(f, pp, ball, power=1):
+    """t -> (int |f|^p')^power over the ball B_t (ball) or its complement
+    in R^1, with weight 1, in mpmath."""
+    cells = [(mpmath.mpf(a), mpmath.mpf(b), 2 * mpmath.mpf(v) ** pp)
+             for a, b, v in zip(f.knots[:-1], f.knots[1:], f.values)]
+
+    def mass(t):
+        total = mpmath.mpf(0)
+        for a, b, dens in cells:
+            lo, hi = (a, min(b, t)) if ball else (max(a, t), b)
+            total += dens * max(hi - lo, 0)
+        return total ** power
+    return mass
+
+
+def density_reference(f, T, omega, theta, rho, points):
+    """(integral of f against |d T^(-rho/theta)|)^(1/rho) by mpmath
+    quadrature between the points, with |dT| = omega^theta dt: the main
+    term of a Stieltjes caller whose boundary term is 0, T(t) being the
+    theta-th power of the outer norm of omega at t."""
+    theta, rho = mpmath.mpf(theta), mpmath.mpf(rho)
+    with mpmath.workdps(30):
+        main = mpmath.quad(lambda t: f(t) * rho / theta
+                           * T(t) ** (-rho / theta - 1) * omega(t) ** theta,
+                           [mpmath.mpf(x) for x in points])
+        return float(main ** (1 / rho))
+
+
+def lm_inverse_power_exact(f, p, theta):
+    """Associate norm of kind "lm" with omega = 1/r and v = 1 on R^1,
+    1 < theta < inf, exactly.  ||omega||_{theta,(t,inf)}^(-theta') = c t
+    with c = (theta - 1)^(1/(theta - 1)), and the whole norm of omega is
+    infinite, so the norm is (c int_0^inf S(t)^m dt)^(1/theta') with
+    m = theta'/p' and S(t) = int_{|x| > t} |f|^p'.  Below the first knot S
+    is the whole mass; on a cell (a, b) with value v it falls linearly
+    with slope 2 v^p', and S^m integrates to
+    (S(a)^(m+1) - S(b)^(m+1)) / (2 v^p' (m + 1))."""
+    with mpmath.workdps(40):
+        pp = mpmath.mpf(p) / (p - 1)
+        tp = mpmath.mpf(theta) / (theta - 1)
+        c = mpmath.mpf(theta - 1) ** (1 / mpmath.mpf(theta - 1))
+        m = tp / pp
+        mass = grid_mass(f, pp, ball=False)
+        total = f.knots[0] * mass(0) ** m
+        for a, b, v in zip(f.knots[:-1], f.knots[1:], f.values):
+            slope = 2 * mpmath.mpf(v) ** pp
+            lo, hi = mass(mpmath.mpf(a)), mass(mpmath.mpf(b))
+            total += (lo ** (m + 1) - hi ** (m + 1)) / (slope * (m + 1))
+        return float((c * total) ** (1 / tp))
+
+
+def sup_beyond(f):
+    """t -> esssup of f over |x| > t."""
+    return lambda t: max([v for b, v in zip(f.knots[1:], f.values) if b > t],
+                         default=0.0)
+
+
+def reverse_complement_reference():
+    """reverse_complement, p = 1/2, q = 2, u = t^(1/2), w = t | t^(-3) split
+    at 1: r = 2/3, the ball integral of w is t^2 below 1 and 2 - t^(-2)
+    above, and h = (t^2 / 2)^(-1/3); the whole norm of u is infinite."""
+    with mpmath.workdps(30):
+        r = mpmath.mpf(2) / 3
+        tail = mpmath.quad(lambda t: (2 - t ** -2) ** r * t ** (-r - 1),
+                           [1, mpmath.inf])
+        return float((r * mpmath.cbrt(2) * (mpmath.mpf(3) / 2 + tail))
+                     ** (1 / r))
+
+
+# (caller, reference): each test id keeps the value it pinned when the
+# callers summed Riemann-Stieltjes stages, good to about 1e-8; CHANGES.md
+# lists each old -> new value.  The two theta = inf entries still take
+# that path and keep their recorded values.
+STIELTJES_CALLERS = [
+    pytest.param(
+        lambda: associate_norm(F17, "lm", 2.0, 3.0, PowerProfile(1.0, -1.0),
+                               ONE),
+        lambda: lm_inverse_power_exact(F17, 2.0, 3.0),
+        id="<lambda>-542.739756133531"),
+    # T = t (head norm of 1), F^2 the ball mass
+    pytest.param(
+        lambda: associate_norm(F17, "dual_lm", 2.0, 3.0, constant(1.0), ONE),
+        lambda: density_reference(
+            grid_mass(F17, 2, ball=True, power=0.75), lambda t: t,
+            lambda t: 1, 3, 1.5, [0, *F17.knots, mpmath.inf]),
+        id="<lambda>-10.188299358193458"),
+    # p = 1: F = esssup of f beyond t and h = t, so the norm is the square
+    # root of knots[0] max(f)^2 plus the cells' widths times F^2
+    pytest.param(
+        lambda: associate_norm(F17, "lm", 1.0, 2.0, PowerProfile(1.0, -1.0),
+                               ONE),
+        lambda: math.sqrt(F17.knots[0] * sup_beyond(F17)(0.0) ** 2 + sum(
+            (b - a) * sup_beyond(F17)(a) ** 2
+            for a, b in zip(F17.knots[:-1], F17.knots[1:]))),
+        id="<lambda>-23.842542546785243"),
+    pytest.param(
+        lambda: associate_norm(F16, "lm", 1.5, INF,
+                               split((1.0, -0.5), (2.0, -1.0)), ONE),
+        lambda: 545.9775902105794,
+        id="<lambda>-545.9775902105794"),
+    # omega^3 = t^(3/2) | 8 integrates to T = t^(5/2) / (5/2) below 1 and
+    # 2/5 + 8 (t - 1) above; F^3 the ball mass
+    pytest.param(
+        lambda: associate_norm(F16, "dual_lm", 1.5, 3.0,
+                               split((1.0, 0.5), (2.0, 0.0)), ONE),
+        lambda: density_reference(
+            grid_mass(F16, 3, ball=True, power=0.5),
+            lambda t: t ** 2.5 / 2.5 if t <= 1 else 0.4 + 8 * (t - 1),
+            lambda t: mpmath.sqrt(t) if t < 1 else 2, 3, 1.5,
+            sorted({0.0, 1.0, *F16.knots}) + [mpmath.inf]),
+        id="<lambda>-32.27311792211255"),
+    # rho = 2, f = 2 (8/7 - t) below 1 and 2 t^(-7) / 7 above, h = 5 t^5:
+    # 65/21 + 75/21 = 20/3
+    pytest.param(
+        lambda: embedding_constant(EmbeddingProblem(
+            "lm_to_lebesgue", 1, 1.0, 2.0, 2.0,
+            Weight(1, split((1.0, 0.0), (1.0, -4.0))), ONE,
+            PowerProfile(1.0, -3.0))),
+        lambda: math.sqrt(20.0 / 3.0),
+        id="<lambda>-2.5819888947018264"),
+    # rho = 3/2, f = 1 below 1 and t^(-6) above, h = 8^(1/2) t^4: the main
+    # term is 6 sqrt(2), whose 2/3 power is 72^(1/3)
+    pytest.param(
+        lambda: embedding_constant(EmbeddingProblem(
+            "lm_to_lebesgue", 2, 1.0, 1.0, 3.0,
+            Weight(2, split((1.0, 0.0), (1.0, -4.0))), Weight(2, constant(1.0)),
+            PowerProfile(1.0, -3.0))),
+        lambda: 72.0 ** (1.0 / 3.0),
+        id="<lambda>-4.160167638701828"),
+    # rho = 3/2, f = t^3 below 1 and 1 above, h = t^(-1/2): 1/5 + 1
+    pytest.param(
+        lambda: embedding_constant(EmbeddingProblem(
+            "dual_lm_to_lebesgue", 1, 1.0, 1.0, 3.0,
+            Weight(1, split((1.0, 2.0), (1.0, -2.0))), ONE, constant(1.0))),
+        lambda: 1.2 ** (2.0 / 3.0),
+        id="<lambda>-1.1292432276117421"),
+    # r = 2/3, f = (1 + t)^(-4/3), h = 3^(1/3) (1 + t): main term 9,
+    # boundary term 1 / (1/3)^(1/2)
+    pytest.param(
+        lambda: reverse_hardy_C(HardyProblem(
+            "reverse", 0.5, 2.0, ShiftedPowerProfile(1.0, 1.0, -2.0),
+            Weight(1, ShiftedPowerProfile(1.0, 1.0, -3.0)))),
+        lambda: 9.0 + math.sqrt(3.0),
+        id="<lambda>-10.732050799425759"),
+    pytest.param(
+        lambda: reverse_hardy_C_star(HardyProblem(
+            "reverse_complement", 0.5, 2.0, PowerProfile(1.0, 0.5),
+            Weight(1, split((1.0, 1.0), (1.0, -3.0))))),
+        reverse_complement_reference,
+        id="<lambda>-5.415112831634192"),
+    pytest.param(
+        lambda: reverse_hardy_C_star(HardyProblem(
+            "reverse_complement", 0.5, INF, PowerProfile(1.0, 0.5),
+            Weight(1, split((1.0, 1.0), (1.0, -3.0))))),
+        lambda: 2.907275042963404,
+        id="<lambda>-2.907275042963404"),
 ]
 
 
-@pytest.mark.parametrize("value, recorded", RECORDED)
-def test_stieltjes_callers_match_recorded(value, recorded):
-    assert float(value()) == pytest.approx(recorded, rel=1e-12)
+@pytest.mark.parametrize("value, reference", STIELTJES_CALLERS)
+def test_stieltjes_callers_match_recorded(value, reference):
+    assert float(value()) == pytest.approx(reference(), rel=1e-12)
 
 
 def fubini_dual_norm(f, p, beta):
@@ -289,7 +413,16 @@ def fubini_dual_norm(f, p, beta):
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_associate_norm_at_theta_p_is_fubini_dual_norm(p):
     got = float(associate_norm(F17, "lm", p, p, PowerProfile(1.0, -1.0), ONE))
-    assert got == pytest.approx(fubini_dual_norm(F17, p, -1.0), rel=1e-8)
+    assert got == pytest.approx(fubini_dual_norm(F17, p, -1.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("theta", [2.0, 3.0, 5.0])
+def test_associate_lm_inverse_power_on_the_bench_grid(theta):
+    f = GridFunction.from_csv(os.path.join(DATA, "f_32.csv"))
+    got = float(associate_norm(f, "lm", 2.0, theta, PowerProfile(1.0, -1.0),
+                               ONE))
+    assert got == pytest.approx(lm_inverse_power_exact(f, 2.0, theta),
+                                rel=1e-12)
 
 
 @pytest.mark.parametrize("direction, v1, omega, exact", [
@@ -301,7 +434,46 @@ def test_associate_norm_at_theta_p_is_fubini_dual_norm(p):
 def test_morrey_source_case_b_exact(direction, v1, omega, exact):
     prob = EmbeddingProblem(direction, 1, 1.0, 1.0, 2.0, Weight(1, v1), ONE,
                             omega)
-    assert float(embedding_constant(prob)) == pytest.approx(exact, rel=1e-8)
+    assert float(embedding_constant(prob)) == pytest.approx(exact, rel=1e-12)
+
+
+def test_reverse_slow_end_is_bracketed():
+    # u = t^(-1/2) | t^(-2), w = t | t^(-2) split at 1, p = 1, q = 2: below
+    # 1, h(t) = 1 / (log(1/t) + 1/3) falls to h(0+) = 0 like 1 / log and f
+    # is 1, its limit; above, f = t^(-4) against h = 3 t^3, so the main
+    # term is 3 + 9
+    prob = HardyProblem("reverse", 1.0, 2.0, split((1.0, -0.5), (1.0, -2.0)),
+                        Weight(1, split((1.0, 1.0), (1.0, -2.0))))
+    assert float(reverse_hardy_C(prob)) == pytest.approx(math.sqrt(12.0),
+                                                         rel=1e-12)
+
+
+# omega = 1/t on (0, 10] and f = 1 on (1, 10]: near the cut at 10, where h
+# becomes infinite, the density integrand behaves like
+# s^(theta' (1/2 - 1/theta) - 1) in s = 10 - t
+CUT_OMEGA = truncated_power(1.0, -1.0, None, 10.0)
+CUT_F = GridFunction([1.0, 10.0], [1.0])
+
+
+@pytest.mark.parametrize("theta", [1.5, 2.0])
+def test_divergence_at_a_finite_cut_reads_inf(theta):
+    assert math.isinf(float(associate_norm(CUT_F, "lm", 2.0, theta,
+                                           CUT_OMEGA, ONE)))
+
+
+def test_walk_to_a_finite_cut_fails_at_its_resolution():
+    # theta = 3 converges like s^(-3/4), to 37.968967635583394598 by mpmath;
+    # the walk needs s far below 1e-15 * 10, where 10 - s rounds to 10, and
+    # must fail there rather than return the integral truncated
+    with pytest.raises(QuadratureFailure, match="cut at t = 10"):
+        associate_norm(CUT_F, "lm", 2.0, 3.0, CUT_OMEGA, ONE)
+
+
+@pytest.mark.parametrize("theta", [2.0, INF])
+def test_positive_f_beyond_the_cut_is_undefined(theta):
+    f = GridFunction([1.0, 100.0], [1.0])
+    with pytest.raises(UndefinedStieltjes):
+        associate_norm(f, "lm", 2.0, theta, CUT_OMEGA, ONE)
 
 
 def test_stieltjes_evaluates_arrays():

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +13,9 @@ from morreyemb import cli, hardy, oracle
 from morreyemb.cli import (EXIT_CONTRACT, EXIT_OK, EXIT_SPEC, dump_json, fmt,
                            main)
 from morreyemb.norms import GridFunction
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def write_spec(tmp_path, doc, name="spec.json"):
@@ -133,6 +139,20 @@ class TestVerify:
         assert main(["verify", "--spec", spec]) == EXIT_SPEC
         assert "spec error: ratio_floor" in capsys.readouterr().err
         assert calls == []
+
+
+    def test_loads_no_numpy_ma(self):
+        # np.unique and np.union1d import numpy.ma on first use, which
+        # costs about 15 ms on the first call of a process
+        code = ("import sys, io, contextlib; from morreyemb import cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    cli.main(['verify', '--spec', sys.argv[1]])\n"
+                "sys.exit('numpy.ma' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+        spec = os.path.join(ROOT, "bench", "specs", "verify",
+                            "emb.source.b.json")
+        assert subprocess.run([sys.executable, "-c", code, spec],
+                              env=env).returncode == 0
 
 
 class TestOracle:

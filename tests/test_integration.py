@@ -134,6 +134,17 @@ def test_halfline_matches_mpmath(name):
     assert abs(float(val) - exact) <= err
 
 
+@pytest.mark.parametrize("f, breaks", [
+    (lambda t: np.where(t < 1000.0, 1.0, 0.0), (1000.0,)),
+    (lambda t: np.where(t > 1e-3, t ** -2.0, 0.0), (1e-3,)),
+], ids=["step_down_at_1000", "inverse_square_from_1e-3"])
+def test_halfline_core_spans_the_breakpoints(f, breaks):
+    # both integrals are 1000; from a core of [1, 2] the walk toward the
+    # breakpoint saw its pieces double and read inf
+    val, _ = integrate_halfline(f, (0.0, INF), breakpoints=breaks)
+    assert float(val) == pytest.approx(1000.0, rel=1e-12)
+
+
 def test_integrand_error_propagates():
     # an exception is a fault of the integrand, not divergence
     def broken(t):
