@@ -18,9 +18,9 @@ from .hardy import _breaks, _halfline, sup_over_t
 from .integration import DEFAULT_CONFIG, ball_volume
 from .norms import ALL, GridFunction, _inner_norm, weighted_lp_norm
 from .profiles import PowerProfile, RadialProfile
-from .weights import (Side, Weight, _whole_space_norm, default_ball_family,
-                      lp_norm_interval, muckenhoupt_ap_estimate,
-                      omega_class_check, tail_norm)
+from .weights import (Side, Weight, _norm_slope, _whole_space_norm,
+                      default_ball_family, lp_norm_interval,
+                      muckenhoupt_ap_estimate, omega_class_check, tail_norm)
 
 __all__ = [
     "EmbeddingProblem",
@@ -231,8 +231,8 @@ def _morrey_to_lebesgue(prob, tag, cfg) -> ExtReal:
             lambda t: ext_div(source(t), side.outer_norm(om, th, t, cfg)),
             _breaks(om, g))
     # (b): Stieltjes integral against the renormalized outer norm; f takes
-    # arrays of t, and theta = inf keeps omega's breakpoints alone as the
-    # jump points of its Riemann-Stieltjes sums
+    # arrays of t, and theta = sigma = inf keeps omega's breakpoints alone
+    # as the jump points of its Riemann-Stieltjes sums
     p1 = prob.p1
     rho = p1 if math.isinf(th) else p1 * th / (th - p1)
 
@@ -240,9 +240,12 @@ def _morrey_to_lebesgue(prob, tag, cfg) -> ExtReal:
         return ext_pow(source(t), rho)
 
     whole = _whole_space_norm(g, sigma, n, cfg)
-    main = side.stieltjes(f, ext_pow(whole, rho), om, th, rho,
-                          _breaks(om) if math.isinf(th) else _breaks(om, g),
-                          cfg)
+    slope = _norm_slope(source, g.power(sigma), sigma, n, rho) \
+        if math.isinf(th) and math.isfinite(sigma) else None
+    main = side.stieltjes(
+        f, ext_pow(whole, rho), om, th, rho,
+        _breaks(om) if math.isinf(th) and slope is None else _breaks(om, g),
+        cfg, slope)
     boundary = ext_div(whole, tail_norm(om, th, 0.0, cfg))
     return ext_pow(main, 1.0 / rho) + boundary
 
@@ -315,9 +318,14 @@ def associate_norm(f: GridFunction, kind, p, theta, omega: RadialProfile,
     def integrand(t):
         return ext_pow(inner_eval(t), tp)
 
+    def phi(t):
+        return ext_mul(f(t) ** pp, dual_w.profile(t))
+
     whole = weighted_lp_norm(f, pp, dual_w, ALL)
+    slope = _norm_slope(inner_eval, phi, pp, v.dimension, tp) \
+        if math.isinf(th) and math.isfinite(pp) else None
     main = side.stieltjes(integrand, ext_pow(whole, tp), omega, th, tp,
-                          breaks, cfg)
+                          breaks, cfg, slope)
     boundary = ext_div(whole, tail_norm(omega, th, 0.0, cfg))
     return ext_pow(main, 1.0 / tp) + boundary
 

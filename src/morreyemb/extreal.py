@@ -48,10 +48,6 @@ class ExtReal:
         return math.isinf(self.value)
 
     @property
-    def is_zero(self):
-        return self.value == 0.0
-
-    @property
     def is_finite(self):
         return math.isfinite(self.value)
 

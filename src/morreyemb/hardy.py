@@ -20,7 +20,7 @@ from .extreal import ExtReal, conjugate_exponent, ext_div, ext_mul, ext_pow
 from .integration import (DEFAULT_CONFIG, _sorted_unique, _values,
                           integrate_halfline)
 from .profiles import RadialProfile
-from .weights import Side, Weight, _whole_space_norm, tail_norm
+from .weights import Side, Weight, _norm_slope, _whole_space_norm, tail_norm
 
 __all__ = [
     "HardyProblem",
@@ -313,8 +313,8 @@ def _reverse_functional(prob: HardyProblem, cfg) -> ExtReal:
         return sup_over_t(
             lambda t: ext_div(w_region(t), side.outer_norm(u, q, t, cfg)),
             _breaks(u, w))
-    # (b): p < q <= inf, 1/r = 1/p - 1/q; f takes arrays of t, and q = inf
-    # keeps u's breakpoints alone as the jump points of its
+    # (b): p < q <= inf, 1/r = 1/p - 1/q; f takes arrays of t, and
+    # q = p' = inf keeps u's breakpoints alone as the jump points of its
     # Riemann-Stieltjes sums
     r = 1.0 / (1.0 / p - (0.0 if math.isinf(q) else 1.0 / q))
 
@@ -322,7 +322,11 @@ def _reverse_functional(prob: HardyProblem, cfg) -> ExtReal:
         return ext_pow(w_region(t), r)
 
     whole = _whole_space_norm(w, pp, n, cfg)
-    main = side.stieltjes(f, ext_pow(whole, r), u, q, r,
-                          _breaks(u) if math.isinf(q) else _breaks(u, w), cfg)
+    slope = _norm_slope(w_region, w.power(pp), pp, n, r) \
+        if math.isinf(q) and math.isfinite(pp) else None
+    main = side.stieltjes(
+        f, ext_pow(whole, r), u, q, r,
+        _breaks(u) if math.isinf(q) and slope is None else _breaks(u, w),
+        cfg, slope)
     boundary = ext_div(whole, tail_norm(u, q, 0.0, cfg))
     return ext_pow(main, 1.0 / r) + boundary

@@ -92,11 +92,14 @@ class GridFunction:
             values = np.zeros(num_cells)
         return cls(knots, values)
 
+    @scalar_results(float)
     def __call__(self, rho):
-        if rho <= self.knots[0] or rho > self.knots[-1]:
-            return 0.0
-        i = int(np.searchsorted(self.knots, rho, side="left")) - 1
-        return float(self.values[min(max(i, 0), self.num_cells - 1)])
+        """The value at the radii rho, a float or an array of them."""
+        rho = np.asarray(rho, dtype=float)
+        i = np.searchsorted(self.knots, rho, side="left") - 1
+        inside = (rho > self.knots[0]) & (rho <= self.knots[-1])
+        return np.where(inside, self.values[np.clip(i, 0, self.num_cells - 1)],
+                        0.0)
 
     def scaled(self, c):
         return GridFunction(self.knots, c * self.values)

@@ -18,9 +18,10 @@ import numpy as np
 from .errors import NotAWeight, QuadratureFailure
 from .extreal import ExtReal, ext_mul, ext_pow, scalar_results
 from .integration import (MonotoneIntegrator, _defined_range, _gauss_kronrod,
-                          _profile_integral, _values, ball_integral,
-                          complement_integral, esssup_ball, esssup_complement,
-                          integrate_halfline, sphere_area, stieltjes_integral)
+                          _profile_integral, _sorted_unique, _values,
+                          ball_integral, complement_integral, esssup_ball,
+                          esssup_complement, integrate_halfline, sphere_area,
+                          stieltjes_integral)
 from .profiles import (ExpProfile, PiecewisePowerProfile, PowerProfile,
                        RadialProfile, ShiftedPowerProfile, tabulated,
                        truncated_power)
@@ -131,6 +132,23 @@ def head_norm_right_limit(omega: RadialProfile, theta, t, cfg=None) -> ExtReal:
     return _with_limit(head_norm, omega.right_limit, omega, theta, t, cfg)
 
 
+def _norm_slope(norm, phi, s, n, rho):
+    """The slope (|f'|, rho / s) of f = N^rho for Side.stieltjes, where
+    N(t) = norm(t) is the s-norm, 0 < s < inf, over a region of R^n bounded
+    by the sphere of radius t of a radial function whose s-th power is phi:
+    |f'| = (rho / s) N^(rho - s) phi(t) |S^(n-1)| t^(n-1), and 0 where N
+    or phi is.  f vanishes like the distance to a point where the region's
+    mass does, to the power rho / s.  norm, phi and |f'| take arrays of t."""
+    c = rho / s * sphere_area(n)
+
+    def df(t):
+        nv, dens = norm(t), phi(t)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            val = c * np.power(nv, rho - s) * dens * t ** (n - 1)
+        return np.where((nv == 0.0) | (dens == 0.0), 0.0, val)
+    return df, rho / s
+
+
 class Side(enum.Enum):
     """The Morrey-type side of a problem: BALL for norms over the balls
     B(0, t), COMPLEMENT for norms over their exteriors.
@@ -198,41 +216,55 @@ class Side(enum.Enum):
         lo = getattr(omega, "support_inf", lambda: 0.0)()
         return lo if lo > 0.0 else None
 
-    def stieltjes(self, f, f_end, omega, theta, rho, breaks, cfg=None):
+    def stieltjes(self, f, f_end, omega, theta, rho, breaks, cfg=None,
+                  slope=None):
         """The integral over t > 0 of f against h = N^(-rho), rho > 0, where
         N(t) is the outer norm of omega with exponent theta at t.
 
         f >= 0 takes an array of t and is monotone, with limit f_end at the
-        end where h has a finite limit: t -> 0 for balls, t -> inf for
-        complements.  breaks are the data's breakpoints.
+        end where h has a finite limit h_end = ||omega||_theta^(-rho): t -> 0
+        for balls, t -> inf for complements.  breaks are the data's
+        breakpoints.  slope, read at theta = inf only, is None or, for a
+        continuous f, the pair (|f'|, a) that _norm_slope returns.
 
         For finite theta, h has the density |h'| = (rho / theta)
         N^(-rho-theta) omega^theta and no atoms, and f |h'| goes to
-        integrate_halfline with breaks as breakpoints.  Toward h's finite
-        limit h_end = ||omega||_theta^(-rho) the walk stops once the rest,
-        f(xi) |h(x) - h_end| with f(xi) between f(x) and f_end, is
-        bracketed to tolerance.  Toward a finite cut, where h becomes
-        infinite for an omega of bounded support, it walks in the distance
-        s to the cut, so that a divergence there reads inf; a walk that
-        reaches the float resolution of the cut raises QuadratureFailure.
+        integrate_halfline with breaks as breakpoints.  Toward h_end the
+        walk stops once the rest, f(xi) |h(x) - h_end| with f(xi) between
+        f(x) and f_end, is bracketed to tolerance.  Toward a finite cut,
+        where h becomes infinite for an omega of bounded support, it walks
+        in the distance s to the cut, so that a divergence there reads inf;
+        a walk that reaches the float resolution of the cut raises
+        QuadratureFailure.
 
-        For theta = inf, h comes from a running esssup and may jump: the
-        integral is stieltjes_integral's refining Riemann-Stieltjes sums,
+        For theta = inf, h comes from a running esssup and may jump.  With
+        a slope the integral is that of (h - h_end) |f'| (see _by_parts);
+        without one, stieltjes_integral's refining Riemann-Stieltjes sums
         with breaks as jump points.
         """
         theta = float(theta)
 
-        def h(t):
+        def h_limit(t):
             return ext_pow(self.outer_norm_limit(omega, theta, t, cfg), -rho)
 
         integ = MonotoneIntegrator.from_function(
-            h, self.direction, jump_points=breaks,
+            h_limit, self.direction, jump_points=breaks,
             infinite_from=self.infinite_from(omega))
-        if math.isinf(theta):
+        if math.isinf(theta) and slope is None:
             return stieltjes_integral(f, integ, (0.0, _INF), cfg)
         lo, hi = _defined_range(f, integ, 0.0, _INF)
         if not lo < hi:
             return ExtReal(0.0)
+
+        def h(t):
+            return ext_pow(self.outer_norm(omega, theta, t, cfg), -rho)
+
+        up = self is Side.COMPLEMENT      # the walk toward h's finite limit
+        h_end = float(ext_pow(tail_norm(omega, theta, 0.0, cfg), -rho))
+        f_end = float(f_end)
+        if math.isinf(theta):
+            return self._by_parts(f, f_end, h, h_end, (lo, hi), slope,
+                                  breaks, cfg)
 
         def integrand(t):
             om, norm = omega(t), self.outer_norm(omega, theta, t, cfg)
@@ -245,10 +277,6 @@ class Side(enum.Enum):
                 dens = np.where(om == 0.0, 0.0,
                                 np.where(norm == 0.0, np.nan, dens))
                 return np.where((fv == 0.0) | (dens == 0.0), 0.0, fv * dens)
-
-        up = self is Side.COMPLEMENT      # the walk toward h's finite limit
-        h_end = float(ext_pow(tail_norm(omega, theta, 0.0, cfg), -rho))
-        f_end = float(f_end)
 
         def rest(x, toward):
             if toward != up:
@@ -283,6 +311,67 @@ class Side(enum.Enum):
                 f"Stieltjes integral toward the cut at t = {cut:g}, in the "
                 f"distance s to it: {exc}") from exc
         return far + close
+
+    def _by_parts(self, f, f_end, h, h_end, interval, slope, breaks, cfg):
+        """theta = inf: the integral of f against h over the interval on
+        which h is finite, as the integral of (h - h_end) |f'|.
+
+        f is continuous and monotone the other way to h, and tends to 0 at
+        the end opposite h_end, so integrating by parts leaves no boundary
+        term and meets no atom of h: h may be the plain power of the outer
+        norm, whatever its value at a jump.  Both h - h_end and f - f_end
+        shrink toward h_end, so the rest of the walk there beyond x lies
+        between 0 and |h(x) - h_end| |f(x) - f_end|.
+
+        Where f vanishes from a breakpoint z on (the last live point for
+        balls, the first for complements), |f'| grows like |t - z|^(a - 1)
+        next to z.  The piece between z and the breakpoint y before it is
+        integrated in x on (0, 1), with t = z + (y - z) x^(1/a), where the
+        integrand is smooth."""
+        df, a = slope
+        lo, hi = interval
+        up = self is Side.COMPLEMENT
+
+        def integrand(t):
+            d = _values(df, t)
+            with np.errstate(invalid="ignore"):
+                return np.where(d == 0.0, 0.0, (h(t) - h_end) * d)
+
+        def rest(x, toward):
+            if toward != up:
+                return None
+            mass = np.abs(h(x) - h_end) * np.abs(_values(f, x) - f_end)
+            return np.zeros(mass.shape), mass
+
+        # the breakpoints in [lo, hi], with a finite cut among them
+        bks = _sorted_unique(np.concatenate(
+            (breaks, [x for x in interval if 0.0 < x < _INF])))
+        bks = bks[(bks >= lo) & (bks <= hi)]
+        dead = bks[_values(f, bks) == 0.0] if bks.size else bks
+        if not dead.size:
+            val, _ = integrate_halfline(integrand, (lo, hi), cfg, bks, rest)
+            return val
+        z = float(dead[-1] if up else dead[0])
+        live = bks[bks > z] if up else bks[bks < z][::-1]
+        edge = float(live[0]) if live.size else (2.0 if up else 0.5) * z
+        far, _ = integrate_halfline(
+            integrand, (edge, hi) if up else (lo, edge), cfg, bks, rest)
+        k, width = max(1.0 / a, 1.0), abs(edge - z)
+
+        def piece(x):
+            # dt/dx at the x that the rounded t stands for, d = |t - z| =
+            # width x^k: |f'| next to z would amplify the rounding of t
+            t = z + (edge - z) * x ** k
+            d = np.abs(t - z)
+            return integrand(t) * (k * width ** (1.0 / k)
+                                   * d ** (1.0 - 1.0 / k))
+
+        close, _ = _gauss_kronrod(piece, 0.0, 1.0, cfg)
+        if np.isnan(close):
+            raise QuadratureFailure(
+                f"Stieltjes integrand is nan between {min(z, edge):g} and "
+                f"{max(z, edge):g}")
+        return far + float(close)
 
     def in_omega(self, member: OmegaMembership) -> bool:
         """Whether omega lies in the side's class: Omega_theta (finite

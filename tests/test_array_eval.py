@@ -264,17 +264,21 @@ def density_reference(f, T, omega, theta, rho, points):
 
 def lm_inverse_power_exact(f, p, theta):
     """Associate norm of kind "lm" with omega = 1/r and v = 1 on R^1,
-    1 < theta < inf, exactly.  ||omega||_{theta,(t,inf)}^(-theta') = c t
-    with c = (theta - 1)^(1/(theta - 1)), and the whole norm of omega is
-    infinite, so the norm is (c int_0^inf S(t)^m dt)^(1/theta') with
-    m = theta'/p' and S(t) = int_{|x| > t} |f|^p'.  Below the first knot S
-    is the whole mass; on a cell (a, b) with value v it falls linearly
-    with slope 2 v^p', and S^m integrates to
+    1 < theta <= inf, exactly.  ||omega||_{theta,(t,inf)}^(-theta') = c t
+    with c = (theta - 1)^(1/(theta - 1)) (c = 1 and theta' = 1 for
+    theta = inf), and the whole norm of omega is infinite, so the norm is
+    (c int_0^inf S(t)^m dt)^(1/theta') with m = theta'/p' and
+    S(t) = int_{|x| > t} |f|^p'.  Below the first knot S is the whole
+    mass; on a cell (a, b) with value v it falls linearly with slope
+    2 v^p', and S^m integrates to
     (S(a)^(m+1) - S(b)^(m+1)) / (2 v^p' (m + 1))."""
     with mpmath.workdps(40):
         pp = mpmath.mpf(p) / (p - 1)
-        tp = mpmath.mpf(theta) / (theta - 1)
-        c = mpmath.mpf(theta - 1) ** (1 / mpmath.mpf(theta - 1))
+        if math.isinf(theta):
+            tp = c = mpmath.mpf(1)
+        else:
+            tp = mpmath.mpf(theta) / (theta - 1)
+            c = mpmath.mpf(theta - 1) ** (1 / mpmath.mpf(theta - 1))
         m = tp / pp
         mass = grid_mass(f, pp, ball=False)
         total = f.knots[0] * mass(0) ** m
@@ -283,6 +287,20 @@ def lm_inverse_power_exact(f, p, theta):
             lo, hi = mass(mpmath.mpf(a)), mass(mpmath.mpf(b))
             total += (lo ** (m + 1) - hi ** (m + 1)) / (slope * (m + 1))
         return float((c * total) ** (1 / tp))
+
+
+def theta_inf_reference(f, parts, knots, atoms=()):
+    """The main term of a theta = inf Stieltjes caller with rho = 1 and a
+    boundary term 0, by mpmath: f against h, where h has the density
+    dens on each (a, b, dens) of parts and the atoms (t, mass), with the
+    knots as extra quadrature points."""
+    with mpmath.workdps(30):
+        total = sum(f(mpmath.mpf(t)) * mass for t, mass in atoms)
+        for a, b, dens in parts:
+            pts = sorted({a, b} | {k for k in knots if a < k < b})
+            total += mpmath.quad(lambda t: f(t) * dens(t),
+                                 [mpmath.mpf(x) for x in pts])
+        return float(total)
 
 
 def sup_beyond(f):
@@ -305,8 +323,7 @@ def reverse_complement_reference():
 
 # (caller, reference): each test id keeps the value it pinned when the
 # callers summed Riemann-Stieltjes stages, good to about 1e-8; CHANGES.md
-# lists each old -> new value.  The two theta = inf entries still take
-# that path and keep their recorded values.
+# lists each old -> new value.
 STIELTJES_CALLERS = [
     pytest.param(
         lambda: associate_norm(F17, "lm", 2.0, 3.0, PowerProfile(1.0, -1.0),
@@ -329,10 +346,17 @@ STIELTJES_CALLERS = [
             (b - a) * sup_beyond(F17)(a) ** 2
             for a, b in zip(F17.knots[:-1], F17.knots[1:]))),
         id="<lambda>-23.842542546785243"),
+    # the tail esssup of omega is t^(-1/2) below 1/4, 2 up to 1 and 2/t
+    # above, so h = 1/N is continuous with density 1/(2 sqrt(t)), 0 and
+    # 1/2 there; F^3 the complement mass, and the whole norm of omega is
+    # infinite
     pytest.param(
         lambda: associate_norm(F16, "lm", 1.5, INF,
                                split((1.0, -0.5), (2.0, -1.0)), ONE),
-        lambda: 545.9775902105794,
+        lambda: theta_inf_reference(
+            grid_mass(F16, 3, ball=False, power=mpmath.mpf(1) / 3),
+            [(0.0, 0.25, lambda t: 1 / (2 * mpmath.sqrt(t))),
+             (1.0, 100.0, lambda t: mpmath.mpf(1) / 2)], F16.knots),
         id="<lambda>-545.9775902105794"),
     # omega^3 = t^(3/2) | 8 integrates to T = t^(5/2) / (5/2) below 1 and
     # 2/5 + 8 (t - 1) above; F^3 the ball mass
@@ -384,11 +408,15 @@ STIELTJES_CALLERS = [
             Weight(1, split((1.0, 1.0), (1.0, -3.0))))),
         reverse_complement_reference,
         id="<lambda>-5.415112831634192"),
+    # r = p = 1/2 and h = t^(-1/4): below 1, f = t gives 1/3; above,
+    # f = (2 - t^(-2))^(1/2) against t^(-5/4) / 4 becomes, with
+    # t = s^(-4), the integral of (2 - s^8)^(1/2) over (0, 1)
     pytest.param(
         lambda: reverse_hardy_C_star(HardyProblem(
             "reverse_complement", 0.5, INF, PowerProfile(1.0, 0.5),
             Weight(1, split((1.0, 1.0), (1.0, -3.0))))),
-        lambda: 2.907275042963404,
+        lambda: float((mpmath.mpf(1) / 3 + mpmath.quad(
+            lambda s: mpmath.sqrt(2 - s ** 8), [0, 1])) ** 2),
         id="<lambda>-2.907275042963404"),
 ]
 
@@ -416,7 +444,7 @@ def test_associate_norm_at_theta_p_is_fubini_dual_norm(p):
     assert got == pytest.approx(fubini_dual_norm(F17, p, -1.0), rel=1e-12)
 
 
-@pytest.mark.parametrize("theta", [2.0, 3.0, 5.0])
+@pytest.mark.parametrize("theta", [2.0, 3.0, 5.0, INF])
 def test_associate_lm_inverse_power_on_the_bench_grid(theta):
     f = GridFunction.from_csv(os.path.join(DATA, "f_32.csv"))
     got = float(associate_norm(f, "lm", 2.0, theta, PowerProfile(1.0, -1.0),
@@ -435,6 +463,45 @@ def test_morrey_source_case_b_exact(direction, v1, omega, exact):
     prob = EmbeddingProblem(direction, 1, 1.0, 1.0, 2.0, Weight(1, v1), ONE,
                             omega)
     assert float(embedding_constant(prob)) == pytest.approx(exact, rel=1e-12)
+
+
+def test_dual_associate_at_theta_inf_across_a_jump_of_h():
+    # the head esssup of omega = t^(1/2) | 2 t^(1/2) is omega itself, so
+    # h = 1/N has the density t^(-3/2) / 2 below 1 and t^(-3/2) / 4 above,
+    # and falls by 1/2 at t = 1; F^2 is the ball mass, which vanishes at
+    # the first knot, and the whole norm of omega is infinite
+    f = grid_mass(F17, 2, ball=True, power=mpmath.mpf(1) / 2)
+    got = associate_norm(F17, "dual_lm", 2.0, INF,
+                         split((1.0, 0.5), (2.0, 0.5)), ONE)
+    want = theta_inf_reference(
+        f, [(0.0, 1.0, lambda t: t ** -1.5 / 2),
+            (1.0, mpmath.inf, lambda t: t ** -1.5 / 4)],
+        F17.knots, atoms=[(1.0, mpmath.mpf(1) / 2)])
+    assert float(got) == pytest.approx(want, rel=1e-12)
+
+
+def test_morrey_source_case_b_at_theta_inf():
+    # rho = p1 = 1 and sigma = 2: f = (2 (8/7 - t))^(1/2) below 1 and
+    # (2/7)^(1/2) t^(-7/2) above, against h = t^3; above 1 the integral is
+    # 6 (2/7)^(1/2)
+    prob = EmbeddingProblem("lm_to_lebesgue", 1, 1.0, 2.0, INF,
+                            Weight(1, split((1.0, 0.0), (1.0, -4.0))), ONE,
+                            PowerProfile(1.0, -3.0))
+    with mpmath.workdps(30):
+        want = float(mpmath.quad(
+            lambda t: mpmath.sqrt(2 * (mpmath.mpf(8) / 7 - t)) * 3 * t ** 2,
+            [0, 1]) + 6 * mpmath.sqrt(mpmath.mpf(2) / 7))
+    assert float(embedding_constant(prob)) == pytest.approx(want, rel=1e-12)
+
+
+def test_reverse_at_q_inf_exact():
+    # p = 1/2, q = inf: r = 1/2, h = 1/N^(1/2) = 1 + t with h(0+) = 1,
+    # f = ((1 + t)^(-4) / 2)^(1/2), so the main term is 1/sqrt(2), and the
+    # boundary term is the whole norm of w, 1/2: 1/2 + 1/2
+    prob = HardyProblem("reverse", 0.5, INF,
+                        ShiftedPowerProfile(1.0, 1.0, -2.0),
+                        Weight(1, ShiftedPowerProfile(1.0, 1.0, -5.0)))
+    assert float(reverse_hardy_C(prob)) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_reverse_slow_end_is_bracketed():

@@ -41,6 +41,20 @@ class TestGridFunction:
         assert g(1.5) == 3.0
         assert g(2.5) == 0.0
 
+    def test_array_call_matches_scalar_calls(self):
+        # values live on (knots[i], knots[i+1]] and vanish outside
+        g = GridFunction(np.array([1.0, 2.0, 4.0, 8.0]),
+                         np.array([3.0, 0.0, 5.0]))
+        rs = np.array([0.5, 1.0, 1.5, 2.0, 2.0 + 1e-12, 3.0, 4.0, 6.0, 8.0,
+                       8.0 + 1e-12, 9.0])
+        got = g(rs)
+        assert isinstance(got, np.ndarray) and got.shape == rs.shape
+        assert got.tolist() == [g(float(r)) for r in rs]
+        assert got.tolist() == [0.0, 0.0, 3.0, 3.0, 0.0, 0.0, 0.0, 5.0,
+                                5.0, 0.0, 0.0]
+        assert type(g(1.5)) is float
+        assert g(rs.reshape(1, -1)).shape == (1, rs.size)
+
     def test_csv_round_trip(self, tmp_path):
         g = GridFunction.log_spaced(32, 1e-2, 1e2)
         rng = np.random.default_rng(7)
