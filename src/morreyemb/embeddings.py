@@ -15,7 +15,7 @@ import numpy as np
 from .errors import GateFailed, HypothesisViolated, Inadmissible
 from .extreal import ExtReal, conjugate_exponent, ext_div, ext_mul, ext_pow
 from .hardy import _breaks, _halfline, sup_over_t
-from .integration import DEFAULT_CONFIG, ball_volume
+from .integration import ball_volume
 from .norms import ALL, GridFunction, _inner_norm, weighted_lp_norm
 from .profiles import PowerProfile, RadialProfile
 from .weights import (Side, Weight, _norm_slope, _whole_space_norm,
@@ -161,8 +161,8 @@ def _source_profile(prob: EmbeddingProblem):
     return g, sigma
 
 
-def _check_omega(prob: EmbeddingProblem, cfg=None):
-    member = omega_class_check(prob.omega, prob.theta, cfg=cfg)
+def _check_omega(prob: EmbeddingProblem):
+    member = omega_class_check(prob.omega, prob.theta)
     if not prob.side.in_omega(member):
         dual = "dual " if prob.dual_side else ""
         raise HypothesisViolated(
@@ -170,65 +170,64 @@ def _check_omega(prob: EmbeddingProblem, cfg=None):
             f"(witness t = {member.witness_t:g})")
 
 
-def embedding_constant(prob: EmbeddingProblem, cfg=None) -> ExtReal:
+def embedding_constant(prob: EmbeddingProblem) -> ExtReal:
     """The closed-form functional equivalent to the embedding constant.
 
     The value is the right-hand side of the matching characterization; the
     true operator norm agrees with it up to exponent-dependent factors.
     """
-    cfg = cfg or DEFAULT_CONFIG
     tag = classify_case(prob)
-    _check_omega(prob, cfg)
+    _check_omega(prob)
     log.debug("evaluating case %s (%s)", tag, tag.notes)
     if prob.morrey_is_target:
-        return _lebesgue_to_morrey(prob, tag, cfg)
-    return _morrey_to_lebesgue(prob, tag, cfg)
+        return _lebesgue_to_morrey(prob, tag)
+    return _morrey_to_lebesgue(prob, tag)
 
 
-def _lebesgue_to_morrey(prob, tag, cfg) -> ExtReal:
+def _lebesgue_to_morrey(prob, tag) -> ExtReal:
     n, th = prob.n, prob.theta
     om, side = prob.omega, prob.side
     g, sigma = _inner_profile(prob)
 
     def inner(t):
-        return side.region_norm(g, sigma, n, t, cfg)
+        return side.region_norm(g, sigma, n, t)
 
     breaks = _breaks(om, g)
     if tag.case_id in ("i", "iii", "iv", "vi", "viii"):
         return sup_over_t(
-            lambda t: ext_mul(side.outer_norm(om, th, t, cfg), inner(t)),
+            lambda t: ext_mul(side.outer_norm(om, th, t), inner(t)),
             breaks)
     if tag.case_id in ("v", "ix"):
         def integrand(t):
             return ext_pow(ext_mul(om(t), inner(t)), th)
 
-        val = _halfline(integrand, breaks, cfg)
+        val = _halfline(integrand, breaks)
         return ext_pow(val, 1.0 / th)
     # (ii) and (vii): weighted s-norm with weight omega^theta
     p1 = prob.p1
     s = th * p1 / (p1 - th)
 
     def integrand(t):
-        outer = side.outer_norm(om, th, t, cfg)
+        outer = side.outer_norm(om, th, t)
         core = ext_mul(ext_pow(outer, th / p1), inner(t))
         return ext_mul(ext_pow(core, s), ext_pow(om(t), th))
 
-    val = _halfline(integrand, breaks, cfg)
+    val = _halfline(integrand, breaks)
     return ext_pow(val, 1.0 / s)
 
 
-def _morrey_to_lebesgue(prob, tag, cfg) -> ExtReal:
+def _morrey_to_lebesgue(prob, tag) -> ExtReal:
     n, th = prob.n, prob.theta
     om, side = prob.omega, prob.side
     g, sigma = _source_profile(prob)
 
     def source(t):
         # a Morrey-type source pairs with the other side's region
-        return side.other.region_norm(g, sigma, n, t, cfg)
+        return side.other.region_norm(g, sigma, n, t)
 
     if tag.case_id == "a":
         return sup_over_t(
-            lambda t: ext_div(source(t), side.outer_norm(om, th, t, cfg)),
+            lambda t: ext_div(source(t), side.outer_norm(om, th, t)),
             _breaks(om, g))
     # (b): Stieltjes integral against the renormalized outer norm; f takes
     # arrays of t, and theta = sigma = inf keeps omega's breakpoints alone
@@ -239,14 +238,14 @@ def _morrey_to_lebesgue(prob, tag, cfg) -> ExtReal:
     def f(t):
         return ext_pow(source(t), rho)
 
-    whole = _whole_space_norm(g, sigma, n, cfg)
+    whole = _whole_space_norm(g, sigma, n)
     slope = _norm_slope(source, g.power(sigma), sigma, n, rho) \
         if math.isinf(th) and math.isfinite(sigma) else None
     main = side.stieltjes(
         f, ext_pow(whole, rho), om, th, rho,
         _breaks(om) if math.isinf(th) and slope is None else _breaks(om, g),
-        cfg, slope)
-    boundary = ext_div(whole, tail_norm(om, th, 0.0, cfg))
+        slope)
+    boundary = ext_div(whole, tail_norm(om, th, 0.0))
     return ext_pow(main, 1.0 / rho) + boundary
 
 
@@ -258,7 +257,7 @@ class MaximalGateReport:
     message: str
 
 
-def maximal_operator_constant(prob: EmbeddingProblem, cfg=None):
+def maximal_operator_constant(prob: EmbeddingProblem):
     """Embedding constant together with a sampled Muckenhoupt gate on v1.
 
     The value characterizes the maximal-operator norm only when v1 lies in
@@ -271,12 +270,12 @@ def maximal_operator_constant(prob: EmbeddingProblem, cfg=None):
     p1 = prob.p1
     if not 1.0 < p1 < _INF:
         raise Inadmissible("requires 1 < p1 < inf")
-    value = embedding_constant(prob, cfg)
-    coarse = muckenhoupt_ap_estimate(prob.v1, p1, cfg=cfg)
+    value = embedding_constant(prob)
+    coarse = muckenhoupt_ap_estimate(prob.v1, p1)
     fine_family = default_ball_family(
         radii=np.geomspace(1e-4, 1e4, 25),
         offset_factors=(0.0, 0.5, 1.0, 3.0, 10.0, 30.0))
-    fine = muckenhoupt_ap_estimate(prob.v1, p1, fine_family, cfg=cfg)
+    fine = muckenhoupt_ap_estimate(prob.v1, p1, fine_family)
     if fine.is_inf or (coarse > 0 and float(fine) > 4.0 * float(coarse)):
         gate = MaximalGateReport(coarse, fine, False,
                                  GateFailed("sampled A_p estimate grows "
@@ -287,10 +286,9 @@ def maximal_operator_constant(prob: EmbeddingProblem, cfg=None):
 
 
 def associate_norm(f: GridFunction, kind, p, theta, omega: RadialProfile,
-                   v: Weight, cfg=None) -> ExtReal:
+                   v: Weight) -> ExtReal:
     """Norm of f in the associate space of LM (kind="lm") or of the
     complementary space (kind="dual_lm")."""
-    cfg = cfg or DEFAULT_CONFIG
     p = float(p)
     th = float(theta)
     if not 1.0 <= p < _INF:
@@ -311,7 +309,7 @@ def associate_norm(f: GridFunction, kind, p, theta, omega: RadialProfile,
 
     if th <= 1.0:
         return sup_over_t(lambda t: ext_div(
-            inner_eval(t), side.outer_norm(omega, th, t, cfg)), breaks)
+            inner_eval(t), side.outer_norm(omega, th, t)), breaks)
     tp = 1.0 if math.isinf(th) else th / (th - 1.0)
 
     # the integrand takes arrays of t
@@ -325,36 +323,34 @@ def associate_norm(f: GridFunction, kind, p, theta, omega: RadialProfile,
     slope = _norm_slope(inner_eval, phi, pp, v.dimension, tp) \
         if math.isinf(th) and math.isfinite(pp) else None
     main = side.stieltjes(integrand, ext_pow(whole, tp), omega, th, tp,
-                          breaks, cfg, slope)
-    boundary = ext_div(whole, tail_norm(omega, th, 0.0, cfg))
+                          breaks, slope)
+    boundary = ext_div(whole, tail_norm(omega, th, 0.0))
     return ext_pow(main, 1.0 / tp) + boundary
 
 
-def unweighted_reference(p1, p2, theta, omega: RadialProfile, n,
-                         cfg=None) -> ExtReal:
+def unweighted_reference(p1, p2, theta, omega: RadialProfile, n) -> ExtReal:
     """The classical unweighted functional for the Lebesgue-to-LM
     embedding: a theta-norm of r^{n(1/p2 - 1/p1)} omega(r), or for
     p2 < p1 < infinity with finite theta the s-norm of
     t^{n(1/p2-1/p1)-1/s} ||omega||_{theta,(t,inf)}."""
-    cfg = cfg or DEFAULT_CONFIG
     p1, p2, th = float(p1), float(p2), float(theta)
     if not 0.0 < p2 <= p1:
         raise Inadmissible("requires 0 < p2 <= p1 <= inf")
     delta = n * (1.0 / p2 - (0.0 if math.isinf(p1) else 1.0 / p1))
     if p1 == p2 or math.isinf(th):
         prof = omega.times(PowerProfile(1.0, delta))
-        return lp_norm_interval(prof, th, (0.0, _INF), cfg)
+        return lp_norm_interval(prof, th, (0.0, _INF))
     s = _s_exponent(p1, th) if th < p1 else _INF
     if math.isinf(s):
         return sup_over_t(
-            lambda t: ext_mul(t ** delta, tail_norm(omega, th, t, cfg)),
+            lambda t: ext_mul(t ** delta, tail_norm(omega, th, t)),
             _breaks(omega))
 
     def integrand(t):
         return ext_mul(t ** (delta * s - 1.0),
-                       ext_pow(tail_norm(omega, th, t, cfg), s))
+                       ext_pow(tail_norm(omega, th, t), s))
 
-    val = _halfline(integrand, _breaks(omega), cfg)
+    val = _halfline(integrand, _breaks(omega))
     return ext_pow(val, 1.0 / s)
 
 

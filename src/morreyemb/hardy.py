@@ -17,8 +17,7 @@ import numpy as np
 
 from .errors import HypothesisViolated, InadmissibleExponents
 from .extreal import ExtReal, conjugate_exponent, ext_div, ext_mul, ext_pow
-from .integration import (DEFAULT_CONFIG, _sorted_unique, _values,
-                          integrate_halfline)
+from .integration import _sorted_unique, _values, integrate_halfline
 from .profiles import RadialProfile
 from .weights import Side, Weight, _norm_slope, _whole_space_norm, tail_norm
 
@@ -141,10 +140,10 @@ def _checked(fn, ts):
     return vals
 
 
-def _halfline(fn, breakpoints=(), cfg=None) -> ExtReal:
+def _halfline(fn, breakpoints=()) -> ExtReal:
     """Integral over (0, inf) of fn, which takes an array of t, with known
     kinks."""
-    val, _ = integrate_halfline(fn, (0.0, _INF), cfg, breakpoints)
+    val, _ = integrate_halfline(fn, (0.0, _INF), breakpoints)
     return val
 
 
@@ -155,42 +154,41 @@ def _breaks(*profiles):
     return tuple(sorted(out))
 
 
-def hardy_A(prob: HardyProblem, cfg=None) -> ExtReal:
+def hardy_A(prob: HardyProblem) -> ExtReal:
     """Characterizing functional for ||Hf||_{q,v,(0,inf)} <= c ||f||_{p,w}."""
     if prob.variant != "direct":
         raise ValueError("hardy_A expects the direct variant")
-    return _direct_functional(prob, cfg)
+    return _direct_functional(prob)
 
 
-def hardy_A_star(prob: HardyProblem, cfg=None) -> ExtReal:
+def hardy_A_star(prob: HardyProblem) -> ExtReal:
     """Mirror functional for the complement operator H*: head integrals of
     v_outer, complement integrals of w_inner."""
     if prob.variant != "direct_complement":
         raise ValueError("hardy_A_star expects the direct_complement variant")
-    return _direct_functional(prob, cfg)
+    return _direct_functional(prob)
 
 
-def _direct_functional(prob: HardyProblem, cfg) -> ExtReal:
+def _direct_functional(prob: HardyProblem) -> ExtReal:
     """Cases (a)-(h) of the direct functional on the problem's side: outer
     norms of v paired with the side, integrals of w over its region."""
     p, q, n = prob.p, prob.q, prob.n
     v, w = prob.v_outer, prob.w_inner.profile
     side = prob.side
-    cfg = cfg or DEFAULT_CONFIG
     pp = float(conjugate_exponent(p))
     breaks = _breaks(v, w)
 
     def V_outer(t):
-        return side.outer_norm(v, 1.0, t, cfg) ** 1.0
+        return side.outer_norm(v, 1.0, t) ** 1.0
 
     def V_sup(t):
         return side.other.esssup(v, t)
 
     def W_region(t):
-        return side.integral(w.power(1.0 - pp), n, t, cfg)
+        return side.integral(w.power(1.0 - pp), n, t)
 
     def W_recip(t):
-        return side.integral(w.power(-1.0), n, t, cfg)
+        return side.integral(w.power(-1.0), n, t)
 
     def w_sup(t):
         return side.esssup(w.power(-1.0), t)
@@ -208,7 +206,7 @@ def _direct_functional(prob: HardyProblem, cfg) -> ExtReal:
             return ext_mul(ext_mul(ext_pow(V_outer(t), r / p), v(t)),
                            ext_pow(W_region(t), r / pp))
 
-        return ext_pow(_halfline(integrand, breaks, cfg), 1.0 / r)
+        return ext_pow(_halfline(integrand, breaks), 1.0 / r)
     if 1.0 < p < _INF and math.isinf(q):
         # (c)
         return sup_over_t(
@@ -222,7 +220,7 @@ def _direct_functional(prob: HardyProblem, cfg) -> ExtReal:
         def integrand(t):
             return ext_mul(v(t), ext_pow(W_recip(t), q))
 
-        return ext_pow(_halfline(integrand, breaks, cfg), 1.0 / q)
+        return ext_pow(_halfline(integrand, breaks), 1.0 / q)
     if p == 1.0 and 1.0 <= q < _INF:
         # (f)
         return sup_over_t(
@@ -235,7 +233,7 @@ def _direct_functional(prob: HardyProblem, cfg) -> ExtReal:
             return ext_mul(ext_mul(ext_pow(V_outer(t), qq), v(t)),
                            ext_pow(w_sup(t), qq))
 
-        return ext_pow(_halfline(integrand, breaks, cfg), 1.0 / qq)
+        return ext_pow(_halfline(integrand, breaks), 1.0 / qq)
     if p == 1.0 and math.isinf(q):
         # (h)
         return sup_over_t(lambda t: ext_mul(V_sup(t), w_sup(t)), breaks)
@@ -243,7 +241,7 @@ def _direct_functional(prob: HardyProblem, cfg) -> ExtReal:
         f"no {prob.variant} case matches p={p}, q={q}")
 
 
-def sup_operator_constant(prob: HardyProblem, cfg=None) -> ExtReal:
+def sup_operator_constant(prob: HardyProblem) -> ExtReal:
     """q-norm over (0, inf) of v(r) * esssup over the region of w^{-1},
     the constant for the ball (or complement) esssup operator."""
     if prob.variant not in ("sup", "sup_complement"):
@@ -258,11 +256,11 @@ def sup_operator_constant(prob: HardyProblem, cfg=None) -> ExtReal:
     def integrand(r):
         return ext_pow(ext_mul(v(r), inner(r)), float(q))
 
-    val = _halfline(integrand, breaks, cfg)
+    val = _halfline(integrand, breaks)
     return ext_pow(val, 1.0 / float(q))
 
 
-def _check_reverse_hypothesis(u, q, side, cfg=None):
+def _check_reverse_hypothesis(u, q, side):
     """The reverse functionals require the side's outer u-norm finite for
     all t.
 
@@ -273,45 +271,44 @@ def _check_reverse_hypothesis(u, q, side, cfg=None):
     """
     tail = side is Side.BALL
     grid = np.geomspace(1e-2, 1e8, 11) if tail else np.geomspace(1e-8, 1e2, 11)
-    infinite = np.isinf(side.outer_norm(u, q, grid, cfg))
+    infinite = np.isinf(side.outer_norm(u, q, grid))
     if infinite.any():
         t = float(grid[np.argmax(infinite)])
         region = f"({t:g},inf)" if tail else f"(0,{t:g})"
         raise HypothesisViolated(f"||u||_{{q,{region}}} is infinite")
 
 
-def reverse_hardy_C(prob: HardyProblem, cfg=None) -> ExtReal:
+def reverse_hardy_C(prob: HardyProblem) -> ExtReal:
     """Functional for ||g w||_p <= c ||(Hg) u||_q with 0 < p <= 1."""
     if prob.variant != "reverse":
         raise ValueError("reverse_hardy_C expects the reverse variant")
-    return _reverse_functional(prob, cfg)
+    return _reverse_functional(prob)
 
 
-def reverse_hardy_C_star(prob: HardyProblem, cfg=None) -> ExtReal:
+def reverse_hardy_C_star(prob: HardyProblem) -> ExtReal:
     """Mirror functional with balls, head norms and a decreasing
     right-continuous integrator."""
     if prob.variant != "reverse_complement":
         raise ValueError("expects the reverse_complement variant")
-    return _reverse_functional(prob, cfg)
+    return _reverse_functional(prob)
 
 
-def _reverse_functional(prob: HardyProblem, cfg) -> ExtReal:
+def _reverse_functional(prob: HardyProblem) -> ExtReal:
     """Cases (a) and (b) of the reverse functional: outer norms of u paired
     with the problem's side, norms of w over the other side's region."""
     p, q, n = prob.p, prob.q, prob.n
     u, w = prob.v_outer, prob.w_inner.profile
     side = prob.side
-    cfg = cfg or DEFAULT_CONFIG
-    _check_reverse_hypothesis(u, q, side, cfg)
+    _check_reverse_hypothesis(u, q, side)
     pp = float(conjugate_exponent(p))
 
     def w_region(t):
-        return side.other.region_norm(w, pp, n, t, cfg)
+        return side.other.region_norm(w, pp, n, t)
 
     if 0.0 < q <= p:
         # (a)
         return sup_over_t(
-            lambda t: ext_div(w_region(t), side.outer_norm(u, q, t, cfg)),
+            lambda t: ext_div(w_region(t), side.outer_norm(u, q, t)),
             _breaks(u, w))
     # (b): p < q <= inf, 1/r = 1/p - 1/q; f takes arrays of t, and
     # q = p' = inf keeps u's breakpoints alone as the jump points of its
@@ -321,12 +318,12 @@ def _reverse_functional(prob: HardyProblem, cfg) -> ExtReal:
     def f(t):
         return ext_pow(w_region(t), r)
 
-    whole = _whole_space_norm(w, pp, n, cfg)
+    whole = _whole_space_norm(w, pp, n)
     slope = _norm_slope(w_region, w.power(pp), pp, n, r) \
         if math.isinf(q) and math.isfinite(pp) else None
     main = side.stieltjes(
         f, ext_pow(whole, r), u, q, r,
         _breaks(u) if math.isinf(q) and slope is None else _breaks(u, w),
-        cfg, slope)
-    boundary = ext_div(whole, tail_norm(u, q, 0.0, cfg))
+        slope)
+    boundary = ext_div(whole, tail_norm(u, q, 0.0))
     return ext_pow(main, 1.0 / r) + boundary

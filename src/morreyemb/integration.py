@@ -19,7 +19,6 @@ from .extreal import ExtReal, scalar_results
 from .profiles import PowerProfile, RadialProfile, elementwise
 
 __all__ = [
-    "QuadratureConfig",
     "MonotoneIntegrator",
     "integrate_halfline",
     "ball_integral",
@@ -33,25 +32,14 @@ __all__ = [
 
 _INF = math.inf
 
-DEFAULT_CONFIG = None  # set below
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-14
-    max_subdivisions: int = 400
-    # dyadic growth threshold for declaring divergence
-    divergence_delta: float = 1e-3
-
-    def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 16:
-            raise ValueError("max_subdivisions must be >= 16")
-
-
-DEFAULT_CONFIG = QuadratureConfig()
+# the one quadrature setting: a G7-K15 piece is accepted at an error of
+# max(_ABS_TOL, _REL_TOL |value|), a walk toward an open end takes at most
+# _MAX_PIECES dyadic pieces, and dyadic ratios within _DIVERGENCE_DELTA of 1
+# read as divergence
+_REL_TOL = 1e-10
+_ABS_TOL = 1e-14
+_MAX_PIECES = 400
+_DIVERGENCE_DELTA = 1e-3
 
 
 def sphere_area(n):
@@ -111,18 +99,17 @@ _MAX_DEPTH = 64
 _MAX_SPLITS = 128
 
 
-def _gauss_kronrod(fn, lo, hi, cfg=None):
+def _gauss_kronrod(fn, lo, hi):
     """Integrals of fn over the intervals (lo, hi) by adaptive G7-K15.
 
     fn takes a 1-D float array of points and returns the values there.
     Each round evaluates the 15 nodes of every active piece in one call of
-    fn; a piece whose error |K15 - G7| is at most max(abs_tol,
-    rel_tol |K15|) is accepted, the others are bisected.  Returns the
+    fn; a piece whose error |K15 - G7| is at most max(_ABS_TOL,
+    _REL_TOL |K15|) is accepted, the others are bisected.  Returns the
     integrals and their summed error estimates as float arrays of the
     broadcast shape of lo and hi.  An interval with an infinite node value
     reads inf and one with a nan node value reads nan.
     """
-    cfg = cfg or DEFAULT_CONFIG
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float),
                                  np.asarray(hi, dtype=float))
     shape = lo.shape
@@ -139,7 +126,7 @@ def _gauss_kronrod(fn, lo, hi, cfg=None):
             k = half * (fv @ _K15)
             err = np.abs(half * (fv @ (_K15 - _G7)))
         err = np.where(np.isfinite(k), err, k)
-        split = err > np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(k))
+        split = err > np.maximum(_ABS_TOL, _REL_TOL * np.abs(k))
         split &= (lo < mid) & (mid < hi)
         if depth == _MAX_DEPTH - 1:
             split[:] = False
@@ -188,13 +175,13 @@ def _dyadic_block(edge, up, first, count, breaks):
     return pts[:-1], pts[1:], owner if up else count - 1 - owner, count
 
 
-def _piece_values(fn, parts, cfg):
+def _piece_values(fn, parts):
     """One G7-K15 call over the parts of several groups of pieces, each
     given as (lo, hi, owner, count); returns the (values, errors) of the
     pieces of every group, summed over their parts."""
     lo = np.concatenate([p[0] for p in parts])
     hi = np.concatenate([p[1] for p in parts])
-    vals, errs = _gauss_kronrod(fn, lo, hi, cfg)
+    vals, errs = _gauss_kronrod(fn, lo, hi)
     out, at = [], 0
     for _, part_hi, owner, count in parts:
         sl = slice(at, at + part_hi.size)
@@ -204,7 +191,7 @@ def _piece_values(fn, parts, cfg):
     return out
 
 
-def integrate_halfline(f, interval, cfg=None, breakpoints=None, rest=None):
+def integrate_halfline(f, interval, breakpoints=None, rest=None):
     """Adaptive integral of a nonnegative f over (a, b) in (0, inf].
 
     f takes a 1-D float array of points and returns the values there (a
@@ -226,7 +213,6 @@ def integrate_halfline(f, interval, cfg=None, breakpoints=None, rest=None):
     indicate divergence at either end or a piece integrates to inf.
     Raises QuadratureFailure when f is nan at a node of a piece.
     """
-    cfg = cfg or DEFAULT_CONFIG
     a, b = interval
     if not a < b:
         raise ValueError("need a < b")
@@ -266,11 +252,11 @@ def integrate_halfline(f, interval, cfg=None, breakpoints=None, rest=None):
     walks = [(edge, up) for edge, up, open_end in
              ((core_lo, False, a <= 0), (core_hi, True, math.isinf(b)))
              if open_end]
-    # one array call for the core and the first block of each walk
-    # (max_subdivisions is at least _BLOCK)
+    # one array call for the core and the first block of each walk, which
+    # the budget holds whole (_MAX_PIECES = 400 is at least _BLOCK = 16)
     found = _piece_values(
         f, [core] + [_dyadic_block(edge, up, 0, _BLOCK, breaks)
-                     for edge, up in walks], cfg)
+                     for edge, up in walks])
 
     total, toterr = 0.0, 0.0
     vals, errs = found[0]
@@ -283,11 +269,11 @@ def integrate_halfline(f, interval, cfg=None, breakpoints=None, rest=None):
     for (edge, up), (vals, errs) in zip(walks, found[1:]):
         lows, highs = _rest_bounds(rest, edge, up, 0, len(vals))
         pieces = []
-        for k in range(cfg.max_subdivisions):
+        for k in range(_MAX_PIECES):
             if k == len(vals):
-                count = min(_BLOCK, cfg.max_subdivisions - k)
+                count = min(_BLOCK, _MAX_PIECES - k)
                 more, = _piece_values(
-                    f, [_dyadic_block(edge, up, k, count, breaks)], cfg)
+                    f, [_dyadic_block(edge, up, k, count, breaks)])
                 vals, errs = vals + more[0], errs + more[1]
                 more = _rest_bounds(rest, edge, up, k, count)
                 lows, highs = lows + more[0], highs + more[1]
@@ -299,7 +285,7 @@ def integrate_halfline(f, interval, cfg=None, breakpoints=None, rest=None):
                 return ExtReal(_INF), _INF
             total, toterr = total + v, toterr + e
             pieces.append(v)
-            tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
+            tol = max(_ABS_TOL, _REL_TOL * abs(total))
             if highs and highs[k] - lows[k] <= _REST_SHARE * tol:
                 total += 0.5 * (lows[k] + highs[k])
                 toterr += 0.5 * (highs[k] - lows[k])
@@ -310,7 +296,7 @@ def integrate_halfline(f, interval, cfg=None, breakpoints=None, rest=None):
                 ratios = [pieces[i + 1] / pieces[i]
                           for i in range(len(pieces) - 9, len(pieces) - 1)
                           if pieces[i] > 0]
-                if len(ratios) == 8 and min(ratios) >= 1.0 - cfg.divergence_delta \
+                if len(ratios) == 8 and min(ratios) >= 1.0 - _DIVERGENCE_DELTA \
                         and not _stable_below_one(ratios):
                     return ExtReal(_INF), _INF
                 if len(ratios) == 8 and max(ratios) < 0.95:
@@ -375,13 +361,13 @@ def _radial_density(g, n):
     raise TypeError("expected a RadialProfile")
 
 
-def _profile_integral(prof, a, b, cfg):
+def _profile_integral(prof, a, b):
     """Integral of prof over (a, b) as a float, or a float array for array
     ends: the closed form, else the adaptive integral of each element."""
     val = prof.integral(a, b)
     if val is None:
         val = elementwise(
-            lambda x, y: float(integrate_halfline(prof, (x, y), cfg)[0]), a, b)
+            lambda x, y: float(integrate_halfline(prof, (x, y))[0]), a, b)
     return val
 
 
@@ -391,20 +377,20 @@ def _check_radius(t):
 
 
 @scalar_results(ExtReal)
-def ball_integral(g, n, t, cfg=None):
+def ball_integral(g, n, t):
     """Integral of g(|x|) over the ball B(0, t) in R^n.  An array of radii
     gives a float array of integrals."""
     _check_radius(t)
     dens = _radial_density(g, n)
-    return sphere_area(n) * _profile_integral(dens, 0.0, t, cfg)
+    return sphere_area(n) * _profile_integral(dens, 0.0, t)
 
 
 @scalar_results(ExtReal)
-def complement_integral(g, n, t, cfg=None):
+def complement_integral(g, n, t):
     """Integral of g(|x|) over the complement of B(0, t) in R^n."""
     _check_radius(t)
     dens = _radial_density(g, n)
-    return sphere_area(n) * _profile_integral(dens, t, _INF, cfg)
+    return sphere_area(n) * _profile_integral(dens, t, _INF)
 
 
 @scalar_results(ExtReal)
@@ -513,7 +499,7 @@ def _find_infinite_cut(h: MonotoneIntegrator, a, b):
     return c0 if increasing else c1
 
 
-def _rs_stage(f, h: MonotoneIntegrator, x0, x1, cfg):
+def _rs_stage(f, h: MonotoneIntegrator, x0, x1):
     """Refining Riemann-Stieltjes midpoint sums on a jump-free stage."""
     lo = max(x0, 1e-18)
     hi = min(x1, 1e18)
@@ -540,7 +526,7 @@ def _rs_stage(f, h: MonotoneIntegrator, x0, x1, cfg):
         s = float(np.sum(contrib))
         if prev is not None:
             err = abs(s - prev)
-            if err <= max(cfg.abs_tol, cfg.rel_tol * 1e4 * abs(s)):
+            if err <= max(_ABS_TOL, _REL_TOL * 1e4 * abs(s)):
                 # midpoint refinement converges like n^-2; extrapolate
                 return (4.0 * s - prev) / 3.0, err
         prev = s
@@ -573,7 +559,7 @@ def _defined_range(f, h: MonotoneIntegrator, a, b):
     return kept
 
 
-def stieltjes_integral(f, h: MonotoneIntegrator, interval=(0.0, _INF), cfg=None):
+def stieltjes_integral(f, h: MonotoneIntegrator, interval=(0.0, _INF)):
     """Integral of f >= 0 against the monotone integrator h over (a, b).
 
     f, like the evaluators of h, takes a 1-D float array of points and
@@ -583,7 +569,6 @@ def stieltjes_integral(f, h: MonotoneIntegrator, interval=(0.0, _INF), cfg=None)
     defined only when f vanishes there; otherwise UndefinedStieltjes is
     raised.
     """
-    cfg = cfg or DEFAULT_CONFIG
     a, b = _defined_range(f, h, *interval)
     if not a < b:
         return ExtReal(0.0)
@@ -614,12 +599,12 @@ def stieltjes_integral(f, h: MonotoneIntegrator, interval=(0.0, _INF), cfg=None)
             hist = []
             converged = not stoppable
             for y0, y1 in group:
-                s, _ = _rs_stage(f, h, y0, y1, cfg)
+                s, _ = _rs_stage(f, h, y0, y1)
                 if math.isinf(s):
                     return ExtReal(_INF)
                 total += s
                 hist.append(s)
-                tol = max(cfg.abs_tol, cfg.rel_tol * 1e4 * abs(total))
+                tol = max(_ABS_TOL, _REL_TOL * 1e4 * abs(total))
                 small = small + 1 if s <= tol else 0
                 if stoppable and small >= 3:
                     converged = True

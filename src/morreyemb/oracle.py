@@ -598,10 +598,10 @@ def _ascent_loop(ev, values, cfg, trace, counter, tracker):
     return values, best
 
 
-def closed_form_constant(prob, cfg=None) -> ExtReal:
+def closed_form_constant(prob) -> ExtReal:
     """Dispatch to the matching closed-form functional."""
     if isinstance(prob, EmbeddingProblem):
-        return embedding_constant(prob, cfg)
+        return embedding_constant(prob)
     if isinstance(prob, HardyProblem):
         return {
             "direct": hardy_A,
@@ -610,7 +610,7 @@ def closed_form_constant(prob, cfg=None) -> ExtReal:
             "sup_complement": sup_operator_constant,
             "reverse": reverse_hardy_C,
             "reverse_complement": reverse_hardy_C_star,
-        }[prob.variant](prob, cfg)
+        }[prob.variant](prob)
     raise TypeError(f"unsupported problem type {type(prob)!r}")
 
 

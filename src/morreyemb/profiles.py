@@ -52,6 +52,14 @@ def _radii(method):
     return public
 
 
+def _real(x, what):
+    """float(x) for a profile parameter, which may not be nan."""
+    x = float(x)
+    if math.isnan(x):
+        raise ValueError(f"{what} must not be nan")
+    return x
+
+
 def _shaped(value, *xs):
     """value as a float array of the broadcast shape of xs."""
     return np.full(np.broadcast(*xs).shape, value, dtype=float)
@@ -205,7 +213,7 @@ class PowerProfile(RadialProfile):
         if not math.isinf(c) and (math.isnan(c) or c < 0.0):
             raise ValueError(f"coefficient must be in [0, inf], got {c}")
         self.c = float(c)
-        self.alpha = float(alpha)
+        self.alpha = _real(alpha, "exponent")
 
     @_radii
     def __call__(self, rho):
@@ -265,11 +273,11 @@ class ShiftedPowerProfile(RadialProfile):
     def __init__(self, c, shift, alpha):
         if c < 0.0 or math.isnan(c):
             raise ValueError("coefficient must be >= 0")
-        if shift <= 0.0:
+        if _real(shift, "shift") <= 0.0:
             raise ValueError("shift must be > 0")
         self.c = float(c)
         self.shift = float(shift)
-        self.alpha = float(alpha)
+        self.alpha = _real(alpha, "exponent")
 
     @_radii
     def __call__(self, rho):
@@ -316,7 +324,7 @@ class ExpProfile(RadialProfile):
         if c < 0.0 or math.isnan(c):
             raise ValueError("coefficient must be >= 0")
         self.c = float(c)
-        self.rate = float(rate)
+        self.rate = _real(rate, "rate")
 
     @_radii
     def __call__(self, rho):
@@ -380,12 +388,12 @@ class PiecewisePowerProfile(RadialProfile):
     closed_form = True
 
     def __init__(self, breaks, segments):
-        breaks = [float(x) for x in breaks]
+        breaks = [_real(x, "breakpoint") for x in breaks]
         if any(x <= 0 or math.isinf(x) for x in breaks):
             raise ValueError("breakpoints must be finite and positive")
         if sorted(breaks) != breaks or len(set(breaks)) != len(breaks):
             raise ValueError("breakpoints must be strictly ascending")
-        segments = [(float(c), float(al)) for c, al in segments]
+        segments = [(float(c), _real(al, "exponent")) for c, al in segments]
         if len(segments) != len(breaks) + 1:
             raise ValueError("need len(breaks) + 1 segments")
         for c, _ in segments:
@@ -581,6 +589,8 @@ def tabulated(knots, values):
     (knots[i], knots[i+1]], extended by the end values outside the range."""
     knots = [float(k) for k in knots]
     values = [float(v) for v in values]
+    if len(knots) < 2:
+        raise ValueError("need at least two knots")
     if len(values) != len(knots) - 1:
         raise ValueError("need len(knots) - 1 values")
     segs = [(values[0], 0.0)] + [(v, 0.0) for v in values] + [(values[-1], 0.0)]

@@ -74,7 +74,7 @@ class OmegaMembership:
 
 
 @scalar_results(ExtReal)
-def lp_norm_interval(profile: RadialProfile, q, interval, cfg=None) -> ExtReal:
+def lp_norm_interval(profile: RadialProfile, q, interval) -> ExtReal:
     """One-dimensional norm ||phi||_{q,(a,b)} with 0 <= a < b <= inf.
 
     Either end may be an array of radii; the norms then come back as a
@@ -87,49 +87,49 @@ def lp_norm_interval(profile: RadialProfile, q, interval, cfg=None) -> ExtReal:
         raise ValueError("q must be in (0, inf]")
     if math.isinf(q):
         return profile.esssup(a, b)
-    return ext_pow(_profile_integral(profile.power(q), a, b, cfg), 1.0 / q)
+    return ext_pow(_profile_integral(profile.power(q), a, b), 1.0 / q)
 
 
-def tail_norm(omega: RadialProfile, theta, t, cfg=None) -> ExtReal:
+def tail_norm(omega: RadialProfile, theta, t) -> ExtReal:
     """||omega||_{theta,(t,inf)}; t = 0 gives the full-line norm.  An array
     of t gives a float array of norms."""
     if np.min(t) < 0:
         raise ValueError("t must be >= 0")
-    return lp_norm_interval(omega, theta, (t, _INF), cfg)
+    return lp_norm_interval(omega, theta, (t, _INF))
 
 
-def head_norm(omega: RadialProfile, theta, t, cfg=None) -> ExtReal:
+def head_norm(omega: RadialProfile, theta, t) -> ExtReal:
     """||omega||_{theta,(0,t)}; an array of t gives a float array."""
     if np.min(t) <= 0:
         raise ValueError("t must be positive")
-    return lp_norm_interval(omega, theta, (0.0, t), cfg)
+    return lp_norm_interval(omega, theta, (0.0, t))
 
 
 @scalar_results(ExtReal)
-def _with_limit(norm, limit, omega, theta, t, cfg):
+def _with_limit(norm, limit, omega, theta, t):
     """norm(omega, theta, t) and, for theta = inf, at least limit(t): the
     one-sided limit of an outer norm at t > 0."""
     if np.min(t) <= 0:
         raise ValueError("t must be positive")
-    plain = norm(omega, theta, np.asarray(t, dtype=float), cfg)
+    plain = norm(omega, theta, np.asarray(t, dtype=float))
     if math.isfinite(float(theta)):
         return plain
     return np.maximum(plain, limit(t))
 
 
-def tail_norm_left_limit(omega: RadialProfile, theta, t, cfg=None) -> ExtReal:
+def tail_norm_left_limit(omega: RadialProfile, theta, t) -> ExtReal:
     """lim_{s -> t-} ||omega||_{theta,(s,inf)}.
 
     For theta < inf this coincides with the plain tail norm; for
     theta = inf the approach from the left picks up the left-limit value
     of the profile at t.
     """
-    return _with_limit(tail_norm, omega.left_limit, omega, theta, t, cfg)
+    return _with_limit(tail_norm, omega.left_limit, omega, theta, t)
 
 
-def head_norm_right_limit(omega: RadialProfile, theta, t, cfg=None) -> ExtReal:
+def head_norm_right_limit(omega: RadialProfile, theta, t) -> ExtReal:
     """lim_{s -> t+} ||omega||_{theta,(0,s)}."""
-    return _with_limit(head_norm, omega.right_limit, omega, theta, t, cfg)
+    return _with_limit(head_norm, omega.right_limit, omega, theta, t)
 
 
 def _norm_slope(norm, phi, s, n, rho):
@@ -168,11 +168,11 @@ class Side(enum.Enum):
     def other(self):
         return Side.COMPLEMENT if self is Side.BALL else Side.BALL
 
-    def integral(self, g, n, t, cfg=None):
+    def integral(self, g, n, t):
         """Integral of g(|x|) over the region at radius t in R^n."""
         if self is Side.BALL:
-            return ball_integral(g, n, t, cfg)
-        return complement_integral(g, n, t, cfg)
+            return ball_integral(g, n, t)
+        return complement_integral(g, n, t)
 
     def esssup(self, g, t):
         """Essential supremum of the profile over the region's radii."""
@@ -180,25 +180,25 @@ class Side(enum.Enum):
             return esssup_ball(g, t)
         return esssup_complement(g, t)
 
-    def region_norm(self, g, s, n, t, cfg=None) -> ExtReal:
+    def region_norm(self, g, s, n, t) -> ExtReal:
         """||g||_s over the region at radius t in R^n, s in (0, inf]."""
         s = float(s)
         if math.isinf(s):
             return self.esssup(g, t)
-        return ext_pow(self.integral(g.power(s), n, t, cfg), 1.0 / s)
+        return ext_pow(self.integral(g.power(s), n, t), 1.0 / s)
 
-    def outer_norm(self, omega, theta, t, cfg=None):
+    def outer_norm(self, omega, theta, t):
         """The outer norm paired with the side: tail or head norm."""
         if self is Side.BALL:
-            return tail_norm(omega, theta, t, cfg)
-        return head_norm(omega, theta, t, cfg)
+            return tail_norm(omega, theta, t)
+        return head_norm(omega, theta, t)
 
-    def outer_norm_limit(self, omega, theta, t, cfg=None):
+    def outer_norm_limit(self, omega, theta, t):
         """The outer norm's one-sided limit at t: from the left for tails,
         from the right for heads."""
         if self is Side.BALL:
-            return tail_norm_left_limit(omega, theta, t, cfg)
-        return head_norm_right_limit(omega, theta, t, cfg)
+            return tail_norm_left_limit(omega, theta, t)
+        return head_norm_right_limit(omega, theta, t)
 
     @property
     def direction(self):
@@ -216,8 +216,7 @@ class Side(enum.Enum):
         lo = getattr(omega, "support_inf", lambda: 0.0)()
         return lo if lo > 0.0 else None
 
-    def stieltjes(self, f, f_end, omega, theta, rho, breaks, cfg=None,
-                  slope=None):
+    def stieltjes(self, f, f_end, omega, theta, rho, breaks, slope=None):
         """The integral over t > 0 of f against h = N^(-rho), rho > 0, where
         N(t) is the outer norm of omega with exponent theta at t.
 
@@ -245,29 +244,28 @@ class Side(enum.Enum):
         theta = float(theta)
 
         def h_limit(t):
-            return ext_pow(self.outer_norm_limit(omega, theta, t, cfg), -rho)
+            return ext_pow(self.outer_norm_limit(omega, theta, t), -rho)
 
         integ = MonotoneIntegrator.from_function(
             h_limit, self.direction, jump_points=breaks,
             infinite_from=self.infinite_from(omega))
         if math.isinf(theta) and slope is None:
-            return stieltjes_integral(f, integ, (0.0, _INF), cfg)
+            return stieltjes_integral(f, integ, (0.0, _INF))
         lo, hi = _defined_range(f, integ, 0.0, _INF)
         if not lo < hi:
             return ExtReal(0.0)
 
         def h(t):
-            return ext_pow(self.outer_norm(omega, theta, t, cfg), -rho)
+            return ext_pow(self.outer_norm(omega, theta, t), -rho)
 
         up = self is Side.COMPLEMENT      # the walk toward h's finite limit
-        h_end = float(ext_pow(tail_norm(omega, theta, 0.0, cfg), -rho))
+        h_end = float(ext_pow(tail_norm(omega, theta, 0.0), -rho))
         f_end = float(f_end)
         if math.isinf(theta):
-            return self._by_parts(f, f_end, h, h_end, (lo, hi), slope,
-                                  breaks, cfg)
+            return self._by_parts(f, f_end, h, h_end, (lo, hi), slope, breaks)
 
         def integrand(t):
-            om, norm = omega(t), self.outer_norm(omega, theta, t, cfg)
+            om, norm = omega(t), self.outer_norm(omega, theta, t)
             fv = _values(f, t)
             with np.errstate(divide="ignore", over="ignore",
                              invalid="ignore"):
@@ -289,13 +287,13 @@ class Side(enum.Enum):
 
         cut = lo if up else hi
         if cut in (0.0, _INF):
-            val, _ = integrate_halfline(integrand, (lo, hi), cfg, breaks, rest)
+            val, _ = integrate_halfline(integrand, (lo, hi), breaks, rest)
             return val
         # the half toward the open end in t, the half toward the cut in
         # s = |t - cut|, where t = cut is no longer a point of the walk
         mid = 2.0 * cut if up else 0.5 * cut
         far, _ = integrate_halfline(integrand, (mid, hi) if up else (lo, mid),
-                                    cfg, breaks, rest)
+                                    breaks, rest)
         sign = 1.0 if up else -1.0
 
         def near(s):
@@ -304,7 +302,7 @@ class Side(enum.Enum):
 
         gaps = np.abs(np.asarray(breaks, dtype=float) - cut)
         try:
-            close, _ = integrate_halfline(near, (0.0, abs(mid - cut)), cfg,
+            close, _ = integrate_halfline(near, (0.0, abs(mid - cut)),
                                           gaps[gaps < abs(mid - cut)])
         except QuadratureFailure as exc:
             raise QuadratureFailure(
@@ -312,7 +310,7 @@ class Side(enum.Enum):
                 f"distance s to it: {exc}") from exc
         return far + close
 
-    def _by_parts(self, f, f_end, h, h_end, interval, slope, breaks, cfg):
+    def _by_parts(self, f, f_end, h, h_end, interval, slope, breaks):
         """theta = inf: the integral of f against h over the interval on
         which h is finite, as the integral of (h - h_end) |f'|.
 
@@ -349,13 +347,13 @@ class Side(enum.Enum):
         bks = bks[(bks >= lo) & (bks <= hi)]
         dead = bks[_values(f, bks) == 0.0] if bks.size else bks
         if not dead.size:
-            val, _ = integrate_halfline(integrand, (lo, hi), cfg, bks, rest)
+            val, _ = integrate_halfline(integrand, (lo, hi), bks, rest)
             return val
         z = float(dead[-1] if up else dead[0])
         live = bks[bks > z] if up else bks[bks < z][::-1]
         edge = float(live[0]) if live.size else (2.0 if up else 0.5) * z
         far, _ = integrate_halfline(
-            integrand, (edge, hi) if up else (lo, edge), cfg, bks, rest)
+            integrand, (edge, hi) if up else (lo, edge), bks, rest)
         k, width = max(1.0 / a, 1.0), abs(edge - z)
 
         def piece(x):
@@ -366,7 +364,7 @@ class Side(enum.Enum):
             return integrand(t) * (k * width ** (1.0 / k)
                                    * d ** (1.0 - 1.0 / k))
 
-        close, _ = _gauss_kronrod(piece, 0.0, 1.0, cfg)
+        close, _ = _gauss_kronrod(piece, 0.0, 1.0)
         if np.isnan(close):
             raise QuadratureFailure(
                 f"Stieltjes integrand is nan between {min(z, edge):g} and "
@@ -381,13 +379,13 @@ class Side(enum.Enum):
         return member.in_dual_omega_theta
 
 
-def _whole_space_norm(g, s, n, cfg=None) -> ExtReal:
+def _whole_space_norm(g, s, n) -> ExtReal:
     """||g||_s over all of R^n, s in (0, inf]."""
     s = float(s)
     if math.isinf(s):
         return esssup_complement(g, 0.0)
-    val = ball_integral(g.power(s), n, 1.0, cfg) + \
-        complement_integral(g.power(s), n, 1.0, cfg)
+    val = ball_integral(g.power(s), n, 1.0) + \
+        complement_integral(g.power(s), n, 1.0)
     return ext_pow(val, 1.0 / s)
 
 
@@ -401,7 +399,7 @@ def _power_omega_membership(c, alpha, theta):
 
 
 def omega_class_check(omega: RadialProfile, theta,
-                      sample_grid=DEFAULT_SAMPLE_GRID, cfg=None) -> OmegaMembership:
+                      sample_grid=DEFAULT_SAMPLE_GRID) -> OmegaMembership:
     """Membership in Omega_theta (finite positive tail norms for all t > 0)
     and its dual (finite positive head norms)."""
     theta = float(theta)
@@ -418,15 +416,15 @@ def omega_class_check(omega: RadialProfile, theta,
                    and _power_omega_membership(c_last, a_last, theta)[0])
         head_ok = (all_finite and c_first > 0.0
                    and _power_omega_membership(c_first, a_first, theta)[1])
-        witness = omega.breaks[0]
+        witness = omega.breaks[0] if omega.breaks else 1.0
         return OmegaMembership(bool(tail_ok), bool(head_ok),
                                witness_t=witness, analytic=True)
     # sampled check
     tail_ok = head_ok = True
     witness = sample_grid[0]
     for t in sample_grid:
-        tv = float(tail_norm(omega, theta, t, cfg))
-        hv = float(head_norm(omega, theta, t, cfg))
+        tv = float(tail_norm(omega, theta, t))
+        hv = float(head_norm(omega, theta, t))
         if not (0.0 < tv < _INF):
             tail_ok, witness = False, t
         if not (0.0 < hv < _INF):
@@ -464,15 +462,15 @@ def _ball_slice_measure(n, d, r, rho):
     return out
 
 
-def _off_center_ball_integral(profile, n, d, r, cfg):
+def _off_center_ball_integral(profile, n, d, r):
     """Integral of profile(|x|) over the ball B(x0, r) with |x0| = d."""
     if d == 0.0:
-        return float(ball_integral(profile, n, r, cfg))
+        return float(ball_integral(profile, n, r))
     # the slice measure has a kink where the sphere starts to leave the
     # ball, at rho = r - d
     val, _ = integrate_halfline(
         lambda rho: ext_mul(profile(rho), _ball_slice_measure(n, d, r, rho)),
-        (max(d - r, 0.0), d + r), cfg, (r - d,) + profile.breakpoints())
+        (max(d - r, 0.0), d + r), (r - d,) + profile.breakpoints())
     return float(val)
 
 
@@ -483,7 +481,7 @@ def default_ball_family(radii=None, offset_factors=(0.0, 1.0, 3.0, 10.0)):
     return [(f * r, r) for r in radii for f in offset_factors]
 
 
-def muckenhoupt_ap_estimate(w: Weight, p, ball_family=None, cfg=None) -> ExtReal:
+def muckenhoupt_ap_estimate(w: Weight, p, ball_family=None) -> ExtReal:
     """Sampled lower bound on the Muckenhoupt A_p constant of w.
 
     sup over the family of (int_B w)(int_B w^{1-p'})^{p-1} / |B|^p.
@@ -500,8 +498,8 @@ def muckenhoupt_ap_estimate(w: Weight, p, ball_family=None, cfg=None) -> ExtReal
     best = 0.0
     for d, r in ball_family:
         vol = ball_volume(n, r)
-        m1 = _off_center_ball_integral(w.profile, n, d, r, cfg)
-        m2 = _off_center_ball_integral(dual, n, d, r, cfg)
+        m1 = _off_center_ball_integral(w.profile, n, d, r)
+        m2 = _off_center_ball_integral(dual, n, d, r)
         if math.isinf(m1) or math.isinf(m2):
             return ExtReal(_INF)
         val = (m1 / vol) * (m2 / vol) ** (p - 1.0)

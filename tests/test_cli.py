@@ -108,9 +108,9 @@ class TestVerify:
         import morreyemb.oracle as oracle
         calls = []
 
-        def counted(prob, cfg=None):
+        def counted(prob):
             calls.append(prob)
-            return real(prob, cfg)
+            return real(prob)
 
         doc = dict(CASE_VI)
         if infinite:
@@ -304,6 +304,48 @@ class TestSpecShape:
         spec = write_spec(tmp_path, doc)
         assert main([cmd, "--spec", spec]) == EXIT_SPEC
         assert "expected a JSON object" in capsys.readouterr().err
+
+
+class TestProfileSpecs:
+    def test_one_segment_piecewise_power_reads_as_power(self, tmp_path,
+                                                        capsys):
+        outs = []
+        for omega in ({"kind": "power", "c": 1.0, "alpha": -1.0},
+                      {"kind": "piecewise_power", "breakpoints": [],
+                       "segments": [[1.0, -1.0]]}):
+            doc = dict(CASE_VI, weights={"omega": omega})
+            spec = write_spec(tmp_path, doc)
+            assert main(["constant", "--spec", spec]) == EXIT_OK
+            outs.append(capsys.readouterr().out)
+        assert outs[1] == outs[0]
+        assert json.loads(outs[0]) == {"case": "lebesgue_to_lm.vi",
+                                       "value": "inf"}
+
+    def test_one_knot_tabulated_is_a_spec_error(self, tmp_path, capsys):
+        doc = dict(CASE_VI, weights=dict(CASE_VI["weights"], v1={
+            "kind": "tabulated", "knots": [1.0], "values": []}))
+        spec = write_spec(tmp_path, doc)
+        assert main(["constant", "--spec", spec]) == EXIT_SPEC
+        assert "spec error: bad profile for v1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("v1", [
+        {"kind": "power", "c": 1.0, "alpha": "nan"},
+        {"kind": "exp", "c": 1.0, "rate": "nan"},
+        {"kind": "shifted_power", "c": 1.0, "shift": 1.0, "alpha": "nan"},
+        # json writes a float nan as the bare token NaN, which it reads
+        {"kind": "shifted_power", "c": 1.0, "shift": math.nan, "alpha": 0.0},
+        {"kind": "piecewise_power", "breakpoints": [1.0],
+         "segments": [[1.0, 0.0], [1.0, "nan"]]},
+        {"kind": "piecewise_power", "breakpoints": ["nan"],
+         "segments": [[1.0, 0.0], [1.0, 0.0]]},
+    ], ids=["power.alpha", "exp.rate", "shifted_power.alpha",
+            "shifted_power.shift", "piecewise_power.alpha",
+            "piecewise_power.breakpoint"])
+    def test_nan_parameter_is_a_spec_error(self, tmp_path, capsys, v1):
+        doc = dict(CASE_VI, weights=dict(CASE_VI["weights"], v1=v1))
+        spec = write_spec(tmp_path, doc)
+        assert main(["constant", "--spec", spec]) == EXIT_SPEC
+        assert "spec error: bad profile for v1" in capsys.readouterr().err
 
 
 class TestReuse:

@@ -57,7 +57,7 @@ def test_halfline_integrable_singularity():
 def test_halfline_slow_power_end(eps, interval, sign):
     # t^(-1 -+ eps) has dyadic ratio 2^(-eps) toward its slow end; the
     # 400-piece budget runs out there and the geometric remainder is added,
-    # also when the ratio lies within divergence_delta of 1 (eps = 0.001)
+    # also when the ratio lies within _DIVERGENCE_DELTA of 1 (eps = 0.001)
     val, err = integrate_halfline(
         FnProfile(lambda t: t ** (-1.0 + sign * eps)), interval)
     assert float(val) == pytest.approx(1.0 / eps, rel=1e-9)
@@ -217,7 +217,7 @@ def test_off_center_ball_integral_of_root_weight():
     with mpmath.workdps(30):
         want = mpmath.quad(lambda x: mpmath.sqrt(x) * _mp_slice(d, r, x),
                            [d - r, d, d + r])
-    got = _off_center_ball_integral(PowerProfile(1.0, 0.5), 2, d, r, None)
+    got = _off_center_ball_integral(PowerProfile(1.0, 0.5), 2, d, r)
     assert got == pytest.approx(float(want), rel=1e-13, abs=0.0)
 
 
