@@ -94,8 +94,12 @@ def sup_over_t(fn, breakpoints=()) -> ExtReal:
     clipped to [1e-18, 1e18].  When an end of the scan wins, one call
     extends it by the points t 4^k out to 1e-18 or 1e18; that end still
     winning by more than 1e-9 reads inf.  Zoom rounds of 2047 points then
-    narrow the bracket around the best point until it is under 1e-12 in
-    log t.  An inf value reads inf, and a nan raises ValueError.
+    narrow the bracket around the best point, each to 1/1024 of the last,
+    until a round raises the best value by at most 1e-15 relative or the
+    bracket is under 1e-12 in log t.  Near a smooth maximum the value
+    converges quadratically in the bracket, and a maximum at a breakpoint
+    is already a scan point.  An inf value reads inf, and a nan raises
+    ValueError.
     """
     breaks = np.asarray(breakpoints, dtype=float)
     if breaks.size:
@@ -127,7 +131,9 @@ def sup_over_t(fn, breakpoints=()) -> ExtReal:
         xs = np.linspace(a, b, 2049)
         zoom = _checked(fn, np.exp(xs[1:-1]))
         j = int(np.argmax(zoom)) + 1
-        best = max(best, zoom[j - 1])
+        gain, best = zoom[j - 1] - best, max(best, zoom[j - 1])
+        if gain <= 1e-15 * best:
+            break
         a, b = xs[j - 1], xs[j + 1]
     return ExtReal(best)
 

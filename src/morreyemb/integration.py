@@ -200,7 +200,12 @@ def integrate_halfline(f, interval, breakpoints=None, rest=None):
     default a profile's own.  A finite core spanning the breakpoints inside
     (a, b) is integrated piece by piece between them, and dyadic pieces in
     log t are added toward an open end until they are negligible, a
-    geometric tail can be summed, or their growth shows divergence.
+    geometric tail can be summed, or their growth shows divergence.  A
+    tail is summed as v r / (1 - r) after the piece v, r the last dyadic
+    ratio, when the last 8 ratios lie below 0.95 and that rest is under
+    tolerance, or when they agree as those of a power tail do (see
+    _stable_below_one) and the rest's sensitivity to their spread is
+    under tolerance; that sensitivity is its error bound.
 
     rest, if given, is called as rest(x, up) with an array of points x
     where a walk toward an open end may stop (upward toward inf if up,
@@ -306,16 +311,20 @@ def integrate_halfline(f, interval, breakpoints=None, rest=None):
                         total += rem
                         toterr += rem
                         break
+                if len(ratios) == 8 and _stable_below_one(ratios):
+                    rem, rem_err = _geometric_rest(v, ratios)
+                    if rem_err <= tol:
+                        total += rem
+                        toterr += rem_err
+                        break
         else:
             # the budget ran out on a slow geometric tail (a power tail
-            # t^(-1-eps) has dyadic ratio 2^(-eps)): add its remainder,
-            # with the remainder's sensitivity to the ratio spread as error
+            # t^(-1-eps) has dyadic ratio 2^(-eps)) whose remainder is not
+            # yet known to tolerance: add it with its error all the same
             if len(ratios) == 8 and _stable_below_one(ratios):
-                r = ratios[-1]
-                spread = (max(ratios) - min(ratios)) / r
-                rem = v * r / (1.0 - r)
+                rem, rem_err = _geometric_rest(v, ratios)
                 total += rem
-                toterr += rem * spread / (1.0 - r)
+                toterr += rem_err
                 continue
             raise QuadratureFailure(
                 "dyadic budget exhausted without convergence or divergence",
@@ -341,6 +350,16 @@ def _check_piece(v, x0, x1, total, toterr):
         raise QuadratureFailure(
             f"integrand is nan on the piece ({x0:g}, {x1:g})",
             value=total, error_bound=toterr)
+
+
+def _geometric_rest(v, ratios):
+    """The rest v r / (1 - r) of a geometric tail after its last piece v,
+    r the last of its dyadic ratios, and the rest's sensitivity to the
+    spread of the ratios as its error."""
+    r = ratios[-1]
+    spread = (max(ratios) - min(ratios)) / r
+    rem = v * r / (1.0 - r)
+    return rem, rem * spread / (1.0 - r)
 
 
 def _stable_below_one(ratios):
@@ -473,16 +492,19 @@ def _find_infinite_cut(h: MonotoneIntegrator, a, b):
 
     h is sampled on a 129-point geometric grid; the bracket around the
     change from finite to infinite values is resampled the same way until
-    it is tight to 1e-13 relative."""
+    it is tight to 1e-13 relative.  h is monotone, so it is finite on the
+    whole grid, and there is no cut, when it is finite at the grid's far
+    end: that one point is evaluated first."""
     if h.infinite_from is not None:
         return h.infinite_from
     increasing = h.direction == "increasing"
     c0, c1 = max(a, 1e-9), min(b, 1e9)
+    far = np.array([c1 if increasing else c0])
+    if np.isfinite(_values(h.evaluator, far)).all():
+        return None
     for depth in range(12):
         grid = np.geomspace(c0, c1, 129)
         finite = np.isfinite(_values(h.evaluator, grid))
-        if depth == 0 and finite.all():
-            return None
         if increasing:
             # infinite on (c, b): bracket the first infinite sample
             idx = int(np.argmin(finite))

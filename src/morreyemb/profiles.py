@@ -53,10 +53,10 @@ def _radii(method):
 
 
 def _real(x, what):
-    """float(x) for a profile parameter, which may not be nan."""
+    """float(x) for a profile parameter, which must be finite."""
     x = float(x)
-    if math.isnan(x):
-        raise ValueError(f"{what} must not be nan")
+    if not math.isfinite(x):
+        raise ValueError(f"{what} must be finite")
     return x
 
 
@@ -388,8 +388,8 @@ class PiecewisePowerProfile(RadialProfile):
     closed_form = True
 
     def __init__(self, breaks, segments):
-        breaks = [_real(x, "breakpoint") for x in breaks]
-        if any(x <= 0 or math.isinf(x) for x in breaks):
+        breaks = [float(x) for x in breaks]
+        if not all(0.0 < x < _INF for x in breaks):
             raise ValueError("breakpoints must be finite and positive")
         if sorted(breaks) != breaks or len(set(breaks)) != len(breaks):
             raise ValueError("breakpoints must be strictly ascending")

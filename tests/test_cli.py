@@ -347,6 +347,17 @@ class TestProfileSpecs:
         assert main(["constant", "--spec", spec]) == EXIT_SPEC
         assert "spec error: bad profile for v1" in capsys.readouterr().err
 
+    def test_infinite_exponent_is_a_spec_error(self, tmp_path, capsys):
+        # v1 = rho^inf is 0 below 1 and inf above: no weight
+        doc = dict(CASE_VI, weights=dict(CASE_VI["weights"], v1={
+            "kind": "power", "c": 1.0, "alpha": "inf"}))
+        spec = write_spec(tmp_path, doc)
+        assert main(["constant", "--spec", spec]) == EXIT_SPEC
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "spec error: bad profile for v1: exponent must be finite" \
+            in out.err
+
 
 class TestReuse:
     """What ``main`` builds once per process carries nothing between

@@ -2,12 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from morreyemb.errors import HypothesisViolated, InadmissibleExponents
 from morreyemb.hardy import (HardyProblem, hardy_A, hardy_A_star,
                              reverse_hardy_C, reverse_hardy_C_star,
-                             sup_operator_constant)
+                             sup_operator_constant, sup_over_t)
 from morreyemb.profiles import (ExpProfile, PiecewisePowerProfile,
                                 PowerProfile, ShiftedPowerProfile, constant,
                                 truncated_power)
@@ -151,3 +152,37 @@ class TestLeftLimitCollapse:
         b = float(tail_norm_left_limit(om, INF, 1.0))
         assert a == 0.0
         assert b == 1.0
+
+
+class TestSupOverT:
+    """The zoom of sup_over_t stops once a round no longer raises the best
+    value, and not before the value has converged."""
+
+    @staticmethod
+    def counted(fn):
+        calls = []
+
+        def wrapped(t):
+            calls.append(t.size)
+            return fn(t)
+
+        return wrapped, calls
+
+    def test_sharp_interior_peak(self):
+        # 3 / (1 + ((log t - x0) / w)^2), 1e-3 wide in log t, peaks at 3;
+        # x0 lies 17 widths from the nearest scan point
+        grid = np.log(np.geomspace(1e-6, 1e6, 512))
+        x0, w = grid[260] + 0.3137 * (grid[261] - grid[260]), 1e-3
+        assert np.min(np.abs(grid - x0)) > 15 * w
+        fn, calls = self.counted(
+            lambda t: 3.0 / (1.0 + ((np.log(t) - x0) / w) ** 2))
+        got = float(sup_over_t(fn))
+        assert abs(got - 3.0) <= 3e-14
+        assert calls[0] >= 512 and len(calls) - 1 <= 4
+
+    def test_kink_at_a_breakpoint_needs_one_zoom_round(self):
+        # min(t / 7, 7 / t) peaks at its breakpoint 7, a scan point: the
+        # first zoom round finds nothing higher
+        fn, calls = self.counted(lambda t: np.minimum(t / 7.0, 7.0 / t))
+        assert float(sup_over_t(fn, (7.0,))) == 1.0
+        assert len(calls) == 2

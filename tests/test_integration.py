@@ -15,7 +15,8 @@ from morreyemb.integration import (_G7, _K15, _NODES, MonotoneIntegrator,
                                    stieltjes_integral)
 from morreyemb.profiles import (ExpProfile, FnProfile, PiecewisePowerProfile,
                                 PowerProfile, ShiftedPowerProfile)
-from morreyemb.weights import _ball_slice_measure, _off_center_ball_integral
+from morreyemb.weights import (_ball_slice_measure, _off_center_ball_integral,
+                               tail_norm)
 
 INF = math.inf
 
@@ -55,13 +56,49 @@ def test_halfline_integrable_singularity():
 @pytest.mark.parametrize("interval,sign", [((1.0, INF), -1.0),
                                            ((0.0, 1.0), 1.0)])
 def test_halfline_slow_power_end(eps, interval, sign):
-    # t^(-1 -+ eps) has dyadic ratio 2^(-eps) toward its slow end; the
-    # 400-piece budget runs out there and the geometric remainder is added,
-    # also when the ratio lies within _DIVERGENCE_DELTA of 1 (eps = 0.001)
+    # t^(-1 -+ eps) has dyadic ratio 2^(-eps) toward its slow end, where
+    # the geometric remainder is added, also when the ratio lies within
+    # _DIVERGENCE_DELTA of 1 (eps = 0.001)
     val, err = integrate_halfline(
         FnProfile(lambda t: t ** (-1.0 + sign * eps)), interval)
     assert float(val) == pytest.approx(1.0 / eps, rel=1e-9)
     assert abs(float(val) - 1.0 / eps) <= err <= 1e-9 / eps
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.01, 0.002, 0.001])
+def test_slow_tail_norm(eps):
+    # the tail norm of t^(-1-eps) over (1, inf) with theta = 1 is 1/eps
+    got = float(tail_norm(FnProfile(lambda t: t ** (-1.0 - eps)), 1.0, 1.0))
+    assert got == pytest.approx(1.0 / eps, rel=1e-9)
+
+
+def counted(fn):
+    calls = []
+
+    def wrapped(t):
+        calls.append(t.size)
+        return fn(t)
+
+    return wrapped, calls
+
+
+def test_halfline_power_tail_stops_on_its_ratios():
+    # t^(-1.25) has the dyadic ratio 2^(-1/4) exactly: once 8 ratios agree
+    # the rest is summed, so the core and the first block of the walk,
+    # evaluated in one call, are all it takes
+    f, calls = counted(lambda t: t ** -1.25)
+    val, _ = integrate_halfline(f, (1.0, INF))
+    assert abs(float(val) - 4.0) <= 4e-14
+    assert len(calls) <= 2
+
+
+def test_halfline_drifting_ratios_walk_on():
+    # t^(-2) (1 + log t) has dyadic ratios 1/2 (1 + 1/k) to first order:
+    # they never agree to 1e-6, so the walk runs until its pieces are small
+    val, err = integrate_halfline(lambda t: t ** -2.0 * (1.0 + np.log(t)),
+                                  (1.0, INF))
+    assert abs(float(val) - 2.0) <= 2e-10
+    assert abs(float(val) - 2.0) <= err
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-4])

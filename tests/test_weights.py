@@ -7,7 +7,8 @@ import pytest
 
 from morreyemb.errors import NotAWeight
 from morreyemb.profiles import (ExpProfile, PiecewisePowerProfile,
-                                PowerProfile, constant, truncated_power)
+                                PowerProfile, ShiftedPowerProfile, constant,
+                                truncated_power)
 from morreyemb.weights import (Weight, head_norm, lp_norm_interval,
                                muckenhoupt_ap_estimate, omega_class_check,
                                profile_from_dict, tail_norm)
@@ -93,6 +94,24 @@ def test_profile_from_dict_rejects_unknown_keys():
         profile_from_dict({"kind": "power", "c": 1.0, "alpha": 0.0, "x": 1})
     with pytest.raises(ValueError):
         profile_from_dict({"kind": "mystery"})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PowerProfile(1.0, INF),
+    lambda: PowerProfile(1.0, -INF),
+    lambda: ExpProfile(1.0, -INF),
+    lambda: ExpProfile(1.0, INF),
+    lambda: ShiftedPowerProfile(1.0, INF, 1.0),
+    lambda: ShiftedPowerProfile(1.0, 1.0, INF),
+    lambda: PiecewisePowerProfile([1.0], [(1.0, 0.0), (1.0, -INF)]),
+], ids=["power.alpha", "power.-alpha", "exp.-rate", "exp.rate",
+        "shifted_power.shift", "shifted_power.alpha",
+        "piecewise_power.alpha"])
+def test_profile_rejects_infinite_parameter(make):
+    # ExpProfile(1, -inf) would read 0 at every rho > 0 and still call
+    # itself positive a.e.
+    with pytest.raises(ValueError, match="must be finite"):
+        make()
 
 
 def test_lp_norm_interval_exp_profile():
