@@ -95,17 +95,19 @@ def sup_over_t(fn, breakpoints=()) -> ExtReal:
     extends it by the points t 4^k out to 1e-18 or 1e18; that end still
     winning by more than 1e-9 reads inf.  Zoom rounds of 2047 points then
     narrow the bracket around the best point, each to 1/1024 of the last,
-    until a round raises the best value by at most 1e-15 relative or the
-    bracket is under 1e-12 in log t.  Near a smooth maximum the value
-    converges quadratically in the bracket, and a maximum at a breakpoint
-    is already a scan point.  An inf value reads inf, and a nan raises
-    ValueError.
+    until the bracket is under 1e-12 in log t or the maximum is known:
+    either a round raises the best value by at most 1e-15 relative and its
+    best point's two neighbours lie within 1e-15 of it (near a smooth
+    maximum the farther one falls short by at least 4 times the best
+    point's error), or the best point is a breakpoint or an end of the
+    range that no zoom point beats and the zoom points rise to it on a
+    straight line from each side (a kink or a monotone end, whose maximum
+    is that point).  An inf value reads inf, and a nan raises ValueError.
     """
-    breaks = np.asarray(breakpoints, dtype=float)
-    if breaks.size:
-        breaks = np.append(breaks, [breaks.min() / 10.0, breaks.max() * 10.0])
-    ts = _sorted_unique(np.append(_scan_grid(1e-6, 1e6, 512),
-                                  np.clip(breaks, 1e-18, 1e18)))
+    breaks = np.clip(np.asarray(breakpoints, dtype=float), 1e-18, 1e18)
+    beyond = [breaks.min() / 10.0, breaks.max() * 10.0] if breaks.size else []
+    ts = _sorted_unique(np.concatenate((_scan_grid(1e-6, 1e6, 512), breaks,
+                                        np.clip(beyond, 1e-18, 1e18))))
     vals = _checked(fn, ts)
     if np.isinf(vals).any():
         return ExtReal(_INF)
@@ -124,18 +126,43 @@ def sup_over_t(fn, breakpoints=()) -> ExtReal:
         end, inner = (ts.size - 1, -2) if up else (0, 1)
         if i == end and vals[end] > vals[inner] * (1.0 + 1e-9):
             return ExtReal(_INF)
-    best = vals[i]
+    best, at = vals[i], math.log(ts[i])
+    # a kink at a breakpoint or a monotone end: the maximum may be this point
+    corner = i in (0, ts.size - 1) or ts[i] in breaks
     a = math.log(ts[max(i - 1, 0)])
     b = math.log(ts[min(i + 1, ts.size - 1)])
     while b - a >= 1e-12 and best < _INF:
         xs = np.linspace(a, b, 2049)
         zoom = _checked(fn, np.exp(xs[1:-1]))
         j = int(np.argmax(zoom)) + 1
-        gain, best = zoom[j - 1] - best, max(best, zoom[j - 1])
-        if gain <= 1e-15 * best:
+        top = zoom[j - 1]
+        gain = top - best
+        if gain > 0:
+            best, at, corner = top, xs[j], False
+        elif corner and _rises_straight_to(at, xs, zoom):
+            break
+        if 1 < j < 2047 and best < _INF and \
+                max(gain, top - min(zoom[j - 2], zoom[j])) <= 1e-15 * best:
             break
         a, b = xs[j - 1], xs[j + 1]
     return ExtReal(best)
+
+
+def _rises_straight_to(x, xs, zoom):
+    """Whether the three zoom points (zoom holds the values at xs[1:-1])
+    nearest x on each side of x within the bracket rise toward x on a
+    straight line: the first difference at least 4 times the second.  Near
+    a smooth maximum it is at most 1.5 times the second."""
+    sides = []
+    if x > xs[0]:
+        k = int(np.searchsorted(xs, x)) - 2   # zoom[k]: the last below x
+        sides.append(zoom[k - 2:k + 1][::-1] if k >= 2 else ())
+    if x < xs[-1]:
+        k = int(np.searchsorted(xs, x, side="right")) - 1   # the first above
+        sides.append(zoom[k:k + 3])
+    return all(len(p) == 3 and
+               p[0] - p[1] >= 4.0 * abs(p[0] - 2.0 * p[1] + p[2])
+               for p in sides)
 
 
 def _checked(fn, ts):

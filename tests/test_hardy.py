@@ -155,34 +155,37 @@ class TestLeftLimitCollapse:
 
 
 class TestSupOverT:
-    """The zoom of sup_over_t stops once a round no longer raises the best
-    value, and not before the value has converged."""
+    """The zoom of sup_over_t stops once the maximum is known, and not
+    before."""
 
-    @staticmethod
-    def counted(fn):
-        calls = []
+    GRID = np.log(np.geomspace(1e-6, 1e6, 512))
 
-        def wrapped(t):
-            calls.append(t.size)
-            return fn(t)
-
-        return wrapped, calls
-
-    def test_sharp_interior_peak(self):
-        # 3 / (1 + ((log t - x0) / w)^2), 1e-3 wide in log t, peaks at 3;
-        # x0 lies 17 widths from the nearest scan point
-        grid = np.log(np.geomspace(1e-6, 1e6, 512))
-        x0, w = grid[260] + 0.3137 * (grid[261] - grid[260]), 1e-3
-        assert np.min(np.abs(grid - x0)) > 15 * w
-        fn, calls = self.counted(
+    @pytest.mark.parametrize("x0", [
+        GRID[260] + 0.3137 * (GRID[261] - GRID[260]),   # 17 widths off
+        GRID[260] + 2e-6,    # next to a scan point, the zoom's centre
+        GRID[260] - 1e-6,
+    ])
+    def test_sharp_interior_peak(self, counted, x0):
+        # 3 / (1 + ((log t - x0) / w)^2) is 1e-3 wide in log t and peaks
+        # at 3; a round that finds no higher point than the last does not
+        # end the zoom while the best point's neighbours lie far below it
+        w = 1e-3
+        fn, calls = counted(
             lambda t: 3.0 / (1.0 + ((np.log(t) - x0) / w) ** 2))
         got = float(sup_over_t(fn))
         assert abs(got - 3.0) <= 3e-14
         assert calls[0] >= 512 and len(calls) - 1 <= 4
 
-    def test_kink_at_a_breakpoint_needs_one_zoom_round(self):
-        # min(t / 7, 7 / t) peaks at its breakpoint 7, a scan point: the
-        # first zoom round finds nothing higher
-        fn, calls = self.counted(lambda t: np.minimum(t / 7.0, 7.0 / t))
+    def test_smooth_peak_next_to_a_breakpoint(self, counted):
+        # a breakpoint 1e-6 from a smooth maximum is not taken for a kink
+        x0 = 0.25
+        fn, calls = counted(lambda t: 2.0 * np.exp(-(np.log(t) - x0) ** 2))
+        got = float(sup_over_t(fn, (math.exp(x0 + 1e-6),)))
+        assert abs(got - 2.0) <= 2e-14
+
+    def test_kink_at_a_breakpoint_needs_one_zoom_round(self, counted):
+        # min(t / 7, 7 / t) peaks at its breakpoint 7, a scan point, and
+        # the first zoom round sees it rise to 7 on straight lines
+        fn, calls = counted(lambda t: np.minimum(t / 7.0, 7.0 / t))
         assert float(sup_over_t(fn, (7.0,))) == 1.0
         assert len(calls) == 2

@@ -72,17 +72,7 @@ def test_slow_tail_norm(eps):
     assert got == pytest.approx(1.0 / eps, rel=1e-9)
 
 
-def counted(fn):
-    calls = []
-
-    def wrapped(t):
-        calls.append(t.size)
-        return fn(t)
-
-    return wrapped, calls
-
-
-def test_halfline_power_tail_stops_on_its_ratios():
+def test_halfline_power_tail_stops_on_its_ratios(counted):
     # t^(-1.25) has the dyadic ratio 2^(-1/4) exactly: once 8 ratios agree
     # the rest is summed, so the core and the first block of the walk,
     # evaluated in one call, are all it takes
