@@ -13,14 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GateFailed, HypothesisViolated, Inadmissible
-from .extreal import ExtReal, conjugate_exponent, ext_div, ext_mul, ext_pow
-from .hardy import _breaks, _halfline, sup_over_t
+from .extreal import ExtReal, conjugate_exponent, ext_mul, ext_pow
+from .hardy import _breaks, _dual_functional, _halfline, sup_over_t
 from .integration import ball_volume
 from .norms import ALL, GridFunction, _inner_norm, weighted_lp_norm
 from .profiles import PowerProfile, RadialProfile
-from .weights import (Side, Weight, _norm_slope, _whole_space_norm,
-                      default_ball_family, lp_norm_interval,
-                      muckenhoupt_ap_estimate, omega_class_check, tail_norm)
+from .weights import (Side, Weight, _whole_space_norm, default_ball_family,
+                      lp_norm_interval, muckenhoupt_ap_estimate,
+                      omega_class_check, tail_norm)
 
 __all__ = [
     "EmbeddingProblem",
@@ -181,7 +181,7 @@ def embedding_constant(prob: EmbeddingProblem) -> ExtReal:
     log.debug("evaluating case %s (%s)", tag, tag.notes)
     if prob.morrey_is_target:
         return _lebesgue_to_morrey(prob, tag)
-    return _morrey_to_lebesgue(prob, tag)
+    return _morrey_to_lebesgue(prob)
 
 
 def _lebesgue_to_morrey(prob, tag) -> ExtReal:
@@ -216,37 +216,16 @@ def _lebesgue_to_morrey(prob, tag) -> ExtReal:
     return ext_pow(val, 1.0 / s)
 
 
-def _morrey_to_lebesgue(prob, tag) -> ExtReal:
-    n, th = prob.n, prob.theta
-    om, side = prob.omega, prob.side
+def _morrey_to_lebesgue(prob) -> ExtReal:
+    n, side = prob.n, prob.side
     g, sigma = _source_profile(prob)
-
-    def source(t):
-        # a Morrey-type source pairs with the other side's region
-        return side.other.region_norm(g, sigma, n, t)
-
-    if tag.case_id == "a":
-        return sup_over_t(
-            lambda t: ext_div(source(t), side.outer_norm(om, th, t)),
-            _breaks(om, g))
-    # (b): Stieltjes integral against the renormalized outer norm; f takes
-    # arrays of t, and theta = sigma = inf keeps omega's breakpoints alone
-    # as the jump points of its Riemann-Stieltjes sums
-    p1 = prob.p1
-    rho = p1 if math.isinf(th) else p1 * th / (th - p1)
-
-    def f(t):
-        return ext_pow(source(t), rho)
-
-    whole = _whole_space_norm(g, sigma, n)
-    slope = _norm_slope(source, g.power(sigma), sigma, n, rho) \
-        if math.isinf(th) and math.isfinite(sigma) else None
-    main = side.stieltjes(
-        f, ext_pow(whole, rho), om, th, rho,
-        _breaks(om) if math.isinf(th) and slope is None else _breaks(om, g),
-        slope)
-    boundary = ext_div(whole, tail_norm(om, th, 0.0))
-    return ext_pow(main, 1.0 / rho) + boundary
+    # (a) for theta <= p1, (b) otherwise; a Morrey-type source pairs with
+    # the other side's region
+    return _dual_functional(
+        side, lambda t: side.other.region_norm(g, sigma, n, t),
+        _whole_space_norm(g, sigma, n),
+        None if math.isinf(sigma) else g.power(sigma), sigma, n,
+        prob.omega, prob.theta, prob.p1, _breaks(prob.omega, g))
 
 
 @dataclass(frozen=True)
@@ -302,30 +281,17 @@ def associate_norm(f: GridFunction, kind, p, theta, omega: RadialProfile,
         dual_w = Weight(v.dimension, v.profile.power(1.0 - pp))
 
     side = Side.BALL if kind == "lm" else Side.COMPLEMENT
-    # prefix-sum evaluator of the dual norm over the other side's region
-    # at t > 0: one lookup answers a whole array of radii
-    inner_eval = _inner_norm(f, pp, dual_w, side.other)
-    breaks = _breaks(omega) + tuple(f.knots)
-
-    if th <= 1.0:
-        return sup_over_t(lambda t: ext_div(
-            inner_eval(t), side.outer_norm(omega, th, t)), breaks)
-    tp = 1.0 if math.isinf(th) else th / (th - 1.0)
-
-    # the integrand takes arrays of t
-    def integrand(t):
-        return ext_pow(inner_eval(t), tp)
 
     def phi(t):
         return ext_mul(f(t) ** pp, dual_w.profile(t))
 
-    whole = weighted_lp_norm(f, pp, dual_w, ALL)
-    slope = _norm_slope(inner_eval, phi, pp, v.dimension, tp) \
-        if math.isinf(th) and math.isfinite(pp) else None
-    main = side.stieltjes(integrand, ext_pow(whole, tp), omega, th, tp,
-                          breaks, slope)
-    boundary = ext_div(whole, tail_norm(omega, th, 0.0))
-    return ext_pow(main, 1.0 / tp) + boundary
+    # a prefix-sum evaluator of the dual norm over the other side's region
+    # at t > 0: one lookup answers a whole array of radii
+    return _dual_functional(
+        side, _inner_norm(f, pp, dual_w, side.other),
+        weighted_lp_norm(f, pp, dual_w, ALL),
+        None if math.isinf(pp) else phi, pp, v.dimension, omega, th, 1.0,
+        _breaks(omega) + tuple(f.knots))
 
 
 def unweighted_reference(p1, p2, theta, omega: RadialProfile, n) -> ExtReal:

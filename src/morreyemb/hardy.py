@@ -173,6 +173,34 @@ def _checked(fn, ts):
     return vals
 
 
+def _dual_functional(side, norm, whole, density, s, n, omega, theta, p,
+                     breaks) -> ExtReal:
+    """The reverse Hardy functional shared by the reverse inequalities, the
+    Morrey-source embeddings and the associate norms.
+
+    I(t) = norm(t) is an s-norm over the other side's region at radius t in
+    R^n, with whole-space value whole, and N(t) is the side's outer
+    theta-norm of omega.  The functional is sup_t I(t) / N(t) for
+    theta <= p, and otherwise (int I^rho d(N^-rho))^(1/rho) + whole / N(0)
+    with 1/rho = 1/p - 1/theta.  norm takes arrays of t.  density is the
+    s-th power of the function that I norms, None for s = inf; at
+    theta = inf it yields the slope of I^rho, against which Side.stieltjes
+    integrates by parts.  breaks are the data's breakpoints.
+    """
+    if theta <= p:
+        return sup_over_t(
+            lambda t: ext_div(norm(t), side.outer_norm(omega, theta, t)),
+            breaks)
+    rho = p if math.isinf(theta) else p * theta / (theta - p)
+    slope = None if density is None or math.isfinite(theta) else \
+        _norm_slope(norm, density, s, n, rho)
+    main = side.stieltjes(lambda t: ext_pow(norm(t), rho),
+                          ext_pow(whole, rho), omega, theta, rho, breaks,
+                          slope)
+    boundary = ext_div(whole, tail_norm(omega, theta, 0.0))
+    return ext_pow(main, 1.0 / rho) + boundary
+
+
 def _halfline(fn, breakpoints=()) -> ExtReal:
     """Integral over (0, inf) of fn, which takes an array of t, with known
     kinks."""
@@ -334,29 +362,9 @@ def _reverse_functional(prob: HardyProblem) -> ExtReal:
     side = prob.side
     _check_reverse_hypothesis(u, q, side)
     pp = float(conjugate_exponent(p))
-
-    def w_region(t):
-        return side.other.region_norm(w, pp, n, t)
-
-    if 0.0 < q <= p:
-        # (a)
-        return sup_over_t(
-            lambda t: ext_div(w_region(t), side.outer_norm(u, q, t)),
-            _breaks(u, w))
-    # (b): p < q <= inf, 1/r = 1/p - 1/q; f takes arrays of t, and
-    # q = p' = inf keeps u's breakpoints alone as the jump points of its
-    # Riemann-Stieltjes sums
-    r = 1.0 / (1.0 / p - (0.0 if math.isinf(q) else 1.0 / q))
-
-    def f(t):
-        return ext_pow(w_region(t), r)
-
-    whole = _whole_space_norm(w, pp, n)
-    slope = _norm_slope(w_region, w.power(pp), pp, n, r) \
-        if math.isinf(q) and math.isfinite(pp) else None
-    main = side.stieltjes(
-        f, ext_pow(whole, r), u, q, r,
-        _breaks(u) if math.isinf(q) and slope is None else _breaks(u, w),
-        slope)
-    boundary = ext_div(whole, tail_norm(u, q, 0.0))
-    return ext_pow(main, 1.0 / r) + boundary
+    # (a) for q <= p, (b) for p < q <= inf
+    return _dual_functional(
+        side, lambda t: side.other.region_norm(w, pp, n, t),
+        _whole_space_norm(w, pp, n),
+        None if math.isinf(pp) else w.power(pp), pp, n, u, q, p,
+        _breaks(u, w))

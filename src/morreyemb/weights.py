@@ -216,7 +216,7 @@ class Side(enum.Enum):
         lo = getattr(omega, "support_inf", lambda: 0.0)()
         return lo if lo > 0.0 else None
 
-    def stieltjes(self, f, f_end, omega, theta, rho, breaks, slope=None):
+    def stieltjes(self, f, f_end, omega, theta, rho, breaks, slope):
         """The integral over t > 0 of f against h = N^(-rho), rho > 0, where
         N(t) is the outer norm of omega with exponent theta at t.
 
