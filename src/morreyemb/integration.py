@@ -205,7 +205,10 @@ def integrate_halfline(f, interval, breakpoints=None, rest=None):
     ratio, when the last 8 ratios lie below 0.95 and that rest is under
     tolerance, or when they agree as those of a power tail do (see
     _stable_below_one) and the rest's sensitivity to their spread is
-    under tolerance; that sensitivity is its error bound.
+    under tolerance; that sensitivity is its error bound.  A negligible
+    piece v, under tolerance / 8, stops the walk and adds the same rest to
+    the value and to the error bound when its ratio r to the piece before
+    is below 1.
 
     rest, if given, is called as rest(x, up) with an array of points x
     where a walk toward an open end may stop (upward toward inf if up,
@@ -296,6 +299,13 @@ def integrate_halfline(f, interval, breakpoints=None, rest=None):
                 toterr += 0.5 * (highs[k] - lows[k])
                 break
             if v <= 0.125 * tol:
+                # the rest v r / (1 - r) of a geometric tail with the last
+                # ratio r < 1 goes to the value and the error bound
+                r = v / pieces[-2] if len(pieces) > 1 and pieces[-2] > 0 \
+                    else 1.0
+                if r < 1.0:
+                    rem = v * r / (1.0 - r)
+                    total, toterr = total + rem, toterr + rem
                 break
             if len(pieces) >= 9:
                 ratios = [pieces[i + 1] / pieces[i]
@@ -522,7 +532,8 @@ def _find_infinite_cut(h: MonotoneIntegrator, a, b):
 
 
 def _rs_stage(f, h: MonotoneIntegrator, x0, x1):
-    """Refining Riemann-Stieltjes midpoint sums on a jump-free stage."""
+    """Refining Riemann-Stieltjes midpoint sums on a jump-free stage.  A
+    nan contribution raises QuadratureFailure naming the stage."""
     lo = max(x0, 1e-18)
     hi = min(x1, 1e18)
     if lo >= hi:
@@ -543,7 +554,10 @@ def _rs_stage(f, h: MonotoneIntegrator, x0, x1):
         fv = _values(f, mids)
         with np.errstate(invalid="ignore"):
             contrib = np.where(fv == 0.0, 0.0, fv * dm)
-        if np.any(np.isinf(contrib)) or np.any(np.isnan(contrib)):
+        if np.isnan(contrib).any():
+            raise QuadratureFailure(
+                f"Riemann-Stieltjes sum is nan on the stage ({lo:g}, {hi:g})")
+        if np.isinf(contrib).any():
             return _INF, _INF
         s = float(np.sum(contrib))
         if prev is not None:
@@ -589,7 +603,8 @@ def stieltjes_integral(f, h: MonotoneIntegrator, interval=(0.0, _INF)):
     taken as 0 and overflow as inf.  Jump atoms contribute f(t) times the
     jump size exactly.  Where h is identically infinite the integral is
     defined only when f vanishes there; otherwise UndefinedStieltjes is
-    raised.
+    raised.  A nan f at an atom or a nan Riemann-Stieltjes sum raises
+    QuadratureFailure.
     """
     a, b = _defined_range(f, h, *interval)
     if not a < b:
@@ -601,6 +616,10 @@ def stieltjes_integral(f, h: MonotoneIntegrator, interval=(0.0, _INF)):
     if jumps.size:
         mass = h.atom(jumps)
         fv = _values(f, jumps)
+        holes = jumps[(mass > 0.0) & np.isnan(fv)]
+        if holes.size:
+            raise QuadratureFailure(
+                f"Stieltjes integrand is nan at the atom t = {holes[0]:g}")
         hit = (mass > 0.0) & (fv > 0.0)
         if np.any(np.isinf(mass[hit]) | np.isinf(fv[hit])):
             return ExtReal(_INF)

@@ -105,6 +105,21 @@ class TestEmbeddingConstant:
         assert float(embedding_constant(prob)) == pytest.approx(1.0,
                                                                 rel=1e-6)
 
+    def test_source_jump_off_omega_breaks(self):
+        # p1 = p2 = 2, theta = sigma = inf: Riemann-Stieltjes sums of
+        # f = (esssup_{|x| > t} g)^2 against h = (esssup_(t, inf) omega)^-2.
+        # g = v1^(1/2) is 1 up to 2 and 2 r^-3 beyond, a jump of f at 2,
+        # not a break of omega = min(1, 1/r): h = 1 up to 1, then t^2.
+        # int f dh = int_1^2 2t dt + int_2^inf 4 t^-6 2t dt = 3 + 1/8,
+        # and esssup g / esssup omega = 1 adds the boundary term.
+        v1 = Weight(1, PiecewisePowerProfile([2.0], [(1.0, 0.0),
+                                                     (4.0, -6.0)]))
+        om = PiecewisePowerProfile([1.0], [(1.0, 0.0), (1.0, -1.0)])
+        prob = problem("lm_to_lebesgue", 2.0, 2.0, INF, v1=v1, omega=om)
+        assert classify_case(prob).case_id == "b"
+        assert float(embedding_constant(prob)) == pytest.approx(
+            math.sqrt(3.125) + 1.0, rel=1e-8)
+
     @pytest.mark.parametrize("k", [-2, 1, 3])
     def test_common_weight_scaling_cancels(self, k):
         c = 2.0 ** k
@@ -150,6 +165,18 @@ class TestUnweightedReference:
             assert emb.is_inf and ref.is_inf
         else:
             assert float(emb) == pytest.approx(nu * float(ref), rel=1e-6)
+
+
+    def test_fast_tail_sweep_row_reads_its_closed_form(self):
+        # n = 2, p1 = 2, p2 = 1, theta = 1: s = 2 and delta = 1, so the
+        # reference is (int_0^inf t T(t)^2 dt)^(1/2) with the tail norm
+        # T(t) = max(t, 1)^-3 / 3 of omega = r^-4 on (1, inf):
+        # 1/18 + 1/36 = 1/12.  The walk up from 2 has pieces of ratio 1/16,
+        # whose rest it must add when it stops on a negligible piece.
+        om = truncated_power(1.0, -4.0, 1.0, None)
+        ref = float(unweighted_reference(2.0, 1.0, 1.0, om, 2))
+        assert ref == pytest.approx(1.0 / math.sqrt(12.0), rel=1e-14,
+                                    abs=0.0)
 
 
 class TestMaximalGate:

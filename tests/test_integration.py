@@ -304,3 +304,22 @@ class TestStieltjes:
         h = MonotoneIntegrator.from_function(lambda t: t, "increasing")
         val = stieltjes_integral(lambda t: 1.0, h, (0.0, INF))
         assert val.is_inf
+
+    def test_nan_sum_raises_naming_the_stage(self):
+        # a nan is an integrand fault, never divergence
+        h = MonotoneIntegrator.from_function(lambda t: t, "increasing")
+        with pytest.raises(QuadratureFailure, match=r"stage \(1, 3\)"):
+            stieltjes_integral(
+                lambda t: np.where(t > 2.0, math.nan, np.exp(-t)), h,
+                (1.0, 3.0))
+
+    def test_nan_at_an_atom_raises_naming_the_point(self):
+        # f is nan at the jump of h alone, which no midpoint sum samples
+        h = MonotoneIntegrator.from_function(
+            lambda t: np.where(t < 2.0, 0.0, 5.0), "increasing",
+            left=lambda t: np.where(t <= 2.0, 0.0, 5.0),
+            right=lambda t: np.where(t < 2.0, 0.0, 5.0),
+            jump_points=(2.0,))
+        with pytest.raises(QuadratureFailure, match=r"t = 2\b"):
+            stieltjes_integral(
+                lambda t: np.where(t == 2.0, math.nan, 4.0), h, (0.0, INF))
