@@ -14,7 +14,8 @@ import numpy as np
 from .errors import NotAWeight, QuadratureFailure
 from .extreal import ExtReal, ext_mul, ext_pow, scalar_results
 from .integration import _gauss_kronrod, sphere_area
-from .profiles import FnProfile, PowerProfile, RadialProfile
+from .profiles import (FnProfile, PiecewisePowerProfile, PowerProfile,
+                       RadialProfile)
 from .weights import Side, Weight
 
 __all__ = [
@@ -316,13 +317,15 @@ def fubini_weight(omega: RadialProfile, p, v: Weight, direction="tail") -> Weigh
     if direction not in ("tail", "head"):
         raise ValueError("direction must be 'tail' or 'head'")
     side = Side.BALL if direction == "tail" else Side.COMPLEMENT
-    if isinstance(omega, PowerProfile) and omega.c > 0:
+    if isinstance(omega, PiecewisePowerProfile) and not omega.breaks \
+            and omega.segments[0][0] > 0:
         # c^p t^e / |e| with e = alpha p + 1: tails need e < 0, heads e > 0
-        e = omega.alpha * p + 1.0
+        (c, alpha), = omega.segments
+        e = alpha * p + 1.0
         if not (e < 0.0 if side is Side.BALL else e > 0.0):
             raise NotAWeight(
                 f"{direction} norm of omega is infinite for every t")
-        norm_p = PowerProfile(omega.c ** p / abs(e), e)
+        norm_p = PowerProfile(c ** p / abs(e), e)
     else:
         if math.isinf(float(side.outer_norm(omega, p, 1.0))):
             raise NotAWeight("the norm profile is infinite")

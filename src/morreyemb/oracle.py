@@ -59,6 +59,19 @@ class OracleConfig:
     subcells: int = 8
 
     def __post_init__(self):
+        for name in ("grid_cells", "restarts", "ascent_sweeps", "seed",
+                     "subcells"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or \
+                    not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        families = set(self.include_families)
+        if not families or not families <= set(DEFAULT_FAMILIES):
+            raise ValueError(f"include_families must be some of "
+                             f"{DEFAULT_FAMILIES}, got "
+                             f"{self.include_families!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.grid_cells < 16:
             raise ValueError("grid_cells must be >= 16")
         if self.restarts < 1:

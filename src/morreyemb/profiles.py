@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from bisect import bisect_left
 
 import numpy as np
@@ -142,10 +143,8 @@ class RadialProfile:
     def times(self, other):
         return ProductProfile(self, other)
 
-    __mul__ = times
-
-    def scale(self, c):
-        return PowerProfile(c, 0.0).times(self)
+    def __mul__(self, other):
+        return self.times(other)
 
     @_radii
     def esssup(self, a, b):
@@ -202,67 +201,6 @@ def _sampled_esssup(profile, a, b, n=2049):
         lo, hi = a, b
     grid = np.geomspace(lo, hi, n) if lo > 0 else np.linspace(lo, hi, n)
     return float(np.fmax.reduce(profile(grid), initial=0.0))
-
-
-class PowerProfile(RadialProfile):
-    """phi(rho) = c * rho^alpha with c in [0, inf]."""
-
-    closed_form = True
-
-    def __init__(self, c, alpha):
-        if not math.isinf(c) and (math.isnan(c) or c < 0.0):
-            raise ValueError(f"coefficient must be in [0, inf], got {c}")
-        self.c = float(c)
-        self.alpha = _real(alpha, "exponent")
-
-    @_radii
-    def __call__(self, rho):
-        return _power_values(self.c, self.alpha, rho)
-
-    @_radii
-    def integral(self, a, b):
-        return _power_integral(self.c, self.alpha, a, b)
-
-    def power(self, e):
-        if self.c == 0.0:
-            return PowerProfile(_INF if e < 0 else 0.0, 0.0)
-        if math.isinf(self.c):
-            return PowerProfile(0.0 if e < 0 else _INF, 0.0)
-        return PowerProfile(self.c ** e, self.alpha * e)
-
-    def times(self, other):
-        if self.c == 0.0:
-            return PowerProfile(0.0, 0.0)
-        if isinstance(other, PowerProfile):
-            if other.c == 0.0:
-                return PowerProfile(0.0, 0.0)
-            return PowerProfile(self.c * other.c, self.alpha + other.alpha)
-        if isinstance(other, PiecewisePowerProfile):
-            return other.times(self)
-        if self.alpha == 0.0 and isinstance(other, (ShiftedPowerProfile, ExpProfile)):
-            return other.scale(self.c)
-        return ProductProfile(self, other)
-
-    __mul__ = times
-
-    def scale(self, c):
-        return PowerProfile(self.c * c, self.alpha)
-
-    @_radii
-    def esssup(self, a, b):
-        return _power_esssups(self.c, self.alpha, a, b)
-
-    def support_sup(self):
-        return 0.0 if self.c == 0.0 else _INF
-
-    def support_inf(self):
-        return _INF if self.c == 0.0 else 0.0
-
-    def is_positive_finite_ae(self):
-        return 0.0 < self.c < _INF
-
-    def __repr__(self):
-        return f"PowerProfile({self.c!r}, {self.alpha!r})"
 
 
 class ShiftedPowerProfile(RadialProfile):
@@ -353,11 +291,9 @@ class ExpProfile(RadialProfile):
     def times(self, other):
         if isinstance(other, ExpProfile):
             return ExpProfile(self.c * other.c, self.rate + other.rate)
-        if isinstance(other, PowerProfile) and other.alpha == 0.0:
-            return self.scale(other.c)
+        if isinstance(other, PiecewisePowerProfile):
+            return other.times(self)
         return ProductProfile(self, other)
-
-    __mul__ = times
 
     def scale(self, c):
         return ExpProfile(self.c * c, self.rate)
@@ -389,28 +325,24 @@ class PiecewisePowerProfile(RadialProfile):
 
     def __init__(self, breaks, segments):
         breaks = [float(x) for x in breaks]
-        if not all(0.0 < x < _INF for x in breaks):
-            raise ValueError("breakpoints must be finite and positive")
-        if sorted(breaks) != breaks or len(set(breaks)) != len(breaks):
-            raise ValueError("breakpoints must be strictly ascending")
-        segments = [(float(c), _real(al, "exponent")) for c, al in segments]
+        edges = [0.0, *breaks, _INF]
+        if not all(map(operator.lt, edges, edges[1:])):
+            raise ValueError(
+                "breakpoints must be finite, positive and strictly ascending")
+        segments = [_segment(c, alpha) for c, alpha in segments]
         if len(segments) != len(breaks) + 1:
             raise ValueError("need len(breaks) + 1 segments")
-        for c, _ in segments:
-            if not math.isinf(c) and (math.isnan(c) or c < 0.0):
-                raise ValueError("segment coefficients must be in [0, inf]")
         self.breaks = breaks
         self.segments = segments
 
     def _edges(self):
         return [0.0] + self.breaks + [_INF]
 
-    def _segment_at(self, rho):
-        return self.segments[bisect_left(self.breaks, rho)]
-
     def _values(self, rho, side):
         """Values on the segments (b_{i-1}, b_i] (side "left") or
         [b_{i-1}, b_i) (side "right") that hold each radius."""
+        if not self.breaks:
+            return _power_values(*self.segments[0], rho)
         idx = np.searchsorted(self.breaks, rho, side=side)
         out = np.empty(rho.shape)
         for i, (c, alpha) in enumerate(self.segments):
@@ -423,56 +355,58 @@ class PiecewisePowerProfile(RadialProfile):
         return self._values(rho, "left")
 
     def _clipped(self, a, b):
-        """(segment, lo, hi, selection) for the parts of (a, b) on each
-        segment."""
-        a, b = np.broadcast_arrays(a, b)
-        edges = self._edges()
+        """(segment, lo, hi) for the parts of (a, b) on each segment, with
+        lo = hi where the segment misses (a, b).  As 0 <= a <= b <= inf,
+        only the finite interior edges clip."""
         for i, seg in enumerate(self.segments):
-            lo = np.maximum(a, edges[i])
-            hi = np.minimum(b, edges[i + 1])
-            sel = lo < hi
-            yield seg, lo[sel], hi[sel], sel
+            lo, hi = a, b
+            if i > 0:
+                edge = self.breaks[i - 1]
+                lo, hi = np.maximum(lo, edge), np.maximum(hi, edge)
+            if i < len(self.breaks):
+                edge = self.breaks[i]
+                lo, hi = np.minimum(lo, edge), np.minimum(hi, edge)
+            yield seg, lo, hi
 
     @_radii
     def integral(self, a, b):
-        total = np.zeros(np.broadcast(a, b).shape)
-        for (c, alpha), lo, hi, sel in self._clipped(a, b):
-            total[sel] += _power_integral(c, alpha, lo, hi)
-        return total
+        if not self.breaks:
+            return _power_integral(*self.segments[0], a, b)
+        return functools.reduce(np.add, (
+            _power_integral(c, alpha, lo, hi)
+            for (c, alpha), lo, hi in self._clipped(a, b)))
 
     def power(self, e):
-        return PiecewisePowerProfile(
-            self.breaks,
-            [_seg_pow(c, alpha, e) for c, alpha in self.segments])
+        return _unchecked(self.breaks,
+                          [_seg_pow(c, alpha, e) for c, alpha in self.segments])
 
     def times(self, other):
-        if isinstance(other, PowerProfile):
-            return PiecewisePowerProfile(
-                self.breaks,
-                [_seg_mul(c, alpha, other.c, other.alpha)
-                 for c, alpha in self.segments])
+        if self.support_sup() == 0.0:
+            return PowerProfile(0.0, 0.0)
         if isinstance(other, PiecewisePowerProfile):
+            # each merged piece (lo, hi] lies in the segments holding hi
             breaks = sorted(set(self.breaks) | set(other.breaks))
-            edges = [0.0] + breaks + [_INF]
-            segs = []
-            for lo, hi in zip(edges[:-1], edges[1:]):
-                mid = lo + 1.0 if math.isinf(hi) else 0.5 * (lo + hi)
-                c1, a1 = self._segment_at(mid)
-                c2, a2 = other._segment_at(mid)
-                segs.append(_seg_mul(c1, a1, c2, a2))
-            return PiecewisePowerProfile(breaks, segs)
+            return _unchecked(breaks, [
+                _seg_mul(*self.segments[bisect_left(self.breaks, hi)],
+                         *other.segments[bisect_left(other.breaks, hi)])
+                for hi in breaks + [_INF]])
+        c, alpha = self.segments[0]
+        # a finite constant scales these kinds; c = inf would turn the end
+        # where they tend to 0 into inf * 0
+        if not self.breaks and alpha == 0.0 and c < _INF and isinstance(
+                other, (ShiftedPowerProfile, ExpProfile)):
+            return other.scale(c)
         return ProductProfile(self, other)
-
-    __mul__ = times
-
-    def scale(self, c):
-        return self.times(PowerProfile(c, 0.0))
 
     @_radii
     def esssup(self, a, b):
+        if not self.breaks:
+            return _power_esssups(*self.segments[0], a, b)
         best = np.zeros(np.broadcast(a, b).shape)
-        for (c, alpha), lo, hi, sel in self._clipped(a, b):
-            best[sel] = np.maximum(best[sel], _power_esssups(c, alpha, lo, hi))
+        for (c, alpha), lo, hi in self._clipped(a, b):
+            best = np.where(lo < hi,
+                            np.maximum(best, _power_esssups(c, alpha, lo, hi)),
+                            best)
         return best
 
     @_radii
@@ -503,18 +437,41 @@ class PiecewisePowerProfile(RadialProfile):
         return f"PiecewisePowerProfile({self.breaks!r}, {self.segments!r})"
 
 
+class PowerProfile(PiecewisePowerProfile):
+    """phi(rho) = c * rho^alpha with c in [0, inf]: one segment, no breaks."""
+
+    def __init__(self, c, alpha):
+        self.breaks, self.segments = [], [_segment(c, alpha)]
+
+
+def _segment(c, alpha):
+    """The power segment (c, alpha), c in [0, inf] and alpha finite."""
+    c = float(c)
+    if not c >= 0.0:
+        raise ValueError(f"coefficient must be in [0, inf], got {c}")
+    return c, _real(alpha, "exponent")
+
+
+def _unchecked(breaks, segments):
+    """The piecewise power of breaks and segments that the profile algebra
+    built from checked ones, without checking them again."""
+    profile = object.__new__(PiecewisePowerProfile)
+    profile.breaks, profile.segments = breaks, segments
+    return profile
+
+
 def _seg_pow(c, alpha, e):
     if c == 0.0:
         return (_INF, 0.0) if e < 0 else (0.0, 0.0)
     if math.isinf(c):
         return (0.0, 0.0) if e < 0 else (_INF, 0.0)
-    return (c ** e, alpha * e)
+    return (c ** e, _real(alpha * e, "exponent"))
 
 
 def _seg_mul(c1, a1, c2, a2):
     if c1 == 0.0 or c2 == 0.0:
         return (0.0, 0.0)
-    return (c1 * c2, a1 + a2)
+    return (c1 * c2, _real(a1 + a2, "exponent"))
 
 
 def _product(a, b):

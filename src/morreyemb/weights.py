@@ -70,7 +70,6 @@ class OmegaMembership:
     in_omega_theta: bool
     in_dual_omega_theta: bool
     witness_t: float
-    analytic: bool = True
 
 
 @scalar_results(ExtReal)
@@ -403,9 +402,6 @@ def omega_class_check(omega: RadialProfile, theta,
     """Membership in Omega_theta (finite positive tail norms for all t > 0)
     and its dual (finite positive head norms)."""
     theta = float(theta)
-    if isinstance(omega, PowerProfile):
-        tail_ok, head_ok = _power_omega_membership(omega.c, omega.alpha, theta)
-        return OmegaMembership(tail_ok, head_ok, witness_t=1.0, analytic=True)
     if isinstance(omega, PiecewisePowerProfile):
         # only the unbounded end segments decide integrability; interior
         # segments just need finite coefficients
@@ -417,8 +413,7 @@ def omega_class_check(omega: RadialProfile, theta,
         head_ok = (all_finite and c_first > 0.0
                    and _power_omega_membership(c_first, a_first, theta)[1])
         witness = omega.breaks[0] if omega.breaks else 1.0
-        return OmegaMembership(bool(tail_ok), bool(head_ok),
-                               witness_t=witness, analytic=True)
+        return OmegaMembership(bool(tail_ok), bool(head_ok), witness)
     # sampled check
     tail_ok = head_ok = True
     witness = sample_grid[0]
@@ -431,7 +426,7 @@ def omega_class_check(omega: RadialProfile, theta,
             head_ok, witness = False, t
         if not tail_ok and not head_ok:
             break
-    return OmegaMembership(tail_ok, head_ok, witness_t=witness, analytic=False)
+    return OmegaMembership(tail_ok, head_ok, witness)
 
 
 def _ball_slice_measure(n, d, r, rho):

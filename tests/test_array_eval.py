@@ -87,11 +87,11 @@ def radii_for(prof, extra, near=True):
     return np.array([0.0, *kept, INF])
 
 
-def check_same(array_result, scalars, rtol=RTOL):
+def check_same(array_result, scalars, rtol=RTOL, atol=0.0):
     assert isinstance(array_result, np.ndarray)
     assert array_result.shape == (len(scalars),)
     np.testing.assert_allclose(array_result, np.array(scalars, dtype=float),
-                               rtol=rtol, atol=0.0)
+                               rtol=rtol, atol=atol)
 
 
 radii_lists = st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=6)
@@ -129,6 +129,63 @@ def test_array_integral_and_esssup_match_scalar(prof, extra, pivot):
         lo, hi = rs[:-1], rs[1:]
         check_same(method(lo, hi),
                    [method(float(x), float(y)) for x, y in zip(lo, hi)], rtol)
+
+
+TINY = np.finfo(float).tiny
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(coefs, exponents, st.floats(0.05, 20.0),
+       st.floats(-3.0, 3.0).filter(lambda e: abs(e) > 1e-3),
+       profiles.filter(lambda p: not 0.0 < getattr(p, "c", 1.0) < TINY),
+       radii_lists)
+@example(1.0, 0.0, 0.05000000000000001, 1.0,   # breaks one ulp apart
+         PiecewisePowerProfile([0.05], [(0.0, 0.0), (1.0, 0.0)]), [1.0])
+def test_power_is_the_one_segment_piecewise_power(c, alpha, cut, e, other,
+                                                  extra):
+    """A power and the same power split at a break read the same, on
+    radii and on arrays of them, also after power(e) and times(...).  A
+    constant times a shifted-power or exponential profile scales it, where
+    the split power multiplies values: the two round alike only down to the
+    smallest normal float, so values and coefficients below it are left
+    out."""
+    whole = PowerProfile(c, alpha)
+    halves = PiecewisePowerProfile([cut], [(c, alpha), (c, alpha)])
+    for one, two in ((whole, halves), (whole.power(e), halves.power(e)),
+                     (whole.times(other), halves.times(other))):
+        rs = radii_for(two, extra)
+        for method in ("__call__", "right_limit"):
+            f, g = getattr(one, method), getattr(two, method)
+            check_same(f(rs), [g(float(r)) for r in rs], atol=TINY)
+            check_same(g(rs), [f(float(r)) for r in rs], atol=TINY)
+        if not (one.closed_form and two.closed_form):
+            continue
+        for method, rtol, rs in (
+                ("esssup", RTOL, rs),
+                ("integral", RTOL_INTEGRAL, radii_for(two, extra, False))):
+            f, g = getattr(one, method), getattr(two, method)
+            lows, highs = rs[rs < INF], rs[rs > 0.0]
+            check_same(f(lows, INF), [g(float(a), INF) for a in lows],
+                       rtol, TINY)
+            check_same(f(0.0, highs), [g(0.0, float(b)) for b in highs],
+                       rtol, TINY)
+            check_same(g(rs[:-1], rs[1:]),
+                       [f(float(a), float(b)) for a, b in zip(rs, rs[1:])],
+                       rtol, TINY)
+
+
+def test_power_products_that_stay_closed_form():
+    # a constant times a shifted-power or exponential profile scales it
+    for prod in (constant(2.0).times(ExpProfile(1.0, -1.0)),
+                 ExpProfile(1.0, -1.0).times(constant(2.0)),
+                 constant(2.0).times(ShiftedPowerProfile(1.0, 1.0, -2.0))):
+        assert prod.integral(0.0, INF) == pytest.approx(2.0, rel=RTOL,
+                                                        abs=0.0)
+    # a zero power times anything is the zero power
+    zero = PowerProfile(0.0, 0.0).times(FnProfile(lambda r: 1.0 / r))
+    assert isinstance(zero, PiecewisePowerProfile)
+    assert (zero.breaks, zero.segments) == ([], [(0.0, 0.0)])
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +480,7 @@ STIELTJES_CALLERS = [
 
 @pytest.mark.parametrize("value, reference", STIELTJES_CALLERS)
 def test_stieltjes_callers_match_recorded(value, reference):
-    assert float(value()) == pytest.approx(reference(), rel=1e-12)
+    assert float(value()) == pytest.approx(reference(), rel=1e-12, abs=0.0)
 
 
 def fubini_dual_norm(f, p, beta):
@@ -441,7 +498,8 @@ def fubini_dual_norm(f, p, beta):
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_associate_norm_at_theta_p_is_fubini_dual_norm(p):
     got = float(associate_norm(F17, "lm", p, p, PowerProfile(1.0, -1.0), ONE))
-    assert got == pytest.approx(fubini_dual_norm(F17, p, -1.0), rel=1e-12)
+    assert got == pytest.approx(fubini_dual_norm(F17, p, -1.0), rel=1e-12,
+                                abs=0.0)
 
 
 @pytest.mark.parametrize("theta", [2.0, 3.0, 5.0, INF])
@@ -450,7 +508,7 @@ def test_associate_lm_inverse_power_on_the_bench_grid(theta):
     got = float(associate_norm(f, "lm", 2.0, theta, PowerProfile(1.0, -1.0),
                                ONE))
     assert got == pytest.approx(lm_inverse_power_exact(f, 2.0, theta),
-                                rel=1e-12)
+                                rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("direction, v1, omega, exact", [
@@ -462,7 +520,8 @@ def test_associate_lm_inverse_power_on_the_bench_grid(theta):
 def test_morrey_source_case_b_exact(direction, v1, omega, exact):
     prob = EmbeddingProblem(direction, 1, 1.0, 1.0, 2.0, Weight(1, v1), ONE,
                             omega)
-    assert float(embedding_constant(prob)) == pytest.approx(exact, rel=1e-12)
+    assert float(embedding_constant(prob)) == pytest.approx(exact, rel=1e-12,
+                                                            abs=0.0)
 
 
 def test_dual_associate_at_theta_inf_across_a_jump_of_h():
@@ -477,7 +536,7 @@ def test_dual_associate_at_theta_inf_across_a_jump_of_h():
         f, [(0.0, 1.0, lambda t: t ** -1.5 / 2),
             (1.0, mpmath.inf, lambda t: t ** -1.5 / 4)],
         F17.knots, atoms=[(1.0, mpmath.mpf(1) / 2)])
-    assert float(got) == pytest.approx(want, rel=1e-12)
+    assert float(got) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_morrey_source_case_b_at_theta_inf():
@@ -491,7 +550,8 @@ def test_morrey_source_case_b_at_theta_inf():
         want = float(mpmath.quad(
             lambda t: mpmath.sqrt(2 * (mpmath.mpf(8) / 7 - t)) * 3 * t ** 2,
             [0, 1]) + 6 * mpmath.sqrt(mpmath.mpf(2) / 7))
-    assert float(embedding_constant(prob)) == pytest.approx(want, rel=1e-12)
+    assert float(embedding_constant(prob)) == pytest.approx(want, rel=1e-12,
+                                                            abs=0.0)
 
 
 def test_reverse_at_q_inf_exact():
@@ -501,7 +561,8 @@ def test_reverse_at_q_inf_exact():
     prob = HardyProblem("reverse", 0.5, INF,
                         ShiftedPowerProfile(1.0, 1.0, -2.0),
                         Weight(1, ShiftedPowerProfile(1.0, 1.0, -5.0)))
-    assert float(reverse_hardy_C(prob)) == pytest.approx(1.0, rel=1e-12)
+    assert float(reverse_hardy_C(prob)) == pytest.approx(1.0, rel=1e-12,
+                                                         abs=0.0)
 
 
 def test_reverse_slow_end_is_bracketed():
@@ -512,7 +573,7 @@ def test_reverse_slow_end_is_bracketed():
     prob = HardyProblem("reverse", 1.0, 2.0, split((1.0, -0.5), (1.0, -2.0)),
                         Weight(1, split((1.0, 1.0), (1.0, -2.0))))
     assert float(reverse_hardy_C(prob)) == pytest.approx(math.sqrt(12.0),
-                                                         rel=1e-12)
+                                                         rel=1e-12, abs=0.0)
 
 
 # omega = 1/t on (0, 10] and f = 1 on (1, 10]: near the cut at 10, where h

@@ -161,7 +161,14 @@ class TestOracle:
                                      {"knot_range": [1e-4, "inf"]},
                                      {"knot_range": ["a", 1.0]},
                                      {"knot_range": [1e-4]},
-                                     {"ascent_sweeps": -1}])
+                                     {"ascent_sweeps": -1},
+                                     {"grid_cells": 16.5},
+                                     {"restarts": 2.5},
+                                     {"seed": "x"},
+                                     {"include_families": ["nope"]},
+                                     {"include_families": "ball"},
+                                     {"include_families": []},
+                                     {"seed": -1}])
     @pytest.mark.parametrize("cmd", ["oracle", "verify"])
     def test_bad_config_is_a_spec_error(self, tmp_path, capsys, cmd, bad):
         doc = dict(CASE_VI)
@@ -246,7 +253,7 @@ class TestSweep:
         spec2 = write_spec(tmp_path, doc, "cell.json")
         assert main(["constant", "--spec", spec2]) == EXIT_OK
         again = json.loads(capsys.readouterr().out)["value"]
-        assert again == pytest.approx(value, rel=1e-12)
+        assert again == pytest.approx(value, rel=1e-12, abs=0.0)
 
 
 HARDY_B = {"hardy": {"variant": "direct", "p": 2, "q": 2, "n": 1,

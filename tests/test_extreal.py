@@ -69,7 +69,7 @@ def test_conjugate_is_involutive_above_one(p):
 @given(st.floats(min_value=1.0 + 1e-6, max_value=1e6))
 def test_conjugate_holder_identity(p):
     pp = float(conjugate_exponent(p))
-    assert 1.0 / p + 1.0 / pp == pytest.approx(1.0, rel=1e-12)
+    assert 1.0 / p + 1.0 / pp == pytest.approx(1.0, rel=1e-12, abs=0.0)
 
 
 @given(st.floats(min_value=0.0, max_value=1e12),
@@ -82,4 +82,5 @@ def test_mul_commutes(x, y):
 @given(st.floats(min_value=1e-8, max_value=1e8),
        st.floats(min_value=-8.0, max_value=8.0))
 def test_pow_matches_float(x, e):
-    assert float(ext_pow(ExtReal(x), e)) == pytest.approx(x ** e, rel=1e-12)
+    assert float(ext_pow(ExtReal(x), e)) == pytest.approx(x ** e, rel=1e-12,
+                                                          abs=0.0)

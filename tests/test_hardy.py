@@ -42,7 +42,7 @@ class TestDirect:
             [(lam, -2.0), (0.0, 0.0), (1e-18 / lam ** 2, 0.0), (0.0, 0.0)])
         prob = direct(2.0, 2.0, v, constant(1.0))
         assert float(hardy_A(prob)) == pytest.approx(math.sqrt(200.0),
-                                                     rel=1e-12)
+                                                     rel=1e-12, abs=0.0)
 
     def test_case_b_exponential(self):
         # p=2, q=1, r=2: A = (integral V_tail * v * W_ball dt)^(1/2)

@@ -28,13 +28,14 @@ INF = math.inf
     (4, math.pi ** 2 / 2.0),
 ])
 def test_unit_ball_volume(n, volume):
-    assert ball_volume(n, 1.0) == pytest.approx(volume, rel=1e-14)
+    assert ball_volume(n, 1.0) == pytest.approx(volume, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_sphere_area_consistent_with_volume(n):
     # d/dr vol(B_r) = area(S_r) at r = 1
-    assert sphere_area(n) == pytest.approx(n * ball_volume(n, 1.0), rel=1e-14)
+    assert sphere_area(n) == pytest.approx(n * ball_volume(n, 1.0), rel=1e-14,
+                                           abs=0.0)
 
 
 def test_halfline_exponential():
@@ -169,7 +170,7 @@ def test_halfline_core_spans_the_breakpoints(f, breaks):
     # both integrals are 1000; from a core of [1, 2] the walk toward the
     # breakpoint saw its pieces double and read inf
     val, _ = integrate_halfline(f, (0.0, INF), breakpoints=breaks)
-    assert float(val) == pytest.approx(1000.0, rel=1e-12)
+    assert float(val) == pytest.approx(1000.0, rel=1e-12, abs=0.0)
 
 
 def test_integrand_error_propagates():
@@ -198,7 +199,8 @@ def test_fn_profile_shell_integral():
     exact = 2.0 * math.pi * ((2.0 ** 2.5 - 0.5 ** 2.5) / 2.5
                              + 1.5 - math.log(3.0 / 1.5))
     assert float(weighted_lp_norm(f, 1.0, w)) == pytest.approx(exact,
-                                                               rel=1e-12)
+                                                               rel=1e-12,
+                                                               abs=0.0)
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -24,8 +24,6 @@ INF = math.inf
 
 def invert(profile, beta):
     """y -> profile(1/y) * y^beta."""
-    if isinstance(profile, PowerProfile):
-        return PowerProfile(profile.c, beta - profile.alpha)
     return PiecewisePowerProfile(
         [1.0 / b for b in reversed(profile.breaks)],
         [(c, beta - alpha) for c, alpha in reversed(profile.segments)])

@@ -77,7 +77,8 @@ class TestLowerBound:
         res = best_constant_lower_bound(BENCHMARK, SMALL)
         ev = _RatioEvaluator(BENCHMARK, SMALL)
         again = ev.ratio(res.argmax.values)
-        assert again == pytest.approx(float(res.lower_bound), rel=1e-12)
+        assert again == pytest.approx(float(res.lower_bound), rel=1e-12,
+                                      abs=0.0)
 
     def test_deterministic_given_seed(self):
         a = best_constant_lower_bound(BENCHMARK, SMALL)
@@ -215,7 +216,7 @@ def test_batched_scores_equal_full_ratios(name, values, i, cands):
         if want == 0.0 or math.isinf(want):
             assert score == want, (cand, score, want)
         else:
-            assert score == pytest.approx(want, rel=1e-12), cand
+            assert score == pytest.approx(want, rel=1e-12, abs=0.0), cand
 
 
 def _reference_ratio(ev, values):
@@ -267,7 +268,7 @@ def test_cached_ratio_equals_reference(name, values):
     if want == 0.0 or math.isinf(want):
         assert got == want
     else:
-        assert got == pytest.approx(want, rel=1e-12)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 # the lower bounds the full-recompute search reached, to which the batched
@@ -305,7 +306,7 @@ def test_audit_lower_bound_pinned(name):
     prob = FINITE_INSTANCES[name][0]
     res = best_constant_lower_bound(prob, AUDIT_CFG)
     assert float(res.lower_bound) == pytest.approx(
-        AUDIT_LOWER_BOUNDS[name], rel=1e-12)
+        AUDIT_LOWER_BOUNDS[name], rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -319,7 +320,7 @@ def test_averaged_operator_lower_bound_pinned(n):
                        ascent_sweeps=40, seed=0)
     res = best_constant_lower_bound(prob, cfg)
     assert float(res.lower_bound) == pytest.approx(
-        AVERAGED_LOWER_BOUNDS[n], rel=1e-12)
+        AVERAGED_LOWER_BOUNDS[n], rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
