@@ -223,9 +223,8 @@ def _morrey_to_lebesgue(prob) -> ExtReal:
     # the other side's region
     return _dual_functional(
         side, lambda t: side.other.region_norm(g, sigma, n, t),
-        _whole_space_norm(g, sigma, n),
-        None if math.isinf(sigma) else g.power(sigma), sigma, n,
-        prob.omega, prob.theta, prob.p1, _breaks(prob.omega, g))
+        _whole_space_norm(g, sigma, n), sigma, prob.omega, prob.theta,
+        prob.p1, _breaks(prob.omega, g))
 
 
 @dataclass(frozen=True)
@@ -281,16 +280,11 @@ def associate_norm(f: GridFunction, kind, p, theta, omega: RadialProfile,
         dual_w = Weight(v.dimension, v.profile.power(1.0 - pp))
 
     side = Side.BALL if kind == "lm" else Side.COMPLEMENT
-
-    def phi(t):
-        return ext_mul(f(t) ** pp, dual_w.profile(t))
-
     # a prefix-sum evaluator of the dual norm over the other side's region
     # at t > 0: one lookup answers a whole array of radii
     return _dual_functional(
         side, _inner_norm(f, pp, dual_w, side.other),
-        weighted_lp_norm(f, pp, dual_w, ALL),
-        None if math.isinf(pp) else phi, pp, v.dimension, omega, th, 1.0,
+        weighted_lp_norm(f, pp, dual_w, ALL), pp, omega, th, 1.0,
         _breaks(omega) + tuple(f.knots))
 
 

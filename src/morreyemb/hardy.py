@@ -19,7 +19,7 @@ from .errors import HypothesisViolated, InadmissibleExponents
 from .extreal import ExtReal, conjugate_exponent, ext_div, ext_mul, ext_pow
 from .integration import _sorted_unique, _values, integrate_halfline
 from .profiles import RadialProfile
-from .weights import Side, Weight, _norm_slope, _whole_space_norm, tail_norm
+from .weights import Side, Weight, _whole_space_norm, tail_norm
 
 __all__ = [
     "HardyProblem",
@@ -173,8 +173,7 @@ def _checked(fn, ts):
     return vals
 
 
-def _dual_functional(side, norm, whole, density, s, n, omega, theta, p,
-                     breaks) -> ExtReal:
+def _dual_functional(side, norm, whole, s, omega, theta, p, breaks) -> ExtReal:
     """The reverse Hardy functional shared by the reverse inequalities, the
     Morrey-source embeddings and the associate norms.
 
@@ -182,21 +181,18 @@ def _dual_functional(side, norm, whole, density, s, n, omega, theta, p,
     R^n, with whole-space value whole, and N(t) is the side's outer
     theta-norm of omega.  The functional is sup_t I(t) / N(t) for
     theta <= p, and otherwise (int I^rho d(N^-rho))^(1/rho) + whole / N(0)
-    with 1/rho = 1/p - 1/theta.  norm takes arrays of t.  density is the
-    s-th power of the function that I norms, None for s = inf; at
-    theta = inf it yields the slope of I^rho, against which Side.stieltjes
-    integrates by parts.  breaks are the data's breakpoints.
+    with 1/rho = 1/p - 1/theta.  norm takes arrays of t.  Where I vanishes
+    from a breakpoint on, I^rho does so like the distance to it to the
+    power a = rho / s.  breaks are the data's breakpoints.
     """
     if theta <= p:
         return sup_over_t(
             lambda t: ext_div(norm(t), side.outer_norm(omega, theta, t)),
             breaks)
     rho = p if math.isinf(theta) else p * theta / (theta - p)
-    slope = None if density is None or math.isfinite(theta) else \
-        _norm_slope(norm, density, s, n, rho)
     main = side.stieltjes(lambda t: ext_pow(norm(t), rho),
-                          ext_pow(whole, rho), omega, theta, rho, breaks,
-                          slope)
+                          ext_pow(whole, rho), omega, theta, rho, rho / s,
+                          breaks)
     boundary = ext_div(whole, tail_norm(omega, theta, 0.0))
     return ext_pow(main, 1.0 / rho) + boundary
 
@@ -365,6 +361,4 @@ def _reverse_functional(prob: HardyProblem) -> ExtReal:
     # (a) for q <= p, (b) for p < q <= inf
     return _dual_functional(
         side, lambda t: side.other.region_norm(w, pp, n, t),
-        _whole_space_norm(w, pp, n),
-        None if math.isinf(pp) else w.power(pp), pp, n, u, q, p,
-        _breaks(u, w))
+        _whole_space_norm(w, pp, n), pp, u, q, p, _breaks(u, w))

@@ -208,7 +208,7 @@ def integrate_halfline(f, interval, breakpoints=None, rest=None):
     under tolerance; that sensitivity is its error bound.  A negligible
     piece v, under tolerance / 8, stops the walk and adds the same rest to
     the value and to the error bound when its ratio r to the piece before
-    is below 1.
+    is below 1, unless a rest bracket puts more than tolerance beyond it.
 
     rest, if given, is called as rest(x, up) with an array of points x
     where a walk toward an open end may stop (upward toward inf if up,
@@ -298,7 +298,7 @@ def integrate_halfline(f, interval, breakpoints=None, rest=None):
                 total += 0.5 * (lows[k] + highs[k])
                 toterr += 0.5 * (highs[k] - lows[k])
                 break
-            if v <= 0.125 * tol:
+            if v <= 0.125 * tol and not (lows and lows[k] > tol):
                 # the rest v r / (1 - r) of a geometric tail with the last
                 # ratio r < 1 goes to the value and the error bound
                 r = v / pieces[-2] if len(pieces) > 1 and pieces[-2] > 0 \

@@ -160,6 +160,26 @@ class RadialProfile:
     def right_limit(self, t):
         return self(t)
 
+    @_radii
+    def log_slope(self, rho):
+        """(log phi)' at the radii rho: the closed form where the kind has
+        one, else the difference of log phi between rho e^(-h) and
+        rho e^h, h = 1e-5, over their distance in log rho, divided by rho.
+        It is exact for a power and good to about h^2 elsewhere.  It never
+        straddles a breakpoint: on each side it reaches at most halfway to
+        the nearest one, so within h of one it is one-sided, good to about
+        h."""
+        r = rho.ravel()
+        breaks = np.asarray(self.breakpoints(), dtype=float)
+        at = np.searchsorted(breaks, r)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lo = np.minimum(1e-5, 0.5 * np.log(r / np.append(0.0, breaks)[at]))
+            hi = np.minimum(1e-5, 0.5 * np.log(np.append(breaks, _INF)[at] / r))
+            logs = np.log(self(np.concatenate((r * np.exp(-lo),
+                                               r * np.exp(hi)))))
+            slope = (logs[r.size:] - logs[:r.size]) / (r * (lo + hi))
+        return slope.reshape(rho.shape)
+
     def breakpoints(self):
         """Interior points where the profile may be non-smooth."""
         return ()
@@ -185,6 +205,14 @@ def _pow(x, e):
         return np.power(x, e)
 
 
+def _coef_pow(c, e):
+    """c ** e for a coefficient c in [0, inf]; overflow gives inf."""
+    try:
+        return c ** e
+    except OverflowError:
+        return _INF
+
+
 def _safe_exp(rate, x):
     """exp(rate * x); overflow of the product or of exp gives inf without
     a warning."""
@@ -194,13 +222,16 @@ def _safe_exp(rate, x):
 
 def _sampled_esssup(profile, a, b, n=2049):
     """The largest of the profile's values on a grid of n points in (a, b),
-    ignoring nan."""
+    ignoring nan: at its two ends, the one-sided limits from inside the
+    interval."""
     lo = max(a, 1e-9) if a == 0.0 else a
     hi = min(b, 1e9) if math.isinf(b) else b
     if lo >= hi:
         lo, hi = a, b
     grid = np.geomspace(lo, hi, n) if lo > 0 else np.linspace(lo, hi, n)
-    return float(np.fmax.reduce(profile(grid), initial=0.0))
+    vals = np.concatenate((profile.right_limit(grid[:1]), profile(grid[1:-1]),
+                           profile.left_limit(grid[-1:])))
+    return float(np.fmax.reduce(vals, initial=0.0))
 
 
 class ShiftedPowerProfile(RadialProfile):
@@ -219,9 +250,10 @@ class ShiftedPowerProfile(RadialProfile):
 
     @_radii
     def __call__(self, rho):
-        if self.c == 0.0:
-            return _shaped(0.0, rho)
-        return self.c * _pow(self.shift + rho, self.alpha)
+        # a constant, also at rho = inf, where _pow keeps inf^0 = inf
+        if self.c == 0.0 or self.alpha == 0.0:
+            return _shaped(self.c, rho)
+        return _scaled(self.c, _pow(self.shift + rho, self.alpha))
 
     @_radii
     def integral(self, a, b):
@@ -231,7 +263,8 @@ class ShiftedPowerProfile(RadialProfile):
     def power(self, e):
         if self.c == 0.0:
             return PowerProfile(_INF if e < 0 else 0.0, 0.0)
-        return ShiftedPowerProfile(self.c ** e, self.shift, self.alpha * e)
+        return ShiftedPowerProfile(_coef_pow(self.c, e), self.shift,
+                                   self.alpha * e)
 
     def scale(self, c):
         return ShiftedPowerProfile(self.c * c, self.shift, self.alpha)
@@ -242,6 +275,10 @@ class ShiftedPowerProfile(RadialProfile):
             return _shaped(self.c, a, b)
         end = _at_end(a, b, self.alpha > 0)
         return self.c * _pow(self.shift + end, self.alpha)
+
+    @_radii
+    def log_slope(self, rho):
+        return self.alpha / (self.shift + rho)
 
     def support_sup(self):
         return 0.0 if self.c == 0.0 else _INF
@@ -269,7 +306,7 @@ class ExpProfile(RadialProfile):
         # a constant, also at rho = inf, where rate * rho would be 0 * inf
         if self.c == 0.0 or self.rate == 0.0:
             return _shaped(self.c, rho)
-        return self.c * _safe_exp(self.rate, rho)
+        return _scaled(self.c, _safe_exp(self.rate, rho))
 
     @_radii
     def integral(self, a, b):
@@ -278,7 +315,10 @@ class ExpProfile(RadialProfile):
             if rate == 0.0:
                 val = c * (b - a)
             else:
-                val = c * (np.exp(rate * b) - np.exp(rate * a)) / rate
+                # b >= a: the absolute difference keeps +0.0 where both
+                # ends underflow
+                val = c * np.abs(np.exp(rate * b) - np.exp(rate * a)) \
+                    / abs(rate)
         # nan where both ends overflow: inf - inf
         val = np.where(np.isnan(val), _INF, val)
         return np.where((a == b) | (c == 0.0), 0.0, val)
@@ -286,7 +326,7 @@ class ExpProfile(RadialProfile):
     def power(self, e):
         if self.c == 0.0:
             return PowerProfile(_INF if e < 0 else 0.0, 0.0)
-        return ExpProfile(self.c ** e, self.rate * e)
+        return ExpProfile(_coef_pow(self.c, e), self.rate * e)
 
     def times(self, other):
         if isinstance(other, ExpProfile):
@@ -303,6 +343,10 @@ class ExpProfile(RadialProfile):
         if self.c == 0.0 or self.rate == 0.0:
             return _shaped(self.c, a, b)
         return self.c * _safe_exp(self.rate, _at_end(a, b, self.rate > 0))
+
+    @_radii
+    def log_slope(self, rho):
+        return _shaped(self.rate, rho)
 
     def support_sup(self):
         return 0.0 if self.c == 0.0 else _INF
@@ -413,6 +457,11 @@ class PiecewisePowerProfile(RadialProfile):
     def right_limit(self, t):
         return self._values(t, "right")
 
+    @_radii
+    def log_slope(self, rho):
+        alphas = np.array([alpha for _, alpha in self.segments])
+        return alphas[np.searchsorted(self.breaks, rho)] / rho
+
     def breakpoints(self):
         return tuple(self.breaks)
 
@@ -465,7 +514,7 @@ def _seg_pow(c, alpha, e):
         return (_INF, 0.0) if e < 0 else (0.0, 0.0)
     if math.isinf(c):
         return (0.0, 0.0) if e < 0 else (_INF, 0.0)
-    return (c ** e, _real(alpha * e, "exponent"))
+    return (_coef_pow(c, e), _real(alpha * e, "exponent"))
 
 
 def _seg_mul(c1, a1, c2, a2):
@@ -474,9 +523,14 @@ def _seg_mul(c1, a1, c2, a2):
     return (c1 * c2, _real(a1 + a2, "exponent"))
 
 
+def _scaled(c, x):
+    """c * x for a coefficient c > 0; c = inf reads 0 where x is 0."""
+    return c * x if c < _INF else _product(c, x)
+
+
 def _product(a, b):
-    """a * b with 0 * inf = 0, for arrays of values."""
-    with np.errstate(invalid="ignore"):
+    """a * b with 0 * inf = 0 and overflow to inf, for arrays of values."""
+    with np.errstate(invalid="ignore", over="ignore"):
         return np.where((a == 0.0) | (b == 0.0), 0.0, a * b)
 
 
@@ -501,6 +555,10 @@ class ProductProfile(RadialProfile):
     @_radii
     def right_limit(self, t):
         return _product(self.left.right_limit(t), self.right.right_limit(t))
+
+    @_radii
+    def log_slope(self, rho):
+        return self.left.log_slope(rho) + self.right.log_slope(rho)
 
     def breakpoints(self):
         return tuple(sorted(set(self.left.breakpoints())
@@ -527,6 +585,15 @@ class FnProfile(RadialProfile):
     @_radii
     def __call__(self, rho):
         return elementwise(self.fn, rho)
+
+    @_radii
+    def left_limit(self, t):
+        """The value at t (1 - 2^-40); right_limit reads t (1 + 2^-40)."""
+        return self(t * (1.0 - 2.0 ** -40))
+
+    @_radii
+    def right_limit(self, t):
+        return self(t * (1.0 + 2.0 ** -40))
 
     def breakpoints(self):
         return self._breaks

@@ -20,8 +20,7 @@ from .extreal import ExtReal, ext_mul, ext_pow, scalar_results
 from .integration import (MonotoneIntegrator, _defined_range, _gauss_kronrod,
                           _profile_integral, _sorted_unique, _values,
                           ball_integral, complement_integral, esssup_ball,
-                          esssup_complement, integrate_halfline, sphere_area,
-                          stieltjes_integral)
+                          esssup_complement, integrate_halfline, sphere_area)
 from .profiles import (ExpProfile, PiecewisePowerProfile, PowerProfile,
                        RadialProfile, ShiftedPowerProfile, tabulated,
                        truncated_power)
@@ -131,21 +130,10 @@ def head_norm_right_limit(omega: RadialProfile, theta, t) -> ExtReal:
     return _with_limit(head_norm, omega.right_limit, omega, theta, t)
 
 
-def _norm_slope(norm, phi, s, n, rho):
-    """The slope (|f'|, rho / s) of f = N^rho for Side.stieltjes, where
-    N(t) = norm(t) is the s-norm, 0 < s < inf, over a region of R^n bounded
-    by the sphere of radius t of a radial function whose s-th power is phi:
-    |f'| = (rho / s) N^(rho - s) phi(t) |S^(n-1)| t^(n-1), and 0 where N
-    or phi is.  f vanishes like the distance to a point where the region's
-    mass does, to the power rho / s.  norm, phi and |f'| take arrays of t."""
-    c = rho / s * sphere_area(n)
-
-    def df(t):
-        nv, dens = norm(t), phi(t)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            val = c * np.power(nv, rho - s) * dens * t ** (n - 1)
-        return np.where((nv == 0.0) | (dens == 0.0), 0.0, val)
-    return df, rho / s
+def _denominator(a):
+    """The least k < 16 with k a an integer (to 1e-9), else 16."""
+    return next((k for k in range(1, 16) if abs(k * a - round(k * a))
+                 <= 1e-9), 16)
 
 
 class Side(enum.Enum):
@@ -210,165 +198,165 @@ class Side(enum.Enum):
         last point of the support for tails, below the first for heads;
         None when it never does."""
         if self is Side.BALL:
-            hi = getattr(omega, "support_sup", lambda: _INF)()
+            hi = omega.support_sup()
             return hi if math.isfinite(hi) else None
-        lo = getattr(omega, "support_inf", lambda: 0.0)()
+        lo = omega.support_inf()
         return lo if lo > 0.0 else None
 
-    def stieltjes(self, f, f_end, omega, theta, rho, breaks, slope):
+    def stieltjes(self, f, f_end, omega, theta, rho, a, breaks):
         """The integral over t > 0 of f against h = N^(-rho), rho > 0, where
         N(t) is the outer norm of omega with exponent theta at t.
 
         f >= 0 takes an array of t and is monotone, with limit f_end at the
         end where h has a finite limit h_end = ||omega||_theta^(-rho): t -> 0
-        for balls, t -> inf for complements.  breaks are the data's
-        breakpoints.  slope, read at theta = inf only, is None or, for a
-        continuous f, the pair (|f'|, a) that _norm_slope returns.
+        for balls, t -> inf for complements.  Where f vanishes from a
+        breakpoint z on, it does so like |t - z|^a.  breaks are the data's
+        breakpoints.
 
-        For finite theta, h has the density |h'| = (rho / theta)
-        N^(-rho-theta) omega^theta and no atoms, and f |h'| goes to
-        integrate_halfline with breaks as breakpoints.  Toward h_end the
-        walk stops once the rest, f(xi) |h(x) - h_end| with f(xi) between
-        f(x) and f_end, is bracketed to tolerance.  Toward a finite cut,
-        where h becomes infinite for an omega of bounded support, it walks
-        in the distance s to the cut, so that a divergence there reads inf;
-        a walk that reaches the float resolution of the cut raises
-        QuadratureFailure.
+        The integral is that of f |h'| on integrate_halfline with breaks as
+        breakpoints, plus f(b) times the atoms of h.  For finite theta,
+        |h'| = (rho / theta) N^(-rho-theta) omega^theta and h has no atoms.
+        For theta = inf, N is a running esssup of omega: |h'| is
+        rho h |(log omega)'| where N equals omega's one-sided limit on the
+        region's side and omega moves the region's way (falls for balls,
+        rises for complements), and 0 elsewhere, and the atoms are
+        |h(b) - h_limit(b)| at omega's breakpoints b, h_limit being the
+        power of the outer norm's one-sided limit.
 
-        For theta = inf, h comes from a running esssup and may jump.  With
-        a slope the integral is that of (h - h_end) |f'| (see _by_parts);
-        without one, stieltjes_integral's refining Riemann-Stieltjes sums
-        with breaks as jump points.
+        The integral runs over the range where h is finite, cut where f
+        vanishes.  Toward h_end the walk stops once the rest, f(xi) times
+        h's continuous mass beyond x with f(xi) between f(x) and f_end, is
+        bracketed to tolerance.  At the other end, the piece up to the
+        breakpoint y next to it may go apart.  Where h becomes infinite at
+        a finite cut c (omega of bounded support, finite theta), the piece
+        is walked in the distance s = |t - c|, so that a divergence there
+        reads inf; a walk that reaches the float resolution of c raises
+        QuadratureFailure.  Where instead f vanishes from z with 0 < a < 1,
+        the piece is integrated in x on (0, 1), with t = z + (y - z) x^k
+        and k the denominator of a (at most 16), where the integrand is
+        smooth.
         """
         theta = float(theta)
+        up = self is Side.COMPLEMENT      # the walk toward h's finite limit
+
+        def h(t):
+            return ext_pow(self.outer_norm(omega, theta, t), -rho)
 
         def h_limit(t):
             return ext_pow(self.outer_norm_limit(omega, theta, t), -rho)
 
         integ = MonotoneIntegrator.from_function(
-            h_limit, self.direction, jump_points=breaks,
-            infinite_from=self.infinite_from(omega))
-        if math.isinf(theta) and slope is None:
-            return stieltjes_integral(f, integ, (0.0, _INF))
+            h_limit, self.direction, infinite_from=self.infinite_from(omega))
         lo, hi = _defined_range(f, integ, 0.0, _INF)
+        cut = lo if up else hi           # the end opposite h_end
+        # f is monotone: it vanishes beyond its zero nearest h_end among the
+        # breakpoints and the ends
+        bks = _sorted_unique(np.concatenate(
+            (breaks, [x for x in (lo, hi) if 0.0 < x < _INF])))
+        bks = bks[(bks >= lo) & (bks <= hi)]
+        dead = bks[_values(f, bks) == 0.0] if bks.size else bks
+        if dead.size:
+            lo, hi = (float(dead[-1]), hi) if up else (lo, float(dead[0]))
         if not lo < hi:
             return ExtReal(0.0)
 
-        def h(t):
-            return ext_pow(self.outer_norm(omega, theta, t), -rho)
+        # h's atoms, with the sum of those on h_end's side of each of them
+        # (itself included) and 0 past the last
+        jumps = _sorted_unique(omega.breakpoints()) if math.isinf(theta) \
+            else np.zeros(0)
+        jumps = jumps[(jumps > lo) & (jumps < hi)]
+        atoms, beyond = 0.0, np.zeros(1)
+        if jumps.size:
+            masses = np.abs(h(jumps) - h_limit(jumps))
+            fv = _values(f, jumps)
+            with np.errstate(invalid="ignore"):
+                atoms = float(np.sum(np.where(masses == 0.0, 0.0,
+                                              fv * masses)))
+            if math.isnan(atoms):
+                raise QuadratureFailure(
+                    "Stieltjes integrand is nan at an atom")
+            beyond = np.append(np.cumsum(masses[::-1])[::-1], 0.0) if up \
+                else np.append(0.0, np.cumsum(masses))
 
-        up = self is Side.COMPLEMENT      # the walk toward h's finite limit
-        h_end = float(ext_pow(tail_norm(omega, theta, 0.0), -rho))
-        f_end = float(f_end)
-        if math.isinf(theta):
-            return self._by_parts(f, f_end, h, h_end, (lo, hi), slope, breaks)
-
-        def integrand(t):
-            om, norm = omega(t), self.outer_norm(omega, theta, t)
-            fv = _values(f, t)
+        def density(t):
+            norm = self.outer_norm(omega, theta, t)
             with np.errstate(divide="ignore", over="ignore",
                              invalid="ignore"):
-                dens = (rho / theta) * np.exp(
-                    theta * np.log(om) - (rho + theta) * np.log(norm))
-                # N = 0 inside (lo, hi) is rounding next to a cut: nan
-                dens = np.where(om == 0.0, 0.0,
-                                np.where(norm == 0.0, np.nan, dens))
+                if math.isinf(theta):
+                    lim = omega.left_limit(t) if up else omega.right_limit(t)
+                    on = norm == lim
+                    slope = np.zeros(t.shape)
+                    slope[on] = omega.log_slope(t[on])
+                    slope = slope if up else -slope
+                    zero = ~(slope > 0.0)
+                    dens = rho * np.exp(-rho * np.log(norm)) * slope
+                else:
+                    om = omega(t)
+                    zero = om == 0.0
+                    dens = (rho / theta) * np.exp(
+                        theta * np.log(om) - (rho + theta) * np.log(norm))
+            # N = 0 inside (lo, hi) is rounding next to a cut: nan
+            return np.where(zero, 0.0, np.where(norm == 0.0, np.nan, dens))
+
+        def integrand(t):
+            fv, dens = _values(f, t), density(t)
+            with np.errstate(invalid="ignore"):
                 return np.where((fv == 0.0) | (dens == 0.0), 0.0, fv * dens)
+
+        h_end = float(ext_pow(tail_norm(omega, theta, 0.0), -rho))
+        f_end = float(f_end)
 
         def rest(x, toward):
             if toward != up:
                 return None
-            fx, mass = _values(f, x), np.abs(h(x) - h_end)
+            at = np.searchsorted(jumps, x, side="left" if up else "right")
+            mass = np.maximum(np.abs(h(x) - h_end) - beyond[at], 0.0)
+            fx = _values(f, x)
             with np.errstate(invalid="ignore"):
                 return tuple(np.where(mass == 0.0, 0.0, bound * mass)
                              for bound in (np.minimum(fx, f_end),
                                            np.maximum(fx, f_end)))
 
-        cut = lo if up else hi
-        if cut in (0.0, _INF):
+        end = lo if up else hi
+        k = _denominator(a) if dead.size and 0.0 < a < 1.0 else 1
+        toward_cut = end == cut and 0.0 < end < _INF and \
+            math.isinf(float(h_limit(end)))
+        if k == 1 and not toward_cut:
             val, _ = integrate_halfline(integrand, (lo, hi), breaks, rest)
-            return val
-        # the half toward the open end in t, the half toward the cut in
-        # s = |t - cut|, where t = cut is no longer a point of the walk
-        mid = 2.0 * cut if up else 0.5 * cut
-        far, _ = integrate_halfline(integrand, (mid, hi) if up else (lo, mid),
-                                    breaks, rest)
-        sign = 1.0 if up else -1.0
-
-        def near(s):
-            t = cut + sign * s
-            return np.where(t == cut, np.nan, integrand(t))
-
-        gaps = np.abs(np.asarray(breaks, dtype=float) - cut)
-        try:
-            close, _ = integrate_halfline(near, (0.0, abs(mid - cut)),
-                                          gaps[gaps < abs(mid - cut)])
-        except QuadratureFailure as exc:
-            raise QuadratureFailure(
-                f"Stieltjes integral toward the cut at t = {cut:g}, in the "
-                f"distance s to it: {exc}") from exc
-        return far + close
-
-    def _by_parts(self, f, f_end, h, h_end, interval, slope, breaks):
-        """theta = inf: the integral of f against h over the interval on
-        which h is finite, as the integral of (h - h_end) |f'|.
-
-        f is continuous and monotone the other way to h, and tends to 0 at
-        the end opposite h_end, so integrating by parts leaves no boundary
-        term and meets no atom of h: h may be the plain power of the outer
-        norm, whatever its value at a jump.  Both h - h_end and f - f_end
-        shrink toward h_end, so the rest of the walk there beyond x lies
-        between 0 and |h(x) - h_end| |f(x) - f_end|.
-
-        Where f vanishes from a breakpoint z on (the last live point for
-        balls, the first for complements), |f'| grows like |t - z|^(a - 1)
-        next to z.  The piece between z and the breakpoint y before it is
-        integrated in x on (0, 1), with t = z + (y - z) x^(1/a), where the
-        integrand is smooth."""
-        df, a = slope
-        lo, hi = interval
-        up = self is Side.COMPLEMENT
-
-        def integrand(t):
-            d = _values(df, t)
-            with np.errstate(invalid="ignore"):
-                return np.where(d == 0.0, 0.0, (h(t) - h_end) * d)
-
-        def rest(x, toward):
-            if toward != up:
-                return None
-            mass = np.abs(h(x) - h_end) * np.abs(_values(f, x) - f_end)
-            return np.zeros(mass.shape), mass
-
-        # the breakpoints in [lo, hi], with a finite cut among them
-        bks = _sorted_unique(np.concatenate(
-            (breaks, [x for x in interval if 0.0 < x < _INF])))
-        bks = bks[(bks >= lo) & (bks <= hi)]
-        dead = bks[_values(f, bks) == 0.0] if bks.size else bks
-        if not dead.size:
-            val, _ = integrate_halfline(integrand, (lo, hi), bks, rest)
-            return val
-        z = float(dead[-1] if up else dead[0])
-        live = bks[bks > z] if up else bks[bks < z][::-1]
-        edge = float(live[0]) if live.size else (2.0 if up else 0.5) * z
+            return atoms + val
+        # the piece between end and the breakpoint next to it apart
+        live = bks[bks > end] if up else bks[bks < end][::-1]
+        edge = float(live[0]) if live.size else (2.0 if up else 0.5) * end
         far, _ = integrate_halfline(
-            integrand, (edge, hi) if up else (lo, edge), bks, rest)
-        k, width = max(1.0 / a, 1.0), abs(edge - z)
+            integrand, (edge, hi) if up else (lo, edge), breaks, rest)
+        width = abs(edge - end)
+        if toward_cut:
+            def near(s):
+                t = end + (s if up else -s)
+                return np.where(t == end, np.nan, integrand(t))
+
+            try:
+                close, _ = integrate_halfline(near, (0.0, width), ())
+            except QuadratureFailure as exc:
+                raise QuadratureFailure(
+                    f"Stieltjes integral toward the cut at t = {end:g}, in "
+                    f"the distance s to it: {exc}") from exc
+            return atoms + far + close
 
         def piece(x):
             # dt/dx at the x that the rounded t stands for, d = |t - z| =
-            # width x^k: |f'| next to z would amplify the rounding of t
-            t = z + (edge - z) * x ** k
-            d = np.abs(t - z)
+            # width x^k, so that f(t) and dt/dx see the same d
+            t = end + (edge - end) * x ** k
+            d = np.abs(t - end)
             return integrand(t) * (k * width ** (1.0 / k)
                                    * d ** (1.0 - 1.0 / k))
 
         close, _ = _gauss_kronrod(piece, 0.0, 1.0)
         if np.isnan(close):
             raise QuadratureFailure(
-                f"Stieltjes integrand is nan between {min(z, edge):g} and "
-                f"{max(z, edge):g}")
-        return far + float(close)
+                f"Stieltjes integrand is nan between {min(end, edge):g} and "
+                f"{max(end, edge):g}")
+        return atoms + far + float(close)
 
     def in_omega(self, member: OmegaMembership) -> bool:
         """Whether omega lies in the side's class: Omega_theta (finite
@@ -414,15 +402,16 @@ def omega_class_check(omega: RadialProfile, theta,
                    and _power_omega_membership(c_first, a_first, theta)[1])
         witness = omega.breaks[0] if omega.breaks else 1.0
         return OmegaMembership(bool(tail_ok), bool(head_ok), witness)
-    # sampled check
-    tail_ok = head_ok = True
+    # sampled check: the norms are positive for every t exactly when the
+    # support is unbounded toward their side, which an underflowed norm
+    # would hide, and finite where their values are
+    tail_ok = omega.support_sup() == _INF
+    head_ok = omega.support_inf() == 0.0
     witness = sample_grid[0]
     for t in sample_grid:
-        tv = float(tail_norm(omega, theta, t))
-        hv = float(head_norm(omega, theta, t))
-        if not (0.0 < tv < _INF):
+        if math.isinf(float(tail_norm(omega, theta, t))):
             tail_ok, witness = False, t
-        if not (0.0 < hv < _INF):
+        if math.isinf(float(head_norm(omega, theta, t))):
             head_ok, witness = False, t
         if not tail_ok and not head_ok:
             break

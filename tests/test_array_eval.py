@@ -576,6 +576,74 @@ def test_reverse_slow_end_is_bracketed():
                                                          rel=1e-12, abs=0.0)
 
 
+# theta = inf: h = N^(-rho) with N a running esssup has the density
+# rho h |(log omega)'| where N follows omega, none where N is flat, and
+# atoms at omega's jumps
+
+# u = 1/t | 5/t: N = 1/t below 1/5, 5 up to 1 and 5/t beyond, so h = 1/N
+# is t, then flat at 1/5, then t/5, with no atom at 1
+FLAT_U = split((1.0, -1.0), (5.0, -1.0))
+
+
+def test_exact_two_reads_two():
+    # p = 1, q = inf, u = e^(-t), w = e^(-2t): f = e^(-2t) against
+    # h = e^t gives 1, and the boundary term is 1
+    prob = HardyProblem("reverse", 1.0, INF, ExpProfile(1.0, -1.0),
+                        Weight(1, ExpProfile(1.0, -2.0)))
+    assert float(reverse_hardy_C(prob)) == pytest.approx(2.0, rel=1e-12,
+                                                         abs=0.0)
+
+
+def test_reverse_across_a_flat_stretch_of_the_outer_norm():
+    # p = 1, q = inf, w = e^(-2t): f = e^(-2t) against h, where the walk
+    # toward 0 starts on the flat stretch (1/5, 1) of h
+    prob = HardyProblem("reverse", 1.0, INF, FLAT_U,
+                        Weight(1, ExpProfile(1.0, -2.0)))
+    want = (1.0 - math.exp(-0.4)) / 2.0 + math.exp(-2.0) / 10.0
+    assert float(reverse_hardy_C(prob)) == pytest.approx(want, rel=1e-12,
+                                                         abs=0.0)
+
+
+def test_morrey_source_p1_eq_p2_at_theta_inf_across_a_flat_stretch():
+    # rho = 2, sigma = inf: f = 1 up to 2 and t^(-3) beyond, against
+    # h = t^2, flat 1/25 on (1/5, 1), then t^2 / 25: 1/25 + 3/25 + 1/25
+    prob = EmbeddingProblem("lm_to_lebesgue", 1, 2.0, 2.0, INF,
+                            Weight(1, PiecewisePowerProfile(
+                                [2.0], [(1.0, 0.0), (1.0, -3.0)])),
+                            ONE, FLAT_U)
+    assert float(embedding_constant(prob)) == pytest.approx(
+        1.0 / math.sqrt(5.0), rel=1e-12, abs=0.0)
+
+
+# omega = 1/t | 1/(2t): N = omega, h = 1/N is t below 1 and 2t above, with
+# an atom 1 at 1
+JUMP_OMEGA = split((1.0, -1.0), (0.5, -1.0))
+JUMP_FN = FnProfile(lambda t: 1.0 / t if t <= 1.0 else 0.5 / t,
+                    breakpoints=(1.0,))
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_evaluator_omega_with_a_jump_at_theta_inf(p):
+    pw = float(associate_norm(F17, "lm", p, INF, JUMP_OMEGA, ONE))
+    if p == 1.0:
+        # F = esssup of f beyond t against h
+        big = sup_beyond(F17)
+        pts = sorted({0.0, 1.0, *F17.knots})
+        want = big(1.0) + math.fsum(
+            big(0.5 * (a + b)) * (b - a) * (1 if b <= 1.0 else 2)
+            for a, b in zip(pts[:-1], pts[1:]))
+        assert pw == pytest.approx(want, rel=1e-12, abs=0.0)
+    fn = float(associate_norm(F17, "lm", p, INF, JUMP_FN, ONE))
+    assert fn == pytest.approx(pw, rel=1e-10, abs=0.0)
+
+
+def test_evaluator_inverse_power_at_theta_inf():
+    fn = float(associate_norm(F17, "lm", 2.0, INF,
+                              FnProfile(lambda t: 1.0 / t), ONE))
+    assert fn == pytest.approx(lm_inverse_power_exact(F17, 2.0, INF),
+                               rel=1e-10, abs=0.0)
+
+
 # omega = 1/t on (0, 10] and f = 1 on (1, 10]: near the cut at 10, where h
 # becomes infinite, the density integrand behaves like
 # s^(theta' (1/2 - 1/theta) - 1) in s = 10 - t

@@ -13,8 +13,8 @@ from morreyemb.embeddings import (EmbeddingProblem, associate_norm,
                                   unweighted_reference)
 from morreyemb.errors import HypothesisViolated, InadmissibleExponents
 from morreyemb.norms import GridFunction, fubini_weight, weighted_lp_norm
-from morreyemb.profiles import (PiecewisePowerProfile, PowerProfile,
-                                constant, truncated_power)
+from morreyemb.profiles import (ExpProfile, PiecewisePowerProfile,
+                                PowerProfile, constant, truncated_power)
 from morreyemb.weights import Weight
 
 INF = math.inf
@@ -106,7 +106,7 @@ class TestEmbeddingConstant:
                                                                 rel=1e-6)
 
     def test_source_jump_off_omega_breaks(self):
-        # p1 = p2 = 2, theta = sigma = inf: Riemann-Stieltjes sums of
+        # p1 = p2 = 2, theta = sigma = inf: the integral of
         # f = (esssup_{|x| > t} g)^2 against h = (esssup_(t, inf) omega)^-2.
         # g = v1^(1/2) is 1 up to 2 and 2 r^-3 beyond, a jump of f at 2,
         # not a break of omega = min(1, 1/r): h = 1 up to 1, then t^2.
@@ -119,6 +119,20 @@ class TestEmbeddingConstant:
         assert classify_case(prob).case_id == "b"
         assert float(embedding_constant(prob)) == pytest.approx(
             math.sqrt(3.125) + 1.0, rel=1e-8)
+
+    def test_exponential_omega_is_in_omega_theta(self):
+        # omega = e^(-t), theta = 3: N(t) = 3^(-1/3) e^(-t), whose norms
+        # underflow far out.  Case vi is sup_t N(t) = N(0); for the converse
+        # with v1 = e^(-4t), f = e^(-12t) against h = N^(-6) = 9 e^(6t)
+        # gives 9, and the boundary term is 1 / N(0)
+        om = ExpProfile(1.0, -1.0)
+        target = problem("lebesgue_to_lm", 2.0, 2.0, 3.0, omega=om)
+        assert float(embedding_constant(target)) == pytest.approx(
+            3.0 ** (-1.0 / 3.0), rel=1e-12, abs=0.0)
+        source = problem("lm_to_lebesgue", 2.0, 2.0, 3.0,
+                         v1=Weight(1, ExpProfile(1.0, -4.0)), omega=om)
+        assert float(embedding_constant(source)) == pytest.approx(
+            2.0 * 3.0 ** (1.0 / 3.0), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("k", [-2, 1, 3])
     def test_common_weight_scaling_cancels(self, k):

@@ -173,6 +173,19 @@ def test_halfline_core_spans_the_breakpoints(f, breaks):
     assert float(val) == pytest.approx(1000.0, rel=1e-12, abs=0.0)
 
 
+def test_halfline_zero_pieces_do_not_stop_a_walk_with_mass_ahead():
+    # f = 1 on (0, 1/10) and 0 up to 1: the walk down from the core
+    # (1/2, 1) starts on zero pieces, and a loose rest bracket puts mass
+    # 1/10 beyond them
+    def rest(x, up):
+        mass = np.minimum(x, 0.1)
+        return (None if up else (0.5 * mass, 2.0 * mass))
+
+    val, _ = integrate_halfline(lambda t: np.where(t < 0.1, 1.0, 0.0),
+                                (0.0, 1.0), rest=rest)
+    assert float(val) == pytest.approx(0.1, rel=1e-12, abs=0.0)
+
+
 def test_integrand_error_propagates():
     # an exception is a fault of the integrand, not divergence
     def broken(t):
@@ -287,6 +300,16 @@ class TestStieltjes:
         val = stieltjes_integral(lambda t: np.where(t < 1.0, 1.0, 0.0),
                                  h, (0.0, INF))
         assert float(val) == pytest.approx(1.0, rel=1e-6)
+
+    def test_decreasing_integrator_infinite_below_a_point(self):
+        # h = 1/t from 1 on and inf below, found by sampling: there is no
+        # infinite_from
+        h = MonotoneIntegrator.from_function(
+            lambda t: np.where(t < 1.0, INF, 1.0 / t), "decreasing")
+        val = stieltjes_integral(lambda t: np.where(t < 1.0, 0.0, 1.0), h)
+        assert float(val) == pytest.approx(1.0, rel=1e-6)
+        with pytest.raises(UndefinedStieltjes):
+            stieltjes_integral(lambda t: 1.0, h)
 
     def test_mixed_atom_and_density(self):
         # h = t on (0,1), jumps by 1 at t=1, then 1 + t

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from morreyemb.errors import NotAWeight
-from morreyemb.profiles import (ExpProfile, PiecewisePowerProfile,
-                                PowerProfile, ShiftedPowerProfile, constant,
-                                truncated_power)
+from morreyemb.profiles import (ExpProfile, FnProfile, PiecewisePowerProfile,
+                                PowerProfile, ProductProfile,
+                                ShiftedPowerProfile, constant, truncated_power)
 from morreyemb.weights import (Weight, head_norm, lp_norm_interval,
                                muckenhoupt_ap_estimate, omega_class_check,
                                profile_from_dict, tail_norm)
@@ -131,3 +131,136 @@ def test_muckenhoupt_estimate_power_weight_finite():
     w = Weight(1, PowerProfile(1.0, 0.5))
     est = muckenhoupt_ap_estimate(w, 2.0)
     assert math.isfinite(float(est))
+
+
+# omega class membership of the kinds checked by sampling, against their
+# analytic membership: tails finite for rate < 0 (rate <= 0 at
+# theta = inf) and for alpha theta < -1 (alpha <= 0 at theta = inf), heads
+# finite for both kinds, and every norm positive
+@pytest.mark.parametrize("theta", [0.5, 2.0, INF])
+@pytest.mark.parametrize("omega, tail_ok", [
+    (ExpProfile(1.0, -1.0), lambda th: True),
+    (ExpProfile(3.0, -1e-3), lambda th: True),
+    (ExpProfile(1.0, 0.0), math.isinf),
+    pytest.param(ExpProfile(1.0, 1.0), lambda th: False, marks=pytest.mark.xfail(
+        strict=True, reason="the sampled head norm at t = 1e6 overflows")),
+    (ShiftedPowerProfile(1.0, 1.0, -2.0), lambda th: -2.0 * th < -1.0),
+    (ShiftedPowerProfile(2.0, 1.0, -0.25), math.isinf),
+    (ShiftedPowerProfile(2.0, 1.0, 0.0), math.isinf),
+    (ShiftedPowerProfile(1.0, 1.0, 2.0), lambda th: False),
+])
+def test_omega_class_of_sampled_kinds(omega, tail_ok, theta):
+    member = omega_class_check(omega, theta)
+    assert (member.in_omega_theta, member.in_dual_omega_theta) == \
+        (tail_ok(theta), True)
+
+
+def test_underflowed_tail_norm_is_positive():
+    # the tail norm of e^(-t) underflows to 0 far out, but the support is
+    # unbounded, so every tail norm is positive
+    assert float(tail_norm(ExpProfile(1.0, -1.0), 2.0, 1e6)) == 0.0
+    assert omega_class_check(ExpProfile(1.0, -1.0), 2.0).in_omega_theta
+    bounded = truncated_power(1.0, -2.0, None, 5.0).times(
+        ExpProfile(1.0, -1.0))
+    assert isinstance(bounded, ProductProfile)
+    assert not omega_class_check(bounded, 2.0).in_omega_theta
+
+
+# ---------------------------------------------------------------------------
+# one-sided limits, sampled suprema and log slopes
+
+def test_sampled_esssup_reads_the_open_interval():
+    # 5 | 1 split at 1, times e^(-t): its value at 1 is 5/e, but over
+    # (1, inf) it is at most 1/e
+    om = PiecewisePowerProfile([1.0], [(5.0, 0.0), (1.0, 0.0)]).times(
+        ExpProfile(1.0, -1.0))
+    assert isinstance(om, ProductProfile)
+    assert om(1.0) == pytest.approx(5.0 / math.e, rel=1e-15)
+    assert om.esssup(1.0, INF) == pytest.approx(1.0 / math.e, rel=1e-15,
+                                                abs=0.0)
+    assert float(tail_norm(om, INF, 1.0)) == pytest.approx(
+        1.0 / math.e, rel=1e-15, abs=0.0)
+    # an evaluator that takes the right value at its jump: over (1/2, 1)
+    # it is 1
+    step = FnProfile(lambda t: 1.0 if t < 1.0 else 5.0, breakpoints=(1.0,))
+    assert step.esssup(0.5, 1.0) == 1.0
+    assert float(head_norm(step, INF, 1.0)) == 1.0
+
+
+def test_evaluator_one_sided_limits():
+    jump = FnProfile(lambda t: 1.0 / t if t <= 1.0 else 0.5 / t,
+                     breakpoints=(1.0,))
+    assert jump.left_limit(1.0) == pytest.approx(1.0, rel=1e-11)
+    assert jump.right_limit(1.0) == pytest.approx(0.5, rel=1e-11)
+    np.testing.assert_allclose(jump.right_limit(np.array([0.5, 1.0, 2.0])),
+                               [2.0, 0.5, 0.25], rtol=1e-11)
+
+
+SPLIT = PiecewisePowerProfile([1.0, 3.0], [(1.0, -1.0), (0.5, 2.0),
+                                           (4.0, -0.5)])
+SLOPE_RADII = np.array([0.01, 0.5, 1.0 - 1e-7, 1.0 + 1e-7, 2.0, 3.0 - 1e-9,
+                        3.0 + 1e-6, 50.0])
+
+
+# (profile, exact log slope, tolerance of the difference within h of a
+# break, where it is one-sided: exact for powers, good to h elsewhere)
+@pytest.mark.parametrize("prof, exact, near_tol", [
+    (SPLIT, lambda t: np.select([t <= 1.0, t <= 3.0], [-1.0, 2.0], -0.5) / t,
+     1e-8),
+    (ExpProfile(2.0, -1.5), lambda t: np.full(t.shape, -1.5), None),
+    (ShiftedPowerProfile(1.0, 2.0, -3.0), lambda t: -3.0 / (2.0 + t), None),
+    (SPLIT.times(ExpProfile(1.0, 0.25)), lambda t: np.select(
+        [t <= 1.0, t <= 3.0], [-1.0, 2.0], -0.5) / t + 0.25, 1e-5),
+])
+def test_log_slope_closed_forms_and_the_difference(prof, exact, near_tol):
+    want = exact(SLOPE_RADII)
+    np.testing.assert_allclose(prof.log_slope(SLOPE_RADII), want,
+                               rtol=1e-14)
+    # the difference is good to h^2 = 1e-10 away from a break, and it
+    # never straddles one, which would read the jump
+    fn = FnProfile(prof, breakpoints=prof.breakpoints())
+    got = fn.log_slope(SLOPE_RADII)
+    near = np.abs(np.log(SLOPE_RADII[:, None] / np.append(
+        prof.breakpoints(), 1e300))).min(axis=1) < 1e-5
+    np.testing.assert_allclose(got[~near], want[~near], rtol=1e-8)
+    if near.any():
+        np.testing.assert_allclose(got[near], want[near], rtol=near_tol,
+                                   atol=near_tol)
+    assert fn.log_slope(2.0) == pytest.approx(exact(np.array([2.0]))[0],
+                                              rel=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# profile conventions at the ends: 0 * inf = 0 and overflow to inf
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_constant_shifted_power_at_infinity():
+    assert ShiftedPowerProfile(2.0, 1.0, 0.0)(INF) == 2.0
+    np.testing.assert_array_equal(
+        ShiftedPowerProfile(2.0, 1.0, 0.0)(np.array([0.0, 1.0, INF])), 2.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("prof", [ExpProfile(INF, -1.0),
+                                  ShiftedPowerProfile(INF, 1.0, -1.0)])
+def test_infinite_coefficient_times_a_vanishing_factor(prof):
+    assert prof(INF) == 0.0
+    assert prof(1.0) == INF
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("prof", [PowerProfile(1e200, 0.0),
+                                  ExpProfile(1e200, 0.0),
+                                  ShiftedPowerProfile(1e200, 1.0, 1.0)])
+def test_coefficient_power_overflows_to_inf(prof):
+    # c ** 2 is past the float range; c ** -2 underflows to 0 as before
+    assert prof.power(2.0)(1.0) == INF
+    assert prof.power(-2.0)(1.0) == 0.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_exp_integral_is_plus_zero_where_both_ends_underflow():
+    val = float(tail_norm(ExpProfile(1.0, -1.0), 2.0, 700.0))
+    assert val == 0.0 and math.copysign(1.0, val) == 1.0
+    val = ExpProfile(1.0, -1.0).integral(800.0, 900.0)
+    assert val == 0.0 and math.copysign(1.0, val) == 1.0
