@@ -175,13 +175,13 @@ def _dyadic_block(edge, up, first, count, breaks):
     return pts[:-1], pts[1:], owner if up else count - 1 - owner, count
 
 
-def _piece_values(fn, parts):
-    """One G7-K15 call over the parts of several groups of pieces, each
+def _piece_values(rule, parts):
+    """One call of rule over the parts of several groups of pieces, each
     given as (lo, hi, owner, count); returns the (values, errors) of the
     pieces of every group, summed over their parts."""
     lo = np.concatenate([p[0] for p in parts])
     hi = np.concatenate([p[1] for p in parts])
-    vals, errs = _gauss_kronrod(fn, lo, hi)
+    vals, errs = rule(lo, hi)
     out, at = [], 0
     for _, part_hi, owner, count in parts:
         sl = slice(at, at + part_hi.size)
@@ -192,30 +192,19 @@ def _piece_values(fn, parts):
 
 
 def integrate_halfline(f, interval, breakpoints=None, rest=None):
-    """Adaptive integral of a nonnegative f over (a, b) in (0, inf].
+    """Adaptive integral of a nonnegative f over (a, b) in (0, inf]: the
+    dyadic walk of _walk with each piece integrated by adaptive G7-K15.
 
     f takes a 1-D float array of points and returns the values there (a
     scalar result is broadcast); 0 * inf is taken as 0 and overflow as inf.
     breakpoints are the interior points where f may be non-smooth, by
-    default a profile's own.  A finite core spanning the breakpoints inside
-    (a, b) is integrated piece by piece between them, and dyadic pieces in
-    log t are added toward an open end until they are negligible, a
-    geometric tail can be summed, or their growth shows divergence.  A
-    tail is summed as v r / (1 - r) after the piece v, r the last dyadic
-    ratio, when the last 8 ratios lie below 0.95 and that rest is under
-    tolerance, or when they agree as those of a power tail do (see
-    _stable_below_one) and the rest's sensitivity to their spread is
-    under tolerance; that sensitivity is its error bound.  A negligible
-    piece v, under tolerance / 8, stops the walk and adds the same rest to
-    the value and to the error bound when its ratio r to the piece before
-    is below 1, unless a rest bracket puts more than tolerance beyond it.
-
-    rest, if given, is called as rest(x, up) with an array of points x
-    where a walk toward an open end may stop (upward toward inf if up,
-    else downward toward 0).  It returns None, or arrays (low, high)
-    bracketing the integral of f beyond each x: over (x, inf) upward,
-    (0, x) downward.  A walk stops where the bracket is narrower than
-    _REST_SHARE times the tolerance, and adds its midpoint.
+    default a profile's own.  rest, if given, is called as rest(x, up)
+    with an array of points x where a walk toward an open end may stop
+    (upward toward inf if up, else downward toward 0).  It returns None,
+    or arrays (low, high) bracketing the integral of f beyond each x:
+    over (x, inf) upward, (0, x) downward.  A walk stops where the bracket
+    is narrower than _REST_SHARE times the tolerance, and adds its
+    midpoint.
 
     Returns (value, error_bound); value is inf when dyadic partial sums
     indicate divergence at either end or a piece integrates to inf.
@@ -228,6 +217,27 @@ def integrate_halfline(f, interval, breakpoints=None, rest=None):
         raise TypeError("integrand must be callable")
     if breakpoints is None:
         breakpoints = f.breakpoints() if isinstance(f, RadialProfile) else ()
+    return _walk(lambda lo, hi: _gauss_kronrod(f, lo, hi), interval,
+                 breakpoints, rest)
+
+
+def _walk(rule, interval, breakpoints, rest):
+    """integrate_halfline's walk over (a, b); rule(lo, hi) returns the
+    (values, errors) arrays of the integrals over pieces free of breaks.
+    A finite core spanning the breakpoints inside (a, b) is integrated
+    piece by piece between them, and dyadic pieces in log t are added
+    toward an open end until they are negligible, a geometric tail can be
+    summed, or their growth shows divergence.  A tail is summed as
+    v r / (1 - r) after the piece v, r the last dyadic ratio, when the
+    last 8 ratios lie below 0.95 and that rest is under tolerance, or when
+    they agree as those of a power tail do (see _stable_below_one) and the
+    rest's sensitivity to their spread is under tolerance; that
+    sensitivity is its error bound.  A negligible piece v, under
+    tolerance / 8, stops the walk and adds the same rest to the value and
+    to the error bound when its ratio r to the piece before is below 1,
+    unless a rest bracket puts more than tolerance beyond it.
+    """
+    a, b = interval
     breaks = _sorted_unique(breakpoints)
 
     # seed finite core
@@ -263,8 +273,8 @@ def integrate_halfline(f, interval, breakpoints=None, rest=None):
     # one array call for the core and the first block of each walk, which
     # the budget holds whole (_MAX_PIECES = 400 is at least _BLOCK = 16)
     found = _piece_values(
-        f, [core] + [_dyadic_block(edge, up, 0, _BLOCK, breaks)
-                     for edge, up in walks])
+        rule, [core] + [_dyadic_block(edge, up, 0, _BLOCK, breaks)
+                        for edge, up in walks])
 
     total, toterr = 0.0, 0.0
     vals, errs = found[0]
@@ -281,7 +291,7 @@ def integrate_halfline(f, interval, breakpoints=None, rest=None):
             if k == len(vals):
                 count = min(_BLOCK, _MAX_PIECES - k)
                 more, = _piece_values(
-                    f, [_dyadic_block(edge, up, k, count, breaks)])
+                    rule, [_dyadic_block(edge, up, k, count, breaks)])
                 vals, errs = vals + more[0], errs + more[1]
                 more = _rest_bounds(rest, edge, up, k, count)
                 lows, highs = lows + more[0], highs + more[1]
@@ -532,13 +542,13 @@ def _find_infinite_cut(h: MonotoneIntegrator, a, b):
 
 
 def _rs_stage(f, h: MonotoneIntegrator, x0, x1):
-    """Refining Riemann-Stieltjes midpoint sums on a jump-free stage.  A
-    nan contribution raises QuadratureFailure naming the stage."""
+    """Refining Riemann-Stieltjes midpoint sums on a jump-free piece, with
+    the last change as the error; a nan sum raises naming the stage."""
     lo = max(x0, 1e-18)
     hi = min(x1, 1e18)
     if lo >= hi:
         return 0.0, 0.0
-    # the stage is open: its end values are the inner one-sided limits, so
+    # the piece is open: its end values are the inner one-sided limits, so
     # atoms sitting at the endpoints (accounted for exactly elsewhere) are
     # excluded
     h_lo = _values(h.right, np.array([lo]))
@@ -579,15 +589,13 @@ def _nonzero_on(f, lo, hi):
     return bool(np.any(_values(f, grid) > 0.0))
 
 
-def _defined_range(f, h: MonotoneIntegrator, a, b):
-    """(a, b) less the part where h is identically infinite, on which the
-    integral of f against h is defined only when f vanishes; raises
-    UndefinedStieltjes where it does not."""
-    cut = _find_infinite_cut(h, a, b)
+def _defined_range(f, cut, increasing, a, b):
+    """(a, b) less the part beyond cut (None: none) where a monotone
+    integrator is identically infinite, on which the integral of f
+    against it is defined only when f vanishes; else UndefinedStieltjes."""
     if cut is None:
         return a, b
-    kept, beyond = ((a, cut), (cut, b)) if h.direction == "increasing" \
-        else ((cut, b), (a, cut))
+    kept, beyond = ((a, cut), (cut, b)) if increasing else ((cut, b), (a, cut))
     if _nonzero_on(f, *beyond):
         raise UndefinedStieltjes(
             f"integrator infinite on ({beyond[0]:g}, {beyond[1]:g}) "
@@ -601,12 +609,15 @@ def stieltjes_integral(f, h: MonotoneIntegrator, interval=(0.0, _INF)):
     f, like the evaluators of h, takes a 1-D float array of points and
     returns the values there (a scalar result is broadcast); 0 * inf is
     taken as 0 and overflow as inf.  Jump atoms contribute f(t) times the
-    jump size exactly.  Where h is identically infinite the integral is
-    defined only when f vanishes there; otherwise UndefinedStieltjes is
+    jump size exactly; the rest is the dyadic walk of integrate_halfline
+    with h's jump points as breakpoints, each of its jump-free pieces
+    integrated by _rs_stage.  Where h is identically infinite the integral
+    is defined only when f vanishes there; otherwise UndefinedStieltjes is
     raised.  A nan f at an atom or a nan Riemann-Stieltjes sum raises
     QuadratureFailure.
     """
-    a, b = _defined_range(f, h, *interval)
+    a, b = _defined_range(f, _find_infinite_cut(h, *interval),
+                          h.direction == "increasing", *interval)
     if not a < b:
         return ExtReal(0.0)
 
@@ -625,49 +636,9 @@ def stieltjes_integral(f, h: MonotoneIntegrator, interval=(0.0, _INF)):
             return ExtReal(_INF)
         total = float(np.sum(fv[hit] * mass[hit]))
 
-    stages = [a] + jumps.tolist() + [b]
-    for x0, x1 in zip(stages[:-1], stages[1:]):
-        # dyadic sub-stages toward infinite/zero endpoints keep each
-        # refinement numerically tame; the central pieces always run, and
-        # the extreme ends may stop early once contributions are negligible
-        edges = _stage_edges(x0, x1)
-        sub = list(zip(edges[:-1], edges[1:]))
-        low = [p for p in sub if p[1] <= 1e-6][::-1]
-        mid = [p for p in sub if p[1] > 1e-6 and p[0] < 1e6]
-        high = [p for p in sub if p[0] >= 1e6]
-        for group, stoppable in ((mid, False), (low, True), (high, True)):
-            small = 0
-            hist = []
-            converged = not stoppable
-            for y0, y1 in group:
-                s, _ = _rs_stage(f, h, y0, y1)
-                if math.isinf(s):
-                    return ExtReal(_INF)
-                total += s
-                hist.append(s)
-                tol = max(_ABS_TOL, _REL_TOL * 1e4 * abs(total))
-                small = small + 1 if s <= tol else 0
-                if stoppable and small >= 3:
-                    converged = True
-                    break
-            if not converged and len(hist) >= 2 and hist[-1] > tol:
-                # the end of the range was reached with material
-                # contributions left; extrapolate a geometric tail or
-                # declare divergence
-                q = hist[-1] / hist[-2] if hist[-2] > 0 else _INF
-                if q >= 0.999:
-                    return ExtReal(_INF)
-                total += hist[-1] * q / (1.0 - q)
-    return ExtReal(max(total, 0.0))
+    def rule(lo, hi):
+        found = [_rs_stage(f, h, x0, x1) for x0, x1 in zip(lo, hi)]
+        return np.array(found, dtype=float).reshape(-1, 2).T
 
-
-def _stage_edges(x0, x1):
-    """Split (x0, x1) into log-dyadic sub-stages spanning at most a couple
-    of decades each, so wide or semi-infinite stages refine locally."""
-    lo = max(x0, 1e-16)
-    hi = min(x1, 1e16)
-    if lo >= hi:
-        return [x0, x1]
-    decades = math.log10(hi / lo)
-    n = max(1, int(math.ceil(decades / 1.5)))
-    return list(np.geomspace(lo, hi, n + 1))
+    val, _ = _walk(rule, (a, b), jumps, None)
+    return ExtReal(total + float(val))

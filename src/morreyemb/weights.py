@@ -17,10 +17,10 @@ import numpy as np
 
 from .errors import NotAWeight, QuadratureFailure
 from .extreal import ExtReal, ext_mul, ext_pow, scalar_results
-from .integration import (MonotoneIntegrator, _defined_range, _gauss_kronrod,
-                          _profile_integral, _sorted_unique, _values,
-                          ball_integral, complement_integral, esssup_ball,
-                          esssup_complement, integrate_halfline, sphere_area)
+from .integration import (_defined_range, _gauss_kronrod, _profile_integral,
+                          _sorted_unique, _values, ball_integral,
+                          complement_integral, esssup_ball, esssup_complement,
+                          integrate_halfline, sphere_area)
 from .profiles import (ExpProfile, PiecewisePowerProfile, PowerProfile,
                        RadialProfile, ShiftedPowerProfile, tabulated,
                        truncated_power)
@@ -143,9 +143,10 @@ class Side(enum.Enum):
     The two sides are images of each other under the inversion t -> 1/t.
     A side owns its region, the outer norm over t that pairs with it (the
     tail norm over (t, inf) for balls, the head norm over (0, t) for
-    complements) with the one-sided limit of that norm, the direction of
-    the Stieltjes integrator built from the limit, and its Omega_theta
-    class.  Every t may be an array of radii, as in the functions used.
+    complements) with the one-sided limit of that norm, the edge of
+    omega's support beyond which a negative power of that norm is
+    infinite, and its Omega_theta class.  Every t may be an array of
+    radii, as in the functions used.
     """
 
     BALL = "ball"
@@ -187,16 +188,10 @@ class Side(enum.Enum):
             return tail_norm_left_limit(omega, theta, t)
         return head_norm_right_limit(omega, theta, t)
 
-    @property
-    def direction(self):
-        """Direction of an integrator built from a power of the outer norm
-        limit with a negative exponent."""
-        return "increasing" if self is Side.BALL else "decreasing"
-
     def infinite_from(self, omega):
-        """Where that integrator becomes identically infinite: past the
-        last point of the support for tails, below the first for heads;
-        None when it never does."""
+        """Where a negative power of the outer norm becomes identically
+        infinite: past the last point of omega's support for tails, below
+        the first for heads; None when it never does."""
         if self is Side.BALL:
             hi = omega.support_sup()
             return hi if math.isfinite(hi) else None
@@ -223,18 +218,18 @@ class Side(enum.Enum):
         |h(b) - h_limit(b)| at omega's breakpoints b, h_limit being the
         power of the outer norm's one-sided limit.
 
-        The integral runs over the range where h is finite, cut where f
-        vanishes.  Toward h_end the walk stops once the rest, f(xi) times
-        h's continuous mass beyond x with f(xi) between f(x) and f_end, is
-        bracketed to tolerance.  At the other end, the piece up to the
-        breakpoint y next to it may go apart.  Where h becomes infinite at
-        a finite cut c (omega of bounded support, finite theta), the piece
-        is walked in the distance s = |t - c|, so that a divergence there
-        reads inf; a walk that reaches the float resolution of c raises
-        QuadratureFailure.  Where instead f vanishes from z with 0 < a < 1,
-        the piece is integrated in x on (0, 1), with t = z + (y - z) x^k
-        and k the denominator of a (at most 16), where the integrand is
-        smooth.
+        The integral runs over the range where h is finite, read from
+        omega's support (infinite_from), cut where f vanishes.  Toward
+        h_end the walk stops once the rest, f(xi) times h's continuous mass
+        beyond x with f(xi) between f(x) and f_end, is bracketed to
+        tolerance.  At the other end, the piece up to the breakpoint y next
+        to it may go apart.  Where h becomes infinite at a finite cut c
+        (omega of bounded support, finite theta), the piece is walked in the
+        distance s = |t - c|, so that a divergence there reads inf; a walk
+        that reaches the float resolution of c raises QuadratureFailure.
+        Where instead f vanishes from z with 0 < a < 1, the piece is
+        integrated in x on (0, 1), with t = z + (y - z) x^k and k the
+        denominator of a (at most 16), where the integrand is smooth.
         """
         theta = float(theta)
         up = self is Side.COMPLEMENT      # the walk toward h's finite limit
@@ -245,9 +240,8 @@ class Side(enum.Enum):
         def h_limit(t):
             return ext_pow(self.outer_norm_limit(omega, theta, t), -rho)
 
-        integ = MonotoneIntegrator.from_function(
-            h_limit, self.direction, infinite_from=self.infinite_from(omega))
-        lo, hi = _defined_range(f, integ, 0.0, _INF)
+        lo, hi = _defined_range(f, self.infinite_from(omega), not up, 0.0,
+                                _INF)
         cut = lo if up else hi           # the end opposite h_end
         # f is monotone: it vanishes beyond its zero nearest h_end among the
         # breakpoints and the ends

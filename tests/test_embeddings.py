@@ -133,6 +133,11 @@ class TestEmbeddingConstant:
                          v1=Weight(1, ExpProfile(1.0, -4.0)), omega=om)
         assert float(embedding_constant(source)) == pytest.approx(
             2.0 * 3.0 ** (1.0 / 3.0), rel=1e-12, abs=0.0)
+        # with v1 = 1, f = 1 against h = 9 e^(6t), which overflows past
+        # t = 118 but is finite everywhere, so the constant is inf; a cut
+        # read from sampled values of h raised UndefinedStieltjes there
+        flat = problem("lm_to_lebesgue", 2.0, 2.0, 3.0, omega=om)
+        assert float(embedding_constant(flat)) == INF
 
     @pytest.mark.parametrize("k", [-2, 1, 3])
     def test_common_weight_scaling_cancels(self, k):

@@ -311,23 +311,27 @@ class TestStieltjes:
         with pytest.raises(UndefinedStieltjes):
             stieltjes_integral(lambda t: 1.0, h)
 
-    def test_mixed_atom_and_density(self):
-        # h = t on (0,1), jumps by 1 at t=1, then 1 + t
-        def h(t):
-            return np.where(t < 1.0, t, 1.0 + t)
-
+    # the jump at c is the core's lower edge (1), splits one of the dyadic
+    # steps that widen the core to span it (3, 0.3), or lies far below or
+    # above the seed core (1e-3, 700)
+    @pytest.mark.parametrize("c", [1.0, 3.0, 0.3, 1e-3, 700.0])
+    def test_mixed_atom_and_density(self, c):
+        # h = t on (0, c), jumps by 1 at t = c, then 1 + t
         hi = MonotoneIntegrator.from_function(
-            h, "increasing",
-            left=lambda t: np.where(t <= 1.0, t, 1.0 + t),
-            right=lambda t: np.where(t < 1.0, t, 1.0 + t),
-            jump_points=(1.0,))
+            lambda t: np.where(t < c, t, 1.0 + t), "increasing",
+            left=lambda t: np.where(t <= c, t, 1.0 + t),
+            right=lambda t: np.where(t < c, t, 1.0 + t),
+            jump_points=(c,))
         val = stieltjes_integral(lambda t: np.exp(-t), hi, (0.0, INF))
-        want = (1.0 - math.exp(-1.0)) + math.exp(-1.0) + math.exp(-1.0)
-        assert float(val) == pytest.approx(want, rel=1e-8)
+        want = 1.0 + math.exp(-c)
+        assert float(val) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_divergent_is_infinite(self):
         h = MonotoneIntegrator.from_function(lambda t: t, "increasing")
         val = stieltjes_integral(lambda t: 1.0, h, (0.0, INF))
+        assert val.is_inf
+        # toward 0: 1/t against dt on (0, 1)
+        val = stieltjes_integral(lambda t: 1.0 / t, h, (0.0, 1.0))
         assert val.is_inf
 
     def test_nan_sum_raises_naming_the_stage(self):
