@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import GateFailed, HypothesisViolated, Inadmissible
 from .extreal import ExtReal, conjugate_exponent, ext_mul, ext_pow
-from .hardy import _breaks, _dual_functional, _halfline, sup_over_t
+from .hardy import (_breaks, _dual_functional, _halfline,
+                    _primal_functional, sup_over_t)
 from .integration import ball_volume
 from .norms import ALL, GridFunction, _inner_norm, weighted_lp_norm
 from .profiles import PowerProfile, RadialProfile
@@ -135,10 +136,10 @@ def classify_case(prob: EmbeddingProblem) -> CaseTag:
 
 
 def _inner_profile(prob: EmbeddingProblem):
-    """The ratio weight and inner exponent of the main1-family formulas.
-
-    Returns (profile of v1^{-1/p1} v2^{1/p2} style factor, sigma).
-    """
+    """The weight g = v1^(-1/p1) v2^(1/p2) and exponent sigma, with
+    1/sigma = 1/p2 - 1/p1, of the inner norm I(t) = ||g||_sigma over the
+    side's region in the Lebesgue-source functionals; a weight enters to
+    the power -1 or 1 at an infinite exponent."""
     p1, p2 = prob.p1, prob.p2
     v1p, v2p = prob.v1.profile, prob.v2.profile
     if math.isinf(p1) and math.isinf(p2):
@@ -180,40 +181,18 @@ def embedding_constant(prob: EmbeddingProblem) -> ExtReal:
     _check_omega(prob)
     log.debug("evaluating case %s (%s)", tag, tag.notes)
     if prob.morrey_is_target:
-        return _lebesgue_to_morrey(prob, tag)
+        return _lebesgue_to_morrey(prob)
     return _morrey_to_lebesgue(prob)
 
 
-def _lebesgue_to_morrey(prob, tag) -> ExtReal:
-    n, th = prob.n, prob.theta
-    om, side = prob.omega, prob.side
+def _lebesgue_to_morrey(prob) -> ExtReal:
+    n, side = prob.n, prob.side
     g, sigma = _inner_profile(prob)
-
-    def inner(t):
-        return side.region_norm(g, sigma, n, t)
-
-    breaks = _breaks(om, g)
-    if tag.case_id in ("i", "iii", "iv", "vi", "viii"):
-        return sup_over_t(
-            lambda t: ext_mul(side.outer_norm(om, th, t), inner(t)),
-            breaks)
-    if tag.case_id in ("v", "ix"):
-        def integrand(t):
-            return ext_pow(ext_mul(om(t), inner(t)), th)
-
-        val = _halfline(integrand, breaks)
-        return ext_pow(val, 1.0 / th)
-    # (ii) and (vii): weighted s-norm with weight omega^theta
-    p1 = prob.p1
-    s = th * p1 / (p1 - th)
-
-    def integrand(t):
-        outer = side.outer_norm(om, th, t)
-        core = ext_mul(ext_pow(outer, th / p1), inner(t))
-        return ext_mul(ext_pow(core, s), ext_pow(om(t), th))
-
-    val = _halfline(integrand, breaks)
-    return ext_pow(val, 1.0 / s)
+    # (i), (iii), (iv), (vi), (viii) for p1 <= theta, (ii), (v), (vii),
+    # (ix) otherwise; a Lebesgue source pairs with the side's own region
+    return _primal_functional(
+        side, lambda t: side.region_norm(g, sigma, n, t), prob.omega,
+        prob.theta, prob.p1, _breaks(prob.omega, g))
 
 
 def _morrey_to_lebesgue(prob) -> ExtReal:

@@ -5,6 +5,9 @@ complement mirror, the esssup operators S/S*, and the reverse inequalities
 bounding the source norm by a norm of Hf.  Each functional is the exact
 expression whose finiteness characterizes the inequality; it is equivalent
 to the best constant up to exponent-dependent factors, never claimed equal.
+Two forms serve the embeddings too: _primal_functional the direct
+inequalities and the Lebesgue-source embeddings, _dual_functional the
+reverse ones, the Morrey-source embeddings and the associate norms.
 """
 
 from __future__ import annotations
@@ -197,6 +200,31 @@ def _dual_functional(side, norm, whole, s, omega, theta, p, breaks) -> ExtReal:
     return ext_pow(main, 1.0 / rho) + boundary
 
 
+def _primal_functional(side, inner, omega, theta, p, breaks) -> ExtReal:
+    """The direct Hardy functional shared by the direct Hardy inequalities
+    and the Lebesgue-source embeddings.
+
+    I(t) = inner(t) is a norm over the side's region at radius t in R^n,
+    and N(t) is the side's outer theta-norm of omega.  The functional is
+    sup_t N(t) I(t) for p <= theta, and otherwise
+    (int (N^(theta/p) I)^r omega^theta dt)^(1/r) with
+    1/r = 1/theta - 1/p: r = theta with no N factor at p = inf.  inner
+    takes arrays of t.  breaks are the data's breakpoints.
+    """
+    if p <= theta:
+        return sup_over_t(
+            lambda t: ext_mul(side.outer_norm(omega, theta, t), inner(t)),
+            breaks)
+    r = theta if math.isinf(p) else p * theta / (p - theta)
+
+    def integrand(t):
+        core = inner(t) if math.isinf(p) else ext_mul(
+            ext_pow(side.outer_norm(omega, theta, t), theta / p), inner(t))
+        return ext_mul(ext_pow(core, r), ext_pow(omega(t), theta))
+
+    return ext_pow(_halfline(integrand, breaks), 1.0 / r)
+
+
 def _halfline(fn, breakpoints=()) -> ExtReal:
     """Integral over (0, inf) of fn, which takes an array of t, with known
     kinks."""
@@ -227,75 +255,18 @@ def hardy_A_star(prob: HardyProblem) -> ExtReal:
 
 
 def _direct_functional(prob: HardyProblem) -> ExtReal:
-    """Cases (a)-(h) of the direct functional on the problem's side: outer
-    norms of v paired with the side, integrals of w over its region."""
+    """Cases (a)-(h) of the direct functional on the problem's side: the
+    primal functional with omega = v^(1/q) (v itself at q = inf), theta = q,
+    and I(t) the p'-norm of w^(-1/p) (of w^(-1) at p = inf) over the
+    side's region."""
     p, q, n = prob.p, prob.q, prob.n
     v, w = prob.v_outer, prob.w_inner.profile
     side = prob.side
     pp = float(conjugate_exponent(p))
-    breaks = _breaks(v, w)
-
-    def V_outer(t):
-        return side.outer_norm(v, 1.0, t) ** 1.0
-
-    def V_sup(t):
-        return side.other.esssup(v, t)
-
-    def W_region(t):
-        return side.integral(w.power(1.0 - pp), n, t)
-
-    def W_recip(t):
-        return side.integral(w.power(-1.0), n, t)
-
-    def w_sup(t):
-        return side.esssup(w.power(-1.0), t)
-
-    if 1.0 < p <= q < _INF:
-        # (a)
-        return sup_over_t(
-            lambda t: ext_mul(ext_pow(V_outer(t), 1.0 / q),
-                              ext_pow(W_region(t), 1.0 / pp)), breaks)
-    if 1.0 < p < _INF and 0.0 < q < p:
-        # (b)
-        r = 1.0 / (1.0 / q - 1.0 / p)
-
-        def integrand(t):
-            return ext_mul(ext_mul(ext_pow(V_outer(t), r / p), v(t)),
-                           ext_pow(W_region(t), r / pp))
-
-        return ext_pow(_halfline(integrand, breaks), 1.0 / r)
-    if 1.0 < p < _INF and math.isinf(q):
-        # (c)
-        return sup_over_t(
-            lambda t: ext_mul(V_sup(t), ext_pow(W_region(t), 1.0 / pp)),
-            breaks)
-    if math.isinf(p) and math.isinf(q):
-        # (d)
-        return sup_over_t(lambda t: ext_mul(V_sup(t), W_recip(t)), breaks)
-    if math.isinf(p):
-        # (e)
-        def integrand(t):
-            return ext_mul(v(t), ext_pow(W_recip(t), q))
-
-        return ext_pow(_halfline(integrand, breaks), 1.0 / q)
-    if p == 1.0 and 1.0 <= q < _INF:
-        # (f)
-        return sup_over_t(
-            lambda t: ext_mul(ext_pow(V_outer(t), 1.0 / q), w_sup(t)), breaks)
-    if p == 1.0 and 0.0 < q < 1.0:
-        # (g)
-        qq = float(conjugate_exponent(q))
-
-        def integrand(t):
-            return ext_mul(ext_mul(ext_pow(V_outer(t), qq), v(t)),
-                           ext_pow(w_sup(t), qq))
-
-        return ext_pow(_halfline(integrand, breaks), 1.0 / qq)
-    if p == 1.0 and math.isinf(q):
-        # (h)
-        return sup_over_t(lambda t: ext_mul(V_sup(t), w_sup(t)), breaks)
-    raise InadmissibleExponents(
-        f"no {prob.variant} case matches p={p}, q={q}")
+    g = w.power(-1.0 if math.isinf(p) else -1.0 / p)
+    return _primal_functional(
+        side, lambda t: side.region_norm(g, pp, n, t),
+        v if math.isinf(q) else v.power(1.0 / q), q, p, _breaks(v, w))
 
 
 def sup_operator_constant(prob: HardyProblem) -> ExtReal:

@@ -497,8 +497,9 @@ class MonotoneIntegrator:
     def from_function(cls, h, direction, jump_points=(), infinite_from=None,
                       left=None, right=None):
         """Wrap an array evaluator; one-sided limits default to numeric
-        approach from a relative distance 1e-9, which is exact for steps
-        and negligible for the absolutely continuous part."""
+        approach from a relative distance 1e-9, which is exact for steps.
+        stieltjes_integral reads them only at the jump points and at the
+        cut where h turns infinite."""
         if left is None:
             left = lambda t: h(t * (1.0 - 1e-9))
         if right is None:
@@ -541,18 +542,20 @@ def _find_infinite_cut(h: MonotoneIntegrator, a, b):
     return c0 if increasing else c1
 
 
-def _rs_stage(f, h: MonotoneIntegrator, x0, x1):
+def _rs_stage(f, h: MonotoneIntegrator, x0, x1, sharp):
     """Refining Riemann-Stieltjes midpoint sums on a jump-free piece, with
-    the last change as the error; a nan sum raises naming the stage."""
+    the last change as the error; a nan sum raises naming the stage.
+    sharp holds the points where h may jump or turn infinite."""
     lo = max(x0, 1e-18)
     hi = min(x1, 1e18)
     if lo >= hi:
         return 0.0, 0.0
-    # the piece is open: its end values are the inner one-sided limits, so
-    # atoms sitting at the endpoints (accounted for exactly elsewhere) are
-    # excluded
-    h_lo = _values(h.right, np.array([lo]))
-    h_hi = _values(h.left, np.array([hi]))
+    # the piece is open: at an end in sharp its value is the inner
+    # one-sided limit, so an atom sitting there (accounted for exactly
+    # elsewhere) is excluded; elsewhere h is continuous and the evaluator
+    # is exact where a numeric limit would drop mass
+    h_lo = _values(h.right if lo in sharp else h.evaluator, np.array([lo]))
+    h_hi = _values(h.left if hi in sharp else h.evaluator, np.array([hi]))
     prev = None
     n = 256
     while n <= (1 << 17):
@@ -616,8 +619,8 @@ def stieltjes_integral(f, h: MonotoneIntegrator, interval=(0.0, _INF)):
     raised.  A nan f at an atom or a nan Riemann-Stieltjes sum raises
     QuadratureFailure.
     """
-    a, b = _defined_range(f, _find_infinite_cut(h, *interval),
-                          h.direction == "increasing", *interval)
+    cut = _find_infinite_cut(h, *interval)
+    a, b = _defined_range(f, cut, h.direction == "increasing", *interval)
     if not a < b:
         return ExtReal(0.0)
 
@@ -636,8 +639,10 @@ def stieltjes_integral(f, h: MonotoneIntegrator, interval=(0.0, _INF)):
             return ExtReal(_INF)
         total = float(np.sum(fv[hit] * mass[hit]))
 
+    sharp = set(map(float, h.jump_points)) | {cut}
+
     def rule(lo, hi):
-        found = [_rs_stage(f, h, x0, x1) for x0, x1 in zip(lo, hi)]
+        found = [_rs_stage(f, h, x0, x1, sharp) for x0, x1 in zip(lo, hi)]
         return np.array(found, dtype=float).reshape(-1, 2).T
 
     val, _ = _walk(rule, (a, b), jumps, None)

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import NotAWeight, QuadratureFailure
 from .extreal import ExtReal, ext_mul, ext_pow, scalar_results
 from .integration import (_defined_range, _gauss_kronrod, _profile_integral,
-                          _sorted_unique, _values, ball_integral,
+                          _sorted_unique, _values, ball_integral, ball_volume,
                           complement_integral, esssup_ball, esssup_complement,
                           integrate_halfline, sphere_area)
 from .profiles import (ExpProfile, PiecewisePowerProfile, PowerProfile,
@@ -472,7 +472,6 @@ def muckenhoupt_ap_estimate(w: Weight, p, ball_family=None) -> ExtReal:
     pp = float(ext_pow(p / (p - 1.0), 1.0))  # p' for p in (1, inf)
     n = w.dimension
     dual = w.profile.power(1.0 - pp)
-    from .integration import ball_volume
     best = 0.0
     for d, r in ball_family:
         vol = ball_volume(n, r)

@@ -345,7 +345,7 @@ def test_08_stieltjes_semantics():
     smooth = MonotoneIntegrator.from_function(
         lambda t: 1.0 - np.exp(-t), "increasing")
     got = float(stieltjes_integral(lambda t: t, smooth))
-    assert got == pytest.approx(1.0, rel=1e-6)
+    assert got == pytest.approx(1.0, rel=1e-12, abs=0.0)
 
     partial = MonotoneIntegrator.from_function(
         lambda t: np.where(t > 2.0, INF, t), "increasing")

@@ -682,7 +682,8 @@ def test_stieltjes_evaluates_arrays():
     h = MonotoneIntegrator.from_function(lambda t: 1.0 - np.exp(-t),
                                          "increasing")
     # integral of e^{-t} e^{-t} dt over (0, inf)
-    assert float(stieltjes_integral(f, h)) == pytest.approx(0.5, rel=1e-6)
+    assert float(stieltjes_integral(f, h)) == pytest.approx(0.5, rel=1e-12,
+                                                            abs=0.0)
     assert seen and all(tp is np.ndarray for tp in seen)
 
 

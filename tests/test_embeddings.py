@@ -12,6 +12,7 @@ from morreyemb.embeddings import (EmbeddingProblem, associate_norm,
                                   reference_normalization,
                                   unweighted_reference)
 from morreyemb.errors import HypothesisViolated, InadmissibleExponents
+from morreyemb.hardy import HardyProblem, hardy_A, hardy_A_star
 from morreyemb.norms import GridFunction, fubini_weight, weighted_lp_norm
 from morreyemb.profiles import (ExpProfile, PiecewisePowerProfile,
                                 PowerProfile, constant, truncated_power)
@@ -150,6 +151,37 @@ class TestEmbeddingConstant:
         factor = c ** (1.0 / p2 - 1.0 / p1)
         assert float(embedding_constant(scaled)) == pytest.approx(
             factor * float(embedding_constant(base)), rel=1e-9)
+
+
+# the direct Hardy cases (a)-(h), one (p, q) pair each
+HARDY_PAIRS = [(2.0, 3.0), (3.0, 2.0), (2.0, INF), (INF, INF), (INF, 1.0),
+               (1.0, 2.0), (1.0, 0.5), (1.0, INF)]
+
+
+class TestHardyReduction:
+    """The direct Hardy inequality on a side is the Lebesgue-to-(dual) LM
+    embedding with p1 = p, p2 = 1, theta = q, v1 = w, v2 = 1 and
+    omega = v^(1/q) (v itself at q = inf)."""
+
+    @pytest.mark.parametrize("v,w", [
+        (ExpProfile(1.0, -1.0),
+         PiecewisePowerProfile([1.0], [(1.0, 0.0), (1.0, 3.0)])),
+        (PiecewisePowerProfile([1.0], [(1.0, 0.0), (1.0, -3.0)]),
+         ExpProfile(1.0, 1.0)),
+    ])
+    @pytest.mark.parametrize("p,q", HARDY_PAIRS)
+    @pytest.mark.parametrize("variant,functional,direction", [
+        ("direct", hardy_A, "lebesgue_to_lm"),
+        ("direct_complement", hardy_A_star, "lebesgue_to_dual_lm"),
+    ])
+    def test_hardy_is_the_embedding_with_p2_one(self, variant, functional,
+                                                direction, p, q, v, w):
+        want = float(functional(HardyProblem(variant, p, q, v, Weight(1, w))))
+        omega = v if math.isinf(q) else v.power(1.0 / q)
+        got = float(embedding_constant(problem(
+            direction, p, 1.0, q, v1=Weight(1, w), omega=omega)))
+        assert 0.0 < want < INF
+        assert got == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 class TestUnweightedReference:
