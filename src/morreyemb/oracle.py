@@ -6,8 +6,19 @@ The evaluator discretizes (0, inf) into log-spaced cells, refines each cell
 into subcells, and computes all the norms by vectorized midpoint/prefix
 sums, independently of the closed-form functionals it is used to audit.
 Canonical families (ball indicators, complements, near-extremal dual-power
-profiles, two-block combinations, power windows) seed a coordinate ascent
-with randomized restarts.  Everything is serial and seed-deterministic.
+profiles, two-block combinations, power windows) seed a local search, which
+then runs again from randomized restarts.  Everything is serial and
+seed-deterministic.
+
+Where the Morrey-type norm is the target, 1 <= p2 <= theta < inf and
+p2 <= p1 < inf (the direct Hardy variants with 1 <= p, q < inf, p2 = 1),
+the ratio is (N'(u) / S'(u))^(1/p2) on u = v^p2: N' is a norm of a
+nonnegative linear map of u, with exponent r = theta/p2, and S' a weighted
+l^P norm, P = p1/p2.  There the search is the nonlinear power method
+(Boyd, 1974), whose step never lowers the ratio and which for P <= r
+reaches the global maximum; at P = 1 the maximum sits at a one-cell
+function, and the search scans them.  Every other problem takes a
+coordinate ascent.
 """
 
 from __future__ import annotations
@@ -16,7 +27,7 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -309,6 +320,15 @@ class _RatioEvaluator:
             self._outer_op = np.add
         self._src_inf = math.isinf(self.src_p)
         self._src_op = np.maximum if self._src_inf else np.add
+        # with the cumulative norm on top and 1 <= p2 <= q < inf, p2 <= p1
+        # < inf, the ratio is (N'(u) / S'(u))^(1/p2) on u = v^p2: N' is a
+        # norm of the nonnegative linear map u -> G, with exponent r = q/p2,
+        # and S' the weighted l^P norm of u, P = p1/p2
+        self.power_exponents = None
+        if self.morrey_on_top and not (self.sup_inner or self._q_inf
+                                       or self._src_inf) \
+                and 1.0 <= self.inner_p <= min(q, self.src_p):
+            self.power_exponents = self._gpow, self.src_p / self.inner_p
         # the cache, filled by _ratio in accumulation order; the entries of
         # the first cell in _inner_before and _outer_before are always 0
         self._v, self._src = np.zeros(m), np.zeros(m)
@@ -320,6 +340,11 @@ class _RatioEvaluator:
         self._outer_before = [0.0]
 
     # -- the cache and the per-cell code path --------------------------
+    def _cells(self, a):
+        """Cell values in natural order to accumulation order, or back."""
+        a = np.asarray(a, dtype=float)
+        return a[::-1] if self._reverse else a
+
     def ratio(self, values):
         with np.errstate(all="ignore"):
             return self._ratio(values)
@@ -345,10 +370,7 @@ class _RatioEvaluator:
 
     def _ratio(self, values):
         """Load `values` into the per-cell cache and return their ratio."""
-        v = np.asarray(values, dtype=float)
-        if self._reverse:
-            v = v[::-1]
-        self._load(slice(None), v)
+        self._load(slice(None), self._cells(values))
         G, accs, totals = self._tail(0, self._v[:1])
         self._outer_from(0, G[0])
         return self._finish(accs[0], totals[0],
@@ -509,6 +531,53 @@ class _RatioEvaluator:
             return src
         return src ** (1.0 / self.src_p) if src > 0 else 0.0
 
+    # -- the power method ------------------------------------------------
+    def _power_terms(self, u):
+        """The ratio at u = v^p2 (in accumulation order), from N'(u)^r =
+        sum o G^r + beyond T^r and S'(u)^P = sum s u^P, and 1/r times the
+        gradient of N'(u)^r.  G, the inner accumulation at the subcell
+        midpoints, is one prefix accumulation, and the weight o G^(r-1)
+        that each cell's mass carries into the later subcells one suffix
+        accumulation."""
+        r, P = self.power_exponents
+        mass = u * self._inner_cell
+        before = _exclusive(np.add, mass)
+        G = before[:, None] + u[:, None] * self._part_half
+        dG = self._outer * G ** (r - 1.0)
+        total = before[-1] + mass[-1]
+        beyond = self.outer_beyond * total ** (r - 1.0)
+        later = _exclusive(np.add, dG.sum(axis=1)[::-1])[::-1]
+        grad = self._inner_cell * (later + beyond) \
+            + (dG * self._part_half).sum(axis=1)
+        target = (np.vdot(dG, G) + beyond * total) ** (1.0 / self.outer_q)
+        source = np.dot(self._src_cell, u ** P) ** (1.0 / self.src_p)
+        return target / source, grad
+
+    def _power_move(self, u, grad):
+        """The power step from u with gradient grad (Boyd 1974): the
+        maximizer (grad/s)^(1/(P-1)) of the linearized N' over the source's
+        unit sphere, scaled to a largest entry of 1, which by N''s
+        convexity never lowers the ratio.  Where a cell has no source
+        weight and a positive gradient, the step is that cell's one-cell
+        function, whose ratio is infinite."""
+        s = self._src_cell
+        free = (s == 0.0) & (grad > 0.0)
+        if free.any():
+            return (np.arange(self.m) == np.argmax(free)).astype(float)
+        x = (np.log(grad) - np.log(s)) / (self.power_exponents[1] - 1.0)
+        top = np.fmax.reduce(x)
+        if not math.isfinite(top):
+            return u
+        x = np.exp(x - top)
+        return np.where(x == x, x, 0.0)
+
+    def power_step(self, values):
+        """The values one power step from `values`."""
+        with np.errstate(all="ignore"):
+            u = self._cells(values) ** self.inner_p
+            step = self._power_move(u, self._power_terms(u)[1])
+            return self._cells(step) ** (1.0 / self.inner_p)
+
     def grid_function(self, values):
         return GridFunction(self.knots, np.asarray(values, dtype=float))
 
@@ -611,6 +680,53 @@ def _ascent_loop(ev, values, cfg, trace, counter, tracker):
     return values, best
 
 
+def _power_method(ev, values, cfg, trace, counter, tracker):
+    """Power steps from values until one gains a relative 1e-10 or less,
+    at most ascent_sweeps * grid_cells of them; returns the values and
+    their ratio, the evaluator's own, that the steps ended at, or the
+    start where that is no higher."""
+    with np.errstate(all="ignore"):
+        u = ev._cells(values) ** ev.inner_p
+        est, grad = ev._power_terms(u)
+        for _ in range(cfg.ascent_sweeps * ev.m):
+            step = ev._power_move(u, grad)
+            counter[0] += 1
+            r, step_grad = ev._power_terms(step)
+            if not r > est:
+                break
+            gain = r > est * (1.0 + 1e-10)
+            u, est, grad = step, r, step_grad
+            if not gain:
+                break
+        best = ev._ratio(values)
+        found = ev._cells(u) ** (1.0 / ev.inner_p)
+        r = ev._ratio(found)
+    if r > best:
+        values, best = found, r
+    if best > tracker[0]:
+        tracker[0] = best
+        trace.append((counter[0], best))
+    return values, best
+
+
+def _vertex_scan(ev, trace, counter, tracker):
+    """At P = 1 the convex target's maximum over the source's unit ball, a
+    weighted l^1 ball, sits at a vertex: score the m one-cell functions."""
+    best, best_vals = 0.0, None
+    for lo in range(0, ev.m, _BLOCK):
+        block = np.eye(ev.m)[lo:lo + _BLOCK]
+        for vals, r in zip(block, ev.ratios(block)):
+            counter[0] += 1
+            if r > best:
+                best, best_vals = r, vals
+                if best > tracker[0]:
+                    tracker[0] = best
+                    trace.append((counter[0], best))
+                if math.isinf(r):
+                    return best_vals, best
+    return best_vals, best
+
+
 def closed_form_constant(prob) -> ExtReal:
     """Dispatch to the matching closed-form functional."""
     if isinstance(prob, EmbeddingProblem):
@@ -629,6 +745,15 @@ def closed_form_constant(prob) -> ExtReal:
 
 def best_constant_lower_bound(prob, cfg: OracleConfig = None) -> OracleResult:
     """Maximize the inequality ratio over the discretized function space.
+
+    The family members are scored first; the best of them and then each
+    of the `restarts - 1` seeded random starts begin a local search: the
+    power method where the target is a convex norm (see the module
+    docstring), else a coordinate ascent.  The power method stops once a
+    step gains a relative 1e-10 or less, or after `ascent_sweeps *
+    grid_cells` steps; the ascent after `ascent_sweeps` sweeps.  At
+    P = 1 the search is one scan of the one-cell functions, which is the
+    discrete maximum.  With `ascent_sweeps = 0` there is no local search.
 
     The returned lower_bound is attained by argmax up to the evaluator's
     quadrature, and the trace of best-so-far ratios is non-decreasing.
@@ -661,15 +786,21 @@ def best_constant_lower_bound(prob, cfg: OracleConfig = None) -> OracleResult:
                               "(source norm vanishes or target is zero)")
 
     tracker = [best_ratio]
-    vals, r = _coordinate_ascent(ev, best_vals, cfg, trace, counter, tracker)
-    if r > best_ratio:
-        best_ratio, best_vals = r, vals
-
-    for _ in range(cfg.restarts - 1):
-        start = np.exp(rng.normal(0.0, 2.0, ev.m))
-        vals, r = _coordinate_ascent(ev, start, cfg, trace, counter, tracker)
+    power = ev.power_exponents
+    if power is not None and power[1] == 1.0 and cfg.ascent_sweeps > 0:
+        found = [_vertex_scan(ev, trace, counter, tracker)]
+    else:
+        search = _coordinate_ascent if power is None else _power_method
+        starts = itertools.chain([best_vals], (
+            np.exp(rng.normal(0.0, 2.0, ev.m))
+            for _ in range(cfg.restarts - 1)))
+        found = (search(ev, start, cfg, trace, counter, tracker)
+                 for start in starts)
+    for vals, r in found:
         if r > best_ratio:
             best_ratio, best_vals = r, vals
+            if math.isinf(r):
+                break
 
     return OracleResult(ExtReal(best_ratio), ev.grid_function(best_vals),
                         trace, family_bests)
@@ -689,9 +820,7 @@ def divergence_witness(prob, cfg: OracleConfig = None, constant=None):
     if not const.is_inf:
         raise ValueError("divergence_witness requires an infinite "
                          "closed-form constant")
-    wide = OracleConfig(grid_cells=cfg.grid_cells,
-                        knot_range=(1e-9, 1e9),
-                        restarts=1, ascent_sweeps=0, seed=cfg.seed)
+    wide = replace(cfg, knot_range=(1e-9, 1e9), restarts=1, ascent_sweeps=0)
     ev = _RatioEvaluator(prob, wide)
     m = ev.m
     idx = np.arange(m)

@@ -223,7 +223,7 @@ def _safe_exp(rate, x):
 def _sampled_esssup(profile, a, b, n=2049):
     """The largest of the profile's values on a grid of n points in (a, b),
     ignoring nan: at its two ends, the one-sided limits from inside the
-    interval."""
+    interval, and at a = 0 the limit at 0+ too."""
     lo = max(a, 1e-9) if a == 0.0 else a
     hi = min(b, 1e9) if math.isinf(b) else b
     if lo >= hi:
@@ -231,6 +231,9 @@ def _sampled_esssup(profile, a, b, n=2049):
     grid = np.geomspace(lo, hi, n) if lo > 0 else np.linspace(lo, hi, n)
     vals = np.concatenate((profile.right_limit(grid[:1]), profile(grid[1:-1]),
                            profile.left_limit(grid[-1:])))
+    if a == 0.0:
+        with np.errstate(all="ignore"):
+            vals = np.append(vals, profile.right_limit(np.zeros(1)))
     return float(np.fmax.reduce(vals, initial=0.0))
 
 
@@ -593,7 +596,10 @@ class FnProfile(RadialProfile):
 
     @_radii
     def right_limit(self, t):
-        return self(t * (1.0 + 2.0 ** -40))
+        """nan at 0, where an evaluator gives no limit to read."""
+        out = np.full(t.shape, np.nan)
+        out[t > 0] = self(t[t > 0] * (1.0 + 2.0 ** -40))
+        return out
 
     def breakpoints(self):
         return self._breaks

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from morreyemb.embeddings import EmbeddingProblem, embedding_constant
 from morreyemb.errors import NotAWeight
+from morreyemb.hardy import HardyProblem, hardy_A
 from morreyemb.profiles import (ExpProfile, FnProfile, PiecewisePowerProfile,
                                 PowerProfile, ProductProfile,
                                 ShiftedPowerProfile, constant, truncated_power)
@@ -185,6 +187,28 @@ def test_sampled_esssup_reads_the_open_interval():
     step = FnProfile(lambda t: 1.0 if t < 1.0 else 5.0, breakpoints=(1.0,))
     assert step.esssup(0.5, 1.0) == 1.0
     assert float(head_norm(step, INF, 1.0)) == 1.0
+
+
+def test_sampled_esssup_reads_the_limit_at_zero():
+    # (1 + t)^(-3) falls from its limit 1 at 0+, which no grid point in
+    # (0, 2) reaches
+    falling = ShiftedPowerProfile(1.0, 1.0, 3.0).power(-1.0).times(
+        constant(1.0))
+    assert isinstance(falling, ProductProfile)
+    assert falling.esssup(0.0, 2.0) == 1.0
+    # so with p1 = p2 = 1 the embedding's esssup of v1^(-1) over the ball
+    # is 1 near the origin, and its constant is the Hardy functional of
+    # the same data: q = theta, v = omega^theta, w = v1
+    v1 = Weight(1, ShiftedPowerProfile(1.0, 1.0, 3.0))
+    emb = EmbeddingProblem("lebesgue_to_lm", 1, 1.0, 1.0, 0.5, v1,
+                           Weight(1, constant(1.0)), ExpProfile(1.0, -2.0))
+    hardy = HardyProblem("direct", 1.0, 0.5, ExpProfile(1.0, -1.0), v1)
+    assert float(embedding_constant(emb)) == pytest.approx(
+        float(hardy_A(hardy)), rel=1e-15, abs=0.0)
+    # an evaluator gives no limit at 0+: the grid alone reads it
+    assert math.isnan(FnProfile(lambda t: 1.0 / t).right_limit(0.0))
+    assert FnProfile(lambda t: 1.0 / t).esssup(0.0, 1.0) == pytest.approx(
+        1e9, rel=1e-12)
 
 
 def test_evaluator_one_sided_limits():
