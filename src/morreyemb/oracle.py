@@ -15,10 +15,14 @@ p2 <= p1 < inf (the direct Hardy variants with 1 <= p, q < inf, p2 = 1),
 the ratio is (N'(u) / S'(u))^(1/p2) on u = v^p2: N' is a norm of a
 nonnegative linear map of u, with exponent r = theta/p2, and S' a weighted
 l^P norm, P = p1/p2.  There the search is the nonlinear power method
-(Boyd, 1974), whose step never lowers the ratio and which for P <= r
-reaches the global maximum; at P = 1 the maximum sits at a one-cell
-function, and the search scans them.  Every other problem takes a
-coordinate ascent.
+(Boyd, 1974).  For r <= P, that is theta <= p1 (q <= p for Hardy), it
+reaches the global maximum (Bhaskara and Vijayaraghavan, 2011, for
+nonnegative maps); for r > P its step still never lowers the ratio, but
+the point it stops at may be a local maximum.  At P = 1 the maximum sits
+at a one-cell function, and the search scans them.
+Every other problem takes a coordinate ascent, which scores the
+candidate values of one coordinate as whole rows through the same batch
+ratio pass as the families.
 """
 
 from __future__ import annotations
@@ -149,10 +153,10 @@ def _pow(x, e):
 
 
 def _exclusive(op, terms):
-    """Running op-reduction of terms before each entry, 0 before the
-    first."""
-    out = np.zeros(len(terms))
-    op.accumulate(terms[:-1], out=out[1:])
+    """Running op-reduction of terms along the last axis before each
+    entry, 0 before the first."""
+    out = np.zeros(terms.shape)
+    op.accumulate(terms[..., :-1], axis=-1, out=out[..., 1:])
     return out
 
 
@@ -165,18 +169,9 @@ class _RatioEvaluator:
     infinity over complements.  ``morrey_on_top`` decides whether the
     cumulative (Morrey/Hardy style) norm is the numerator.
 
-    ``_ratio(values)`` loads ``values`` into a per-cell cache: the inner
-    accumulation and the outer accumulation before each cell, and the
-    source accumulation over the other cells.
-    ``_scores(i, cands)`` then scores every candidate value of cell i at
-    once: the cells before it keep their cached terms, cell i is
-    recomputed, and each later cell only sees cell i's candidate shift its
-    inner accumulation (by a sum, or a running max when p2 = inf).
-    ``_accept(b, c)`` loads candidate b of the last scoring into the cache
-    from that scoring's outer integrand, leaving the cells before it as
-    they are.  ``ratios(V)`` scores whole rows at once, apart from the
-    cache.  All of them go through the same per-cell code, ``_tail`` and
-    ``_finish``.
+    ``ratios(V)`` scores every row of V from scratch, in one pass over the
+    (B, m, K) grid, and is the only scoring path: ``ratio(values)`` is its
+    one-row case, and a row scores the same alone as among others.
     """
 
     def __init__(self, prob, cfg: OracleConfig):
@@ -311,13 +306,9 @@ class _RatioEvaluator:
         # (G itself when p2 = inf), raised to q and summed for finite q,
         # maximized for q = inf
         q = self.outer_q
-        e = 1.0 if self.sup_inner else 1.0 / self.inner_p
         self._q_inf = math.isinf(q)
-        if self._q_inf:
-            self._gpow, self._outer_op = e, np.maximum
-        else:
-            self._gpow = q if self.sup_inner else q / self.inner_p
-            self._outer_op = np.add
+        self._gpow = (1.0 if self._q_inf else q) \
+            / (1.0 if self.sup_inner else self.inner_p)
         self._src_inf = math.isinf(self.src_p)
         self._src_op = np.maximum if self._src_inf else np.add
         # with the cumulative norm on top and 1 <= p2 <= q < inf, p2 <= p1
@@ -329,184 +320,58 @@ class _RatioEvaluator:
                                        or self._src_inf) \
                 and 1.0 <= self.inner_p <= min(q, self.src_p):
             self.power_exponents = self._gpow, self.src_p / self.inner_p
-        # the cache, filled by _ratio in accumulation order; the entries of
-        # the first cell in _inner_before and _outer_before are always 0
-        self._v, self._src = np.zeros(m), np.zeros(m)
-        if self.sup_inner:
-            self._marks = np.zeros((m, K))
-        else:
-            self._cell_mass, self._part = np.zeros(m), np.zeros((m, K))
-        self._inner_before = np.zeros(m)
-        self._outer_before = [0.0]
 
-    # -- the cache and the per-cell code path --------------------------
     def _cells(self, a):
         """Cell values in natural order to accumulation order, or back."""
         a = np.asarray(a, dtype=float)
-        return a[::-1] if self._reverse else a
+        return a[..., ::-1] if self._reverse else a
 
     def ratio(self, values):
-        with np.errstate(all="ignore"):
-            return self._ratio(values)
+        return self.ratios([values])[0]
 
     def ratios(self, V):
-        """The ratio of every row of the (B, m) array V, in one pass over
-        the grid; the cache is left as it was."""
+        """The ratio of every row of the (B, m) array V."""
         with np.errstate(all="ignore"):
-            # contiguous rows and first cells, as _ratio has them, so that
-            # numpy takes the same power loop
-            V = np.asarray(V, dtype=float)
-            V = np.ascontiguousarray(V[:, ::-1] if self._reverse else V)
-            first, later = V[:, 0].copy(), V[:, 1:]
-            _, accs, totals = self._tail(
-                0, first, self._terms(slice(1, None), later))
-            # the source over the later cells, accumulated as _load has it
-            others = self._src_op.accumulate(
-                self._src_terms(slice(1, None), later)[:, ::-1],
-                axis=1)[:, -1]
-            return [self._finish(acc, total, self._source(0, c, rest))
-                    for acc, total, c, rest in zip(
-                        accs, totals, first.tolist(), others.tolist())]
+            V = np.ascontiguousarray(self._cells(V))
+            G, totals = self._inner(V if self.sup_inner
+                                    else V ** self.inner_p)
+            if self._gpow != 1.0:
+                G **= self._gpow
+            G = G.reshape(len(V), -1)
+            if self._q_inf:
+                accs = np.maximum.reduce(G * self._outer_flat, axis=1)
+            else:
+                # each row its own dot product: a matrix product may round
+                # a row differently with other rows beside it
+                accs = np.einsum("ij,j->i", G, self._outer_flat)
+            return [self._finish(acc, total, src) for acc, total, src in zip(
+                accs.tolist(), totals.tolist(), self._sources(V).tolist())]
 
-    def _ratio(self, values):
-        """Load `values` into the per-cell cache and return their ratio."""
-        self._load(slice(None), self._cells(values))
-        G, accs, totals = self._tail(0, self._v[:1])
-        self._outer_from(0, G[0])
-        return self._finish(accs[0], totals[0],
-                            self._source(0, float(self._v[0])))
-
-    def _scores(self, i, cands):
-        """Ratios of the loaded values with coarse cell i set to each of
-        cands, in order.  The scoring is kept for `_accept`."""
-        j = self.m - 1 - i if self._reverse else i
-        G, accs, totals = self._tail(j, cands)
-        self._scored = j, G
-        return [self._finish(acc, total, self._source(j, c))
-                for c, acc, total in zip(cands, accs, totals)]
-
-    def _accept(self, b, c):
-        """Load candidate b, of value c, of the last `_scores` call into the
-        cache, as `_ratio` of the moved values would: the cells before it
-        keep their outer accumulation, and the later ones take theirs from
-        the outer integrand that scoring computed."""
-        j, G = self._scored
-        self._load(slice(j, j + 1), c)
-        self._outer_from(j, G[b])
-
-    def _terms(self, cells, v):
-        """The inner terms of the cells (a slice in accumulation order) at
-        values v (..., cells): the subcell marks when p2 = inf, else the
-        cell masses and the within-cell partial masses."""
+    def _inner(self, vp):
+        """The inner accumulation at the subcell midpoints, (B, m, K), and
+        over the whole grid, (B,), of the rows of vp in accumulation order:
+        the values themselves when p2 = inf, else their p2-th powers."""
         if self.sup_inner:
-            return v[..., None] * self._w[cells]
-        vp = v ** self.inner_p
-        return (vp * self._inner_cell[cells],
-                vp[..., None] * self._part_half[cells])
+            marks = vp[:, :, None] * self._w
+            G = np.maximum.accumulate(marks.reshape(len(vp), -1), axis=1)
+            # a copy: the caller raises G to the outer exponent in place
+            return G.reshape(marks.shape), G[:, -1].copy()
+        mass = vp * self._inner_cell
+        before = _exclusive(np.add, mass)
+        G = vp[:, :, None] * self._part_half
+        G += before[:, :, None]
+        return G, before[:, -1] + mass[:, -1]
 
-    def _src_terms(self, cells, v):
-        """The source terms of the cells at values v (..., cells)."""
-        return (v if self._src_inf else v ** self.src_p) \
-            * self._src_cell[cells]
+    def _sources(self, V):
+        """The source accumulation of every row of V."""
+        terms = (V if self._src_inf else V ** self.src_p) * self._src_cell
+        return self._src_op.reduce(terms, axis=1)
 
-    def _load(self, cells, v):
-        """Set the cached terms of the cells (a slice in accumulation
-        order) to values v, then redo the inner and source accumulations
-        over the grid.  The terms are computed from the contiguous cache,
-        so that a power of a value is the same however many cells are
-        loaded at once."""
-        self._v[cells] = v
-        v = self._v[cells]
-        if self.sup_inner:
-            self._marks[cells] = self._terms(cells, v)
-            self._inner_before = _exclusive(np.maximum,
-                                            self._marks.max(axis=1))
-        else:
-            self._cell_mass[cells], self._part[cells] = self._terms(cells, v)
-            self._inner_before = _exclusive(np.add, self._cell_mass)
-        self._src[cells] = self._src_terms(cells, v)
-        op = self._src_op
-        self._src_others = op(_exclusive(op, self._src),
-                              _exclusive(op, self._src[::-1])[::-1]).tolist()
-        self.src_norm = self._source_norm(self._source(0, float(self._v[0])))
-
-    def _outer_from(self, j, G):
-        """Redo the outer accumulation before each cell after j from the
-        outer integrand G on the subcells of cells j, j+1, ..., going on
-        from the accumulation before cell j."""
-        op, K = self._outer_op, self.K
-        terms = np.empty(self.m - j)
-        terms[0] = self._outer_before[j]
-        terms[1:] = op.reduce((G[:-K] * self._outer_flat[j * K:-K]).reshape(
-            -1, K), axis=1)
-        self._outer_before[j:] = op.accumulate(terms).tolist()
-
-    def _tail(self, j, c, after=None):
-        """Cell j (in accumulation order) set to each value of c, the later
-        cells as loaded, or per value with the inner terms `after` of
-        `_terms`: the outer integrand G^(1/p2) (raised to q when q is
-        finite) on the subcells of cells j, j+1, ..., and per value the
-        outer accumulation over the grid and the inner accumulation over
-        the whole grid, as lists of floats."""
-        B, rest, K = len(c), self.m - j - 1, self.K
-        c = np.asarray(c, dtype=float)[:, None]
-        G = np.empty((B, rest + 1, K))
-        own = G[:, 0]
-        before = self._inner_before[j]
-        if self.sup_inner:
-            marks = self._marks[j + 1:] if after is None else after
-            np.multiply(c, self._w[j], out=own)
-            np.maximum.accumulate(own, axis=1, out=own)
-            np.maximum(own, before, out=own)
-            # a later subcell sees the running max up to it
-            run = np.maximum.accumulate(
-                marks.reshape(marks.shape[:-2] + (-1,)), axis=-1)
-            np.maximum(G[:, :1, -1:], run.reshape(marks.shape), out=G[:, 1:])
-            total = G[:, -1, -1].copy()
-        else:
-            mass, part = (self._cell_mass[j + 1:], self._part[j + 1:]) \
-                if after is None else after
-            cp = c if self.inner_p == 1.0 else c ** self.inner_p
-            np.multiply(cp, self._part_half[j], out=own)
-            own += before
-            # the inner accumulation before each later cell: cell j's
-            # candidate mass, then the masses in between; the last entry is
-            # the accumulation over the whole grid
-            met = np.empty((B, rest + 1))
-            np.multiply(cp[:, 0], self._inner_cell[j], out=met[:, 0])
-            met[:, 0] += before
-            met[:, 1:] = mass
-            np.add.accumulate(met, axis=1, out=met)
-            np.add(met[:, :-1, None], part, out=G[:, 1:])
-            total = met[:, -1]
-        if self._gpow != 1.0:
-            G **= self._gpow
-        G = G.reshape(B, -1)
-        outer = self._outer_flat[j * K:]
-        if self._q_inf:
-            accs = np.maximum(self._outer_before[j],
-                              np.maximum.reduce(G * outer, axis=1))
-        elif after is None:
-            accs = G @ outer
-            accs += self._outer_before[j]
-        else:
-            # rows apart from the cache each take their own dot product,
-            # which is what _ratio's single row gets from the matrix
-            # product; a product of several rows may round differently
-            accs = np.array([g @ outer for g in G])
-        return G, accs.tolist(), total.tolist()
-
-    def _source(self, j, c, others=None):
-        """The source accumulation with cell j set to c, the other cells
-        accumulating to `others` (by default as loaded)."""
-        if others is None:
-            others = self._src_others[j]
-        x = float(self._src_cell[j])
-        if self._src_inf:
-            x *= c
-            # max(others, x), nan if either is nan, as np.max has it
-            return x if x > others or x != x else others
-        return others + x * _pow(c, self.src_p)
+    def source_norm(self, values):
+        """The source norm of values."""
+        with np.errstate(all="ignore"):
+            return self._source_norm(
+                float(self._sources(self._cells(values)[None])[0]))
 
     def _finish(self, acc, total, src):
         """The ratio from the outer accumulation over the grid, the inner
@@ -540,11 +405,9 @@ class _RatioEvaluator:
         that each cell's mass carries into the later subcells one suffix
         accumulation."""
         r, P = self.power_exponents
-        mass = u * self._inner_cell
-        before = _exclusive(np.add, mass)
-        G = before[:, None] + u[:, None] * self._part_half
+        G, total = self._inner(u[None])
+        G, total = G[0], total[0]
         dG = self._outer * G ** (r - 1.0)
-        total = before[-1] + mass[-1]
         beyond = self.outer_beyond * total ** (r - 1.0)
         later = _exclusive(np.add, dG.sum(axis=1)[::-1])[::-1]
         grad = self._inner_cell * (later + beyond) \
@@ -629,68 +492,67 @@ def _family_members(ev: _RatioEvaluator, cfg: OracleConfig):
                     yield "two_block", vals
 
 
-def _coordinate_ascent(ev, values, cfg, trace, counter, tracker):
-    """Serial log-space coordinate ascent; returns improved values.
+class _Incumbent:
+    """The highest ratio scored so far and its values, with a trace entry
+    (count of candidates scored, ratio) on each rise."""
 
-    ``tracker`` holds the global best ratio so the trace stays
-    non-decreasing across restarts.
-    """
+    def __init__(self):
+        self.ratio, self.values, self.count, self.trace = 0.0, None, 0, []
+
+    def offer(self, r, values):
+        """Take values, of ratio r, if r is higher than the incumbent's."""
+        if r > self.ratio:
+            self.ratio, self.values = r, np.array(values, dtype=float)
+            self.trace.append((self.count, r))
+
+
+def _coordinate_ascent(ev, values, cfg, incumbent):
+    """Serial log-space coordinate ascent from values.  The candidate
+    values of one coordinate are scored together, each as a whole row,
+    then walked in order: every row differs from the current values in
+    that coordinate only, so its score does not depend on which earlier
+    one was taken."""
     values = np.array(values, dtype=float)
-    err = np.seterr(all="ignore")
-    try:
-        return _ascent_loop(ev, values, cfg, trace, counter, tracker)
-    finally:
-        np.seterr(**err)
+    best = ev.ratio(values)
+    incumbent.offer(best, values)
+    with np.errstate(all="ignore"):
+        for sweep in range(cfg.ascent_sweeps):
+            improved = best
+            for i in range(ev.m):
+                c = float(values[i])
+                cands = [x for x in ([c * 0.25, c * 0.5, c * 2.0, c * 4.0, 0.0]
+                                     if c > 0 else [1e-6, 1e-3, 1.0])
+                         if not x > 1e12]
+                rows = np.repeat(values[None], len(cands), axis=0)
+                rows[:, i] = cands
+                for row, r in zip(rows, ev.ratios(rows)):
+                    incumbent.count += 1
+                    if r > best * (1.0 + 1e-12):
+                        best = r
+                        values[i] = row[i]
+                        incumbent.offer(r, row)
+            src = ev.source_norm(values)
+            if 0.0 < src < _INF:
+                values /= src
+            if best <= improved * (1.0 + 1e-4):
+                break
+            # a restart stuck far below the incumbent will not catch up
+            if sweep >= 1 and best < 0.5 * incumbent.ratio:
+                break
+            if sweep >= 3 and best < 0.98 * incumbent.ratio:
+                break
 
 
-def _ascent_loop(ev, values, cfg, trace, counter, tracker):
-    """Score each coordinate's candidates together, then walk them in order:
-    every candidate differs from the loaded values in that coordinate
-    only, so its score does not depend on which earlier one was taken."""
-    best = ev._ratio(values)
-    for sweep in range(cfg.ascent_sweeps):
-        improved = best
-        for i in range(ev.m):
-            c = float(values[i])
-            cands = [x for x in ([c * 0.25, c * 0.5, c * 2.0, c * 4.0, 0.0]
-                                 if c > 0 else [1e-6, 1e-3, 1.0])
-                     if not x > 1e12]
-            taken = None
-            for b, r in enumerate(ev._scores(i, cands)):
-                counter[0] += 1
-                if r > best * (1.0 + 1e-12):
-                    best, taken = r, b
-                    if best > tracker[0]:
-                        tracker[0] = best
-                        trace.append((counter[0], best))
-            if taken is not None:
-                values[i] = cands[taken]
-                ev._accept(taken, cands[taken])
-        src = ev.src_norm
-        if 0.0 < src < _INF:
-            values /= src
-            ev._ratio(values)
-        if best <= improved * (1.0 + 1e-4):
-            break
-        # a restart stuck far below the incumbent will not catch up
-        if sweep >= 1 and best < 0.5 * tracker[0]:
-            break
-        if sweep >= 3 and best < 0.98 * tracker[0]:
-            break
-    return values, best
-
-
-def _power_method(ev, values, cfg, trace, counter, tracker):
+def _power_method(ev, values, cfg, incumbent):
     """Power steps from values until one gains a relative 1e-10 or less,
-    at most ascent_sweeps * grid_cells of them; returns the values and
-    their ratio, the evaluator's own, that the steps ended at, or the
-    start where that is no higher."""
+    at most ascent_sweeps * grid_cells of them; the start and the values
+    the steps end at are offered to the incumbent."""
     with np.errstate(all="ignore"):
         u = ev._cells(values) ** ev.inner_p
         est, grad = ev._power_terms(u)
         for _ in range(cfg.ascent_sweeps * ev.m):
             step = ev._power_move(u, grad)
-            counter[0] += 1
+            incumbent.count += 1
             r, step_grad = ev._power_terms(step)
             if not r > est:
                 break
@@ -698,33 +560,21 @@ def _power_method(ev, values, cfg, trace, counter, tracker):
             u, est, grad = step, r, step_grad
             if not gain:
                 break
-        best = ev._ratio(values)
         found = ev._cells(u) ** (1.0 / ev.inner_p)
-        r = ev._ratio(found)
-    if r > best:
-        values, best = found, r
-    if best > tracker[0]:
-        tracker[0] = best
-        trace.append((counter[0], best))
-    return values, best
+    for row, r in zip((values, found), ev.ratios([values, found])):
+        incumbent.offer(r, row)
 
 
-def _vertex_scan(ev, trace, counter, tracker):
+def _vertex_scan(ev, incumbent):
     """At P = 1 the convex target's maximum over the source's unit ball, a
     weighted l^1 ball, sits at a vertex: score the m one-cell functions."""
-    best, best_vals = 0.0, None
     for lo in range(0, ev.m, _BLOCK):
         block = np.eye(ev.m)[lo:lo + _BLOCK]
         for vals, r in zip(block, ev.ratios(block)):
-            counter[0] += 1
-            if r > best:
-                best, best_vals = r, vals
-                if best > tracker[0]:
-                    tracker[0] = best
-                    trace.append((counter[0], best))
-                if math.isinf(r):
-                    return best_vals, best
-    return best_vals, best
+            incumbent.count += 1
+            incumbent.offer(r, vals)
+            if math.isinf(r):
+                return
 
 
 def closed_form_constant(prob) -> ExtReal:
@@ -755,55 +605,48 @@ def best_constant_lower_bound(prob, cfg: OracleConfig = None) -> OracleResult:
     P = 1 the search is one scan of the one-cell functions, which is the
     discrete maximum.  With `ascent_sweeps = 0` there is no local search.
 
-    The returned lower_bound is attained by argmax up to the evaluator's
-    quadrature, and the trace of best-so-far ratios is non-decreasing.
+    Every search offers the values it reaches to one incumbent, the best
+    row scored so far: lower_bound is the evaluator's ratio of argmax,
+    exactly, and the last entry of the trace of the incumbent's rises.
     """
     cfg = cfg or OracleConfig()
     ev = _RatioEvaluator(prob, cfg)
     rng = np.random.default_rng(cfg.seed)
-    trace = []
-    counter = [0]
+    incumbent = _Incumbent()
 
     family_bests = {}
-    best_ratio, best_vals = 0.0, None
     members = _family_members(ev, cfg)
     while block := list(itertools.islice(members, _BLOCK)):
         ratios = ev.ratios([vals for _, vals in block])
         for (fam, vals), r in zip(block, ratios):
-            counter[0] += 1
+            incumbent.count += 1
+            incumbent.offer(r, vals)
             if math.isinf(r):
                 return OracleResult(ExtReal(_INF), ev.grid_function(vals),
-                                    trace + [(counter[0], _INF)],
-                                    {fam: _INF})
+                                    incumbent.trace, {fam: _INF})
             if r > family_bests.get(fam, 0.0):
                 family_bests[fam] = r
-            if r > best_ratio:
-                best_ratio, best_vals = r, vals
-                trace.append((counter[0], best_ratio))
 
-    if best_vals is None or best_ratio == 0.0:
+    if incumbent.values is None:
         raise DegenerateRatio("every candidate has zero ratio "
                               "(source norm vanishes or target is zero)")
 
-    tracker = [best_ratio]
     power = ev.power_exponents
     if power is not None and power[1] == 1.0 and cfg.ascent_sweeps > 0:
-        found = [_vertex_scan(ev, trace, counter, tracker)]
+        _vertex_scan(ev, incumbent)
     else:
         search = _coordinate_ascent if power is None else _power_method
-        starts = itertools.chain([best_vals], (
+        starts = itertools.chain([incumbent.values], (
             np.exp(rng.normal(0.0, 2.0, ev.m))
             for _ in range(cfg.restarts - 1)))
-        found = (search(ev, start, cfg, trace, counter, tracker)
-                 for start in starts)
-    for vals, r in found:
-        if r > best_ratio:
-            best_ratio, best_vals = r, vals
-            if math.isinf(r):
+        for start in starts:
+            search(ev, start, cfg, incumbent)
+            if math.isinf(incumbent.ratio):
                 break
 
-    return OracleResult(ExtReal(best_ratio), ev.grid_function(best_vals),
-                        trace, family_bests)
+    return OracleResult(ExtReal(incumbent.ratio),
+                        ev.grid_function(incumbent.values), incumbent.trace,
+                        family_bests)
 
 
 def divergence_witness(prob, cfg: OracleConfig = None, constant=None):

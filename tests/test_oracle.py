@@ -13,9 +13,9 @@ from morreyemb.errors import DegenerateRatio, WitnessNotFound
 from morreyemb.hardy import HardyProblem, hardy_A
 from morreyemb.embeddings import EmbeddingProblem
 from morreyemb.integration import ball_volume, sphere_area
-from morreyemb.oracle import (OracleConfig, _RatioEvaluator, _family_members,
-                              best_constant_lower_bound, divergence_witness,
-                              equivalence_report)
+from morreyemb.oracle import (_BLOCK, OracleConfig, _RatioEvaluator,
+                              _family_members, best_constant_lower_bound,
+                              divergence_witness, equivalence_report)
 from morreyemb.profiles import (ExpProfile, PowerProfile,
                                 ShiftedPowerProfile, constant,
                                 truncated_power)
@@ -78,9 +78,7 @@ class TestLowerBound:
     def test_argmax_reproduces_lower_bound(self):
         res = best_constant_lower_bound(BENCHMARK, SMALL)
         ev = _RatioEvaluator(BENCHMARK, SMALL)
-        again = ev.ratio(res.argmax.values)
-        assert again == pytest.approx(float(res.lower_bound), rel=1e-12,
-                                      abs=0.0)
+        assert ev.ratio(res.argmax.values) == float(res.lower_bound)
 
     def test_deterministic_given_seed(self):
         a = best_constant_lower_bound(BENCHMARK, SMALL)
@@ -141,7 +139,7 @@ class TestEquivalenceReport:
 
 
 # ---------------------------------------------------------------------------
-# a coordinate's candidates scored together
+# one problem of every branch, scored row by row and searched
 
 ONE = Weight(1, constant(1.0))
 DECAY = ExpProfile(1.0, -1.0)
@@ -185,9 +183,6 @@ def _evaluator(name):
 
 
 cell_values = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
-candidates = st.lists(st.one_of(st.sampled_from([0.0, 1e12]),
-                                st.floats(1e-6, 1e6)),
-                      min_size=1, max_size=5)
 
 
 def test_scored_problems_cover_every_branch():
@@ -197,28 +192,6 @@ def test_scored_problems_cover_every_branch():
     assert {ev._q_inf for ev in evs} == {False, True}
     assert {ev._src_inf for ev in evs} == {False, True}
     assert {ev.morrey_on_top for ev in evs} == {False, True}
-
-
-@pytest.mark.parametrize("name", sorted(SCORED))
-@settings(max_examples=40, deadline=None)
-@given(values=st.lists(cell_values, min_size=16, max_size=16),
-       i=st.integers(0, 15), cands=candidates)
-@example(values=[1.0] * 16, i=0, cands=[0.0, 1e12])
-@example(values=[0.0] * 15 + [1.0], i=15, cands=[0.0, 0.25, 4.0])
-@example(values=[1.0] + [0.0] * 15, i=0, cands=[1e12, 0.0, 1e-6])
-def test_batched_scores_equal_full_ratios(name, values, i, cands):
-    ev = _evaluator(name)
-    ev.ratio(values)
-    with np.errstate(all="ignore"):
-        got = ev._scores(i, cands)
-    for cand, score in zip(cands, got):
-        moved = list(values)
-        moved[i] = cand
-        want = ev.ratio(moved)
-        if want == 0.0 or math.isinf(want):
-            assert score == want, (cand, score, want)
-        else:
-            assert score == pytest.approx(want, rel=1e-12, abs=0.0), cand
 
 
 def _reference_ratio(ev, values):
@@ -262,7 +235,7 @@ def _reference_ratio(ev, values):
                        min_size=16, max_size=16))
 @example(values=[0.0] * 16)
 @example(values=[1.0] * 8 + [0.0] * 8)
-def test_cached_ratio_equals_reference(name, values):
+def test_ratio_equals_reference(name, values):
     ev = _evaluator(name)
     got = ev.ratio(values)
     with np.errstate(all="ignore"):
@@ -306,12 +279,20 @@ AUDIT_LOWER_BOUNDS = {
 AVERAGED_LOWER_BOUNDS = {1: 1.980644631023287, 2: 1.992845241065642}
 
 
+def _assert_bound_is_the_incumbent(prob, cfg, res):
+    """lower_bound is the trace's last entry and the ratio of argmax, all
+    three the same float."""
+    again = _RatioEvaluator(prob, cfg).ratio(res.argmax.values)
+    assert float(res.lower_bound) == res.trace[-1][1] == again
+
+
 @pytest.mark.parametrize("name", sorted(AUDIT_LOWER_BOUNDS))
 def test_audit_lower_bound_pinned(name):
     prob = FINITE_INSTANCES[name][0]
     res = best_constant_lower_bound(prob, AUDIT_CFG)
     assert float(res.lower_bound) == pytest.approx(
         AUDIT_LOWER_BOUNDS[name], rel=1e-12, abs=0.0)
+    _assert_bound_is_the_incumbent(prob, AUDIT_CFG, res)
 
 
 AVERAGED_CFG = OracleConfig(grid_cells=256, knot_range=(1e-9, 1e9),
@@ -329,76 +310,35 @@ def _averaged(n):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_averaged_operator_lower_bound_pinned(n):
-    res = best_constant_lower_bound(_averaged(n), AVERAGED_CFG)
+    prob = _averaged(n)
+    res = best_constant_lower_bound(prob, AVERAGED_CFG)
     assert float(res.lower_bound) == pytest.approx(
         AVERAGED_LOWER_BOUNDS[n], rel=1e-12, abs=0.0)
+    _assert_bound_is_the_incumbent(prob, AVERAGED_CFG, res)
 
 
-# ---------------------------------------------------------------------------
-# an accepted candidate loaded from its own scoring, and rows scored together
-
-_FRESH = {}
-
-
-def _fresh(name):
-    """A second evaluator of the problem, to load values from scratch."""
-    if name not in _FRESH:
-        _FRESH[name] = _RatioEvaluator(SCORED[name], SCORE_CFG)
-    return _FRESH[name]
-
-
-def _cache(ev):
-    """The cache's fields as bytes, to be compared bitwise."""
-    fields = ["_v", "_src", "_inner_before", "_src_others", "_outer_before",
-              "src_norm"]
-    fields += ["_marks"] if ev.sup_inner else ["_cell_mass", "_part"]
-    return {f: np.asarray(getattr(ev, f), dtype=float).tobytes()
-            for f in fields}
-
-
-moves = st.lists(st.tuples(st.integers(0, 15), candidates, st.integers(0, 4)),
-                 min_size=1, max_size=3)
-
-
-@pytest.mark.parametrize("name", sorted(SCORED))
-@settings(max_examples=40, deadline=None)
-@given(values=st.lists(cell_values, min_size=16, max_size=16), moves=moves,
-       i=st.integers(0, 15), cands=candidates)
-@example(values=[1.0] * 16, moves=[(0, [0.0, 1e12], 1), (15, [0.5], 0)],
-         i=0, cands=[2.0])
-@example(values=[0.0] * 15 + [1.0], moves=[(15, [0.0, 0.25, 4.0], 2)],
-         i=14, cands=[1e-6])
-def test_accept_loads_as_a_full_ratio(name, values, moves, i, cands):
-    ev, ref = _evaluator(name), _fresh(name)
-    moved = list(values)
-    with np.errstate(all="ignore"):
-        ev._ratio(moved)
-        for cell, move_cands, b in moves:
-            b %= len(move_cands)
-            ev._scores(cell, move_cands)
-            ev._accept(b, move_cands[b])
-            moved[cell] = move_cands[b]
-        ref._ratio(moved)
-        assert _cache(ev) == _cache(ref)
-        assert ev._scores(i, cands) == ref._scores(i, cands)
+# reverse_complement's Hardy norm is infinite below SCORE_CFG's grid (v^q =
+# t^(-3/2) near 0), so every candidate scores 0 and its search raises
+# DegenerateRatio
+@pytest.mark.parametrize("name", sorted(set(SCORED) - {"reverse_complement"}))
+def test_scored_bound_is_the_incumbent(name):
+    res = best_constant_lower_bound(SCORED[name], SCORE_CFG)
+    _assert_bound_is_the_incumbent(SCORED[name], SCORE_CFG, res)
 
 
 @pytest.mark.parametrize("name", sorted(SCORED))
 @settings(max_examples=40, deadline=None)
 @given(rows=st.lists(st.lists(st.one_of(cell_values, st.just(1e12)),
                               min_size=16, max_size=16),
-                     min_size=1, max_size=4))
+                     min_size=1, max_size=_BLOCK + 1))
 @example(rows=[[0.0] * 16, [1.0] * 16, [1.0] * 8 + [0.0] * 8])
 def test_row_ratios_equal_ratio(name, rows):
+    # a row scores the same, to the bit, alone or beside others, in
+    # blocks of more than one family block too
     ev = _evaluator(name)
     got = ev.ratios(np.array(rows))
-    assert len(got) == len(rows)
-    for row, score in zip(rows, got):
-        want = ev.ratio(row)
-        if want == 0.0 or math.isinf(want):
-            assert score == want
-        else:
-            assert score == pytest.approx(want, rel=1e-12, abs=0.0)
+    want = [ev.ratio(row) for row in rows]
+    assert np.array_equal(got, want, equal_nan=True)
 
 
 def _families_one_at_a_time(prob, cfg):
