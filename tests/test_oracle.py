@@ -13,7 +13,8 @@ from morreyemb.errors import DegenerateRatio, WitnessNotFound
 from morreyemb.hardy import HardyProblem, hardy_A
 from morreyemb.embeddings import EmbeddingProblem
 from morreyemb.integration import ball_volume, sphere_area
-from morreyemb.oracle import (_BLOCK, OracleConfig, _RatioEvaluator,
+from morreyemb.oracle import (_BLOCK, OracleConfig, _Incumbent,
+                              _RatioEvaluator, _coordinate_ascent,
                               _family_members, best_constant_lower_bound,
                               divergence_witness, equivalence_report)
 from morreyemb.profiles import (ExpProfile, PowerProfile,
@@ -183,6 +184,9 @@ def _evaluator(name):
 
 
 cell_values = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
+candidates = st.lists(st.one_of(st.sampled_from([0.0, 1e12]),
+                                st.floats(1e-6, 1e6)),
+                      min_size=1, max_size=5)
 
 
 def test_scored_problems_cover_every_branch():
@@ -192,6 +196,53 @@ def test_scored_problems_cover_every_branch():
     assert {ev._q_inf for ev in evs} == {False, True}
     assert {ev._src_inf for ev in evs} == {False, True}
     assert {ev.morrey_on_top for ev in evs} == {False, True}
+
+
+@pytest.mark.parametrize("name", sorted(SCORED))
+@settings(max_examples=40, deadline=None)
+@given(values=st.lists(cell_values, min_size=16, max_size=16),
+       i=st.integers(0, 15), cands=candidates)
+@example(values=[1.0] * 16, i=0, cands=[0.0, 1e12])
+@example(values=[0.0] * 15 + [1.0], i=15, cands=[0.0, 0.25, 4.0])
+@example(values=[1.0] + [0.0] * 15, i=0, cands=[1e12, 0.0, 1e-6])
+def test_batched_scores_equal_full_ratios(name, values, i, cands):
+    # a coordinate's candidate rows, built as the ascent builds them and
+    # scored in one pass, score each as its moved row does alone
+    ev = _evaluator(name)
+    rows = np.repeat(np.array(values, dtype=float)[None], len(cands), axis=0)
+    rows[:, i] = cands
+    got = ev.ratios(rows)
+    want = []
+    for cand in cands:
+        moved = list(values)
+        moved[i] = cand
+        want.append(ev.ratio(moved))
+    assert np.array_equal(got, want, equal_nan=True), (cands, got, want)
+
+
+@pytest.mark.parametrize("name", sorted(SCORED))
+@settings(max_examples=40, deadline=None)
+@given(values=st.lists(cell_values, min_size=16, max_size=16))
+@example(values=[1.0] * 16)
+@example(values=[0.0] * 15 + [1.0])
+@example(values=[1.0] + [0.0] * 15)
+def test_accept_loads_as_a_full_ratio(name, values):
+    # every candidate the ascent accepts is offered at the score of its
+    # whole row: the incumbent's ratio is the ratio of its values, its
+    # trace rises strictly, and the search never ends below its start
+    ev = _evaluator(name)
+    inc = _Incumbent()
+    _coordinate_ascent(ev, values, SCORE_CFG, inc)
+    counts = [c for c, _ in inc.trace]
+    rises = [r for _, r in inc.trace]
+    assert counts == sorted(counts)
+    assert all(a < b for a, b in zip(rises, rises[1:]))
+    if inc.values is None:
+        assert inc.ratio == 0.0 and not rises
+    else:
+        assert ev.ratio(inc.values) == inc.ratio == rises[-1]
+    start = ev.ratio(values)
+    assert not inc.ratio < start
 
 
 def _reference_ratio(ev, values):
