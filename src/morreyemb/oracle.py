@@ -6,23 +6,48 @@ The evaluator discretizes (0, inf) into log-spaced cells, refines each cell
 into subcells, and computes all the norms by vectorized midpoint/prefix
 sums, independently of the closed-form functionals it is used to audit.
 Canonical families (ball indicators, complements, near-extremal dual-power
-profiles, two-block combinations, power windows) seed a local search, which
-then runs again from randomized restarts.  Everything is serial and
-seed-deterministic.
+profiles, two-block combinations, power windows) are scored first; then
+one search, picked from a table by the ratio's structure, goes further.
+Everything is serial and seed-deterministic.
 
-Where the Morrey-type norm is the target, 1 <= p2 <= theta < inf and
-p2 <= p1 < inf (the direct Hardy variants with 1 <= p, q < inf, p2 = 1),
-the ratio is (N'(u) / S'(u))^(1/p2) on u = v^p2: N' is a norm of a
-nonnegative linear map of u, with exponent r = theta/p2, and S' a weighted
-l^P norm, P = p1/p2.  There the search is the nonlinear power method
-(Boyd, 1974).  For r <= P, that is theta <= p1 (q <= p for Hardy), it
-reaches the global maximum (Bhaskara and Vijayaraghavan, 2011, for
-nonnegative maps); for r > P its step still never lowers the ratio, but
-the point it stops at may be a local maximum.  At P = 1 the maximum sits
-at a one-cell function, and the search scans them.
-Every other problem takes a coordinate ascent, which scores the
-candidate values of one coordinate as whole rows through the same batch
-ratio pass as the families.
+On u = v^p2 (u = v for the Hardy variants, p2 = 1) the cumulative norm,
+Morrey-type or Hardy, is N'(u)^(1/p2): N' is a norm of a nonnegative
+linear map of u with exponent r = theta/p2 (q for Hardy), convex for
+r >= 1 and a concave power mean for r <= 1.  The Lebesgue norm is
+S'(u)^(1/p2), S' the weighted l^P norm of u, P = p1/p2 (p for Hardy),
+convex for P >= 1 and concave for P <= 1.  The rows of the table:
+
+- "corner": p1 = inf with the cumulative norm on top (hardy.d, hardy.e,
+  emb.iv, emb.v, emb.ix and the supremum variants).  The source's unit
+  ball is the box v <= 1/s and the target is nondecreasing in every
+  value, so the corner v = 1/s is the maximum.
+- "holder_dual": theta = inf (q = inf), 1 < P < inf and p2 < inf, the
+  cumulative norm on top (hardy.c, emb.iii).  The target is a maximum
+  over subcells of linear functionals of u, and over the source's unit
+  sphere each one peaks at Hoelder's dual l^P' norm of its coefficients;
+  one prefix sum gives them all.
+- "vertex": convex over concave with p2 < inf, that is the cumulative
+  norm on top with r >= 1 >= P (hardy.f, hardy.h, emb.vi, emb.viii), or
+  as the source with r <= 1 <= P (emb.source.a, emb.dual_source.a, and
+  reverse Hardy with q <= 1 <= p).  Such a ratio is quasi-convex
+  (Schaible, 1976), so its maximum sits at a vertex of the source's unit
+  ball, a one-cell function, and the scan scores all m of them.
+- "power": the cumulative norm on top with 1 <= p2 <= theta < inf and
+  p2 < p1 < inf (hardy.a, hardy.b, emb.i, emb.ii, emb.dual_target, the
+  averaged operators), convex over convex.  The search is the nonlinear
+  power method (Boyd, 1974).  For r <= P, that is theta <= p1 (q <= p for
+  Hardy), it reaches the global maximum (Bhaskara and Vijayaraghavan,
+  2011, for nonnegative maps); for r > P its step still never lowers the
+  ratio, but the point it stops at may be a local maximum.
+- "ascent": everything else (hardy.g, emb.vii, emb.source.b,
+  emb.dual_source.b, the other reverse variants, and p2 = inf with finite
+  p1).  A coordinate ascent scores the candidate values of one coordinate
+  as whole rows through the same batch ratio pass as the families.
+
+The first three rows are exact: they give the discrete maximum, the
+corner and the Hoelder dual in one O(mK) pass, the vertex scan in m rows
+of it.  The power method and the ascent are local searches, run from the
+family best and from seeded random restarts.
 """
 
 from __future__ import annotations
@@ -106,6 +131,7 @@ class OracleResult:
     argmax: GridFunction
     trace: list
     family_bests: dict
+    search: str
 
     def to_json(self, argmax_path=None):
         doc = {
@@ -311,15 +337,31 @@ class _RatioEvaluator:
             / (1.0 if self.sup_inner else self.inner_p)
         self._src_inf = math.isinf(self.src_p)
         self._src_op = np.maximum if self._src_inf else np.add
-        # with the cumulative norm on top and 1 <= p2 <= q < inf, p2 <= p1
-        # < inf, the ratio is (N'(u) / S'(u))^(1/p2) on u = v^p2: N' is a
-        # norm of the nonnegative linear map u -> G, with exponent r = q/p2,
-        # and S' the weighted l^P norm of u, P = p1/p2
-        self.power_exponents = None
-        if self.morrey_on_top and not (self.sup_inner or self._q_inf
-                                       or self._src_inf) \
-                and 1.0 <= self.inner_p <= min(q, self.src_p):
-            self.power_exponents = self._gpow, self.src_p / self.inner_p
+        # on u = v^p2 the cumulative norm is (N'(u))^(1/p2) and the source
+        # norm (S'(u))^(1/p2): N' a norm of the nonnegative linear map u ->
+        # G with exponent r = q/p2, S' the weighted l^P norm of u, P = p1/p2
+        self._P = None if self.sup_inner else self.src_p / self.inner_p
+        self.search = self._search()
+
+    def _search(self):
+        """The row of the search table that the ratio's structure selects
+        (see the module docstring).  N' is convex for r >= 1 and concave
+        for r <= 1, S' convex for P >= 1 and concave for P <= 1."""
+        p1, p2, q = self.src_p, self.inner_p, self.outer_q
+        if self.morrey_on_top:
+            if self._src_inf:
+                return "corner"
+            if self.sup_inner:
+                return "ascent"
+            if q >= p2 >= p1:
+                return "vertex"
+            if self._q_inf:
+                return "holder_dual"
+            if 1.0 <= p2 <= q:
+                return "power"
+        elif not self.sup_inner and q <= p2 <= p1:
+            return "vertex"
+        return "ascent"
 
     def _cells(self, a):
         """Cell values in natural order to accumulation order, or back."""
@@ -404,7 +446,7 @@ class _RatioEvaluator:
         midpoints, is one prefix accumulation, and the weight o G^(r-1)
         that each cell's mass carries into the later subcells one suffix
         accumulation."""
-        r, P = self.power_exponents
+        r, P = self._gpow, self._P
         G, total = self._inner(u[None])
         G, total = G[0], total[0]
         dG = self._outer * G ** (r - 1.0)
@@ -427,7 +469,7 @@ class _RatioEvaluator:
         free = (s == 0.0) & (grad > 0.0)
         if free.any():
             return (np.arange(self.m) == np.argmax(free)).astype(float)
-        x = (np.log(grad) - np.log(s)) / (self.power_exponents[1] - 1.0)
+        x = (np.log(grad) - np.log(s)) / (self._P - 1.0)
         top = np.fmax.reduce(x)
         if not math.isfinite(top):
             return u
@@ -440,6 +482,49 @@ class _RatioEvaluator:
             u = self._cells(values) ** self.inner_p
             step = self._power_move(u, self._power_terms(u)[1])
             return self._cells(step) ** (1.0 / self.inner_p)
+
+    # -- the exact rules ---------------------------------------------------
+    def corner(self):
+        """At p1 = inf the source's unit ball is the box v <= 1/s, on which
+        the target, nondecreasing in every value, peaks at the corner: the
+        row 1/s, scaled to a largest entry of 1, then the one-cell function
+        of each cell with no source weight, whose ratio is infinite where
+        that cell reaches the target."""
+        s = self.src_cell
+        with np.errstate(all="ignore"):
+            corner = np.where(s > 0.0, np.fmin.reduce(
+                np.where(s > 0.0, s, _INF)) / s, 0.0)
+        return np.vstack([corner, np.eye(self.m)[s == 0.0]])
+
+    def holder_dual(self):
+        """At q = inf and 1 < P < inf the discrete maximum of the ratio, and
+        values that reach it.  On u = v^p2 the target on subcell k is o_k
+        (a_k . u)^(1/p2), a_k the inner masses that G_k sums, and over the
+        source's unit sphere, sum s u^P = 1, a_k . u peaks at Hoelder's dual
+        norm ||a_k s^(-1/P)||_P', at u proportional to (a_k/s)^(1/(P-1)).
+        The dual norms of all subcells are one prefix sum; the beyond term
+        is one more, with a the cell masses."""
+        m, P, p2 = self.m, self._P, self.inner_p
+        pc = P / (P - 1.0)
+        with np.errstate(all="ignore"):
+            root = self._src_cell ** (1.0 / P)
+            cell = np.where(self._inner_cell > 0.0,
+                            self._inner_cell / root, 0.0) ** pc
+            own = np.where(self._part_half > 0.0,
+                           self._part_half / root[:, None], 0.0) ** pc
+            before = _exclusive(np.add, cell)
+            dual = np.append((before[:, None] + own).ravel(),
+                             before[-1] + cell[-1]) ** (1.0 / (pc * p2))
+            weight = np.append(self._outer_flat, self.outer_beyond)
+            tops = np.where((weight > 0.0) & (dual > 0.0), weight * dual,
+                            0.0)
+            best = int(np.argmax(tops))
+            i, k = divmod(best, self.K)
+            a = np.where(np.arange(m) < i, self._inner_cell, 0.0)
+            if i < m:
+                a[i] = self._part_half[i, k]
+            u = self._power_move(np.zeros(m), a)
+            return float(tops[best]), self._cells(u) ** (1.0 / p2)
 
     def grid_function(self, values):
         return GridFunction(self.knots, np.asarray(values, dtype=float))
@@ -494,16 +579,30 @@ def _family_members(ev: _RatioEvaluator, cfg: OracleConfig):
 
 class _Incumbent:
     """The highest ratio scored so far and its values, with a trace entry
-    (count of candidates scored, ratio) on each rise."""
+    (count of candidates scored, ratio) on each rise, and the search that
+    was running at the last rise."""
 
     def __init__(self):
         self.ratio, self.values, self.count, self.trace = 0.0, None, 0, []
+        self.stage = self.search = "families"
 
     def offer(self, r, values):
         """Take values, of ratio r, if r is higher than the incumbent's."""
         if r > self.ratio:
             self.ratio, self.values = r, np.array(values, dtype=float)
+            self.search = self.stage
             self.trace.append((self.count, r))
+
+    def scan(self, ev, rows):
+        """Score rows in blocks, offering each, up to the first infinite
+        ratio."""
+        for lo in range(0, len(rows), _BLOCK):
+            block = rows[lo:lo + _BLOCK]
+            for vals, r in zip(block, ev.ratios(block)):
+                self.count += 1
+                self.offer(r, vals)
+                if math.isinf(r):
+                    return
 
 
 def _coordinate_ascent(ev, values, cfg, incumbent):
@@ -565,16 +664,27 @@ def _power_method(ev, values, cfg, incumbent):
         incumbent.offer(r, row)
 
 
-def _vertex_scan(ev, incumbent):
-    """At P = 1 the convex target's maximum over the source's unit ball, a
-    weighted l^1 ball, sits at a vertex: score the m one-cell functions."""
-    for lo in range(0, ev.m, _BLOCK):
-        block = np.eye(ev.m)[lo:lo + _BLOCK]
-        for vals, r in zip(block, ev.ratios(block)):
-            incumbent.count += 1
-            incumbent.offer(r, vals)
-            if math.isinf(r):
-                return
+def _restarts(search, ev, cfg, incumbent):
+    """The local search from the incumbent's values, then from each of the
+    `restarts - 1` seeded lognormal starts, up to an infinite ratio."""
+    rng = np.random.default_rng(cfg.seed)
+    starts = itertools.chain([incumbent.values], (
+        np.exp(rng.normal(0.0, 2.0, ev.m)) for _ in range(cfg.restarts - 1)))
+    for start in starts:
+        search(ev, start, cfg, incumbent)
+        if math.isinf(incumbent.ratio):
+            break
+
+
+# the search table: each row's search, by the name the evaluator's
+# structure selects
+_SEARCHES = {
+    "corner": lambda ev, cfg, inc: inc.scan(ev, ev.corner()),
+    "holder_dual": lambda ev, cfg, inc: inc.scan(ev, [ev.holder_dual()[1]]),
+    "vertex": lambda ev, cfg, inc: inc.scan(ev, np.eye(ev.m)),
+    "power": functools.partial(_restarts, _power_method),
+    "ascent": functools.partial(_restarts, _coordinate_ascent),
+}
 
 
 def closed_form_constant(prob) -> ExtReal:
@@ -596,22 +706,23 @@ def closed_form_constant(prob) -> ExtReal:
 def best_constant_lower_bound(prob, cfg: OracleConfig = None) -> OracleResult:
     """Maximize the inequality ratio over the discretized function space.
 
-    The family members are scored first; the best of them and then each
-    of the `restarts - 1` seeded random starts begin a local search: the
-    power method where the target is a convex norm (see the module
-    docstring), else a coordinate ascent.  The power method stops once a
-    step gains a relative 1e-10 or less, or after `ascent_sweeps *
-    grid_cells` steps; the ascent after `ascent_sweeps` sweeps.  At
-    P = 1 the search is one scan of the one-cell functions, which is the
-    discrete maximum.  With `ascent_sweeps = 0` there is no local search.
+    The family members are scored first.  Then the search of the ratio's
+    row of the search table runs (see the module docstring): the corner,
+    the Hoelder dual and the vertex scan score the discrete maximum
+    directly.  The power method and the coordinate ascent start from the
+    family best and then from each of the `restarts - 1` seeded lognormal
+    starts; the power method stops once a step gains a relative 1e-10 or
+    less, or after `ascent_sweeps * grid_cells` steps, the ascent after
+    `ascent_sweeps` sweeps.  With `ascent_sweeps = 0` there is no search:
+    the starts alone are scored.
 
     Every search offers the values it reaches to one incumbent, the best
     row scored so far: lower_bound is the evaluator's ratio of argmax,
     exactly, and the last entry of the trace of the incumbent's rises.
+    `search` names the stage that set it: "families" or the table row.
     """
     cfg = cfg or OracleConfig()
     ev = _RatioEvaluator(prob, cfg)
-    rng = np.random.default_rng(cfg.seed)
     incumbent = _Incumbent()
 
     family_bests = {}
@@ -623,7 +734,8 @@ def best_constant_lower_bound(prob, cfg: OracleConfig = None) -> OracleResult:
             incumbent.offer(r, vals)
             if math.isinf(r):
                 return OracleResult(ExtReal(_INF), ev.grid_function(vals),
-                                    incumbent.trace, {fam: _INF})
+                                    incumbent.trace, {fam: _INF},
+                                    incumbent.search)
             if r > family_bests.get(fam, 0.0):
                 family_bests[fam] = r
 
@@ -631,22 +743,16 @@ def best_constant_lower_bound(prob, cfg: OracleConfig = None) -> OracleResult:
         raise DegenerateRatio("every candidate has zero ratio "
                               "(source norm vanishes or target is zero)")
 
-    power = ev.power_exponents
-    if power is not None and power[1] == 1.0 and cfg.ascent_sweeps > 0:
-        _vertex_scan(ev, incumbent)
-    else:
-        search = _coordinate_ascent if power is None else _power_method
-        starts = itertools.chain([incumbent.values], (
-            np.exp(rng.normal(0.0, 2.0, ev.m))
-            for _ in range(cfg.restarts - 1)))
-        for start in starts:
-            search(ev, start, cfg, incumbent)
-            if math.isinf(incumbent.ratio):
-                break
+    search = ev.search
+    if cfg.ascent_sweeps == 0 and search not in ("power", "ascent"):
+        # no local search: the starts alone are scored
+        search = "ascent"
+    incumbent.stage = search
+    _SEARCHES[search](ev, cfg, incumbent)
 
     return OracleResult(ExtReal(incumbent.ratio),
                         ev.grid_function(incumbent.values), incumbent.trace,
-                        family_bests)
+                        family_bests, incumbent.search)
 
 
 def divergence_witness(prob, cfg: OracleConfig = None, constant=None):

@@ -396,6 +396,16 @@ def omega_class_check(omega: RadialProfile, theta,
                    and _power_omega_membership(c_first, a_first, theta)[1])
         witness = omega.breaks[0] if omega.breaks else 1.0
         return OmegaMembership(bool(tail_ok), bool(head_ok), witness)
+    if isinstance(omega, (ExpProfile, ShiftedPowerProfile)):
+        # bounded on every (0, t), so the heads are finite; the tails are
+        # those of e^(rate t) and of the power (shift + t)^alpha
+        if isinstance(omega, ExpProfile):
+            tail_ok = omega.rate < 0.0 or (math.isinf(theta)
+                                           and omega.rate == 0.0)
+        else:
+            tail_ok = _power_omega_membership(1.0, omega.alpha, theta)[0]
+        positive = 0.0 < omega.c < _INF
+        return OmegaMembership(positive and tail_ok, positive, 1.0)
     # sampled check: the norms are positive for every t exactly when the
     # support is unbounded toward their side, which an underflowed norm
     # would hide, and finite where their values are

@@ -13,7 +13,7 @@ from morreyemb.errors import DegenerateRatio, WitnessNotFound
 from morreyemb.hardy import HardyProblem, hardy_A
 from morreyemb.embeddings import EmbeddingProblem
 from morreyemb.integration import ball_volume, sphere_area
-from morreyemb.oracle import (_BLOCK, OracleConfig, _Incumbent,
+from morreyemb.oracle import (_BLOCK, _SEARCHES, OracleConfig, _Incumbent,
                               _RatioEvaluator, _coordinate_ascent,
                               _family_members, best_constant_lower_bound,
                               divergence_witness, equivalence_report)
@@ -299,22 +299,20 @@ def test_ratio_equals_reference(name, values):
 
 # the lower bounds the search reaches, to which it must stay: the finite
 # acceptance instances under AUDIT_CFG and the averaged operator of test_06
-# with 4 restarts.  Those of hardy.a, hardy.b, emb.i, emb.ii,
-# emb.dual_target and the averaged operator come from the power method,
-# those of hardy.f and emb.vi (P = 1) from the one-cell scan, which reads
-# what the ascent read, and the others from the coordinate ascent
+# with 4 restarts, each from the search of its row of AUDIT_SEARCHES.  Those
+# of the corner, Hoelder-dual and vertex rows are the discrete maxima
 AUDIT_LOWER_BOUNDS = {
     "hardy.a": 2.7186753052760704,
     "hardy.b": 0.996945423639534,
-    "hardy.c": 0.5988761716695904,
-    "hardy.d": 0.2905395460907355,
-    "hardy.e": 0.5533102385078741,
+    "hardy.c": 0.5992479580384911,
+    "hardy.d": 0.38048726721793125,
+    "hardy.e": 0.7282916888699292,
     "hardy.f": 0.9998110106706427,
     "hardy.g": 0.9997690249411192,
     "hardy.h": 0.9997263120659333,
     "emb.i": 0.9941174483950994,
     "emb.ii": 1.077648332895543,
-    "emb.iii": 1.0958415570480193,
+    "emb.iii": 1.0958539236481668,
     "emb.iv": 0.982038694165457,
     "emb.v": 1.1773472866400596,
     "emb.vi": 0.9999999999999973,
@@ -337,6 +335,38 @@ def _assert_bound_is_the_incumbent(prob, cfg, res):
     assert float(res.lower_bound) == res.trace[-1][1] == again
 
 
+# the search table's row of every acceptance instance and scored problem
+AUDIT_SEARCHES = {
+    "hardy.a": "power", "hardy.b": "power", "hardy.c": "holder_dual",
+    "hardy.d": "corner", "hardy.e": "corner", "hardy.f": "vertex",
+    "hardy.g": "ascent", "hardy.h": "vertex", "emb.i": "power",
+    "emb.ii": "power", "emb.iii": "holder_dual", "emb.iv": "corner",
+    "emb.v": "corner", "emb.vi": "vertex", "emb.vii": "ascent",
+    "emb.viii": "vertex", "emb.ix": "corner", "emb.dual_target": "power",
+    "emb.source.a": "vertex", "emb.source.b": "ascent",
+    "emb.dual_source.a": "vertex", "emb.dual_source.b": "ascent",
+}
+SCORED_SEARCHES = {
+    "direct": "power", "direct_complement": "power",
+    "direct_q_inf": "holder_dual", "sup": "corner",
+    "sup_complement_q_inf": "corner", "reverse": "ascent",
+    # q = 1/2 <= p2 = 1 <= p = 1: a concave Hardy norm under the source
+    "reverse_complement": "vertex", "p2_inf": "ascent",
+    "theta_inf": "holder_dual", "p1_inf": "corner",
+    "lm_to_lebesgue": "ascent", "dual_lm_to_lebesgue": "ascent",
+}
+# the instances whose bound the family scan already holds, to the bit
+FAMILY_HELD = {"emb.iv", "emb.v", "emb.vi", "emb.vii", "emb.viii", "emb.ix"}
+
+
+def test_search_table():
+    assert {name: _RatioEvaluator(prob, AUDIT_CFG).search
+            for name, (prob, _, _) in FINITE_INSTANCES.items()} \
+        == AUDIT_SEARCHES
+    assert {name: _evaluator(name).search for name in SCORED} \
+        == SCORED_SEARCHES
+
+
 @pytest.mark.parametrize("name", sorted(AUDIT_LOWER_BOUNDS))
 def test_audit_lower_bound_pinned(name):
     prob = FINITE_INSTANCES[name][0]
@@ -344,6 +374,8 @@ def test_audit_lower_bound_pinned(name):
     assert float(res.lower_bound) == pytest.approx(
         AUDIT_LOWER_BOUNDS[name], rel=1e-12, abs=0.0)
     _assert_bound_is_the_incumbent(prob, AUDIT_CFG, res)
+    assert res.search == ("families" if name in FAMILY_HELD
+                          else AUDIT_SEARCHES[name])
 
 
 AVERAGED_CFG = OracleConfig(grid_cells=256, knot_range=(1e-9, 1e9),
@@ -366,6 +398,7 @@ def test_averaged_operator_lower_bound_pinned(n):
     assert float(res.lower_bound) == pytest.approx(
         AVERAGED_LOWER_BOUNDS[n], rel=1e-12, abs=0.0)
     _assert_bound_is_the_incumbent(prob, AVERAGED_CFG, res)
+    assert res.search == "power"
 
 
 # reverse_complement's Hardy norm is infinite below SCORE_CFG's grid (v^q =
@@ -470,12 +503,8 @@ def test_witness_keeps_the_subcells():
 # ---------------------------------------------------------------------------
 # the power method, where the target is a convex norm of u = v^p2
 
-POWERED = ["direct", "direct_complement"]
-
-
-def test_power_method_takes_the_convex_problems():
-    assert [name for name in sorted(SCORED)
-            if _evaluator(name).power_exponents is not None] == POWERED
+POWERED = [name for name in sorted(SCORED)
+           if SCORED_SEARCHES[name] == "power"]
 
 
 @pytest.mark.parametrize("name", POWERED)
@@ -517,17 +546,91 @@ def test_averaged_operator_bound_is_the_top_eigenvalue():
     assert got == pytest.approx(AVERAGED_LOWER_BOUNDS[1], rel=1e-12, abs=0.0)
 
 
-def test_power_method_finds_a_cell_with_no_source_weight():
+@pytest.mark.parametrize("p, q, search", [(2.0, 2.0, "power"),
+                                           (INF, 2.0, "corner"),
+                                           (2.0, INF, "holder_dual"),
+                                           (1.0, 2.0, "vertex")])
+def test_search_finds_a_cell_with_no_source_weight(p, q, search):
     # the source weight e^(-1000 t) underflows to 0 beyond t = 0.7, where
     # the target still grows: a one-cell function there has an infinite
     # ratio, which the constant alone does not show
-    prob = HardyProblem("direct", 2.0, 2.0, PowerProfile(1.0, -2.0),
+    prob = HardyProblem("direct", p, q, PowerProfile(1.0, -2.0),
                         Weight(1, ExpProfile(1.0, -1000.0)))
     cfg = replace(SMALL, include_families=("constant",))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         res = best_constant_lower_bound(prob, cfg)
+    assert res.search == search
     assert res.lower_bound.is_inf
     assert res.trace[-1][1] == INF
     assert np.count_nonzero(res.argmax.values) == 1
     assert math.isinf(_RatioEvaluator(prob, cfg).ratio(res.argmax.values))
+
+
+# ---------------------------------------------------------------------------
+# the exact rules: box corner, Hoelder dual and vertex scan
+
+EXACT = {**{name: SCORED[name] for name in SCORED
+            if SCORED_SEARCHES[name] not in ("power", "ascent")},
+         **{name: FINITE_INSTANCES[name][0] for name in FINITE_INSTANCES
+            if AUDIT_SEARCHES[name] not in ("power", "ascent")}}
+_EXACT_BOUNDS = {}
+
+
+def _exact_bound(name):
+    """The evaluator of an exact-rule problem on SCORE_CFG and the ratio
+    its rule reaches alone, without the families."""
+    if name not in _EXACT_BOUNDS:
+        ev = _RatioEvaluator(EXACT[name], SCORE_CFG)
+        inc = _Incumbent()
+        _SEARCHES[ev.search](ev, SCORE_CFG, inc)
+        _EXACT_BOUNDS[name] = ev, inc.ratio
+    return _EXACT_BOUNDS[name]
+
+
+def test_exact_rules_cover_every_row():
+    assert {_exact_bound(name)[0].search for name in EXACT} == \
+        {"corner", "holder_dual", "vertex"}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT))
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_no_restart_row_beats_an_exact_rule(name, seed):
+    # rows drawn as the restarts are, lognormal with sigma 2
+    ev, bound = _exact_bound(name)
+    rows = np.exp(np.random.default_rng(seed).normal(0.0, 2.0, (32, ev.m)))
+    assert max(ev.ratios(rows)) <= bound * (1.0 + 1e-12)
+
+
+# reverse_complement scores 0 on every family member (see below)
+@pytest.mark.parametrize("name", sorted(set(EXACT) - {"reverse_complement"}))
+def test_ascent_and_vertices_never_beat_an_exact_rule(name):
+    ev, bound = _exact_bound(name)
+    families = best_constant_lower_bound(
+        EXACT[name], replace(SCORE_CFG, ascent_sweeps=0, restarts=1))
+    assert families.search == "families"
+    inc = _Incumbent()
+    _coordinate_ascent(ev, families.argmax.values, SCORE_CFG, inc)
+    assert inc.ratio <= bound * (1.0 + 1e-12)
+    assert float(families.lower_bound) <= bound * (1.0 + 1e-12)
+    assert max(ev.ratios(np.eye(ev.m))) <= bound * (1.0 + 1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p2=st.floats(0.5, 4.0), P=st.floats(1.05, 20.0),
+       kind=st.sampled_from(["lebesgue_to_lm", "lebesgue_to_dual_lm",
+                             "hardy"]))
+@example(p2=1.0, P=2.0, kind="hardy")
+def test_holder_dual_value_is_the_ratio_of_its_values(p2, P, kind):
+    if kind == "hardy":
+        prob = HardyProblem("direct", P, INF, DECAY, SHIFT)
+    else:
+        prob = EmbeddingProblem(kind, 1, p2 * P, p2, INF, ONE, SHIFT,
+                                PowerProfile(1.0, 0.5 if "dual" in kind
+                                             else -0.5))
+    ev = _RatioEvaluator(prob, SCORE_CFG)
+    assert ev.search == "holder_dual"
+    value, values = ev.holder_dual()
+    assert 0.0 < value < INF
+    assert ev.ratio(values) == pytest.approx(value, rel=1e-12, abs=0.0)
