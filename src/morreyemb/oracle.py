@@ -84,7 +84,7 @@ _INF = math.inf
 DEFAULT_FAMILIES = ("ball", "complement", "annulus", "dual_power",
                     "power_window", "constant", "two_block")
 
-# family members scored in one pass over the grid
+# rows scored together, in one pass over the grid
 _BLOCK = 16
 
 
@@ -595,14 +595,17 @@ class _Incumbent:
 
     def scan(self, ev, rows):
         """Score rows in blocks, offering each, up to the first infinite
-        ratio."""
+        ratio; the ratios scored."""
+        scored = []
         for lo in range(0, len(rows), _BLOCK):
             block = rows[lo:lo + _BLOCK]
             for vals, r in zip(block, ev.ratios(block)):
                 self.count += 1
                 self.offer(r, vals)
+                scored.append(r)
                 if math.isinf(r):
-                    return
+                    return scored
+        return scored
 
 
 def _coordinate_ascent(ev, values, cfg, incumbent):
@@ -725,19 +728,16 @@ def best_constant_lower_bound(prob, cfg: OracleConfig = None) -> OracleResult:
     ev = _RatioEvaluator(prob, cfg)
     incumbent = _Incumbent()
 
+    members = list(_family_members(ev, cfg))
+    ratios = incumbent.scan(ev, [vals for _, vals in members])
     family_bests = {}
-    members = _family_members(ev, cfg)
-    while block := list(itertools.islice(members, _BLOCK)):
-        ratios = ev.ratios([vals for _, vals in block])
-        for (fam, vals), r in zip(block, ratios):
-            incumbent.count += 1
-            incumbent.offer(r, vals)
-            if math.isinf(r):
-                return OracleResult(ExtReal(_INF), ev.grid_function(vals),
-                                    incumbent.trace, {fam: _INF},
-                                    incumbent.search)
-            if r > family_bests.get(fam, 0.0):
-                family_bests[fam] = r
+    for (fam, _), r in zip(members, ratios):
+        if r > family_bests.get(fam, 0.0):
+            family_bests[fam] = r
+    if math.isinf(incumbent.ratio):
+        return OracleResult(ExtReal(_INF),
+                            ev.grid_function(incumbent.values),
+                            incumbent.trace, {fam: _INF}, incumbent.search)
 
     if incumbent.values is None:
         raise DegenerateRatio("every candidate has zero ratio "

@@ -403,7 +403,8 @@ def omega_class_check(omega: RadialProfile, theta,
             tail_ok = omega.rate < 0.0 or (math.isinf(theta)
                                            and omega.rate == 0.0)
         else:
-            tail_ok = _power_omega_membership(1.0, omega.alpha, theta)[0]
+            tail_ok = _power_omega_membership(omega.c, omega.alpha,
+                                              theta)[0]
         positive = 0.0 < omega.c < _INF
         return OmegaMembership(positive and tail_ok, positive, 1.0)
     # sampled check: the norms are positive for every t exactly when the

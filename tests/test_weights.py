@@ -135,10 +135,11 @@ def test_muckenhoupt_estimate_power_weight_finite():
     assert math.isfinite(float(est))
 
 
-# omega class membership of the kinds checked by sampling, against their
-# analytic membership: tails finite for rate < 0 (rate <= 0 at
-# theta = inf) and for alpha theta < -1 (alpha <= 0 at theta = inf), heads
-# finite for both kinds, and every norm positive
+# omega class membership of the exponential and shifted-power kinds:
+# tails finite for rate < 0 (rate <= 0 at theta = inf) and for
+# alpha theta < -1 (alpha <= 0 at theta = inf), heads finite for both
+# kinds, also for e^t, whose head norms overflow far out, and every norm
+# positive
 @pytest.mark.parametrize("theta", [0.5, 2.0, INF])
 @pytest.mark.parametrize("omega, tail_ok", [
     (ExpProfile(1.0, -1.0), lambda th: True),
