@@ -32,13 +32,14 @@ convex for P >= 1 and concave for P <= 1.  The rows of the table:
   reverse Hardy with q <= 1 <= p).  Such a ratio is quasi-convex
   (Schaible, 1976), so its maximum sits at a vertex of the source's unit
   ball, a one-cell function, and the scan scores all m of them.
-- "power": the cumulative norm on top with 1 <= p2 <= theta < inf and
+- "power": the cumulative norm on top with 0 < p2 <= theta < inf and
   p2 < p1 < inf (hardy.a, hardy.b, emb.i, emb.ii, emb.dual_target, the
   averaged operators), convex over convex.  The search is the nonlinear
   power method (Boyd, 1974).  For r <= P, that is theta <= p1 (q <= p for
   Hardy), it reaches the global maximum (Bhaskara and Vijayaraghavan,
-  2011, for nonnegative maps); for r > P its step still never lowers the
-  ratio, but the point it stops at may be a local maximum.
+  2011, for nonnegative maps), so it runs from one start; for r > P its
+  step still never lowers the ratio, but the point it stops at may be a
+  local maximum, so the restarts run too.
 - "ascent": everything else (hardy.g, emb.vii, emb.source.b,
   emb.dual_source.b, the other reverse variants, and p2 = inf with finite
   p1).  A coordinate ascent scores the candidate values of one coordinate
@@ -47,7 +48,8 @@ convex for P >= 1 and concave for P <= 1.  The rows of the table:
 The first three rows are exact: they give the discrete maximum, the
 corner and the Hoelder dual in one O(mK) pass, the vertex scan in m rows
 of it.  The power method and the ascent are local searches, run from the
-family best and from seeded random restarts.
+family best and from seeded random restarts, except the power method for
+r <= P, which runs from the family best alone.
 """
 
 from __future__ import annotations
@@ -357,7 +359,7 @@ class _RatioEvaluator:
                 return "vertex"
             if self._q_inf:
                 return "holder_dual"
-            if 1.0 <= p2 <= q:
+            if p2 <= q:
                 return "power"
         elif not self.sup_inner and q <= p2 <= p1:
             return "vertex"
@@ -669,10 +671,16 @@ def _power_method(ev, values, cfg, incumbent):
 
 def _restarts(search, ev, cfg, incumbent):
     """The local search from the incumbent's values, then from each of the
-    `restarts - 1` seeded lognormal starts, up to an infinite ratio."""
+    `restarts - 1` seeded lognormal starts, up to an infinite ratio.  The
+    power method for r <= P reaches the global maximum from any start, so
+    there it runs from the incumbent's values alone, unless ascent_sweeps
+    = 0 leaves the starts to be scored as they are."""
     rng = np.random.default_rng(cfg.seed)
+    single = search is _power_method and cfg.ascent_sweeps > 0 \
+        and ev._gpow <= ev._P
     starts = itertools.chain([incumbent.values], (
-        np.exp(rng.normal(0.0, 2.0, ev.m)) for _ in range(cfg.restarts - 1)))
+        np.exp(rng.normal(0.0, 2.0, ev.m))
+        for _ in range(0 if single else cfg.restarts - 1)))
     for start in starts:
         search(ev, start, cfg, incumbent)
         if math.isinf(incumbent.ratio):
@@ -714,10 +722,13 @@ def best_constant_lower_bound(prob, cfg: OracleConfig = None) -> OracleResult:
     the Hoelder dual and the vertex scan score the discrete maximum
     directly.  The power method and the coordinate ascent start from the
     family best and then from each of the `restarts - 1` seeded lognormal
-    starts; the power method stops once a step gains a relative 1e-10 or
-    less, or after `ascent_sweeps * grid_cells` steps, the ascent after
-    `ascent_sweeps` sweeps.  With `ascent_sweeps = 0` there is no search:
-    the starts alone are scored.
+    starts, except the power method for r <= P (theta <= p1, q <= p for
+    Hardy), whose maximum is global: it starts from the family best
+    alone and does not read `restarts`.  The power method stops once a
+    step gains a relative 1e-10 or less, or after
+    `ascent_sweeps * grid_cells` steps, the ascent after `ascent_sweeps`
+    sweeps.  With `ascent_sweeps = 0` there is no search: every start,
+    the seeded ones included, is scored as it is.
 
     Every search offers the values it reaches to one incumbent, the best
     row scored so far: lower_bound is the evaluator's ratio of argmax,
