@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GateFailed, HypothesisViolated, Inadmissible
-from .extreal import ExtReal, conjugate_exponent, ext_mul, ext_pow
+from .extreal import ExtReal, _mul, _power, conjugate_exponent
 from .hardy import (_breaks, _dual_functional, _halfline,
                     _primal_functional, sup_over_t)
 from .integration import ball_volume
@@ -263,7 +263,7 @@ def associate_norm(f: GridFunction, kind, p, theta, omega: RadialProfile,
     # at t > 0: one lookup answers a whole array of radii
     return _dual_functional(
         side, _inner_norm(f, pp, dual_w, side.other),
-        weighted_lp_norm(f, pp, dual_w, ALL), pp, omega, th, 1.0,
+        float(weighted_lp_norm(f, pp, dual_w, ALL)), pp, omega, th, 1.0,
         _breaks(omega) + tuple(f.knots))
 
 
@@ -282,15 +282,14 @@ def unweighted_reference(p1, p2, theta, omega: RadialProfile, n) -> ExtReal:
     s = _s_exponent(p1, th) if th < p1 else _INF
     if math.isinf(s):
         return sup_over_t(
-            lambda t: ext_mul(t ** delta, tail_norm(omega, th, t)),
+            lambda t: _mul(t ** delta, tail_norm(omega, th, t)),
             _breaks(omega))
 
     def integrand(t):
-        return ext_mul(t ** (delta * s - 1.0),
-                       ext_pow(tail_norm(omega, th, t), s))
+        return _mul(t ** (delta * s - 1.0), _power(tail_norm(omega, th, t), s))
 
     val = _halfline(integrand, _breaks(omega))
-    return ext_pow(val, 1.0 / s)
+    return ExtReal(_power(val, 1.0 / s))
 
 
 def reference_normalization(p1, p2, theta, n) -> float:

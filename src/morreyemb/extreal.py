@@ -132,9 +132,7 @@ def scalar_results(convert):
 def ext_mul(a, b) -> ExtReal:
     """Product with 0 * inf = 0.  An array factor gives the float array
     of products, broadcast, with the same convention."""
-    a, b = _coerce(a), _coerce(b)
-    with np.errstate(invalid="ignore", over="ignore"):
-        return np.where((a == 0.0) | (b == 0.0), 0.0, a * b)
+    return _mul(_coerce(a), _coerce(b))
 
 
 @scalar_results(ExtReal)
@@ -142,10 +140,7 @@ def ext_div(a, b) -> ExtReal:
     """Quotient with 0/0 = 0, x/inf = 0, x/0 = inf (x > 0), inf/inf = inf.
     An array operand gives the float array of quotients, broadcast, with
     the same conventions."""
-    a, b = _coerce(a), _coerce(b)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        q = a / b   # nan only at 0/0 and inf/inf
-    return np.where(a == 0.0, 0.0, np.where(np.isnan(q), math.inf, q))
+    return _div(_coerce(a), _coerce(b))
 
 
 @scalar_results(ExtReal)
@@ -157,8 +152,47 @@ def ext_pow(a, e) -> ExtReal:
     a, e = _coerce(a), float(e)
     if e == 0.0 and np.any((a == 0.0) | np.isinf(a)):
         raise IndeterminatePower("0^0 or inf^0 is indeterminate")
+    return _power(a, e)
+
+
+# The conventions on floats and float arrays in [0, inf], which the
+# internal paths call without the checks of the public functions: a nan
+# stays nan (0 times nan is 0), so a faulty integrand still shows, and an
+# ExtReal reads as its value.
+
+def _mul(a, b):
+    """a * b, broadcast, with 0 * inf = 0 and overflow to inf, without a
+    warning; a finite positive float a needs no zero mask."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        if isinstance(a, float) and 0.0 < a < math.inf:
+            return a * b
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        return np.where((a == 0.0) | (b == 0.0), 0.0, a * b)
+
+
+def _div(a, b):
+    """a / b, broadcast, with 0/0 = 0, x/inf = 0, x/0 = inf (x > 0) and
+    inf/inf = inf, without a warning."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        q = a / b
+    return np.where(a == 0.0, 0.0,
+                    np.where(np.isinf(a) & np.isinf(b), math.inf, q))
+
+
+def _power(a, e):
+    """a^e, broadcast, with 0^e = inf and inf^e = 0 for e < 0 and overflow
+    to inf, without a warning; 0^0 and inf^0 read 1."""
     with np.errstate(divide="ignore", over="ignore"):
-        return np.power(a, e)
+        return np.power(np.asarray(a, dtype=float), e)
+
+
+def _float_pow(x, e):
+    """x ** e for a float x in [0, inf], x > 0 for e < 0; overflow: inf."""
+    try:
+        return x ** e
+    except OverflowError:
+        return math.inf
 
 
 def conjugate_exponent(p) -> ExtReal:

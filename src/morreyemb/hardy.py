@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisViolated, InadmissibleExponents
-from .extreal import ExtReal, conjugate_exponent, ext_div, ext_mul, ext_pow
+from .extreal import ExtReal, _div, _mul, _power, conjugate_exponent
 from .integration import _sorted_unique, _values, integrate_halfline
 from .profiles import RadialProfile
 from .weights import Side, Weight, _whole_space_norm, tail_norm
@@ -190,14 +190,14 @@ def _dual_functional(side, norm, whole, s, omega, theta, p, breaks) -> ExtReal:
     """
     if theta <= p:
         return sup_over_t(
-            lambda t: ext_div(norm(t), side.outer_norm(omega, theta, t)),
+            lambda t: _div(norm(t), side.outer_norm(omega, theta, t)),
             breaks)
     rho = p if math.isinf(theta) else p * theta / (theta - p)
-    main = side.stieltjes(lambda t: ext_pow(norm(t), rho),
-                          ext_pow(whole, rho), omega, theta, rho, rho / s,
+    main = side.stieltjes(lambda t: _power(norm(t), rho),
+                          _power(whole, rho), omega, theta, rho, rho / s,
                           breaks)
-    boundary = ext_div(whole, tail_norm(omega, theta, 0.0))
-    return ext_pow(main, 1.0 / rho) + boundary
+    boundary = _div(whole, float(tail_norm(omega, theta, 0.0)))
+    return ExtReal(_power(float(main), 1.0 / rho) + boundary)
 
 
 def _primal_functional(side, inner, omega, theta, p, breaks) -> ExtReal:
@@ -213,23 +213,23 @@ def _primal_functional(side, inner, omega, theta, p, breaks) -> ExtReal:
     """
     if p <= theta:
         return sup_over_t(
-            lambda t: ext_mul(side.outer_norm(omega, theta, t), inner(t)),
+            lambda t: _mul(side.outer_norm(omega, theta, t), inner(t)),
             breaks)
     r = theta if math.isinf(p) else p * theta / (p - theta)
 
     def integrand(t):
-        core = inner(t) if math.isinf(p) else ext_mul(
-            ext_pow(side.outer_norm(omega, theta, t), theta / p), inner(t))
-        return ext_mul(ext_pow(core, r), ext_pow(omega(t), theta))
+        core = inner(t) if math.isinf(p) else _mul(
+            _power(side.outer_norm(omega, theta, t), theta / p), inner(t))
+        return _mul(_power(core, r), _power(omega(t), theta))
 
-    return ext_pow(_halfline(integrand, breaks), 1.0 / r)
+    return ExtReal(_power(_halfline(integrand, breaks), 1.0 / r))
 
 
-def _halfline(fn, breakpoints=()) -> ExtReal:
+def _halfline(fn, breakpoints=()) -> float:
     """Integral over (0, inf) of fn, which takes an array of t, with known
     kinks."""
     val, _ = integrate_halfline(fn, (0.0, _INF), breakpoints)
-    return val
+    return float(val)
 
 
 def _breaks(*profiles):
@@ -279,13 +279,13 @@ def sup_operator_constant(prob: HardyProblem) -> ExtReal:
     inner = lambda r: side.esssup(w_inv, r)
     breaks = _breaks(v, prob.w_inner.profile)
     if math.isinf(float(q)):
-        return sup_over_t(lambda r: ext_mul(v(r), inner(r)), breaks)
+        return sup_over_t(lambda r: _mul(v(r), inner(r)), breaks)
 
     def integrand(r):
-        return ext_pow(ext_mul(v(r), inner(r)), float(q))
+        return _power(_mul(v(r), inner(r)), float(q))
 
     val = _halfline(integrand, breaks)
-    return ext_pow(val, 1.0 / float(q))
+    return ExtReal(_power(val, 1.0 / float(q)))
 
 
 def _check_reverse_hypothesis(u, q, side):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import QuadratureFailure, UndefinedStieltjes
-from .extreal import ExtReal, scalar_results
+from .extreal import ExtReal, _mul, scalar_results
 from .profiles import PowerProfile, RadialProfile, elementwise
 
 __all__ = [
@@ -217,13 +217,15 @@ def integrate_halfline(f, interval, breakpoints=None, rest=None):
         raise TypeError("integrand must be callable")
     if breakpoints is None:
         breakpoints = f.breakpoints() if isinstance(f, RadialProfile) else ()
-    return _walk(lambda lo, hi: _gauss_kronrod(f, lo, hi), interval,
-                 breakpoints, rest)
+    val, err = _walk(lambda lo, hi: _gauss_kronrod(f, lo, hi), interval,
+                     breakpoints, rest)
+    return ExtReal(val), err
 
 
 def _walk(rule, interval, breakpoints, rest):
-    """integrate_halfline's walk over (a, b); rule(lo, hi) returns the
-    (values, errors) arrays of the integrals over pieces free of breaks.
+    """integrate_halfline's walk over (a, b), whose (value, error bound) it
+    returns as floats; rule(lo, hi) returns the (values, errors) arrays of
+    the integrals over pieces free of breaks.
     A finite core spanning the breakpoints inside (a, b) is integrated
     piece by piece between them, and dyadic pieces in log t are added
     toward an open end until they are negligible, a geometric tail can be
@@ -281,7 +283,7 @@ def _walk(rule, interval, breakpoints, rest):
     for x0, x1, v, e in zip(anchors[:-1], anchors[1:], vals, errs):
         _check_piece(v, x0, x1, total, toterr)
         if math.isinf(v):
-            return ExtReal(_INF), _INF
+            return _INF, _INF
         total, toterr = total + v, toterr + e
 
     for (edge, up), (vals, errs) in zip(walks, found[1:]):
@@ -300,7 +302,7 @@ def _walk(rule, interval, breakpoints, rest):
                 else (math.ldexp(edge, -k - 1), math.ldexp(edge, -k))
             _check_piece(v, x0, x1, total, toterr)
             if math.isinf(v):
-                return ExtReal(_INF), _INF
+                return _INF, _INF
             total, toterr = total + v, toterr + e
             pieces.append(v)
             tol = max(_ABS_TOL, _REL_TOL * abs(total))
@@ -323,7 +325,7 @@ def _walk(rule, interval, breakpoints, rest):
                           if pieces[i] > 0]
                 if len(ratios) == 8 and min(ratios) >= 1.0 - _DIVERGENCE_DELTA \
                         and not _stable_below_one(ratios):
-                    return ExtReal(_INF), _INF
+                    return _INF, _INF
                 if len(ratios) == 8 and max(ratios) < 0.95:
                     r = ratios[-1]
                     rem = v * r / (1.0 - r)
@@ -349,7 +351,7 @@ def _walk(rule, interval, breakpoints, rest):
             raise QuadratureFailure(
                 "dyadic budget exhausted without convergence or divergence",
                 value=total, error_bound=toterr + pieces[-1])
-    return ExtReal(max(total, 0.0)), toterr
+    return max(total, 0.0), toterr
 
 
 def _rest_bounds(rest, edge, up, first, count):
@@ -565,8 +567,7 @@ def _rs_stage(f, h: MonotoneIntegrator, x0, x1, sharp):
         dm = np.diff(hv) if h.direction == "increasing" else -np.diff(hv)
         dm = np.maximum(dm, 0.0)
         fv = _values(f, mids)
-        with np.errstate(invalid="ignore"):
-            contrib = np.where(fv == 0.0, 0.0, fv * dm)
+        contrib = _mul(fv, dm)
         if np.isnan(contrib).any():
             raise QuadratureFailure(
                 f"Riemann-Stieltjes sum is nan on the stage ({lo:g}, {hi:g})")
@@ -646,4 +647,4 @@ def stieltjes_integral(f, h: MonotoneIntegrator, interval=(0.0, _INF)):
         return np.array(found, dtype=float).reshape(-1, 2).T
 
     val, _ = _walk(rule, (a, b), jumps, None)
-    return ExtReal(total + float(val))
+    return ExtReal(total + val)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotAWeight, QuadratureFailure
-from .extreal import ExtReal, ext_mul, ext_pow, scalar_results
+from .extreal import ExtReal, _mul, _power, scalar_results
 from .integration import _gauss_kronrod, sphere_area
 from .profiles import (FnProfile, PiecewisePowerProfile, PowerProfile,
                        RadialProfile)
@@ -166,7 +166,7 @@ def weighted_lp_norm(f: GridFunction, p, v: Weight, region: Region = ALL) -> Ext
     if p <= 0:
         raise ValueError("p must be in (0, inf]")
     shells = _shell_integral(v.profile, v.dimension, r0, r1)
-    return ext_pow(float(np.sum(vals ** p * shells)), 1.0 / p)
+    return ExtReal(_power(float(np.sum(vals ** p * shells)), 1.0 / p))
 
 
 class _InnerBallNorm:
@@ -289,7 +289,7 @@ def _morrey_norm(f, p, theta, omega, v, side) -> ExtReal:
         # smooth piece there, so dense sampling plus the right endpoint is
         # reliable
         rs = np.geomspace(anchors[:-1], anchors[1:], 33)[1:].ravel()
-        return ExtReal(max(best, np.max(ext_mul(omega(rs), inner(rs)))))
+        return ExtReal(max(best, np.max(_mul(omega(rs), inner(rs)))))
     total = 0.0
     if whole > 0:
         beyond = float(side.outer_norm(omega, theta, edge))
@@ -297,12 +297,12 @@ def _morrey_norm(f, p, theta, omega, v, side) -> ExtReal:
             return ExtReal(_INF)
         total += (whole * beyond) ** theta
     vals, _ = _gauss_kronrod(
-        lambda r: ext_pow(ext_mul(omega(r), inner(r)), theta),
+        lambda r: _power(_mul(omega(r), inner(r)), theta),
         anchors[:-1], anchors[1:])
     if np.isnan(vals).any():
         raise QuadratureFailure("Morrey-norm integrand is nan")
     total += float(np.sum(vals))
-    return ext_pow(total, 1.0 / theta)
+    return ExtReal(_power(total, 1.0 / theta))
 
 
 def fubini_weight(omega: RadialProfile, p, v: Weight, direction="tail") -> Weight:

@@ -64,7 +64,7 @@ import numpy as np
 
 from .embeddings import EmbeddingProblem, embedding_constant
 from .errors import DegenerateRatio, WitnessNotFound
-from .extreal import ExtReal, conjugate_exponent
+from .extreal import ExtReal, _div, _float_pow, _mul, conjugate_exponent
 from .hardy import (HardyProblem, hardy_A, hardy_A_star, reverse_hardy_C,
                     reverse_hardy_C_star, sup_operator_constant)
 from .integration import sphere_area
@@ -170,14 +170,6 @@ def _subcell_masses(profile, edges, n=1, sigma=1.0, gl=4):
     vals = np.where(np.isfinite(vals), vals, 0.0)
     dens = vals * xs ** (n - 1) * sigma
     return np.sum(dens * ws, axis=1)
-
-
-def _pow(x, e):
-    """x ** e for floats x >= 0 and e > 0, inf where it overflows."""
-    try:
-        return x ** e
-    except OverflowError:
-        return _INF
 
 
 def _exclusive(op, terms):
@@ -420,7 +412,7 @@ class _RatioEvaluator:
     def _finish(self, acc, total, src):
         """The ratio from the outer accumulation over the grid, the inner
         accumulation over the whole grid and the source accumulation."""
-        beyond = self.outer_beyond * _pow(total, self._gpow)
+        beyond = self.outer_beyond * _float_pow(total, self._gpow)
         if self._q_inf:
             morrey = max(acc, beyond)
         else:
@@ -510,16 +502,13 @@ class _RatioEvaluator:
         pc = P / (P - 1.0)
         with np.errstate(all="ignore"):
             root = self._src_cell ** (1.0 / P)
-            cell = np.where(self._inner_cell > 0.0,
-                            self._inner_cell / root, 0.0) ** pc
-            own = np.where(self._part_half > 0.0,
-                           self._part_half / root[:, None], 0.0) ** pc
+            cell = _div(self._inner_cell, root) ** pc
+            own = _div(self._part_half, root[:, None]) ** pc
             before = _exclusive(np.add, cell)
             dual = np.append((before[:, None] + own).ravel(),
                              before[-1] + cell[-1]) ** (1.0 / (pc * p2))
             weight = np.append(self._outer_flat, self.outer_beyond)
-            tops = np.where((weight > 0.0) & (dual > 0.0), weight * dual,
-                            0.0)
+            tops = _mul(weight, dual)
             best = int(np.argmax(tops))
             i, k = divmod(best, self.K)
             a = np.where(np.arange(m) < i, self._inner_cell, 0.0)

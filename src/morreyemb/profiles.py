@@ -23,7 +23,7 @@ from bisect import bisect_left
 
 import numpy as np
 
-from .extreal import scalar_results
+from .extreal import _float_pow, _mul, _power, scalar_results
 
 __all__ = [
     "RadialProfile",
@@ -110,7 +110,7 @@ def _power_values(c, alpha, rho):
     """c * rho^alpha at an array of radii."""
     if c == 0.0 or math.isinf(c) or alpha == 0.0:
         return np.full(rho.shape, c)
-    return c * _pow(rho, alpha)
+    return _mul(c, _pow(rho, alpha))
 
 
 def _power_esssups(c, alpha, a, b):
@@ -197,20 +197,10 @@ class RadialProfile:
 
 
 def _pow(x, e):
-    """x^e with 0^e = inf for e < 0, inf^e = 0 for e < 0 and overflow to
-    inf, without a warning; 0 and inf stay put for e = 0."""
-    with np.errstate(divide="ignore", over="ignore"):
-        if e == 0.0:
-            return np.where((x == 0.0) | np.isinf(x), x, 1.0)
-        return np.power(x, e)
-
-
-def _coef_pow(c, e):
-    """c ** e for a coefficient c in [0, inf]; overflow gives inf."""
-    try:
-        return c ** e
-    except OverflowError:
-        return _INF
+    """x^e with the conventions of extreal; 0 and inf stay put for e = 0."""
+    if e == 0.0:
+        return np.where((x == 0.0) | np.isinf(x), x, 1.0)
+    return _power(x, e)
 
 
 def _safe_exp(rate, x):
@@ -256,7 +246,7 @@ class ShiftedPowerProfile(RadialProfile):
         # a constant, also at rho = inf, where _pow keeps inf^0 = inf
         if self.c == 0.0 or self.alpha == 0.0:
             return _shaped(self.c, rho)
-        return _scaled(self.c, _pow(self.shift + rho, self.alpha))
+        return _mul(self.c, _pow(self.shift + rho, self.alpha))
 
     @_radii
     def integral(self, a, b):
@@ -266,7 +256,7 @@ class ShiftedPowerProfile(RadialProfile):
     def power(self, e):
         if self.c == 0.0:
             return PowerProfile(_INF if e < 0 else 0.0, 0.0)
-        return ShiftedPowerProfile(_coef_pow(self.c, e), self.shift,
+        return ShiftedPowerProfile(_float_pow(self.c, e), self.shift,
                                    self.alpha * e)
 
     def scale(self, c):
@@ -277,7 +267,7 @@ class ShiftedPowerProfile(RadialProfile):
         if self.c == 0.0 or self.alpha == 0.0:
             return _shaped(self.c, a, b)
         end = _at_end(a, b, self.alpha > 0)
-        return self.c * _pow(self.shift + end, self.alpha)
+        return _mul(self.c, _pow(self.shift + end, self.alpha))
 
     @_radii
     def log_slope(self, rho):
@@ -309,7 +299,7 @@ class ExpProfile(RadialProfile):
         # a constant, also at rho = inf, where rate * rho would be 0 * inf
         if self.c == 0.0 or self.rate == 0.0:
             return _shaped(self.c, rho)
-        return _scaled(self.c, _safe_exp(self.rate, rho))
+        return _mul(self.c, _safe_exp(self.rate, rho))
 
     @_radii
     def integral(self, a, b):
@@ -329,7 +319,7 @@ class ExpProfile(RadialProfile):
     def power(self, e):
         if self.c == 0.0:
             return PowerProfile(_INF if e < 0 else 0.0, 0.0)
-        return ExpProfile(_coef_pow(self.c, e), self.rate * e)
+        return ExpProfile(_float_pow(self.c, e), self.rate * e)
 
     def times(self, other):
         if isinstance(other, ExpProfile):
@@ -345,7 +335,8 @@ class ExpProfile(RadialProfile):
     def esssup(self, a, b):
         if self.c == 0.0 or self.rate == 0.0:
             return _shaped(self.c, a, b)
-        return self.c * _safe_exp(self.rate, _at_end(a, b, self.rate > 0))
+        return _mul(self.c,
+                    _safe_exp(self.rate, _at_end(a, b, self.rate > 0)))
 
     @_radii
     def log_slope(self, rho):
@@ -517,24 +508,13 @@ def _seg_pow(c, alpha, e):
         return (_INF, 0.0) if e < 0 else (0.0, 0.0)
     if math.isinf(c):
         return (0.0, 0.0) if e < 0 else (_INF, 0.0)
-    return (_coef_pow(c, e), _real(alpha * e, "exponent"))
+    return (_float_pow(c, e), _real(alpha * e, "exponent"))
 
 
 def _seg_mul(c1, a1, c2, a2):
     if c1 == 0.0 or c2 == 0.0:
         return (0.0, 0.0)
     return (c1 * c2, _real(a1 + a2, "exponent"))
-
-
-def _scaled(c, x):
-    """c * x for a coefficient c > 0; c = inf reads 0 where x is 0."""
-    return c * x if c < _INF else _product(c, x)
-
-
-def _product(a, b):
-    """a * b with 0 * inf = 0 and overflow to inf, for arrays of values."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        return np.where((a == 0.0) | (b == 0.0), 0.0, a * b)
 
 
 class ProductProfile(RadialProfile):
@@ -546,18 +526,18 @@ class ProductProfile(RadialProfile):
 
     @_radii
     def __call__(self, rho):
-        return _product(self.left(rho), self.right(rho))
+        return _mul(self.left(rho), self.right(rho))
 
     def power(self, e):
         return ProductProfile(self.left.power(e), self.right.power(e))
 
     @_radii
     def left_limit(self, t):
-        return _product(self.left.left_limit(t), self.right.left_limit(t))
+        return _mul(self.left.left_limit(t), self.right.left_limit(t))
 
     @_radii
     def right_limit(self, t):
-        return _product(self.left.right_limit(t), self.right.right_limit(t))
+        return _mul(self.left.right_limit(t), self.right.right_limit(t))
 
     @_radii
     def log_slope(self, rho):

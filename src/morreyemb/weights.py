@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotAWeight, QuadratureFailure
-from .extreal import ExtReal, ext_mul, ext_pow, scalar_results
+from .extreal import (ExtReal, _mul, _power, conjugate_exponent,
+                      scalar_results)
 from .integration import (_defined_range, _gauss_kronrod, _profile_integral,
                           _sorted_unique, _values, ball_integral, ball_volume,
                           complement_integral, esssup_ball, esssup_complement,
@@ -85,7 +86,7 @@ def lp_norm_interval(profile: RadialProfile, q, interval) -> ExtReal:
         raise ValueError("q must be in (0, inf]")
     if math.isinf(q):
         return profile.esssup(a, b)
-    return ext_pow(_profile_integral(profile.power(q), a, b), 1.0 / q)
+    return _power(_profile_integral(profile.power(q), a, b), 1.0 / q)
 
 
 def tail_norm(omega: RadialProfile, theta, t) -> ExtReal:
@@ -168,12 +169,13 @@ class Side(enum.Enum):
             return esssup_ball(g, t)
         return esssup_complement(g, t)
 
+    @scalar_results(ExtReal)
     def region_norm(self, g, s, n, t) -> ExtReal:
         """||g||_s over the region at radius t in R^n, s in (0, inf]."""
-        s = float(s)
+        s, t = float(s), np.asarray(t, dtype=float)
         if math.isinf(s):
             return self.esssup(g, t)
-        return ext_pow(self.integral(g.power(s), n, t), 1.0 / s)
+        return _power(self.integral(g.power(s), n, t), 1.0 / s)
 
     def outer_norm(self, omega, theta, t):
         """The outer norm paired with the side: tail or head norm."""
@@ -235,10 +237,10 @@ class Side(enum.Enum):
         up = self is Side.COMPLEMENT      # the walk toward h's finite limit
 
         def h(t):
-            return ext_pow(self.outer_norm(omega, theta, t), -rho)
+            return _power(self.outer_norm(omega, theta, t), -rho)
 
         def h_limit(t):
-            return ext_pow(self.outer_norm_limit(omega, theta, t), -rho)
+            return _power(self.outer_norm_limit(omega, theta, t), -rho)
 
         lo, hi = _defined_range(f, self.infinite_from(omega), not up, 0.0,
                                 _INF)
@@ -263,9 +265,7 @@ class Side(enum.Enum):
         if jumps.size:
             masses = np.abs(h(jumps) - h_limit(jumps))
             fv = _values(f, jumps)
-            with np.errstate(invalid="ignore"):
-                atoms = float(np.sum(np.where(masses == 0.0, 0.0,
-                                              fv * masses)))
+            atoms = float(np.sum(_mul(fv, masses)))
             if math.isnan(atoms):
                 raise QuadratureFailure(
                     "Stieltjes integrand is nan at an atom")
@@ -293,11 +293,9 @@ class Side(enum.Enum):
             return np.where(zero, 0.0, np.where(norm == 0.0, np.nan, dens))
 
         def integrand(t):
-            fv, dens = _values(f, t), density(t)
-            with np.errstate(invalid="ignore"):
-                return np.where((fv == 0.0) | (dens == 0.0), 0.0, fv * dens)
+            return _mul(_values(f, t), density(t))
 
-        h_end = float(ext_pow(tail_norm(omega, theta, 0.0), -rho))
+        h_end = _power(float(tail_norm(omega, theta, 0.0)), -rho)
         f_end = float(f_end)
 
         def rest(x, toward):
@@ -306,18 +304,16 @@ class Side(enum.Enum):
             at = np.searchsorted(jumps, x, side="left" if up else "right")
             mass = np.maximum(np.abs(h(x) - h_end) - beyond[at], 0.0)
             fx = _values(f, x)
-            with np.errstate(invalid="ignore"):
-                return tuple(np.where(mass == 0.0, 0.0, bound * mass)
-                             for bound in (np.minimum(fx, f_end),
-                                           np.maximum(fx, f_end)))
+            return tuple(_mul(bound, mass) for bound in
+                         (np.minimum(fx, f_end), np.maximum(fx, f_end)))
 
         end = lo if up else hi
         k = _denominator(a) if dead.size and 0.0 < a < 1.0 else 1
         toward_cut = end == cut and 0.0 < end < _INF and \
-            math.isinf(float(h_limit(end)))
+            math.isinf(h_limit(np.array([end]))[0])
         if k == 1 and not toward_cut:
             val, _ = integrate_halfline(integrand, (lo, hi), breaks, rest)
-            return atoms + val
+            return ExtReal(atoms + float(val))
         # the piece between end and the breakpoint next to it apart
         live = bks[bks > end] if up else bks[bks < end][::-1]
         edge = float(live[0]) if live.size else (2.0 if up else 0.5) * end
@@ -335,7 +331,7 @@ class Side(enum.Enum):
                 raise QuadratureFailure(
                     f"Stieltjes integral toward the cut at t = {end:g}, in "
                     f"the distance s to it: {exc}") from exc
-            return atoms + far + close
+            return ExtReal(atoms + float(far) + float(close))
 
         def piece(x):
             # dt/dx at the x that the rounded t stands for, d = |t - z| =
@@ -350,7 +346,7 @@ class Side(enum.Enum):
             raise QuadratureFailure(
                 f"Stieltjes integrand is nan between {min(end, edge):g} and "
                 f"{max(end, edge):g}")
-        return atoms + far + float(close)
+        return ExtReal(atoms + float(far) + float(close))
 
     def in_omega(self, member: OmegaMembership) -> bool:
         """Whether omega lies in the side's class: Omega_theta (finite
@@ -360,14 +356,14 @@ class Side(enum.Enum):
         return member.in_dual_omega_theta
 
 
-def _whole_space_norm(g, s, n) -> ExtReal:
+def _whole_space_norm(g, s, n) -> float:
     """||g||_s over all of R^n, s in (0, inf]."""
     s = float(s)
     if math.isinf(s):
-        return esssup_complement(g, 0.0)
-    val = ball_integral(g.power(s), n, 1.0) + \
-        complement_integral(g.power(s), n, 1.0)
-    return ext_pow(val, 1.0 / s)
+        return float(esssup_complement(g, 0.0))
+    val = float(ball_integral(g.power(s), n, 1.0)) + \
+        float(complement_integral(g.power(s), n, 1.0))
+    return _power(val, 1.0 / s)
 
 
 def _power_omega_membership(c, alpha, theta):
@@ -458,7 +454,7 @@ def _off_center_ball_integral(profile, n, d, r):
     # the slice measure has a kink where the sphere starts to leave the
     # ball, at rho = r - d
     val, _ = integrate_halfline(
-        lambda rho: ext_mul(profile(rho), _ball_slice_measure(n, d, r, rho)),
+        lambda rho: _mul(profile(rho), _ball_slice_measure(n, d, r, rho)),
         (max(d - r, 0.0), d + r), (r - d,) + profile.breakpoints())
     return float(val)
 
@@ -480,7 +476,7 @@ def muckenhoupt_ap_estimate(w: Weight, p, ball_family=None) -> ExtReal:
         raise ValueError("p must be in (1, inf)")
     if ball_family is None:
         ball_family = default_ball_family()
-    pp = float(ext_pow(p / (p - 1.0), 1.0))  # p' for p in (1, inf)
+    pp = float(conjugate_exponent(p))
     n = w.dimension
     dual = w.profile.power(1.0 - pp)
     best = 0.0

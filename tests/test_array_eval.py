@@ -111,6 +111,7 @@ def test_array_call_matches_scalar(prof, extra):
 @settings(max_examples=150, deadline=None)
 @given(profiles, radii_lists, st.floats(1e-3, 1e3))
 @example(ExpProfile(1.0, 1e300), [1.0, 1e10], 2.0)   # rate * rho overflows
+@example(ExpProfile(2.0, 0.9921875), [715.0], 1.0)   # c * exp(...) overflows
 def test_array_integral_and_esssup_match_scalar(prof, extra, pivot):
     for method, rtol, rs in (
             (prof.esssup, RTOL, radii_for(prof, extra)),
@@ -129,6 +130,21 @@ def test_array_integral_and_esssup_match_scalar(prof, extra, pivot):
         lo, hi = rs[:-1], rs[1:]
         check_same(method(lo, hi),
                    [method(float(x), float(y)) for x, y in zip(lo, hi)], rtol)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("prof,edge", [
+    (ExpProfile(2.0, 0.9921875), 715.0),
+    (PowerProfile(4.0, 307.8), 10.0),
+    (PiecewisePowerProfile([1.0], [(1.0, 0.0), (4.0, 307.8)]), 10.0),
+    (ShiftedPowerProfile(4.0, 1.0, 307.8), 9.0),
+], ids=["exp", "power", "piecewise_power", "shifted_power"])
+def test_closed_forms_overflow_to_inf_without_a_warning(prof, edge):
+    # the coefficient times a finite value past the largest float
+    assert prof(edge) == INF
+    assert prof.esssup(1.0, edge) == INF
+    np.testing.assert_array_equal(prof(np.array([1.0, edge]))[1:], [INF])
+    np.testing.assert_array_equal(prof.esssup(0.5, np.array([edge])), [INF])
 
 
 TINY = np.finfo(float).tiny
@@ -778,6 +794,36 @@ def test_sup_over_t_scans_its_grid_in_one_array_call(name, monkeypatch):
 def test_sup_over_t_raises_on_nan():
     with pytest.raises(ValueError, match="nan"):
         hardy.sup_over_t(lambda t: np.where(t > 1.0, math.nan, t))
+
+
+# a weight that is nan on (2, 3): the products and powers inside the
+# functionals run unchecked, yet each functional fails loudly, naming a
+# piece of its quadrature that meets (2, 3)
+HOLED = FnProfile(lambda r: math.nan if 2.0 < r < 3.0 else 1.0)
+NAN_WEIGHTED = {
+    "emb.ii": lambda: embedding_constant(EmbeddingProblem(
+        "lebesgue_to_lm", 1, 3.0, 2.0, 2.0, ONE, Weight(1, HOLED),
+        split((1.0, 0.0), (1.0, -2.0)))),
+    "emb.i": lambda: embedding_constant(EmbeddingProblem(
+        "lebesgue_to_lm", 1, 3.0, 2.0, 3.0, Weight(1, HOLED), ONE,
+        split((1.0, 0.0), (1.0, -2.0)))),
+    "emb.b": lambda: embedding_constant(EmbeddingProblem(
+        "lm_to_lebesgue", 1, 1.0, 2.0, 3.0, Weight(1, HOLED), ONE,
+        truncated_power(1.0, -1.0, 1.0, None))),
+    "hardy.a": lambda: hardy.hardy_A(HardyProblem("direct", 2.0, 2.0,
+                                                  HOLED, ONE)),
+    "hardy.b": lambda: hardy.hardy_A(HardyProblem("direct", 2.0, 1.0,
+                                                  HOLED, ONE)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAN_WEIGHTED))
+def test_a_nan_weight_fails_loudly(name):
+    with pytest.raises(QuadratureFailure, match="nan on the piece") as exc:
+        NAN_WEIGHTED[name]()
+    lo, hi = (float(x) for x in
+              str(exc.value).split("(")[1].split(")")[0].split(","))
+    assert lo < 3.0 and hi > 2.0, str(exc.value)
 
 
 # ---------------------------------------------------------------------------
