@@ -168,7 +168,7 @@ def parse_problem(doc):
 def parse_oracle_config(doc, args):
     o = dict(doc.get("oracle", {}))
     _check_keys(o, {"grid_cells", "knot_range", "restarts", "ascent_sweeps",
-                    "seed", "include_families", "ratio_floor"}, "oracle")
+                    "seed", "ratio_floor"}, "oracle")
     o.pop("ratio_floor", None)
     if args.cells is not None:
         o["grid_cells"] = args.cells
@@ -177,8 +177,6 @@ def parse_oracle_config(doc, args):
     try:
         if "knot_range" in o:
             o["knot_range"] = tuple(float(x) for x in o["knot_range"])
-        if "include_families" in o:
-            o["include_families"] = tuple(o["include_families"])
         return OracleConfig(**o)
     except (TypeError, ValueError) as exc:
         raise SpecError(f"bad oracle config: {exc}") from exc

@@ -5,14 +5,13 @@ complement mirror, the esssup operators S/S*, and the reverse inequalities
 bounding the source norm by a norm of Hf.  Each functional is the exact
 expression whose finiteness characterizes the inequality; it is equivalent
 to the best constant up to exponent-dependent factors, never claimed equal.
-Two forms serve the embeddings too: _primal_functional the direct
-inequalities and the Lebesgue-source embeddings, _dual_functional the
+Two forms serve the embeddings too: _primal_functional the direct and
+esssup inequalities and the Lebesgue-source embeddings, _dual_functional the
 reverse ones, the Morrey-source embeddings and the associate norms.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .errors import HypothesisViolated, InadmissibleExponents
 from .extreal import ExtReal, _div, _mul, _power, conjugate_exponent
-from .integration import _sorted_unique, _values, integrate_halfline
+from .integration import _integral, _sorted_unique, _values
 from .profiles import RadialProfile
 from .weights import Side, Weight, _whole_space_norm, tail_norm
 
@@ -79,12 +78,9 @@ class HardyProblem:
             else Side.BALL
 
 
-@functools.lru_cache(maxsize=16)
-def _scan_grid(lo, hi, grid):
-    """np.geomspace(lo, hi, grid), built once per process and read-only."""
-    ts = np.geomspace(lo, hi, grid)
-    ts.flags.writeable = False
-    return ts
+# the scan of sup_over_t, read-only
+_SCAN_GRID = np.geomspace(1e-6, 1e6, 512)
+_SCAN_GRID.flags.writeable = False
 
 
 def sup_over_t(fn, breakpoints=()) -> ExtReal:
@@ -109,7 +105,7 @@ def sup_over_t(fn, breakpoints=()) -> ExtReal:
     """
     breaks = np.clip(np.asarray(breakpoints, dtype=float), 1e-18, 1e18)
     beyond = [breaks.min() / 10.0, breaks.max() * 10.0] if breaks.size else []
-    ts = _sorted_unique(np.concatenate((_scan_grid(1e-6, 1e6, 512), breaks,
+    ts = _sorted_unique(np.concatenate((_SCAN_GRID, breaks,
                                         np.clip(beyond, 1e-18, 1e18))))
     vals = _checked(fn, ts)
     if np.isinf(vals).any():
@@ -201,8 +197,8 @@ def _dual_functional(side, norm, whole, s, omega, theta, p, breaks) -> ExtReal:
 
 
 def _primal_functional(side, inner, omega, theta, p, breaks) -> ExtReal:
-    """The direct Hardy functional shared by the direct Hardy inequalities
-    and the Lebesgue-source embeddings.
+    """The direct Hardy functional shared by the direct Hardy inequalities,
+    the esssup operators (p = inf) and the Lebesgue-source embeddings.
 
     I(t) = inner(t) is a norm over the side's region at radius t in R^n,
     and N(t) is the side's outer theta-norm of omega.  The functional is
@@ -228,8 +224,7 @@ def _primal_functional(side, inner, omega, theta, p, breaks) -> ExtReal:
 def _halfline(fn, breakpoints=()) -> float:
     """Integral over (0, inf) of fn, which takes an array of t, with known
     kinks."""
-    val, _ = integrate_halfline(fn, (0.0, _INF), breakpoints)
-    return float(val)
+    return _integral(fn, (0.0, _INF), breakpoints)[0]
 
 
 def _breaks(*profiles):
@@ -270,22 +265,17 @@ def _direct_functional(prob: HardyProblem) -> ExtReal:
 
 
 def sup_operator_constant(prob: HardyProblem) -> ExtReal:
-    """q-norm over (0, inf) of v(r) * esssup over the region of w^{-1},
-    the constant for the ball (or complement) esssup operator."""
+    """q-norm over (0, inf) of v(r) I(r), I(r) the esssup over the region
+    of w^{-1}: the constant for the ball (or complement) esssup operator,
+    and the primal functional with omega = v, theta = q and p = inf (at
+    q = inf, I is monotone the other way from the outer norm N, so
+    sup N I = sup v I)."""
     if prob.variant not in ("sup", "sup_complement"):
         raise ValueError("expects the sup or sup_complement variant")
-    q, v, side = prob.q, prob.v_outer, prob.side
-    w_inv = prob.w_inner.profile.power(-1.0)
-    inner = lambda r: side.esssup(w_inv, r)
-    breaks = _breaks(v, prob.w_inner.profile)
-    if math.isinf(float(q)):
-        return sup_over_t(lambda r: _mul(v(r), inner(r)), breaks)
-
-    def integrand(r):
-        return _power(_mul(v(r), inner(r)), float(q))
-
-    val = _halfline(integrand, breaks)
-    return ExtReal(_power(val, 1.0 / float(q)))
+    v, w, side = prob.v_outer, prob.w_inner.profile, prob.side
+    w_inv = w.power(-1.0)
+    return _primal_functional(side, lambda r: side.esssup(w_inv, r), v,
+                              prob.q, _INF, _breaks(v, w))
 
 
 def _check_reverse_hypothesis(u, q, side):

@@ -210,16 +210,18 @@ def integrate_halfline(f, interval, breakpoints=None, rest=None):
     indicate divergence at either end or a piece integrates to inf.
     Raises QuadratureFailure when f is nan at a node of a piece.
     """
-    a, b = interval
-    if not a < b:
-        raise ValueError("need a < b")
     if not callable(f):
         raise TypeError("integrand must be callable")
     if breakpoints is None:
         breakpoints = f.breakpoints() if isinstance(f, RadialProfile) else ()
-    val, err = _walk(lambda lo, hi: _gauss_kronrod(f, lo, hi), interval,
-                     breakpoints, rest)
+    val, err = _integral(f, interval, breakpoints, rest)
     return ExtReal(val), err
+
+
+def _integral(f, interval, breakpoints=(), rest=None):
+    """integrate_halfline's (value, error bound) as floats."""
+    return _walk(lambda lo, hi: _gauss_kronrod(f, lo, hi), interval,
+                 breakpoints, rest)
 
 
 def _walk(rule, interval, breakpoints, rest):
@@ -240,6 +242,8 @@ def _walk(rule, interval, breakpoints, rest):
     unless a rest bracket puts more than tolerance beyond it.
     """
     a, b = interval
+    if not a < b:
+        raise ValueError("need a < b")
     breaks = _sorted_unique(breakpoints)
 
     # seed finite core
@@ -408,7 +412,7 @@ def _profile_integral(prof, a, b):
     val = prof.integral(a, b)
     if val is None:
         val = elementwise(
-            lambda x, y: float(integrate_halfline(prof, (x, y))[0]), a, b)
+            lambda x, y: _integral(prof, (x, y), prof.breakpoints())[0], a, b)
     return val
 
 
@@ -498,14 +502,14 @@ class MonotoneIntegrator:
     @classmethod
     def from_function(cls, h, direction, jump_points=(), infinite_from=None,
                       left=None, right=None):
-        """Wrap an array evaluator; one-sided limits default to numeric
-        approach from a relative distance 1e-9, which is exact for steps.
-        stieltjes_integral reads them only at the jump points and at the
-        cut where h turns infinite."""
+        """Wrap an array evaluator; one-sided limits default to its values
+        at t (1 - 2^-40) and t (1 + 2^-40), as FnProfile reads them, which
+        is exact for steps.  stieltjes_integral reads them only at the jump
+        points and at the cut where h turns infinite."""
         if left is None:
-            left = lambda t: h(t * (1.0 - 1e-9))
+            left = lambda t: h(t * (1.0 - 2.0 ** -40))
         if right is None:
-            right = lambda t: h(t * (1.0 + 1e-9))
+            right = lambda t: h(t * (1.0 + 2.0 ** -40))
         return cls(direction=direction, evaluator=h, left=left, right=right,
                    jump_points=tuple(jump_points), infinite_from=infinite_from)
 

@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import NotAWeight, QuadratureFailure
 from .extreal import ExtReal, _mul, _power, scalar_results
+from .hardy import sup_over_t
 from .integration import _gauss_kronrod, sphere_area
 from .profiles import (FnProfile, PiecewisePowerProfile, PowerProfile,
                        RadialProfile)
@@ -285,11 +286,8 @@ def _morrey_norm(f, p, theta, omega, v, side) -> ExtReal:
         best = 0.0
         if whole > 0:
             best = whole * float(side.outer_norm(omega, _INF, edge))
-        # inner is monotone on each anchor interval and omega is a single
-        # smooth piece there, so dense sampling plus the right endpoint is
-        # reliable
-        rs = np.geomspace(anchors[:-1], anchors[1:], 33)[1:].ravel()
-        return ExtReal(max(best, np.max(_mul(omega(rs), inner(rs)))))
+        return ExtReal(max(best, float(sup_over_t(
+            lambda r: _mul(omega(r), inner(r)), anchors))))
     total = 0.0
     if whole > 0:
         beyond = float(side.outer_norm(omega, theta, edge))

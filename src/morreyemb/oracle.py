@@ -83,11 +83,19 @@ __all__ = [
 
 _INF = math.inf
 
-DEFAULT_FAMILIES = ("ball", "complement", "annulus", "dual_power",
-                    "power_window", "constant", "two_block")
+# subcells per coarse cell
+_SUBCELLS = 8
 
 # rows scored together, in one pass over the grid
 _BLOCK = 16
+
+# np.polynomial.legendre.leggauss(4) moved to [0, 1], nodes (row 0) and
+# weights (row 1), read-only; written out, as numpy.polynomial takes 4 ms
+_GL01 = np.array([[0.06943184420297371, 0.33000947820757187,
+                   0.6699905217924281, 0.9305681557970262],
+                  [0.17392742256872679, 0.3260725774312732,
+                   0.3260725774312732, 0.17392742256872679]])
+_GL01.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -97,21 +105,13 @@ class OracleConfig:
     restarts: int = 16
     ascent_sweeps: int = 40
     seed: int = 0
-    include_families: tuple = DEFAULT_FAMILIES
-    subcells: int = 8
 
     def __post_init__(self):
-        for name in ("grid_cells", "restarts", "ascent_sweeps", "seed",
-                     "subcells"):
+        for name in ("grid_cells", "restarts", "ascent_sweeps", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or \
                     not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        families = set(self.include_families)
-        if not families or not families <= set(DEFAULT_FAMILIES):
-            raise ValueError(f"include_families must be some of "
-                             f"{DEFAULT_FAMILIES}, got "
-                             f"{self.include_families!r}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.grid_cells < 16:
@@ -120,8 +120,6 @@ class OracleConfig:
             raise ValueError("restarts must be >= 1")
         if self.ascent_sweeps < 0:
             raise ValueError("ascent_sweeps must be >= 0")
-        if self.subcells < 1:
-            raise ValueError("subcells must be >= 1")
         lo, hi = self.knot_range
         if not 0.0 < lo < hi < _INF:
             raise ValueError("knot_range must satisfy 0 < lo < hi < inf")
@@ -146,22 +144,12 @@ class OracleResult:
         return json.dumps(doc)
 
 
-@functools.lru_cache(maxsize=8)
-def _gauss_legendre01(gl):
-    """The gl-point Gauss-Legendre nodes and weights on [0, 1], built once
-    per process and read-only."""
-    x01, w01 = np.polynomial.legendre.leggauss(gl)
-    x01 = 0.5 * (x01 + 1.0)
-    w01 = 0.5 * w01
-    x01.flags.writeable = w01.flags.writeable = False
-    return x01, w01
-
-
-def _subcell_masses(profile, edges, n=1, sigma=1.0, gl=4):
-    """Integral of profile(rho) * rho^(n-1) * sigma over each subcell; the
-    defaults integrate a function of the outer variable.  ``profile`` is
-    called once, on the array of all quadrature nodes."""
-    x01, w01 = _gauss_legendre01(gl)
+def _subcell_masses(profile, edges, n=1, sigma=1.0):
+    """Integral of profile(rho) * rho^(n-1) * sigma over each subcell, by
+    the 4-point Gauss-Legendre rule; the defaults integrate a function of
+    the outer variable.  ``profile`` is called once, on the array of all
+    quadrature nodes."""
+    x01, w01 = _GL01
     lo, hi = edges[:-1], edges[1:]
     xs = lo[:, None] + (hi - lo)[:, None] * x01[None, :]
     ws = (hi - lo)[:, None] * w01[None, :]
@@ -195,7 +183,7 @@ class _RatioEvaluator:
     """
 
     def __init__(self, prob, cfg: OracleConfig):
-        m, K = cfg.grid_cells, cfg.subcells
+        m, K = cfg.grid_cells, _SUBCELLS
         lo, hi = cfg.knot_range
         self.knots = np.geomspace(lo, hi, m + 1)
         self.edges = np.geomspace(lo, hi, m * K + 1)
@@ -521,51 +509,43 @@ class _RatioEvaluator:
         return GridFunction(self.knots, np.asarray(values, dtype=float))
 
 
-def _family_members(ev: _RatioEvaluator, cfg: OracleConfig):
+def _family_members(ev: _RatioEvaluator):
     """Yield (family, values) candidates on the coarse grid."""
     m = ev.m
-    knots = ev.knots
     idx = np.arange(m)
     # ascending, so repeats are neighbours (np.unique would load numpy.ma)
     probe_cells = np.linspace(0, m, 25, dtype=int).clip(0, m)
     probe_cells = probe_cells[np.diff(probe_cells, prepend=-1) > 0]
-    fams = cfg.include_families
-    if "constant" in fams:
-        yield "constant", np.ones(m)
+    yield "constant", np.ones(m)
     for c in probe_cells:
         if 0 < c <= m:
-            if "ball" in fams:
-                yield "ball", (idx < c).astype(float)
-            if "complement" in fams:
-                yield "complement", (idx >= c - 1).astype(float)
-    if "annulus" in fams:
-        for c in probe_cells:
-            for span in (m // 16, m // 4):
-                if 0 < c and c + span <= m:
-                    yield "annulus", ((idx >= c) & (idx < c + span)).astype(float)
-    if "dual_power" in fams and ev.dual_w_profile is not None:
+            yield "ball", (idx < c).astype(float)
+            yield "complement", (idx >= c - 1).astype(float)
+    for c in probe_cells:
+        for span in (m // 16, m // 4):
+            if 0 < c and c + span <= m:
+                yield "annulus", ((idx >= c) & (idx < c + span)).astype(float)
+    if ev.dual_w_profile is not None:
         dual_cell = ev.dual_w_profile.reshape(m, ev.K).mean(axis=1)
         for c in probe_cells:
             if 0 < c <= m:
                 vals = np.where(idx < c, dual_cell, 0.0)
                 if np.any(vals > 0):
                     yield "dual_power", vals
-    if "power_window" in fams:
-        mids = np.sqrt(knots[:-1] * knots[1:])
-        for gamma in (-2.0, -1.0, -0.5, -1.0 / 3.0, 0.5, 1.0):
-            with np.errstate(over="ignore"):
-                vals = mids ** gamma
-            vals = np.where(np.isfinite(vals), vals, 0.0)
-            top = float(np.max(vals, initial=0.0))
-            if top > 0:
-                yield "power_window", vals / top
-    if "two_block" in fams:
-        for c in probe_cells:
-            for lam in (0.1, 1.0, 10.0):
-                if 0 < c < m:
-                    vals = np.where(idx < c, 1.0, 0.0) \
-                        + lam * ((idx >= c) & (idx < min(c + m // 8, m)))
-                    yield "two_block", vals
+    mids = np.sqrt(ev.knots[:-1] * ev.knots[1:])
+    for gamma in (-2.0, -1.0, -0.5, -1.0 / 3.0, 0.5, 1.0):
+        with np.errstate(over="ignore"):
+            vals = mids ** gamma
+        vals = np.where(np.isfinite(vals), vals, 0.0)
+        top = float(np.max(vals, initial=0.0))
+        if top > 0:
+            yield "power_window", vals / top
+    for c in probe_cells:
+        for lam in (0.1, 1.0, 10.0):
+            if 0 < c < m:
+                vals = np.where(idx < c, 1.0, 0.0) \
+                    + lam * ((idx >= c) & (idx < min(c + m // 8, m)))
+                yield "two_block", vals
 
 
 class _Incumbent:
@@ -728,7 +708,7 @@ def best_constant_lower_bound(prob, cfg: OracleConfig = None) -> OracleResult:
     ev = _RatioEvaluator(prob, cfg)
     incumbent = _Incumbent()
 
-    members = list(_family_members(ev, cfg))
+    members = list(_family_members(ev))
     ratios = incumbent.scan(ev, [vals for _, vals in members])
     family_bests = {}
     for (fam, _), r in zip(members, ratios):
@@ -769,7 +749,7 @@ def divergence_witness(prob, cfg: OracleConfig = None, constant=None):
     if not const.is_inf:
         raise ValueError("divergence_witness requires an infinite "
                          "closed-form constant")
-    wide = replace(cfg, knot_range=(1e-9, 1e9), restarts=1, ascent_sweeps=0)
+    wide = replace(cfg, knot_range=(1e-9, 1e9))
     ev = _RatioEvaluator(prob, wide)
     m = ev.m
     idx = np.arange(m)

@@ -23,6 +23,7 @@ from bisect import bisect_left
 
 import numpy as np
 
+from .errors import QuadratureFailure
 from .extreal import _float_pow, _mul, _power, scalar_results
 
 __all__ = [
@@ -211,9 +212,10 @@ def _safe_exp(rate, x):
 
 
 def _sampled_esssup(profile, a, b, n=2049):
-    """The largest of the profile's values on a grid of n points in (a, b),
-    ignoring nan: at its two ends, the one-sided limits from inside the
-    interval, and at a = 0 the limit at 0+ too."""
+    """The largest of the profile's values on a grid of n points in (a, b):
+    at its two ends, the one-sided limits from inside the interval, and at
+    a = 0 the limit at 0+, skipped if nan (an FnProfile reads none).  Any
+    other nan raises QuadratureFailure."""
     lo = max(a, 1e-9) if a == 0.0 else a
     hi = min(b, 1e9) if math.isinf(b) else b
     if lo >= hi:
@@ -221,6 +223,8 @@ def _sampled_esssup(profile, a, b, n=2049):
     grid = np.geomspace(lo, hi, n) if lo > 0 else np.linspace(lo, hi, n)
     vals = np.concatenate((profile.right_limit(grid[:1]), profile(grid[1:-1]),
                            profile.left_limit(grid[-1:])))
+    if np.isnan(vals).any():
+        raise QuadratureFailure(f"sampled esssup is nan on ({a:g}, {b:g})")
     if a == 0.0:
         with np.errstate(all="ignore"):
             vals = np.append(vals, profile.right_limit(np.zeros(1)))

@@ -18,10 +18,10 @@ import numpy as np
 from .errors import NotAWeight, QuadratureFailure
 from .extreal import (ExtReal, _mul, _power, conjugate_exponent,
                       scalar_results)
-from .integration import (_defined_range, _gauss_kronrod, _profile_integral,
-                          _sorted_unique, _values, ball_integral, ball_volume,
-                          complement_integral, esssup_ball, esssup_complement,
-                          integrate_halfline, sphere_area)
+from .integration import (_defined_range, _gauss_kronrod, _integral,
+                          _profile_integral, _sorted_unique, _values,
+                          ball_integral, ball_volume, complement_integral,
+                          esssup_ball, esssup_complement, sphere_area)
 from .profiles import (ExpProfile, PiecewisePowerProfile, PowerProfile,
                        RadialProfile, ShiftedPowerProfile, tabulated,
                        truncated_power)
@@ -312,12 +312,12 @@ class Side(enum.Enum):
         toward_cut = end == cut and 0.0 < end < _INF and \
             math.isinf(h_limit(np.array([end]))[0])
         if k == 1 and not toward_cut:
-            val, _ = integrate_halfline(integrand, (lo, hi), breaks, rest)
-            return ExtReal(atoms + float(val))
+            val, _ = _integral(integrand, (lo, hi), breaks, rest)
+            return ExtReal(atoms + val)
         # the piece between end and the breakpoint next to it apart
         live = bks[bks > end] if up else bks[bks < end][::-1]
         edge = float(live[0]) if live.size else (2.0 if up else 0.5) * end
-        far, _ = integrate_halfline(
+        far, _ = _integral(
             integrand, (edge, hi) if up else (lo, edge), breaks, rest)
         width = abs(edge - end)
         if toward_cut:
@@ -326,12 +326,12 @@ class Side(enum.Enum):
                 return np.where(t == end, np.nan, integrand(t))
 
             try:
-                close, _ = integrate_halfline(near, (0.0, width), ())
+                close, _ = _integral(near, (0.0, width))
             except QuadratureFailure as exc:
                 raise QuadratureFailure(
                     f"Stieltjes integral toward the cut at t = {end:g}, in "
                     f"the distance s to it: {exc}") from exc
-            return ExtReal(atoms + float(far) + float(close))
+            return ExtReal(atoms + far + close)
 
         def piece(x):
             # dt/dx at the x that the rounded t stands for, d = |t - z| =
@@ -346,7 +346,7 @@ class Side(enum.Enum):
             raise QuadratureFailure(
                 f"Stieltjes integrand is nan between {min(end, edge):g} and "
                 f"{max(end, edge):g}")
-        return ExtReal(atoms + float(far) + float(close))
+        return ExtReal(atoms + far + float(close))
 
     def in_omega(self, member: OmegaMembership) -> bool:
         """Whether omega lies in the side's class: Omega_theta (finite
@@ -453,10 +453,10 @@ def _off_center_ball_integral(profile, n, d, r):
         return float(ball_integral(profile, n, r))
     # the slice measure has a kink where the sphere starts to leave the
     # ball, at rho = r - d
-    val, _ = integrate_halfline(
+    val, _ = _integral(
         lambda rho: _mul(profile(rho), _ball_slice_measure(n, d, r, rho)),
         (max(d - r, 0.0), d + r), (r - d,) + profile.breakpoints())
-    return float(val)
+    return val
 
 
 def default_ball_family(radii=None, offset_factors=(0.0, 1.0, 3.0, 10.0)):

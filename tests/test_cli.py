@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from morreyemb import cli, hardy, oracle
-from morreyemb.cli import (EXIT_CONTRACT, EXIT_OK, EXIT_SPEC, dump_json, fmt,
-                           main)
+from morreyemb.cli import (EXIT_CONTRACT, EXIT_NUMERIC, EXIT_OK, EXIT_SPEC,
+                           dump_json, fmt, main)
 from morreyemb.norms import GridFunction
+from test_weights import NAN_PROBLEMS
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -77,6 +78,17 @@ class TestConstant:
         doc = dict(CASE_VI, extra_knob=1)
         spec = write_spec(tmp_path, doc)
         assert main(["constant", "--spec", spec]) == EXIT_SPEC
+
+    @pytest.mark.parametrize("name", sorted(NAN_PROBLEMS))
+    def test_nan_weight_exits_3(self, tmp_path, capsys, monkeypatch, name):
+        # a spec holds no evaluator profile: the parsed problem is swapped
+        # for one with a weight that is nan on (2, 3)
+        monkeypatch.setattr(cli, "parse_problem",
+                            lambda doc: NAN_PROBLEMS[name])
+        spec = write_spec(tmp_path, CASE_VI)
+        assert main(["constant", "--spec", spec]) == EXIT_NUMERIC
+        assert "numeric failure: sampled esssup is nan" in \
+            capsys.readouterr().err
 
 
 class TestVerify:
@@ -165,9 +177,6 @@ class TestOracle:
                                      {"grid_cells": 16.5},
                                      {"restarts": 2.5},
                                      {"seed": "x"},
-                                     {"include_families": ["nope"]},
-                                     {"include_families": "ball"},
-                                     {"include_families": []},
                                      {"seed": -1}])
     @pytest.mark.parametrize("cmd", ["oracle", "verify"])
     def test_bad_config_is_a_spec_error(self, tmp_path, capsys, cmd, bad):
@@ -176,6 +185,18 @@ class TestOracle:
         spec = write_spec(tmp_path, doc)
         assert main([cmd, "--spec", spec]) == EXIT_SPEC
         assert "bad oracle config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd", ["oracle", "verify"])
+    def test_include_families_is_an_unknown_key(self, tmp_path, capsys, cmd):
+        # the families are fixed: a spec that picks some fails like any
+        # unknown key
+        doc = dict(CASE_VI)
+        doc["oracle"] = {"grid_cells": 48, "restarts": 1,
+                         "include_families": ["ball"]}
+        spec = write_spec(tmp_path, doc)
+        assert main([cmd, "--spec", spec]) == EXIT_SPEC
+        assert "unknown keys in oracle: ['include_families']" in \
+            capsys.readouterr().err
 
     def test_writes_argmax(self, tmp_path, capsys):
         doc = dict(CASE_VI)
@@ -428,16 +449,14 @@ class TestReuse:
         assert shared[8][0].startswith("usage: morreyemb sweep")
 
     def test_scan_grid_is_geomspace_and_read_only(self):
-        ts = hardy._scan_grid(1e-6, 1e6, 512)
+        ts = hardy._SCAN_GRID
         assert ts.tobytes() == np.geomspace(1e-6, 1e6, 512).tobytes()
-        assert hardy._scan_grid(1e-6, 1e6, 512) is ts
         with pytest.raises(ValueError):
             ts[0] = 1.0
 
-    @pytest.mark.parametrize("gl", [1, 4, 7])
-    def test_nodes_are_leggauss(self, gl):
-        x, w = np.polynomial.legendre.leggauss(gl)
-        x01, w01 = oracle._gauss_legendre01(gl)
+    def test_nodes_are_leggauss(self):
+        x, w = np.polynomial.legendre.leggauss(4)
+        x01, w01 = oracle._GL01
         assert x01.tobytes() == (0.5 * (x + 1.0)).tobytes()
         assert w01.tobytes() == (0.5 * w).tobytes()
         with pytest.raises(ValueError):

@@ -300,7 +300,7 @@ class TestStieltjes:
             infinite_from=1.0)
         val = stieltjes_integral(lambda t: np.where(t < 1.0, 1.0, 0.0),
                                  h, (0.0, INF))
-        assert float(val) == pytest.approx(1.0, rel=1e-6)
+        assert float(val) == pytest.approx(1.0, rel=1e-11)
 
     def test_decreasing_integrator_infinite_below_a_point(self):
         # h = 1/t from 1 on and inf below, found by sampling: there is no
@@ -308,7 +308,7 @@ class TestStieltjes:
         h = MonotoneIntegrator.from_function(
             lambda t: np.where(t < 1.0, INF, 1.0 / t), "decreasing")
         val = stieltjes_integral(lambda t: np.where(t < 1.0, 0.0, 1.0), h)
-        assert float(val) == pytest.approx(1.0, rel=1e-6)
+        assert float(val) == pytest.approx(1.0, rel=1e-11)
         with pytest.raises(UndefinedStieltjes):
             stieltjes_integral(lambda t: 1.0, h)
 

@@ -120,6 +120,19 @@ class TestTwoScaleNorms:
         assert got == pytest.approx(2.0 * (1e3 - 1.0), rel=1e-4)
 
 
+    def test_sup_norms_find_an_interior_maximum(self, unit_weight):
+        # f = 1 on (1, 2] in R^1: ||f||_{1,B(0,r)} = 2 (r - 1) there, so
+        # r^-3 times it peaks at r = 3/2 with 8/27, and r^2 times the
+        # complement norm 2 (2 - r) peaks at r = 4/3 with 64/27
+        f = GridFunction([1.0, 2.0], [1.0])
+        assert float(lm_norm(f, 1.0, INF, PowerProfile(1.0, -3.0),
+                             unit_weight)) == pytest.approx(8.0 / 27.0,
+                                                            rel=1e-12)
+        assert float(dual_lm_norm(f, 1.0, INF, PowerProfile(1.0, 2.0),
+                                  unit_weight)) == pytest.approx(
+            64.0 / 27.0, rel=1e-12)
+
+
 class TestFubiniWeight:
     @pytest.mark.parametrize("p", [1.0, 2.0])
     def test_tail_identity(self, p, unit_weight):

@@ -48,17 +48,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="knot_range"):
             OracleConfig(knot_range=knots)
 
-    def test_rejects_no_subcells(self):
-        with pytest.raises(ValueError, match="subcells"):
-            OracleConfig(subcells=0)
-
     def test_rejects_negative_sweeps(self):
         with pytest.raises(ValueError, match="ascent_sweeps"):
             OracleConfig(ascent_sweeps=-1)
 
     def test_accepts_smallest_settings(self):
-        cfg = OracleConfig(grid_cells=16, subcells=1, ascent_sweeps=0,
-                           restarts=1, knot_range=(1.0, 2.0))
+        cfg = OracleConfig(grid_cells=16, ascent_sweeps=0, restarts=1,
+                           knot_range=(1.0, 2.0))
         res = best_constant_lower_bound(BENCHMARK, cfg)
         assert float(res.lower_bound) > 0.0
 
@@ -177,7 +173,7 @@ SCORED = {
     "p2_below_one": EmbeddingProblem("lebesgue_to_lm", 1, 1.5, 0.5, 2.0,
                                      ONE, ONE, OMEGA2),
 }
-SCORE_CFG = OracleConfig(grid_cells=16, subcells=4, knot_range=(1e-3, 1e3))
+SCORE_CFG = OracleConfig(grid_cells=16, knot_range=(1e-3, 1e3))
 _EVALUATORS = {}
 
 
@@ -436,7 +432,7 @@ def _families_one_at_a_time(prob, cfg):
     by its own full evaluation, up to the first infinite member."""
     ev = _RatioEvaluator(prob, cfg)
     trace, best = [], 0.0
-    for count, (fam, vals) in enumerate(_family_members(ev, cfg), 1):
+    for count, (fam, vals) in enumerate(_family_members(ev), 1):
         r = ev.ratio(vals)
         if math.isinf(r):
             return vals, trace + [(count, INF)], {fam: INF}
@@ -482,28 +478,6 @@ def test_witness_not_found_reports_every_ratio():
                 for k in range(12)]
         assert info.value.ratios[name] == pytest.approx(want, rel=1e-12,
                                                         abs=0.0)
-
-
-def test_witness_keeps_the_subcells():
-    # the wide grid of the witness changes the knots, restarts and sweeps
-    # only: its ratios are those of the caller's subcells
-    cfg = OracleConfig(grid_cells=48, restarts=2, ascent_sweeps=8, seed=5,
-                       subcells=2)
-    with pytest.raises(WitnessNotFound) as info:
-        divergence_witness(BENCHMARK, cfg, constant=INF)
-    got = info.value.ratios["ball"]
-    m, step = cfg.grid_cells, cfg.grid_cells // 14
-    balls = [(np.arange(m) < step * (k + 1)).astype(float)
-             for k in range(12)]
-    for subcells in (2, 8):
-        ev = _RatioEvaluator(BENCHMARK, OracleConfig(
-            grid_cells=m, knot_range=(1e-9, 1e9), restarts=1,
-            ascent_sweeps=0, seed=5, subcells=subcells))
-        want = ev.ratios(balls)
-        if subcells == 2:
-            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
-        else:
-            assert got != pytest.approx(want, rel=1e-9, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -664,15 +638,18 @@ def test_search_finds_a_cell_with_no_source_weight(p, q, search):
     # ratio, which the constant alone does not show
     prob = HardyProblem("direct", p, q, PowerProfile(1.0, -2.0),
                         Weight(1, ExpProfile(1.0, -1000.0)))
-    cfg = replace(SMALL, include_families=("constant",))
+    ev = _RatioEvaluator(prob, SMALL)
+    incumbent = _Incumbent()
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        res = best_constant_lower_bound(prob, cfg)
-    assert res.search == search
-    assert res.lower_bound.is_inf
-    assert res.trace[-1][1] == INF
-    assert np.count_nonzero(res.argmax.values) == 1
-    assert math.isinf(_RatioEvaluator(prob, cfg).ratio(res.argmax.values))
+        incumbent.scan(ev, [np.ones(ev.m)])
+        incumbent.stage = ev.search
+        _SEARCHES[ev.search](ev, SMALL, incumbent)
+    assert incumbent.search == search
+    assert incumbent.ratio == INF
+    assert incumbent.trace[-1][1] == INF
+    assert np.count_nonzero(incumbent.values) == 1
+    assert math.isinf(ev.ratio(incumbent.values))
 
 
 # ---------------------------------------------------------------------------

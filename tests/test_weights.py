@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from morreyemb.embeddings import EmbeddingProblem, embedding_constant
-from morreyemb.errors import NotAWeight
+from morreyemb.errors import NotAWeight, QuadratureFailure
 from morreyemb.hardy import HardyProblem, hardy_A
 from morreyemb.profiles import (ExpProfile, FnProfile, PiecewisePowerProfile,
                                 PowerProfile, ProductProfile,
@@ -209,6 +209,36 @@ def test_sampled_esssup_reads_the_limit_at_zero():
     assert math.isnan(FnProfile(lambda t: 1.0 / t).right_limit(0.0))
     assert FnProfile(lambda t: 1.0 / t).esssup(0.0, 1.0) == pytest.approx(
         1e9, rel=1e-12)
+
+
+# 1 outside (2, 3) and nan inside it
+NAN_WEIGHT = Weight(1, FnProfile(lambda t: math.nan if 2.0 < t < 3.0
+                                 else 1.0))
+# the Morrey-source problems at p1 = p2 = 1, theta = 2 (the omegas of the
+# acceptance instances emb.source.b and emb.dual_source.b) with it as v1
+# or v2
+_ONE = Weight(1, constant(1.0))
+NAN_PROBLEMS = {
+    f"{direction}.{which}": EmbeddingProblem(direction, 1, 1.0, 1.0, 2.0,
+                                             v1, v2, omega)
+    for direction, omega in (("lm_to_lebesgue", PowerProfile(1.0, -3.0)),
+                             ("dual_lm_to_lebesgue", constant(1.0)))
+    for which, v1, v2 in (("v1", NAN_WEIGHT, _ONE), ("v2", _ONE, NAN_WEIGHT))}
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 10.0), (2.2, 2.8)])
+def test_sampled_esssup_raises_on_nan(a, b):
+    # dropping the nan samples would read 1 over (0, 10), 0 over (2.2, 2.8)
+    with pytest.raises(QuadratureFailure, match=rf"nan on \({a:g}, {b:g}\)"):
+        NAN_WEIGHT.profile.esssup(a, b)
+
+
+@pytest.mark.parametrize("name", sorted(NAN_PROBLEMS))
+def test_nan_weight_raises(name):
+    # with the nan samples dropped the v1 cases read inf and the v2 cases
+    # ran on for more than 20 s
+    with pytest.raises(QuadratureFailure, match="sampled esssup is nan"):
+        embedding_constant(NAN_PROBLEMS[name])
 
 
 def test_evaluator_one_sided_limits():
