@@ -266,16 +266,18 @@ def _direct_functional(prob: HardyProblem) -> ExtReal:
 
 def sup_operator_constant(prob: HardyProblem) -> ExtReal:
     """q-norm over (0, inf) of v(r) I(r), I(r) the esssup over the region
-    of w^{-1}: the constant for the ball (or complement) esssup operator,
-    and the primal functional with omega = v, theta = q and p = inf (at
-    q = inf, I is monotone the other way from the outer norm N, so
-    sup N I = sup v I)."""
+    of w^{-1}: the constant of the ball (or complement) esssup operator and
+    the primal functional with omega = v, theta = q, p = inf.  At q = inf
+    that is sup N I, N the outer esssup of v; sup v I is the same (I is
+    monotone the other way) and reads v once per t, not a sample per t."""
     if prob.variant not in ("sup", "sup_complement"):
         raise ValueError("expects the sup or sup_complement variant")
     v, w, side = prob.v_outer, prob.w_inner.profile, prob.side
     w_inv = w.power(-1.0)
-    return _primal_functional(side, lambda r: side.esssup(w_inv, r), v,
-                              prob.q, _INF, _breaks(v, w))
+    inner = lambda r: side.esssup(w_inv, r)
+    if math.isinf(float(prob.q)):
+        return sup_over_t(lambda r: _mul(v(r), inner(r)), _breaks(v, w))
+    return _primal_functional(side, inner, v, prob.q, _INF, _breaks(v, w))
 
 
 def _check_reverse_hypothesis(u, q, side):

@@ -283,11 +283,12 @@ def _morrey_norm(f, p, theta, omega, v, side) -> ExtReal:
     anchors = sorted({k0, k1} | set(float(k) for k in f.knots)
                      | {b for b in omega.breakpoints() if k0 < b < k1})
     if math.isinf(theta):
-        best = 0.0
-        if whole > 0:
-            best = whole * float(side.outer_norm(omega, _INF, edge))
+        best = whole * float(side.outer_norm(omega, _INF, edge)) \
+            if whole > 0 else 0.0
+        # each cell's 33 samples join the scan, whose step can miss a peak
         return ExtReal(max(best, float(sup_over_t(
-            lambda r: _mul(omega(r), inner(r)), anchors))))
+            lambda r: _mul(omega(r), inner(r)),
+            np.geomspace(anchors[:-1], anchors[1:], 33).ravel()))))
     total = 0.0
     if whole > 0:
         beyond = float(side.outer_norm(omega, theta, edge))

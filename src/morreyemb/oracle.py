@@ -513,25 +513,23 @@ def _family_members(ev: _RatioEvaluator):
     """Yield (family, values) candidates on the coarse grid."""
     m = ev.m
     idx = np.arange(m)
-    # ascending, so repeats are neighbours (np.unique would load numpy.ma)
-    probe_cells = np.linspace(0, m, 25, dtype=int).clip(0, m)
-    probe_cells = probe_cells[np.diff(probe_cells, prepend=-1) > 0]
+    # 1..m ascending, repeats and 0 dropped (np.unique would load numpy.ma)
+    probe_cells = np.linspace(0, m, 25, dtype=int)
+    probe_cells = probe_cells[np.diff(probe_cells, prepend=0) > 0]
     yield "constant", np.ones(m)
     for c in probe_cells:
-        if 0 < c <= m:
-            yield "ball", (idx < c).astype(float)
-            yield "complement", (idx >= c - 1).astype(float)
+        yield "ball", (idx < c).astype(float)
+        yield "complement", (idx >= c - 1).astype(float)
     for c in probe_cells:
         for span in (m // 16, m // 4):
-            if 0 < c and c + span <= m:
+            if c + span <= m:
                 yield "annulus", ((idx >= c) & (idx < c + span)).astype(float)
     if ev.dual_w_profile is not None:
         dual_cell = ev.dual_w_profile.reshape(m, ev.K).mean(axis=1)
         for c in probe_cells:
-            if 0 < c <= m:
-                vals = np.where(idx < c, dual_cell, 0.0)
-                if np.any(vals > 0):
-                    yield "dual_power", vals
+            vals = np.where(idx < c, dual_cell, 0.0)
+            if np.any(vals > 0):
+                yield "dual_power", vals
     mids = np.sqrt(ev.knots[:-1] * ev.knots[1:])
     for gamma in (-2.0, -1.0, -0.5, -1.0 / 3.0, 0.5, 1.0):
         with np.errstate(over="ignore"):
@@ -542,7 +540,7 @@ def _family_members(ev: _RatioEvaluator):
             yield "power_window", vals / top
     for c in probe_cells:
         for lam in (0.1, 1.0, 10.0):
-            if 0 < c < m:
+            if c < m:
                 vals = np.where(idx < c, 1.0, 0.0) \
                     + lam * ((idx >= c) & (idx < min(c + m // 8, m)))
                 yield "two_block", vals

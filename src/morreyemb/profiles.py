@@ -214,15 +214,16 @@ def _safe_exp(rate, x):
 def _sampled_esssup(profile, a, b, n=2049):
     """The largest of the profile's values on a grid of n points in (a, b):
     at its two ends, the one-sided limits from inside the interval, and at
-    a = 0 the limit at 0+, skipped if nan (an FnProfile reads none).  Any
-    other nan raises QuadratureFailure."""
+    a = 0 the limit at 0+ (not a sample where a short (0, b) puts the grid
+    at 0), skipped if nan (an FnProfile reads none).  Any other nan raises
+    QuadratureFailure."""
     lo = max(a, 1e-9) if a == 0.0 else a
     hi = min(b, 1e9) if math.isinf(b) else b
     if lo >= hi:
         lo, hi = a, b
     grid = np.geomspace(lo, hi, n) if lo > 0 else np.linspace(lo, hi, n)
-    vals = np.concatenate((profile.right_limit(grid[:1]), profile(grid[1:-1]),
-                           profile.left_limit(grid[-1:])))
+    vals = np.concatenate((profile.right_limit(grid[:1][grid[:1] > 0]),
+                           profile(grid[1:-1]), profile.left_limit(grid[-1:])))
     if np.isnan(vals).any():
         raise QuadratureFailure(f"sampled esssup is nan on ({a:g}, {b:g})")
     if a == 0.0:

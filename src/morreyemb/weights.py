@@ -453,10 +453,9 @@ def _off_center_ball_integral(profile, n, d, r):
         return float(ball_integral(profile, n, r))
     # the slice measure has a kink where the sphere starts to leave the
     # ball, at rho = r - d
-    val, _ = _integral(
+    return _integral(
         lambda rho: _mul(profile(rho), _ball_slice_measure(n, d, r, rho)),
-        (max(d - r, 0.0), d + r), (r - d,) + profile.breakpoints())
-    return val
+        (max(d - r, 0.0), d + r), (r - d,) + profile.breakpoints())[0]
 
 
 def default_ball_family(radii=None, offset_factors=(0.0, 1.0, 3.0, 10.0)):

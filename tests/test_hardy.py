@@ -9,8 +9,8 @@ from morreyemb.errors import HypothesisViolated, InadmissibleExponents
 from morreyemb.hardy import (HardyProblem, hardy_A, hardy_A_star,
                              reverse_hardy_C, reverse_hardy_C_star,
                              sup_operator_constant, sup_over_t)
-from morreyemb.profiles import (ExpProfile, PiecewisePowerProfile,
-                                PowerProfile, ShiftedPowerProfile, constant,
+from morreyemb.profiles import (ExpProfile, FnProfile,
+                                PiecewisePowerProfile, PowerProfile, ShiftedPowerProfile, constant,
                                 truncated_power)
 from morreyemb.weights import Weight, tail_norm, tail_norm_left_limit
 
@@ -84,6 +84,23 @@ class TestSupOperator:
                             Weight(1, constant(1.0)))
         assert float(sup_operator_constant(prob)) == pytest.approx(
             math.sqrt(0.5), rel=1e-7)
+
+    def test_q_inf_reads_v_at_each_t(self):
+        # sup_t e^{-t} t^2 * esssup_{(0,t)} s = 27 e^{-3} at t = 3; the
+        # outer esssup of an evaluator's v per t read it 1e-12 low
+        prob = HardyProblem("sup", INF, INF,
+                            FnProfile(lambda t: math.exp(-t) * t * t),
+                            Weight(1, PowerProfile(1.0, -1.0)))
+        assert float(sup_operator_constant(prob)) == pytest.approx(
+            27.0 * math.exp(-3.0), rel=1e-14)
+
+    def test_scan_below_the_sample_grid_of_an_evaluator(self):
+        # v = t^-2 wins at the low end of the scan, which then reads the
+        # esssup of w^-1 = 1 over (0, t) with t < 1e-9, where the sample
+        # grid starts at 0 and an evaluator has no limit to read
+        prob = HardyProblem("sup", INF, INF, PowerProfile(1.0, -2.0),
+                            Weight(1, FnProfile(lambda t: 1.0)))
+        assert float(sup_operator_constant(prob)) == INF
 
 
 class TestReverse:

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from morreyemb.norms import (Ball, Complement, GridFunction, dual_lm_norm,
-                             fubini_weight, lm_norm, weighted_lp_norm)
+from morreyemb.norms import (Ball, Complement, GridFunction, _inner_norm,
+                             dual_lm_norm, fubini_weight, lm_norm,
+                             weighted_lp_norm)
 from morreyemb.profiles import PowerProfile, constant, truncated_power
-from morreyemb.weights import Weight
+from morreyemb.weights import Side, Weight
 
 INF = math.inf
 
@@ -131,6 +132,20 @@ class TestTwoScaleNorms:
         assert float(dual_lm_norm(f, 1.0, INF, PowerProfile(1.0, 2.0),
                                   unit_weight)) == pytest.approx(
             64.0 / 27.0, rel=1e-12)
+
+    @pytest.mark.parametrize("z", [10.0, 30.0])
+    def test_sup_norm_finds_the_higher_of_two_bumps(self, unit_weight, z):
+        # r^-80 times the ball norm peaks inside (1, 1.02] and, higher,
+        # inside (1.03, 1.23] near 1.04: a peak about 1% wide, narrower
+        # than a step of the scan, which alone read it 11% and 69% low
+        f = GridFunction([1.0, 1.02, 1.03, 1.23], [1.0, 0.0, z])
+        om = PowerProfile(1.0, -80.0)
+        inner = _inner_norm(f, 1.0, unit_weight, Side.BALL)
+        rs = np.concatenate([np.geomspace(a, b, 200001)
+                             for a, b in zip(f.knots[:-1], f.knots[1:])])
+        dense = np.max(om(rs) * inner(rs))
+        assert float(lm_norm(f, 1.0, INF, om, unit_weight)) == pytest.approx(
+            dense, rel=1e-8)
 
 
 class TestFubiniWeight:

@@ -209,6 +209,8 @@ def test_sampled_esssup_reads_the_limit_at_zero():
     assert math.isnan(FnProfile(lambda t: 1.0 / t).right_limit(0.0))
     assert FnProfile(lambda t: 1.0 / t).esssup(0.0, 1.0) == pytest.approx(
         1e9, rel=1e-12)
+    # also where the grid of a short (0, b) starts at 0
+    assert FnProfile(lambda t: 1.0).esssup(0.0, 1e-10) == 1.0
 
 
 # 1 outside (2, 3) and nan inside it
