@@ -139,7 +139,7 @@ def parse_problem(doc):
                 Weight(_dimension(h), _profile(h["w"], "w")))
         except KeyError as exc:
             raise SpecError(f"hardy spec missing key {exc}") from exc
-        except (ValueError, MorreyError) as exc:
+        except (ValueError, NotAWeight) as exc:
             raise SpecError(str(exc)) from exc
     _check_keys(doc, {"direction", "n", "p1", "p2", "theta", "weights",
                       "oracle", "output"}, "spec")

@@ -17,7 +17,7 @@ from .extreal import ExtReal, _mul, _power, conjugate_exponent
 from .hardy import (_breaks, _dual_functional, _halfline,
                     _primal_functional, sup_over_t)
 from .integration import ball_volume
-from .norms import ALL, GridFunction, _inner_norm, weighted_lp_norm
+from .norms import GridFunction, _inner_norm
 from .profiles import PowerProfile, RadialProfile
 from .weights import (Side, Weight, _whole_space_norm, default_ball_family,
                       lp_norm_interval, muckenhoupt_ap_estimate,
@@ -261,9 +261,9 @@ def associate_norm(f: GridFunction, kind, p, theta, omega: RadialProfile,
     side = Side.BALL if kind == "lm" else Side.COMPLEMENT
     # a prefix-sum evaluator of the dual norm over the other side's region
     # at t > 0: one lookup answers a whole array of radii
+    inner = _inner_norm(f, pp, dual_w, side.other)
     return _dual_functional(
-        side, _inner_norm(f, pp, dual_w, side.other),
-        float(weighted_lp_norm(f, pp, dual_w, ALL)), pp, omega, th, 1.0,
+        side, inner, float(inner.total()), pp, omega, th, 1.0,
         _breaks(omega) + tuple(f.knots))
 
 

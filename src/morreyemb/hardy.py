@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HypothesisViolated, InadmissibleExponents
+from .errors import (HypothesisViolated, InadmissibleExponents,
+                     QuadratureFailure)
 from .extreal import ExtReal, _div, _mul, _power, conjugate_exponent
 from .integration import _integral, _sorted_unique, _values
 from .profiles import RadialProfile
@@ -68,6 +69,9 @@ class HardyProblem:
             raise InadmissibleExponents("direct variants require p >= 1")
         if self.variant in ("reverse", "reverse_complement") and p > 1.0:
             raise InadmissibleExponents("reverse variants require p <= 1")
+        if self.variant in ("sup", "sup_complement") and p < _INF:
+            raise InadmissibleExponents(
+                "sup variants require p = inf: the source norm is ||f w||_inf")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
 
@@ -101,7 +105,8 @@ def sup_over_t(fn, breakpoints=()) -> ExtReal:
     point's error), or the best point is a breakpoint or an end of the
     range that no zoom point beats and the zoom points rise to it on a
     straight line from each side (a kink or a monotone end, whose maximum
-    is that point).  An inf value reads inf, and a nan raises ValueError.
+    is that point).  An inf value reads inf, and a nan raises
+    QuadratureFailure.
     """
     breaks = np.clip(np.asarray(breakpoints, dtype=float), 1e-18, 1e18)
     beyond = [breaks.min() / 10.0, breaks.max() * 10.0] if breaks.size else []
@@ -165,10 +170,10 @@ def _rises_straight_to(x, xs, zoom):
 
 
 def _checked(fn, ts):
-    """fn on ts; a nan raises ValueError."""
+    """fn on ts; a nan raises QuadratureFailure."""
     vals = _values(fn, ts)
     if np.isnan(vals).any():
-        raise ValueError("sup_over_t: fn is nan")
+        raise QuadratureFailure("sup_over_t: fn is nan")
     return vals
 
 
@@ -204,13 +209,20 @@ def _primal_functional(side, inner, omega, theta, p, breaks) -> ExtReal:
     and N(t) is the side's outer theta-norm of omega.  The functional is
     sup_t N(t) I(t) for p <= theta, and otherwise
     (int (N^(theta/p) I)^r omega^theta dt)^(1/r) with
-    1/r = 1/theta - 1/p: r = theta with no N factor at p = inf.  inner
-    takes arrays of t.  breaks are the data's breakpoints.
+    1/r = 1/theta - 1/p: r = theta with no N factor at p = inf.  At
+    theta = inf, I is monotone the other way from the running esssup N,
+    so sup N I is sup omega I, read as the larger of omega(t) and its limit
+    from the outer region's side: no sampled esssup per t.  inner takes
+    arrays of t.  breaks are the data's breakpoints.
     """
     if p <= theta:
-        return sup_over_t(
-            lambda t: _mul(side.outer_norm(omega, theta, t), inner(t)),
-            breaks)
+        if math.isinf(theta):
+            limit = omega.right_limit if side is Side.BALL \
+                else omega.left_limit
+            outer = lambda t: np.maximum(omega(t), limit(t))
+        else:
+            outer = lambda t: side.outer_norm(omega, theta, t)
+        return sup_over_t(lambda t: _mul(outer(t), inner(t)), breaks)
     r = theta if math.isinf(p) else p * theta / (p - theta)
 
     def integrand(t):
@@ -267,17 +279,13 @@ def _direct_functional(prob: HardyProblem) -> ExtReal:
 def sup_operator_constant(prob: HardyProblem) -> ExtReal:
     """q-norm over (0, inf) of v(r) I(r), I(r) the esssup over the region
     of w^{-1}: the constant of the ball (or complement) esssup operator and
-    the primal functional with omega = v, theta = q, p = inf.  At q = inf
-    that is sup N I, N the outer esssup of v; sup v I is the same (I is
-    monotone the other way) and reads v once per t, not a sample per t."""
+    the primal functional with omega = v, theta = q, p = inf."""
     if prob.variant not in ("sup", "sup_complement"):
         raise ValueError("expects the sup or sup_complement variant")
     v, w, side = prob.v_outer, prob.w_inner.profile, prob.side
     w_inv = w.power(-1.0)
-    inner = lambda r: side.esssup(w_inv, r)
-    if math.isinf(float(prob.q)):
-        return sup_over_t(lambda r: _mul(v(r), inner(r)), _breaks(v, w))
-    return _primal_functional(side, inner, v, prob.q, _INF, _breaks(v, w))
+    return _primal_functional(side, lambda r: side.esssup(w_inv, r), v,
+                              prob.q, _INF, _breaks(v, w))
 
 
 def _check_reverse_hypothesis(u, q, side):

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import NotAWeight, QuadratureFailure
 from .extreal import ExtReal, _mul, _power, scalar_results
-from .hardy import sup_over_t
+from .hardy import _primal_functional
 from .integration import _gauss_kronrod, sphere_area
 from .profiles import (FnProfile, PiecewisePowerProfile, PowerProfile,
                        RadialProfile)
@@ -38,13 +38,6 @@ _INF = math.inf
 class Region:
     kind: str  # "ball", "complement", "all"
     t: float = _INF
-
-    def radial_interval(self):
-        if self.kind == "ball":
-            return (0.0, self.t)
-        if self.kind == "complement":
-            return (self.t, _INF)
-        return (0.0, _INF)
 
 
 def Ball(t):
@@ -119,31 +112,20 @@ class GridFunction:
 
     @classmethod
     def from_csv(cls, path):
-        knots, values = [], []
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header[:2] != ["knot", "value"]:
-                raise ValueError("expected header 'knot,value'")
-            for row in reader:
-                knots.append(float(row[0]))
-                values.append(float(row[1]))
+            rows = list(csv.reader(fh))
+        if not rows or rows[0][:2] != ["knot", "value"]:
+            raise ValueError("expected header 'knot,value'")
+        if any(len(row) < 2 for row in rows[1:]):
+            raise ValueError("expected two fields, knot and value, per row")
+        knots = [float(row[0]) for row in rows[1:]]
+        values = [float(row[1]) for row in rows[1:]]
         return cls(knots, values[1:])
 
     def __eq__(self, other):
         return (isinstance(other, GridFunction)
                 and np.array_equal(self.knots, other.knots)
                 and np.array_equal(self.values, other.values))
-
-
-def _clip_cells(f: GridFunction, interval):
-    """(values, r0, r1) of the parts of the cells with a positive value
-    inside the interval, as arrays."""
-    a, b = interval
-    r0 = np.maximum(f.knots[:-1], a)
-    r1 = np.minimum(f.knots[1:], b)
-    live = (r0 < r1) & (f.values > 0.0)
-    return f.values[live], r0[live], r1[live]
 
 
 def _shell_integral(profile: RadialProfile, n, r0, r1):
@@ -160,90 +142,73 @@ def _shell_integral(profile: RadialProfile, n, r0, r1):
 
 def weighted_lp_norm(f: GridFunction, p, v: Weight, region: Region = ALL) -> ExtReal:
     """||f||_{p,v,region}: (int |f|^p v)^{1/p}, or esssup |f| v for p = inf."""
-    p = float(p)
-    vals, r0, r1 = _clip_cells(f, region.radial_interval())
-    if math.isinf(p):
-        return ExtReal(np.max(vals * v.profile.esssup(r0, r1), initial=0.0))
-    if p <= 0:
+    if not float(p) > 0:
         raise ValueError("p must be in (0, inf]")
-    shells = _shell_integral(v.profile, v.dimension, r0, r1)
-    return ExtReal(_power(float(np.sum(vals ** p * shells)), 1.0 / p))
+    cls = _InnerComplementNorm if region.kind == "complement" \
+        else _InnerBallNorm
+    norm = cls(f, p, v)
+    return ExtReal(norm.total()) if region.kind == "all" \
+        else norm(region.t)
 
 
 class _InnerBallNorm:
     """r -> ||f||_{p,v,B(0,r)} with exact accumulation across cells.
 
-    Called with an array of radii it returns the array of norms, found
-    with one searchsorted over the prefix sums."""
+    Each cell gives one mass: |f|^p times the shell integral of v, or |f|
+    times the esssup of v at p = inf.  The masses accumulate from both ends
+    by sums (maxima at p = inf), so that an array of radii takes one
+    searchsorted and the mass of the part of each radius's cell inside the
+    region."""
 
     complement = False
 
     def __init__(self, f: GridFunction, p, v: Weight):
         self.f, self.p, self.v = f, float(p), v
+        self.op = np.maximum if math.isinf(self.p) else np.add
         live = f.values > 0.0
-        lo, hi = f.knots[:-1][live], f.knots[1:][live]
-        if math.isinf(self.p):
-            self.cell_sup = np.zeros(f.num_cells)
-            self.cell_sup[live] = v.profile.esssup(lo, hi) * f.values[live]
-            self.prefix = np.concatenate([[0.0], np.maximum.accumulate(self.cell_sup)])
-            # suffix[i] = max of cell_sup[i:], 0 past the last cell
-            self.suffix = np.concatenate(
-                [np.maximum.accumulate(self.cell_sup[::-1])[::-1], [0.0]])
-        else:
-            cell_mass = np.zeros(f.num_cells)
-            cell_mass[live] = _shell_integral(v.profile, v.dimension, lo, hi)
-            pth = f.values ** self.p
-            self.prefix = np.concatenate([[0.0], np.cumsum(pth * cell_mass)])
+        mass = np.zeros(f.num_cells)
+        mass[live] = self._mass(f.values[live], f.knots[:-1][live],
+                                f.knots[1:][live])
+        # prefix[i] holds the cells below i, suffix[i] cell i and those above
+        self.prefix = np.concatenate([[0.0], self.op.accumulate(mass)])
+        self.suffix = np.concatenate(
+            [self.op.accumulate(mass[::-1])[::-1], [0.0]])
         self._total = self._finish(self.prefix[-1])
 
     def total(self):
         return self._total
 
+    def _mass(self, vals, a, b):
+        """The masses of the parts (a, b) of cells with values vals > 0."""
+        if math.isinf(self.p):
+            return vals * self.v.profile.esssup(a, b)
+        return vals ** self.p * _shell_integral(self.v.profile,
+                                                self.v.dimension, a, b)
+
     def _finish(self, acc):
-        if math.isinf(self.p):
-            return acc
-        return np.power(np.maximum(acc, 0.0), 1.0 / self.p)
-
-    # The pieces below take arrays of cell indices i and of radii r
-    # strictly inside the knots.
-
-    def _rest(self, i):
-        """Accumulated whole cells on the region's side of cell i."""
-        if math.isinf(self.p):
-            return self.suffix[i + 1] if self.complement else self.prefix[i]
-        if self.complement:
-            return self.prefix[-1] - self.prefix[i + 1]
-        return self.prefix[i]
-
-    def _part(self, i, r):
-        """Contribution of the part of cell i inside the region: (knots[i], r)
-        for the ball, (r, knots[i+1]) for the complement."""
-        knots, val = self.f.knots, self.f.values[i]
-        a, b = (r, knots[i + 1]) if self.complement else (knots[i], r)
-        if math.isinf(self.p):
-            return val * self.v.profile.esssup(a, b)
-        return val ** self.p * _shell_integral(self.v.profile,
-                                               self.v.dimension, a, b)
-
-    def _combine(self, rest, part):
-        if math.isinf(self.p):
-            return np.maximum(rest, part)
-        return self._finish(rest + part)
+        return acc if math.isinf(self.p) else np.power(acc, 1.0 / self.p)
 
     @scalar_results(ExtReal)
     def __call__(self, r):
         knots, values = self.f.knots, self.f.values
-        below, above = (self._total, 0.0) if self.complement \
-            else (0.0, self._total)
         r = np.asarray(r, dtype=float)
-        out = np.where(r <= knots[0], below, above)
+        below, above = (self.prefix[-1], 0.0) if self.complement \
+            else (0.0, self.prefix[-1])
+        acc = np.where(r <= knots[0], below, above)
         inside = (r > knots[0]) & (r < knots[-1])
-        i = np.searchsorted(knots, r[inside], side="left") - 1
-        live = values[i] > 0
-        part = np.zeros(i.shape)
-        part[live] = self._part(i[live], r[inside][live])
-        out[inside] = self._combine(self._rest(i), part)
-        return out
+        rs = r[inside]
+        # a radius on a knot takes the cell whose part inside the region,
+        # (knots[i], r) or (r, knots[i+1]), is not empty: the esssup of an
+        # empty interval reads v at its end
+        i = np.searchsorted(knots, rs, side="right" if self.complement
+                            else "left") - 1
+        live = values[i] > 0.0
+        a, b = (rs, knots[i + 1]) if self.complement else (knots[i], rs)
+        part = np.zeros(rs.shape)
+        part[live] = self._mass(values[i][live], a[live], b[live])
+        rest = self.suffix[i + 1] if self.complement else self.prefix[i]
+        acc[inside] = self.op(rest, part)
+        return self._finish(acc)
 
 
 class _InnerComplementNorm(_InnerBallNorm):
@@ -274,23 +239,22 @@ def _morrey_norm(f, p, theta, omega, v, side) -> ExtReal:
     """||omega(r) * ||f||_{p,v,region(r)}||_{theta,(0,inf)} over the side's
     regions.  The inner norm is monotone on each cell and the whole norm
     beyond the knots on the side's outer end: past the last knot for
-    balls, below the first for complements."""
+    balls, below the first for complements.  At theta = inf it is the
+    primal functional with p = inf."""
     inner = _inner_norm(f, p, v, side)
     whole = inner.total()
     theta = float(theta)
     k0, k1 = float(f.knots[0]), float(f.knots[-1])
-    edge = k1 if side is Side.BALL else k0
-    anchors = sorted({k0, k1} | set(float(k) for k in f.knots)
+    anchors = sorted(set(float(k) for k in f.knots)
                      | {b for b in omega.breakpoints() if k0 < b < k1})
     if math.isinf(theta):
-        best = whole * float(side.outer_norm(omega, _INF, edge)) \
-            if whole > 0 else 0.0
         # each cell's 33 samples join the scan, whose step can miss a peak
-        return ExtReal(max(best, float(sup_over_t(
-            lambda r: _mul(omega(r), inner(r)),
-            np.geomspace(anchors[:-1], anchors[1:], 33).ravel()))))
+        cells = np.geomspace(anchors[:-1], anchors[1:], 33).ravel()
+        return _primal_functional(side, inner, omega, _INF, _INF,
+                                  np.append(cells, omega.breakpoints()))
     total = 0.0
     if whole > 0:
+        edge = k1 if side is Side.BALL else k0
         beyond = float(side.outer_norm(omega, theta, edge))
         if math.isinf(beyond):
             return ExtReal(_INF)

@@ -222,9 +222,9 @@ class _RatioEvaluator:
         # reverse weigh by v as a multiplier, the density v^q
         self._build_outer(v, prob.q, 1.0 if direct else prob.q, prob.side)
         # the source ||f||_{p,w} (direct), ||f w||_p (reverse) or
-        # ||f w||_inf
-        self._build_source(_INF if sup else prob.p, w,
-                           w if direct else w.power(prob.p), n, sigma)
+        # ||f w||_inf (sup, whose p is inf)
+        self._build_source(prob.p, w,
+                           w if direct or sup else w.power(prob.p), n, sigma)
         self.morrey_on_top = prob.variant not in ("reverse",
                                                   "reverse_complement")
 

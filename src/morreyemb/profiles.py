@@ -565,10 +565,9 @@ class ProductProfile(RadialProfile):
 class FnProfile(RadialProfile):
     """Profile backed by an arbitrary evaluator; quadrature-only."""
 
-    def __init__(self, fn, breakpoints=(), support=(0.0, _INF)):
+    def __init__(self, fn, breakpoints=()):
         self.fn = fn
         self._breaks = tuple(breakpoints)
-        self._support = support
 
     @_radii
     def __call__(self, rho):
@@ -588,12 +587,6 @@ class FnProfile(RadialProfile):
 
     def breakpoints(self):
         return self._breaks
-
-    def support_inf(self):
-        return self._support[0]
-
-    def support_sup(self):
-        return self._support[1]
 
     def __repr__(self):
         return f"FnProfile({self.fn!r})"

@@ -39,12 +39,9 @@ __all__ = [
     "muckenhoupt_ap_estimate",
     "default_ball_family",
     "profile_from_dict",
-    "DEFAULT_SAMPLE_GRID",
 ]
 
 _INF = math.inf
-
-DEFAULT_SAMPLE_GRID = tuple(np.geomspace(1e-6, 1e6, 49))
 
 
 @dataclass(frozen=True)
@@ -375,8 +372,7 @@ def _power_omega_membership(c, alpha, theta):
     return alpha * theta < -1.0, alpha * theta > -1.0
 
 
-def omega_class_check(omega: RadialProfile, theta,
-                      sample_grid=DEFAULT_SAMPLE_GRID) -> OmegaMembership:
+def omega_class_check(omega: RadialProfile, theta) -> OmegaMembership:
     """Membership in Omega_theta (finite positive tail norms for all t > 0)
     and its dual (finite positive head norms)."""
     theta = float(theta)
@@ -403,13 +399,14 @@ def omega_class_check(omega: RadialProfile, theta,
                                               theta)[0]
         positive = 0.0 < omega.c < _INF
         return OmegaMembership(positive and tail_ok, positive, 1.0)
-    # sampled check: the norms are positive for every t exactly when the
-    # support is unbounded toward their side, which an underflowed norm
-    # would hide, and finite where their values are
+    # sampled check on 49 points of [1e-6, 1e6]: the norms are positive
+    # for every t exactly when the support is unbounded toward their side,
+    # which an underflowed norm would hide, and finite where their values are
     tail_ok = omega.support_sup() == _INF
     head_ok = omega.support_inf() == 0.0
-    witness = sample_grid[0]
-    for t in sample_grid:
+    grid = np.geomspace(1e-6, 1e6, 49)
+    witness = grid[0]
+    for t in grid:
         if math.isinf(float(tail_norm(omega, theta, t))):
             tail_ok, witness = False, t
         if math.isinf(float(head_norm(omega, theta, t))):

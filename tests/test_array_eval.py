@@ -24,7 +24,7 @@ from morreyemb.errors import (IndeterminatePower, QuadratureFailure,
                               UndefinedStieltjes)
 from morreyemb.extreal import ExtReal, ext_div, ext_mul, ext_pow
 from morreyemb.integration import ball_integral, esssup_ball
-from morreyemb.norms import _InnerBallNorm, _InnerComplementNorm
+from morreyemb.norms import _InnerBallNorm, _InnerComplementNorm, lm_norm
 from morreyemb.profiles import (ExpProfile, FnProfile, PiecewisePowerProfile,
                                 PowerProfile, ProductProfile,
                                 ShiftedPowerProfile)
@@ -792,7 +792,7 @@ def test_sup_over_t_scans_its_grid_in_one_array_call(name, monkeypatch):
 
 
 def test_sup_over_t_raises_on_nan():
-    with pytest.raises(ValueError, match="nan"):
+    with pytest.raises(QuadratureFailure, match="nan"):
         hardy.sup_over_t(lambda t: np.where(t > 1.0, math.nan, t))
 
 
@@ -824,6 +824,26 @@ def test_a_nan_weight_fails_loudly(name):
     lo, hi = (float(x) for x in
               str(exc.value).split("(")[1].split(")")[0].split(","))
     assert lo < 3.0 and hi > 2.0, str(exc.value)
+
+
+# omega (or v) nan on (2, 3) at theta = inf (q = inf): every path through
+# the primal functional's pointwise rule reads the nan in sup_over_t
+HOLED_AT_INF = {
+    "hardy_A": lambda: hardy.hardy_A(HardyProblem("direct", 2.0, INF,
+                                                  HOLED, ONE)),
+    "hardy_A_star": lambda: hardy.hardy_A_star(HardyProblem(
+        "direct_complement", 2.0, INF, HOLED, ONE)),
+    "sup_operator_constant": lambda: hardy.sup_operator_constant(
+        HardyProblem("sup", INF, INF, HOLED, ONE)),
+    "lm_norm": lambda: lm_norm(GridFunction([1.0, 2.0], [1.0]), 1.0, INF,
+                               HOLED, ONE),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOLED_AT_INF))
+def test_a_nan_omega_at_theta_inf_raises(name):
+    with pytest.raises(QuadratureFailure, match="sup_over_t: fn is nan"):
+        HOLED_AT_INF[name]()
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,19 @@ class TestConstant:
         spec = write_spec(tmp_path, doc)
         assert main(["constant", "--spec", spec]) == EXIT_SPEC
 
+    @pytest.mark.parametrize("variant", ["sup", "sup_complement"])
+    def test_sup_variant_with_finite_p_is_inadmissible(self, tmp_path,
+                                                       capsys, variant):
+        # p = q = 2, v = e^-t, w = 1 printed 0.70710678118654757
+        doc = {"hardy": {"variant": variant, "p": 2, "q": 2, "n": 1,
+                         "v": {"kind": "exp", "c": 1.0, "rate": -1.0},
+                         "w": {"kind": "power", "c": 1.0, "alpha": 0.0}}}
+        spec = write_spec(tmp_path, doc)
+        assert main(["constant", "--spec", spec]) == EXIT_SPEC
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("inadmissible: sup variants require")
+
     def test_unknown_keys_exit_2(self, tmp_path):
         doc = dict(CASE_VI, extra_knob=1)
         spec = write_spec(tmp_path, doc)
@@ -225,6 +238,19 @@ class TestAssociate:
         assert main(["associate", "--spec", spec]) == EXIT_OK
         out = json.loads(capsys.readouterr().out)
         assert out["value"] > 0.0
+
+    @pytest.mark.parametrize("text", ["", "knot,value\n0.1,0.0\n1.0\n"],
+                             ids=["empty", "one_field"])
+    def test_malformed_csv_is_a_spec_error(self, tmp_path, capsys, text):
+        fn = tmp_path / "fn.csv"
+        fn.write_text(text)
+        doc = {"associate": {"kind": "lm", "p": 2, "theta": 2, "n": 1,
+                             "omega": {"kind": "power", "c": 1.0,
+                                       "alpha": -2.0},
+                             "function_csv": str(fn)}}
+        spec = write_spec(tmp_path, doc)
+        assert main(["associate", "--spec", spec]) == EXIT_SPEC
+        assert "spec error: bad function CSV" in capsys.readouterr().err
 
 
 class TestSweep:

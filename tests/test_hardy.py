@@ -10,7 +10,8 @@ from morreyemb.hardy import (HardyProblem, hardy_A, hardy_A_star,
                              reverse_hardy_C, reverse_hardy_C_star,
                              sup_operator_constant, sup_over_t)
 from morreyemb.profiles import (ExpProfile, FnProfile,
-                                PiecewisePowerProfile, PowerProfile, ShiftedPowerProfile, constant,
+                                PiecewisePowerProfile, PowerProfile,
+                                ProductProfile, ShiftedPowerProfile, constant,
                                 truncated_power)
 from morreyemb.weights import Weight, tail_norm, tail_norm_left_limit
 
@@ -64,6 +65,30 @@ class TestDirect:
         assert float(hardy_A(scaled)) == pytest.approx(
             4.0 * float(hardy_A(base)), rel=1e-9)
 
+    # v = e^(-t) t^2, w = 1, p = 2: sup_t v(t) (2t)^(1/2) at t = 5/2
+    V_EXP_T2 = 2.0 ** 0.5 * 2.5 ** 2.5 * math.exp(-2.5)
+
+    def test_case_q_inf_closed_form_v(self):
+        prob = direct(2.0, INF, ProductProfile(ExpProfile(1.0, -1.0),
+                                               PowerProfile(1.0, 2.0)),
+                      constant(1.0))
+        assert float(hardy_A(prob)) == pytest.approx(self.V_EXP_T2,
+                                                     rel=1e-13)
+
+    def test_case_q_inf_evaluator_v_reads_v_once_per_t(self):
+        # the outer esssup of v, sampled at 2049 points per t, made 13.6
+        # million calls of v and read 4.6e-13 low
+        calls = []
+
+        def v(t):
+            calls.append(t)
+            return math.exp(-t) * t * t
+
+        prob = direct(2.0, INF, FnProfile(v), constant(1.0))
+        assert float(hardy_A(prob)) == pytest.approx(self.V_EXP_T2,
+                                                     rel=1e-13)
+        assert len(calls) < 100_000
+
     @pytest.mark.parametrize("p", [0.25, 0.5])
     def test_direct_requires_p_at_least_one(self, p):
         with pytest.raises(InadmissibleExponents):
@@ -93,6 +118,14 @@ class TestSupOperator:
                             Weight(1, PowerProfile(1.0, -1.0)))
         assert float(sup_operator_constant(prob)) == pytest.approx(
             27.0 * math.exp(-3.0), rel=1e-14)
+
+    @pytest.mark.parametrize("variant", ["sup", "sup_complement"])
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_sup_variants_require_p_inf(self, variant, p):
+        # the source norm is ||f w||_inf: a finite p is read nowhere
+        with pytest.raises(InadmissibleExponents):
+            HardyProblem(variant, p, 2.0, ExpProfile(1.0, -1.0),
+                         Weight(1, constant(1.0)))
 
     def test_scan_below_the_sample_grid_of_an_evaluator(self):
         # v = t^-2 wins at the low end of the scan, which then reads the

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from morreyemb.norms import (Ball, Complement, GridFunction, _inner_norm,
-                             dual_lm_norm, fubini_weight, lm_norm,
-                             weighted_lp_norm)
-from morreyemb.profiles import PowerProfile, constant, truncated_power
+from morreyemb.norms import (ALL, Ball, Complement, GridFunction,
+                             _inner_norm, dual_lm_norm, fubini_weight,
+                             lm_norm, weighted_lp_norm)
+from morreyemb.profiles import (PiecewisePowerProfile, PowerProfile, constant,
+                                truncated_power)
 from morreyemb.weights import Side, Weight
 
 INF = math.inf
@@ -72,13 +73,31 @@ class TestWeightedLpNorm:
         got = float(weighted_lp_norm(f, 2.0, unit_weight))
         assert got == pytest.approx(math.sqrt(2.0), rel=1e-9)
 
-    def test_ball_region(self, unit_weight):
-        f = indicator(1.0, 2.0)
-        assert float(weighted_lp_norm(f, 1.0, unit_weight, Ball(1.5))) == \
-            pytest.approx(1.0, rel=1e-9)
-        assert float(weighted_lp_norm(f, 1.0, unit_weight,
-                                      Complement(1.5))) == \
-            pytest.approx(1.0, rel=1e-9)
+    @pytest.mark.parametrize("p", [1.0, 2.0, INF])
+    @pytest.mark.parametrize("t", [3.0, 2.0, 16.0],
+                             ids=["in_a_cell", "on_a_knot", "beyond"])
+    @pytest.mark.parametrize("kind", ["ball", "complement", "all"])
+    def test_ball_region(self, kind, t, p):
+        # f = 3, 1, 2 on (1, 2], (2, 4], (4, 8] with v = |x|^-1/2 in R^2:
+        # the shell a < |x| < b carries 2 pi (2/3) (b^1.5 - a^1.5) of v,
+        # and v's esssup there is a^-1/2
+        f = GridFunction([1.0, 2.0, 4.0, 8.0], [3.0, 1.0, 2.0])
+        w = Weight(2, PowerProfile(1.0, -0.5))
+        lo, hi = {"ball": (0.0, t), "complement": (t, INF),
+                  "all": (0.0, INF)}[kind]
+        parts = [(c, max(a, lo), min(b, hi)) for a, b, c in
+                 zip(f.knots[:-1], f.knots[1:], f.values)]
+        parts = [(c, a, b) for c, a, b in parts if a < b]
+        if p == INF:
+            want = max((c / math.sqrt(a) for c, a, _ in parts), default=0.0)
+        else:
+            want = sum(c ** p * 2.0 * math.pi * (2.0 / 3.0)
+                       * (b ** 1.5 - a ** 1.5) for c, a, b in parts) \
+                ** (1.0 / p)
+        region = {"ball": Ball(t), "complement": Complement(t),
+                  "all": ALL}[kind]
+        assert float(weighted_lp_norm(f, p, w, region)) == pytest.approx(
+            want, rel=1e-14, abs=0.0)
 
     def test_power_weight(self):
         w = Weight(1, PowerProfile(1.0, 1.0))
@@ -132,6 +151,20 @@ class TestTwoScaleNorms:
         assert float(dual_lm_norm(f, 1.0, INF, PowerProfile(1.0, 2.0),
                                   unit_weight)) == pytest.approx(
             64.0 / 27.0, rel=1e-12)
+
+    @pytest.mark.parametrize("top", [(10.0, 0.0), (30.0, -1.0)],
+                             ids=["flat", "falling"])
+    def test_sup_norms_find_a_spike_of_omega(self, unit_weight, top):
+        # omega = 10 (or 30 / t, which tends to 10 at 3+ only) on a cell of
+        # width 0.01 beyond the knots of f, next to 1 (0 on its other
+        # side), times the whole norm 2 of f = 1 on (1, 2]
+        f = GridFunction([1.0, 2.0], [1.0])
+        spike = PiecewisePowerProfile([3.0, 3.01], [(1.0, 0.0), top,
+                                                    (0.0, 0.0)])
+        assert float(lm_norm(f, 1.0, INF, spike, unit_weight)) == 20.0
+        spike = PiecewisePowerProfile([0.5, 0.51], [(0.0, 0.0), (10.0, 0.0),
+                                                    (1.0, 0.0)])
+        assert float(dual_lm_norm(f, 1.0, INF, spike, unit_weight)) == 20.0
 
     @pytest.mark.parametrize("z", [10.0, 30.0])
     def test_sup_norm_finds_the_higher_of_two_bumps(self, unit_weight, z):

@@ -152,8 +152,8 @@ SCORED = {
     "direct_complement": HardyProblem("direct_complement", 1.5, 2.0,
                                       PowerProfile(1.0, -0.5), ONE),
     "direct_q_inf": HardyProblem("direct", 2.0, INF, DECAY, SHIFT),
-    "sup": HardyProblem("sup", 2.0, 2.0, DECAY, SHIFT),
-    "sup_complement_q_inf": HardyProblem("sup_complement", 2.0, INF,
+    "sup": HardyProblem("sup", INF, 2.0, DECAY, SHIFT),
+    "sup_complement_q_inf": HardyProblem("sup_complement", INF, INF,
                                          PowerProfile(1.0, 1.0), SHIFT),
     "reverse": HardyProblem("reverse", 0.5, 2.0, DECAY, SHIFT),
     "reverse_complement": HardyProblem("reverse_complement", 1.0, 0.5,
