@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotAWeight, QuadratureFailure
-from .extreal import ExtReal, _mul, _power, scalar_results
+from .extreal import ExtReal, scalar_results
 from .hardy import _primal_functional
-from .integration import _gauss_kronrod, sphere_area
+from .integration import _gauss_kronrod, _sorted_unique, sphere_area
 from .profiles import (FnProfile, PiecewisePowerProfile, PowerProfile,
                        RadialProfile)
 from .weights import Side, Weight
@@ -198,8 +198,7 @@ class _InnerBallNorm:
         inside = (r > knots[0]) & (r < knots[-1])
         rs = r[inside]
         # a radius on a knot takes the cell whose part inside the region,
-        # (knots[i], r) or (r, knots[i+1]), is not empty: the esssup of an
-        # empty interval reads v at its end
+        # (knots[i], r) or (r, knots[i+1]), is not empty
         i = np.searchsorted(knots, rs, side="right" if self.complement
                             else "left") - 1
         live = values[i] > 0.0
@@ -237,35 +236,18 @@ def dual_lm_norm(f: GridFunction, p, theta, omega: RadialProfile, v: Weight) -> 
 
 def _morrey_norm(f, p, theta, omega, v, side) -> ExtReal:
     """||omega(r) * ||f||_{p,v,region(r)}||_{theta,(0,inf)} over the side's
-    regions.  The inner norm is monotone on each cell and the whole norm
-    beyond the knots on the side's outer end: past the last knot for
-    balls, below the first for complements.  At theta = inf it is the
-    primal functional with p = inf."""
-    inner = _inner_norm(f, p, v, side)
-    whole = inner.total()
-    theta = float(theta)
-    k0, k1 = float(f.knots[0]), float(f.knots[-1])
-    anchors = sorted(set(float(k) for k in f.knots)
-                     | {b for b in omega.breakpoints() if k0 < b < k1})
-    if math.isinf(theta):
-        # each cell's 33 samples join the scan, whose step can miss a peak
-        cells = np.geomspace(anchors[:-1], anchors[1:], 33).ravel()
-        return _primal_functional(side, inner, omega, _INF, _INF,
-                                  np.append(cells, omega.breakpoints()))
-    total = 0.0
-    if whole > 0:
-        edge = k1 if side is Side.BALL else k0
-        beyond = float(side.outer_norm(omega, theta, edge))
-        if math.isinf(beyond):
-            return ExtReal(_INF)
-        total += (whole * beyond) ** theta
-    vals, _ = _gauss_kronrod(
-        lambda r: _power(_mul(omega(r), inner(r)), theta),
-        anchors[:-1], anchors[1:])
-    if np.isnan(vals).any():
-        raise QuadratureFailure("Morrey-norm integrand is nan")
-    total += float(np.sum(vals))
-    return ExtReal(_power(total, 1.0 / theta))
+    regions: the primal functional with p = inf, whose breaks are the
+    knots of f and omega's breakpoints."""
+    breaks = np.append(f.knots, omega.breakpoints())
+    if math.isinf(float(theta)):
+        # the scan's step can miss a peak: each cell between the breaks
+        # within the knots adds 33 samples
+        anchors = _sorted_unique(
+            breaks[(breaks >= f.knots[0]) & (breaks <= f.knots[-1])])
+        breaks = np.append(np.geomspace(anchors[:-1], anchors[1:], 33),
+                           breaks)
+    return _primal_functional(side, _inner_norm(f, p, v, side), omega,
+                              float(theta), _INF, breaks)
 
 
 def fubini_weight(omega: RadialProfile, p, v: Weight, direction="tail") -> Weight:

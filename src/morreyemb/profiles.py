@@ -10,8 +10,9 @@ Evaluation, interval integrals, essential suprema and one-sided limits
 accept a radius or an array of radii (for an interval, either end may be
 an array) and then return a float array of the broadcast shape.  A radius
 runs on the same array path as a 0-d array and comes back as a float.
-The closed-form kinds compute with numpy; profiles without closed forms
-evaluate each element on its own, through `elementwise`.
+The closed-form kinds compute with numpy; an evaluator (FnProfile) takes
+each radius on its own, through `elementwise`, and the suprema of profiles
+without closed forms read one shared sample.
 """
 
 from __future__ import annotations
@@ -62,22 +63,26 @@ def _real(x, what):
     return x
 
 
-def _shaped(value, *xs):
-    """value as a float array of the broadcast shape of xs."""
-    return np.full(np.broadcast(*xs).shape, value, dtype=float)
+def _shaped(value, x):
+    """value as a float array of the shape of x."""
+    return np.full(x.shape, value, dtype=float)
 
 
-def _at_end(a, b, upper):
-    """The upper (else the lower) ends of the intervals (a, b), broadcast."""
-    return np.broadcast_to(b if upper else a, np.broadcast(a, b).shape)
+def _end_sups(values, a, b, rising):
+    """Essential suprema over the intervals (a, b) of a monotone profile
+    whose values at radii the callable values gives: the values at the
+    upper ends if rising, else at the lower ends, and 0 where a = b, as
+    the integral there."""
+    end = np.broadcast_to(b if rising else a, np.broadcast(a, b).shape)
+    return np.where(a < b, values(end), 0.0)
 
 
 def elementwise(fn, *xs):
     """fn applied to each element of its arguments (broadcast together),
     as a float array.
 
-    This is the one scalar loop of array evaluation: profiles without
-    closed forms and adaptive integrals go through it."""
+    This is the one scalar loop of array evaluation: evaluators and
+    adaptive integrals go through it."""
     grid = np.broadcast(*xs)
     return np.array([float(fn(*map(float, x))) for x in grid],
                     dtype=float).reshape(grid.shape)
@@ -114,12 +119,6 @@ def _power_values(c, alpha, rho):
     return _mul(c, _pow(rho, alpha))
 
 
-def _power_esssups(c, alpha, a, b):
-    """Essential suprema of c * rho^alpha over the intervals (a, b): the
-    values at the end where it is largest."""
-    return _power_values(c, alpha, _at_end(a, b, alpha > 0))
-
-
 class RadialProfile:
     """Base class; subclasses implement evaluation and, where possible,
     exact integrals and suprema."""
@@ -149,9 +148,9 @@ class RadialProfile:
 
     @_radii
     def esssup(self, a, b):
-        """Essential supremum over (a, b); exact for closed-form kinds,
-        sampled otherwise."""
-        return elementwise(lambda x, y: _sampled_esssup(self, x, y), a, b)
+        """Essential supremum over (a, b), 0 where a = b; exact for
+        closed-form kinds, sampled otherwise."""
+        return _sampled_esssup(self, a, b)
 
     @_radii
     def left_limit(self, t):
@@ -211,25 +210,44 @@ def _safe_exp(rate, x):
         return np.exp(rate * x)
 
 
-def _sampled_esssup(profile, a, b, n=2049):
-    """The largest of the profile's values on a grid of n points in (a, b):
-    at its two ends, the one-sided limits from inside the interval, and at
-    a = 0 the limit at 0+ (not a sample where a short (0, b) puts the grid
-    at 0), skipped if nan (an FnProfile reads none).  Any other nan raises
-    QuadratureFailure."""
-    lo = max(a, 1e-9) if a == 0.0 else a
-    hi = min(b, 1e9) if math.isinf(b) else b
-    if lo >= hi:
-        lo, hi = a, b
-    grid = np.geomspace(lo, hi, n) if lo > 0 else np.linspace(lo, hi, n)
-    vals = np.concatenate((profile.right_limit(grid[:1][grid[:1] > 0]),
-                           profile(grid[1:-1]), profile.left_limit(grid[-1:])))
-    if np.isnan(vals).any():
-        raise QuadratureFailure(f"sampled esssup is nan on ({a:g}, {b:g})")
-    if a == 0.0:
-        with np.errstate(all="ignore"):
-            vals = np.append(vals, profile.right_limit(np.zeros(1)))
-    return float(np.fmax.reduce(vals, initial=0.0))
+# the sample of every sampled esssup, read-only: 228 points a decade
+_SAMPLE = np.geomspace(1e-9, 1e9, 4097)
+_SAMPLE.flags.writeable = False
+
+
+def _sampled_esssup(profile, a, b):
+    """Essential suprema over the intervals (a, b), whose ends broadcast
+    together, from one evaluation of the profile on the points of _SAMPLE
+    that the intervals hold.  Each interval takes the largest sample
+    strictly inside it, its one-sided limits from inside at its finite
+    ends, and at a = 0 the limit at 0+, skipped if nan (an FnProfile reads
+    none).  An empty interval reads 0.  Any other nan raises
+    QuadratureFailure naming its interval."""
+    a, b = np.broadcast_arrays(a, b)
+    out = np.zeros(a.shape)
+    live = a < b
+    if not live.any():
+        return out
+    a, b = a[live], b[live]
+    lo = np.searchsorted(_SAMPLE, a, "right")
+    hi = np.searchsorted(_SAMPLE, b, "left")
+    # a 0 past the last sample, where the last range ends
+    vals = np.append(profile(_SAMPLE[lo.min():hi.max()]), 0.0)
+    # maximum keeps a nan, so each interval sees its own nan samples only
+    best = np.maximum.reduceat(vals, np.stack((lo, hi), -1).ravel()
+                               - lo.min())[::2]
+    best = np.where(lo < hi, best, 0.0)
+    start = profile.right_limit(a)
+    best = np.maximum(best, np.where((a == 0.0) & np.isnan(start), 0.0,
+                                     start))
+    end = np.isfinite(b)
+    best[end] = np.maximum(best[end], profile.left_limit(b[end]))
+    if np.isnan(best).any():
+        i = int(np.argmax(np.isnan(best)))
+        raise QuadratureFailure(
+            f"sampled esssup is nan on ({a[i]:g}, {b[i]:g})")
+    out[live] = best
+    return out
 
 
 class ShiftedPowerProfile(RadialProfile):
@@ -269,10 +287,7 @@ class ShiftedPowerProfile(RadialProfile):
 
     @_radii
     def esssup(self, a, b):
-        if self.c == 0.0 or self.alpha == 0.0:
-            return _shaped(self.c, a, b)
-        end = _at_end(a, b, self.alpha > 0)
-        return _mul(self.c, _pow(self.shift + end, self.alpha))
+        return _end_sups(self, a, b, self.alpha > 0)
 
     @_radii
     def log_slope(self, rho):
@@ -338,10 +353,7 @@ class ExpProfile(RadialProfile):
 
     @_radii
     def esssup(self, a, b):
-        if self.c == 0.0 or self.rate == 0.0:
-            return _shaped(self.c, a, b)
-        return _mul(self.c,
-                    _safe_exp(self.rate, _at_end(a, b, self.rate > 0)))
+        return _end_sups(self, a, b, self.rate > 0)
 
     @_radii
     def log_slope(self, rho):
@@ -443,13 +455,10 @@ class PiecewisePowerProfile(RadialProfile):
 
     @_radii
     def esssup(self, a, b):
-        if not self.breaks:
-            return _power_esssups(*self.segments[0], a, b)
         best = np.zeros(np.broadcast(a, b).shape)
         for (c, alpha), lo, hi in self._clipped(a, b):
-            best = np.where(lo < hi,
-                            np.maximum(best, _power_esssups(c, alpha, lo, hi)),
-                            best)
+            best = np.maximum(best, _end_sups(
+                lambda r: _power_values(c, alpha, r), lo, hi, alpha > 0))
         return best
 
     @_radii

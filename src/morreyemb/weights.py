@@ -405,15 +405,17 @@ def omega_class_check(omega: RadialProfile, theta) -> OmegaMembership:
     tail_ok = omega.support_sup() == _INF
     head_ok = omega.support_inf() == 0.0
     grid = np.geomspace(1e-6, 1e6, 49)
-    witness = grid[0]
-    for t in grid:
-        if math.isinf(float(tail_norm(omega, theta, t))):
-            tail_ok, witness = False, t
-        if math.isinf(float(head_norm(omega, theta, t))):
-            head_ok, witness = False, t
-        if not tail_ok and not head_ok:
-            break
-    return OmegaMembership(tail_ok, head_ok, witness)
+    tail_inf = np.isinf(tail_norm(omega, theta, grid))
+    head_inf = np.isinf(head_norm(omega, theta, grid))
+    # the witness is the last t with an infinite norm up to the first t
+    # where both have failed, else the first t
+    failed = (np.logical_or.accumulate(tail_inf) | (not tail_ok)) \
+        & (np.logical_or.accumulate(head_inf) | (not head_ok))
+    stop = int(np.argmax(np.append(failed, True)))
+    hits = np.flatnonzero((tail_inf | head_inf)[:stop + 1])
+    return OmegaMembership(bool(tail_ok and not tail_inf.any()),
+                           bool(head_ok and not head_inf.any()),
+                           float(grid[hits[-1] if hits.size else 0]))
 
 
 def _ball_slice_measure(n, d, r, rho):

@@ -130,6 +130,9 @@ def test_array_integral_and_esssup_match_scalar(prof, extra, pivot):
         lo, hi = rs[:-1], rs[1:]
         check_same(method(lo, hi),
                    [method(float(x), float(y)) for x, y in zip(lo, hi)], rtol)
+        # an empty interval reads 0, on arrays and on radii
+        check_same(method(rs, rs), [method(float(x), float(x)) for x in rs])
+        check_same(method(rs, rs), np.zeros(rs.size))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

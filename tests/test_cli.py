@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from morreyemb import cli, hardy, oracle
+from morreyemb import cli, hardy, oracle, profiles
 from morreyemb.cli import (EXIT_CONTRACT, EXIT_NUMERIC, EXIT_OK, EXIT_SPEC,
                            dump_json, fmt, main)
 from morreyemb.norms import GridFunction
@@ -477,6 +477,13 @@ class TestReuse:
     def test_scan_grid_is_geomspace_and_read_only(self):
         ts = hardy._SCAN_GRID
         assert ts.tobytes() == np.geomspace(1e-6, 1e6, 512).tobytes()
+        with pytest.raises(ValueError):
+            ts[0] = 1.0
+
+    def test_esssup_sample_is_geomspace_and_read_only(self):
+        # every sampled esssup in the process reads this one array
+        ts = profiles._SAMPLE
+        assert ts.tobytes() == np.geomspace(1e-9, 1e9, 4097).tobytes()
         with pytest.raises(ValueError):
             ts[0] = 1.0
 

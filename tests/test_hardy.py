@@ -129,8 +129,9 @@ class TestSupOperator:
 
     def test_scan_below_the_sample_grid_of_an_evaluator(self):
         # v = t^-2 wins at the low end of the scan, which then reads the
-        # esssup of w^-1 = 1 over (0, t) with t < 1e-9, where the sample
-        # grid starts at 0 and an evaluator has no limit to read
+        # esssup of w^-1 = 1 over (0, t) with t < 1e-9, below every point
+        # of the sample: only the limit at t reads it, as an evaluator
+        # has no limit at 0+
         prob = HardyProblem("sup", INF, INF, PowerProfile(1.0, -2.0),
                             Weight(1, FnProfile(lambda t: 1.0)))
         assert float(sup_operator_constant(prob)) == INF

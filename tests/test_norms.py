@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -179,6 +180,59 @@ class TestTwoScaleNorms:
         dense = np.max(om(rs) * inner(rs))
         assert float(lm_norm(f, 1.0, INF, om, unit_weight)) == pytest.approx(
             dense, rel=1e-8)
+
+
+# f = 3, 1, 2 on (1, 2], (2, 4], (4, 8] with v = |x|^-1/2 in R^2, as in
+# test_ball_region
+STEPS = GridFunction([1.0, 2.0, 4.0, 8.0], [3.0, 1.0, 2.0])
+ROOT_WEIGHT = Weight(2, PowerProfile(1.0, -0.5))
+
+
+def _fubini(direction, alpha, p):
+    """||STEPS||_{p,u} with the weight u of the p = theta Fubini identity,
+    a closed-form power, for omega = t^alpha."""
+    u = fubini_weight(PowerProfile(1.0, alpha), p, ROOT_WEIGHT, direction)
+    return float(weighted_lp_norm(STEPS, p, u))
+
+
+def _ball_norm_1(r):
+    """||STEPS||_{1,v,B(0,r)}: each shell a < |x| < b carries
+    2 pi (2/3) (b^1.5 - a^1.5) of v."""
+    return sum(c * 2 * mpmath.pi * mpmath.mpf(2) / 3
+               * (min(b, r) ** 1.5 - a ** 1.5)
+               for a, b, c in zip(STEPS.knots[:-1], STEPS.knots[1:],
+                                  STEPS.values) if a < r)
+
+
+def _mpmath_lm_1_2(alpha):
+    """(int (r^alpha ||STEPS||_{1,v,B(0,r)})^2 dr)^(1/2) by mpmath."""
+    with mpmath.workdps(30):
+        return float(mpmath.sqrt(mpmath.quad(
+            lambda r: (r ** alpha * _ball_norm_1(r)) ** 2,
+            [1, 2, 4, 8, mpmath.inf])))
+
+
+class TestFiniteTheta:
+    @pytest.mark.parametrize("norm, alpha, p, theta, want", [
+        (lm_norm, -1.5, 2.0, 2.0, lambda: _fubini("tail", -1.5, 2.0)),
+        (lm_norm, -2.0, 1.0, 1.0, lambda: _fubini("tail", -2.0, 1.0)),
+        # omega^2 = t^-1.02 beyond the knots: a slow tail
+        (lm_norm, -0.51, 2.0, 2.0, lambda: _fubini("tail", -0.51, 2.0)),
+        # omega^2 = t^-0.8 beyond the knots: a divergent tail
+        (lm_norm, -0.4, 2.0, 2.0, lambda: INF),
+        (lm_norm, -1.5, 1.0, 2.0, lambda: _mpmath_lm_1_2(-1.5)),
+        (dual_lm_norm, 0.5, 1.0, 1.0, lambda: _fubini("head", 0.5, 1.0)),
+        # omega^2 = t^-0.98 below the knots: a slow head
+        (dual_lm_norm, -0.49, 2.0, 2.0, lambda: _fubini("head", -0.49, 2.0)),
+        # omega^2 = t^-1.2 below the knots: a divergent head
+        (dual_lm_norm, -0.6, 2.0, 2.0, lambda: INF),
+    ], ids=["tail", "tail_p1", "slow_tail", "divergent_tail", "mpmath",
+            "head", "slow_head", "divergent_head"])
+    def test_against_an_independent_value(self, norm, alpha, p, theta,
+                                          want):
+        got = float(norm(STEPS, p, theta, PowerProfile(1.0, alpha),
+                         ROOT_WEIGHT))
+        assert got == pytest.approx(want(), rel=1e-12, abs=0.0)
 
 
 class TestFubiniWeight:

@@ -205,12 +205,59 @@ def test_sampled_esssup_reads_the_limit_at_zero():
     hardy = HardyProblem("direct", 1.0, 0.5, ExpProfile(1.0, -1.0), v1)
     assert float(embedding_constant(emb)) == pytest.approx(
         float(hardy_A(hardy)), rel=1e-15, abs=0.0)
-    # an evaluator gives no limit at 0+: the grid alone reads it
+    # an evaluator gives no limit at 0+: the sample alone reads it
     assert math.isnan(FnProfile(lambda t: 1.0 / t).right_limit(0.0))
     assert FnProfile(lambda t: 1.0 / t).esssup(0.0, 1.0) == pytest.approx(
         1e9, rel=1e-12)
-    # also where the grid of a short (0, b) starts at 0
+    # also where a short (0, b) holds no point of the sample
     assert FnProfile(lambda t: 1.0).esssup(0.0, 1e-10) == 1.0
+
+
+# t^2 e^-t peaks at t = 2 with 4 e^-2: as a product of closed forms and as
+# an evaluator
+HUMP = ProductProfile(ExpProfile(1.0, -1.0), PowerProfile(1.0, 2.0))
+
+
+@pytest.mark.parametrize("prof", [HUMP, FnProfile(lambda t: t * t
+                                                  * math.exp(-t))],
+                         ids=["product", "evaluator"])
+@pytest.mark.parametrize("t", [0.0, 0.5, 1.9, 2.0, 2.5, 40.0])
+def test_sampled_esssup_of_a_hump_over_tails(prof, t):
+    # below 2 the largest sample strictly inside (t, inf) reads the peak
+    # within |(log phi)''| dx^2 / 2 = dx^2, dx half the sample's step in
+    # log t: the peak sits midway between two samples, 2.55e-5 low; from
+    # 2 on the maximum is the limit at t from inside
+    got = prof.esssup(t, INF)
+    if t < 2.0:
+        dx = 0.5 * math.log(1e18) / 4096
+        assert 0.0 <= 1.0 - got / (4.0 * math.exp(-2.0)) <= dx * dx
+    else:
+        assert got == prof.right_limit(t)
+
+
+def _calls_of_an_evaluator(run):
+    """The number of calls run(omega) makes of the evaluator omega, which
+    is e^(-t)."""
+    calls = []
+
+    def fn(t):
+        calls.append(t)
+        return math.exp(-t)
+
+    run(FnProfile(fn))
+    return len(calls)
+
+
+@pytest.mark.parametrize("run, most", [
+    # 2,000 tails: the 2,731 samples from 1e-3 on and one limit per
+    # interval, 4,731 calls; a sample per interval made 4,098,000
+    (lambda om: om.esssup(np.geomspace(1e-3, 1e3, 2000), INF), 5000),
+    # 49 tail and 49 head esssups at theta = inf: one sample each, 6,926
+    # calls; one t at a time made 200,802
+    (lambda om: omega_class_check(om, INF), 7500),
+], ids=["tail_esssups", "omega_class_check"])
+def test_sampled_suprema_read_one_sample(run, most):
+    assert _calls_of_an_evaluator(run) <= most
 
 
 # 1 outside (2, 3) and nan inside it
