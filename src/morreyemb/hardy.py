@@ -284,8 +284,8 @@ def sup_operator_constant(prob: HardyProblem) -> ExtReal:
         raise ValueError("expects the sup or sup_complement variant")
     v, w, side = prob.v_outer, prob.w_inner.profile, prob.side
     w_inv = w.power(-1.0)
-    return _primal_functional(side, lambda r: side.esssup(w_inv, r), v,
-                              prob.q, _INF, _breaks(v, w))
+    return _primal_functional(side, lambda r: side.region_norm(
+        w_inv, _INF, prob.n, r), v, prob.q, _INF, _breaks(v, w))
 
 
 def _check_reverse_hypothesis(u, q, side):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import QuadratureFailure, UndefinedStieltjes
 from .extreal import ExtReal, _mul, scalar_results
-from .profiles import PowerProfile, RadialProfile, elementwise
+from .profiles import PowerProfile, RadialProfile
 
 __all__ = [
     "MonotoneIntegrator",
@@ -398,22 +398,53 @@ def _stable_below_one(ratios):
     return 0.0 < lo and hi < 1.0 - 1e-6 and hi - lo <= 1e-6 * ratios[-1]
 
 
-def _radial_density(g, n):
-    """Profile rho -> g(rho) * rho^(n-1), simplified when possible."""
-    radial = PowerProfile(1.0, float(n - 1))
-    if isinstance(g, RadialProfile):
-        return g.times(radial) if n > 1 else g
-    raise TypeError("expected a RadialProfile")
-
-
 def _profile_integral(prof, a, b):
-    """Integral of prof over (a, b) as a float, or a float array for array
-    ends: the closed form, else the adaptive integral of each element."""
+    """Integrals of prof over the intervals (a, b), 0 <= a <= b <= inf,
+    whose ends broadcast together: the closed form, else one pass.
+
+    The pass cuts (0, inf) at the intervals' ends and, between the finite
+    ones, at prof's breakpoints.  One _gauss_kronrod call integrates the
+    pieces between finite cuts, and a walk of _integral the piece from 0
+    and the piece to inf; a piece that no interval holds is skipped.  Each
+    interval sums its own pieces, so a lone (0, t) or (t, inf) is one walk
+    and an empty interval reads 0.  A nan end raises ValueError, and a nan
+    on a held piece QuadratureFailure naming the piece."""
     val = prof.integral(a, b)
-    if val is None:
-        val = elementwise(
-            lambda x, y: _integral(prof, (x, y), prof.breakpoints())[0], a, b)
-    return val
+    if val is not None:
+        return val
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float),
+                               np.asarray(b, dtype=float))
+    if not np.all((0.0 <= a) & (a <= b)):
+        raise ValueError("need 0 <= a <= b")
+    live = a < b
+    # piece j is (x[j], x[j + 1]); an interval holds pieces j0, ..., j1 - 1
+    x = _sorted_unique(np.concatenate(([0.0, _INF], a[live], b[live])))
+    breaks = _sorted_unique(prof.breakpoints())
+    x = _sorted_unique(np.append(x, breaks[(breaks > x[1])
+                                           & (breaks < x[-2])]))
+    j0, j1 = np.searchsorted(x, a[live]), np.searchsorted(x, b[live])
+    held = np.cumsum(np.bincount(j0, minlength=x.size)
+                     - np.bincount(j1, minlength=x.size))[:-1] > 0
+    # a 0 past the last piece, where the last range ends
+    pieces = np.zeros(x.size)
+    mid = np.flatnonzero(held[1:-1]) + 1
+    pieces[mid], _ = _gauss_kronrod(prof, x[mid], x[mid + 1])
+    for j in mid[np.isnan(pieces[mid])][:1]:
+        _check_piece(math.nan, x[j], x[j + 1], 0.0, 0.0)
+    # the walks toward the open ends, down first
+    for j in sorted({0, x.size - 2}):
+        if held[j]:
+            pieces[j], _ = _integral(prof, (x[j], x[j + 1]), breaks)
+    out = np.zeros(a.shape)
+    out[live] = np.add.reduceat(pieces, np.stack((j0, j1), -1).ravel())[::2]
+    return out
+
+
+def _shell_integral(g, n, r0, r1):
+    """Integrals of g(|x|) over the shells r0 < |x| < r1 in R^n, for radii
+    or arrays of them."""
+    dens = g if n == 1 else g.times(PowerProfile(1.0, n - 1.0))
+    return sphere_area(n) * _profile_integral(dens, r0, r1)
 
 
 def _check_radius(t):
@@ -426,16 +457,14 @@ def ball_integral(g, n, t):
     """Integral of g(|x|) over the ball B(0, t) in R^n.  An array of radii
     gives a float array of integrals."""
     _check_radius(t)
-    dens = _radial_density(g, n)
-    return sphere_area(n) * _profile_integral(dens, 0.0, t)
+    return _shell_integral(g, n, 0.0, t)
 
 
 @scalar_results(ExtReal)
 def complement_integral(g, n, t):
     """Integral of g(|x|) over the complement of B(0, t) in R^n."""
     _check_radius(t)
-    dens = _radial_density(g, n)
-    return sphere_area(n) * _profile_integral(dens, t, _INF)
+    return _shell_integral(g, n, t, _INF)
 
 
 @scalar_results(ExtReal)

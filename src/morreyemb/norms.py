@@ -11,10 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotAWeight, QuadratureFailure
+from .errors import NotAWeight
 from .extreal import ExtReal, scalar_results
 from .hardy import _primal_functional
-from .integration import _gauss_kronrod, _sorted_unique, sphere_area
+from .integration import _shell_integral, _sorted_unique
 from .profiles import (FnProfile, PiecewisePowerProfile, PowerProfile,
                        RadialProfile)
 from .weights import Side, Weight
@@ -126,18 +126,6 @@ class GridFunction:
         return (isinstance(other, GridFunction)
                 and np.array_equal(self.knots, other.knots)
                 and np.array_equal(self.values, other.values))
-
-
-def _shell_integral(profile: RadialProfile, n, r0, r1):
-    """Integrals of profile(|x|) over the shells r0 < |x| < r1 in R^n, for
-    arrays of ends."""
-    dens = profile if n == 1 else profile.times(PowerProfile(1.0, n - 1.0))
-    val = dens.integral(r0, r1)
-    if val is None:
-        val, _ = _gauss_kronrod(dens, r0, r1)
-        if np.isnan(val).any():
-            raise QuadratureFailure("shell integrand is nan")
-    return sphere_area(n) * val
 
 
 def weighted_lp_norm(f: GridFunction, p, v: Weight, region: Region = ALL) -> ExtReal:

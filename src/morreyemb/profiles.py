@@ -11,8 +11,8 @@ accept a radius or an array of radii (for an interval, either end may be
 an array) and then return a float array of the broadcast shape.  A radius
 runs on the same array path as a 0-d array and comes back as a float.
 The closed-form kinds compute with numpy; an evaluator (FnProfile) takes
-each radius on its own, through `elementwise`, and the suprema of profiles
-without closed forms read one shared sample.
+each radius on its own, the suprema of profiles without closed forms read
+one shared sample, and their integrals one pass of the quadrature layer.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = [
     "constant",
     "power",
     "truncated_power",
-    "elementwise",
 ]
 
 _INF = math.inf
@@ -75,17 +74,6 @@ def _end_sups(values, a, b, rising):
     the integral there."""
     end = np.broadcast_to(b if rising else a, np.broadcast(a, b).shape)
     return np.where(a < b, values(end), 0.0)
-
-
-def elementwise(fn, *xs):
-    """fn applied to each element of its arguments (broadcast together),
-    as a float array.
-
-    This is the one scalar loop of array evaluation: evaluators and
-    adaptive integrals go through it."""
-    grid = np.broadcast(*xs)
-    return np.array([float(fn(*map(float, x))) for x in grid],
-                    dtype=float).reshape(grid.shape)
 
 
 def _near_log(alpha):
@@ -580,7 +568,8 @@ class FnProfile(RadialProfile):
 
     @_radii
     def __call__(self, rho):
-        return elementwise(self.fn, rho)
+        return np.array([float(self.fn(r)) for r in rho.ravel().tolist()],
+                        dtype=float).reshape(rho.shape)
 
     @_radii
     def left_limit(self, t):

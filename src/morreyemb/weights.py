@@ -19,9 +19,9 @@ from .errors import NotAWeight, QuadratureFailure
 from .extreal import (ExtReal, _mul, _power, conjugate_exponent,
                       scalar_results)
 from .integration import (_defined_range, _gauss_kronrod, _integral,
-                          _profile_integral, _sorted_unique, _values,
-                          ball_integral, ball_volume, complement_integral,
-                          esssup_ball, esssup_complement, sphere_area)
+                          _profile_integral, _shell_integral, _sorted_unique,
+                          _values, ball_integral, ball_volume,
+                          complement_integral, esssup_complement, sphere_area)
 from .profiles import (ExpProfile, PiecewisePowerProfile, PowerProfile,
                        RadialProfile, ShiftedPowerProfile, tabulated,
                        truncated_power)
@@ -139,12 +139,12 @@ class Side(enum.Enum):
     B(0, t), COMPLEMENT for norms over their exteriors.
 
     The two sides are images of each other under the inversion t -> 1/t.
-    A side owns its region, the outer norm over t that pairs with it (the
-    tail norm over (t, inf) for balls, the head norm over (0, t) for
-    complements) with the one-sided limit of that norm, the edge of
-    omega's support beyond which a negative power of that norm is
-    infinite, and its Omega_theta class.  Every t may be an array of
-    radii, as in the functions used.
+    A side owns its region through its radii, the outer norm over t that
+    pairs with it (over the other side's radii: the tail norm for balls,
+    the head norm for complements) with the one-sided limit of that norm,
+    the edge of omega's support beyond which a negative power of that
+    norm is infinite, and its Omega_theta class.  Every t may be an array
+    of radii, as in the functions used.
     """
 
     BALL = "ball"
@@ -154,31 +154,24 @@ class Side(enum.Enum):
     def other(self):
         return Side.COMPLEMENT if self is Side.BALL else Side.BALL
 
-    def integral(self, g, n, t):
-        """Integral of g(|x|) over the region at radius t in R^n."""
-        if self is Side.BALL:
-            return ball_integral(g, n, t)
-        return complement_integral(g, n, t)
-
-    def esssup(self, g, t):
-        """Essential supremum of the profile over the region's radii."""
-        if self is Side.BALL:
-            return esssup_ball(g, t)
-        return esssup_complement(g, t)
+    def region(self, t):
+        """The region's radii at radius t: (0, t) for balls, (t, inf) for
+        complements."""
+        return (0.0, t) if self is Side.BALL else (t, _INF)
 
     @scalar_results(ExtReal)
     def region_norm(self, g, s, n, t) -> ExtReal:
         """||g||_s over the region at radius t in R^n, s in (0, inf]."""
-        s, t = float(s), np.asarray(t, dtype=float)
+        s = float(s)
+        a, b = self.region(np.asarray(t, dtype=float))
         if math.isinf(s):
-            return self.esssup(g, t)
-        return _power(self.integral(g.power(s), n, t), 1.0 / s)
+            return g.esssup(a, b)
+        return _power(_shell_integral(g.power(s), n, a, b), 1.0 / s)
 
     def outer_norm(self, omega, theta, t):
-        """The outer norm paired with the side: tail or head norm."""
-        if self is Side.BALL:
-            return tail_norm(omega, theta, t)
-        return head_norm(omega, theta, t)
+        """The outer norm paired with the side, over the other side's
+        region: the tail norm for balls, the head norm for complements."""
+        return lp_norm_interval(omega, theta, self.other.region(t))
 
     def outer_norm_limit(self, omega, theta, t):
         """The outer norm's one-sided limit at t: from the left for tails,

@@ -23,7 +23,8 @@ from morreyemb import embeddings, hardy
 from morreyemb.errors import (IndeterminatePower, QuadratureFailure,
                               UndefinedStieltjes)
 from morreyemb.extreal import ExtReal, ext_div, ext_mul, ext_pow
-from morreyemb.integration import ball_integral, esssup_ball
+from morreyemb.integration import (_profile_integral, ball_integral,
+                                   complement_integral, esssup_ball)
 from morreyemb.norms import _InnerBallNorm, _InnerComplementNorm, lm_norm
 from morreyemb.profiles import (ExpProfile, FnProfile, PiecewisePowerProfile,
                                 PowerProfile, ProductProfile,
@@ -205,6 +206,97 @@ def test_power_products_that_stay_closed_form():
     zero = PowerProfile(0.0, 0.0).times(FnProfile(lambda r: 1.0 / r))
     assert isinstance(zero, PiecewisePowerProfile)
     assert (zero.breaks, zero.segments) == ([], [(0.0, 0.0)])
+
+
+# ---------------------------------------------------------------------------
+# the one pass of integrals without a closed form: each closed-form kind as an
+# evaluator with its breakpoints, and t^2 e^-t as a product that does not
+# simplify, against the closed form (mpmath's incomplete gamma for the
+# product)
+
+HUMP = ProductProfile(ExpProfile(1.0, -1.0), PowerProfile(1.0, 2.0))
+
+
+def _hump_integral(a, b):
+    return np.array([float(mpmath.gammainc(3, mpmath.mpf(x), mpmath.mpf(y)))
+                     for x, y in zip(a, b)])
+
+
+ONE_PASS = {
+    "split_power": PiecewisePowerProfile([2.0], [(1.0, 0.5), (3.0, -2.5)]),
+    "truncated_power": truncated_power(2.0, -0.5, 0.5, 8.0),
+    "exp": ExpProfile(3.0, -0.7),
+    "shifted_power": ShiftedPowerProfile(2.0, 0.5, -3.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_PASS) + ["product"])
+def test_one_pass_matches_closed_forms(name):
+    if name == "product":
+        prof, exact = HUMP, _hump_integral
+    else:
+        closed = ONE_PASS[name]
+        prof = FnProfile(closed, closed.breakpoints())
+        exact = closed.integral
+    bks = np.array(prof.breakpoints())
+    t = np.unique(np.concatenate((np.geomspace(1e-3, 1e3, 25), bks,
+                                  bks * (1.0 - 1e-9), bks * (1.0 + 1e-9))))
+    families = {
+        "ball": (np.zeros(t.size), t),
+        "complement": (t, np.full(t.size, INF)),
+        "cells": (t[:-1], t[1:]),
+        "on_breaks": (np.concatenate((0.5 * bks, bks, np.zeros(bks.size),
+                                      bks)),
+                      np.concatenate((bks, 2.0 * bks, bks,
+                                      np.full(bks.size, INF)))),
+        "empty": (np.append(t, INF), np.append(t, INF)),
+        "whole": (np.zeros(1), np.full(1, INF)),
+    }
+    # every family alone, and all of them in one call
+    families["all"] = tuple(np.concatenate(ends)
+                            for ends in zip(*families.values()))
+    for a, b in families.values():
+        got, want = _profile_integral(prof, a, b), exact(a, b)
+        assert got.shape == a.shape
+        # below 1e-6 the walks' absolute tolerance governs
+        big = want >= 1e-6
+        np.testing.assert_allclose(got[big], want[big], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(got[~big], want[~big], rtol=0.0,
+                                   atol=1e-13)
+        assert not got[a == b].any()
+
+
+@pytest.mark.parametrize("prof", [FnProfile(lambda t: math.exp(-t)), HUMP],
+                         ids=["evaluator", "product"])
+def test_one_pass_empty_intervals_and_nan_ends(prof):
+    # an empty interval reads 0, as the closed forms do: the complement of
+    # the ball of radius inf, scalar or among other radii
+    assert complement_integral(prof, 1, INF) == 0.0
+    assert complement_integral(prof, 3, INF) == 0.0
+    got = complement_integral(prof, 1, np.array([1.0, INF]))
+    assert got[0] > 0.0 and got[1] == 0.0
+    np.testing.assert_array_equal(
+        _profile_integral(prof, np.array([1.0, 2.0]), np.array([1.0, 2.0])),
+        [0.0, 0.0])
+    # a nan end never reads a number
+    for call in (lambda: ball_integral(prof, 1, np.array([1.0, math.nan])),
+                 lambda: ball_integral(prof, 1, math.nan),
+                 lambda: complement_integral(prof, 1, math.nan),
+                 lambda: complement_integral(prof, 2,
+                                             np.array([math.nan, 1.0])),
+                 lambda: _profile_integral(prof, math.nan, 1.0)):
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_one_pass_keeps_a_nan_in_its_own_interval():
+    holed = FnProfile(lambda t: math.nan if 2.0 < t < 3.0 else 1.0)
+    # the piece (2, 3) between the intervals is skipped
+    got = _profile_integral(holed, np.array([1.0, 3.0]), np.array([2.0, 4.0]))
+    np.testing.assert_allclose(got, [1.0, 1.0], rtol=1e-15, atol=0.0)
+    with pytest.raises(QuadratureFailure,
+                       match=r"nan on the piece \(2\.2, 2\.8\)"):
+        _profile_integral(holed, np.array([1.0, 2.2]), np.array([2.0, 2.8]))
 
 
 # ---------------------------------------------------------------------------

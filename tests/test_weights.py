@@ -260,6 +260,19 @@ def test_sampled_suprema_read_one_sample(run, most):
     assert _calls_of_an_evaluator(run) <= most
 
 
+@pytest.mark.parametrize("run, most", [
+    # 2,000 tails at theta = 2: one G7-K15 pass over the pieces between
+    # the t and one walk beyond the last, 30,240 calls; a walk per t made
+    # 592,920
+    (lambda om: tail_norm(om, 2.0, np.geomspace(1e-3, 1e3, 2000)), 40000),
+    # 49 tail and 49 head norms at theta = 2: one pass each, 2,130 calls;
+    # a walk per t made 38,760
+    (lambda om: omega_class_check(om, 2.0), 4000),
+], ids=["tail_norms", "omega_class_check"])
+def test_integrals_without_a_closed_form_take_one_pass(run, most):
+    assert _calls_of_an_evaluator(run) <= most
+
+
 # 1 outside (2, 3) and nan inside it
 NAN_WEIGHT = Weight(1, FnProfile(lambda t: math.nan if 2.0 < t < 3.0
                                  else 1.0))
