@@ -17,11 +17,10 @@ from .extreal import ExtReal, _mul, _power, conjugate_exponent
 from .hardy import (_breaks, _dual_functional, _halfline,
                     _primal_functional, sup_over_t)
 from .integration import ball_volume
-from .norms import GridFunction, _inner_norm
+from .norms import GridFunction, _InnerNorm
 from .profiles import PowerProfile, RadialProfile
-from .weights import (Side, Weight, _whole_space_norm, default_ball_family,
-                      lp_norm_interval, muckenhoupt_ap_estimate,
-                      omega_class_check, tail_norm)
+from .weights import (Side, Weight, default_ball_family, lp_norm_interval,
+                      muckenhoupt_ap_estimate, omega_class_check, tail_norm)
 
 __all__ = [
     "EmbeddingProblem",
@@ -201,9 +200,8 @@ def _morrey_to_lebesgue(prob) -> ExtReal:
     # (a) for theta <= p1, (b) otherwise; a Morrey-type source pairs with
     # the other side's region
     return _dual_functional(
-        side, lambda t: side.other.region_norm(g, sigma, n, t),
-        _whole_space_norm(g, sigma, n), sigma, prob.omega, prob.theta,
-        prob.p1, _breaks(prob.omega, g))
+        side, lambda t: side.other.region_norm(g, sigma, n, t), sigma,
+        prob.omega, prob.theta, prob.p1, _breaks(prob.omega, g))
 
 
 @dataclass(frozen=True)
@@ -259,11 +257,10 @@ def associate_norm(f: GridFunction, kind, p, theta, omega: RadialProfile,
         dual_w = Weight(v.dimension, v.profile.power(1.0 - pp))
 
     side = Side.BALL if kind == "lm" else Side.COMPLEMENT
-    # a prefix-sum evaluator of the dual norm over the other side's region
-    # at t > 0: one lookup answers a whole array of radii
-    inner = _inner_norm(f, pp, dual_w, side.other)
+    # a prefix-sum evaluator of the dual norm over the other side's region:
+    # one lookup answers a whole array of radii
     return _dual_functional(
-        side, inner, float(inner.total()), pp, omega, th, 1.0,
+        side, _InnerNorm(f, pp, dual_w, side.other), pp, omega, th, 1.0,
         _breaks(omega) + tuple(f.knots))
 
 

@@ -22,7 +22,7 @@ from .errors import (HypothesisViolated, InadmissibleExponents,
 from .extreal import ExtReal, _div, _mul, _power, conjugate_exponent
 from .integration import _integral, _sorted_unique, _values
 from .profiles import RadialProfile
-from .weights import Side, Weight, _whole_space_norm, tail_norm
+from .weights import Side, Weight, tail_norm
 
 __all__ = [
     "HardyProblem",
@@ -177,23 +177,25 @@ def _checked(fn, ts):
     return vals
 
 
-def _dual_functional(side, norm, whole, s, omega, theta, p, breaks) -> ExtReal:
+def _dual_functional(side, norm, s, omega, theta, p, breaks) -> ExtReal:
     """The reverse Hardy functional shared by the reverse inequalities, the
     Morrey-source embeddings and the associate norms.
 
     I(t) = norm(t) is an s-norm over the other side's region at radius t in
-    R^n, with whole-space value whole, and N(t) is the side's outer
-    theta-norm of omega.  The functional is sup_t I(t) / N(t) for
-    theta <= p, and otherwise (int I^rho d(N^-rho))^(1/rho) + whole / N(0)
-    with 1/rho = 1/p - 1/theta.  norm takes arrays of t.  Where I vanishes
-    from a breakpoint on, I^rho does so like the distance to it to the
-    power a = rho / s.  breaks are the data's breakpoints.
+    R^n, and N(t) is the side's outer theta-norm of omega.  The functional
+    is sup_t I(t) / N(t) for theta <= p, and otherwise
+    (int I^rho d(N^-rho))^(1/rho) + I(whole) / N(0) with
+    1/rho = 1/p - 1/theta, where I(whole) is norm at the side's end, whose
+    region is all of R^n.  norm takes arrays of t.  Where I vanishes from a
+    breakpoint on, I^rho does so like the distance to it to the power
+    a = rho / s.  breaks are the data's breakpoints.
     """
     if theta <= p:
         return sup_over_t(
             lambda t: _div(norm(t), side.outer_norm(omega, theta, t)),
             breaks)
     rho = p if math.isinf(theta) else p * theta / (theta - p)
+    whole = float(norm(side.end))
     main = side.stieltjes(lambda t: _power(norm(t), rho),
                           _power(whole, rho), omega, theta, rho, rho / s,
                           breaks)
@@ -217,8 +219,7 @@ def _primal_functional(side, inner, omega, theta, p, breaks) -> ExtReal:
     """
     if p <= theta:
         if math.isinf(theta):
-            limit = omega.right_limit if side is Side.BALL \
-                else omega.left_limit
+            limit = side.limit(omega)
             outer = lambda t: np.maximum(omega(t), limit(t))
         else:
             outer = lambda t: side.outer_norm(omega, theta, t)
@@ -297,13 +298,12 @@ def _check_reverse_hypothesis(u, q, side):
     a moderate window to avoid mistaking float overflow of a finite norm
     (fast-growing u at huge t) for infinity.
     """
-    tail = side is Side.BALL
-    grid = np.geomspace(1e-2, 1e8, 11) if tail else np.geomspace(1e-8, 1e2, 11)
+    grid = np.geomspace(1e-2, 1e8, 11) if side is Side.BALL \
+        else np.geomspace(1e-8, 1e2, 11)
     infinite = np.isinf(side.outer_norm(u, q, grid))
     if infinite.any():
-        t = float(grid[np.argmax(infinite)])
-        region = f"({t:g},inf)" if tail else f"(0,{t:g})"
-        raise HypothesisViolated(f"||u||_{{q,{region}}} is infinite")
+        a, b = side.other.region(float(grid[np.argmax(infinite)]))
+        raise HypothesisViolated(f"||u||_{{q,({a:g},{b:g})}} is infinite")
 
 
 def reverse_hardy_C(prob: HardyProblem) -> ExtReal:
@@ -331,5 +331,5 @@ def _reverse_functional(prob: HardyProblem) -> ExtReal:
     pp = float(conjugate_exponent(p))
     # (a) for q <= p, (b) for p < q <= inf
     return _dual_functional(
-        side, lambda t: side.other.region_norm(w, pp, n, t),
-        _whole_space_norm(w, pp, n), pp, u, q, p, _breaks(u, w))
+        side, lambda t: side.other.region_norm(w, pp, n, t), pp, u, q, p,
+        _breaks(u, w))

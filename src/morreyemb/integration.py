@@ -237,9 +237,11 @@ def _walk(rule, interval, breakpoints, rest):
     they agree as those of a power tail do (see _stable_below_one) and the
     rest's sensitivity to their spread is under tolerance; that
     sensitivity is its error bound.  A negligible piece v, under
-    tolerance / 8, stops the walk and adds the same rest to the value and
-    to the error bound when its ratio r to the piece before is below 1,
-    unless a rest bracket puts more than tolerance beyond it.
+    tolerance / 8, stops the walk when it is 0 or its ratio r to the piece
+    before is below 1, and adds the same rest to the value and to the
+    error bound, unless a rest bracket puts more than tolerance beyond it;
+    a negligible piece that does not fall leaves the walk to the ratio
+    rules, which read a small constant tail as divergent.
     """
     a, b = interval
     if not a < b:
@@ -315,14 +317,15 @@ def _walk(rule, interval, breakpoints, rest):
                 toterr += 0.5 * (highs[k] - lows[k])
                 break
             if v <= 0.125 * tol and not (lows and lows[k] > tol):
-                # the rest v r / (1 - r) of a geometric tail with the last
-                # ratio r < 1 goes to the value and the error bound
+                # a zero piece, or one with ratio r < 1 to the piece
+                # before, stops the walk and adds the rest v r / (1 - r);
+                # any other is left to the ratio rules
                 r = v / pieces[-2] if len(pieces) > 1 and pieces[-2] > 0 \
-                    else 1.0
+                    else 1.0 if v > 0.0 else 0.0
                 if r < 1.0:
                     rem = v * r / (1.0 - r)
                     total, toterr = total + rem, toterr + rem
-                break
+                    break
             if len(pieces) >= 9:
                 ratios = [pieces[i + 1] / pieces[i]
                           for i in range(len(pieces) - 9, len(pieces) - 1)
@@ -521,9 +524,8 @@ class MonotoneIntegrator:
 
     def mass(self, y, z):
         """Measure of the intervals [y, z] (one-sided limits at the ends)."""
-        if self.direction == "increasing":
-            return _values(self.right, z) - _values(self.left, y)
-        return _values(self.left, y) - _values(self.right, z)
+        sign = 1.0 if self.direction == "increasing" else -1.0
+        return sign * (_values(self.right, z) - _values(self.left, y))
 
     def atom(self, t):
         return self.mass(t, t)
@@ -544,37 +546,29 @@ class MonotoneIntegrator:
 
 
 def _find_infinite_cut(h: MonotoneIntegrator, a, b):
-    """Locate the boundary of the region where h is infinite, if any.
+    """The boundary of the region where h is infinite, if any: the last
+    point where h is finite on the walk from the end where it is finite
+    toward the end where it may turn infinite, up for increasing h.
 
-    h is sampled on a 129-point geometric grid; the bracket around the
-    change from finite to infinite values is resampled the same way until
-    it is tight to 1e-13 relative.  h is monotone, so it is finite on the
-    whole grid, and there is no cut, when it is finite at the grid's far
-    end: that one point is evaluated first."""
+    h is sampled on a 129-point geometric grid in walking order; the
+    bracket around the first infinite sample is resampled the same way
+    until it is tight to 1e-13 relative.  h is monotone, so there is no cut
+    when it is finite at the walk's far end: that point is read first."""
     if h.infinite_from is not None:
         return h.infinite_from
-    increasing = h.direction == "increasing"
-    c0, c1 = max(a, 1e-9), min(b, 1e9)
-    far = np.array([c1 if increasing else c0])
-    if np.isfinite(_values(h.evaluator, far)).all():
+    step = 1 if h.direction == "increasing" else -1
+    ends = [max(a, 1e-9), min(b, 1e9)]       # ascending
+    if np.isfinite(_values(h.evaluator, np.array(ends[::step][-1:]))).all():
         return None
     for depth in range(12):
-        grid = np.geomspace(c0, c1, 129)
-        finite = np.isfinite(_values(h.evaluator, grid))
-        if increasing:
-            # infinite on (c, b): bracket the first infinite sample
-            idx = int(np.argmin(finite))
-            if idx == 0:
-                return c0
-            c0, c1 = grid[idx - 1], grid[idx]
-        else:
-            idx = len(grid) - 1 - int(np.argmin(finite[::-1]))
-            if idx == len(grid) - 1:
-                return c1
-            c0, c1 = grid[idx], grid[idx + 1]
-        if c1 / c0 < 1 + 1e-13:
+        grid = np.geomspace(*ends, 129)[::step]
+        idx = int(np.argmin(np.isfinite(_values(h.evaluator, grid))))
+        if idx == 0:
             break
-    return c0 if increasing else c1
+        ends = sorted(grid[idx - 1:idx + 1])
+        if ends[1] / ends[0] < 1 + 1e-13:
+            break
+    return ends[::step][0]
 
 
 def _rs_stage(f, h: MonotoneIntegrator, x0, x1, sharp):

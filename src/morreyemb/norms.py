@@ -1,6 +1,10 @@
 """Weighted Lebesgue norms of radial test functions, the local Morrey-type
 norm and its complementary mirror, and the weight identity that collapses
 the p = theta case to a single weighted Lebesgue norm.
+
+One evaluator, _InnerNorm, reads the norms of a grid function over the
+balls B(0, r) or their complements, as its Side says, and over all of R^n
+at r = inf or 0, for every norm here and for the associate norms.
 """
 
 from __future__ import annotations
@@ -132,15 +136,14 @@ def weighted_lp_norm(f: GridFunction, p, v: Weight, region: Region = ALL) -> Ext
     """||f||_{p,v,region}: (int |f|^p v)^{1/p}, or esssup |f| v for p = inf."""
     if not float(p) > 0:
         raise ValueError("p must be in (0, inf]")
-    cls = _InnerComplementNorm if region.kind == "complement" \
-        else _InnerBallNorm
-    norm = cls(f, p, v)
-    return ExtReal(norm.total()) if region.kind == "all" \
-        else norm(region.t)
+    side = Side.COMPLEMENT if region.kind == "complement" else Side.BALL
+    return _InnerNorm(f, p, v, side)(region.t)
 
 
-class _InnerBallNorm:
-    """r -> ||f||_{p,v,B(0,r)} with exact accumulation across cells.
+class _InnerNorm:
+    """r -> ||f||_{p,v} over the side's region at radius r, all of R^n at
+    the other side's end (inf for balls, 0 for complements), with exact
+    accumulation across cells.
 
     Each cell gives one mass: |f|^p times the shell integral of v, or |f|
     times the esssup of v at p = inf.  The masses accumulate from both ends
@@ -148,10 +151,9 @@ class _InnerBallNorm:
     searchsorted and the mass of the part of each radius's cell inside the
     region."""
 
-    complement = False
-
-    def __init__(self, f: GridFunction, p, v: Weight):
+    def __init__(self, f: GridFunction, p, v: Weight, side: Side):
         self.f, self.p, self.v = f, float(p), v
+        self.complement = side is Side.COMPLEMENT
         self.op = np.maximum if math.isinf(self.p) else np.add
         live = f.values > 0.0
         mass = np.zeros(f.num_cells)
@@ -161,10 +163,6 @@ class _InnerBallNorm:
         self.prefix = np.concatenate([[0.0], self.op.accumulate(mass)])
         self.suffix = np.concatenate(
             [self.op.accumulate(mass[::-1])[::-1], [0.0]])
-        self._total = self._finish(self.prefix[-1])
-
-    def total(self):
-        return self._total
 
     def _mass(self, vals, a, b):
         """The masses of the parts (a, b) of cells with values vals > 0."""
@@ -172,9 +170,6 @@ class _InnerBallNorm:
             return vals * self.v.profile.esssup(a, b)
         return vals ** self.p * _shell_integral(self.v.profile,
                                                 self.v.dimension, a, b)
-
-    def _finish(self, acc):
-        return acc if math.isinf(self.p) else np.power(acc, 1.0 / self.p)
 
     @scalar_results(ExtReal)
     def __call__(self, r):
@@ -195,19 +190,7 @@ class _InnerBallNorm:
         part[live] = self._mass(values[i][live], a[live], b[live])
         rest = self.suffix[i + 1] if self.complement else self.prefix[i]
         acc[inside] = self.op(rest, part)
-        return self._finish(acc)
-
-
-class _InnerComplementNorm(_InnerBallNorm):
-    """r -> ||f||_{p,v,complement of B(0,r)}."""
-
-    complement = True
-
-
-def _inner_norm(f: GridFunction, p, v: Weight, side: Side):
-    """r -> ||f||_{p,v} over the side's region at radius r."""
-    cls = _InnerBallNorm if side is Side.BALL else _InnerComplementNorm
-    return cls(f, p, v)
+        return acc if math.isinf(self.p) else np.power(acc, 1.0 / self.p)
 
 
 def lm_norm(f: GridFunction, p, theta, omega: RadialProfile, v: Weight) -> ExtReal:
@@ -234,7 +217,7 @@ def _morrey_norm(f, p, theta, omega, v, side) -> ExtReal:
             breaks[(breaks >= f.knots[0]) & (breaks <= f.knots[-1])])
         breaks = np.append(np.geomspace(anchors[:-1], anchors[1:], 33),
                            breaks)
-    return _primal_functional(side, _inner_norm(f, p, v, side), omega,
+    return _primal_functional(side, _InnerNorm(f, p, v, side), omega,
                               float(theta), _INF, breaks)
 
 

@@ -20,8 +20,7 @@ from .extreal import (ExtReal, _mul, _power, conjugate_exponent,
                       scalar_results)
 from .integration import (_defined_range, _gauss_kronrod, _integral,
                           _profile_integral, _shell_integral, _sorted_unique,
-                          _values, ball_integral, ball_volume,
-                          complement_integral, esssup_complement, sphere_area)
+                          _values, ball_integral, ball_volume, sphere_area)
 from .profiles import (ExpProfile, PiecewisePowerProfile, PowerProfile,
                        RadialProfile, ShiftedPowerProfile, tabulated,
                        truncated_power)
@@ -139,12 +138,13 @@ class Side(enum.Enum):
     B(0, t), COMPLEMENT for norms over their exteriors.
 
     The two sides are images of each other under the inversion t -> 1/t.
-    A side owns its region through its radii, the outer norm over t that
+    A side owns its region through its radii, the end of (0, inf) where
+    the other side's region is all of R^n, the outer norm over t that
     pairs with it (over the other side's radii: the tail norm for balls,
-    the head norm for complements) with the one-sided limit of that norm,
-    the edge of omega's support beyond which a negative power of that
-    norm is infinite, and its Omega_theta class.  Every t may be an array
-    of radii, as in the functions used.
+    the head norm for complements) with the one-sided limits of omega and
+    of that norm, the edge of omega's support beyond which a negative
+    power of that norm is infinite, and its Omega_theta class.  Every t
+    may be an array of radii, as in the functions used.
     """
 
     BALL = "ball"
@@ -173,12 +173,24 @@ class Side(enum.Enum):
         region: the tail norm for balls, the head norm for complements."""
         return lp_norm_interval(omega, theta, self.other.region(t))
 
+    @property
+    def end(self):
+        """The end of (0, inf) where the other side's region is all of R^n
+        and the outer norm is omega's whole-line norm: 0 for balls, inf for
+        complements."""
+        return 0.0 if self is Side.BALL else _INF
+
+    def limit(self, omega):
+        """omega's one-sided limit from the outer region's side, as a
+        function of t: from the right for balls, from the left for
+        complements."""
+        return omega.right_limit if self is Side.BALL else omega.left_limit
+
     def outer_norm_limit(self, omega, theta, t):
-        """The outer norm's one-sided limit at t: from the left for tails,
-        from the right for heads."""
-        if self is Side.BALL:
-            return tail_norm_left_limit(omega, theta, t)
-        return head_norm_right_limit(omega, theta, t)
+        """The outer norm's one-sided limit at t, with omega's from the
+        region's side: from the left for tails, from the right for heads."""
+        return _with_limit(self.outer_norm, self.other.limit(omega), omega,
+                           theta, t)
 
     def infinite_from(self, omega):
         """Where a negative power of the outer norm becomes identically
@@ -195,8 +207,8 @@ class Side(enum.Enum):
         N(t) is the outer norm of omega with exponent theta at t.
 
         f >= 0 takes an array of t and is monotone, with limit f_end at the
-        end where h has a finite limit h_end = ||omega||_theta^(-rho): t -> 0
-        for balls, t -> inf for complements.  Where f vanishes from a
+        end where h has a finite limit h_end = ||omega||_theta^(-rho): the
+        side's end, t -> 0 for balls, t -> inf for complements.  Where f vanishes from a
         breakpoint z on, it does so like |t - z|^a.  breaks are the data's
         breakpoints.
 
@@ -267,8 +279,7 @@ class Side(enum.Enum):
             with np.errstate(divide="ignore", over="ignore",
                              invalid="ignore"):
                 if math.isinf(theta):
-                    lim = omega.left_limit(t) if up else omega.right_limit(t)
-                    on = norm == lim
+                    on = norm == self.limit(omega)(t)
                     slope = np.zeros(t.shape)
                     slope[on] = omega.log_slope(t[on])
                     slope = slope if up else -slope
@@ -285,7 +296,7 @@ class Side(enum.Enum):
         def integrand(t):
             return _mul(_values(f, t), density(t))
 
-        h_end = _power(float(tail_norm(omega, theta, 0.0)), -rho)
+        h_end = _power(float(self.outer_norm(omega, theta, self.end)), -rho)
         f_end = float(f_end)
 
         def rest(x, toward):
@@ -344,16 +355,6 @@ class Side(enum.Enum):
         if self is Side.BALL:
             return member.in_omega_theta
         return member.in_dual_omega_theta
-
-
-def _whole_space_norm(g, s, n) -> float:
-    """||g||_s over all of R^n, s in (0, inf]."""
-    s = float(s)
-    if math.isinf(s):
-        return float(esssup_complement(g, 0.0))
-    val = float(ball_integral(g.power(s), n, 1.0)) + \
-        float(complement_integral(g.power(s), n, 1.0))
-    return _power(val, 1.0 / s)
 
 
 def _power_omega_membership(c, alpha, theta):

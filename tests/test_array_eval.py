@@ -25,11 +25,11 @@ from morreyemb.errors import (IndeterminatePower, QuadratureFailure,
 from morreyemb.extreal import ExtReal, ext_div, ext_mul, ext_pow
 from morreyemb.integration import (_profile_integral, ball_integral,
                                    complement_integral, esssup_ball)
-from morreyemb.norms import _InnerBallNorm, _InnerComplementNorm, lm_norm
+from morreyemb.norms import _InnerNorm, lm_norm
 from morreyemb.profiles import (ExpProfile, FnProfile, PiecewisePowerProfile,
                                 PowerProfile, ProductProfile,
                                 ShiftedPowerProfile)
-from morreyemb.weights import head_norm, lp_norm_interval, tail_norm
+from morreyemb.weights import Side, head_norm, lp_norm_interval, tail_norm
 from test_acceptance import FINITE_INSTANCES, INFINITE_INSTANCES
 
 INF = math.inf
@@ -373,17 +373,21 @@ def test_array_ext_mul_and_div_match_scalar(pairs, bad, k):
 # inner norms of grid functions
 
 
-@pytest.mark.parametrize("cls", [_InnerBallNorm, _InnerComplementNorm])
+@pytest.mark.parametrize("side", list(Side))
 @pytest.mark.parametrize("p", [1.0, 2.5, INF])
 @pytest.mark.parametrize("v", [constant(1.0), PowerProfile(2.0, -0.5)])
-def test_inner_norm_array_lookup_matches_scalar(cls, p, v):
+def test_inner_norm_array_lookup_matches_scalar(side, p, v):
     knots = np.geomspace(0.1, 10.0, 9)
     values = np.array([1.0, 0.0, 2.0, 0.5, 0.0, 3.0, 1.5, 0.25])
-    ev = cls(GridFunction(knots, values), p, Weight(2, v))
+    f = GridFunction(knots, values)
+    ev = _InnerNorm(f, p, Weight(2, v), side)
     mids = np.sqrt(knots[:-1] * knots[1:])
-    rs = np.concatenate([[1e-3, 0.1 * (1 - 1e-12)], knots, mids,
-                         [10.0 * (1 + 1e-12), 1e3]])
+    rs = np.concatenate([[0.0, 1e-3, 0.1 * (1 - 1e-12)], knots, mids,
+                         [10.0 * (1 + 1e-12), 1e3, INF]])
     check_same(ev(rs), [ev(float(r)) for r in rs])
+    # all of R^n at the other side's end, for either side
+    other = _InnerNorm(f, p, Weight(2, v), side.other)
+    assert ev(side.other.end) == other(side.end) > 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ from morreyemb import GridFunction, Weight, weighted_lp_norm
 from morreyemb.errors import QuadratureFailure, UndefinedStieltjes
 from morreyemb.integration import (_G7, _K15, _NODES, MonotoneIntegrator,
                                    ball_integral, ball_volume,
-                                   integrate_halfline, sphere_area,
-                                   stieltjes_integral)
+                                   complement_integral, integrate_halfline,
+                                   sphere_area, stieltjes_integral)
 from morreyemb.profiles import (ExpProfile, FnProfile, PiecewisePowerProfile,
                                 PowerProfile, ShiftedPowerProfile)
 from morreyemb.weights import (_ball_slice_measure, _off_center_ball_integral,
@@ -186,6 +186,28 @@ def test_halfline_zero_pieces_do_not_stop_a_walk_with_mass_ahead():
     assert float(val) == pytest.approx(0.1, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("prof,norm", [
+    (FnProfile(lambda t: 1e-9), lambda g: tail_norm(g, 2.0, 1.0)),
+    (FnProfile(lambda t: 1e-18), lambda g: complement_integral(g, 1, 1.0)),
+    (FnProfile(lambda t: 1e-20 / t), lambda g: ball_integral(g, 1, 1.0)),
+], ids=["constant_tail", "constant_complement", "inverse_ball"])
+def test_halfline_negligible_pieces_that_do_not_fall_read_divergence(prof,
+                                                                   norm):
+    # each first dyadic piece is below the absolute tolerance, but the
+    # pieces do not fall: the walk goes on until the ratios read divergence
+    assert norm(prof).is_inf
+
+
+def test_halfline_negligible_pieces_that_fall_stay_finite():
+    # t^-2 with coefficient 1e-12 over (1, inf), and t^-3 with coefficient
+    # 1e-20 from the breakpoint 5, whose exact integral is 2e-22
+    assert float(tail_norm(FnProfile(lambda t: 1e-12 * t ** -2), 1.0,
+                           1.0)) == pytest.approx(1e-12, rel=1e-12, abs=0.0)
+    cubic = FnProfile(lambda t: 1e-20 * t ** -3, breakpoints=(5.0,))
+    assert float(tail_norm(cubic, 1.0, 5.0)) == pytest.approx(
+        2e-22, rel=1e-12, abs=0.0)
+
+
 def test_integrand_error_propagates():
     # an exception is a fault of the integrand, not divergence
     def broken(t):
@@ -302,13 +324,20 @@ class TestStieltjes:
                                  h, (0.0, INF))
         assert float(val) == pytest.approx(1.0, rel=1e-11)
 
-    def test_decreasing_integrator_infinite_below_a_point(self):
-        # h = 1/t from 1 on and inf below, found by sampling: there is no
-        # infinite_from
+    @pytest.mark.parametrize("c", [1e-3, 0.3, 1.0, 700.0])
+    @pytest.mark.parametrize("direction", ["increasing", "decreasing"])
+    def test_integrator_infinite_past_a_sampled_cut(self, direction, c):
+        # h = t up to c and inf above (increasing), or 1/t from c on and
+        # inf below (decreasing), the cut found by sampling: there is no
+        # infinite_from.  f = 1 where h is finite reads c, or 1/c
+        up = direction == "increasing"
+        finite = (lambda t: t <= c) if up else (lambda t: t >= c)
         h = MonotoneIntegrator.from_function(
-            lambda t: np.where(t < 1.0, INF, 1.0 / t), "decreasing")
-        val = stieltjes_integral(lambda t: np.where(t < 1.0, 0.0, 1.0), h)
-        assert float(val) == pytest.approx(1.0, rel=1e-11)
+            lambda t: np.where(finite(t), t if up else 1.0 / t, INF),
+            direction)
+        val = stieltjes_integral(lambda t: np.where(finite(t), 1.0, 0.0), h)
+        assert float(val) == pytest.approx(c if up else 1.0 / c, rel=1e-11,
+                                           abs=0.0)
         with pytest.raises(UndefinedStieltjes):
             stieltjes_integral(lambda t: 1.0, h)
 

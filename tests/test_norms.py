@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from morreyemb.norms import (ALL, Ball, Complement, GridFunction,
-                             _inner_norm, dual_lm_norm, fubini_weight,
+                             _InnerNorm, dual_lm_norm, fubini_weight,
                              lm_norm, weighted_lp_norm)
 from morreyemb.profiles import (PiecewisePowerProfile, PowerProfile, constant,
                                 truncated_power)
@@ -174,7 +174,7 @@ class TestTwoScaleNorms:
         # than a step of the scan, which alone read it 11% and 69% low
         f = GridFunction([1.0, 1.02, 1.03, 1.23], [1.0, 0.0, z])
         om = PowerProfile(1.0, -80.0)
-        inner = _inner_norm(f, 1.0, unit_weight, Side.BALL)
+        inner = _InnerNorm(f, 1.0, unit_weight, Side.BALL)
         rs = np.concatenate([np.geomspace(a, b, 200001)
                              for a, b in zip(f.knots[:-1], f.knots[1:])])
         dense = np.max(om(rs) * inner(rs))

@@ -8,10 +8,11 @@ import pytest
 from morreyemb.embeddings import EmbeddingProblem, embedding_constant
 from morreyemb.errors import NotAWeight, QuadratureFailure
 from morreyemb.hardy import HardyProblem, hardy_A
+from morreyemb.integration import ball_integral, complement_integral
 from morreyemb.profiles import (ExpProfile, FnProfile, PiecewisePowerProfile,
                                 PowerProfile, ProductProfile,
                                 ShiftedPowerProfile, constant, truncated_power)
-from morreyemb.weights import (Weight, head_norm, lp_norm_interval,
+from morreyemb.weights import (Side, Weight, head_norm, lp_norm_interval,
                                muckenhoupt_ap_estimate, omega_class_check,
                                profile_from_dict, tail_norm)
 
@@ -380,3 +381,36 @@ def test_exp_integral_is_plus_zero_where_both_ends_underflow():
     assert val == 0.0 and math.copysign(1.0, val) == 1.0
     val = ExpProfile(1.0, -1.0).integral(800.0, 900.0)
     assert val == 0.0 and math.copysign(1.0, val) == 1.0
+
+
+# profiles whose norms over all of R^n are read at a side's end
+WHOLE = {
+    "split_power": PiecewisePowerProfile([2.0], [(1.0, 0.5), (3.0, -2.5)]),
+    "truncated_power": truncated_power(2.0, -0.5, 0.5, 8.0),
+    "exp": ExpProfile(3.0, -0.7),
+    "shifted_power": ShiftedPowerProfile(2.0, 0.5, -3.0),
+    "product": ExpProfile(1.0, -1.0).times(ShiftedPowerProfile(1.0, 1.0, 1.0)),
+    "evaluator": FnProfile(lambda t: 1.0 / (1.0 + t * t)),
+}
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("s", [1.0, 2.5, INF])
+@pytest.mark.parametrize("name", sorted(WHOLE))
+def test_region_norm_at_the_end_is_the_whole_space_norm(name, s, n):
+    # at a side's end the other side's region is all of R^n: the complement
+    # of B(0, 0) and the ball B(0, inf), against the ball and the
+    # complement of radius 1 together, or the esssup over (0, inf)
+    g = WHOLE[name]
+    if math.isinf(s):
+        want = float(g.esssup(0.0, INF))
+    else:
+        want = (float(ball_integral(g.power(s), n, 1.0))
+                + float(complement_integral(g.power(s), n, 1.0))) ** (1 / s)
+    assert [side.end for side in Side] == [0.0, INF]
+    for side in Side:
+        got = side.other.region_norm(g, s, n, side.end)
+        if math.isinf(want):
+            assert got.is_inf
+        else:
+            assert float(got) == pytest.approx(want, rel=1e-12, abs=0.0)
