@@ -244,7 +244,11 @@ def cmd_oracle(args) -> int:
     argmax_path = args.out or doc.get("output", {}).get("argmax_csv")
     if argmax_path:
         res.argmax.to_csv(argmax_path)
-    _emit(res.to_json(argmax_path), args)
+    out = {"lower_bound": float(res.lower_bound), "trace": res.trace,
+           "family_bests": res.family_bests}
+    if argmax_path is not None:
+        out["argmax_csv"] = str(argmax_path)
+    _emit(dump_json(out), args)
     return EXIT_OK
 
 

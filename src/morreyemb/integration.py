@@ -514,10 +514,13 @@ class MonotoneIntegrator:
     def __post_init__(self):
         if self.direction not in ("increasing", "decreasing"):
             raise ValueError("direction must be 'increasing' or 'decreasing'")
+        # one-sided limits default to the evaluator at t (1 - 2^-40) and
+        # t (1 + 2^-40), as FnProfile reads them, which is exact for steps
+        h = self.evaluator
         if self.left is None:
-            self.left = self.evaluator
+            self.left = lambda t: h(t * (1.0 - 2.0 ** -40))
         if self.right is None:
-            self.right = self.evaluator
+            self.right = lambda t: h(t * (1.0 + 2.0 ** -40))
 
     def __call__(self, t):
         return _values(self.evaluator, t)
@@ -533,14 +536,9 @@ class MonotoneIntegrator:
     @classmethod
     def from_function(cls, h, direction, jump_points=(), infinite_from=None,
                       left=None, right=None):
-        """Wrap an array evaluator; one-sided limits default to its values
-        at t (1 - 2^-40) and t (1 + 2^-40), as FnProfile reads them, which
-        is exact for steps.  stieltjes_integral reads them only at the jump
+        """Wrap an array evaluator, with the constructor's one-sided limits
+        unless given.  stieltjes_integral reads them only at the jump
         points and at the cut where h turns infinite."""
-        if left is None:
-            left = lambda t: h(t * (1.0 - 2.0 ** -40))
-        if right is None:
-            right = lambda t: h(t * (1.0 + 2.0 ** -40))
         return cls(direction=direction, evaluator=h, left=left, right=right,
                    jump_points=tuple(jump_points), infinite_from=infinite_from)
 

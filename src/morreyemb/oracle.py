@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -69,6 +68,7 @@ from .hardy import (HardyProblem, hardy_A, hardy_A_star, reverse_hardy_C,
                     reverse_hardy_C_star, sup_operator_constant)
 from .integration import sphere_area
 from .norms import GridFunction
+from .profiles import constant as constant_profile
 from .weights import Side
 
 __all__ = [
@@ -133,16 +133,6 @@ class OracleResult:
     family_bests: dict
     search: str
 
-    def to_json(self, argmax_path=None):
-        doc = {
-            "lower_bound": float(self.lower_bound),
-            "trace": [[int(i), float(r)] for i, r in self.trace],
-            "family_bests": {k: float(v) for k, v in self.family_bests.items()},
-        }
-        if argmax_path is not None:
-            doc["argmax_csv"] = str(argmax_path)
-        return json.dumps(doc)
-
 
 def _subcell_masses(profile, edges, n=1, sigma=1.0):
     """Integral of profile(rho) * rho^(n-1) * sigma over each subcell, by
@@ -171,6 +161,10 @@ def _exclusive(op, terms):
 class _RatioEvaluator:
     """Vectorized ratio(values) for one problem on one discretization.
 
+    A Hardy problem and an embedding are the same three discretized norms
+    with different data, and one assembly builds them: the inner norm over
+    the region (for Hardy the weight 1, with exponent 1, or inf for the
+    supremum variants), the outer norm over t and the source norm.
     ``values`` has one entry per coarse cell; the masses live on the
     refined subcell grid as (m, K) arrays in the order in which the inner
     norm accumulates: outward from the origin over balls, inward from
@@ -186,113 +180,76 @@ class _RatioEvaluator:
         m, K = cfg.grid_cells, _SUBCELLS
         lo, hi = cfg.knot_range
         self.knots = np.geomspace(lo, hi, m + 1)
-        self.edges = np.geomspace(lo, hi, m * K + 1)
-        self.mids = np.sqrt(self.edges[:-1] * self.edges[1:])
+        self.edges = edges = np.geomspace(lo, hi, m * K + 1)
+        self.mids = np.sqrt(edges[:-1] * edges[1:])
         self.m, self.K = m, K
-        self._build(prob)
-
-    # -- problem-specific assembly ------------------------------------
-    def _build(self, prob):
+        # the problem as one set of data: the inner exponent and weight,
+        # the outer profile v, q and the exponent e of the density v^e, and
+        # the source exponent, its esssup profile and its density
+        self.dual_w_profile = None
         if isinstance(prob, HardyProblem):
-            self._build_hardy(prob)
+            w = prob.w_inner.profile
+            sup = prob.variant in ("sup", "sup_complement")
+            direct = prob.variant in ("direct", "direct_complement")
+            # Hf integrates f over the region, Sf takes its supremum there
+            inner_p, inner_w = (_INF if sup else 1.0), constant_profile(1.0)
+            # the direct target has v as an outer measure density; sup and
+            # reverse weigh by v as a multiplier, the density v^q
+            v, q, e = prob.v_outer, prob.q, 1.0 if direct else prob.q
+            # the source ||f||_{p,w} (direct), ||f w||_p (reverse) or
+            # ||f w||_inf (sup, whose p is inf)
+            src_p, src_sup = prob.p, w
+            src_density = w if direct or sup else w.power(prob.p)
+            self.morrey_on_top = prob.variant not in ("reverse",
+                                                      "reverse_complement")
+            if prob.variant == "direct" and 1.0 < prob.p < _INF:
+                # the classical near-extremal density w^(1-p')
+                pp = float(conjugate_exponent(prob.p))
+                wm = np.asarray(w(self.mids), dtype=float)
+                with np.errstate(all="ignore"):
+                    self.dual_w_profile = np.where(
+                        wm > 0, np.minimum(wm ** (1.0 - pp), 1e10), 0.0)
         elif isinstance(prob, EmbeddingProblem):
-            self._build_embedding(prob)
+            inner_p, inner_w = prob.p2, prob.v2.profile
+            v, q, e = prob.omega, prob.theta, prob.theta
+            src_p, src_sup = prob.p1, prob.v1.profile
+            src_density = src_sup
+            self.morrey_on_top = prob.morrey_is_target
         else:
             raise TypeError(f"unsupported problem type {type(prob)!r}")
-        self.dual_w_profile = self._dual_power_profile(prob)
-        self._finalize(prob.side)
-
-    def _build_hardy(self, prob: HardyProblem):
-        n = prob.n
+        n, side = prob.n, prob.side
         sigma = sphere_area(n)
-        v, w = prob.v_outer, prob.w_inner.profile
-        sup = prob.variant in ("sup", "sup_complement")
-        direct = prob.variant in ("direct", "direct_complement")
-        if sup:
-            # target ||(Sf) v||_q, source ||f w||_inf
-            self.inner_p = _INF
-            self.inner_sup_weight = np.ones(len(self.mids))
-        else:
-            # Hf integrates f over the region
-            self.inner_p = 1.0
-            self.inner_mass = _subcell_masses(np.ones_like, self.edges, n,
-                                              sigma)
-        self.sup_inner = sup
-        # the direct target has v as an outer measure density; sup and
-        # reverse weigh by v as a multiplier, the density v^q
-        self._build_outer(v, prob.q, 1.0 if direct else prob.q, prob.side)
-        # the source ||f||_{p,w} (direct), ||f w||_p (reverse) or
-        # ||f w||_inf (sup, whose p is inf)
-        self._build_source(prob.p, w,
-                           w if direct or sup else w.power(prob.p), n, sigma)
-        self.morrey_on_top = prob.variant not in ("reverse",
-                                                  "reverse_complement")
-
-    def _build_embedding(self, prob: EmbeddingProblem):
-        n = prob.n
-        sigma = sphere_area(n)
-        v1, v2 = prob.v1.profile, prob.v2.profile
-        self.inner_p = prob.p2
-        self.sup_inner = math.isinf(prob.p2)
+        self.inner_p, self.outer_q, self.src_p = inner_p, q, src_p
+        self.sup_inner = math.isinf(inner_p)
         if self.sup_inner:
-            self.inner_sup_weight = self._subcell_sups(v2)
+            self.inner_sup_weight = self._subcell_sups(inner_w)
         else:
-            self.inner_mass = _subcell_masses(v2, self.edges, n, sigma)
-        self._build_outer(prob.omega, prob.theta, prob.theta, prob.side)
-        self._build_source(prob.p1, v1, v1, n, sigma)
-        self.morrey_on_top = prob.morrey_is_target
-
-    def _subcell_sups(self, profile):
-        """Essential supremum of the profile on each subcell."""
-        return np.asarray(profile.esssup(self.edges[:-1], self.edges[1:]),
-                          dtype=float)
-
-    def _build_source(self, p, sup_profile, density, n, sigma):
-        """The source p-norm's weight per coarse cell: the largest
-        subcell supremum of sup_profile when p = inf, else the mass of
-        the density."""
-        m, K = self.m, self.K
-        self.src_p = p
-        if math.isinf(p):
-            self.src_cell = self._subcell_sups(sup_profile).reshape(
-                m, K).max(axis=1)
-        else:
-            self.src_cell = _subcell_masses(density, self.edges, n,
-                                            sigma).reshape(m, K).sum(axis=1)
-
-    def _build_outer(self, v, q, e, side):
-        """The outer q-norm over t, per subcell: the mass of the density
-        v^e (e = q for a multiplier) for finite q, the multiplier v at the
-        midpoint for q = inf; and the side's outer norm beyond the grid,
-        where the inner norm is the whole norm: past the last edge for
-        balls, below the first for complements."""
-        edge = float(self.edges[-1] if side is Side.BALL else self.edges[0])
-        self.outer_q = q
+            self.inner_mass = _subcell_masses(inner_w, edges, n, sigma)
+        # the outer q-norm over t, per subcell: the mass of the density v^e
+        # for finite q, the multiplier v at the midpoint for q = inf; and
+        # the side's outer norm beyond the grid, where the inner norm is the
+        # whole norm: past the last edge for balls, below the first for
+        # complements
+        edge = float(edges[-1] if side is Side.BALL else edges[0])
         if math.isinf(q):
             self.outer = np.asarray(v(self.mids), dtype=float)
             self.outer_beyond = float(side.outer_norm(v, _INF, edge))
         else:
-            self.outer = _subcell_masses(lambda t: np.power(v(t), e),
-                                         self.edges)
+            self.outer = _subcell_masses(lambda t: np.power(v(t), e), edges)
             self.outer_beyond = float(side.outer_norm(v, e, edge)) ** e
+        # the source p-norm's weight per coarse cell: the largest subcell
+        # supremum of its esssup profile when p = inf, else the mass of its
+        # density
+        if math.isinf(src_p):
+            self.src_cell = self._subcell_sups(src_sup).reshape(
+                m, K).max(axis=1)
+        else:
+            self.src_cell = _subcell_masses(src_density, edges, n,
+                                            sigma).reshape(m, K).sum(axis=1)
 
-    def _dual_power_profile(self, prob):
-        """The classical near-extremal density w^{1-p'} when meaningful."""
-        if isinstance(prob, HardyProblem) and prob.variant == "direct" \
-                and 1.0 < prob.p < _INF:
-            pp = float(conjugate_exponent(prob.p))
-            w = np.asarray(prob.w_inner.profile(self.mids), dtype=float)
-            with np.errstate(all="ignore"):
-                return np.where(w > 0, np.minimum(w ** (1.0 - pp), 1e10),
-                                0.0)
-        return None
-
-    def _finalize(self, side):
-        """Lay the subcell data out as (m, K) arrays in accumulation order,
-        reversing complements once here, with the value-independent
-        within-cell partial masses; fix the exponents and reductions of the
-        outer and source norms."""
-        m, K = self.m, self.K
+        # the subcell data as (m, K) arrays in accumulation order,
+        # complements reversed once here, with the value-independent
+        # within-cell partial masses
         self._reverse = side is Side.COMPLEMENT
 
         def cells(a):
@@ -313,17 +270,21 @@ class _RatioEvaluator:
         # the outer integrand on a subcell is the inner norm G^(1/p2) there
         # (G itself when p2 = inf), raised to q and summed for finite q,
         # maximized for q = inf
-        q = self.outer_q
         self._q_inf = math.isinf(q)
         self._gpow = (1.0 if self._q_inf else q) \
-            / (1.0 if self.sup_inner else self.inner_p)
-        self._src_inf = math.isinf(self.src_p)
+            / (1.0 if self.sup_inner else inner_p)
+        self._src_inf = math.isinf(src_p)
         self._src_op = np.maximum if self._src_inf else np.add
         # on u = v^p2 the cumulative norm is (N'(u))^(1/p2) and the source
         # norm (S'(u))^(1/p2): N' a norm of the nonnegative linear map u ->
         # G with exponent r = q/p2, S' the weighted l^P norm of u, P = p1/p2
-        self._P = None if self.sup_inner else self.src_p / self.inner_p
+        self._P = None if self.sup_inner else src_p / inner_p
         self.search = self._search()
+
+    def _subcell_sups(self, profile):
+        """Essential supremum of the profile on each subcell."""
+        return np.asarray(profile.esssup(self.edges[:-1], self.edges[1:]),
+                          dtype=float)
 
     def _search(self):
         """The row of the search table that the ratio's structure selects
@@ -457,13 +418,6 @@ class _RatioEvaluator:
             return u
         x = np.exp(x - top)
         return np.where(x == x, x, 0.0)
-
-    def power_step(self, values):
-        """The values one power step from `values`."""
-        with np.errstate(all="ignore"):
-            u = self._cells(values) ** self.inner_p
-            step = self._power_move(u, self._power_terms(u)[1])
-            return self._cells(step) ** (1.0 / self.inner_p)
 
     # -- the exact rules ---------------------------------------------------
     def corner(self):
@@ -751,26 +705,18 @@ def divergence_witness(prob, cfg: OracleConfig = None, constant=None):
     ev = _RatioEvaluator(prob, wide)
     m = ev.m
     idx = np.arange(m)
-    steps = 12
-    cells_per_step = m // (steps + 2)
-    candidates = []
-    for k in range(steps):
-        c = cells_per_step * (k + 1)
-        fams = {
-            "ball": (idx < c).astype(float),
-            "complement": (idx >= m - c).astype(float),
-            "annulus": ((idx >= c) & (idx < c + cells_per_step)).astype(float),
-        }
-        candidates.append(fams)
+    # 12 dyadic steps of m // 14 cells, one row per step
+    step = m // 14
+    c = step * np.arange(1, 13)[:, None]
+    families = {"ball": idx < c, "complement": idx >= m - c,
+                "annulus": (idx >= c) & (idx < c + step)}
     best_series, best_ratios, all_ratios = None, None, {}
-    for name in ("ball", "complement", "annulus"):
-        ratios = all_ratios[name] = ev.ratios([c[name] for c in candidates])
-        finite = [r for r in ratios if math.isfinite(r)]
-        if not finite:
-            continue
-        ok = _has_doubling_run(ratios)
-        if ok and (best_ratios is None or ratios[-1] > best_ratios[-1]):
-            best_series = [ev.grid_function(c[name]) for c in candidates]
+    for name, rows in families.items():
+        rows = rows.astype(float)
+        ratios = all_ratios[name] = ev.ratios(rows)
+        if _has_doubling_run(ratios) and (
+                best_ratios is None or ratios[-1] > best_ratios[-1]):
+            best_series = [ev.grid_function(row) for row in rows]
             best_ratios = ratios
     if best_series is None:
         raise WitnessNotFound(
@@ -794,14 +740,6 @@ class EquivalenceReport:
     lower_bound: ExtReal
     ratio_low: float
     family_ratios: dict
-
-    def to_json(self):
-        return json.dumps({
-            "constant": float(self.constant),
-            "lower_bound": float(self.lower_bound),
-            "ratio_low": self.ratio_low,
-            "family_ratios": {k: float(v) for k, v in self.family_ratios.items()},
-        })
 
 
 def equivalence_report(prob, cfg: OracleConfig = None,

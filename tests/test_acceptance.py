@@ -338,11 +338,14 @@ def test_07_equivalence_suite():
 
 
 def test_08_stieltjes_semantics():
-    # integrands and integrators take arrays of points
-    atom = MonotoneIntegrator.from_function(
-        lambda t: np.where(t < 2.0, 0.0, 1.0), "increasing",
-        jump_points=(2.0,))
-    assert float(stieltjes_integral(lambda t: t * t, atom)) == 4.0
+    # integrands and integrators take arrays of points; the constructor
+    # reads the one-sided limits that from_function does, so the atom is
+    # exact both ways
+    step = lambda t: np.where(t < 2.0, 0.0, 1.0)
+    for atom in (MonotoneIntegrator("increasing", step, jump_points=(2.0,)),
+                 MonotoneIntegrator.from_function(step, "increasing",
+                                                  jump_points=(2.0,))):
+        assert float(stieltjes_integral(lambda t: t * t, atom)) == 4.0
 
     smooth = MonotoneIntegrator.from_function(
         lambda t: 1.0 - np.exp(-t), "increasing")

@@ -12,6 +12,7 @@ import pytest
 from morreyemb import cli, hardy, oracle, profiles
 from morreyemb.cli import (EXIT_CONTRACT, EXIT_NUMERIC, EXIT_OK, EXIT_SPEC,
                            dump_json, fmt, main)
+from morreyemb.errors import MorreyError, WitnessNotFound
 from morreyemb.norms import GridFunction
 from test_weights import NAN_PROBLEMS
 
@@ -91,6 +92,20 @@ class TestConstant:
         doc = dict(CASE_VI, extra_knob=1)
         spec = write_spec(tmp_path, doc)
         assert main(["constant", "--spec", spec]) == EXIT_SPEC
+
+    @pytest.mark.parametrize("exc,code,prefix", [
+        (WitnessNotFound("no dyadic family"), EXIT_CONTRACT,
+         "verification failed: no dyadic family"),
+        (MorreyError("boom"), EXIT_NUMERIC, "error: boom")])
+    def test_package_errors_exit_codes(self, tmp_path, capsys, monkeypatch,
+                                       exc, code, prefix):
+        def fail(prob):
+            raise exc
+
+        monkeypatch.setattr(cli, "closed_form_constant", fail)
+        spec = write_spec(tmp_path, CASE_VI)
+        assert main(["constant", "--spec", spec]) == code
+        assert capsys.readouterr().err == prefix + "\n"
 
     @pytest.mark.parametrize("name", sorted(NAN_PROBLEMS))
     def test_nan_weight_exits_3(self, tmp_path, capsys, monkeypatch, name):
@@ -221,6 +236,43 @@ class TestOracle:
         assert g.num_cells == 48
         doc = json.loads(capsys.readouterr().out)
         assert doc["lower_bound"] > 0.9
+        assert doc["argmax_csv"] == str(out)
+
+    SMALL = {"grid_cells": 48, "restarts": 2, "ascent_sweeps": 8, "seed": 5}
+
+    @staticmethod
+    def no_constant(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    def test_infinite_bound_prints_the_string_inf(self, tmp_path, capsys):
+        # reverse Hardy with p = 1/2, v = 1/t on (0, 1]: the complement
+        # family reaches an infinite ratio
+        doc = {"hardy": {"variant": "reverse", "p": 0.5, "q": 2, "n": 1,
+                         "v": {"kind": "truncated_power", "c": 1.0,
+                               "alpha": -1.0, "hi": 1.0},
+                         "w": {"kind": "power", "c": 1.0, "alpha": 0.0}},
+               "oracle": self.SMALL}
+        spec = write_spec(tmp_path, doc)
+        assert main(["oracle", "--spec", spec]) == EXIT_OK
+        out = json.loads(capsys.readouterr().out,
+                         parse_constant=self.no_constant)
+        assert out["lower_bound"] == "inf"
+        assert out["trace"][-1] == [27, "inf"]
+        assert out["family_bests"] == {"complement": "inf"}
+
+    def test_floats_print_with_seventeen_digits(self, tmp_path, capsys):
+        doc = dict(CASE_VI, oracle=self.SMALL)
+        spec = write_spec(tmp_path, doc)
+        assert main(["oracle", "--spec", spec]) == EXIT_OK
+        out = json.loads(capsys.readouterr().out, parse_float=str,
+                         parse_constant=self.no_constant)
+        res = oracle.best_constant_lower_bound(
+            cli.parse_problem(doc), oracle.OracleConfig(**self.SMALL))
+        assert out["lower_bound"] == fmt(res.lower_bound)
+        assert out["trace"] == [[i, fmt(r)] for i, r in res.trace]
+        assert out["family_bests"] == {k: fmt(v) for k, v
+                                       in res.family_bests.items()}
+        assert "argmax_csv" not in out
 
 
 class TestAssociate:
@@ -284,6 +336,23 @@ class TestSweep:
         spec = write_spec(tmp_path, doc)
         assert main(["sweep", "--spec", spec]) == EXIT_SPEC
         assert "spec error: omega_support" in capsys.readouterr().err
+
+    def test_oracle_column(self, tmp_path, capsys):
+        # at the audit settings; the cell is empty where the value is inf
+        doc = {"sweep": {"direction": "lebesgue_to_lm", "n": 1, "p1": [2],
+                         "p2": [1], "theta": [2, "inf"], "beta": [-4, 0],
+                         "oracle": True},
+               "oracle": {"grid_cells": 48, "restarts": 2,
+                          "ascent_sweeps": 8, "seed": 11}}
+        spec = write_spec(tmp_path, doc)
+        assert main(["sweep", "--spec", spec]) == EXIT_OK
+        rows = {(r[4], r[6]): r for r in (
+            line.split(",") for line in
+            capsys.readouterr().out.splitlines()[1:])}
+        assert rows["2", "-4"][10] == "0.54807984419780087"
+        assert rows["inf", "-4"][10] == "1.285602426465374"
+        assert rows["inf", "0"][8] == "inf" and rows["inf", "0"][10] == ""
+        assert rows["2", "0"][7] == "inadmissible"
 
     def test_round_trip_against_constant(self, tmp_path, capsys):
         spec = write_spec(tmp_path, self.SWEEP)

@@ -73,6 +73,20 @@ def test_slow_tail_norm(eps):
     assert got == pytest.approx(1.0 / eps, rel=1e-9)
 
 
+def test_walk_budget_exhausted():
+    # at eps = 1e-5 the dyadic budget runs out before the geometric rest is
+    # known to tolerance; the stable ratios still give it
+    got = float(tail_norm(FnProfile(lambda t: t ** -1.00001), 1.0, 1.0))
+    assert got == pytest.approx(1e5, rel=1e-11)
+    # an oscillating slow tail has no stable ratios: the walk gives up,
+    # carrying the partial sum and its error bound
+    with pytest.raises(QuadratureFailure, match="budget exhausted") as exc:
+        integrate_halfline(lambda t: t ** -1.01 * (2.0 + np.sin(np.log(t))),
+                           (1.0, INF))
+    assert exc.value.value == pytest.approx(188.58, abs=0.005)
+    assert exc.value.error_bound == pytest.approx(0.125, abs=0.0005)
+
+
 def test_halfline_power_tail_stops_on_its_ratios(counted):
     # t^(-1.25) has the dyadic ratio 2^(-1/4) exactly: once 8 ratios agree
     # the rest is summed, so the core and the first block of the walk,

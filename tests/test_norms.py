@@ -245,6 +245,15 @@ class TestFubiniWeight:
         rhs = float(weighted_lp_norm(f, p, u))
         assert lhs == pytest.approx(rhs, rel=1e-6)
 
+    def test_non_power_omega(self, unit_weight):
+        # omega = t^-2 on (1, inf): u(x) = ||omega||_{2,(x,inf)}^2, which is
+        # the integral of t^-4 over (max(x, 1), inf)
+        u = fubini_weight(truncated_power(1.0, -2.0, 1.0, None), 2.0,
+                          unit_weight, "tail")
+        got = u.profile(np.array([0.5, 2.0]))
+        assert got == pytest.approx([1.0 / 3.0, 1.0 / 24.0], rel=1e-12,
+                                    abs=0.0)
+
     @pytest.mark.parametrize("p", [1.0, 2.0])
     def test_head_identity(self, p, unit_weight):
         om = PowerProfile(1.0, -0.5 / p)  # head norms finite

@@ -129,12 +129,6 @@ class TestEquivalenceReport:
         with pytest.raises(ValueError):
             equivalence_report(prob, SMALL)
 
-    def test_json_round_trip(self):
-        import json
-        rep = equivalence_report(BENCHMARK, SMALL)
-        doc = json.loads(rep.to_json())
-        assert doc["ratio_low"] == pytest.approx(rep.ratio_low)
-
 
 # ---------------------------------------------------------------------------
 # one problem of every branch, scored row by row and searched
@@ -494,7 +488,10 @@ POWERED = [name for name in sorted(SCORED)
 def test_power_step_never_lowers_the_ratio(name, values):
     ev = _evaluator(name)
     before = ev.ratio(values)
-    step = ev.power_step(values)
+    with np.errstate(all="ignore"):
+        u = ev._cells(values) ** ev.inner_p
+        step = ev._cells(ev._power_move(u, ev._power_terms(u)[1])) \
+            ** (1.0 / ev.inner_p)
     assert np.all(step >= 0.0) and np.max(step) == 1.0
     # up to the rounding of the two ratios
     assert ev.ratio(step) >= before * (1.0 - 1e-14)

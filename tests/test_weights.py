@@ -11,10 +11,12 @@ from morreyemb.hardy import HardyProblem, hardy_A
 from morreyemb.integration import ball_integral, complement_integral
 from morreyemb.profiles import (ExpProfile, FnProfile, PiecewisePowerProfile,
                                 PowerProfile, ProductProfile,
-                                ShiftedPowerProfile, constant, truncated_power)
-from morreyemb.weights import (Side, Weight, head_norm, lp_norm_interval,
-                               muckenhoupt_ap_estimate, omega_class_check,
-                               profile_from_dict, tail_norm)
+                                ShiftedPowerProfile, constant, tabulated,
+                                truncated_power)
+from morreyemb.weights import (Side, Weight, head_norm, head_norm_right_limit,
+                               lp_norm_interval, muckenhoupt_ap_estimate,
+                               omega_class_check, profile_from_dict,
+                               tail_norm)
 
 INF = math.inf
 
@@ -90,6 +92,40 @@ def test_profile_from_dict_round_trip():
     })
     assert pw(0.5) == pytest.approx(1.0)
     assert pw(2.0) == pytest.approx(0.25)
+
+
+def test_tabulated_is_a_step_profile():
+    # values[i] on (knots[i], knots[i+1]], the end values outside
+    spec = {"knots": [1, 2, 4], "values": [3, 5]}
+    for prof in (tabulated(**spec),
+                 profile_from_dict(dict(spec, kind="tabulated"))):
+        assert prof(np.array([0.5, 1.5, 3.0, 8.0])).tolist() == \
+            [3.0, 3.0, 5.0, 5.0]
+        assert tuple(prof.breakpoints()) == (1.0, 2.0, 4.0)
+    assert repr(profile_from_dict(dict(spec, kind="tabulated"))) == \
+        repr(tabulated(**spec))
+
+
+def test_profile_from_dict_product_and_power_of():
+    prod = profile_from_dict({
+        "kind": "product", "left": {"kind": "power", "c": 2, "alpha": 1},
+        "right": {"kind": "exp", "c": 1, "rate": -1}})
+    assert float(prod(np.array([1.0]))[0]) == 0.7357588823428847
+    sq = profile_from_dict({
+        "kind": "power_of", "base": {"kind": "exp", "c": 2, "rate": -1},
+        "exponent": 2})
+    assert isinstance(sq, ExpProfile) and (sq.c, sq.rate) == (4.0, -2.0)
+
+
+def test_head_norm_right_limit():
+    # omega = 1 on (0, 1], 3 beyond: the sup norm jumps at 1
+    om = PiecewisePowerProfile([1.0], [(1.0, 0.0), (3.0, 0.0)])
+    assert float(head_norm(om, INF, 1.0)) == 1.0
+    assert float(head_norm_right_limit(om, INF, 1.0)) == 3.0
+    assert float(head_norm_right_limit(om, 2.0, 1.0)) == \
+        float(head_norm(om, 2.0, 1.0))
+    assert head_norm_right_limit(
+        om, INF, np.array([0.5, 1.0, 2.0])).tolist() == [1.0, 3.0, 3.0]
 
 
 def test_profile_from_dict_rejects_unknown_keys():
