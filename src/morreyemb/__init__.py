@@ -12,8 +12,7 @@ from .profiles import (ExpProfile, FnProfile, PiecewisePowerProfile,
                        PowerProfile, ProductProfile, RadialProfile,
                        ShiftedPowerProfile, constant, power, tabulated,
                        truncated_power)
-from .integration import (MonotoneIntegrator, ball_volume, integrate_halfline,
-                          sphere_area, stieltjes_integral)
+from .integration import ball_volume, integrate_halfline, sphere_area
 from .weights import (Side, Weight, head_norm, lp_norm_interval,
                       muckenhoupt_ap_estimate, omega_class_check,
                       profile_from_dict, tail_norm)

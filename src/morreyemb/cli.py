@@ -331,8 +331,6 @@ def cmd_sweep(args) -> int:
             ref_txt = fmt(ref)
             if math.isinf(value) or math.isinf(ref):
                 agree = math.isinf(value) == math.isinf(ref)
-            elif ref == 0.0:
-                agree = value == 0.0
             else:
                 agree = abs(value - nu * ref) <= 1e-6 * nu * ref
             agree_txt = "1" if agree else "0"

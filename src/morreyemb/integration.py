@@ -1,5 +1,4 @@
-"""Quadrature on (0, inf), radial reduction of ball integrals, and
-Riemann-Stieltjes integration against monotone integrators.
+"""Quadrature on (0, inf) and radial reduction of ball integrals.
 
 Integrals are computed exactly through the profile algebra whenever the
 integrand is closed-form; everything else goes through an adaptive dyadic
@@ -10,22 +9,19 @@ QuadratureFailure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import QuadratureFailure, UndefinedStieltjes
-from .extreal import ExtReal, _mul, scalar_results
+from .errors import QuadratureFailure
+from .extreal import ExtReal, scalar_results
 from .profiles import PowerProfile, RadialProfile
 
 __all__ = [
-    "MonotoneIntegrator",
     "integrate_halfline",
     "ball_integral",
     "complement_integral",
     "esssup_ball",
     "esssup_complement",
-    "stieltjes_integral",
     "sphere_area",
     "ball_volume",
 ]
@@ -175,13 +171,13 @@ def _dyadic_block(edge, up, first, count, breaks):
     return pts[:-1], pts[1:], owner if up else count - 1 - owner, count
 
 
-def _piece_values(rule, parts):
-    """One call of rule over the parts of several groups of pieces, each
-    given as (lo, hi, owner, count); returns the (values, errors) of the
-    pieces of every group, summed over their parts."""
+def _piece_values(f, parts):
+    """One _gauss_kronrod call of f over the parts of several groups of
+    pieces, each given as (lo, hi, owner, count); returns the (values,
+    errors) of the pieces of every group, summed over their parts."""
     lo = np.concatenate([p[0] for p in parts])
     hi = np.concatenate([p[1] for p in parts])
-    vals, errs = rule(lo, hi)
+    vals, errs = _gauss_kronrod(f, lo, hi)
     out, at = [], 0
     for _, part_hi, owner, count in parts:
         sl = slice(at, at + part_hi.size)
@@ -192,8 +188,9 @@ def _piece_values(rule, parts):
 
 
 def integrate_halfline(f, interval, breakpoints=None, rest=None):
-    """Adaptive integral of a nonnegative f over (a, b) in (0, inf]: the
-    dyadic walk of _walk with each piece integrated by adaptive G7-K15.
+    """Adaptive integral of a nonnegative f over (a, b), 0 <= a < b <= inf:
+    the dyadic walk of _integral with each piece integrated by adaptive
+    G7-K15.
 
     f takes a 1-D float array of points and returns the values there (a
     scalar result is broadcast); 0 * inf is taken as 0 and overflow as inf.
@@ -208,7 +205,8 @@ def integrate_halfline(f, interval, breakpoints=None, rest=None):
 
     Returns (value, error_bound); value is inf when dyadic partial sums
     indicate divergence at either end or a piece integrates to inf.
-    Raises QuadratureFailure when f is nan at a node of a piece.
+    Raises ValueError unless 0 <= a < b, and QuadratureFailure when f is
+    nan at a node of a piece.
     """
     if not callable(f):
         raise TypeError("integrand must be callable")
@@ -219,15 +217,8 @@ def integrate_halfline(f, interval, breakpoints=None, rest=None):
 
 
 def _integral(f, interval, breakpoints=(), rest=None):
-    """integrate_halfline's (value, error bound) as floats."""
-    return _walk(lambda lo, hi: _gauss_kronrod(f, lo, hi), interval,
-                 breakpoints, rest)
-
-
-def _walk(rule, interval, breakpoints, rest):
     """integrate_halfline's walk over (a, b), whose (value, error bound) it
-    returns as floats; rule(lo, hi) returns the (values, errors) arrays of
-    the integrals over pieces free of breaks.
+    returns as floats.
     A finite core spanning the breakpoints inside (a, b) is integrated
     piece by piece between them, and dyadic pieces in log t are added
     toward an open end until they are negligible, a geometric tail can be
@@ -244,15 +235,13 @@ def _walk(rule, interval, breakpoints, rest):
     rules, which read a small constant tail as divergent.
     """
     a, b = interval
-    if not a < b:
-        raise ValueError("need a < b")
+    if not 0 <= a < b:
+        raise ValueError("need 0 <= a < b")
     breaks = _sorted_unique(breakpoints)
 
     # seed finite core
     core_lo = a if a > 0 else min(1.0, b / 2 if math.isfinite(b) else 1.0)
     core_hi = b if math.isfinite(b) else max(1.0, 2 * a, core_lo * 2)
-    if core_lo >= core_hi:
-        core_lo = core_hi / 2
     core_lo, core_hi = float(core_lo), float(core_hi)
     # widened by dyadic steps to span the breakpoints inside (a, b): a walk
     # reads divergence from the growth of its pieces, which a breakpoint
@@ -281,8 +270,8 @@ def _walk(rule, interval, breakpoints, rest):
     # one array call for the core and the first block of each walk, which
     # the budget holds whole (_MAX_PIECES = 400 is at least _BLOCK = 16)
     found = _piece_values(
-        rule, [core] + [_dyadic_block(edge, up, 0, _BLOCK, breaks)
-                        for edge, up in walks])
+        f, [core] + [_dyadic_block(edge, up, 0, _BLOCK, breaks)
+                     for edge, up in walks])
 
     total, toterr = 0.0, 0.0
     vals, errs = found[0]
@@ -299,7 +288,7 @@ def _walk(rule, interval, breakpoints, rest):
             if k == len(vals):
                 count = min(_BLOCK, _MAX_PIECES - k)
                 more, = _piece_values(
-                    rule, [_dyadic_block(edge, up, k, count, breaks)])
+                    f, [_dyadic_block(edge, up, k, count, breaks)])
                 vals, errs = vals + more[0], errs + more[1]
                 more = _rest_bounds(rest, edge, up, k, count)
                 lows, highs = lows + more[0], highs + more[1]
@@ -488,188 +477,3 @@ def _values(fn, x):
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         val = np.asarray(fn(x), dtype=float)
     return val if val.shape == x.shape else np.broadcast_to(val, x.shape)
-
-
-@dataclass
-class MonotoneIntegrator:
-    """Monotone extended-real integrator for Stieltjes integration.
-
-    ``increasing`` integrators are non-decreasing and left-continuous with
-    values in [0, inf], possibly identically inf beyond ``infinite_from``.
-    ``decreasing`` integrators are non-increasing and right-continuous,
-    possibly identically inf below ``infinite_from``; the induced measure of
-    [y, z] is h(y-) - h(z+), which is nonnegative.
-
-    The evaluator and the one-sided limits take a 1-D float array and
-    return the values at its points, and so do the methods.
-    """
-
-    direction: str
-    evaluator: object
-    left: object = None
-    right: object = None
-    jump_points: tuple = field(default_factory=tuple)
-    infinite_from: float = None
-
-    def __post_init__(self):
-        if self.direction not in ("increasing", "decreasing"):
-            raise ValueError("direction must be 'increasing' or 'decreasing'")
-        # one-sided limits default to the evaluator at t (1 - 2^-40) and
-        # t (1 + 2^-40), as FnProfile reads them, which is exact for steps
-        h = self.evaluator
-        if self.left is None:
-            self.left = lambda t: h(t * (1.0 - 2.0 ** -40))
-        if self.right is None:
-            self.right = lambda t: h(t * (1.0 + 2.0 ** -40))
-
-    def __call__(self, t):
-        return _values(self.evaluator, t)
-
-    def mass(self, y, z):
-        """Measure of the intervals [y, z] (one-sided limits at the ends)."""
-        sign = 1.0 if self.direction == "increasing" else -1.0
-        return sign * (_values(self.right, z) - _values(self.left, y))
-
-    def atom(self, t):
-        return self.mass(t, t)
-
-    @classmethod
-    def from_function(cls, h, direction, jump_points=(), infinite_from=None,
-                      left=None, right=None):
-        """Wrap an array evaluator, with the constructor's one-sided limits
-        unless given.  stieltjes_integral reads them only at the jump
-        points and at the cut where h turns infinite."""
-        return cls(direction=direction, evaluator=h, left=left, right=right,
-                   jump_points=tuple(jump_points), infinite_from=infinite_from)
-
-
-def _find_infinite_cut(h: MonotoneIntegrator, a, b):
-    """The boundary of the region where h is infinite, if any: the last
-    point where h is finite on the walk from the end where it is finite
-    toward the end where it may turn infinite, up for increasing h.
-
-    h is sampled on a 129-point geometric grid in walking order; the
-    bracket around the first infinite sample is resampled the same way
-    until it is tight to 1e-13 relative.  h is monotone, so there is no cut
-    when it is finite at the walk's far end: that point is read first."""
-    if h.infinite_from is not None:
-        return h.infinite_from
-    step = 1 if h.direction == "increasing" else -1
-    ends = [max(a, 1e-9), min(b, 1e9)]       # ascending
-    if np.isfinite(_values(h.evaluator, np.array(ends[::step][-1:]))).all():
-        return None
-    for depth in range(12):
-        grid = np.geomspace(*ends, 129)[::step]
-        idx = int(np.argmin(np.isfinite(_values(h.evaluator, grid))))
-        if idx == 0:
-            break
-        ends = sorted(grid[idx - 1:idx + 1])
-        if ends[1] / ends[0] < 1 + 1e-13:
-            break
-    return ends[::step][0]
-
-
-def _rs_stage(f, h: MonotoneIntegrator, x0, x1, sharp):
-    """Refining Riemann-Stieltjes midpoint sums on a jump-free piece, with
-    the last change as the error; a nan sum raises naming the stage.
-    sharp holds the points where h may jump or turn infinite."""
-    lo = max(x0, 1e-18)
-    hi = min(x1, 1e18)
-    if lo >= hi:
-        return 0.0, 0.0
-    # the piece is open: at an end in sharp its value is the inner
-    # one-sided limit, so an atom sitting there (accounted for exactly
-    # elsewhere) is excluded; elsewhere h is continuous and the evaluator
-    # is exact where a numeric limit would drop mass
-    h_lo = _values(h.right if lo in sharp else h.evaluator, np.array([lo]))
-    h_hi = _values(h.left if hi in sharp else h.evaluator, np.array([hi]))
-    prev = None
-    n = 256
-    while n <= (1 << 17):
-        edges = np.geomspace(lo, hi, n + 1)
-        mids = np.sqrt(edges[:-1] * edges[1:])
-        hv = np.concatenate((h_lo, _values(h.evaluator, edges[1:-1]), h_hi))
-        dm = np.diff(hv) if h.direction == "increasing" else -np.diff(hv)
-        dm = np.maximum(dm, 0.0)
-        fv = _values(f, mids)
-        contrib = _mul(fv, dm)
-        if np.isnan(contrib).any():
-            raise QuadratureFailure(
-                f"Riemann-Stieltjes sum is nan on the stage ({lo:g}, {hi:g})")
-        if np.isinf(contrib).any():
-            return _INF, _INF
-        s = float(np.sum(contrib))
-        if prev is not None:
-            err = abs(s - prev)
-            if err <= max(_ABS_TOL, _REL_TOL * 1e4 * abs(s)):
-                # midpoint refinement converges like n^-2; extrapolate
-                return (4.0 * s - prev) / 3.0, err
-        prev = s
-        n *= 2
-    return prev, abs(prev) * 1e-4 if prev else 0.0
-
-
-def _nonzero_on(f, lo, hi):
-    """Sample f > 0 strictly inside the open interval (lo, hi)."""
-    if lo >= hi:
-        return False
-    grid = np.geomspace(max(lo, 1e-12) * (1.0 + 1e-9),
-                        min(hi, 1e14) * (1.0 - 1e-9), 65)
-    return bool(np.any(_values(f, grid) > 0.0))
-
-
-def _defined_range(f, cut, increasing, a, b):
-    """(a, b) less the part beyond cut (None: none) where a monotone
-    integrator is identically infinite, on which the integral of f
-    against it is defined only when f vanishes; else UndefinedStieltjes."""
-    if cut is None:
-        return a, b
-    kept, beyond = ((a, cut), (cut, b)) if increasing else ((cut, b), (a, cut))
-    if _nonzero_on(f, *beyond):
-        raise UndefinedStieltjes(
-            f"integrator infinite on ({beyond[0]:g}, {beyond[1]:g}) "
-            "where f > 0")
-    return kept
-
-
-def stieltjes_integral(f, h: MonotoneIntegrator, interval=(0.0, _INF)):
-    """Integral of f >= 0 against the monotone integrator h over (a, b).
-
-    f, like the evaluators of h, takes a 1-D float array of points and
-    returns the values there (a scalar result is broadcast); 0 * inf is
-    taken as 0 and overflow as inf.  Jump atoms contribute f(t) times the
-    jump size exactly; the rest is the dyadic walk of integrate_halfline
-    with h's jump points as breakpoints, each of its jump-free pieces
-    integrated by _rs_stage.  Where h is identically infinite the integral
-    is defined only when f vanishes there; otherwise UndefinedStieltjes is
-    raised.  A nan f at an atom or a nan Riemann-Stieltjes sum raises
-    QuadratureFailure.
-    """
-    cut = _find_infinite_cut(h, *interval)
-    a, b = _defined_range(f, cut, h.direction == "increasing", *interval)
-    if not a < b:
-        return ExtReal(0.0)
-
-    jumps = _sorted_unique(h.jump_points)
-    jumps = jumps[(jumps > a) & (jumps < b)]
-    total = 0.0
-    if jumps.size:
-        mass = h.atom(jumps)
-        fv = _values(f, jumps)
-        holes = jumps[(mass > 0.0) & np.isnan(fv)]
-        if holes.size:
-            raise QuadratureFailure(
-                f"Stieltjes integrand is nan at the atom t = {holes[0]:g}")
-        hit = (mass > 0.0) & (fv > 0.0)
-        if np.any(np.isinf(mass[hit]) | np.isinf(fv[hit])):
-            return ExtReal(_INF)
-        total = float(np.sum(fv[hit] * mass[hit]))
-
-    sharp = set(map(float, h.jump_points)) | {cut}
-
-    def rule(lo, hi):
-        found = [_rs_stage(f, h, x0, x1, sharp) for x0, x1 in zip(lo, hi)]
-        return np.array(found, dtype=float).reshape(-1, 2).T
-
-    val, _ = _walk(rule, (a, b), jumps, None)
-    return ExtReal(total + val)

@@ -15,12 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotAWeight, QuadratureFailure
+from .errors import NotAWeight, QuadratureFailure, UndefinedStieltjes
 from .extreal import (ExtReal, _mul, _power, conjugate_exponent,
                       scalar_results)
-from .integration import (_defined_range, _gauss_kronrod, _integral,
-                          _profile_integral, _shell_integral, _sorted_unique,
-                          _values, ball_integral, ball_volume, sphere_area)
+from .integration import (_gauss_kronrod, _integral, _profile_integral,
+                          _shell_integral, _sorted_unique, _values,
+                          ball_integral, ball_volume, sphere_area)
 from .profiles import (ExpProfile, PiecewisePowerProfile, PowerProfile,
                        RadialProfile, ShiftedPowerProfile, tabulated,
                        truncated_power)
@@ -125,6 +125,24 @@ def tail_norm_left_limit(omega: RadialProfile, theta, t) -> ExtReal:
 def head_norm_right_limit(omega: RadialProfile, theta, t) -> ExtReal:
     """lim_{s -> t+} ||omega||_{theta,(0,s)}."""
     return _with_limit(head_norm, omega.right_limit, omega, theta, t)
+
+
+def _defined_range(f, cut, increasing):
+    """(0, inf) less the part beyond cut (None: none) where the monotone
+    integrator of Side.stieltjes is identically infinite, increasing if it
+    is infinite above cut.  The integral of f there is defined only when f
+    vanishes: f is sampled strictly inside that part, and f > 0 there
+    raises UndefinedStieltjes."""
+    if cut is None:
+        return 0.0, _INF
+    kept, (lo, hi) = ((0.0, cut), (cut, _INF)) if increasing \
+        else ((cut, _INF), (0.0, cut))
+    grid = np.geomspace(max(lo, 1e-12) * (1.0 + 1e-9),
+                        min(hi, 1e14) * (1.0 - 1e-9), 65)
+    if np.any(_values(f, grid) > 0.0):
+        raise UndefinedStieltjes(
+            f"integrator infinite on ({lo:g}, {hi:g}) where f > 0")
+    return kept
 
 
 def _denominator(a):
@@ -244,8 +262,7 @@ class Side(enum.Enum):
         def h_limit(t):
             return _power(self.outer_norm_limit(omega, theta, t), -rho)
 
-        lo, hi = _defined_range(f, self.infinite_from(omega), not up, 0.0,
-                                _INF)
+        lo, hi = _defined_range(f, self.infinite_from(omega), not up)
         cut = lo if up else hi           # the end opposite h_end
         # f is monotone: it vanishes beyond its zero nearest h_end among the
         # breakpoints and the ends

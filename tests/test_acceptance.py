@@ -15,17 +15,15 @@ import numpy as np
 import pytest
 
 from morreyemb import (EmbeddingProblem, GridFunction, HardyProblem,
-                       MonotoneIntegrator, OracleConfig,
-                       PiecewisePowerProfile, PowerProfile,
-                       ShiftedPowerProfile, ExpProfile, Weight,
+                       OracleConfig, PiecewisePowerProfile, PowerProfile,
+                       ShiftedPowerProfile, ExpProfile, Side, Weight,
                        associate_norm, conjugate_exponent, constant,
                        divergence_witness, embedding_constant,
                        equivalence_report, fubini_weight, hardy_A,
                        head_norm, lm_norm, dual_lm_norm,
                        reference_normalization, reverse_hardy_C,
-                       sphere_area, ball_volume, stieltjes_integral,
-                       tail_norm, truncated_power, unweighted_reference,
-                       weighted_lp_norm)
+                       sphere_area, ball_volume, tail_norm, truncated_power,
+                       unweighted_reference, weighted_lp_norm)
 from morreyemb.cli import main
 from morreyemb.errors import UndefinedStieltjes
 from morreyemb.weights import tail_norm_left_limit
@@ -338,24 +336,28 @@ def test_07_equivalence_suite():
 
 
 def test_08_stieltjes_semantics():
-    # integrands and integrators take arrays of points; the constructor
-    # reads the one-sided limits that from_function does, so the atom is
-    # exact both ways
-    step = lambda t: np.where(t < 2.0, 0.0, 1.0)
-    for atom in (MonotoneIntegrator("increasing", step, jump_points=(2.0,)),
-                 MonotoneIntegrator.from_function(step, "increasing",
-                                                  jump_points=(2.0,))):
-        assert float(stieltjes_integral(lambda t: t * t, atom)) == 4.0
+    # integrands take arrays of points.  At theta = inf a piecewise-constant
+    # omega makes h = N^(-1) a step with no density: on either side N is 1
+    # on one side of t = 1 and 2 on the other, so f = 4 against the atom
+    # 1/2 of h there is exact
+    four = lambda t: np.full(t.shape, 4.0)
+    for side, levels in ((Side.BALL, (2.0, 1.0)),
+                         (Side.COMPLEMENT, (1.0, 2.0))):
+        step = PiecewisePowerProfile([1.0], [(c, 0.0) for c in levels])
+        got = side.stieltjes(four, 4.0, step, INF, 1.0, 1.0, np.array([1.0]))
+        assert float(got) == 2.0
 
-    smooth = MonotoneIntegrator.from_function(
-        lambda t: 1.0 - np.exp(-t), "increasing")
-    got = float(stieltjes_integral(lambda t: t, smooth))
-    assert got == pytest.approx(1.0, rel=1e-12, abs=0.0)
+    # a density: f = e^(-2t) against h = e^t reads 1, plus the boundary 1
+    dens = HardyProblem("reverse", 1.0, INF, ExpProfile(1.0, -1.0),
+                        Weight(1, ExpProfile(1.0, -2.0)))
+    got = float(reverse_hardy_C(dens))
+    assert got == pytest.approx(2.0, rel=1e-12, abs=0.0)
 
-    partial = MonotoneIntegrator.from_function(
-        lambda t: np.where(t > 2.0, INF, t), "increasing")
+    # h is infinite beyond the end 10 of omega's support, where f = 1 > 0
     with pytest.raises(UndefinedStieltjes):
-        stieltjes_integral(lambda t: 1.0, partial)
+        Side.BALL.stieltjes(lambda t: np.ones(t.shape), 1.0,
+                            truncated_power(1.0, -1.0, None, 10.0), 2.0,
+                            1.0, 1.0, np.zeros(0))
 
     om = truncated_power(1.0, -2.0, 1.0, None)
     for q in (0.5, 1.0, 3.0):
@@ -364,7 +366,7 @@ def test_08_stieltjes_semantics():
             b = float(tail_norm_left_limit(om, q, t))
             assert b == pytest.approx(a, rel=1e-6)
     report(8, "Stieltjes semantics",
-           "atom exact, density 1e-6, exclusion raised, left-limit collapse")
+           "atom exact, density 1e-12, exclusion raised, left-limit collapse")
 
 
 # ---------------------------------------------------------------------------

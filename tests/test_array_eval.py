@@ -13,11 +13,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from morreyemb import (EmbeddingProblem, GridFunction, HardyProblem,
-                       MonotoneIntegrator, Weight, associate_norm,
-                       closed_form_constant, constant, embedding_constant,
-                       reverse_hardy_C, reverse_hardy_C_star,
-                       stieltjes_integral, truncated_power,
+from morreyemb import (EmbeddingProblem, GridFunction, HardyProblem, Weight,
+                       associate_norm, closed_form_constant, constant,
+                       embedding_constant, reverse_hardy_C,
+                       reverse_hardy_C_star, truncated_power,
                        unweighted_reference)
 from morreyemb import embeddings, hardy
 from morreyemb.errors import (IndeterminatePower, QuadratureFailure,
@@ -785,30 +784,6 @@ def test_positive_f_beyond_the_cut_is_undefined(theta):
     f = GridFunction([1.0, 100.0], [1.0])
     with pytest.raises(UndefinedStieltjes):
         associate_norm(f, "lm", 2.0, theta, CUT_OMEGA, ONE)
-
-
-def test_stieltjes_evaluates_arrays():
-    seen = []
-
-    def f(t):
-        seen.append(type(t))
-        return np.exp(-t)
-
-    h = MonotoneIntegrator.from_function(lambda t: 1.0 - np.exp(-t),
-                                         "increasing")
-    # integral of e^{-t} e^{-t} dt over (0, inf)
-    assert float(stieltjes_integral(f, h)) == pytest.approx(0.5, rel=1e-12,
-                                                            abs=0.0)
-    assert seen and all(tp is np.ndarray for tp in seen)
-
-
-def test_repeated_jump_point_counts_its_atom_once():
-    h = MonotoneIntegrator.from_function(
-        lambda t: np.where(t < 2.0, 0.0, 5.0), "increasing",
-        left=lambda t: np.where(t <= 2.0, 0.0, 5.0),
-        right=lambda t: np.where(t < 2.0, 0.0, 5.0),
-        jump_points=(2.0, 2.0))
-    assert float(stieltjes_integral(lambda t: 4.0, h)) == 20.0
 
 
 # ---------------------------------------------------------------------------

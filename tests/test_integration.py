@@ -1,5 +1,5 @@
-"""Half-line quadrature and its G7-K15 rule, geometric constants, the
-ball-slice measure, and Stieltjes integrals."""
+"""Half-line quadrature and its G7-K15 rule, geometric constants, and the
+ball-slice measure."""
 
 import math
 
@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 
 from morreyemb import GridFunction, Weight, weighted_lp_norm
-from morreyemb.errors import QuadratureFailure, UndefinedStieltjes
-from morreyemb.integration import (_G7, _K15, _NODES, MonotoneIntegrator,
-                                   ball_integral, ball_volume,
-                                   complement_integral, integrate_halfline,
-                                   sphere_area, stieltjes_integral)
+from morreyemb.errors import QuadratureFailure
+from morreyemb.integration import (_G7, _K15, _NODES, ball_integral,
+                                   ball_volume, complement_integral,
+                                   integrate_halfline, sphere_area)
 from morreyemb.profiles import (ExpProfile, FnProfile, PiecewisePowerProfile,
                                 PowerProfile, ShiftedPowerProfile)
 from morreyemb.weights import (_ball_slice_measure, _off_center_ball_integral,
@@ -187,6 +186,13 @@ def test_halfline_core_spans_the_breakpoints(f, breaks):
     assert float(val) == pytest.approx(1000.0, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("interval", [(-2.0, -1.0), (-1.0, 1.0)])
+def test_halfline_rejects_a_negative_end(interval):
+    # (-2, -1) had read inf and (-1, 1) the integral over (0, 1) alone
+    with pytest.raises(ValueError, match="need 0 <= a < b"):
+        integrate_halfline(lambda t: np.ones_like(t), interval)
+
+
 def test_halfline_zero_pieces_do_not_stop_a_walk_with_mass_ahead():
     # f = 1 on (0, 1/10) and 0 up to 1: the walk down from the core
     # (1/2, 1) starts on zero pieces, and a loose rest bracket puts mass
@@ -297,102 +303,3 @@ def test_off_center_ball_integral_of_root_weight():
                            [d - r, d, d + r])
     got = _off_center_ball_integral(PowerProfile(1.0, 0.5), 2, d, r)
     assert got == pytest.approx(float(want), rel=1e-13, abs=0.0)
-
-
-class TestStieltjes:
-    # integrands and integrators take arrays of points
-    def test_single_atom_is_exact(self):
-        h = MonotoneIntegrator.from_function(
-            lambda t: np.where(t < 2.0, 0.0, 5.0), "increasing",
-            left=lambda t: np.where(t <= 2.0, 0.0, 5.0),
-            right=lambda t: np.where(t < 2.0, 0.0, 5.0),
-            jump_points=(2.0,))
-        val = stieltjes_integral(lambda t: 4.0, h, (0.0, INF))
-        assert float(val) == 20.0
-
-    def test_absolutely_continuous_matches_density(self):
-        h = MonotoneIntegrator.from_function(np.exp, "increasing")
-        val = stieltjes_integral(lambda t: np.exp(-2.0 * t), h, (0.0, INF))
-        # integral of e^(-2t) e^t dt = 1; h has no jumps, so every piece
-        # edge reads the evaluator, not a numeric one-sided limit
-        assert float(val) == pytest.approx(1.0, rel=1e-12, abs=0.0)
-
-    def test_decreasing_integrator(self):
-        h = MonotoneIntegrator.from_function(lambda t: 1.0 / t, "decreasing")
-        val = stieltjes_integral(np.sqrt, h, (1.0, INF))
-        # integral_1^inf sqrt(t) d(-1/t) = integral_1^inf t^(-3/2) dt = 2
-        assert float(val) == pytest.approx(2.0, rel=1e-12, abs=0.0)
-
-    def test_infinite_integrator_region_requires_vanishing_f(self):
-        h = MonotoneIntegrator.from_function(
-            lambda t: np.where(t < 1.0, t, INF), "increasing",
-            infinite_from=1.0)
-        with pytest.raises(UndefinedStieltjes):
-            stieltjes_integral(lambda t: 1.0, h, (0.0, INF))
-
-    def test_infinite_region_ok_when_f_vanishes(self):
-        h = MonotoneIntegrator.from_function(
-            lambda t: np.where(t < 1.0, t, INF), "increasing",
-            infinite_from=1.0)
-        val = stieltjes_integral(lambda t: np.where(t < 1.0, 1.0, 0.0),
-                                 h, (0.0, INF))
-        assert float(val) == pytest.approx(1.0, rel=1e-11)
-
-    @pytest.mark.parametrize("c", [1e-3, 0.3, 1.0, 700.0])
-    @pytest.mark.parametrize("direction", ["increasing", "decreasing"])
-    def test_integrator_infinite_past_a_sampled_cut(self, direction, c):
-        # h = t up to c and inf above (increasing), or 1/t from c on and
-        # inf below (decreasing), the cut found by sampling: there is no
-        # infinite_from.  f = 1 where h is finite reads c, or 1/c
-        up = direction == "increasing"
-        finite = (lambda t: t <= c) if up else (lambda t: t >= c)
-        h = MonotoneIntegrator.from_function(
-            lambda t: np.where(finite(t), t if up else 1.0 / t, INF),
-            direction)
-        val = stieltjes_integral(lambda t: np.where(finite(t), 1.0, 0.0), h)
-        assert float(val) == pytest.approx(c if up else 1.0 / c, rel=1e-11,
-                                           abs=0.0)
-        with pytest.raises(UndefinedStieltjes):
-            stieltjes_integral(lambda t: 1.0, h)
-
-    # the jump at c is the core's lower edge (1), splits one of the dyadic
-    # steps that widen the core to span it (3, 0.3), or lies far below or
-    # above the seed core (1e-3, 700)
-    @pytest.mark.parametrize("c", [1.0, 3.0, 0.3, 1e-3, 700.0])
-    def test_mixed_atom_and_density(self, c):
-        # h = t on (0, c), jumps by 1 at t = c, then 1 + t
-        hi = MonotoneIntegrator.from_function(
-            lambda t: np.where(t < c, t, 1.0 + t), "increasing",
-            left=lambda t: np.where(t <= c, t, 1.0 + t),
-            right=lambda t: np.where(t < c, t, 1.0 + t),
-            jump_points=(c,))
-        val = stieltjes_integral(lambda t: np.exp(-t), hi, (0.0, INF))
-        want = 1.0 + math.exp(-c)
-        assert float(val) == pytest.approx(want, rel=1e-12, abs=0.0)
-
-    def test_divergent_is_infinite(self):
-        h = MonotoneIntegrator.from_function(lambda t: t, "increasing")
-        val = stieltjes_integral(lambda t: 1.0, h, (0.0, INF))
-        assert val.is_inf
-        # toward 0: 1/t against dt on (0, 1)
-        val = stieltjes_integral(lambda t: 1.0 / t, h, (0.0, 1.0))
-        assert val.is_inf
-
-    def test_nan_sum_raises_naming_the_stage(self):
-        # a nan is an integrand fault, never divergence
-        h = MonotoneIntegrator.from_function(lambda t: t, "increasing")
-        with pytest.raises(QuadratureFailure, match=r"stage \(1, 3\)"):
-            stieltjes_integral(
-                lambda t: np.where(t > 2.0, math.nan, np.exp(-t)), h,
-                (1.0, 3.0))
-
-    def test_nan_at_an_atom_raises_naming_the_point(self):
-        # f is nan at the jump of h alone, which no midpoint sum samples
-        h = MonotoneIntegrator.from_function(
-            lambda t: np.where(t < 2.0, 0.0, 5.0), "increasing",
-            left=lambda t: np.where(t <= 2.0, 0.0, 5.0),
-            right=lambda t: np.where(t < 2.0, 0.0, 5.0),
-            jump_points=(2.0,))
-        with pytest.raises(QuadratureFailure, match=r"t = 2\b"):
-            stieltjes_integral(
-                lambda t: np.where(t == 2.0, math.nan, 4.0), h, (0.0, INF))

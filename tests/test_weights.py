@@ -1,4 +1,5 @@
-"""Weight profiles, interval norms, and the omega class checks."""
+"""Weight profiles, interval norms, the omega class checks, and the
+Stieltjes integral of Side.stieltjes."""
 
 import math
 
@@ -450,3 +451,68 @@ def test_region_norm_at_the_end_is_the_whole_space_norm(name, s, n):
             assert got.is_inf
         else:
             assert float(got) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+# Side.stieltjes called directly: the integral of f against h = N^(-rho),
+# N the outer theta-norm of omega
+STEP_DOWN = PiecewisePowerProfile([1.0], [(2.0, 0.0), (1.0, 0.0)])
+
+
+def _root_to_two(t):
+    """sqrt(2 - t) up to t = 2 and 0 beyond."""
+    return np.sqrt(2.0 - np.minimum(t, 2.0))
+
+
+def test_stieltjes_at_a_zero_like_a_root_is_exact():
+    # ball side, omega = e^(-t), theta = 2, rho = 1: h = sqrt(2) e^t, and
+    # f vanishes from 2 like |t - 2|^(1/2), the piece (1, 2) integrated in
+    # x with t = 2 - x^2; mpmath gives 6.83943924091904909457.  f is read
+    # on arrays only
+    seen = []
+
+    def f(t):
+        seen.append(type(t))
+        return _root_to_two(t)
+
+    got = Side.BALL.stieltjes(f, math.sqrt(2.0), ExpProfile(1.0, -1.0), 2.0,
+                              1.0, 0.5, np.array([1.0, 2.0]))
+    assert float(got) == pytest.approx(6.839439240919049, rel=1e-13, abs=0.0)
+    assert seen and all(tp is np.ndarray for tp in seen)
+
+
+def test_stieltjes_up_to_a_cut_reads_where_f_vanishes():
+    # ball side, omega = 1 on (0, 1], theta = rho = 1: h = 1 / (1 - t) is
+    # infinite from the cut 1 on, and f = 1 up to 1/2 reads h(1/2) - h(0)
+    got = Side.BALL.stieltjes(lambda t: np.where(t < 0.5, 1.0, 0.0), 1.0,
+                              truncated_power(1.0, 0.0, None, 1.0), 1.0,
+                              1.0, 0.0, np.array([0.5]))
+    assert float(got) == pytest.approx(1.0, rel=1e-12, abs=0.0)
+
+
+def test_stieltjes_nan_next_to_a_zero_raises_naming_the_piece():
+    def f(t):
+        return np.where((1.9 < t) & (t < 2.0), math.nan, _root_to_two(t))
+
+    with pytest.raises(QuadratureFailure, match="nan between 1 and 2"):
+        Side.BALL.stieltjes(f, math.sqrt(2.0), ExpProfile(1.0, -1.0), 2.0,
+                            1.0, 0.5, np.array([1.0, 2.0]))
+
+
+def test_stieltjes_nan_at_an_atom_raises():
+    # theta = inf: h = 1/2 below 1 and 1 from 1 on, an atom of 1/2 at 1
+    # alone, where no density is read
+    def f(t):
+        return np.where(t == 1.0, math.nan, 4.0)
+
+    with pytest.raises(QuadratureFailure, match="nan at an atom"):
+        Side.BALL.stieltjes(f, 4.0, STEP_DOWN, INF, 1.0, 1.0,
+                            np.array([1.0]))
+
+
+def test_stieltjes_of_f_vanishing_from_zero_is_zero():
+    # a breakpoint at 0 where f is 0 leaves the ball side no range: f
+    # vanishes from h's finite end on
+    got = Side.BALL.stieltjes(lambda t: np.zeros(t.shape), 0.0,
+                              ExpProfile(1.0, -1.0), 2.0, 1.0, 1.0,
+                              np.array([0.0, 1.0]))
+    assert float(got) == 0.0
