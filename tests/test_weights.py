@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from morreyemb.embeddings import EmbeddingProblem, embedding_constant
-from morreyemb.errors import NotAWeight, QuadratureFailure
+from morreyemb.errors import (NotAWeight, QuadratureFailure,
+                              UndefinedStieltjes)
 from morreyemb.hardy import HardyProblem, hardy_A
 from morreyemb.integration import ball_integral, complement_integral
 from morreyemb.profiles import (ExpProfile, FnProfile, PiecewisePowerProfile,
@@ -516,3 +517,55 @@ def test_stieltjes_of_f_vanishing_from_zero_is_zero():
                               ExpProfile(1.0, -1.0), 2.0, 1.0, 1.0,
                               np.array([0.0, 1.0]))
     assert float(got) == 0.0
+
+
+# the jump of omega at c is the walk's first breakpoint (1), lies a few
+# dyadic steps out (3, 0.3), or far below or above the unit interval
+# (1e-3, 700)
+@pytest.mark.parametrize("c", [1.0, 3.0, 0.3, 1e-3, 700.0])
+@pytest.mark.parametrize("side", [Side.BALL, Side.COMPLEMENT])
+def test_stieltjes_atom_plus_density(side, c):
+    # theta = inf, rho = 1, ball side: omega = 1/t below c and 1/(2t) from
+    # c on falls, so h = 1/omega is t, then 2t, with an atom c at c.  f =
+    # e^(-t) reads 1 + (1 + c) e^(-c).  The complement side is its image
+    # under t -> 1/t: omega = t/2 below 1/c and t from 1/c on, f = e^(-1/t)
+    if side is Side.BALL:
+        omega = PiecewisePowerProfile([c], [(1.0, -1.0), (0.5, -1.0)])
+        f, jump = (lambda t: np.exp(-t)), c
+    else:
+        omega = PiecewisePowerProfile([1.0 / c], [(0.5, 1.0), (1.0, 1.0)])
+        jump = 1.0 / c
+
+        def f(t):
+            with np.errstate(divide="ignore"):
+                return np.exp(-1.0 / t)
+    got = side.stieltjes(f, 1.0, omega, INF, 1.0, 1.0, np.array([jump]))
+    want = 1.0 + (1.0 + c) * math.exp(-c)
+    assert float(got) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("c", [1e-3, 0.3, 1.0, 700.0])
+@pytest.mark.parametrize("side", [Side.BALL, Side.COMPLEMENT])
+def test_stieltjes_up_to_a_cut_of_omegas_support(side, c):
+    # theta = rho = 1 and omega = 1 on its support, (0, c] for balls, (c,
+    # inf) for complements: h = 1 / |t - c| is infinite beyond c, read from
+    # the support, not sampled.  f vanishes at c like |t - c|^2: f = (c -
+    # t)^2 reads c on the ball side, f = (1 - c/t)^2 reads 1/c on the
+    # complement side.  f = 1, positive beyond c, is undefined
+    if side is Side.BALL:
+        omega = truncated_power(1.0, 0.0, None, c)
+        f_end, want = c * c, c
+
+        def f(t):
+            return (c - np.minimum(t, c)) ** 2
+    else:
+        omega = truncated_power(1.0, 0.0, c, None)
+        f_end, want = 1.0, 1.0 / c
+
+        def f(t):
+            return (1.0 - c / np.maximum(t, c)) ** 2
+    got = side.stieltjes(f, f_end, omega, 1.0, 1.0, 2.0, np.array([c]))
+    assert float(got) == pytest.approx(want, rel=1e-11, abs=0.0)
+    with pytest.raises(UndefinedStieltjes):
+        side.stieltjes(lambda t: np.ones(t.shape), 1.0, omega, 1.0, 1.0, 2.0,
+                       np.array([c]))
