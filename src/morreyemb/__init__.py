@@ -7,10 +7,10 @@ from .errors import (DegenerateRatio, GateFailed, HypothesisViolated,
                      Inadmissible, InadmissibleExponents, IndeterminatePower,
                      InvalidExponent, MorreyError, NotAWeight,
                      QuadratureFailure, UndefinedStieltjes, WitnessNotFound)
-from .extreal import EXT_INF, EXT_ZERO, ExtReal, conjugate_exponent
+from .extreal import EXT_INF, ExtReal, conjugate_exponent
 from .profiles import (ExpProfile, FnProfile, PiecewisePowerProfile,
                        PowerProfile, ProductProfile, RadialProfile,
-                       ShiftedPowerProfile, constant, power, tabulated,
+                       ShiftedPowerProfile, constant, tabulated,
                        truncated_power)
 from .integration import ball_volume, integrate_halfline, sphere_area
 from .weights import (Side, Weight, head_norm, lp_norm_interval,
@@ -18,8 +18,7 @@ from .weights import (Side, Weight, head_norm, lp_norm_interval,
                       profile_from_dict, tail_norm)
 from .norms import (GridFunction, dual_lm_norm, fubini_weight, lm_norm,
                     weighted_lp_norm)
-from .hardy import (HardyProblem, hardy_A, hardy_A_star, reverse_hardy_C,
-                    reverse_hardy_C_star, sup_operator_constant)
+from .hardy import HardyProblem, hardy_constant
 from .embeddings import (CaseTag, EmbeddingProblem, associate_norm,
                          classify_case, embedding_constant,
                          maximal_operator_constant, reference_normalization,

@@ -368,8 +368,9 @@ def build_parser():
         p = sub.add_parser(name)
         p.add_argument("--spec", required=True, help="JSON problem spec")
         p.add_argument("--out", default=None, help="output CSV path")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--cells", type=int, default=None)
+        if name in ("verify", "sweep", "oracle"):   # the oracle's settings
+            p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--cells", type=int, default=None)
         p.add_argument("--quiet", action="store_true")
     return ap
 

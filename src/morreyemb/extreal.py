@@ -19,7 +19,6 @@ from .errors import IndeterminatePower, InvalidExponent
 __all__ = [
     "ExtReal",
     "EXT_INF",
-    "EXT_ZERO",
     "ext_mul",
     "ext_div",
     "ext_pow",
@@ -96,7 +95,6 @@ class ExtReal:
 
 
 EXT_INF = ExtReal(math.inf)
-EXT_ZERO = ExtReal(0.0)
 
 
 def _coerce(x):

@@ -2,8 +2,8 @@
 
 Covers the direct operator Hf(t) = integral of f over B(0,t) and its
 complement mirror, the esssup operators S/S*, and the reverse inequalities
-bounding the source norm by a norm of Hf.  Each functional is the exact
-expression whose finiteness characterizes the inequality; it is equivalent
+bounding the source norm by a norm of Hf.  hardy_constant gives the exact
+expression whose finiteness characterizes each inequality; it is equivalent
 to the best constant up to exponent-dependent factors, never claimed equal.
 Two forms serve the embeddings too: _primal_functional the direct and
 esssup inequalities and the Lebesgue-source embeddings, _dual_functional the
@@ -26,11 +26,7 @@ from .weights import Side, Weight, tail_norm
 
 __all__ = [
     "HardyProblem",
-    "hardy_A",
-    "hardy_A_star",
-    "sup_operator_constant",
-    "reverse_hardy_C",
-    "reverse_hardy_C_star",
+    "hardy_constant",
     "sup_over_t",
 ]
 
@@ -247,46 +243,33 @@ def _breaks(*profiles):
     return tuple(sorted(out))
 
 
-def hardy_A(prob: HardyProblem) -> ExtReal:
-    """Characterizing functional for ||Hf||_{q,v,(0,inf)} <= c ||f||_{p,w}."""
-    if prob.variant != "direct":
-        raise ValueError("hardy_A expects the direct variant")
-    return _direct_functional(prob)
+def hardy_constant(prob: HardyProblem) -> ExtReal:
+    """The functional whose finiteness characterizes the problem's
+    inequality, on its side: the twin of embedding_constant.
 
-
-def hardy_A_star(prob: HardyProblem) -> ExtReal:
-    """Mirror functional for the complement operator H*: head integrals of
-    v_outer, complement integrals of w_inner."""
-    if prob.variant != "direct_complement":
-        raise ValueError("hardy_A_star expects the direct_complement variant")
-    return _direct_functional(prob)
-
-
-def _direct_functional(prob: HardyProblem) -> ExtReal:
-    """Cases (a)-(h) of the direct functional on the problem's side: the
-    primal functional with omega = v^(1/q) (v itself at q = inf), theta = q,
-    and I(t) the p'-norm of w^(-1/p) (of w^(-1) at p = inf) over the
-    side's region."""
+    direct, cases (a)-(h): the primal functional with omega = v^(1/q) (v
+    itself at q = inf), theta = q, and I(t) the p'-norm of w^(-1/p) (of
+    w^(-1) at p = inf) over the side's region.  sup: omega = v, theta = q,
+    p = inf and I(t) the esssup of w^(-1) there.  reverse, cases (a)
+    q <= p and (b) q > p: the dual functional of the outer q-norms of v
+    and the p'-norms of w over the other side's region.
+    """
     p, q, n = prob.p, prob.q, prob.n
-    v, w = prob.v_outer, prob.w_inner.profile
-    side = prob.side
-    pp = float(conjugate_exponent(p))
+    v, w, side = prob.v_outer, prob.w_inner.profile, prob.side
+    pp, breaks = float(conjugate_exponent(p)), _breaks(v, w)
+    if prob.variant.startswith("reverse"):
+        _check_reverse_hypothesis(v, q, side)
+        return _dual_functional(
+            side, lambda t: side.other.region_norm(w, pp, n, t), pp, v, q,
+            p, breaks)
+    if prob.variant.startswith("sup"):
+        w_inv = w.power(-1.0)
+        return _primal_functional(side, lambda r: side.region_norm(
+            w_inv, _INF, n, r), v, q, _INF, breaks)
     g = w.power(-1.0 if math.isinf(p) else -1.0 / p)
     return _primal_functional(
         side, lambda t: side.region_norm(g, pp, n, t),
-        v if math.isinf(q) else v.power(1.0 / q), q, p, _breaks(v, w))
-
-
-def sup_operator_constant(prob: HardyProblem) -> ExtReal:
-    """q-norm over (0, inf) of v(r) I(r), I(r) the esssup over the region
-    of w^{-1}: the constant of the ball (or complement) esssup operator and
-    the primal functional with omega = v, theta = q, p = inf."""
-    if prob.variant not in ("sup", "sup_complement"):
-        raise ValueError("expects the sup or sup_complement variant")
-    v, w, side = prob.v_outer, prob.w_inner.profile, prob.side
-    w_inv = w.power(-1.0)
-    return _primal_functional(side, lambda r: side.region_norm(
-        w_inv, _INF, prob.n, r), v, prob.q, _INF, _breaks(v, w))
+        v if math.isinf(q) else v.power(1.0 / q), q, p, breaks)
 
 
 def _check_reverse_hypothesis(u, q, side):
@@ -304,32 +287,3 @@ def _check_reverse_hypothesis(u, q, side):
     if infinite.any():
         a, b = side.other.region(float(grid[np.argmax(infinite)]))
         raise HypothesisViolated(f"||u||_{{q,({a:g},{b:g})}} is infinite")
-
-
-def reverse_hardy_C(prob: HardyProblem) -> ExtReal:
-    """Functional for ||g w||_p <= c ||(Hg) u||_q with 0 < p <= 1."""
-    if prob.variant != "reverse":
-        raise ValueError("reverse_hardy_C expects the reverse variant")
-    return _reverse_functional(prob)
-
-
-def reverse_hardy_C_star(prob: HardyProblem) -> ExtReal:
-    """Mirror functional with balls, head norms and a decreasing
-    right-continuous integrator."""
-    if prob.variant != "reverse_complement":
-        raise ValueError("expects the reverse_complement variant")
-    return _reverse_functional(prob)
-
-
-def _reverse_functional(prob: HardyProblem) -> ExtReal:
-    """Cases (a) and (b) of the reverse functional: outer norms of u paired
-    with the problem's side, norms of w over the other side's region."""
-    p, q, n = prob.p, prob.q, prob.n
-    u, w = prob.v_outer, prob.w_inner.profile
-    side = prob.side
-    _check_reverse_hypothesis(u, q, side)
-    pp = float(conjugate_exponent(p))
-    # (a) for q <= p, (b) for p < q <= inf
-    return _dual_functional(
-        side, lambda t: side.other.region_norm(w, pp, n, t), pp, u, q, p,
-        _breaks(u, w))

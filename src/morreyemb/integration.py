@@ -20,8 +20,6 @@ __all__ = [
     "integrate_halfline",
     "ball_integral",
     "complement_integral",
-    "esssup_ball",
-    "esssup_complement",
     "sphere_area",
     "ball_volume",
 ]
@@ -457,18 +455,6 @@ def complement_integral(g, n, t):
     """Integral of g(|x|) over the complement of B(0, t) in R^n."""
     _check_radius(t)
     return _shell_integral(g, n, t, _INF)
-
-
-@scalar_results(ExtReal)
-def esssup_ball(g, t):
-    """Essential supremum of the radial profile over (0, t)."""
-    return g.esssup(0.0, t)
-
-
-@scalar_results(ExtReal)
-def esssup_complement(g, t):
-    """Essential supremum of the radial profile over (t, inf)."""
-    return g.esssup(t, _INF)
 
 
 def _values(fn, x):

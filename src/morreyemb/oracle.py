@@ -64,8 +64,7 @@ import numpy as np
 from .embeddings import EmbeddingProblem, embedding_constant
 from .errors import DegenerateRatio, WitnessNotFound
 from .extreal import ExtReal, _div, _float_pow, _mul, conjugate_exponent
-from .hardy import (HardyProblem, hardy_A, hardy_A_star, reverse_hardy_C,
-                    reverse_hardy_C_star, sup_operator_constant)
+from .hardy import HardyProblem, hardy_constant
 from .integration import sphere_area
 from .norms import GridFunction
 from .profiles import constant as constant_profile
@@ -624,14 +623,7 @@ def closed_form_constant(prob) -> ExtReal:
     if isinstance(prob, EmbeddingProblem):
         return embedding_constant(prob)
     if isinstance(prob, HardyProblem):
-        return {
-            "direct": hardy_A,
-            "direct_complement": hardy_A_star,
-            "sup": sup_operator_constant,
-            "sup_complement": sup_operator_constant,
-            "reverse": reverse_hardy_C,
-            "reverse_complement": reverse_hardy_C_star,
-        }[prob.variant](prob)
+        return hardy_constant(prob)
     raise TypeError(f"unsupported problem type {type(prob)!r}")
 
 

@@ -37,7 +37,6 @@ __all__ = [
     "FnProfile",
     "tabulated",
     "constant",
-    "power",
     "truncated_power",
 ]
 
@@ -605,10 +604,6 @@ def tabulated(knots, values):
 
 def constant(c):
     return PowerProfile(c, 0.0)
-
-
-def power(c, alpha):
-    return PowerProfile(c, alpha)
 
 
 def truncated_power(c, alpha, lo=None, hi=None):

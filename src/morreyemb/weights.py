@@ -31,8 +31,6 @@ __all__ = [
     "lp_norm_interval",
     "tail_norm",
     "head_norm",
-    "tail_norm_left_limit",
-    "head_norm_right_limit",
     "Side",
     "omega_class_check",
     "muckenhoupt_ap_estimate",
@@ -100,45 +98,19 @@ def head_norm(omega: RadialProfile, theta, t) -> ExtReal:
     return lp_norm_interval(omega, theta, (0.0, t))
 
 
-@scalar_results(ExtReal)
-def _with_limit(norm, limit, omega, theta, t):
-    """norm(omega, theta, t) and, for theta = inf, at least limit(t): the
-    one-sided limit of an outer norm at t > 0."""
-    if np.min(t) <= 0:
-        raise ValueError("t must be positive")
-    plain = norm(omega, theta, np.asarray(t, dtype=float))
-    if math.isfinite(float(theta)):
-        return plain
-    return np.maximum(plain, limit(t))
-
-
-def tail_norm_left_limit(omega: RadialProfile, theta, t) -> ExtReal:
-    """lim_{s -> t-} ||omega||_{theta,(s,inf)}.
-
-    For theta < inf this coincides with the plain tail norm; for
-    theta = inf the approach from the left picks up the left-limit value
-    of the profile at t.
-    """
-    return _with_limit(tail_norm, omega.left_limit, omega, theta, t)
-
-
-def head_norm_right_limit(omega: RadialProfile, theta, t) -> ExtReal:
-    """lim_{s -> t+} ||omega||_{theta,(0,s)}."""
-    return _with_limit(head_norm, omega.right_limit, omega, theta, t)
-
-
 def _defined_range(f, cut, increasing):
     """(0, inf) less the part beyond cut (None: none) where the monotone
     integrator of Side.stieltjes is identically infinite, increasing if it
     is infinite above cut.  The integral of f there is defined only when f
-    vanishes: f is sampled strictly inside that part, and f > 0 there
+    vanishes: f is sampled strictly inside that part, from 1e-12 or two
+    decades below cut up to 1e14 or two decades above it, and f > 0 there
     raises UndefinedStieltjes."""
     if cut is None:
         return 0.0, _INF
     kept, (lo, hi) = ((0.0, cut), (cut, _INF)) if increasing \
         else ((cut, _INF), (0.0, cut))
-    grid = np.geomspace(max(lo, 1e-12) * (1.0 + 1e-9),
-                        min(hi, 1e14) * (1.0 - 1e-9), 65)
+    grid = np.geomspace(max(lo, min(1e-12, hi / 100.0)) * (1.0 + 1e-9),
+                        min(hi, max(1e14, lo * 100.0)) * (1.0 - 1e-9), 65)
     if np.any(_values(f, grid) > 0.0):
         raise UndefinedStieltjes(
             f"integrator infinite on ({lo:g}, {hi:g}) where f > 0")
@@ -204,11 +176,18 @@ class Side(enum.Enum):
         complements."""
         return omega.right_limit if self is Side.BALL else omega.left_limit
 
+    @scalar_results(ExtReal)
     def outer_norm_limit(self, omega, theta, t):
-        """The outer norm's one-sided limit at t, with omega's from the
-        region's side: from the left for tails, from the right for heads."""
-        return _with_limit(self.outer_norm, self.other.limit(omega), omega,
-                           theta, t)
+        """The outer norm's one-sided limit at t > 0, with omega's from the
+        region's side: from the left for tails, from the right for heads.
+        For theta < inf it is the outer norm; for theta = inf it is at
+        least omega's limit at t."""
+        if np.min(t) <= 0:
+            raise ValueError("t must be positive")
+        plain = self.outer_norm(omega, theta, np.asarray(t, dtype=float))
+        if math.isfinite(float(theta)):
+            return plain
+        return np.maximum(plain, self.other.limit(omega)(t))
 
     def infinite_from(self, omega):
         """Where a negative power of the outer norm becomes identically

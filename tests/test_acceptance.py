@@ -19,14 +19,13 @@ from morreyemb import (EmbeddingProblem, GridFunction, HardyProblem,
                        ShiftedPowerProfile, ExpProfile, Side, Weight,
                        associate_norm, conjugate_exponent, constant,
                        divergence_witness, embedding_constant,
-                       equivalence_report, fubini_weight, hardy_A,
-                       head_norm, lm_norm, dual_lm_norm,
-                       reference_normalization, reverse_hardy_C,
+                       equivalence_report, fubini_weight,
+                       hardy_constant, head_norm, lm_norm, dual_lm_norm,
+                       reference_normalization,
                        sphere_area, ball_volume, tail_norm, truncated_power,
                        unweighted_reference, weighted_lp_norm)
 from morreyemb.cli import main
 from morreyemb.errors import UndefinedStieltjes
-from morreyemb.weights import tail_norm_left_limit
 
 INF = math.inf
 ONE = Weight(1, constant(1.0))
@@ -139,14 +138,14 @@ def test_03_fubini_identity():
 
 def test_04_hardy_benchmarks():
     start = time.monotonic()
-    a = float(hardy_A(HardyProblem("direct", 2.0, 2.0,
+    a = float(hardy_constant(HardyProblem("direct", 2.0, 2.0,
                                    PowerProfile(1.0, -2.0), ONE)))
     assert a == pytest.approx(math.sqrt(2.0), abs=1e-6)
-    c1 = float(reverse_hardy_C(HardyProblem(
+    c1 = float(hardy_constant(HardyProblem(
         "reverse", 0.5, 0.5, ShiftedPowerProfile(1.0, 1.0, -4.0),
         Weight(1, ShiftedPowerProfile(1.0, 1.0, -3.0)))))
     assert c1 == pytest.approx(1.0, abs=1e-6)
-    c2 = float(reverse_hardy_C(HardyProblem(
+    c2 = float(hardy_constant(HardyProblem(
         "reverse", 1.0, INF, ExpProfile(1.0, -1.0),
         Weight(1, ExpProfile(1.0, -2.0)))))
     assert c2 == pytest.approx(2.0, abs=1e-6)
@@ -350,7 +349,7 @@ def test_08_stieltjes_semantics():
     # a density: f = e^(-2t) against h = e^t reads 1, plus the boundary 1
     dens = HardyProblem("reverse", 1.0, INF, ExpProfile(1.0, -1.0),
                         Weight(1, ExpProfile(1.0, -2.0)))
-    got = float(reverse_hardy_C(dens))
+    got = float(hardy_constant(dens))
     assert got == pytest.approx(2.0, rel=1e-12, abs=0.0)
 
     # h is infinite beyond the end 10 of omega's support, where f = 1 > 0
@@ -363,7 +362,7 @@ def test_08_stieltjes_semantics():
     for q in (0.5, 1.0, 3.0):
         for t in (0.5, 1.0, 2.0):
             a = float(tail_norm(om, q, t))
-            b = float(tail_norm_left_limit(om, q, t))
+            b = float(Side.BALL.outer_norm_limit(om, q, t))
             assert b == pytest.approx(a, rel=1e-6)
     report(8, "Stieltjes semantics",
            "atom exact, density 1e-12, exclusion raised, left-limit collapse")

@@ -15,15 +15,14 @@ from hypothesis import strategies as st
 
 from morreyemb import (EmbeddingProblem, GridFunction, HardyProblem, Weight,
                        associate_norm, closed_form_constant, constant,
-                       embedding_constant, reverse_hardy_C,
-                       reverse_hardy_C_star, truncated_power,
+                       embedding_constant, hardy_constant, truncated_power,
                        unweighted_reference)
 from morreyemb import embeddings, hardy
 from morreyemb.errors import (IndeterminatePower, QuadratureFailure,
                               UndefinedStieltjes)
 from morreyemb.extreal import ExtReal, ext_div, ext_mul, ext_pow
 from morreyemb.integration import (_profile_integral, ball_integral,
-                                   complement_integral, esssup_ball)
+                                   complement_integral)
 from morreyemb.norms import _InnerNorm, lm_norm
 from morreyemb.profiles import (ExpProfile, FnProfile, PiecewisePowerProfile,
                                 PowerProfile, ProductProfile,
@@ -319,7 +318,8 @@ def test_public_scalar_boundary(prof):
         assert type(prof.integral(0.5, 2.0)) is float
     for got in (tail_norm(prof, 2.0, 0.5), head_norm(prof, 2.0, 0.5),
                 lp_norm_interval(prof, INF, (0.5, 2.0)),
-                ball_integral(prof, 2, 1.0), esssup_ball(prof, 1.0),
+                ball_integral(prof, 2, 1.0),
+                Side.BALL.region_norm(prof, INF, 1, 1.0),
                 ext_mul(2.0, 3.0), ext_div(2.0, 3.0), ext_pow(2.0, 3.0)):
         assert type(got) is ExtReal
 
@@ -568,13 +568,13 @@ STIELTJES_CALLERS = [
     # r = 2/3, f = (1 + t)^(-4/3), h = 3^(1/3) (1 + t): main term 9,
     # boundary term 1 / (1/3)^(1/2)
     pytest.param(
-        lambda: reverse_hardy_C(HardyProblem(
+        lambda: hardy_constant(HardyProblem(
             "reverse", 0.5, 2.0, ShiftedPowerProfile(1.0, 1.0, -2.0),
             Weight(1, ShiftedPowerProfile(1.0, 1.0, -3.0)))),
         lambda: 9.0 + math.sqrt(3.0),
         id="<lambda>-10.732050799425759"),
     pytest.param(
-        lambda: reverse_hardy_C_star(HardyProblem(
+        lambda: hardy_constant(HardyProblem(
             "reverse_complement", 0.5, 2.0, PowerProfile(1.0, 0.5),
             Weight(1, split((1.0, 1.0), (1.0, -3.0))))),
         reverse_complement_reference,
@@ -583,7 +583,7 @@ STIELTJES_CALLERS = [
     # f = (2 - t^(-2))^(1/2) against t^(-5/4) / 4 becomes, with
     # t = s^(-4), the integral of (2 - s^8)^(1/2) over (0, 1)
     pytest.param(
-        lambda: reverse_hardy_C_star(HardyProblem(
+        lambda: hardy_constant(HardyProblem(
             "reverse_complement", 0.5, INF, PowerProfile(1.0, 0.5),
             Weight(1, split((1.0, 1.0), (1.0, -3.0))))),
         lambda: float((mpmath.mpf(1) / 3 + mpmath.quad(
@@ -675,8 +675,8 @@ def test_reverse_at_q_inf_exact():
     prob = HardyProblem("reverse", 0.5, INF,
                         ShiftedPowerProfile(1.0, 1.0, -2.0),
                         Weight(1, ShiftedPowerProfile(1.0, 1.0, -5.0)))
-    assert float(reverse_hardy_C(prob)) == pytest.approx(1.0, rel=1e-12,
-                                                         abs=0.0)
+    assert float(hardy_constant(prob)) == pytest.approx(1.0, rel=1e-12,
+                                                        abs=0.0)
 
 
 def test_reverse_slow_end_is_bracketed():
@@ -686,8 +686,8 @@ def test_reverse_slow_end_is_bracketed():
     # term is 3 + 9
     prob = HardyProblem("reverse", 1.0, 2.0, split((1.0, -0.5), (1.0, -2.0)),
                         Weight(1, split((1.0, 1.0), (1.0, -2.0))))
-    assert float(reverse_hardy_C(prob)) == pytest.approx(math.sqrt(12.0),
-                                                         rel=1e-12, abs=0.0)
+    assert float(hardy_constant(prob)) == pytest.approx(math.sqrt(12.0),
+                                                        rel=1e-12, abs=0.0)
 
 
 # theta = inf: h = N^(-rho) with N a running esssup has the density
@@ -704,8 +704,8 @@ def test_exact_two_reads_two():
     # h = e^t gives 1, and the boundary term is 1
     prob = HardyProblem("reverse", 1.0, INF, ExpProfile(1.0, -1.0),
                         Weight(1, ExpProfile(1.0, -2.0)))
-    assert float(reverse_hardy_C(prob)) == pytest.approx(2.0, rel=1e-12,
-                                                         abs=0.0)
+    assert float(hardy_constant(prob)) == pytest.approx(2.0, rel=1e-12,
+                                                        abs=0.0)
 
 
 def test_reverse_across_a_flat_stretch_of_the_outer_norm():
@@ -714,8 +714,8 @@ def test_reverse_across_a_flat_stretch_of_the_outer_norm():
     prob = HardyProblem("reverse", 1.0, INF, FLAT_U,
                         Weight(1, ExpProfile(1.0, -2.0)))
     want = (1.0 - math.exp(-0.4)) / 2.0 + math.exp(-2.0) / 10.0
-    assert float(reverse_hardy_C(prob)) == pytest.approx(want, rel=1e-12,
-                                                         abs=0.0)
+    assert float(hardy_constant(prob)) == pytest.approx(want, rel=1e-12,
+                                                        abs=0.0)
 
 
 def test_morrey_source_p1_eq_p2_at_theta_inf_across_a_flat_stretch():
@@ -884,10 +884,10 @@ NAN_WEIGHTED = {
     "emb.b": lambda: embedding_constant(EmbeddingProblem(
         "lm_to_lebesgue", 1, 1.0, 2.0, 3.0, Weight(1, HOLED), ONE,
         truncated_power(1.0, -1.0, 1.0, None))),
-    "hardy.a": lambda: hardy.hardy_A(HardyProblem("direct", 2.0, 2.0,
-                                                  HOLED, ONE)),
-    "hardy.b": lambda: hardy.hardy_A(HardyProblem("direct", 2.0, 1.0,
-                                                  HOLED, ONE)),
+    "hardy.a": lambda: hardy_constant(HardyProblem("direct", 2.0, 2.0,
+                                                   HOLED, ONE)),
+    "hardy.b": lambda: hardy_constant(HardyProblem("direct", 2.0, 1.0,
+                                                   HOLED, ONE)),
 }
 
 
@@ -903,12 +903,11 @@ def test_a_nan_weight_fails_loudly(name):
 # omega (or v) nan on (2, 3) at theta = inf (q = inf): every path through
 # the primal functional's pointwise rule reads the nan in sup_over_t
 HOLED_AT_INF = {
-    "hardy_A": lambda: hardy.hardy_A(HardyProblem("direct", 2.0, INF,
+    "direct": lambda: hardy_constant(HardyProblem("direct", 2.0, INF,
                                                   HOLED, ONE)),
-    "hardy_A_star": lambda: hardy.hardy_A_star(HardyProblem(
+    "direct_complement": lambda: hardy_constant(HardyProblem(
         "direct_complement", 2.0, INF, HOLED, ONE)),
-    "sup_operator_constant": lambda: hardy.sup_operator_constant(
-        HardyProblem("sup", INF, INF, HOLED, ONE)),
+    "sup": lambda: hardy_constant(HardyProblem("sup", INF, INF, HOLED, ONE)),
     "lm_norm": lambda: lm_norm(GridFunction([1.0, 2.0], [1.0]), 1.0, INF,
                                HOLED, ONE),
 }

@@ -429,6 +429,62 @@ class TestSpecShape:
         assert "expected a JSON object" in capsys.readouterr().err
 
 
+def without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+HARDY_NO_P = {"hardy": without(HARDY_B["hardy"], "p")}
+ZERO_V = {"hardy": dict(HARDY_B["hardy"],
+                        v={"kind": "power", "c": 0.0, "alpha": 0.0})}
+ASSOCIATE_NO_CSV = {"associate": {
+    "kind": "lm", "p": 2, "theta": 2,
+    "omega": {"kind": "power", "c": 1.0, "alpha": -2.0}}}
+
+
+class TestSpecErrors:
+    """Each malformed spec exits 2 with its spec error on stderr."""
+
+    @pytest.mark.parametrize("cmd, doc, message", [
+        ("constant", dict(CASE_VI, p1=[2]), "p1: expected a number, got [2]"),
+        ("constant", None, "cannot read spec file: "),
+        ("constant", [CASE_VI], "spec must be a JSON object"),
+        ("constant", HARDY_NO_P, "hardy spec missing key 'p'"),
+        ("constant", without(CASE_VI, "theta"), "spec missing key 'theta'"),
+        ("constant", dict(CASE_VI, weights={}),
+         "weights spec missing key 'omega'"),
+        ("verify", ZERO_V, "constant is zero; nothing to verify"),
+        ("associate", {"associate": 5},
+         "associate spec needs an 'associate' object"),
+        ("associate", ASSOCIATE_NO_CSV,
+         "associate spec missing key 'function_csv'"),
+        ("sweep", {"sweep": [1]}, "sweep spec needs a 'sweep' object"),
+        ("sweep", {"sweep": dict(TestSweep.SWEEP["sweep"], p1=2)},
+         "sweep axis 'p1' must be a list"),
+    ], ids=["number", "unreadable", "not_an_object", "hardy_key",
+            "spec_key", "weights_key", "zero_constant", "associate_object",
+            "associate_key", "sweep_object", "sweep_axis"])
+    def test_malformed_spec_exits_2(self, tmp_path, capsys, cmd, doc,
+                                    message):
+        spec = str(tmp_path / "missing.json") if doc is None \
+            else write_spec(tmp_path, doc)
+        assert main([cmd, "--spec", spec]) == EXIT_SPEC
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("spec error: " + message)
+
+    @pytest.mark.parametrize("flag", ["--seed", "--cells"])
+    @pytest.mark.parametrize("cmd", ["constant", "associate"])
+    def test_no_oracle_flags_without_an_oracle(self, tmp_path, capsys, cmd,
+                                               flag):
+        # constant and associate run no oracle: --seed and --cells are no
+        # options of theirs
+        spec = write_spec(tmp_path, CASE_VI)
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, "--spec", spec, flag, "1"])
+        assert exc.value.code == EXIT_SPEC
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
 class TestProfileSpecs:
     def test_one_segment_piecewise_power_reads_as_power(self, tmp_path,
                                                         capsys):

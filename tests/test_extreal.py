@@ -41,6 +41,55 @@ class TestConventions:
             ExtReal(-1.0)
 
 
+class TestOperators:
+    """ExtReal's operators follow the conventions of ext_div and ext_pow."""
+
+    def test_order(self):
+        one, two = ExtReal(1.0), ExtReal(2.0)
+        assert one < two and one <= two and one <= 1.0 and two >= one
+        assert not two < one and not two <= one and not one >= two
+        assert ExtReal(0.0) < EXT_INF and EXT_INF >= 1e308
+
+    @pytest.mark.parametrize("a,b,want", [
+        (0.0, 0.0, 0.0),       # 0/0 = 0
+        (3.0, INF, 0.0),       # x/inf = 0
+        (2.0, 0.0, INF),       # x/0 = inf
+        (INF, INF, INF),       # inf/inf = inf
+        (3.0, 2.0, 1.5),
+    ])
+    def test_division(self, a, b, want):
+        for got in (ExtReal(a) / ExtReal(b), ExtReal(a) / b, a / ExtReal(b)):
+            assert isinstance(got, ExtReal) and float(got) == want
+
+    @pytest.mark.parametrize("a,e,want", [
+        (0.0, -1.0, INF),      # 0^e = inf for e < 0
+        (INF, -2.0, 0.0),
+        (4.0, 0.5, 2.0),
+        (0.0, 3.0, 0.0),
+    ])
+    def test_power(self, a, e, want):
+        got = ExtReal(a) ** e
+        assert isinstance(got, ExtReal) and float(got) == want
+
+    def test_sum(self):
+        for got in (ExtReal(1.0) + 2.0, 2.0 + ExtReal(1.0),
+                    ExtReal(1.0) + ExtReal(2.0)):
+            assert isinstance(got, ExtReal) and float(got) == 3.0
+        assert (EXT_INF + 1.0).is_inf
+
+    def test_hash_and_repr(self):
+        assert hash(ExtReal(2.0)) == hash(2.0)
+        assert len({ExtReal(2.0), ExtReal(2.0), ExtReal(3.0)}) == 2
+        assert repr(ExtReal(0.5)) == "ExtReal(0.5)"
+        assert repr(EXT_INF) == "ExtReal(inf)"
+
+    def test_immutable(self):
+        x = ExtReal(1.0)
+        with pytest.raises(AttributeError, match="immutable"):
+            x.value = 2.0
+        assert float(x) == 1.0
+
+
 @pytest.mark.parametrize("p,expected", [
     (0.5, 1.0),
     (1.0, INF),

@@ -13,9 +13,7 @@ import math
 import pytest
 
 from morreyemb.embeddings import EmbeddingProblem, embedding_constant
-from morreyemb.hardy import (HardyProblem, hardy_A, hardy_A_star,
-                             reverse_hardy_C, reverse_hardy_C_star,
-                             sup_operator_constant)
+from morreyemb.hardy import HardyProblem, hardy_constant
 from morreyemb.profiles import PiecewisePowerProfile, PowerProfile
 from morreyemb.weights import Weight
 
@@ -63,8 +61,8 @@ def test_direct(case, n, data):
     v, w = DIRECT_FINITE if data == "piecewise" else DIRECT_POWER
     v_star = invert(v, density_exp(-2.0, q))
     w_star = invert(w, 2.0 * n if math.isinf(p) else 2.0 * n * (p - 1.0))
-    ball = hardy_A(HardyProblem("direct", p, q, v, Weight(n, w)))
-    comp = hardy_A_star(HardyProblem("direct_complement", p, q, v_star,
+    ball = hardy_constant(HardyProblem("direct", p, q, v, Weight(n, w)))
+    comp = hardy_constant(HardyProblem("direct_complement", p, q, v_star,
                                      Weight(n, w_star)))
     if data == "piecewise":
         assert math.isfinite(float(ball)), case
@@ -78,8 +76,8 @@ def test_direct(case, n, data):
 ])
 def test_sup(q, v, w):
     v_star = invert(v, 0.0 if math.isinf(q) else -2.0 / q)
-    ball = sup_operator_constant(HardyProblem("sup", INF, q, v, Weight(1, w)))
-    comp = sup_operator_constant(HardyProblem(
+    ball = hardy_constant(HardyProblem("sup", INF, q, v, Weight(1, w)))
+    comp = hardy_constant(HardyProblem(
         "sup_complement", INF, q, v_star, Weight(1, invert(w, 0.0))))
     assert_mirror(ball, comp)
 
@@ -88,7 +86,7 @@ def test_sup_piecewise_is_finite():
     w = Weight(1, pw(-0.5, 1.0))
     for q in (0.5, 1.0, 2.0, INF):
         prob = HardyProblem("sup", INF, q, pw(-0.5, -3.0), w)
-        assert math.isfinite(float(sup_operator_constant(prob)))
+        assert math.isfinite(float(hardy_constant(prob)))
 
 
 @pytest.mark.parametrize("p,q,u,w", [
@@ -102,8 +100,8 @@ def test_reverse(p, q, u, w):
     n = 1
     u_star = invert(u, 0.0 if math.isinf(q) else -2.0 / q)
     w_star = invert(w, 2.0 * n * (1.0 - 1.0 / p))
-    ball = reverse_hardy_C(HardyProblem("reverse", p, q, u, Weight(n, w)))
-    comp = reverse_hardy_C_star(HardyProblem(
+    ball = hardy_constant(HardyProblem("reverse", p, q, u, Weight(n, w)))
+    comp = hardy_constant(HardyProblem(
         "reverse_complement", p, q, u_star, Weight(n, w_star)))
     assert math.isfinite(float(ball)) and float(ball) > 0.0
     assert_mirror(ball, comp)

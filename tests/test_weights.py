@@ -9,16 +9,15 @@ import pytest
 from morreyemb.embeddings import EmbeddingProblem, embedding_constant
 from morreyemb.errors import (NotAWeight, QuadratureFailure,
                               UndefinedStieltjes)
-from morreyemb.hardy import HardyProblem, hardy_A
+from morreyemb.hardy import HardyProblem, hardy_constant
 from morreyemb.integration import ball_integral, complement_integral
 from morreyemb.profiles import (ExpProfile, FnProfile, PiecewisePowerProfile,
                                 PowerProfile, ProductProfile,
                                 ShiftedPowerProfile, constant, tabulated,
                                 truncated_power)
-from morreyemb.weights import (Side, Weight, head_norm, head_norm_right_limit,
-                               lp_norm_interval, muckenhoupt_ap_estimate,
-                               omega_class_check, profile_from_dict,
-                               tail_norm)
+from morreyemb.weights import (Side, Weight, head_norm, lp_norm_interval,
+                               muckenhoupt_ap_estimate, omega_class_check,
+                               profile_from_dict, tail_norm)
 
 INF = math.inf
 
@@ -119,15 +118,18 @@ def test_profile_from_dict_product_and_power_of():
     assert isinstance(sq, ExpProfile) and (sq.c, sq.rate) == (4.0, -2.0)
 
 
-def test_head_norm_right_limit():
+def test_complement_outer_norm_limit():
     # omega = 1 on (0, 1], 3 beyond: the sup norm jumps at 1
     om = PiecewisePowerProfile([1.0], [(1.0, 0.0), (3.0, 0.0)])
     assert float(head_norm(om, INF, 1.0)) == 1.0
-    assert float(head_norm_right_limit(om, INF, 1.0)) == 3.0
-    assert float(head_norm_right_limit(om, 2.0, 1.0)) == \
+    assert float(Side.COMPLEMENT.outer_norm_limit(om, INF, 1.0)) == 3.0
+    assert float(Side.COMPLEMENT.outer_norm_limit(om, 2.0, 1.0)) == \
         float(head_norm(om, 2.0, 1.0))
-    assert head_norm_right_limit(
+    assert Side.COMPLEMENT.outer_norm_limit(
         om, INF, np.array([0.5, 1.0, 2.0])).tolist() == [1.0, 3.0, 3.0]
+    for side in Side:
+        with pytest.raises(ValueError, match="t must be positive"):
+            side.outer_norm_limit(om, INF, np.array([1.0, 0.0]))
 
 
 def test_profile_from_dict_rejects_unknown_keys():
@@ -243,7 +245,7 @@ def test_sampled_esssup_reads_the_limit_at_zero():
                            Weight(1, constant(1.0)), ExpProfile(1.0, -2.0))
     hardy = HardyProblem("direct", 1.0, 0.5, ExpProfile(1.0, -1.0), v1)
     assert float(embedding_constant(emb)) == pytest.approx(
-        float(hardy_A(hardy)), rel=1e-15, abs=0.0)
+        float(hardy_constant(hardy)), rel=1e-15, abs=0.0)
     # an evaluator gives no limit at 0+: the sample alone reads it
     assert math.isnan(FnProfile(lambda t: 1.0 / t).right_limit(0.0))
     assert FnProfile(lambda t: 1.0 / t).esssup(0.0, 1.0) == pytest.approx(
@@ -544,8 +546,14 @@ def test_stieltjes_atom_plus_density(side, c):
     assert float(got) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("c", [1e-3, 0.3, 1.0, 700.0])
-@pytest.mark.parametrize("side", [Side.BALL, Side.COMPLEMENT])
+# the cut c lies a few dyadic steps from 1 or far below or above it.  At
+# 1e15 on the ball side and 1e-13 on the complement side the region past
+# c lies outside 1e-12..1e14, where a sample of f past c that stopped at
+# those decades ran back into the kept range and raised on f > 0 there
+@pytest.mark.parametrize("side,c", [
+    (side, c) for side in (Side.BALL, Side.COMPLEMENT)
+    for c in (1e-3, 0.3, 1.0, 700.0)] + [(Side.BALL, 1e15),
+                                         (Side.COMPLEMENT, 1e-13)])
 def test_stieltjes_up_to_a_cut_of_omegas_support(side, c):
     # theta = rho = 1 and omega = 1 on its support, (0, c] for balls, (c,
     # inf) for complements: h = 1 / |t - c| is infinite beyond c, read from
