@@ -40,16 +40,24 @@ convex for P >= 1 and concave for P <= 1.  The rows of the table:
   2011, for nonnegative maps), so it runs from one start; for r > P its
   step still never lowers the ratio, but the point it stops at may be a
   local maximum, so the restarts run too.
-- "ascent": everything else (hardy.g, emb.vii, emb.source.b,
-  emb.dual_source.b, the other reverse variants, and p2 = inf with finite
-  p1).  A coordinate ascent scores the candidate values of one coordinate
-  as whole rows through the same batch ratio pass as the families.
+- "simplex": P = 1 (p1 = p2 < inf) and q < inf, the cumulative norm on
+  top with r < 1 (hardy.g, emb.vii) or as the source with r > 1
+  (emb.source.b, emb.dual_source.b, reverse Hardy with p = 1 < q).  S' =
+  s.u is then linear, so on x = s u over the simplex sum x = 1 the ratio
+  is a power of Phi = N'^r, concave for r < 1 and convex for r > 1: a
+  convex program, solved by active-set Newton steps and certified by the
+  Frank-Wolfe gap (Jaggi, 2013).
+- "ascent": everything else (the supremum-inner rows, concave over convex
+  with P != 1, q = inf under the source, and p2 = inf with finite p1).  A
+  coordinate ascent scores the candidate values of one coordinate as
+  whole rows through the same batch ratio pass as the families.
 
 The first three rows are exact: they give the discrete maximum, the
 corner and the Hoelder dual in one O(mK) pass, the vertex scan in m rows
-of it.  The power method and the ascent are local searches, run from the
-family best and from seeded random restarts, except the power method for
-r <= P, which runs from the family best alone.
+of it; the simplex row gives it to a gap of 1e-13 |Phi|.  The power
+method and the ascent are local searches, run from the family best and
+from seeded random restarts, except the power method for r <= P, which
+runs from the family best alone.
 """
 
 from __future__ import annotations
@@ -303,6 +311,9 @@ class _RatioEvaluator:
                 return "power"
         elif not self.sup_inner and q <= p2 <= p1:
             return "vertex"
+        if p1 == p2 < _INF and not self._q_inf \
+                and (q < p2 if self.morrey_on_top else q > p2):
+            return "simplex"
         return "ascent"
 
     def _cells(self, a):
@@ -380,25 +391,43 @@ class _RatioEvaluator:
             return src
         return src ** (1.0 / self.src_p) if src > 0 else 0.0
 
-    # -- the power method ------------------------------------------------
+    # -- the power method and the simplex row ----------------------------
     def _power_terms(self, u):
-        """The ratio at u = v^p2 (in accumulation order), from N'(u)^r =
-        sum o G^r + beyond T^r and S'(u)^P = sum s u^P, and 1/r times the
-        gradient of N'(u)^r.  G, the inner accumulation at the subcell
+        """The ratio at u = v^p2 (in accumulation order), from N'(u)^r and
+        S'(u)^P = sum s u^P, and 1/r times the gradient of N'(u)^r."""
+        phi, grad, _, _ = self._phi(u)
+        source = np.dot(self._src_cell, u ** self._P) ** (1.0 / self.src_p)
+        return phi ** (1.0 / self.outer_q) / source, grad
+
+    def _phi(self, u):
+        """Phi = N'(u)^r = sum o G^r + beyond T^r at u, 1/r times its
+        gradient, G and T.  G, the inner accumulation at the subcell
         midpoints, is one prefix accumulation, and the weight o G^(r-1)
         that each cell's mass carries into the later subcells one suffix
-        accumulation."""
-        r, P = self._gpow, self._P
+        accumulation (infinite where G = 0 < o and r < 1)."""
+        r = self._gpow
         G, total = self._inner(u[None])
         G, total = G[0], total[0]
-        dG = self._outer * G ** (r - 1.0)
+        dG = np.where(self._outer > 0.0, self._outer * G ** (r - 1.0), 0.0)
         beyond = self.outer_beyond * total ** (r - 1.0)
         later = _exclusive(np.add, dG.sum(axis=1)[::-1])[::-1]
         grad = self._inner_cell * (later + beyond) \
             + (dG * self._part_half).sum(axis=1)
-        target = (np.vdot(dG, G) + beyond * total) ** (1.0 / self.outer_q)
-        source = np.dot(self._src_cell, u ** P) ** (1.0 / self.src_p)
-        return target / source, grad
+        phi = np.vdot(np.where(G > 0.0, dG, 0.0), G) + beyond * total
+        return phi, grad, G, total
+
+    def _hessian(self, G, total, cells):
+        """The Hessian of Phi over r(r - 1) at G and T on the given cells
+        (ascending): with w = o G^(r-2) (0 where G = 0) and S_l the w past
+        cell l plus beyond T^(r-2), H_il = ic_i (ic_l S_l + sum_k w_lk
+        ph_lk) for i < l and H_ll = ic_l^2 S_l + sum_k w_lk ph_lk^2."""
+        w = np.where(G > 0.0, self._outer * G ** (self._gpow - 2.0), 0.0)
+        past = (_exclusive(np.add, w.sum(axis=1)[::-1])[::-1] + self
+                .outer_beyond * total ** (self._gpow - 2.0))[cells]
+        ic, w, ph = self._inner_cell[cells], w[cells], self._part_half[cells]
+        upper = np.triu(np.outer(ic, ic * past + (w * ph).sum(axis=1)), 1)
+        return upper + upper.T + np.diag(ic * ic * past
+                                         + (w * ph * ph).sum(axis=1))
 
     def _power_move(self, u, grad):
         """The power step from u with gradient grad (Boyd 1974): the
@@ -589,6 +618,110 @@ def _power_method(ev, values, cfg, incumbent):
         incumbent.offer(r, row)
 
 
+def _simplex(ev, cfg, incumbent):
+    """The discrete maximum at P = 1 (see the module docstring), from the
+    best one-cell row, by Newton steps on the face x > 0 of the simplex,
+    up to a Frank-Wolfe gap, max g - g.x, of 1e-13 |Phi|; the values
+    reached are offered last.  A step stops where a cell reaches 0, which
+    leaves the face; one that does not raise sign Phi is halved in log2 of
+    its length until the slope along it is >= 0, then bisected.  Once the
+    face is optimal, or a step moves no cell, the cells of positive
+    reduced gradient past the face's first join it, save those the step
+    would take below 0.  The cell j of largest reduced gradient joins by a
+    step toward its one-cell row where its gradient is infinite, it lies
+    before the face (G = 0 there) or the Newton step lowers it."""
+    scored = incumbent.scan(ev, np.eye(ev.m))
+    if math.isinf(incumbent.ratio) or not max(scored) > 0.0:
+        return
+    r, sign = ev._gpow, 1.0 if ev.morrey_on_top else -1.0
+    live = np.flatnonzero(ev._src_cell > 0.0)
+    scale, u = 1.0 / ev._src_cell[live], np.zeros(ev.m)
+    x = ev._cells(np.eye(ev.m)[int(np.argmax(scored))])[live]
+
+    def terms(x):
+        """sign Phi at x, its gradient over r, and its Hessian over r(r-1)
+        on given cells, as a function of them."""
+        u[live] = x * scale
+        phi, grad, G, total = ev._phi(u)
+        return sign * phi, sign * grad[live] * scale, lambda cells: \
+            ev._hessian(G, total, live[cells]) * np.outer(scale[cells],
+                                                          scale[cells])
+
+    with np.errstate(all="ignore"):
+        if r == 2.0:  # Phi is the quadratic form of its Hessian (G^0 = 1)
+            H = ev._hessian(np.ones((ev.m, ev.K)), 1.0, live) \
+                * np.outer(scale, scale)
+
+            def terms(x):
+                return sign * (x @ H @ x), sign * (H @ x), \
+                    lambda cells: H[np.ix_(cells, cells)]
+        f, g, hessian = terms(x)
+        stuck = False
+        for _ in range(16 * ev.m):
+            face, j = x > 0.0, int(np.argmax(g))
+            lam, tol = g[face] @ x[face], 1e-13 * abs(f) / r
+            if g[j] - lam <= tol:  # the Frank-Wolfe gap
+                break
+            added = stuck or np.max(g[face]) - lam <= tol
+            if added:
+                if face[j]:
+                    break
+                face |= (g - lam > tol) & (np.cumsum(face) > 0)
+                face[j] = True
+            d, cells = np.zeros(live.size), np.flatnonzero(face)
+            A = hessian(cells)
+            while not (added and (math.isinf(g[j]) or not x[:j].any())):
+                # max (g - lam).d - |r - 1| d'Ad/2 over sum d = 0, solved on
+                # the unit diagonal
+                D = 1.0 / np.sqrt(np.diag(A))
+                D = np.where(np.isfinite(D), D, 1.0)
+                rhs = np.column_stack(((g[cells] - lam) * D, D))
+                try:
+                    z = np.linalg.solve(A * np.outer(D, D), rhs) * D[:, None]
+                except np.linalg.LinAlgError:
+                    z = np.full(rhs.shape, np.nan)  # no Newton step
+                d[cells] = (z[:, 0] - z[:, 0].sum() / z[:, 1].sum()
+                            * z[:, 1]) / abs(r - 1.0)
+                out = (x[cells] == 0.0) & (d[cells] < 0.0)
+                if not out.any():
+                    break
+                d[cells[out]] = 0.0
+                cells, A = cells[~out], A[np.ix_(~out, ~out)]
+            if not g[face] @ d[face] > 0.0 or added and not d[j] > 0.0:
+                d = -x
+                d[j] += 1.0
+                face[j] = True
+            # e is log2 of the step's length, at most top, where the first
+            # cell reaches 0; a gain below what sign Phi resolves is taken
+            slope, neg = g[face] @ d[face], np.flatnonzero(d < 0.0)
+            block = neg[np.argmin(x[neg] / -d[neg])] if neg.size else -1
+            top = math.log2(x[block] / -d[block]) if neg.size else 1.0
+            small = 0.5 * r * slope <= 1e-15 * abs(f)
+            e = start = min(0.0, top)
+            lo, hi, step = None, start, None
+            for _ in range(40):
+                y = x + 2.0 ** e * d
+                if e == top:
+                    y[block] = 0.0
+                y = np.maximum(y, 0.0) / np.sum(np.maximum(y, 0.0))
+                fy, gy, hy = terms(y)
+                if small or e == start and fy > f or gy[face] @ d[face] >= 0:
+                    step, lo = (y, fy, gy, hy), e
+                    if e == start:
+                        break
+                else:
+                    hi = e
+                if lo is not None and hi - lo <= 1.0:
+                    break
+                e = 2.0 * e - 1.0 if lo is None else 0.5 * (lo + hi)
+            if step is None or added and not step[0][j] > 0.0:
+                break
+            stuck = not np.any(np.abs(step[0] - x) > 1e-12 * x)
+            x, f, g, hessian = step
+    u[live] = x * scale
+    incumbent.scan(ev, [ev._cells(u) ** (1.0 / ev.inner_p)])
+
+
 def _restarts(search, ev, cfg, incumbent):
     """The local search from the incumbent's values, then from each of the
     `restarts - 1` seeded lognormal starts, up to an infinite ratio.  The
@@ -614,6 +747,7 @@ _SEARCHES = {
     "holder_dual": lambda ev, cfg, inc: inc.scan(ev, [ev.holder_dual()[1]]),
     "vertex": lambda ev, cfg, inc: inc.scan(ev, np.eye(ev.m)),
     "power": functools.partial(_restarts, _power_method),
+    "simplex": _simplex,
     "ascent": functools.partial(_restarts, _coordinate_ascent),
 }
 
@@ -633,15 +767,18 @@ def best_constant_lower_bound(prob, cfg: OracleConfig = None) -> OracleResult:
     The family members are scored first.  Then the search of the ratio's
     row of the search table runs (see the module docstring): the corner,
     the Hoelder dual and the vertex scan score the discrete maximum
-    directly.  The power method and the coordinate ascent start from the
-    family best and then from each of the `restarts - 1` seeded lognormal
-    starts, except the power method for r <= P (theta <= p1, q <= p for
-    Hardy), whose maximum is global: it starts from the family best
-    alone and does not read `restarts`.  The power method stops once a
-    step gains a relative 1e-10 or less, or after
-    `ascent_sweeps * grid_cells` steps, the ascent after `ascent_sweeps`
-    sweeps.  With `ascent_sweeps = 0` there is no search: every start,
-    the seeded ones included, is scored as it is.
+    directly.  The simplex row (P = 1) reads no setting and stops at a
+    Frank-Wolfe gap of 1e-13 |Phi|, Phi the power of the cumulative norm
+    whose optimum over the simplex is the ratio's maximum.  The power
+    method and the coordinate ascent start from the family best and then
+    from each of the `restarts - 1` seeded lognormal starts, except the
+    power method for r <= P (theta <= p1, q <= p for Hardy), whose
+    maximum is global: it starts from the family best alone and does not
+    read `restarts`.  The power method stops once a step gains a relative
+    1e-10 or less, or after `ascent_sweeps * grid_cells` steps, the
+    ascent after `ascent_sweeps` sweeps.  With `ascent_sweeps = 0` there
+    is no search: every start, the seeded ones included, is scored as it
+    is.
 
     Every search offers the values it reaches to one incumbent, the best
     row scored so far: lower_bound is the evaluator's ratio of argmax,

@@ -92,6 +92,21 @@ class TestDirect:
         with pytest.raises(InadmissibleExponents):
             direct(p, 2.0, constant(1.0), constant(1.0))
 
+    def test_rejects_an_unknown_variant(self):
+        with pytest.raises(ValueError, match="unknown variant"):
+            HardyProblem("forward", 2.0, 2.0, constant(1.0),
+                         Weight(1, constant(1.0)))
+
+    def test_rejects_a_dimension_other_than_the_weight_s(self):
+        with pytest.raises(ValueError, match="dimension"):
+            HardyProblem("direct", 2.0, 2.0, constant(1.0),
+                         Weight(1, constant(1.0)), n=2)
+
+    @pytest.mark.parametrize("p, q", [(0.0, 2.0), (2.0, 0.0), (2.0, -1.0)])
+    def test_rejects_an_exponent_that_is_not_positive(self, p, q):
+        with pytest.raises(InadmissibleExponents, match="positive"):
+            direct(p, q, constant(1.0), constant(1.0))
+
     def test_mirror_variant_finite(self):
         prob = HardyProblem("direct_complement", 2.0, 2.0,
                             ExpProfile(1.0, -1.0),

@@ -16,7 +16,7 @@ from morreyemb.integration import ball_volume, sphere_area
 from morreyemb.oracle import (_BLOCK, _SEARCHES, OracleConfig, _Incumbent,
                               _RatioEvaluator, _coordinate_ascent,
                               _family_members, _power_method,
-                              best_constant_lower_bound,
+                              best_constant_lower_bound, closed_form_constant,
                               divergence_witness, equivalence_report)
 from morreyemb.profiles import (ExpProfile, PowerProfile,
                                 ShiftedPowerProfile, constant,
@@ -100,6 +100,14 @@ class TestLowerBound:
         res = best_constant_lower_bound(prob, SMALL)
         # closed-form constant is 1; near-extremal f gets close
         assert 0.9 <= float(res.lower_bound) <= 1.5
+
+
+    @pytest.mark.parametrize("build", [
+        lambda: _RatioEvaluator(object(), SMALL),
+        lambda: closed_form_constant(object())])
+    def test_rejects_an_unsupported_problem_type(self, build):
+        with pytest.raises(TypeError, match="unsupported problem type"):
+            build()
 
 
 class TestDivergenceWitness:
@@ -315,7 +323,7 @@ AUDIT_LOWER_BOUNDS = {
     "emb.ix": 0.9999999999999972,
     "emb.dual_target": 0.5697130060064978,
     "emb.source.a": 0.23434130137958536,
-    "emb.source.b": 2.1117083340345646,
+    "emb.source.b": 2.1122258440226096,
     "emb.dual_source.a": 0.8934503640595814,
     "emb.dual_source.b": 0.8060888860433174,
 }
@@ -333,12 +341,12 @@ def _assert_bound_is_the_incumbent(prob, cfg, res):
 AUDIT_SEARCHES = {
     "hardy.a": "power", "hardy.b": "power", "hardy.c": "holder_dual",
     "hardy.d": "corner", "hardy.e": "corner", "hardy.f": "vertex",
-    "hardy.g": "ascent", "hardy.h": "vertex", "emb.i": "power",
+    "hardy.g": "simplex", "hardy.h": "vertex", "emb.i": "power",
     "emb.ii": "power", "emb.iii": "holder_dual", "emb.iv": "corner",
-    "emb.v": "corner", "emb.vi": "vertex", "emb.vii": "ascent",
+    "emb.v": "corner", "emb.vi": "vertex", "emb.vii": "simplex",
     "emb.viii": "vertex", "emb.ix": "corner", "emb.dual_target": "power",
-    "emb.source.a": "vertex", "emb.source.b": "ascent",
-    "emb.dual_source.a": "vertex", "emb.dual_source.b": "ascent",
+    "emb.source.a": "vertex", "emb.source.b": "simplex",
+    "emb.dual_source.a": "vertex", "emb.dual_source.b": "simplex",
 }
 SCORED_SEARCHES = {
     "direct": "power", "direct_complement": "power",
@@ -497,6 +505,14 @@ def test_power_step_never_lowers_the_ratio(name, values):
     assert ev.ratio(step) >= before * (1.0 - 1e-14)
 
 
+def test_power_step_without_a_gradient_stays_put():
+    # no cell carries mass into the target: there is no step to take
+    ev = _evaluator("direct")
+    u = np.ones(ev.m)
+    with np.errstate(all="ignore"):
+        assert ev._power_move(u, np.zeros(ev.m)) is u
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_averaged_operator_bound_is_the_top_eigenvalue(n):
     # at p = q = 2 (p2 = 1) the discrete ratio squared is u'Mu / u'Su with
@@ -628,7 +644,8 @@ def test_power_method_takes_p2_below_one(exponents):
 @pytest.mark.parametrize("p, q, search", [(2.0, 2.0, "power"),
                                            (INF, 2.0, "corner"),
                                            (2.0, INF, "holder_dual"),
-                                           (1.0, 2.0, "vertex")])
+                                           (1.0, 2.0, "vertex"),
+                                           (1.0, 0.5, "simplex")])
 def test_search_finds_a_cell_with_no_source_weight(p, q, search):
     # the source weight e^(-1000 t) underflows to 0 beyond t = 0.7, where
     # the target still grows: a one-cell function there has an infinite
@@ -711,3 +728,125 @@ def test_holder_dual_value_is_the_ratio_of_its_values(p2, P, kind):
     value, values = ev.holder_dual()
     assert 0.0 < value < INF
     assert ev.ratio(values) == pytest.approx(value, rel=1e-12, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the simplex row: at P = 1 the source accumulation is linear in u = v^p2,
+# and the ratio a power of sign Phi over the simplex of x = s u
+
+SIMPLEX = sorted(name for name in AUDIT_SEARCHES
+                 if AUDIT_SEARCHES[name] == "simplex")
+
+
+def _frank_wolfe_gap(ev, values):
+    """The Frank-Wolfe gap of sign Phi at values over |Phi|: on x = s u
+    scaled to sum x = 1, the largest entry of sign dPhi/dx less sign
+    dPhi/dx . x, the bound on how far sign Phi is below its maximum."""
+    with np.errstate(all="ignore"):
+        u = ev._cells(np.asarray(values, dtype=float)) ** ev.inner_p
+        s = ev._src_cell
+        u = u / (s @ u)
+        phi, grad, _, _ = ev._phi(u)
+        sign = 1.0 if ev.morrey_on_top else -1.0
+        live, x = s > 0.0, s * u
+        g = sign * grad[live] / s[live]
+        return ev._gpow * (np.max(g) - g @ x[live]) / abs(phi)
+
+
+class _LastRow(_Incumbent):
+    """An incumbent that keeps the last row offered to it."""
+
+    def scan(self, ev, rows):
+        self.last = rows[-1]
+        return super().scan(ev, rows)
+
+
+def _assert_simplex_row_is_the_maximum(prob, cfg, certified=True):
+    """The simplex row's search on prob: the row it reaches, offered last,
+    has a Frank-Wolfe gap of at most 1e-12 |Phi| (where certified), no
+    row drawn as the restarts are scores above its bound, and the ascent
+    under AUDIT_CFG from its best row does not raise it."""
+    ev = _RatioEvaluator(prob, cfg)
+    assert ev.search == "simplex"
+    inc = _LastRow()
+    _SEARCHES["simplex"](ev, cfg, inc)
+    bound = inc.ratio
+    assert 0.0 < bound < INF
+    assert not certified or _frank_wolfe_gap(ev, inc.last) <= 1e-12
+    rows = np.exp(np.random.default_rng(7).normal(0.0, 2.0, (32, ev.m)))
+    assert max(ev.ratios(rows)) <= bound * (1.0 + 1e-12)
+    ascent = _Incumbent()
+    _coordinate_ascent(ev, inc.values, AUDIT_CFG, ascent)
+    assert ascent.ratio <= bound * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("name", SIMPLEX)
+def test_simplex_row_reaches_the_maximum_of_an_instance(name):
+    _assert_simplex_row_is_the_maximum(FINITE_INSTANCES[name][0], AUDIT_CFG)
+
+
+@settings(max_examples=40, deadline=None)
+@given(top=st.booleans(), q=st.floats(0.1, 0.95), q_rev=st.floats(1.05, 5.0),
+       a=st.floats(-3.0, -1.05), b=st.floats(-3.0, 3.0))
+@example(top=True, q=0.5, q_rev=2.0, a=-2.0, b=0.0)
+@example(top=False, q=0.5, q_rev=2.0, a=-3.0, b=-1.0)
+def test_simplex_row_reaches_the_maximum_of_a_power_problem(top, q, q_rev,
+                                                            a, b):
+    # the direct Hardy norm with p = 1 on top, concave for q < 1, and the
+    # reverse one under its source, convex for q > 1; v = t^a with a < -1
+    # keeps the outer norm beyond the grid, and so the ratio, finite
+    prob = HardyProblem("direct" if top else "reverse", 1.0,
+                        q if top else q_rev, PowerProfile(1.0, a),
+                        Weight(1, PowerProfile(1.0, b)))
+    _assert_simplex_row_is_the_maximum(prob, SCORE_CFG)
+
+
+# P = 1 problems on which the row's rarer branches run: a singular face,
+# whose Newton step gives way to the step toward j (dual_lm_to_lebesgue,
+# n = 1), and a face that stays optimal with j in it (n = 3); and one whose
+# maximum holds masses far below rounding, where the gap stays above
+# 1e-12 and only the drawn rows and the ascent are checked
+RARE = {
+    "singular": EmbeddingProblem(
+        "dual_lm_to_lebesgue", 1, 2.6627746348433976, 2.6627746348433976,
+        9.899054738117437, Weight(1, PowerProfile(1.0, 2.6307257526110464)),
+        Weight(1, PowerProfile(1.0, -0.2676717697727451)),
+        PowerProfile(1.0, 2.6647026533830367)),
+    "optimal_face": EmbeddingProblem(
+        "dual_lm_to_lebesgue", 3, 0.6374352859186556, 0.6374352859186556,
+        1.6262605303110411, Weight(3, PowerProfile(1.0, -0.1960611862406969)),
+        Weight(3, PowerProfile(1.0, 1.5322152879216215)),
+        PowerProfile(1.0, 0.752074242341811)),
+    "below_rounding": EmbeddingProblem(
+        "lm_to_lebesgue", 1, 3.4999281198704266, 3.4999281198704266,
+        3.7482168350860086, Weight(1, PowerProfile(1.0, 0.42446364124317615)),
+        Weight(1, PowerProfile(1.0, 0.681087352704032)),
+        PowerProfile(1.0, -2.7843899334691127)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RARE))
+def test_simplex_row_on_its_rarer_branches(name):
+    _assert_simplex_row_is_the_maximum(RARE[name], SCORE_CFG,
+                                       certified=name != "below_rounding")
+
+
+def test_ascent_gives_up_a_restart_left_below_the_incumbent():
+    # lebesgue_to_lm with p1 = 3, p2 = 2 and theta = 1 is concave over a
+    # source with P = 3/2, on the ascent row.  Its first seeded restart is
+    # still rising at its fourth sweep, but below 0.98 of the incumbent's
+    # ratio, and stops there, though alone it rises past that ratio
+    prob = EmbeddingProblem("lebesgue_to_lm", 2, 3.0, 2.0, 1.0,
+                            Weight(2, constant(1.0)), Weight(2, constant(1.0)),
+                            truncated_power(1.0, -4.0, 1.0, None))
+    ev = _RatioEvaluator(prob, AUDIT_CFG)
+    assert ev.search == "ascent"
+    res = best_constant_lower_bound(prob, AUDIT_CFG)
+    start = np.exp(np.random.default_rng(AUDIT_CFG.seed).normal(0.0, 2.0,
+                                                                ev.m))
+    alone, behind = _Incumbent(), _Incumbent()
+    _coordinate_ascent(ev, start, AUDIT_CFG, alone)
+    behind.offer(float(res.lower_bound), res.argmax.values)
+    _coordinate_ascent(ev, start, AUDIT_CFG, behind)
+    assert alone.ratio > float(res.lower_bound) == behind.ratio
+    assert behind.count < alone.count
