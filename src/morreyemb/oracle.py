@@ -10,6 +10,14 @@ profiles, two-block combinations, power windows) are scored first; then
 one search, picked from a table by the ratio's structure, goes further.
 Everything is serial and seed-deterministic.
 
+What depends on the discretization alone is built once per (grid_cells,
+knot_range), in a small bounded cache, and is read-only: the knots, the
+subcell edges and midpoints, the Gauss-Legendre nodes and weights of the
+subcell masses, and the family rows but dual_power, one (rows, m) array.
+The dual_power rows, which read the problem's weight, are built per
+problem.  A returned argmax's knots are the cached array, so a write to
+them raises.
+
 On u = v^p2 (u = v for the Hardy variants, p2 = 1) the cumulative norm,
 Morrey-type or Hardy, is N'(u)^(1/p2): N' is a norm of a nonnegative
 linear map of u with exponent r = theta/p2 (q for Hardy), convex for
@@ -141,20 +149,73 @@ class OracleResult:
     search: str
 
 
-def _subcell_masses(profile, edges, n=1, sigma=1.0):
-    """Integral of profile(rho) * rho^(n-1) * sigma over each subcell, by
-    the 4-point Gauss-Legendre rule; the defaults integrate a function of
-    the outer variable.  ``profile`` is called once, on the array of all
-    quadrature nodes."""
-    x01, w01 = _GL01
-    lo, hi = edges[:-1], edges[1:]
-    xs = lo[:, None] + (hi - lo)[:, None] * x01[None, :]
-    ws = (hi - lo)[:, None] * w01[None, :]
+class _Grid:
+    """What one discretization of (lo, hi) into m log-spaced cells holds
+    for every problem, built once by `_grid` and read-only: the knots, the
+    m K + 1 subcell edges and the subcell midpoints, the 4-point
+    Gauss-Legendre nodes and weights of every subcell, (m K, 4) each, and
+    the canonical family rows, named, with the index at which a problem's
+    dual_power rows go (after the annuli)."""
+
+    def __init__(self, m, lo, hi):
+        self.knots = np.geomspace(lo, hi, m + 1)
+        self.edges = edges = np.geomspace(lo, hi, m * _SUBCELLS + 1)
+        self.mids = np.sqrt(edges[:-1] * edges[1:])
+        x01, w01 = _GL01
+        lo, hi = edges[:-1], edges[1:]
+        self.nodes = lo[:, None] + (hi - lo)[:, None] * x01[None, :]
+        self.weights = (hi - lo)[:, None] * w01[None, :]
+        idx = np.arange(m)
+        # 1..m ascending, repeats and 0 dropped (np.unique would load numpy.ma)
+        probe = np.linspace(0, m, 25, dtype=int)
+        self.probe = probe = probe[np.diff(probe, prepend=0) > 0]
+        c = probe[:, None]
+        # a ball and its complement per probe cell, interleaved
+        balls = np.stack([idx < c, idx >= c - 1], axis=1).reshape(-1, m)
+        annuli = np.array([(idx >= c) & (idx < c + span) for c in probe
+                           for span in (m // 16, m // 4)
+                           if c + span <= m]).reshape(-1, m)
+        # each window raised to its own scalar exponent: numpy takes its
+        # sqrt and reciprocal paths for a scalar only
+        cell_mids = np.sqrt(self.knots[:-1] * self.knots[1:])
+        with np.errstate(over="ignore"):
+            windows = np.array([cell_mids ** gamma for gamma in (
+                -2.0, -1.0, -0.5, -1.0 / 3.0, 0.5, 1.0)])
+        windows = np.where(np.isfinite(windows), windows, 0.0)
+        tops = np.max(windows, axis=1, initial=0.0)
+        windows = windows[tops > 0] / tops[tops > 0, None]
+        c = probe[probe < m, None, None]
+        blocks = ((idx < c) + np.array([0.1, 1.0, 10.0])[:, None]
+                  * ((idx >= c) & (idx < np.minimum(c + m // 8, m))))
+        blocks = blocks.reshape(-1, m)
+        self.names = ("constant",) + ("ball", "complement") * len(probe) \
+            + ("annulus",) * len(annuli) + ("power_window",) * len(windows) \
+            + ("two_block",) * len(blocks)
+        self.dual_at = 1 + len(balls) + len(annuli)
+        self.rows = np.concatenate([np.ones((1, m)), balls, annuli, windows,
+                                    blocks])
+        for a in (self.knots, self.edges, self.mids, self.nodes,
+                  self.weights, self.probe, self.rows):
+            a.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=8)
+def _grid(m, lo, hi):
+    """The read-only `_Grid` of m cells over (lo, hi), one per process."""
+    return _Grid(m, lo, hi)
+
+
+def _subcell_masses(profile, grid, n=1, sigma=1.0):
+    """Integral of profile(rho) * rho^(n-1) * sigma over each subcell of
+    the grid, by its cached 4-point Gauss-Legendre nodes and weights; the
+    defaults integrate a function of the outer variable.  ``profile`` is
+    called once, on the read-only array of all the nodes."""
+    xs = grid.nodes
     with np.errstate(all="ignore"):
         vals = np.asarray(profile(xs.ravel()), dtype=float).reshape(xs.shape)
     vals = np.where(np.isfinite(vals), vals, 0.0)
     dens = vals * xs ** (n - 1) * sigma
-    return np.sum(dens * ws, axis=1)
+    return np.sum(dens * grid.weights, axis=1)
 
 
 def _exclusive(op, terms):
@@ -185,10 +246,7 @@ class _RatioEvaluator:
 
     def __init__(self, prob, cfg: OracleConfig):
         m, K = cfg.grid_cells, _SUBCELLS
-        lo, hi = cfg.knot_range
-        self.knots = np.geomspace(lo, hi, m + 1)
-        self.edges = edges = np.geomspace(lo, hi, m * K + 1)
-        self.mids = np.sqrt(edges[:-1] * edges[1:])
+        self.grid = grid = _grid(m, *cfg.knot_range)
         self.m, self.K = m, K
         # the problem as one set of data: the inner exponent and weight,
         # the outer profile v, q and the exponent e of the density v^e, and
@@ -212,7 +270,7 @@ class _RatioEvaluator:
             if prob.variant == "direct" and 1.0 < prob.p < _INF:
                 # the classical near-extremal density w^(1-p')
                 pp = float(conjugate_exponent(prob.p))
-                wm = np.asarray(w(self.mids), dtype=float)
+                wm = np.asarray(w(grid.mids), dtype=float)
                 with np.errstate(all="ignore"):
                     self.dual_w_profile = np.where(
                         wm > 0, np.minimum(wm ** (1.0 - pp), 1e10), 0.0)
@@ -231,18 +289,18 @@ class _RatioEvaluator:
         if self.sup_inner:
             self.inner_sup_weight = self._subcell_sups(inner_w)
         else:
-            self.inner_mass = _subcell_masses(inner_w, edges, n, sigma)
+            self.inner_mass = _subcell_masses(inner_w, grid, n, sigma)
         # the outer q-norm over t, per subcell: the mass of the density v^e
         # for finite q, the multiplier v at the midpoint for q = inf; and
         # the side's outer norm beyond the grid, where the inner norm is the
         # whole norm: past the last edge for balls, below the first for
         # complements
-        edge = float(edges[-1] if side is Side.BALL else edges[0])
+        edge = float(grid.edges[-1] if side is Side.BALL else grid.edges[0])
         if math.isinf(q):
-            self.outer = np.asarray(v(self.mids), dtype=float)
+            self.outer = np.asarray(v(grid.mids), dtype=float)
             self.outer_beyond = float(side.outer_norm(v, _INF, edge))
         else:
-            self.outer = _subcell_masses(lambda t: np.power(v(t), e), edges)
+            self.outer = _subcell_masses(lambda t: np.power(v(t), e), grid)
             self.outer_beyond = float(side.outer_norm(v, e, edge)) ** e
         # the source p-norm's weight per coarse cell: the largest subcell
         # supremum of its esssup profile when p = inf, else the mass of its
@@ -251,7 +309,7 @@ class _RatioEvaluator:
             self.src_cell = self._subcell_sups(src_sup).reshape(
                 m, K).max(axis=1)
         else:
-            self.src_cell = _subcell_masses(src_density, edges, n,
+            self.src_cell = _subcell_masses(src_density, grid, n,
                                             sigma).reshape(m, K).sum(axis=1)
 
         # the subcell data as (m, K) arrays in accumulation order,
@@ -290,7 +348,8 @@ class _RatioEvaluator:
 
     def _subcell_sups(self, profile):
         """Essential supremum of the profile on each subcell."""
-        return np.asarray(profile.esssup(self.edges[:-1], self.edges[1:]),
+        edges = self.grid.edges
+        return np.asarray(profile.esssup(edges[:-1], edges[1:]),
                           dtype=float)
 
     def _search(self):
@@ -488,44 +547,22 @@ class _RatioEvaluator:
             return float(tops[best]), self._cells(u) ** (1.0 / p2)
 
     def grid_function(self, values):
-        return GridFunction(self.knots, np.asarray(values, dtype=float))
+        return GridFunction(self.grid.knots, np.asarray(values, dtype=float))
 
 
-def _family_members(ev: _RatioEvaluator):
-    """Yield (family, values) candidates on the coarse grid."""
-    m = ev.m
-    idx = np.arange(m)
-    # 1..m ascending, repeats and 0 dropped (np.unique would load numpy.ma)
-    probe_cells = np.linspace(0, m, 25, dtype=int)
-    probe_cells = probe_cells[np.diff(probe_cells, prepend=0) > 0]
-    yield "constant", np.ones(m)
-    for c in probe_cells:
-        yield "ball", (idx < c).astype(float)
-        yield "complement", (idx >= c - 1).astype(float)
-    for c in probe_cells:
-        for span in (m // 16, m // 4):
-            if c + span <= m:
-                yield "annulus", ((idx >= c) & (idx < c + span)).astype(float)
-    if ev.dual_w_profile is not None:
-        dual_cell = ev.dual_w_profile.reshape(m, ev.K).mean(axis=1)
-        for c in probe_cells:
-            vals = np.where(idx < c, dual_cell, 0.0)
-            if np.any(vals > 0):
-                yield "dual_power", vals
-    mids = np.sqrt(ev.knots[:-1] * ev.knots[1:])
-    for gamma in (-2.0, -1.0, -0.5, -1.0 / 3.0, 0.5, 1.0):
-        with np.errstate(over="ignore"):
-            vals = mids ** gamma
-        vals = np.where(np.isfinite(vals), vals, 0.0)
-        top = float(np.max(vals, initial=0.0))
-        if top > 0:
-            yield "power_window", vals / top
-    for c in probe_cells:
-        for lam in (0.1, 1.0, 10.0):
-            if c < m:
-                vals = np.where(idx < c, 1.0, 0.0) \
-                    + lam * ((idx >= c) & (idx < min(c + m // 8, m)))
-                yield "two_block", vals
+def _families(ev: _RatioEvaluator):
+    """The canonical family rows on the coarse grid, their names and a
+    (rows, m) array: the grid's own, with the problem's dual_power rows,
+    where it has them, put in after the annuli."""
+    g = ev.grid
+    if ev.dual_w_profile is None:
+        return g.names, g.rows
+    dual_cell = ev.dual_w_profile.reshape(ev.m, ev.K).mean(axis=1)
+    dual = np.where(np.arange(ev.m) < g.probe[:, None], dual_cell, 0.0)
+    dual = dual[np.any(dual > 0, axis=1)]
+    at = g.dual_at
+    return (g.names[:at] + ("dual_power",) * len(dual) + g.names[at:],
+            np.concatenate([g.rows[:at], dual, g.rows[at:]]))
 
 
 class _Incumbent:
@@ -591,8 +628,6 @@ def _coordinate_ascent(ev, values, cfg, incumbent):
                 break
             # a restart stuck far below the incumbent will not catch up
             if sweep >= 1 and best < 0.5 * incumbent.ratio:
-                break
-            if sweep >= 3 and best < 0.98 * incumbent.ratio:
                 break
 
 
@@ -789,10 +824,10 @@ def best_constant_lower_bound(prob, cfg: OracleConfig = None) -> OracleResult:
     ev = _RatioEvaluator(prob, cfg)
     incumbent = _Incumbent()
 
-    members = list(_family_members(ev))
-    ratios = incumbent.scan(ev, [vals for _, vals in members])
+    names, rows = _families(ev)
+    ratios = incumbent.scan(ev, rows)
     family_bests = {}
-    for (fam, _), r in zip(members, ratios):
+    for fam, r in zip(names, ratios):
         if r > family_bests.get(fam, 0.0):
             family_bests[fam] = r
     if math.isinf(incumbent.ratio):
@@ -839,19 +874,18 @@ def divergence_witness(prob, cfg: OracleConfig = None, constant=None):
     c = step * np.arange(1, 13)[:, None]
     families = {"ball": idx < c, "complement": idx >= m - c,
                 "annulus": (idx >= c) & (idx < c + step)}
-    best_series, best_ratios, all_ratios = None, None, {}
+    best_rows, best_ratios, all_ratios = None, None, {}
     for name, rows in families.items():
         rows = rows.astype(float)
         ratios = all_ratios[name] = ev.ratios(rows)
         if _has_doubling_run(ratios) and (
                 best_ratios is None or ratios[-1] > best_ratios[-1]):
-            best_series = [ev.grid_function(row) for row in rows]
-            best_ratios = ratios
-    if best_series is None:
+            best_rows, best_ratios = rows, ratios
+    if best_rows is None:
         raise WitnessNotFound(
             "no dyadic family achieved doubling ratio growth",
             ratios=all_ratios)
-    return best_series, best_ratios
+    return [ev.grid_function(row) for row in best_rows], best_ratios
 
 
 def _has_doubling_run(ratios):

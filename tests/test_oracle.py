@@ -13,9 +13,9 @@ from morreyemb.errors import DegenerateRatio, WitnessNotFound
 from morreyemb.hardy import HardyProblem, hardy_constant
 from morreyemb.embeddings import EmbeddingProblem
 from morreyemb.integration import ball_volume, sphere_area
-from morreyemb.oracle import (_BLOCK, _SEARCHES, OracleConfig, _Incumbent,
-                              _RatioEvaluator, _coordinate_ascent,
-                              _family_members, _power_method,
+from morreyemb.oracle import (_BLOCK, _GL01, _SEARCHES, OracleConfig,
+                              _Incumbent, _RatioEvaluator, _coordinate_ascent,
+                              _families, _grid, _power_method,
                               best_constant_lower_bound, closed_form_constant,
                               divergence_witness, equivalence_report)
 from morreyemb.profiles import (ExpProfile, PowerProfile,
@@ -434,7 +434,7 @@ def _families_one_at_a_time(prob, cfg):
     by its own full evaluation, up to the first infinite member."""
     ev = _RatioEvaluator(prob, cfg)
     trace, best = [], 0.0
-    for count, (fam, vals) in enumerate(_family_members(ev), 1):
+    for count, (fam, vals) in enumerate(zip(*_families(ev)), 1):
         r = ev.ratio(vals)
         if math.isinf(r):
             return vals, trace + [(count, INF)], {fam: INF}
@@ -442,6 +442,113 @@ def _families_one_at_a_time(prob, cfg):
             best = r
             trace.append((count, r))
     raise AssertionError("no infinite member")
+
+
+def _family_members(ev):
+    """Yield (family, values) candidates on the coarse grid, one numpy row
+    at a time: the construction that the oracle's family table replaced,
+    kept as its reference."""
+    m = ev.m
+    idx = np.arange(m)
+    probe_cells = np.linspace(0, m, 25, dtype=int)
+    probe_cells = probe_cells[np.diff(probe_cells, prepend=0) > 0]
+    yield "constant", np.ones(m)
+    for c in probe_cells:
+        yield "ball", (idx < c).astype(float)
+        yield "complement", (idx >= c - 1).astype(float)
+    for c in probe_cells:
+        for span in (m // 16, m // 4):
+            if c + span <= m:
+                yield "annulus", ((idx >= c) & (idx < c + span)).astype(float)
+    if ev.dual_w_profile is not None:
+        dual_cell = ev.dual_w_profile.reshape(m, ev.K).mean(axis=1)
+        for c in probe_cells:
+            vals = np.where(idx < c, dual_cell, 0.0)
+            if np.any(vals > 0):
+                yield "dual_power", vals
+    mids = np.sqrt(ev.grid.knots[:-1] * ev.grid.knots[1:])
+    for gamma in (-2.0, -1.0, -0.5, -1.0 / 3.0, 0.5, 1.0):
+        with np.errstate(over="ignore"):
+            vals = mids ** gamma
+        vals = np.where(np.isfinite(vals), vals, 0.0)
+        top = float(np.max(vals, initial=0.0))
+        if top > 0:
+            yield "power_window", vals / top
+    for c in probe_cells:
+        for lam in (0.1, 1.0, 10.0):
+            if c < m:
+                vals = np.where(idx < c, 1.0, 0.0) \
+                    + lam * ((idx >= c) & (idx < min(c + m // 8, m)))
+                yield "two_block", vals
+
+
+# direct Hardy with p = 1 has no dual_power rows; BENCHMARK (p = 2) has
+NO_DUAL = HardyProblem("direct", 1.0, 2.0, PowerProfile(1.0, -2.0), ONE)
+
+
+@pytest.mark.parametrize("m", [16, 17, 48, 100, 256])
+@pytest.mark.parametrize("knots", [(1e-4, 1e4), (1e-9, 1e9)])
+@pytest.mark.parametrize("dual", [True, False])
+def test_family_table_is_the_row_by_row_build_to_the_bit(m, knots, dual):
+    ev = _RatioEvaluator(BENCHMARK if dual else NO_DUAL,
+                         OracleConfig(grid_cells=m, knot_range=knots))
+    assert (ev.dual_w_profile is not None) == dual
+    names, rows = _families(ev)
+    want = list(_family_members(ev))
+    assert list(names) == [fam for fam, _ in want]
+    assert ("dual_power" in names) == dual
+    assert rows.shape == (len(want), m) and rows.dtype == np.float64
+    assert rows.tobytes() == np.array([vals for _, vals in want]).tobytes()
+
+
+@pytest.mark.parametrize("m", [16, 17, 48])
+def test_grid_is_the_geomspace_and_its_gauss_nodes(m):
+    g = _grid(m, 1e-3, 1e3)
+    edges = np.geomspace(1e-3, 1e3, 8 * m + 1)
+    lo, hi = edges[:-1], edges[1:]
+    assert g.knots.tobytes() == np.geomspace(1e-3, 1e3, m + 1).tobytes()
+    assert g.edges.tobytes() == edges.tobytes()
+    assert g.mids.tobytes() == np.sqrt(lo * hi).tobytes()
+    assert g.nodes.tobytes() == (
+        lo[:, None] + (hi - lo)[:, None] * _GL01[0]).tobytes()
+    assert g.weights.tobytes() == ((hi - lo)[:, None] * _GL01[1]).tobytes()
+
+
+def test_grid_is_built_once_and_read_only():
+    ev = _RatioEvaluator(BENCHMARK, SMALL)
+    g = _grid(SMALL.grid_cells, *SMALL.knot_range)
+    assert ev.grid is g and _RatioEvaluator(NO_DUAL, SMALL).grid is g
+    assert _families(_RatioEvaluator(NO_DUAL, SMALL))[1] is g.rows
+    for a in (g.knots, g.edges, g.mids, g.nodes, g.weights, g.probe,
+              g.rows):
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = 1.0
+
+
+def test_another_knot_range_gets_its_own_grid():
+    near = _RatioEvaluator(BENCHMARK, SMALL).grid
+    wide = _RatioEvaluator(BENCHMARK,
+                           replace(SMALL, knot_range=(1e-9, 1e9))).grid
+    assert wide is not near
+    assert near.knots.tobytes() == np.geomspace(
+        *SMALL.knot_range, SMALL.grid_cells + 1).tobytes()
+    assert wide.knots.tobytes() == np.geomspace(
+        1e-9, 1e9, SMALL.grid_cells + 1).tobytes()
+
+
+def test_writing_to_an_argmax_cannot_change_the_next_result():
+    # the argmax's knots are the grid's: a write raises, or lands on a copy
+    first = best_constant_lower_bound(BENCHMARK, SMALL)
+    bound, values = float(first.lower_bound), first.argmax.values.copy()
+    try:
+        first.argmax.knots[:] = 2.0 * first.argmax.knots
+    except ValueError:
+        pass
+    second = best_constant_lower_bound(BENCHMARK, SMALL)
+    assert float(second.lower_bound) == bound
+    assert second.argmax.values.tobytes() == values.tobytes()
+    assert second.argmax.knots.tobytes() == np.geomspace(
+        *SMALL.knot_range, SMALL.grid_cells + 1).tobytes()
 
 
 def test_block_with_infinite_member_matches_one_at_a_time():
@@ -831,11 +938,11 @@ def test_simplex_row_on_its_rarer_branches(name):
                                        certified=name != "below_rounding")
 
 
-def test_ascent_gives_up_a_restart_left_below_the_incumbent():
+def test_ascent_keeps_a_restart_that_starts_below_the_incumbent():
     # lebesgue_to_lm with p1 = 3, p2 = 2 and theta = 1 is concave over a
     # source with P = 3/2, on the ascent row.  Its first seeded restart is
-    # still rising at its fourth sweep, but below 0.98 of the incumbent's
-    # ratio, and stops there, though alone it rises past that ratio
+    # still below the incumbent's ratio at its fourth sweep, and rises past
+    # it later: the bound reaches what that restart reaches alone
     prob = EmbeddingProblem("lebesgue_to_lm", 2, 3.0, 2.0, 1.0,
                             Weight(2, constant(1.0)), Weight(2, constant(1.0)),
                             truncated_power(1.0, -4.0, 1.0, None))
@@ -844,9 +951,6 @@ def test_ascent_gives_up_a_restart_left_below_the_incumbent():
     res = best_constant_lower_bound(prob, AUDIT_CFG)
     start = np.exp(np.random.default_rng(AUDIT_CFG.seed).normal(0.0, 2.0,
                                                                 ev.m))
-    alone, behind = _Incumbent(), _Incumbent()
+    alone = _Incumbent()
     _coordinate_ascent(ev, start, AUDIT_CFG, alone)
-    behind.offer(float(res.lower_bound), res.argmax.values)
-    _coordinate_ascent(ev, start, AUDIT_CFG, behind)
-    assert alone.ratio > float(res.lower_bound) == behind.ratio
-    assert behind.count < alone.count
+    assert float(res.lower_bound) >= alone.ratio
