@@ -40,9 +40,18 @@ convex for P >= 1 and concave for P <= 1.  The rows of the table:
   reverse Hardy with q <= 1 <= p).  Such a ratio is quasi-convex
   (Schaible, 1976), so its maximum sits at a vertex of the source's unit
   ball, a one-cell function, and the scan scores all m of them.
-- "power": the cumulative norm on top with 0 < p2 <= theta < inf and
-  p2 < p1 < inf (hardy.a, hardy.b, emb.i, emb.ii, emb.dual_target, the
-  averaged operators), convex over convex.  The search is the nonlinear
+- "eigen": the cumulative norm on top with r = P = 2, that is theta = p1
+  = 2 p2 (p = q = 2 for Hardy: hardy.a, the averaged operators).  Phi =
+  N'^2 is then the quadratic form u'Hu, H the Hessian of Phi over 2, and
+  the ratio to the power theta (q for Hardy) is the Rayleigh quotient
+  u'Hu / sum s u^2.  H is entrywise nonnegative and semiseparable, H_il =
+  ic_i c_l for i < l, so H u is one prefix and one suffix sum, and
+  Lanczos steps (Lanczos, 1950) with full reorthogonalization reach the
+  top eigenpair of s^(-1/2) H s^(-1/2), whose vector may be taken
+  nonnegative (Perron-Frobenius).
+- "power": the other problems with the cumulative norm on top, 0 < p2 <=
+  theta < inf and p2 < p1 < inf (hardy.b, emb.i, emb.ii,
+  emb.dual_target), convex over convex.  The search is the nonlinear
   power method (Boyd, 1974).  For r <= P, that is theta <= p1 (q <= p for
   Hardy), it reaches the global maximum (Bhaskara and Vijayaraghavan,
   2011, for nonnegative maps), so it runs from one start; for r > P its
@@ -62,10 +71,12 @@ convex for P >= 1 and concave for P <= 1.  The rows of the table:
 
 The first three rows are exact: they give the discrete maximum, the
 corner and the Hoelder dual in one O(mK) pass, the vertex scan in m rows
-of it; the simplex row gives it to a gap of 1e-13 |Phi|.  The power
-method and the ascent are local searches, run from the family best and
-from seeded random restarts, except the power method for r <= P, which
-runs from the family best alone.
+of it.  The eigen row gives it to a Ritz residual of 1e-15 times the
+eigenvalue, or exactly after one step per cell, and the simplex row to a
+gap of 1e-13 |Phi|; neither reads a setting.  The power method and the
+ascent are local searches, run from the family best and from seeded
+random restarts, except the power method for r <= P, which runs from the
+family best alone.
 """
 
 from __future__ import annotations
@@ -73,6 +84,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -97,6 +109,7 @@ __all__ = [
 ]
 
 _INF = math.inf
+_TINY = sys.float_info.min
 
 # subcells per coarse cell
 _SUBCELLS = 8
@@ -138,6 +151,10 @@ class OracleConfig:
         lo, hi = self.knot_range
         if not 0.0 < lo < hi < _INF:
             raise ValueError("knot_range must satisfy 0 < lo < hi < inf")
+        # the subcell midpoints are sqrt(a b) of adjacent edges
+        if not (_TINY <= lo * lo and hi * hi < _INF):
+            raise ValueError(f"knot_range must have lo^2 >= {_TINY!r} "
+                             "and hi^2 finite")
 
 
 @dataclass
@@ -213,9 +230,8 @@ def _subcell_masses(profile, grid, n=1, sigma=1.0):
     xs = grid.nodes
     with np.errstate(all="ignore"):
         vals = np.asarray(profile(xs.ravel()), dtype=float).reshape(xs.shape)
-    vals = np.where(np.isfinite(vals), vals, 0.0)
-    dens = vals * xs ** (n - 1) * sigma
-    return np.sum(dens * grid.weights, axis=1)
+        vals = np.where(np.isfinite(vals), vals, 0.0)
+        return np.sum(vals * xs ** (n - 1) * sigma * grid.weights, axis=1)
 
 
 def _exclusive(op, terms):
@@ -367,7 +383,7 @@ class _RatioEvaluator:
             if self._q_inf:
                 return "holder_dual"
             if p2 <= q:
-                return "power"
+                return "eigen" if self._gpow == self._P == 2.0 else "power"
         elif not self.sup_inner and q <= p2 <= p1:
             return "vertex"
         if p1 == p2 < _INF and not self._q_inf \
@@ -475,18 +491,25 @@ class _RatioEvaluator:
         phi = np.vdot(np.where(G > 0.0, dG, 0.0), G) + beyond * total
         return phi, grad, G, total
 
+    def _semiseparable(self, G, total):
+        """The Hessian of Phi over r(r - 1) at G and T as its generators
+        (ic, c, d) over all cells: with w = o G^(r-2) (0 where G = 0) and
+        S_l the w past cell l plus beyond T^(r-2), c_l = ic_l S_l + sum_k
+        w_lk ph_lk and d_l = ic_l^2 S_l + sum_k w_lk ph_lk^2, so that H_il
+        = ic_i c_l for i < l and H_ll = d_l."""
+        w = np.where(G > 0.0, self._outer * G ** (self._gpow - 2.0), 0.0)
+        past = _exclusive(np.add, w.sum(axis=1)[::-1])[::-1] \
+            + self.outer_beyond * total ** (self._gpow - 2.0)
+        ic, ph = self._inner_cell, self._part_half
+        return ic, ic * past + (w * ph).sum(axis=1), \
+            ic * ic * past + (w * ph * ph).sum(axis=1)
+
     def _hessian(self, G, total, cells):
         """The Hessian of Phi over r(r - 1) at G and T on the given cells
-        (ascending): with w = o G^(r-2) (0 where G = 0) and S_l the w past
-        cell l plus beyond T^(r-2), H_il = ic_i (ic_l S_l + sum_k w_lk
-        ph_lk) for i < l and H_ll = ic_l^2 S_l + sum_k w_lk ph_lk^2."""
-        w = np.where(G > 0.0, self._outer * G ** (self._gpow - 2.0), 0.0)
-        past = (_exclusive(np.add, w.sum(axis=1)[::-1])[::-1] + self
-                .outer_beyond * total ** (self._gpow - 2.0))[cells]
-        ic, w, ph = self._inner_cell[cells], w[cells], self._part_half[cells]
-        upper = np.triu(np.outer(ic, ic * past + (w * ph).sum(axis=1)), 1)
-        return upper + upper.T + np.diag(ic * ic * past
-                                         + (w * ph * ph).sum(axis=1))
+        (ascending), as a dense array."""
+        ic, c, d = (a[cells] for a in self._semiseparable(G, total))
+        upper = np.triu(np.outer(ic, c), 1)
+        return upper + upper.T + np.diag(d)
 
     def _power_move(self, u, grad):
         """The power step from u with gradient grad (Boyd 1974): the
@@ -757,6 +780,59 @@ def _simplex(ev, cfg, incumbent):
     incumbent.scan(ev, [ev._cells(u) ** (1.0 / ev.inner_p)])
 
 
+def _semiseparable_product(gens, u):
+    """H u, H given by its generators (ic, c, d) (see
+    `_RatioEvaluator._semiseparable`), in O(m): one prefix and one suffix
+    sum."""
+    ic, c, d = gens
+    return c * _exclusive(np.add, ic * u) + d * u \
+        + ic * _exclusive(np.add, (c * u)[::-1])[::-1]
+
+
+def _eigen(ev, cfg, incumbent):
+    """The discrete maximum at r = P = 2 (see the module docstring): the
+    top eigenpair of s^(-1/2) H s^(-1/2) on the cells with s > 0, by
+    Lanczos steps with full reorthogonalization from the constant vector,
+    up to a Ritz residual of 1e-15 times the Ritz value (or one that is
+    not a number) or one step per such cell, where the Krylov space is the
+    whole space.  The absolute value of the Ritz vector is offered.  A
+    cell with no source weight and H_ll > 0 is offered instead as its
+    one-cell row, whose ratio is infinite."""
+    gens = ev._semiseparable(np.ones((ev.m, ev.K)), 1.0)
+    s = ev._src_cell
+    free = (s == 0.0) & (gens[2] > 0.0)
+    if free.any():
+        incumbent.scan(ev, [ev._cells(np.arange(ev.m) == np.argmax(free))])
+        return
+    with np.errstate(all="ignore"):
+        scale = np.where(s > 0.0, 1.0 / np.sqrt(s), 0.0)
+        n = np.count_nonzero(scale)
+        Q = np.zeros((n, ev.m))
+        q = (scale > 0.0) / math.sqrt(n)
+        alpha, beta = np.zeros(n), np.zeros(n)
+        for k in range(n):
+            Q[k] = q
+            w = scale * _semiseparable_product(gens, scale * q)
+            alpha[k] = q @ w
+            basis = Q[:k + 1]
+            # against every earlier vector, twice ("twice is enough",
+            # Kahan and Parlett)
+            for _ in range(2):
+                w -= (basis @ w) @ basis
+            beta[k] = math.sqrt(w @ w)
+            theta, Y = np.linalg.eigh(np.diag(alpha[:k + 1])
+                                      + np.diag(beta[:k], -1))
+            # the Ritz residual of the top pair is beta_k |y_k|
+            if not beta[k] * abs(Y[-1, -1]) > 1e-15 * theta[-1] \
+                    or k + 1 == n:
+                break
+            q = w / beta[k]
+        # one count per product with H, as per power step
+        incumbent.count += k + 1
+        u = scale * np.abs(Y[:, -1] @ basis)
+        incumbent.scan(ev, [ev._cells(u) ** (1.0 / ev.inner_p)])
+
+
 def _restarts(search, ev, cfg, incumbent):
     """The local search from the incumbent's values, then from each of the
     `restarts - 1` seeded lognormal starts, up to an infinite ratio.  The
@@ -782,6 +858,7 @@ _SEARCHES = {
     "holder_dual": lambda ev, cfg, inc: inc.scan(ev, [ev.holder_dual()[1]]),
     "vertex": lambda ev, cfg, inc: inc.scan(ev, np.eye(ev.m)),
     "power": functools.partial(_restarts, _power_method),
+    "eigen": _eigen,
     "simplex": _simplex,
     "ascent": functools.partial(_restarts, _coordinate_ascent),
 }
@@ -802,12 +879,15 @@ def best_constant_lower_bound(prob, cfg: OracleConfig = None) -> OracleResult:
     The family members are scored first.  Then the search of the ratio's
     row of the search table runs (see the module docstring): the corner,
     the Hoelder dual and the vertex scan score the discrete maximum
-    directly.  The simplex row (P = 1) reads no setting and stops at a
-    Frank-Wolfe gap of 1e-13 |Phi|, Phi the power of the cumulative norm
-    whose optimum over the simplex is the ratio's maximum.  The power
-    method and the coordinate ascent start from the family best and then
-    from each of the `restarts - 1` seeded lognormal starts, except the
-    power method for r <= P (theta <= p1, q <= p for Hardy), whose
+    directly.  The eigen row (r = P = 2: theta = p1 = 2 p2, p = q = 2 for
+    Hardy) stops at a Ritz residual of 1e-15 times the top eigenvalue of
+    the ratio's Rayleigh quotient, or after one Lanczos step per cell with
+    source weight.  The simplex row (P = 1) stops at a Frank-Wolfe gap of
+    1e-13 |Phi|, Phi the power of the cumulative norm whose optimum over
+    the simplex is the ratio's maximum.  Neither reads a setting.  The
+    power method and the coordinate ascent start from the family best and
+    then from each of the `restarts - 1` seeded lognormal starts, except
+    the power method for r <= P (theta <= p1, q <= p for Hardy), whose
     maximum is global: it starts from the family best alone and does not
     read `restarts`.  The power method stops once a step gains a relative
     1e-10 or less, or after `ascent_sweeps * grid_cells` steps, the

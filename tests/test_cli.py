@@ -201,6 +201,8 @@ class TestOracle:
                                      {"knot_range": [1e-4, "inf"]},
                                      {"knot_range": ["a", 1.0]},
                                      {"knot_range": [1e-4]},
+                                     {"knot_range": [1e-4, 1e160]},
+                                     {"knot_range": [1e-160, 1e4]},
                                      {"ascent_sweeps": -1},
                                      {"grid_cells": 16.5},
                                      {"restarts": 2.5},
@@ -338,7 +340,9 @@ class TestSweep:
         assert "spec error: omega_support" in capsys.readouterr().err
 
     def test_oracle_column(self, tmp_path, capsys):
-        # at the audit settings; the cell is empty where the value is inf
+        # at the audit settings; the cell is empty where the value is inf.
+        # theta = p1 = 2 p2 takes the oracle's eigen row, exact to the last
+        # bits, which the power method read 1.05e-13 lower (...80087)
         doc = {"sweep": {"direction": "lebesgue_to_lm", "n": 1, "p1": [2],
                          "p2": [1], "theta": [2, "inf"], "beta": [-4, 0],
                          "oracle": True},
@@ -349,7 +353,7 @@ class TestSweep:
         rows = {(r[4], r[6]): r for r in (
             line.split(",") for line in
             capsys.readouterr().out.splitlines()[1:])}
-        assert rows["2", "-4"][10] == "0.54807984419780087"
+        assert rows["2", "-4"][10] == "0.54807984419785849"
         assert rows["inf", "-4"][10] == "1.285602426465374"
         assert rows["inf", "0"][8] == "inf" and rows["inf", "0"][10] == ""
         assert rows["2", "0"][7] == "inadmissible"

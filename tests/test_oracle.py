@@ -16,6 +16,7 @@ from morreyemb.integration import ball_volume, sphere_area
 from morreyemb.oracle import (_BLOCK, _GL01, _SEARCHES, OracleConfig,
                               _Incumbent, _RatioEvaluator, _coordinate_ascent,
                               _families, _grid, _power_method,
+                              _semiseparable_product,
                               best_constant_lower_bound, closed_form_constant,
                               divergence_witness, equivalence_report)
 from morreyemb.profiles import (ExpProfile, PowerProfile,
@@ -43,10 +44,26 @@ class TestConfig:
 
     @pytest.mark.parametrize("knots", [(0.0, 1e4), (1e4, 1e-4), (1.0, 1.0),
                                        (-1.0, 1.0), (1e-4, INF),
-                                       (math.nan, 1.0)])
+                                       (math.nan, 1.0),
+                                       # lo^2 or hi^2 outside the normal
+                                       # float range: the subcell
+                                       # midpoints sqrt(a b) would overflow
+                                       # or lose their digits
+                                       (1e-4, 1e160), (1e-160, 1e4)])
     def test_rejects_bad_knot_range(self, knots):
         with pytest.raises(ValueError, match="knot_range"):
             OracleConfig(knot_range=knots)
+
+    def test_builds_every_evaluator_on_a_wide_knot_range(self):
+        # 1e-4..1e100 is inside the normal float range squared: every
+        # finite acceptance instance builds without a RuntimeWarning, and
+        # the unit function scores a number
+        cfg = OracleConfig(grid_cells=48, knot_range=(1e-4, 1e100))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for prob, _, _ in FINITE_INSTANCES.values():
+                ev = _RatioEvaluator(prob, cfg)
+                assert not math.isnan(ev.ratio(np.ones(ev.m)))
 
     def test_rejects_negative_sweeps(self):
         with pytest.raises(ValueError, match="ascent_sweeps"):
@@ -304,7 +321,7 @@ def test_ratio_equals_reference(name, values):
 # with 4 restarts, each from the search of its row of AUDIT_SEARCHES.  Those
 # of the corner, Hoelder-dual and vertex rows are the discrete maxima
 AUDIT_LOWER_BOUNDS = {
-    "hardy.a": 2.7186753052760704,
+    "hardy.a": 2.7186753054014745,
     "hardy.b": 0.996945423639534,
     "hardy.c": 0.5992479580384911,
     "hardy.d": 0.38048726721793125,
@@ -327,7 +344,7 @@ AUDIT_LOWER_BOUNDS = {
     "emb.dual_source.a": 0.8934503640595814,
     "emb.dual_source.b": 0.8060888860433174,
 }
-AVERAGED_LOWER_BOUNDS = {1: 1.980644631023287, 2: 1.992845241065642}
+AVERAGED_LOWER_BOUNDS = {1: 1.9806446315747561, 2: 1.9928452432496035}
 
 
 def _assert_bound_is_the_incumbent(prob, cfg, res):
@@ -339,7 +356,7 @@ def _assert_bound_is_the_incumbent(prob, cfg, res):
 
 # the search table's row of every acceptance instance and scored problem
 AUDIT_SEARCHES = {
-    "hardy.a": "power", "hardy.b": "power", "hardy.c": "holder_dual",
+    "hardy.a": "eigen", "hardy.b": "power", "hardy.c": "holder_dual",
     "hardy.d": "corner", "hardy.e": "corner", "hardy.f": "vertex",
     "hardy.g": "simplex", "hardy.h": "vertex", "emb.i": "power",
     "emb.ii": "power", "emb.iii": "holder_dual", "emb.iv": "corner",
@@ -402,7 +419,7 @@ def test_averaged_operator_lower_bound_pinned(n):
     assert float(res.lower_bound) == pytest.approx(
         AVERAGED_LOWER_BOUNDS[n], rel=1e-12, abs=0.0)
     _assert_bound_is_the_incumbent(prob, AVERAGED_CFG, res)
-    assert res.search == "power"
+    assert res.search == "eigen"
 
 
 # reverse_complement's Hardy norm is infinite below SCORE_CFG's grid (v^q =
@@ -637,21 +654,30 @@ def test_averaged_operator_bound_is_the_top_eigenvalue(n):
     M = L.T @ (ev._outer.reshape(-1, 1) * L) \
         + ev.outer_beyond * np.outer(cells, cells)
     scale = 1.0 / np.sqrt(ev._src_cell)
-    eig = np.linalg.eigvalsh(scale[:, None] * M * scale[None, :])
-    top, rho = math.sqrt(eig[-1]), eig[-2] / eig[-1]
+    top = math.sqrt(np.linalg.eigvalsh(scale[:, None] * M
+                                       * scale[None, :])[-1])
     got = float(best_constant_lower_bound(prob, AVERAGED_CFG).lower_bound)
-    # the steps stop once one gains a relative 1e-10 or less; gains that
-    # shrink by rho a step leave at most 1e-10 rho/(1 - rho) to gain
-    # (n = 1: 2.8e-10 of 1.8e-9; n = 2, rho = 0.9846: 1.1e-9 of 6.4e-9)
-    assert 1.0 - got / top <= 1e-10 * rho / (1.0 - rho)
-    if n == 1:
-        assert got == pytest.approx(top, rel=1e-9, abs=0.0)
-    assert got <= top * (1.0 + 1e-12)
+    assert got == pytest.approx(top, rel=1e-13, abs=0.0)
     assert got == pytest.approx(AVERAGED_LOWER_BOUNDS[n], rel=1e-12, abs=0.0)
 
 
+def _power_search(prob, cfg):
+    """The evaluator of prob and the incumbent after the families and the
+    power row's search, as best_constant_lower_bound leaves it where the
+    ratio takes that row; on r = P = 2 problems, which take the eigen
+    row, this is how the power method is reached."""
+    ev = _RatioEvaluator(prob, cfg)
+    inc = _Incumbent()
+    inc.scan(ev, _families(ev)[1])
+    inc.stage = "power"
+    _SEARCHES["power"](ev, cfg, inc)
+    return ev, inc
+
+
 # for r = theta/p2 <= P = p1/p2 (q <= p for Hardy) the power method reaches
-# the global maximum from any start, so it runs from the family best alone
+# the global maximum from any start, so it runs from the family best alone;
+# hardy.a and averaged_n1 (r = P = 2) take the eigen row, and the power
+# method is called directly on them
 GLOBAL_POWER = {**{name: (FINITE_INSTANCES[name][0], AUDIT_CFG)
                    for name in ("hardy.a", "hardy.b", "emb.i", "emb.ii",
                                 "emb.dual_target")},
@@ -660,11 +686,10 @@ _GLOBAL_BOUNDS = {}
 
 
 def _global_bound(name):
-    """The evaluator of a GLOBAL_POWER problem and its lower bound."""
+    """The evaluator of a GLOBAL_POWER problem and the incumbent of its
+    power row's search."""
     if name not in _GLOBAL_BOUNDS:
-        prob, cfg = GLOBAL_POWER[name]
-        _GLOBAL_BOUNDS[name] = (_RatioEvaluator(prob, cfg),
-                                best_constant_lower_bound(prob, cfg))
+        _GLOBAL_BOUNDS[name] = _power_search(*GLOBAL_POWER[name])
     return _GLOBAL_BOUNDS[name]
 
 
@@ -672,11 +697,11 @@ def _global_bound(name):
 def test_restarts_are_inert_where_the_power_method_is_global(name):
     prob, cfg = GLOBAL_POWER[name]
     ev, _ = _global_bound(name)
-    assert ev.search == "power" and ev._gpow <= ev._P
-    one, many = (best_constant_lower_bound(prob, replace(cfg, restarts=k))
+    assert ev.search in ("power", "eigen") and ev._gpow <= ev._P
+    one, many = (_power_search(prob, replace(cfg, restarts=k))[1]
                  for k in (1, 16))
-    assert float(one.lower_bound) == float(many.lower_bound)
-    assert np.array_equal(one.argmax.values, many.argmax.values)
+    assert one.ratio == many.ratio
+    assert np.array_equal(one.values, many.values)
     assert one.trace == many.trace
 
 
@@ -726,29 +751,146 @@ def test_no_restart_ends_above_the_single_start(name, seed):
     row = np.exp(np.random.default_rng(seed).normal(0.0, 2.0, ev.m))
     inc = _Incumbent()
     _power_method(ev, row, cfg, inc)
-    assert inc.ratio <= float(res.lower_bound) * (1.0 + 1e-12)
+    assert inc.ratio <= res.ratio * (1.0 + 1e-12)
 
 
 # Lebesgue-to-Morrey problems with p2 < 1 <= theta/p2 and p2 < p1, convex
 # over convex on u = v^p2: (p1, p2, theta) -> the bound under AUDIT_CFG.
-# The coordinate ascent read 6.69522, 2.51766 and 1.61996
-P2_BELOW_ONE_BOUNDS = {(1.0, 0.5, 1.0): 6.7699905917799885,
+# The coordinate ascent read 6.69522, 2.51766 and 1.61996.  The first has
+# r = P = 2 and takes the eigen row; the power method reads
+# P2_BELOW_ONE_POWER there
+P2_BELOW_ONE_BOUNDS = {(1.0, 0.5, 1.0): 6.7699905921399575,
                        (1.5, 0.5, 2.0): 2.5304670333725796,
                        (2.0, 0.75, 1.5): 1.6311301525487625}
+P2_BELOW_ONE_POWER = 6.7699905917799885
+
+
+def _p2_below_one(exponents):
+    return EmbeddingProblem("lebesgue_to_lm", 1, *exponents, ONE, ONE,
+                            OMEGA2)
 
 
 @pytest.mark.parametrize("exponents", sorted(P2_BELOW_ONE_BOUNDS))
 def test_power_method_takes_p2_below_one(exponents):
-    prob = EmbeddingProblem("lebesgue_to_lm", 1, *exponents, ONE, ONE,
-                            OMEGA2)
+    prob = _p2_below_one(exponents)
     res = best_constant_lower_bound(prob, AUDIT_CFG)
-    assert res.search == "power"
+    assert res.search == ("eigen" if exponents == (1.0, 0.5, 1.0)
+                          else "power")
     assert float(res.lower_bound) == pytest.approx(
         P2_BELOW_ONE_BOUNDS[exponents], rel=1e-12, abs=0.0)
     _assert_bound_is_the_incumbent(prob, AUDIT_CFG, res)
 
 
-@pytest.mark.parametrize("p, q, search", [(2.0, 2.0, "power"),
+def test_power_method_at_r_equal_to_P_with_p2_below_one():
+    # the power row's search alone on the eigen row's p2 < 1 problem
+    bound = P2_BELOW_ONE_BOUNDS[(1.0, 0.5, 1.0)]
+    _, inc = _power_search(_p2_below_one((1.0, 0.5, 1.0)), AUDIT_CFG)
+    assert inc.ratio == pytest.approx(P2_BELOW_ONE_POWER, rel=1e-12, abs=0.0)
+    assert inc.ratio <= bound
+
+
+# ---------------------------------------------------------------------------
+# the eigen row: at r = P = 2 the ratio^q is the Rayleigh quotient
+# u'Hu / sum s u^2, H the Hessian of Phi over 2 at any u
+
+EIGEN = {
+    "hardy.a": (FINITE_INSTANCES["hardy.a"][0], AUDIT_CFG),
+    "averaged_n1": (_averaged(1), AVERAGED_CFG),
+    "averaged_n2": (_averaged(2), AVERAGED_CFG),
+    "p2_below_one": (_p2_below_one((1.0, 0.5, 1.0)), AUDIT_CFG),
+    "direct_complement": (HardyProblem("direct_complement", 2.0, 2.0,
+                                       PowerProfile(1.0, -0.5), ONE),
+                          SCORE_CFG),
+    "lebesgue_to_lm": (EmbeddingProblem("lebesgue_to_lm", 2, 2.0, 1.0, 2.0,
+                                        V2, V2, OMEGA2), SCORE_CFG),
+    "lebesgue_to_dual_lm": (EmbeddingProblem(
+        "lebesgue_to_dual_lm", 1, 2.0, 1.0, 2.0, ONE, SHIFT,
+        PowerProfile(1.0, 0.5)), SCORE_CFG),
+}
+_EIGEN_BOUNDS = {}
+
+
+def _eigen_bound(name):
+    """The evaluator of an EIGEN problem, the dense H at r = 2 and the
+    incumbent of the eigen row's search alone."""
+    if name not in _EIGEN_BOUNDS:
+        prob, cfg = EIGEN[name]
+        ev = _RatioEvaluator(prob, cfg)
+        inc = _Incumbent()
+        _SEARCHES["eigen"](ev, cfg, inc)
+        H = ev._hessian(np.ones((ev.m, ev.K)), 1.0, np.arange(ev.m))
+        _EIGEN_BOUNDS[name] = ev, H, inc
+    return _EIGEN_BOUNDS[name]
+
+
+def test_eigen_instances_take_the_eigen_row_on_both_sides():
+    evs = [_eigen_bound(name)[0] for name in EIGEN]
+    assert {ev.search for ev in evs} == {"eigen"}
+    assert {ev._reverse for ev in evs} == {False, True}
+    assert {isinstance(prob, HardyProblem) for prob, _ in EIGEN.values()} \
+        == {False, True}
+
+
+@pytest.mark.parametrize("name", sorted(EIGEN))
+def test_semiseparable_product_is_the_hessian_product(name):
+    ev, H, _ = _eigen_bound(name)
+    gens = ev._semiseparable(np.ones((ev.m, ev.K)), 1.0)
+    rows = np.exp(np.random.default_rng(3).normal(0.0, 2.0, (4, ev.m)))
+    for u in (np.ones(ev.m), np.eye(ev.m)[0], np.eye(ev.m)[-1], *rows):
+        got = _semiseparable_product(gens, u)
+        # 1/2 the gradient of the quadratic form Phi is H u
+        for want in (H @ u, ev._phi(u)[1]):
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("name", sorted(EIGEN))
+def test_eigen_bound_is_the_top_eigenvalue(name):
+    ev, H, inc = _eigen_bound(name)
+    s = ev._src_cell
+    assert np.all(s > 0.0)
+    scale = 1.0 / np.sqrt(s)
+    top = np.linalg.eigvalsh(scale[:, None] * H * scale[None, :])[-1]
+    assert inc.ratio == pytest.approx(top ** (1.0 / ev.outer_q), rel=1e-13,
+                                      abs=0.0)
+    assert ev.ratio(inc.values) == inc.ratio
+
+
+@pytest.mark.parametrize("name", sorted(EIGEN))
+def test_collatz_wielandt_bracket_holds_the_eigen_bound(name):
+    # H is entrywise nonnegative and irreducible, so for positive u the
+    # least and the largest (Hu)_i / (s_i u_i) bracket its top eigenvalue
+    # (Collatz-Wielandt); up to the rounding of the bound, a few ulps
+    ev, H, inc = _eigen_bound(name)
+    u = ev._cells(inc.values) ** ev.inner_p
+    assert np.all(u > 0.0)
+    cw = (H @ u) / (ev._src_cell * u)
+    bound = inc.ratio ** ev.outer_q
+    assert np.min(cw) <= bound * (1.0 + 1e-15)
+    assert bound <= np.max(cw) * (1.0 + 1e-15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=st.floats(-3.0, -1.05), b=st.floats(-3.0, 3.0))
+@example(a=-2.0, b=0.0)
+def test_eigen_row_reaches_the_power_method(a, b):
+    # direct Hardy with p = q = 2 and v = t^a, w = t^b, a < -1 keeping the
+    # outer norm beyond the grid finite: the eigen row alone reaches what
+    # the families and the power method reach, which, global at r = P,
+    # reach no higher
+    prob = HardyProblem("direct", 2.0, 2.0, PowerProfile(1.0, a),
+                        Weight(1, PowerProfile(1.0, b)))
+    ev = _RatioEvaluator(prob, SCORE_CFG)
+    assert ev.search == "eigen"
+    inc = _Incumbent()
+    _SEARCHES["eigen"](ev, SCORE_CFG, inc)
+    power = _power_search(prob, SCORE_CFG)[1].ratio
+    assert 0.0 < power < INF
+    assert inc.ratio >= power * (1.0 - 1e-12)
+    assert power <= inc.ratio * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("p, q, search", [(2.0, 2.0, "eigen"),
+                                           (3.0, 3.0, "power"),
                                            (INF, 2.0, "corner"),
                                            (2.0, INF, "holder_dual"),
                                            (1.0, 2.0, "vertex"),
