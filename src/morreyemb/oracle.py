@@ -5,6 +5,9 @@ functions.
 The evaluator discretizes (0, inf) into log-spaced cells, refines each cell
 into subcells, and computes all the norms by vectorized midpoint/prefix
 sums, independently of the closed-form functionals it is used to audit.
+Rows are scored as arrays, in blocks of a fixed size: Phi = N'^r (below) in
+O(m) a row at r = 1 or 2, where it is linear or quadratic, else over the
+(rows, m, K) subcells; the ratios in one step, with Python's float power.
 Canonical families (ball indicators, complements, near-extremal dual-power
 profiles, two-block combinations, power windows) are scored first; then
 one search, picked from a table by the ratio's structure, goes further.
@@ -114,8 +117,8 @@ _TINY = sys.float_info.min
 # subcells per coarse cell
 _SUBCELLS = 8
 
-# rows scored together, in one pass over the grid
-_BLOCK = 16
+# the entries of one scan block's largest array, (B, m, K) or (B, m)
+_BLOCK_CELLS = 16 * 256 * _SUBCELLS
 
 # np.polynomial.legendre.leggauss(4) moved to [0, 1], nodes (row 0) and
 # weights (row 1), read-only; written out, as numpy.polynomial takes 4 ms
@@ -234,6 +237,16 @@ def _subcell_masses(profile, grid, n=1, sigma=1.0):
         return np.sum(vals * xs ** (n - 1) * sigma * grid.weights, axis=1)
 
 
+def _powers(a, e):
+    """a ** e entry by entry in Python floats (numpy's may differ by 1 ulp)."""
+    return np.array([_float_pow(x, e) for x in a.tolist()])
+
+
+def _root(a, p):
+    """a ** (1/p) where a > 0, else 0, by `_powers`."""
+    return np.where(a > 0.0, _powers(a, 1.0 / p), 0.0)
+
+
 def _exclusive(op, terms):
     """Running op-reduction of terms along the last axis before each
     entry, 0 before the first."""
@@ -255,9 +268,11 @@ class _RatioEvaluator:
     infinity over complements.  ``morrey_on_top`` decides whether the
     cumulative (Morrey/Hardy style) norm is the numerator.
 
-    ``ratios(V)`` scores every row of V from scratch, in one pass over the
-    (B, m, K) grid, and is the only scoring path: ``ratio(values)`` is its
-    one-row case, and a row scores the same alone as among others.
+    ``ratios(V)`` scores every row of V from scratch, and ``ratio(values)``
+    is its one-row case: a row scores the same alone as among others.  With
+    a finite inner exponent and q and r = 1 or 2, Phi's grid part sum o G^r
+    is u.c or u'Hu, c and H from `_semiseparable` at G = 1 and beyond = 0:
+    O(m) a row.  Otherwise one pass over the (B, m, K) subcell grid.
     """
 
     def __init__(self, prob, cfg: OracleConfig):
@@ -361,6 +376,9 @@ class _RatioEvaluator:
         # G with exponent r = q/p2, S' the weighted l^P norm of u, P = p1/p2
         self._P = None if self.sup_inner else src_p / inner_p
         self.search = self._search()
+        self._gens = None if self.sup_inner or self._q_inf or self._gpow \
+            not in (1.0, 2.0) else self._semiseparable(np.ones((m, K)), 0.0)
+        self.block = max(1, _BLOCK_CELLS // (m if self._gens else m * K))
 
     def _subcell_sups(self, profile):
         """Essential supremum of the profile on each subcell."""
@@ -397,14 +415,20 @@ class _RatioEvaluator:
         return a[..., ::-1] if self._reverse else a
 
     def ratio(self, values):
-        return self.ratios([values])[0]
+        return float(self.ratios([values])[0])
 
     def ratios(self, V):
-        """The ratio of every row of the (B, m) array V."""
+        """The ratio of every row of the (B, m) array V, a (B,) array."""
         with np.errstate(all="ignore"):
             V = np.ascontiguousarray(self._cells(V))
-            G, totals = self._inner(V if self.sup_inner
-                                    else V ** self.inner_p)
+            vp = V if self.sup_inner else V ** self.inner_p
+            if self._gens is not None:  # sum o G^r as u.c or u'Hu
+                ic, c, d = self._gens  # u'Hu = sum u (2 c (ic.u before) + d u)
+                lin = c if self._gpow == 1.0 \
+                    else 2.0 * c * _exclusive(np.add, vp * ic) + d * vp
+                return self._finish((vp * lin).sum(axis=1),
+                                    (vp * ic).sum(axis=1), self._sources(V))
+            G, totals = self._inner(vp)
             if self._gpow != 1.0:
                 G **= self._gpow
             G = G.reshape(len(V), -1)
@@ -414,8 +438,7 @@ class _RatioEvaluator:
                 # each row its own dot product: a matrix product may round
                 # a row differently with other rows beside it
                 accs = np.einsum("ij,j->i", G, self._outer_flat)
-            return [self._finish(acc, total, src) for acc, total, src in zip(
-                accs.tolist(), totals.tolist(), self._sources(V).tolist())]
+            return self._finish(accs, totals, self._sources(V))
 
     def _inner(self, vp):
         """The inner accumulation at the subcell midpoints, (B, m, K), and
@@ -440,31 +463,28 @@ class _RatioEvaluator:
     def source_norm(self, values):
         """The source norm of values."""
         with np.errstate(all="ignore"):
-            return self._source_norm(
-                float(self._sources(self._cells(values)[None])[0]))
+            return float(self._source_norm(
+                self._sources(self._cells(values)[None]))[0])
 
     def _finish(self, acc, total, src):
-        """The ratio from the outer accumulation over the grid, the inner
-        accumulation over the whole grid and the source accumulation."""
-        beyond = self.outer_beyond * _float_pow(total, self._gpow)
+        """The ratios from the (B,) outer accumulations over the grid, inner
+        ones over the whole grid and source ones: x/0 is inf, 0/0 0, and a
+        ratio with an infinite bottom or a nan 0."""
+        beyond = self.outer_beyond * (total if self._gpow == 1.0
+                                      else _powers(total, self._gpow))
         if self._q_inf:
-            morrey = max(acc, beyond)
+            morrey = np.where(beyond > acc, beyond, acc)  # max(acc, beyond)
         else:
-            acc += beyond
-            morrey = acc ** (1.0 / self.outer_q) if acc > 0 else 0.0
+            morrey = _root(acc + beyond, self.outer_q)
         src = self._source_norm(src)
         top, bottom = (morrey, src) if self.morrey_on_top else (src, morrey)
-        if bottom == 0.0:
-            return 0.0 if top == 0.0 else _INF
-        if bottom == _INF or top != top or bottom != bottom:
-            return 0.0
-        return top / bottom
+        return np.where(bottom == 0.0, np.where(top == 0.0, 0.0, _INF),
+                        np.where((bottom == _INF) | np.isnan(top)
+                                 | np.isnan(bottom), 0.0, top / bottom))
 
     def _source_norm(self, src):
-        """The source norm from its accumulation."""
-        if self._src_inf:
-            return src
-        return src ** (1.0 / self.src_p) if src > 0 else 0.0
+        """The source norms from their accumulations."""
+        return src if self._src_inf else _root(src, self.src_p)
 
     # -- the power method and the simplex row ----------------------------
     def _power_terms(self, u):
@@ -491,15 +511,15 @@ class _RatioEvaluator:
         phi = np.vdot(np.where(G > 0.0, dG, 0.0), G) + beyond * total
         return phi, grad, G, total
 
-    def _semiseparable(self, G, total):
-        """The Hessian of Phi over r(r - 1) at G and T as its generators
-        (ic, c, d) over all cells: with w = o G^(r-2) (0 where G = 0) and
-        S_l the w past cell l plus beyond T^(r-2), c_l = ic_l S_l + sum_k
-        w_lk ph_lk and d_l = ic_l^2 S_l + sum_k w_lk ph_lk^2, so that H_il
-        = ic_i c_l for i < l and H_ll = d_l."""
+    def _semiseparable(self, G, beyond):
+        """The Hessian of Phi over r(r - 1) at G as generators (ic, c, d) over
+        all cells: with w = o G^(r-2) (0 where G = 0) and S_l the w past cell
+        l plus beyond (beyond T^(r-2)), c_l = ic_l S_l + sum_k w_lk ph_lk and
+        d_l = ic_l^2 S_l + sum_k w_lk ph_lk^2, so that H_il = ic_i c_l for i
+        < l and H_ll = d_l.  At G = 1, beyond = 0: u.c = sum o G and u'Hu =
+        sum o G^2."""
         w = np.where(G > 0.0, self._outer * G ** (self._gpow - 2.0), 0.0)
-        past = _exclusive(np.add, w.sum(axis=1)[::-1])[::-1] \
-            + self.outer_beyond * total ** (self._gpow - 2.0)
+        past = _exclusive(np.add, w.sum(axis=1)[::-1])[::-1] + beyond
         ic, ph = self._inner_cell, self._part_half
         return ic, ic * past + (w * ph).sum(axis=1), \
             ic * ic * past + (w * ph * ph).sum(axis=1)
@@ -507,7 +527,8 @@ class _RatioEvaluator:
     def _hessian(self, G, total, cells):
         """The Hessian of Phi over r(r - 1) at G and T on the given cells
         (ascending), as a dense array."""
-        ic, c, d = (a[cells] for a in self._semiseparable(G, total))
+        ic, c, d = (a[cells] for a in self._semiseparable(
+            G, self.outer_beyond * total ** (self._gpow - 2.0)))
         upper = np.triu(np.outer(ic, c), 1)
         return upper + upper.T + np.diag(d)
 
@@ -605,17 +626,21 @@ class _Incumbent:
             self.trace.append((self.count, r))
 
     def scan(self, ev, rows):
-        """Score rows in blocks, offering each, up to the first infinite
-        ratio; the ratios scored."""
-        scored = []
-        for lo in range(0, len(rows), _BLOCK):
-            block = rows[lo:lo + _BLOCK]
-            for vals, r in zip(block, ev.ratios(block)):
-                self.count += 1
-                self.offer(r, vals)
-                scored.append(r)
-                if math.isinf(r):
-                    return scored
+        """Score rows in blocks of ev.block, offering each rise above the
+        running maximum, up to the first infinite ratio; the ratios, a list."""
+        scored, count = [], self.count
+        for lo in range(0, len(rows), ev.block):
+            r = ev.ratios(rows[lo:lo + ev.block])
+            inf = np.isinf(r)
+            r = r[:np.argmax(inf) + 1] if inf.any() else r
+            for j in np.flatnonzero(r > np.maximum.accumulate(
+                    np.append(self.ratio, r[:-1]))).tolist():
+                self.count = count + j + 1
+                self.offer(float(r[j]), rows[lo + j])
+            self.count = count = count + len(r)
+            scored += r.tolist()
+            if inf.any():
+                break
         return scored
 
 
@@ -638,7 +663,7 @@ def _coordinate_ascent(ev, values, cfg, incumbent):
                          if not x > 1e12]
                 rows = np.repeat(values[None], len(cands), axis=0)
                 rows[:, i] = cands
-                for row, r in zip(rows, ev.ratios(rows)):
+                for row, r in zip(rows, ev.ratios(rows).tolist()):
                     incumbent.count += 1
                     if r > best * (1.0 + 1e-12):
                         best = r
@@ -672,7 +697,7 @@ def _power_method(ev, values, cfg, incumbent):
             if not gain:
                 break
         found = ev._cells(u) ** (1.0 / ev.inner_p)
-    for row, r in zip((values, found), ev.ratios([values, found])):
+    for row, r in zip((values, found), ev.ratios([values, found]).tolist()):
         incumbent.offer(r, row)
 
 
@@ -798,7 +823,7 @@ def _eigen(ev, cfg, incumbent):
     whole space.  The absolute value of the Ritz vector is offered.  A
     cell with no source weight and H_ll > 0 is offered instead as its
     one-cell row, whose ratio is infinite."""
-    gens = ev._semiseparable(np.ones((ev.m, ev.K)), 1.0)
+    gens = ev._semiseparable(np.ones((ev.m, ev.K)), ev.outer_beyond)
     s = ev._src_cell
     free = (s == 0.0) & (gens[2] > 0.0)
     if free.any():
@@ -957,7 +982,7 @@ def divergence_witness(prob, cfg: OracleConfig = None, constant=None):
     best_rows, best_ratios, all_ratios = None, None, {}
     for name, rows in families.items():
         rows = rows.astype(float)
-        ratios = all_ratios[name] = ev.ratios(rows)
+        ratios = all_ratios[name] = ev.ratios(rows).tolist()
         if _has_doubling_run(ratios) and (
                 best_ratios is None or ratios[-1] > best_ratios[-1]):
             best_rows, best_ratios = rows, ratios

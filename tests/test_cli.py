@@ -341,8 +341,11 @@ class TestSweep:
 
     def test_oracle_column(self, tmp_path, capsys):
         # at the audit settings; the cell is empty where the value is inf.
-        # theta = p1 = 2 p2 takes the oracle's eigen row, exact to the last
-        # bits, which the power method read 1.05e-13 lower (...80087)
+        # theta = p1 = 2 p2 takes the oracle's eigen row, which the power
+        # method read 1.05e-13 lower (...80087).  The root of the discrete
+        # top eigenvalue, in mpmath at 50 digits from the evaluator's float
+        # data, is 0.548079844197858377; the subcell sum of the rows' Phi
+        # read ...85849, its O(m) quadratic form ...85838
         doc = {"sweep": {"direction": "lebesgue_to_lm", "n": 1, "p1": [2],
                          "p2": [1], "theta": [2, "inf"], "beta": [-4, 0],
                          "oracle": True},
@@ -353,7 +356,7 @@ class TestSweep:
         rows = {(r[4], r[6]): r for r in (
             line.split(",") for line in
             capsys.readouterr().out.splitlines()[1:])}
-        assert rows["2", "-4"][10] == "0.54807984419785849"
+        assert rows["2", "-4"][10] == "0.54807984419785838"
         assert rows["inf", "-4"][10] == "1.285602426465374"
         assert rows["inf", "0"][8] == "inf" and rows["inf", "0"][10] == ""
         assert rows["2", "0"][7] == "inadmissible"

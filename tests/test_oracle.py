@@ -1,5 +1,6 @@
 """Brute-force lower bounds, divergence witnesses, and equivalence reports."""
 
+import copy
 import math
 import warnings
 from dataclasses import replace
@@ -10,10 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from morreyemb.errors import DegenerateRatio, WitnessNotFound
+from morreyemb.extreal import _float_pow
 from morreyemb.hardy import HardyProblem, hardy_constant
 from morreyemb.embeddings import EmbeddingProblem
 from morreyemb.integration import ball_volume, sphere_area
-from morreyemb.oracle import (_BLOCK, _GL01, _SEARCHES, OracleConfig,
+from morreyemb.oracle import (_BLOCK_CELLS, _GL01, _SEARCHES, OracleConfig,
                               _Incumbent, _RatioEvaluator, _coordinate_ascent,
                               _families, _grid, _power_method,
                               _semiseparable_product,
@@ -23,7 +25,7 @@ from morreyemb.profiles import (ExpProfile, PowerProfile,
                                 ShiftedPowerProfile, constant,
                                 truncated_power)
 from morreyemb.weights import Weight
-from test_acceptance import AUDIT_CFG, FINITE_INSTANCES
+from test_acceptance import AUDIT_CFG, FINITE_INSTANCES, INFINITE_INSTANCES
 
 INF = math.inf
 
@@ -200,6 +202,20 @@ def _evaluator(name):
     if name not in _EVALUATORS:
         _EVALUATORS[name] = _RatioEvaluator(SCORED[name], SCORE_CFG)
     return _EVALUATORS[name]
+
+
+# every acceptance instance, by name, scored on AUDIT_CFG
+ACCEPTANCE = {**{name: prob for name, (prob, _, _) in
+                 FINITE_INSTANCES.items()},
+              **{"inf." + name: prob
+                 for name, prob in INFINITE_INSTANCES.items()}}
+_AUDIT_EVALUATORS = {}
+
+
+def _audit_evaluator(name):
+    if name not in _AUDIT_EVALUATORS:
+        _AUDIT_EVALUATORS[name] = _RatioEvaluator(ACCEPTANCE[name], AUDIT_CFG)
+    return _AUDIT_EVALUATORS[name]
 
 
 cell_values = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
@@ -422,6 +438,118 @@ def test_averaged_operator_lower_bound_pinned(n):
     assert res.search == "eigen"
 
 
+# Phi's grid part sum o G^r as u.c (r = 1) or u'Hu (r = 2): the problems
+# that take it, each with its evaluator, and two whose outer norm beyond
+# the grid is infinite (v = t^(-1/2) as the direct Hardy target's density)
+STRUCTURED = {
+    **{name: (SCORED[name], SCORE_CFG) for name in (
+        "direct_complement", "reverse", "p1_inf", "dual_lm_to_lebesgue")},
+    **{name: (ACCEPTANCE[name], AUDIT_CFG) for name in (
+        "hardy.a", "hardy.b", "hardy.e", "hardy.f", "emb.ii", "emb.v",
+        "emb.vi", "emb.source.b", "emb.dual_source.b", "inf.hardy")},
+    "averaged_n1": (_averaged(1), AVERAGED_CFG),
+    "averaged_n2": (_averaged(2), AVERAGED_CFG),
+    **{f"beyond_inf_q{q:g}": (HardyProblem(
+        "direct", 2.0, q, PowerProfile(1.0, -0.5), ONE), SCORE_CFG)
+       for q in (1.0, 2.0)},
+}
+_STRUCTURED_EVALUATORS = {}
+
+
+def _structured(name):
+    """The evaluator of a STRUCTURED problem and a copy of it that scores
+    every row on the subcell grid."""
+    if name not in _STRUCTURED_EVALUATORS:
+        ev = _RatioEvaluator(*STRUCTURED[name])
+        sub = copy.copy(ev)
+        sub._gens, sub.block = None, _BLOCK_CELLS // (ev.m * ev.K)
+        _STRUCTURED_EVALUATORS[name] = ev, sub
+    return _STRUCTURED_EVALUATORS[name]
+
+
+def test_structured_problems_are_those_with_r_one_or_two():
+    # of the scored and acceptance problems exactly these take the O(m)
+    # path, at both r, and the last two have an infinite beyond term
+    evs = {name: _structured(name)[0] for name in STRUCTURED}
+    assert all(ev._gens is not None for ev in evs.values())
+    assert {ev._gpow for ev in evs.values()} == {1.0, 2.0}
+    assert {ev._reverse for ev in evs.values()} == {False, True}
+    assert {name for name, ev in evs.items()
+            if math.isinf(ev.outer_beyond)} == {"beyond_inf_q1",
+                                                 "beyond_inf_q2"}
+    others = [_evaluator(name) for name in SCORED] \
+        + [_audit_evaluator(name) for name in ACCEPTANCE]
+    assert sum(ev._gens is not None for ev in others) == len(STRUCTURED) - 4
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURED))
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_structured_phi_is_the_subcell_sum(name, seed):
+    # rows with zeros and 1e12 entries, lognormal between, and the unit and
+    # one-cell rows: each ratio is the subcell path's to 1e-14, and reads 0
+    # or inf exactly where that does
+    ev, sub = _structured(name)
+    rng = np.random.default_rng(seed)
+    V = np.exp(rng.normal(0.0, 3.0, (24, ev.m)))
+    V[rng.random(V.shape) < 0.3] = 0.0
+    V[rng.random(V.shape) < 0.05] = 1e12
+    V = np.vstack([V, np.zeros(ev.m), np.ones(ev.m), np.eye(ev.m)[[0, -1]]])
+    got, want = ev.ratios(V), sub.ratios(V)
+    exact = (want == 0.0) | np.isinf(want)
+    assert np.array_equal(got[exact], want[exact])
+    np.testing.assert_allclose(got[~exact], want[~exact], rtol=1e-14,
+                               atol=0.0)
+    if math.isinf(ev.outer_beyond):
+        assert not np.any(np.isnan(got)) and exact.all()
+        assert got[-4] == 0.0 and np.isinf(got[-3])
+
+
+def _scan_one_at_a_time(inc, ev, rows):
+    """Incumbent.scan one row at a time, each scored alone: the scan that
+    the block scan replaced, kept as its reference."""
+    scored = []
+    for vals in rows:
+        r = ev.ratio(vals)
+        inc.count += 1
+        inc.offer(r, vals)
+        scored.append(r)
+        if math.isinf(r):
+            break
+    return scored
+
+
+@pytest.mark.parametrize("name", ["direct", "reverse", "sup", "p1_inf"])
+@pytest.mark.parametrize("block", [1, 5, 64, None])
+def test_block_scan_is_the_scan_one_row_at_a_time(name, block):
+    # the families, then the unit row again (no rise), then the one-cell
+    # rows, scored in blocks of every size from an incumbent already set
+    ev = copy.copy(_evaluator(name))
+    ev.block = block or ev.block
+    rows = [_families(ev)[1], np.ones((1, ev.m)), np.eye(ev.m)]
+    a, b = _Incumbent(), _Incumbent()
+    for stage, part in zip(("families", "again", "cells"), rows):
+        a.stage = b.stage = stage
+        got, want = a.scan(ev, part), _scan_one_at_a_time(b, ev, part)
+        assert got == want and all(type(r) is float for r in got)
+        assert (a.count, a.ratio, a.search, a.trace) \
+            == (b.count, b.ratio, b.search, b.trace)
+        assert all(type(r) is float for _, r in a.trace)
+        assert np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("m", [16, 48, 256])
+def test_scan_blocks_keep_to_the_cell_budget(m):
+    # a block's largest array, (B, m, K) or (B, m), holds at most 16 * 256
+    # * 8 entries, the 16 rows at m = 256 of the fixed block it replaced
+    cfg = replace(SCORE_CFG, grid_cells=m)
+    for name in SCORED:
+        ev = _RatioEvaluator(SCORED[name], cfg)
+        cells = m if ev._gens is not None else m * ev.K
+        assert ev.block * cells <= _BLOCK_CELLS < (ev.block + 1) * cells
+    assert _BLOCK_CELLS == 16 * 256 * 8
+
+
 # reverse_complement's Hardy norm is infinite below SCORE_CFG's grid (v^q =
 # t^(-3/2) near 0), so every candidate scores 0 and its search raises
 # DegenerateRatio
@@ -435,15 +563,61 @@ def test_scored_bound_is_the_incumbent(name):
 @settings(max_examples=40, deadline=None)
 @given(rows=st.lists(st.lists(st.one_of(cell_values, st.just(1e12)),
                               min_size=16, max_size=16),
-                     min_size=1, max_size=_BLOCK + 1))
-@example(rows=[[0.0] * 16, [1.0] * 16, [1.0] * 8 + [0.0] * 8])
-def test_row_ratios_equal_ratio(name, rows):
-    # a row scores the same, to the bit, alone or beside others, in
-    # blocks of more than one family block too
+                     min_size=1, max_size=5),
+       extra=st.integers(1, 40))
+@example(rows=[[0.0] * 16, [1.0] * 16, [1.0] * 8 + [0.0] * 8], extra=1)
+def test_row_ratios_equal_ratio(name, rows, extra):
+    # a row scores the same, to the bit, alone or beside others, in more
+    # rows than one scan block too: the drawn rows, repeated
     ev = _evaluator(name)
-    got = ev.ratios(np.array(rows))
+    V = np.resize(np.array(rows), (ev.block + extra, 16))
     want = [ev.ratio(row) for row in rows]
-    assert np.array_equal(got, want, equal_nan=True)
+    got = ev.ratios(V)
+    assert np.array_equal(got, np.resize(want, len(V)), equal_nan=True)
+    assert isinstance(ev.ratio(rows[0]), float)
+
+
+def _scalar_finish(ev, acc, total, src):
+    """The ratio of one row from its three accumulations, one Python float
+    at a time: the scalar finish that the array one replaced, kept as its
+    reference."""
+    beyond = ev.outer_beyond * _float_pow(total, ev._gpow)
+    if ev._q_inf:
+        morrey = max(acc, beyond)
+    else:
+        acc += beyond
+        morrey = acc ** (1.0 / ev.outer_q) if acc > 0 else 0.0
+    if not ev._src_inf:
+        src = src ** (1.0 / ev.src_p) if src > 0 else 0.0
+    top, bottom = (morrey, src) if ev.morrey_on_top else (src, morrey)
+    if bottom == 0.0:
+        return 0.0 if top == 0.0 else INF
+    if bottom == INF or top != top or bottom != bottom:
+        return 0.0
+    return top / bottom
+
+
+accumulations = st.lists(st.one_of(st.sampled_from([0.0, INF, math.nan]),
+                                   st.floats(0.0, 1e30)),
+                         min_size=3, max_size=3)
+
+
+@pytest.mark.parametrize("name", sorted(SCORED) + sorted(ACCEPTANCE))
+@settings(max_examples=40, deadline=None)
+@given(accs=st.lists(accumulations, min_size=1, max_size=8))
+@example(accs=[[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0],
+               [INF, 1.0, 1.0], [1.0, INF, 1.0], [1.0, 1.0, INF],
+               [INF, INF, INF], [math.nan, 1.0, 1.0], [1.0, math.nan, 1.0],
+               [1.0, 1.0, math.nan], [0.0, math.nan, 0.0],
+               # beyond above acc, and a beyond of nan beside a number
+               [1e-30, 1e10, 1.0], [2.0, 1e-30, 3.0], [5.0, math.nan, 0.5]])
+def test_array_finish_is_the_scalar_finish_to_the_bit(name, accs):
+    ev = _evaluator(name) if name in SCORED else _audit_evaluator(name)
+    acc, total, src = np.array(accs).T
+    with np.errstate(all="ignore"):  # as ratios calls it
+        got = ev._finish(acc, total, src)
+    want = [_scalar_finish(ev, *row) for row in accs]
+    assert got.tobytes() == np.array(want).tobytes(), (got, want)
 
 
 def _families_one_at_a_time(prob, cfg):
@@ -571,7 +745,7 @@ def test_writing_to_an_argmax_cannot_change_the_next_result():
 def test_block_with_infinite_member_matches_one_at_a_time():
     # v vanishes beyond 1, so a complement reaching no further in has no
     # target and an infinite reverse ratio; the first such member is the
-    # 27th, inside the second block
+    # 27th, inside a block whose later rows are then not offered
     prob = HardyProblem("reverse", 0.5, 2.0,
                         truncated_power(1.0, -1.0, None, 1.0), ONE)
     vals, trace, bests = _families_one_at_a_time(prob, SMALL)
@@ -834,7 +1008,7 @@ def test_eigen_instances_take_the_eigen_row_on_both_sides():
 @pytest.mark.parametrize("name", sorted(EIGEN))
 def test_semiseparable_product_is_the_hessian_product(name):
     ev, H, _ = _eigen_bound(name)
-    gens = ev._semiseparable(np.ones((ev.m, ev.K)), 1.0)
+    gens = ev._semiseparable(np.ones((ev.m, ev.K)), ev.outer_beyond)
     rows = np.exp(np.random.default_rng(3).normal(0.0, 2.0, (4, ev.m)))
     for u in (np.ones(ev.m), np.eye(ev.m)[0], np.eye(ev.m)[-1], *rows):
         got = _semiseparable_product(gens, u)
